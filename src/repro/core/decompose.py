@@ -103,11 +103,18 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
     """Run section 4.4 over the whole plan.
 
     ``cost_model`` may pass in the model already built for the greedy
-    search so its memo tables are reused for the initial evaluation.
+    search (``cost_config`` only builds one when none is passed).  Every
+    candidate plan is costed by a
+    :meth:`~repro.cost.memo.PlanCostModel.sibling` of it -- same memo
+    pool, so only the cones a surgery touched are re-simulated, and same
+    deadline, so ``time_budget`` bounds the decomposition too.  After
+    each step the pool is pruned to the cones of the plan in force: the
+    returned model keeps rows for the returned plan only.
     """
     current_plan = plan
     current_paces = dict(pace_config)
     model = cost_model or PlanCostModel(current_plan, cost_config)
+    pool = model.memo_pool
     evaluation = model.evaluate(current_paces)
     actions = []
     lineage = SplitLineage()  # cumulative, relative to the input plan
@@ -121,54 +128,54 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
     ]
     while worklist:
         sid = worklist.pop(0)
-        target = _find_subplan(current_plan, sid)
-        if target is None or bitvec.popcount(target.query_mask) < 2:
-            continue
         candidate = _try_subplan(
             current_plan, current_paces, model, evaluation, sid,
-            absolute_constraints, max_pace, cost_config,
-            use_brute_force, enable_partial,
+            absolute_constraints, max_pace, use_brute_force, enable_partial,
         )
-        if candidate is None:
-            if declog is not None:
-                declog.log("decompose_reject", sid=sid, reason="no_split")
-            continue
-        new_plan, new_paces, new_model, new_eval, action, step_lineage = candidate
-        if not _improves(new_eval, evaluation, absolute_constraints):
+        if candidate is not None and _improves(
+                candidate[3], evaluation, absolute_constraints):
+            new_plan, new_paces, new_model, new_eval, action, step_lineage = candidate
+            action.work_before = evaluation.total_work
+            action.work_after = new_eval.total_work
+            actions.append(action)
+            logger.debug(
+                "decomposition adopted: subplan %d %s, work %.1f -> %.1f",
+                sid, action.kind, action.work_before, action.work_after,
+            )
             if declog is not None:
                 declog.log(
-                    "decompose_reject", sid=sid, reason="not_improving",
-                    kind=action.kind,
-                    work_before=round(evaluation.total_work, 4),
-                    work_after=round(new_eval.total_work, 4),
+                    "decompose_adopt", sid=sid, kind=action.kind,
+                    partitions=[list(p) for p in action.partitions],
+                    work_before=round(action.work_before, 4),
+                    work_after=round(action.work_after, 4),
                 )
-            continue
-        action.work_before = evaluation.total_work
-        action.work_after = new_eval.total_work
-        actions.append(action)
-        logger.debug(
-            "decomposition adopted: subplan %d %s, work %.1f -> %.1f",
-            sid, action.kind, action.work_before, action.work_after,
-        )
-        if declog is not None:
-            declog.log(
-                "decompose_adopt", sid=sid, kind=action.kind,
-                partitions=[list(p) for p in action.partitions],
-                work_before=round(action.work_before, 4),
-                work_after=round(action.work_after, 4),
-            )
-        current_plan, current_paces = new_plan, new_paces
-        model, evaluation = new_model, new_eval
-        lineage = lineage.compose(step_lineage)
-        # newly created shared pieces may decompose further
-        fresh = [
-            subplan.sid
-            for subplan in reversed(current_plan.topological_order())
-            if bitvec.popcount(subplan.query_mask) > 1
-            and subplan.sid not in worklist
-            and subplan.sid != sid
-        ]
-        worklist = fresh + [s for s in worklist if s in {p.sid for p in current_plan.subplans}]
+            current_plan, current_paces = new_plan, new_paces
+            model, evaluation = new_model, new_eval
+            lineage = lineage.compose(step_lineage)
+            # newly created shared pieces may decompose further
+            fresh = [
+                subplan.sid
+                for subplan in reversed(current_plan.topological_order())
+                if bitvec.popcount(subplan.query_mask) > 1
+                and subplan.sid not in worklist
+                and subplan.sid != sid
+            ]
+            live = {subplan.sid for subplan in current_plan.subplans}
+            worklist = fresh + [s for s in worklist if s in live]
+        elif declog is not None:
+            if candidate is None:
+                declog.log("decompose_reject", sid=sid, reason="no_split")
+            else:
+                _, _, _, rejected_eval, rejected_action, _ = candidate
+                declog.log(
+                    "decompose_reject", sid=sid, reason="not_improving",
+                    kind=rejected_action.kind,
+                    work_before=round(evaluation.total_work, 4),
+                    work_after=round(rejected_eval.total_work, 4),
+                )
+        # the caller keeps the returned model, and with it the pool: rows
+        # of cones the plan in force no longer has go with the candidates
+        pool.retain(model.cone_signatures())
     if OBS.enabled:
         OBS.tracer.complete("optimize.decompose", start_us, {
             "adopted": len(actions),
@@ -180,28 +187,24 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
     )
 
 
-def _find_subplan(plan, sid):
-    for subplan in plan.subplans:
-        if subplan.sid == sid:
-            return subplan
-    return None
-
-
 def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
-                 max_pace, cost_config, use_brute_force, enable_partial):
+                 max_pace, use_brute_force, enable_partial):
     """Best decomposition candidate for one subplan, or None."""
     target = plan.subplan_by_id(sid)
     inputs_eval = model.evaluate(paces, collect_inputs=True)
     input_stats = inputs_eval.subplan_inputs[sid]
     local = model.local_constraints(target, absolute_constraints)
-    splitter = LocalSplitOptimizer(target, input_stats, local, max_pace, cost_config)
+    splitter = LocalSplitOptimizer(
+        target, input_stats, local, max_pace, model.config,
+        cost_cache=model.partition_costs(sid, input_stats),
+    )
     decision = splitter.brute_force() if use_brute_force else splitter.cluster()
 
     if decision.is_split():
         parts = [part for part, _ in decision.partitions]
         lineage = SplitLineage()
         new_plan, initial = apply_split(plan, paces, sid, parts, lineage=lineage)
-        new_model = PlanCostModel(new_plan, cost_config)
+        new_model = model.sibling(new_plan)
         new_paces, new_eval = decrease_paces(
             new_model, absolute_constraints, initial
         )
@@ -211,25 +214,27 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
     if not enable_partial:
         return None
     return _try_partial(
-        plan, paces, sid, absolute_constraints, max_pace, cost_config,
+        plan, paces, model, sid, absolute_constraints, max_pace,
         use_brute_force, evaluation,
     )
 
 
-def _try_partial(plan, paces, sid, absolute_constraints, max_pace,
-                 cost_config, use_brute_force, evaluation):
+def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
+                 use_brute_force, evaluation):
     """Partial-decomposition fallback (section 4.3)."""
     best = None
     for cut_plan, top_sid, bottom_sids in partial_cut_candidates(plan, sid):
         cut_paces = dict(paces)
         for bottom_sid in bottom_sids:
             cut_paces[bottom_sid] = paces[sid]
-        cut_model = PlanCostModel(cut_plan, cost_config)
+        cut_model = model.sibling(cut_plan)
         cut_eval = cut_model.evaluate(cut_paces, collect_inputs=True)
         top = cut_plan.subplan_by_id(top_sid)
         local = cut_model.local_constraints(top, absolute_constraints)
+        top_inputs = cut_eval.subplan_inputs[top_sid]
         splitter = LocalSplitOptimizer(
-            top, cut_eval.subplan_inputs[top_sid], local, max_pace, cost_config
+            top, top_inputs, local, max_pace, model.config,
+            cost_cache=cut_model.partition_costs(top_sid, top_inputs),
         )
         decision = splitter.brute_force() if use_brute_force else splitter.cluster()
         if not decision.is_split():
@@ -243,7 +248,7 @@ def _try_partial(plan, paces, sid, absolute_constraints, max_pace,
         new_plan, initial = apply_split(
             cut_plan, cut_paces, top_sid, parts, lineage=lineage
         )
-        new_model = PlanCostModel(new_plan, cost_config)
+        new_model = model.sibling(new_plan)
         new_paces, new_eval = decrease_paces(new_model, absolute_constraints, initial)
         if not _improves(new_eval, evaluation, absolute_constraints):
             continue

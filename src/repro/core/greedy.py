@@ -59,15 +59,13 @@ class PaceSearch:
             groups = [[subplan.sid] for subplan in self.plan.subplans]
         self.groups = [tuple(group) for group in groups]
         self._validate_groups()
-        self._children = {
-            subplan.sid: [child.sid for child in subplan.child_subplans()]
-            for subplan in self.plan.subplans
-        }
+        self._children = cost_model.children
+        masks = {subplan.sid: subplan.query_mask for subplan in self.plan.subplans}
         self._group_queries = []
         for group in self.groups:
             mask = 0
             for sid in group:
-                mask |= self.plan.subplan_by_id(sid).query_mask
+                mask |= masks[sid]
             self._group_queries.append(mask)
 
     def _validate_groups(self):
@@ -203,10 +201,7 @@ def decrease_paces(cost_model, constraints, initial, keep_met=True):
     missed final work of any unmet query).
     """
     plan = cost_model.plan
-    parents = {
-        subplan.sid: [parent.sid for parent in plan.parents_of(subplan)]
-        for subplan in plan.subplans
-    }
+    parents = cost_model.parents
     pace_config = dict(initial)
     evaluation = cost_model.evaluate(pace_config)
     initially_met = constraints_met(evaluation, constraints)

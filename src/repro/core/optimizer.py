@@ -236,6 +236,8 @@ def optimize_ishare(catalog, queries, relative_constraints, config,
         "simulations": cost_model.simulation_count,
         "actions": [],
     }
+    pool = cost_model.memo_pool
+    searched = pool.simulations
     plan_out, paces_out, eval_out, model_out = (
         plan, result.pace_config, result.evaluation, cost_model
     )
@@ -250,6 +252,12 @@ def optimize_ishare(catalog, queries, relative_constraints, config,
         plan_out, paces_out = outcome.plan, outcome.pace_config
         eval_out, model_out = outcome.evaluation, outcome.cost_model
         diagnostics["actions"] = outcome.actions
+    # cost-model simulations the decomposition ran through the search's
+    # memo pool, and the lookups a model was served from rows another
+    # model of this call wrote (the split optimizer's local simulations
+    # are not memo traffic and are not counted)
+    diagnostics["decompose_simulations"] = pool.simulations - searched
+    diagnostics["memo_pool_hits"] = pool.hits
     elapsed = time.monotonic() - start
     name = "iShare" if config.enable_unshare else "iShare (w/o unshare)"
     if config.brute_force_split and config.enable_unshare:

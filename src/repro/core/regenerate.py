@@ -11,15 +11,18 @@ right: Subplan_1b + Subplan_4b -> Subplan_14b).
 
 The function also derives the *initial* pace configuration of the new
 plan per section 4.2: every new subplan inherits the pace of the subplan
-it derives from, and merged subplans take the larger of the two -- a
-configuration at least as eager as the original, which the descending
-search then corrects.
+it derives from, and merged subplans take the larger of the two, with
+any children of the merged subplan that lag behind it raised to the same
+pace (a parent may never run eagerer than a child) -- a configuration at
+least as eager as the original, which the descending search then
+corrects.
 """
 
 from ..errors import OptimizationError
 from ..mqo.nodes import SharedQueryPlan, Subplan, SubplanRef
 from ..obs import OBS
 from ..relational import bitvec
+from .pace import validate_parent_child
 
 
 class SplitLineage:
@@ -81,6 +84,7 @@ def apply_split(plan, old_paces, target_sid, partitions, lineage=None):
     )
     _merge_single_consumer_chains(work, initial_paces, lineage)
     new_plan = SharedQueryPlan(work.catalog, work.subplans, work.query_roots, work.queries)
+    validate_parent_child(new_plan, initial_paces)
     return new_plan, initial_paces
 
 
@@ -156,7 +160,8 @@ def _merge_single_consumer_chains(work, initial_paces, lineage=None):
     Mergeable when: not a query root, exactly one parent, equal query
     masks, referenced by exactly one undecorated source leaf of that
     parent.  The merged subplan keeps the larger of the two paces
-    (section 4.2, step 2).
+    (section 4.2, step 2); the parent's *other* children may be lazier
+    than that and are raised with it.
     """
     changed = True
     while changed:
@@ -186,17 +191,34 @@ def _merge_single_consumer_chains(work, initial_paces, lineage=None):
                 _replace_child(parent.root, leaf, child.root)
             work.subplans.remove(child)
             child_pace = initial_paces.pop(child.sid)
-            initial_paces[parent.sid] = max(initial_paces[parent.sid], child_pace)
+            merged_pace = max(initial_paces[parent.sid], child_pace)
+            initial_paces[parent.sid] = merged_pace
+            raised = _raise_lagging_children(parent, merged_pace, initial_paces)
             if lineage is not None:
                 lineage.tainted.add(lineage.resolve(child.sid))
                 lineage.tainted.add(lineage.resolve(parent.sid))
             if OBS.enabled:
                 OBS.declog.log(
                     "repair_merge", child_sid=child.sid, parent_sid=parent.sid,
-                    merged_pace=initial_paces[parent.sid],
+                    merged_pace=merged_pace, raised=raised,
                 )
             changed = True
             break
+
+
+def _raise_lagging_children(subplan, pace, paces):
+    """Raise every descendant of ``subplan`` lazier than ``pace`` to it.
+
+    Returns the raised sids.  A descendant already at ``pace`` or above
+    shields its own cone (its children are at least as eager as it is).
+    """
+    raised = []
+    for child in subplan.child_subplans():
+        if paces[child.sid] < pace:
+            paces[child.sid] = pace
+            raised.append(child.sid)
+            raised.extend(_raise_lagging_children(child, pace, paces))
+    return raised
 
 
 def _replace_child(root, old_node, new_node):

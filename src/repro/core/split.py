@@ -52,14 +52,17 @@ class LocalSplitOptimizer:
     """Solves the section 4.1 local optimization for one shared subplan."""
 
     def __init__(self, subplan, input_stats, local_constraints, max_pace,
-                 cost_config=None, verify_warm_start=False):
+                 cost_config=None, verify_warm_start=False, cost_cache=None):
         self.subplan = subplan
         self.input_stats = input_stats
         self.local_constraints = dict(local_constraints)
         self.max_pace = max_pace
         self.cost_config = cost_config
         self.queries = tuple(sorted(subplan.query_ids()))
-        self._cost_cache = {}
+        #: ``{(partition, pace): (W_PT, W_F)}``; pass the table a
+        #: :class:`~repro.cost.memo.PlanCostModel` keeps for this subplan
+        #: and these inputs to reuse simulations across optimizers
+        self._cost_cache = cost_cache if cost_cache is not None else {}
         self.simulations = 0
         #: re-run every warm-started selected-pace search from pace 1 and
         #: assert the answers match (tests; guards the monotonicity

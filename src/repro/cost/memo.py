@@ -10,6 +10,14 @@ search evaluates thousands of neighbouring configurations that differ in
 a single pace; with memoization only the changed subplan and its
 ancestors are ever re-simulated.
 
+The tables live in a :class:`MemoPool` and are addressed by the *content*
+of the subplan's cone (the subplan and its descendants), not by subplan
+id: decomposition derives dozens of candidate plans that are clones of
+their parent differing in one subplan and its ancestors, and every model
+built over one pool reads and writes the same rows for the cones the
+surgery left untouched.  A model nobody shares with is a pool with one
+user.
+
 ``use_memo=False`` reproduces the baseline that re-simulates every
 configuration from scratch (the "iShare (w/o memo)" of Figure 15, which
 DNFs at large max paces).
@@ -65,6 +73,75 @@ class OptimizationTimeout(CostModelError):
     """Raised when an optimizer exceeds its time budget (the DNF case)."""
 
 
+class MemoPool:
+    """Algorithm-1 memo tables addressed by cone content.
+
+    One table per *cone signature* (see
+    :meth:`PlanCostModel.cone_signature`), shared by every
+    :class:`PlanCostModel` built over this pool.  A table maps a private
+    pace configuration -- the cone's paces in cone order -- to the
+    simulated ``(private_total, private_final, out_profile)``.
+
+    ``simulations`` counts the :func:`simulate_subplan` calls of every
+    attached model; ``hits`` the lookups served by a table the reading
+    model found already in the pool, i.e. rows it owes to another model.
+
+    Content is what the signature can see: one pool serves plans over one
+    catalog, and a ``NodeStats`` object stands for its values, so
+    statistics must not be mutated in place while a pool holds rows
+    computed from them (recalibration attaches fresh objects).
+    """
+
+    __slots__ = ("_tables", "_partition_costs", "simulations", "hits")
+
+    def __init__(self):
+        self._tables = {}
+        self._partition_costs = {}
+        self.simulations = 0
+        self.hits = 0
+
+    def attach(self, signature):
+        """``(table, inherited)`` for one cone; creates the table if new."""
+        table = self._tables.get(signature)
+        if table is not None:
+            return table, True
+        table = self._tables[signature] = {}
+        return table, False
+
+    def retain(self, signatures):
+        """Drop every table whose cone is not in ``signatures``.
+
+        Rows are only worth their memory while some live plan still has
+        the cone; decomposition prunes to the adopted plan after every
+        step so the pool the caller keeps is bounded by that plan.
+        """
+        keep = set(signatures)
+        self._tables = {
+            signature: table for signature, table in self._tables.items()
+            if signature in keep
+        }
+        self._partition_costs = {
+            key: costs for key, costs in self._partition_costs.items()
+            if key[0] in keep
+        }
+
+    def partition_costs(self, signature, child_profiles):
+        """The local-split cost table of one subplan under fixed inputs.
+
+        ``{(partition, pace): (W_PT, W_F)}`` for
+        :class:`~repro.core.split.LocalSplitOptimizer`: a partition's
+        cost depends on the subplan's tree (``signature``) and on the
+        profiles it reads, so a subplan re-tried after an unrelated
+        adoption -- same rows, hence the same profile objects -- finds
+        its earlier simulations.
+        """
+        return self._partition_costs.setdefault((signature, child_profiles), {})
+
+    def signatures(self):
+        """The cones this pool currently holds a table for."""
+        return set(self._tables)
+
+
 class PlanCostModel:
     """Cost model over one :class:`~repro.mqo.nodes.SharedQueryPlan`.
 
@@ -74,36 +151,153 @@ class PlanCostModel:
     Parameters
     ----------
     use_memo:
-        enable the per-subplan memo tables of Algorithm 1.
+        enable the per-subplan memo tables of Algorithm 1; a model built
+        with ``use_memo=False`` never reads or writes a pool row.
     time_budget:
         optional wall-clock seconds; :class:`OptimizationTimeout` is
         raised from :meth:`evaluate` once exceeded (used to reproduce the
         30-minute DNF cutoff of Figure 15 at benchmark scale).
+    memo_pool:
+        the :class:`MemoPool` holding this model's memo tables; models
+        over plans derived from one another pass the same pool
+        (:meth:`sibling`), by default the model gets a pool of its own.
+
+    The constructor walks every operator tree once and keeps what
+    :meth:`evaluate` and the pace searches need per subplan --
+    ``query_ids``, ``children``, ``parents`` (sid-keyed dicts) and the
+    source inputs -- so nothing re-walks the plan per evaluation.  The
+    plan must not be mutated while a model over it is in use.
     """
 
-    def __init__(self, plan, config=None, use_memo=True, time_budget=None):
+    def __init__(self, plan, config=None, use_memo=True, time_budget=None,
+                 memo_pool=None):
         self.plan = plan
         self.config = config or DEFAULT_COST_CONFIG
         self.use_memo = use_memo
         self.time_budget = time_budget
         self._deadline = (time.monotonic() + time_budget) if time_budget else None
+        self.memo_pool = memo_pool if memo_pool is not None else MemoPool()
         self._order = plan.topological_order()
-        self._descendants = self._compute_descendants()
-        self._memo = {subplan.sid: {} for subplan in self._order}
+        self._index_plan()
         self._table_stats = {}
         self._solo_cache = {}
         self._feedback = {}
         self.simulation_count = 0
         self.evaluation_count = 0
 
-    def _compute_descendants(self):
-        sets = {}
-        for subplan in self._order:  # child-first: children already computed
-            acc = {subplan.sid}
-            for child in subplan.child_subplans():
-                acc |= sets[child.sid]
-            sets[subplan.sid] = acc
-        return {sid: tuple(sorted(acc)) for sid, acc in sets.items()}
+    def sibling(self, plan):
+        """A memoizing model over another plan of the same optimizer call.
+
+        Same cost config, same memo pool, same deadline: the candidate
+        plans of a decomposition are costed against the rows and the time
+        budget of the search that proposed them.
+        """
+        model = PlanCostModel(plan, self.config, memo_pool=self.memo_pool)
+        model.time_budget = self.time_budget
+        model._deadline = self._deadline
+        return model
+
+    def _index_plan(self):
+        """Per-subplan topology and cone signatures, from one tree walk each.
+
+        A subplan's *cone* is the subplan followed by its descendants in
+        depth-first order (children in source-leaf order, each subplan
+        once).  Its signature lists, in that order, every member's query
+        mask and operator tree -- kind, ``NodeStats`` identity (clones
+        share statistics by reference), filter and projection query ids,
+        and per source leaf the table name or the *position* of the child
+        in the cone list.  Positions, not sids, make the signature equal
+        across clones and keep a child read twice apart from two
+        look-alike children.
+        """
+        self.query_ids = {}
+        self.children = {}
+        self.parents = {subplan.sid: [] for subplan in self.plan.subplans}
+        self._sources = {}
+        trees = {}
+        for subplan in self._order:
+            sid = subplan.sid
+            sources = {}
+            nodes = []
+            leaves = []
+            for node in subplan.root.walk():
+                table = None
+                if node.kind == "source":
+                    ref = node.ref
+                    key = ref.key()
+                    if isinstance(ref, TableRef):
+                        table = ref.name
+                        sources.setdefault(key, (key, table, None))
+                    elif isinstance(ref, SubplanRef):
+                        child = ref.subplan.sid
+                        leaves.append(child)
+                        sources.setdefault(key, (key, None, child))
+                    else:
+                        raise CostModelError("unknown source ref %r" % (ref,))
+                filters, projections = node.filters, node.projections
+                nodes.append((
+                    node.kind, node.stats,
+                    tuple(sorted(filters)) if filters else (),
+                    tuple(sorted(projections)) if projections else (),
+                    table,
+                ))
+            self.query_ids[sid] = tuple(subplan.query_ids())
+            self._sources[sid] = tuple(sources.values())
+            self.children[sid] = tuple(
+                child for _, _, child in sources.values() if child is not None
+            )
+            trees[sid] = (subplan.query_mask, tuple(nodes), tuple(leaves))
+        for subplan in self.plan.subplans:  # parents in plan order
+            for child in self.children[subplan.sid]:
+                self.parents[child].append(subplan.sid)
+
+        config = self.config
+        config_key = (config.execution_overhead, config.minmax_rescan_factor,
+                      config.state_factor, config.arranged_state)
+        self._cones = {}
+        self._signatures = {}
+        self._tables = {}
+        self._steps = []
+        for subplan in self._order:  # child-first: children's cones are known
+            sid = subplan.sid
+            cone = [sid]
+            seen = {sid}
+            for child in self.children[sid]:
+                for member in self._cones[child]:
+                    if member not in seen:
+                        seen.add(member)
+                        cone.append(member)
+            position = {member: index for index, member in enumerate(cone)}
+            signature = (config_key, tuple(
+                (mask, nodes, tuple(position[leaf] for leaf in leaves))
+                for mask, nodes, leaves in (trees[member] for member in cone)
+            ))
+            self._cones[sid] = cone = tuple(cone)
+            self._signatures[sid] = signature
+            table, inherited = (
+                self.memo_pool.attach(signature) if self.use_memo
+                else (None, False)
+            )
+            self._tables[sid] = table
+            self._steps.append(
+                (sid, subplan, cone, table, inherited, self.query_ids[sid])
+            )
+
+    def cone_signature(self, sid):
+        """The content signature addressing ``sid``'s memo table."""
+        return self._signatures[sid]
+
+    def partition_costs(self, sid, inputs):
+        """The pool's local-split cost table for ``sid`` reading ``inputs``
+        (its entry of ``evaluate(..., collect_inputs=True).subplan_inputs``)."""
+        return self.memo_pool.partition_costs(self._signatures[sid], tuple(
+            inputs[key] for key, _, child in self._sources[sid]
+            if child is not None
+        ))
+
+    def cone_signatures(self):
+        """The signatures of every cone of this model's plan."""
+        return self._signatures.values()
 
     def reset_deadline(self):
         if self.time_budget:
@@ -129,15 +323,12 @@ class PlanCostModel:
             self._table_stats[name] = profile
         return profile
 
-    def _inputs_for(self, subplan, outputs):
+    def _inputs_for(self, sid, outputs):
         inputs = {}
-        for ref in subplan.source_refs():
-            if isinstance(ref, TableRef):
-                inputs[ref.key()] = self.table_stat(ref.name)
-            elif isinstance(ref, SubplanRef):
-                inputs[ref.key()] = outputs[ref.subplan.sid]
-            else:
-                raise CostModelError("unknown source ref %r" % (ref,))
+        for key, table, child in self._sources[sid]:
+            inputs[key] = (
+                self.table_stat(table) if child is None else outputs[child]
+            )
         return inputs
 
     # -- Algorithm 1 ---------------------------------------------------------
@@ -154,45 +345,58 @@ class PlanCostModel:
                     round(self._deadline - time.monotonic(), 4)
                 )
         evaluation = CostEvaluation()
-        outputs = {}
-        for subplan in self._order:
-            key = tuple(pace_config[sid] for sid in self._descendants[subplan.sid])
-            memo = self._memo[subplan.sid]
-            cached = memo.get(key) if self.use_memo else None
+        subplan_total = evaluation.subplan_total
+        subplan_final = evaluation.subplan_final
+        query_final_work = evaluation.query_final_work
+        feedback = self._feedback
+        outputs = evaluation.subplan_outputs
+        total_work = 0.0
+        pool = self.memo_pool
+        pool_hits = 0
+        for sid, subplan, cone, memo, inherited, query_ids in self._steps:
+            cached = None
+            if memo is not None:
+                key = tuple([pace_config[member] for member in cone])
+                cached = memo.get(key)
             if metrics is not None:
                 metrics.counter(
                     "cost.memo.hit" if cached is not None else "cost.memo.miss"
                 ).inc()
+                if cached is not None and inherited:
+                    metrics.counter("cost.memo.pool_hit").inc()
             if cached is None:
-                inputs = self._inputs_for(subplan, outputs)
                 sim = simulate_subplan(
-                    subplan, pace_config[subplan.sid], inputs, self.config
+                    subplan, pace_config[sid], self._inputs_for(sid, outputs),
+                    self.config,
                 )
                 self.simulation_count += 1
+                pool.simulations += 1
                 cached = (sim.private_total, sim.private_final, sim.out_profile)
-                if self.use_memo:
+                if memo is not None:
                     memo[key] = cached
                 self._check_deadline()
+            elif inherited:
+                pool_hits += 1
             private_total, private_final, out_profile = cached
-            correction = self._feedback.get(subplan.sid)
-            if correction is not None:
-                private_total *= correction[0]
-                private_final *= correction[1]
-            outputs[subplan.sid] = out_profile
-            evaluation.total_work += private_total
-            evaluation.subplan_total[subplan.sid] = private_total
-            evaluation.subplan_final[subplan.sid] = private_final
-            evaluation.subplan_outputs[subplan.sid] = out_profile
+            if feedback:
+                correction = feedback.get(sid)
+                if correction is not None:
+                    private_total *= correction[0]
+                    private_final *= correction[1]
+            outputs[sid] = out_profile
+            total_work += private_total
+            subplan_total[sid] = private_total
+            subplan_final[sid] = private_final
             if collect_inputs:
-                evaluation.subplan_inputs[subplan.sid] = self._inputs_for(
-                    subplan, outputs
+                evaluation.subplan_inputs[sid] = self._inputs_for(sid, outputs)
+            for qid in query_ids:
+                query_final_work[qid] = (
+                    query_final_work.get(qid, 0.0) + private_final
                 )
-            for qid in subplan.query_ids():
-                evaluation.query_final_work[qid] = (
-                    evaluation.query_final_work.get(qid, 0.0) + private_final
-                )
+        evaluation.total_work = total_work
         for qid in self.plan.query_roots:
-            evaluation.query_final_work.setdefault(qid, 0.0)
+            query_final_work.setdefault(qid, 0.0)
+        pool.hits += pool_hits
         return evaluation
 
     # -- feedback calibration from prior executions -----------------------------
@@ -268,7 +472,7 @@ class PlanCostModel:
         so they only translate when the cone does:
 
         * memo rows (Algorithm 1), pace keys re-indexed from the old
-          descendant sid order to the new one;
+          model's cone order to this model's;
         * feedback correction factors from measured executions;
         * solo one-batch estimates for queries all of whose subplans
           matched.
@@ -277,25 +481,28 @@ class PlanCostModel:
         """
         carried = 0
         for new_sid, old_sid in sid_map.items():
-            old_desc = old_model._descendants.get(old_sid)
-            new_desc = self._descendants.get(new_sid)
-            if old_desc is None or new_desc is None:
+            old_cone = old_model._cones.get(old_sid)
+            new_cone = self._cones.get(new_sid)
+            if old_cone is None or new_cone is None:
                 continue
-            translated = tuple(sid_map.get(d) for d in new_desc)
-            if None in translated or sorted(translated) != sorted(old_desc):
+            translated = tuple(sid_map.get(d) for d in new_cone)
+            if None in translated or sorted(translated) != sorted(old_cone):
                 continue
-            # position i of a new memo key holds the pace of new_desc[i],
-            # which lives at old_desc.index(translated[i]) in an old key
-            positions = [old_desc.index(t) for t in translated]
-            new_memo = self._memo[new_sid]
-            for old_key, value in old_model._memo.get(old_sid, {}).items():
-                new_memo[tuple(old_key[p] for p in positions)] = value
-                carried += 1
+            new_memo = self._tables[new_sid]
+            old_memo = old_model._tables[old_sid]
+            if new_memo is not None and old_memo is not None:
+                # position i of a new memo key holds the pace of
+                # new_cone[i], which lives at old_cone.index(translated[i])
+                # in an old key
+                positions = [old_cone.index(t) for t in translated]
+                for old_key, value in old_memo.items():
+                    new_memo[tuple(old_key[p] for p in positions)] = value
+                    carried += 1
             correction = old_model._feedback.get(old_sid)
             if correction is not None:
                 self._feedback[new_sid] = correction
         for qid in self.plan.query_roots:
-            new_sids = [s.sid for s in self.plan.subplans_of_query(qid)]
+            new_sids = [s.sid for s in self._order if s.query_mask & (1 << qid)]
             if any(sid not in sid_map for sid in new_sids):
                 continue
             old_qid = qid_map.get(qid) if qid_map is not None else qid
@@ -330,15 +537,13 @@ class PlanCostModel:
             return cached
         outputs = {}
         per_subplan = {}
-        for subplan in self.plan.subplans_of_query(query_id):
-            inputs = {}
-            for ref in subplan.source_refs():
-                if isinstance(ref, TableRef):
-                    inputs[ref.key()] = self.table_stat(ref.name)
-                else:
-                    inputs[ref.key()] = outputs[ref.subplan.sid]
+        bit = 1 << query_id
+        for subplan in self._order:
+            if not subplan.query_mask & bit:
+                continue
             sim = simulate_subplan(
-                subplan, 1, inputs, self.config, query_subset=(query_id,)
+                subplan, 1, self._inputs_for(subplan.sid, outputs),
+                self.config, query_subset=(query_id,),
             )
             outputs[subplan.sid] = sim.out_profile
             per_subplan[subplan.sid] = sim.private_total

@@ -1,0 +1,357 @@
+"""Tests for the content-addressed memo pool shared by derived cost models."""
+
+import pytest
+
+from repro import obs
+from repro.core.decompose import decompose_full_plan
+from repro.core.greedy import PaceSearch
+from repro.core.optimizer import OptimizerConfig, optimize_ishare
+from repro.core.pace import batch_configuration, uniform_configuration
+from repro.core.partial import partial_cut_candidates
+from repro.core.regenerate import apply_split
+from repro.cost.memo import MemoPool, OptimizationTimeout, PlanCostModel
+from repro.cost.stats import NodeStats
+from repro.engine.calibrate import calibrate_plan
+from repro.mqo.nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
+from repro.obs import OBS
+from repro.workloads import random_constraints
+from repro.workloads.tpch import ALL_QUERY_NAMES, build_workload, generate_catalog
+
+from .util import make_toy_catalog
+
+SMALL_QUERIES = ("Q1", "Q3", "Q4", "Q6", "Q12", "Q14")
+
+
+def small_workload(names=ALL_QUERY_NAMES):
+    catalog = generate_catalog(scale=0.05, seed=5)
+    queries = build_workload(catalog, names)
+    relative = random_constraints([q.query_id for q in queries], seed=5)
+    return catalog, queries, relative
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """The 22-query shared plan at a small scale, after the greedy search."""
+    from repro.mqo.merge import MQOOptimizer
+
+    catalog, queries, relative = small_workload()
+    config = OptimizerConfig(max_pace=4)
+    plan = MQOOptimizer(catalog).build_shared_plan(queries)
+    calibrate_plan(plan, config.stream_config)
+    model = PlanCostModel(plan, config.cost_config)
+    constraints = model.absolute_constraints(relative)
+    found = PaceSearch(model, constraints, config.max_pace).find()
+    return plan, config, constraints, found.pace_config
+
+
+def candidate_plans(plan, paces):
+    """Every plan one decomposition step can derive, with its initial paces:
+    each shared subplan split first-query-vs-rest, and every partial cut."""
+    for shared in plan.shared_subplans():
+        qids = shared.query_ids()
+        yield apply_split(plan, paces, shared.sid, [qids[:1], qids[1:]])
+        for cut_plan, top_sid, bottom_sids in partial_cut_candidates(
+                plan, shared.sid):
+            cut_paces = dict(paces)
+            cut_paces.update((sid, paces[top_sid]) for sid in bottom_sids)
+            yield cut_plan, cut_paces
+
+
+def ancestors_and_self(model, sid):
+    closure = {sid}
+    frontier = [sid]
+    while frontier:
+        for parent in model.parents[frontier.pop()]:
+            if parent not in closure:
+                closure.add(parent)
+                frontier.append(parent)
+    return closure
+
+
+class TestSharedPoolIsExact:
+    def test_candidates_cost_the_same_shared_and_private(self, searched):
+        plan, config, _, paces = searched
+        shared_pool = MemoPool()
+        PlanCostModel(plan, config.cost_config, memo_pool=shared_pool).evaluate(paces)
+        candidates = list(candidate_plans(plan, paces))
+        assert len(candidates) > 3
+        for candidate, initial in candidates:
+            pooled = PlanCostModel(
+                candidate, config.cost_config, memo_pool=shared_pool)
+            private = PlanCostModel(candidate, config.cost_config)
+            for pace_config in (
+                initial,
+                batch_configuration(candidate),
+                uniform_configuration(candidate, 3),
+            ):
+                got = pooled.evaluate(pace_config)
+                want = private.evaluate(pace_config)
+                assert got.total_work == want.total_work
+                assert got.query_final_work == want.query_final_work
+                assert got.subplan_total == want.subplan_total
+                assert got.subplan_final == want.subplan_final
+            # the untouched cones were served from the parent's rows
+            assert pooled.simulation_count < private.simulation_count
+        assert shared_pool.hits > 0
+
+    def test_no_memo_model_leaves_the_pool_alone(self, searched):
+        plan, config, _, paces = searched
+        pool = MemoPool()
+        model = PlanCostModel(
+            plan, config.cost_config, use_memo=False, memo_pool=pool)
+        model.evaluate(paces)
+        model.evaluate(paces)
+        assert pool.signatures() == set()
+        assert pool.hits == 0
+        assert model.simulation_count == 2 * len(plan.subplans)
+
+    def test_cost_config_is_part_of_the_address(self, searched):
+        from repro.cost.model import CostConfig
+
+        plan, config, _, paces = searched
+        pool = MemoPool()
+        base = PlanCostModel(plan, config.cost_config, memo_pool=pool)
+        other_config = CostConfig(state_factor=0.0)
+        other = PlanCostModel(plan, other_config, memo_pool=pool)
+        base.evaluate(paces)
+        assert other.evaluate(paces).total_work == PlanCostModel(
+            plan, other_config).evaluate(paces).total_work
+        assert pool.hits == 0
+
+
+class TestConeSignatures:
+    def test_clone_has_equal_signatures(self, searched):
+        plan, config, _, _ = searched
+        original = PlanCostModel(plan, config.cost_config)
+        clone = PlanCostModel(plan.clone(), config.cost_config)
+        for subplan in plan.subplans:
+            assert (original.cone_signature(subplan.sid)
+                    == clone.cone_signature(subplan.sid))
+
+    def test_split_changes_exactly_target_and_ancestors(self, searched):
+        plan, config, _, paces = searched
+        before = PlanCostModel(plan, config.cost_config)
+        old_signatures = set(before.cone_signatures())
+        for shared in plan.shared_subplans():
+            qids = shared.query_ids()
+            new_plan, _ = apply_split(
+                plan, paces, shared.sid, [qids[:1], qids[1:]])
+            after = PlanCostModel(new_plan, config.cost_config)
+            touched = ancestors_and_self(before, shared.sid)
+            surviving = {subplan.sid for subplan in new_plan.subplans}
+            for subplan in plan.subplans:
+                sid = subplan.sid
+                if sid not in touched:
+                    assert after.cone_signature(sid) == before.cone_signature(sid)
+                elif sid in surviving:  # an ancestor retargeted in place
+                    assert after.cone_signature(sid) != before.cone_signature(sid)
+            # nothing else is reusable: every other cone of the new plan is new
+            untouched = {
+                before.cone_signature(s.sid) for s in plan.subplans
+                if s.sid not in touched
+            }
+            assert set(after.cone_signatures()) & old_signatures == untouched
+
+    def test_restricting_queries_changes_the_signature(self, searched):
+        plan, config, _, paces = searched
+        shared = plan.shared_subplans()[0]
+        qids = shared.query_ids()
+        new_plan, _ = apply_split(plan, paces, shared.sid, [qids[:1], qids[1:]])
+        before = PlanCostModel(plan, config.cost_config)
+        after = PlanCostModel(new_plan, config.cost_config)
+        old_sids = {subplan.sid for subplan in plan.subplans}
+        pieces = [s.sid for s in new_plan.subplans if s.sid not in old_sids]
+        signatures = {after.cone_signature(sid) for sid in pieces}
+        assert len(signatures) == len(pieces)
+        assert before.cone_signature(shared.sid) not in signatures
+
+    def test_twice_read_child_differs_from_two_identical_children(self):
+        catalog = make_toy_catalog()
+        table = catalog.get("events")
+        ref = TableRef("events", table.schema)
+        key = [table.schema.names()[0]]
+        scan_stats, join_stats = NodeStats("source"), NodeStats("join")
+
+        def scan(sid):
+            return Subplan(sid, OpNode("source", ref=ref, stats=scan_stats), 1)
+
+        def join_of(sid, left, right):
+            root = OpNode(
+                "join",
+                children=[
+                    OpNode("source", ref=SubplanRef(left), stats=scan_stats),
+                    OpNode("source", ref=SubplanRef(right), stats=scan_stats),
+                ],
+                left_keys=key, right_keys=key, stats=join_stats,
+            )
+            return Subplan(sid, root, 1)
+
+        child = scan(0)
+        diamond_top = join_of(1, child, child)
+        diamond = SharedQueryPlan(catalog, [child, diamond_top], {0: diamond_top})
+        left, right = scan(0), scan(1)
+        twins_top = join_of(2, left, right)
+        twins = SharedQueryPlan(catalog, [left, right, twins_top], {0: twins_top})
+
+        diamond_model = PlanCostModel(diamond)
+        twins_model = PlanCostModel(twins)
+        # the look-alike children themselves are one cone
+        assert twins_model.cone_signature(0) == twins_model.cone_signature(1)
+        assert twins_model.cone_signature(0) == diamond_model.cone_signature(0)
+        assert diamond_model.cone_signature(1) != twins_model.cone_signature(2)
+
+
+def _private_sibling(self, plan):
+    """``PlanCostModel.sibling`` with a fresh pool: the pre-pool behaviour."""
+    model = PlanCostModel(plan, self.config)
+    model.time_budget = self.time_budget
+    model._deadline = self._deadline
+    return model
+
+
+def _optimize_logged():
+    catalog, queries, relative = small_workload()
+    obs.enable()
+    try:
+        result = optimize_ishare(
+            catalog, queries, relative, OptimizerConfig(max_pace=4))
+        events = [
+            {k: v for k, v in record.items() if k not in ("run", "ts")}
+            for record in OBS.declog.records
+        ]
+    finally:
+        obs.disable()
+    return result, events
+
+
+class TestOptimizerWithPool:
+    def test_shared_pool_and_private_pools_choose_the_same_plan(self, monkeypatch):
+        shared, shared_events = _optimize_logged()
+        monkeypatch.setattr(PlanCostModel, "sibling", _private_sibling)
+        private, private_events = _optimize_logged()
+        assert shared.diagnostics["actions"]  # the instance does decompose
+        assert shared.pace_config == private.pace_config
+        assert shared.evaluation.total_work == private.evaluation.total_work
+        assert shared.evaluation.query_final_work == private.evaluation.query_final_work
+        assert ([repr(a) for a in shared.diagnostics["actions"]]
+                == [repr(a) for a in private.diagnostics["actions"]])
+        assert shared_events == private_events
+        assert shared.diagnostics["memo_pool_hits"] > 0
+        assert private.diagnostics["memo_pool_hits"] == 0
+
+    def test_result_pool_holds_only_the_result_plans_cones(self):
+        catalog, queries, relative = small_workload()
+        result = optimize_ishare(
+            catalog, queries, relative, OptimizerConfig(max_pace=4))
+        model = result.cost_model
+        assert model.plan is result.plan
+        pool = model.memo_pool
+        assert pool.signatures() == set(model.cone_signatures())
+        assert {key[0] for key in pool._partition_costs} <= pool.signatures()
+        # and the kept rows are live: re-evaluating the result costs nothing
+        count = model.simulation_count
+        again = model.evaluate(result.pace_config)
+        assert model.simulation_count == count
+        assert again.total_work == result.evaluation.total_work
+
+    def test_simulation_budget_on_the_small_instance(self, monkeypatch):
+        """The CI floor: these counts are deterministic and only go down.
+
+        Counted where the benchmark's ``cost.simulations`` hook counts --
+        the ``simulate_subplan`` binding of each calling module.
+        """
+        import repro.core.split as split_module
+        import repro.cost.memo as memo_module
+
+        counts = {"memo": 0, "split": 0}
+
+        def counting(module, name):
+            original = module.simulate_subplan
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "simulate_subplan", wrapper)
+
+        counting(memo_module, "memo")
+        counting(split_module, "split")
+        catalog, queries, relative = small_workload(SMALL_QUERIES)
+        result = optimize_ishare(
+            catalog, queries, relative, OptimizerConfig(max_pace=4))
+        assert result.evaluation.total_work == 4660.897768036298
+        assert counts["memo"] <= 91  # 122 with one private memo per model
+        assert counts["split"] <= 31
+        diagnostics = result.diagnostics
+        assert diagnostics["simulations"] == 31
+        assert diagnostics["decompose_simulations"] == 33
+
+    def test_time_budget_bounds_decomposition(self, searched, monkeypatch):
+        """The deadline reaches the candidate models: once it passes, the
+        next candidate evaluation raises, not the next worklist step."""
+        import repro.cost.memo as memo_module
+
+        plan, config, constraints, paces = searched
+
+        class Clock:
+            now = 0.0
+
+            @classmethod
+            def monotonic(cls):
+                return cls.now
+
+        monkeypatch.setattr(memo_module, "time", Clock)
+        model = PlanCostModel(plan, config.cost_config, time_budget=10.0)
+        original = PlanCostModel.sibling
+
+        def sibling_then_expire(self, derived):
+            candidate = original(self, derived)
+            Clock.now = 11.0
+            return candidate
+
+        monkeypatch.setattr(PlanCostModel, "sibling", sibling_then_expire)
+        with pytest.raises(OptimizationTimeout) as excinfo:
+            decompose_full_plan(
+                plan, paces, constraints, config.max_pace,
+                cost_config=config.cost_config, cost_model=model,
+            )
+        frames = {entry.name for entry in excinfo.traceback}
+        assert frames & {"decrease_paces", "_try_partial"}
+
+
+class TestCarryStateOnConeOrder:
+    def test_round_trip_through_permuted_sids(self, searched):
+        plan, config, _, paces = searched
+        source = PlanCostModel(plan, config.cost_config)
+        for pace_config in (paces, batch_configuration(plan),
+                            uniform_configuration(plan, 2)):
+            source.evaluate(pace_config)
+        rows = sum(len(table) for table in source._tables.values())
+
+        # same plan, every sid renamed so that sid order reverses
+        sids = sorted(subplan.sid for subplan in plan.subplans)
+        renamed_to = dict(zip(sids, reversed([sid + 100 for sid in sids])))
+        renamed = plan.clone()
+        for subplan in renamed.subplans:
+            subplan.sid = renamed_to[subplan.sid]
+        renamed = SharedQueryPlan(
+            renamed.catalog, list(reversed(renamed.subplans)),
+            renamed.query_roots, renamed.queries,
+        )
+        target = PlanCostModel(renamed, config.cost_config)
+        sid_map = {new: old for old, new in renamed_to.items()}
+        assert target.carry_state_from(source, sid_map) == rows
+
+        carried_paces = {renamed_to[sid]: pace for sid, pace in paces.items()}
+        evaluation = target.evaluate(carried_paces)
+        assert target.simulation_count == 0
+        want = source.evaluate(paces)
+        assert evaluation.total_work == want.total_work
+        assert evaluation.subplan_total == {
+            renamed_to[sid]: work for sid, work in want.subplan_total.items()
+        }
+
+        back = PlanCostModel(plan.clone(), config.cost_config)
+        assert back.carry_state_from(target, renamed_to) == rows
+        for subplan in plan.subplans:
+            assert back._tables[subplan.sid] == source._tables[subplan.sid]

@@ -3,10 +3,20 @@
 import pytest
 
 from repro.core.decompose import total_missed_final_work, _improves
+from repro.core.optimizer import (
+    OptimizerConfig,
+    optimize_ishare,
+    reference_absolute_constraints,
+)
+from repro.core.pace import validate_parent_child
 from repro.core.regenerate import apply_split
 from repro.cost.memo import CostEvaluation
+from repro.engine.executor import PlanExecutor
 from repro.mqo.merge import MQOOptimizer
+from repro.mqo.nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
 from repro.relational import bitvec
+from repro.workloads import random_constraints
+from repro.workloads.tpch import build_workload, generate_catalog
 
 from .util import (
     assert_plan_correct,
@@ -102,6 +112,62 @@ class TestApplySplitMechanics:
             new_plan, queries, reference,
             paces={s.sid: 1 for s in new_plan.subplans},
         )
+
+
+class TestMergeRaisesLaggingChildren:
+    """A single-consumer merge takes the larger pace; the merged parent's
+    other children must follow it up (a parent may not outpace a child)."""
+
+    def test_other_child_is_raised_to_the_merged_pace(self):
+        catalog = make_toy_catalog()
+        events = catalog.get("events")
+        items = catalog.get("items")
+        # eager is shared by q0 and q1 (q1 roots there); top serves q0 and
+        # joins it with lazy, which cannot merge (wider query set)
+        eager = Subplan(0, OpNode(
+            "source", ref=TableRef("events", events.schema), query_mask=0b11), 0b11)
+        lazy = Subplan(1, OpNode(
+            "source", ref=TableRef("items", items.schema), query_mask=0b11), 0b11)
+        top = Subplan(2, OpNode(
+            "join",
+            children=[
+                OpNode("source", ref=SubplanRef(eager), query_mask=0b01),
+                OpNode("source", ref=SubplanRef(lazy), query_mask=0b01),
+            ],
+            left_keys=[events.schema.names()[0]],
+            right_keys=[items.schema.names()[0]],
+            query_mask=0b01,
+        ), 0b01)
+        plan = SharedQueryPlan(catalog, [eager, lazy, top], {0: top, 1: eager})
+        paces = {eager.sid: 7, lazy.sid: 1, top.sid: 1}
+        validate_parent_child(plan, paces)
+
+        new_plan, initial = apply_split(plan, paces, eager.sid, [(0,), (1,)])
+        # eager/q0 had one consumer and folded into top, which took pace 7
+        assert len(new_plan.subplans) == 3
+        assert initial[top.sid] == 7
+        assert initial[lazy.sid] == 7
+        validate_parent_child(new_plan, initial)
+        assert all(initial[sid] >= pace for sid, pace in paces.items()
+                   if sid in initial)
+
+    @pytest.mark.slow
+    def test_seed6_instance_plans_validates_and_executes(self):
+        """The instance that first showed the defect: after the partial
+        split of one subplan a merged parent sat above a child at pace 1
+        and ``PlanExecutor`` refused the configuration."""
+        catalog = generate_catalog(scale=0.5, seed=6)
+        queries = build_workload(catalog)
+        relative = random_constraints([q.query_id for q in queries], seed=5)
+        config = OptimizerConfig(max_pace=20)
+        absolute = reference_absolute_constraints(
+            catalog, queries, relative, config)
+        result = optimize_ishare(
+            catalog, queries, relative, config, absolute_constraints=absolute)
+        validate_parent_child(result.plan, result.pace_config)
+        run = PlanExecutor(result.plan, config.stream_config).run(
+            result.pace_config, collect_results=False)
+        assert run.total_work > 0
 
 
 def _eval(total, finals):
