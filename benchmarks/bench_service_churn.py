@@ -101,7 +101,7 @@ def _reoptimize_stats():
             reused / (reused + recalibrated)
             if (reused + recalibrated) else 0.0
         ),
-        "memo_rows_carried": sum(r["memo_rows_carried"] for r in records),
+        "memo_pool_hits": sum(r["memo_pool_hits"] for r in records),
         "search_iterations": sum(r["search_iterations"] for r in records),
     }
 
@@ -236,10 +236,10 @@ def main(argv=None):
     stats = result["reoptimize"]
     print(
         "re-optimization: %d searches (%d incremental), %d subplans reused "
-        "vs %d recalibrated (%.0f%% reuse), %d memo rows carried" % (
+        "vs %d recalibrated (%.0f%% reuse), %d memo pool hits" % (
             stats["searches"], stats["incremental"],
             stats["subplans_reused"], stats["subplans_recalibrated"],
-            100 * stats["reuse_fraction"], stats["memo_rows_carried"],
+            100 * stats["reuse_fraction"], stats["memo_pool_hits"],
         )
     )
     slack = result["slack"]

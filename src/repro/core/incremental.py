@@ -16,8 +16,12 @@ churn did not invalidate:
    matched subplans, scopes fresh calibration to the *unmatched* ones
    (the downward closure executes as a temporary plan, exactly the
    plan-repair trick :mod:`repro.core.regenerate` uses for surgery), and
-   warm-starts the new cost model's memo, feedback and solo state via
-   :meth:`repro.cost.memo.PlanCostModel.carry_state_from`.
+   builds the new cost model over the old one's
+   :class:`~repro.cost.memo.MemoPool`: a cone that matched whole has the
+   signature it had before, so its memo rows are simply still there.
+   Feedback corrections and solo estimates, which are keyed by subplan
+   id, move over via
+   :meth:`repro.cost.memo.PlanCostModel.carry_feedback_and_solo_from`.
 3. :func:`carry_paces` + :func:`incremental_pace_search` seed the greedy
    ascending search with the previous configuration (matched subplans
    keep their pace, fresh ones start at batch pace) and let the
@@ -25,7 +29,7 @@ churn did not invalidate:
    subplan-scoped re-search instead of a from-scratch rebuild.
 """
 
-from ..cost.cache import _node_signature, _remap_mask
+from ..cost.cache import node_signature
 from ..cost.memo import PlanCostModel
 from ..engine.calibrate import calibrate_plan
 from ..mqo.merge import MQOOptimizer
@@ -38,16 +42,15 @@ class MergeOutcome:
     """A freshly merged plan plus everything carried over from its
     predecessor."""
 
-    __slots__ = ("plan", "model", "matched", "fresh_sids", "memo_rows_carried")
+    __slots__ = ("plan", "model", "matched", "fresh_sids")
 
-    def __init__(self, plan, model, matched, fresh_sids, memo_rows_carried):
+    def __init__(self, plan, model, matched, fresh_sids):
         self.plan = plan
         self.model = model
         #: {new sid: previous-plan sid} for structurally identical subplans
         self.matched = matched
         #: new sids with no predecessor (scoped calibration ran for these)
         self.fresh_sids = fresh_sids
-        self.memo_rows_carried = memo_rows_carried
 
     def __repr__(self):
         return "MergeOutcome(%d subplans, %d matched, %d fresh)" % (
@@ -55,28 +58,24 @@ class MergeOutcome:
         )
 
 
-def match_subplans(old_plan, new_plan, qid_map=None):
+def match_subplans(old_plan, new_plan):
     """``{new_sid: old_sid}`` for subplans identical across a re-merge.
 
     Two subplans match when their operator trees -- structure,
     decorations *and* query sets -- are identical and all their child
     subplans matched (child-first traversal).  The node signature is the
-    calibration cache's (:func:`repro.cost.cache._node_signature`), with
+    calibration cache's (:func:`repro.cost.cache.node_signature`), with
     the new plan's child refs rewritten through the matches found so far
-    so sid renumbering across merges cannot break the comparison.
-
-    ``qid_map`` translates *new*-plan query ids into old-plan ones; the
-    service renumbers external queries onto dense bitvector slots, so a
-    deregistration shifts every later query's slot even though the
-    queries themselves are unchanged.  New subplans whose ids all map are
-    compared in the old id space; a subplan serving an unmapped (newly
-    arrived) query matches nothing, which is exactly right -- its query
+    so sid renumbering across merges cannot break the comparison.  Query
+    ids are compared as they are: a query keeps its id across re-merges
+    (the service's slots are stable), so a subplan serving a newly
+    arrived query matches nothing, which is exactly right -- its query
     set did change.
     """
     old_identity = {subplan.sid: subplan.sid for subplan in old_plan.subplans}
     old_index = {}
     for subplan in old_plan.topological_order():
-        key = (subplan.query_mask, _node_signature(subplan.root, old_identity))
+        key = (subplan.query_mask, node_signature(subplan.root, old_identity))
         old_index.setdefault(key, []).append(subplan.sid)
     matches = {}
     for subplan in new_plan.topological_order():
@@ -90,10 +89,7 @@ def match_subplans(old_plan, new_plan, qid_map=None):
             child_map[child.sid] = mapped
         if unmatched_child:
             continue
-        key = (
-            _remap_mask(subplan.query_mask, qid_map),
-            _node_signature(subplan.root, child_map, qid_map),
-        )
+        key = (subplan.query_mask, node_signature(subplan.root, child_map))
         bucket = old_index.get(key)
         if bucket:
             matches[subplan.sid] = bucket.pop(0)
@@ -133,46 +129,45 @@ def scoped_calibration_plan(plan, fresh_sids):
     return SharedQueryPlan(plan.catalog, subset, {}, {})
 
 
-def merge_with_carry(catalog, queries, config, old_plan=None, old_model=None,
-                     qid_map=None):
+def merge_with_carry(catalog, queries, config, old_plan=None, old_model=None):
     """Merge ``queries`` into a shared plan, carrying prior optimizer state.
 
-    ``qid_map`` translates the new batch's query ids to the old plan's
-    (see :func:`match_subplans`); omit it when ids are stable.  Returns a
-    :class:`MergeOutcome`; with no prior plan this degrades to a plain
-    build + full calibration (the bootstrap path).
+    A query that was in ``old_plan`` must come back under the same query
+    id.  Returns a :class:`MergeOutcome`; with no prior plan this
+    degrades to a plain build + full calibration (the bootstrap path).
     """
     plan = MQOOptimizer(catalog, config.min_shared_operators).build_shared_plan(
         queries
     )
-    matched = {} if old_plan is None else match_subplans(old_plan, plan, qid_map)
+    matched = {} if old_plan is None else match_subplans(old_plan, plan)
     fresh = sorted(s.sid for s in plan.subplans if s.sid not in matched)
+    scope = scoped_calibration_plan(plan, set(fresh))
+    if scope is not None:
+        calibrate_plan(scope, config.stream_config)
+    # last, because the scoped run re-measures the matched inputs of fresh
+    # subplans: a matched subplan keeps the statistics *objects* it had,
+    # and with them the cone signature its memo rows are filed under
     if matched:
         old_by_sid = {s.sid: s for s in old_plan.subplans}
         for new_sid, old_sid in matched.items():
             _transfer_stats(
                 plan.subplan_by_id(new_sid).root, old_by_sid[old_sid].root
             )
-    scope = scoped_calibration_plan(plan, set(fresh))
-    if scope is not None:
-        calibrate_plan(scope, config.stream_config)
     model = PlanCostModel(
         plan, config.cost_config, use_memo=config.use_memo,
         time_budget=config.time_budget,
+        memo_pool=old_model.memo_pool if old_model is not None else None,
     )
-    carried = (
-        model.carry_state_from(old_model, matched, qid_map)
-        if old_model else 0
-    )
+    if old_model is not None:
+        model.carry_feedback_and_solo_from(old_model, matched)
     if OBS.enabled:
         OBS.declog.log(
             "service_plan_update",
             subplans=len(plan.subplans),
             reused=sorted(matched),
             recalibrated=list(fresh),
-            memo_rows_carried=carried,
         )
-    return MergeOutcome(plan, model, matched, fresh, carried)
+    return MergeOutcome(plan, model, matched, fresh)
 
 
 def carry_paces(plan, matched, old_paces, max_pace):

@@ -32,7 +32,6 @@ import tempfile
 
 from ..mqo.nodes import SubplanRef, TableRef
 from ..obs import OBS
-from ..relational import bitvec
 from .stats import NodeStats
 
 
@@ -97,36 +96,12 @@ def _walk_preorder(node):
             yield descendant
 
 
-def _remap_qid(qid, qid_map):
-    if qid_map is None:
-        return qid
-    mapped = qid_map.get(qid)
-    # a query id with no counterpart can never match -- tag, don't drop,
-    # so the signature stays structurally honest
-    return mapped if mapped is not None else ("dropped", qid)
-
-
-def _remap_mask(mask, qid_map):
-    """Translate a query bitmask through ``qid_map`` (see _node_signature)."""
-    if qid_map is None:
-        return mask
-    out = 0
-    for qid in bitvec.iter_bits(mask):
-        mapped = qid_map.get(qid)
-        if mapped is None:
-            return ("dropped", mask)
-        out |= bitvec.bit(mapped)
-    return out
-
-
-def _node_signature(node, sid_position, qid_map=None):
+def node_signature(node, sid_position):
     """Structural signature of one shared-plan node.
 
-    ``qid_map`` optionally translates this plan's query ids into another
-    id space before they enter the signature -- the incremental service
-    re-merge (:mod:`repro.core.incremental`) renumbers dense query slots
-    on churn and matches new-plan signatures against old-plan ones.  Ids
-    without a mapping yield a signature that matches nothing.
+    ``sid_position`` names the child subplans a source leaf reads --
+    topological positions for :func:`plan_signature`, matched sids for
+    the incremental re-merge (:mod:`repro.core.incremental`).
     """
     if node.kind == "source":
         ref = node.ref
@@ -139,12 +114,10 @@ def _node_signature(node, sid_position, qid_map=None):
     else:
         source = None
     filters = tuple(
-        (_remap_qid(qid, qid_map), expr.signature())
-        for qid, expr in sorted(node.filters.items())
+        (qid, expr.signature()) for qid, expr in sorted(node.filters.items())
     )
     projections = tuple(
-        (_remap_qid(qid, qid_map),
-         tuple((alias, expr.signature()) for alias, expr in proj))
+        (qid, tuple((alias, expr.signature()) for alias, expr in proj))
         for qid, proj in sorted(node.projections.items())
     )
     return (
@@ -156,11 +129,8 @@ def _node_signature(node, sid_position, qid_map=None):
         tuple(spec.signature() for spec in node.aggs) if node.aggs else None,
         filters,
         projections,
-        _remap_mask(node.query_mask, qid_map),
-        tuple(
-            _node_signature(child, sid_position, qid_map)
-            for child in node.children
-        ),
+        node.query_mask,
+        tuple(node_signature(child, sid_position) for child in node.children),
     )
 
 
@@ -176,7 +146,7 @@ def plan_signature(plan):
         (
             sid_position[subplan.sid],
             tuple(subplan.query_ids()),
-            _node_signature(subplan.root, sid_position),
+            node_signature(subplan.root, sid_position),
         )
         for subplan in order
     )

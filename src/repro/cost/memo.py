@@ -113,7 +113,8 @@ class MemoPool:
 
         Rows are only worth their memory while some live plan still has
         the cone; decomposition prunes to the adopted plan after every
-        step so the pool the caller keeps is bounded by that plan.
+        step, and the service to the live plan after every churn event,
+        so the pool the caller keeps is bounded by that plan.
         """
         keep = set(signatures)
         self._tables = {
@@ -160,7 +161,8 @@ class PlanCostModel:
     memo_pool:
         the :class:`MemoPool` holding this model's memo tables; models
         over plans derived from one another pass the same pool
-        (:meth:`sibling`), by default the model gets a pool of its own.
+        (:meth:`sibling`, :func:`repro.core.incremental.merge_with_carry`),
+        by default the model gets a pool of its own.
 
     The constructor walks every operator tree once and keeps what
     :meth:`evaluate` and the pace searches need per subplan --
@@ -459,45 +461,21 @@ class PlanCostModel:
         """
         return dict(self._feedback)
 
-    def carry_state_from(self, old_model, sid_map, qid_map=None):
-        """Warm-start this model from another model across a plan change.
+    def carry_feedback_and_solo_from(self, old_model, sid_map):
+        """Take over ``old_model``'s sid-keyed state across a plan change.
 
         ``sid_map`` maps this plan's subplan ids to ``old_model``'s for
         subplans that are structurally identical (same operators, same
-        query set, children matched) after a churn re-merge; ``qid_map``
-        likewise maps this plan's query ids to the old plan's when churn
-        renumbered the dense query slots.  Carried per
-        matched subplan whose *entire* descendant cone also matched --
-        memo keys are private pace configurations over the descendants,
-        so they only translate when the cone does:
+        query set, children matched) after a churn re-merge.  Memo rows
+        need no carrying -- build this model over ``old_model.memo_pool``
+        and a cone that matched whole finds its table -- but two things
+        are keyed by subplan id, which a re-merge renumbers:
 
-        * memo rows (Algorithm 1), pace keys re-indexed from the old
-          model's cone order to this model's;
         * feedback correction factors from measured executions;
-        * solo one-batch estimates for queries all of whose subplans
+        * solo one-batch estimates, for queries all of whose subplans
           matched.
-
-        Returns the number of memo rows carried over.
         """
-        carried = 0
         for new_sid, old_sid in sid_map.items():
-            old_cone = old_model._cones.get(old_sid)
-            new_cone = self._cones.get(new_sid)
-            if old_cone is None or new_cone is None:
-                continue
-            translated = tuple(sid_map.get(d) for d in new_cone)
-            if None in translated or sorted(translated) != sorted(old_cone):
-                continue
-            new_memo = self._tables[new_sid]
-            old_memo = old_model._tables[old_sid]
-            if new_memo is not None and old_memo is not None:
-                # position i of a new memo key holds the pace of
-                # new_cone[i], which lives at old_cone.index(translated[i])
-                # in an old key
-                positions = [old_cone.index(t) for t in translated]
-                for old_key, value in old_memo.items():
-                    new_memo[tuple(old_key[p] for p in positions)] = value
-                    carried += 1
             correction = old_model._feedback.get(old_sid)
             if correction is not None:
                 self._feedback[new_sid] = correction
@@ -505,10 +483,7 @@ class PlanCostModel:
             new_sids = [s.sid for s in self._order if s.query_mask & (1 << qid)]
             if any(sid not in sid_map for sid in new_sids):
                 continue
-            old_qid = qid_map.get(qid) if qid_map is not None else qid
-            if old_qid is None:
-                continue
-            old_entry = old_model._solo_cache.get(old_qid)
+            old_entry = old_model._solo_cache.get(qid)
             if old_entry is None:
                 continue
             total, per_subplan = old_entry
@@ -519,7 +494,6 @@ class PlanCostModel:
             }
             if len(mapped) == len(per_subplan) == len(new_sids):
                 self._solo_cache[qid] = (total, mapped)
-        return carried
 
     # -- solo (separate, one-batch) estimates ---------------------------------
 

@@ -57,8 +57,10 @@ Every case runs through multiple pipelines that must agree:
     :class:`~repro.service.core.QueryService`, some queries deregistered
     after a trigger window (the case's ``dropouts``), and the *final*
     window's run compared against the reference for the surviving
-    queries.  This fuzzes registration churn, incremental re-merge with
-    dense-slot renumbering and the carry of calibrated state.
+    queries.  This fuzzes registration churn, incremental re-merge on
+    stable query slots and the carry of calibrated state; after every
+    churn event the live plan's statistics must be keyed by the queries
+    each node serves (:func:`stats_keys_outside_mask`).
 
 Divergence in net query results (tolerance-based multiset comparison,
 :mod:`repro.engine.compare`), in WorkMeter invariants, or in the *class*
@@ -72,15 +74,45 @@ them as crash failures.
 import random
 
 from ..core import pace as pace_mod
+from ..cost.stats import NodeStats
 from ..engine.compare import REL_TOL, ABS_TOL, result_diff, results_close
 from ..engine.executor import PlanExecutor
 from ..errors import OptimizationError, ReproError
 from ..mqo.merge import MQOOptimizer, build_unshared_plan
 from ..physical.hotpath import columnar_available, engine_mode
+from ..relational import bitvec
 from . import grammar
 
 #: relative slack allowed on total_work vs the sum of execution records
 WORK_SUM_TOL = 1e-6
+
+
+def stats_keys_outside_mask(plan):
+    """Plan nodes whose per-query statistics name a query they do not serve.
+
+    Every key of a ``*_per_q`` map of a node's calibrated
+    :class:`~repro.cost.stats.NodeStats` must be a member of the node's
+    query mask -- statistics carried across a churn re-merge under
+    another query's id would silently cost the wrong query.  Returns one
+    failure string per offending node (empty when the invariant holds).
+    """
+    maps = [name for name in NodeStats.__slots__ if name.endswith("_per_q")]
+    failures = []
+    for subplan in plan.subplans:
+        for node in subplan.root.walk():
+            keys = {qid for name in maps for qid in getattr(node.stats, name)}
+            strays = sorted(
+                qid for qid in keys if not node.query_mask & bitvec.bit(qid)
+            )
+            if strays:
+                failures.append(
+                    "subplan %d %s node: statistics keyed by queries %s, "
+                    "node serves %s" % (
+                        subplan.sid, node.kind, strays,
+                        bitvec.format_mask(node.query_mask),
+                    )
+                )
+    return failures
 
 
 class OracleOutcome:
@@ -260,7 +292,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         attempt("sql", run_sql)
 
     service_slots = {}
-    service_conservation = []
+    service_failures = []
     if case.get("service"):
 
         def run_service(collect=True, arranged=None):
@@ -279,12 +311,20 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                     ),
                 )
 
+                def churned(event):
+                    if collect and svc.plan is not None:
+                        service_failures.extend(
+                            "service stats keys after %s: %s" % (event, failure)
+                            for failure in stats_keys_outside_mask(svc.plan)
+                        )
+
                 def drive():
                     for query in queries:
                         svc.register(
                             query, "t%d" % (query.query_id % 2),
                             spec.get("goal", 50.0),
                         )
+                        churned("register %d" % query.query_id)
                     for _ in range(max(1, int(spec.get("windows", 2))) - 1):
                         svc.run_window()
                     for qid in spec.get("dropouts", ()):
@@ -293,6 +333,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                         # last one
                         if qid in svc.registrations and len(svc.registrations) > 1:
                             svc.deregister(qid)
+                            churned("deregister %d" % qid)
                     return svc.run_window(collect_results=True)
 
                 if arranged is None:
@@ -308,7 +349,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 # window against the measured per-subplan WorkMeter totals --
                 # the ledger can never silently leak or double-count work
                 # across register/churn/dropout sequences
-                service_conservation.extend(
+                service_failures.extend(
                     "service attribution: " + failure
                     for failure in svc.attribution.check_conservation()
                 )
@@ -327,7 +368,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                     Fraction(0),
                 )
                 if attributed != measured:
-                    service_conservation.append(
+                    service_failures.append(
                         "service attribution: final window attributed %s != "
                         "measured %s" % (attributed, measured)
                     )
@@ -343,7 +384,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     )
     if failures is REJECTED:
         return CaseReport(case, "rejected", [], outcomes)
-    failures = list(failures) + service_conservation
+    failures = list(failures) + service_failures
     status = "fail" if failures else "ok"
     return CaseReport(case, status, failures, outcomes)
 
@@ -396,15 +437,15 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
         if name == "unshared":
             continue
         if name in ("service", "service-private"):
-            # the service renumbers external ids onto dense slots and
-            # deregistered queries have no final-window result: compare
-            # only the survivors, through the slot map
+            # the service runs each query under the slot it assigned at
+            # registration and deregistered queries have no final-window
+            # result: compare only the survivors, through the slot map
             slots = service_slots or {}
             failures.extend(
                 _compare_results(
                     name, outcome.result, reference.result,
                     [q for q in queries if q.query_id in slots],
-                    rel_tol, abs_tol, qid_map=slots,
+                    rel_tol, abs_tol, slots=slots,
                 )
             )
             continue
@@ -495,11 +536,11 @@ def _check_invariants(name, outcome):
 
 
 def _compare_results(name, run, reference, queries, rel_tol, abs_tol,
-                     qid_map=None):
+                     slots=None):
     failures = []
     for query in queries:
         qid = query.query_id
-        left_qid = qid_map[qid] if qid_map is not None else qid
+        left_qid = slots[qid] if slots is not None else qid
         left = run.query_results.get(left_qid, {})
         right = reference.query_results.get(qid, {})
         if results_close(left, right, rel_tol=rel_tol, abs_tol=abs_tol):

@@ -97,14 +97,26 @@ def scan(catalog, table_name):
 
 
 def validate_query_ids(queries):
-    """Check that a query batch has dense unique ids starting at 0.
+    """Check that a query batch has unique non-negative integer ids.
 
-    The shared execution engine indexes bitvector slots by query id, so a
-    batch handed to the MQO optimizer must use ids ``0..N-1``.
+    A query id is the query's bit in every bitvector of the shared plan,
+    which is all the engine asks of it: ids need not be dense or start at
+    0 (a long-running service keeps a query on one slot while its
+    neighbours come and go).
     """
-    seen = sorted(q.query_id for q in queries)
-    expected = list(range(len(queries)))
-    if seen != expected:
-        raise PlanError(
-            "query ids must be dense 0..N-1 for bitvector slots; got %r" % (seen,)
-        )
+    seen = set()
+    for query in queries:
+        query_id = query.query_id
+        if not isinstance(query_id, int) or isinstance(query_id, bool) \
+                or query_id < 0:
+            raise PlanError(
+                "query ids are bitvector slots and must be non-negative "
+                "integers; query %r has id %r" % (query.name, query_id)
+            )
+        if query_id in seen:
+            raise PlanError(
+                "query ids are bitvector slots and must be unique; id %d "
+                "is used twice (second time by query %r)"
+                % (query_id, query.name)
+            )
+        seen.add(query_id)

@@ -27,7 +27,7 @@ stable ``run`` id, and event-specific fields:
   count and the sids reused versus recalibrated;
 * ``service_reoptimize`` -- one churn-triggered re-search, with its
   scope (``incremental`` vs ``full``), the subplans reused versus
-  recalibrated, memo rows carried and search iterations;
+  recalibrated, memo-pool hits and search iterations;
 * ``service_trigger`` -- one trigger-window execution with its total
   work and live query count;
 * ``service_slack`` -- one window's slack-ledger roll-up: minimum

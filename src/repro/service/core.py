@@ -23,6 +23,8 @@ per-subplan work recalibrates the cost model the next re-optimization
 uses.
 """
 
+import itertools
+
 from ..core.incremental import carry_paces, incremental_pace_search, merge_with_carry
 from ..core.optimizer import OptimizerConfig
 from ..core.pace import uniform_configuration
@@ -170,28 +172,33 @@ class QueryService:
         self.registrations = {}  # qid -> Registration, insertion-ordered
         self.pending = []  # queued registrations (admission="queue")
         self.decisions = []  # every AdmissionDecision ever made
+        self._executor = None
+        self._basis = None
+        self._clear_plan()
+        self.slack = SlackLedger()
+        self.attribution = AttributionLedger()
+
+    def _clear_plan(self):
+        """The state of a service with no live query."""
         self.plan = None
         self.model = None
         self.paces = None  # None marks the configuration dirty
-        #: external query id -> dense bitvector slot in the live plan.
-        #: The MQO layer needs ids 0..N-1; tenants pick arbitrary ids and
-        #: churn leaves holes, so the service renumbers on every re-merge
-        #: (registration order, so registering never moves a live slot).
+        #: external query id -> bitvector slot in the live plan.  Tenants
+        #: pick arbitrary ids; a registration takes the lowest free slot
+        #: and keeps it until it is deregistered, so the plan's query ids
+        #: -- and everything calibrated or memoized under them -- stay
+        #: put while neighbours come and go.
         self.slots = {}
         self._initial_paces = {}
-        self._executor = None
-        self._basis = None
         self._last_merge = None
         self._goals = {}
-        #: absolute final-work bounds keyed by dense slot, refreshed by
-        #: every re-optimization (the slack ledger's goal_work)
+        #: absolute final-work bounds keyed by slot, refreshed by every
+        #: re-optimization (the slack ledger's goal_work)
         self._constraints = {}
         #: estimated per-slot final work at uniform max pace -- the
         #: eagerest plan the optimizer could have run; headroom over it
         #: is the slack budget the chosen paces were allowed to spend
         self._eager_final = {}
-        self.slack = SlackLedger()
-        self.attribution = AttributionLedger()
 
     # -- registration lifecycle ---------------------------------------------
 
@@ -283,15 +290,7 @@ class QueryService:
             merge, slots = self._merge(list(self.registrations.values()))
             self._adopt(merge, slots)
         else:
-            self.plan = None
-            self.model = None
-            self.paces = None
-            self.slots = {}
-            self._initial_paces = {}
-            self._last_merge = None
-            self._goals = {}
-            self._constraints = {}
-            self._eager_final = {}
+            self._clear_plan()
         self._retry_pending()
         return registration
 
@@ -309,26 +308,27 @@ class QueryService:
         self.pending = still_pending
 
     def _merge(self, registrations):
-        """Re-merge ``registrations`` onto dense slots, carrying live state.
+        """Re-merge ``registrations``, carrying live state.
 
-        Returns ``(merge, slots)`` where ``slots`` is the new external
-        id -> dense slot map.  The qid translation handed to the matcher
-        lets subplans keep their calibrated state even when a departed
-        query shifted every later slot down.
+        Returns ``(merge, slots)`` where ``slots`` is the external id ->
+        slot map of the merged plan: live queries keep their slot, a new
+        one takes the lowest slot nobody holds.
         """
-        queries = []
-        slots = {}
-        for slot, registration in enumerate(registrations):
-            slots[registration.query_id] = slot
-            queries.append(Query(slot, registration.name, registration.query.root))
-        qid_map = {
-            slots[ext]: self.slots[ext]
-            for ext in slots
-            if ext in self.slots
+        kept = {
+            r.query_id: self.slots[r.query_id]
+            for r in registrations if r.query_id in self.slots
         }
+        free = (s for s in itertools.count() if s not in kept.values())
+        slots = {
+            r.query_id: kept[r.query_id] if r.query_id in kept else next(free)
+            for r in registrations
+        }
+        queries = [
+            Query(slots[r.query_id], r.name, r.query.root)
+            for r in registrations
+        ]
         merge = merge_with_carry(
-            self.basis_catalog, queries, self.config,
-            self.plan, self.model, qid_map=qid_map,
+            self.basis_catalog, queries, self.config, self.plan, self.model
         )
         return merge, slots
 
@@ -398,18 +398,23 @@ class QueryService:
         self.slots = slots
         self.paces = None  # dirty: re-searched lazily at the next trigger
         self._last_merge = merge
+        # the pool outlives every merge: drop the cones only the previous
+        # plan or a turned-away candidate had
+        merge.model.memo_pool.retain(merge.model.cone_signatures())
 
     # -- trigger firings ------------------------------------------------------
 
     def _reoptimize(self):
         """Subplan-scoped pace re-search for the current (dirty) plan."""
-        constraints = {}  # keyed by dense slot: the model's id space
+        constraints = {}  # keyed by slot: the model's id space
         goals = {}  # keyed by external id: the reporting id space
         for qid, registration in self.registrations.items():
             slot = self.slots[qid]
             solo_total, _ = self.model.solo_batch(slot)
             constraints[slot] = registration.relative_goal * solo_total
             goals[qid] = self.config.stream_config.seconds(constraints[slot])
+        pool = self.model.memo_pool
+        hits_before = pool.hits
         paces, evaluation, iterations = incremental_pace_search(
             self.model, constraints, self._initial_paces, self.config.max_pace
         )
@@ -433,7 +438,7 @@ class QueryService:
                 subplans=len(self.plan.subplans),
                 reused=sorted(merge.matched) if merge is not None else [],
                 recalibrated=list(merge.fresh_sids) if merge is not None else [],
-                memo_rows_carried=merge.memo_rows_carried if merge is not None else 0,
+                memo_pool_hits=pool.hits - hits_before,
                 search_iterations=iterations,
                 total_work=round(evaluation.total_work, 4),
             )

@@ -167,10 +167,29 @@ class TestQueryIdValidation:
         ]
         validate_query_ids(queries)
 
-    def test_sparse_ids_rejected(self, catalog):
+    def test_sparse_ids_pass(self, catalog):
+        # a bitvector slot only has to be the query's own: holes and
+        # out-of-order ids are what a service under churn produces
         queries = [
-            PlanBuilder.scan(catalog, "items").as_query(0, "a"),
+            PlanBuilder.scan(catalog, "items").as_query(5, "a"),
             PlanBuilder.scan(catalog, "items").as_query(2, "b"),
         ]
-        with pytest.raises(PlanError, match="dense"):
+        validate_query_ids(queries)
+
+    def test_duplicate_ids_rejected(self, catalog):
+        queries = [
+            PlanBuilder.scan(catalog, "items").as_query(1, "a"),
+            PlanBuilder.scan(catalog, "items").as_query(1, "b"),
+        ]
+        with pytest.raises(PlanError, match=r"unique; id 1 .*'b'"):
             validate_query_ids(queries)
+
+    @pytest.mark.parametrize("bad", [-1, True, 1.0, "1", None])
+    def test_non_slot_ids_rejected(self, catalog, bad):
+        queries = [
+            PlanBuilder.scan(catalog, "items").as_query(0, "a"),
+            PlanBuilder.scan(catalog, "items").as_query(bad, "b"),
+        ]
+        with pytest.raises(PlanError, match="non-negative integers") as err:
+            validate_query_ids(queries)
+        assert repr(bad) in str(err.value) and "'b'" in str(err.value)

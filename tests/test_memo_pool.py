@@ -319,15 +319,13 @@ class TestOptimizerWithPool:
         assert frames & {"decrease_paces", "_try_partial"}
 
 
-class TestCarryStateOnConeOrder:
-    def test_round_trip_through_permuted_sids(self, searched):
-        plan, config, _, paces = searched
-        source = PlanCostModel(plan, config.cost_config)
-        for pace_config in (paces, batch_configuration(plan),
-                            uniform_configuration(plan, 2)):
-            source.evaluate(pace_config)
-        rows = sum(len(table) for table in source._tables.values())
+class TestRenamedPlanOverOnePool:
+    """A plan whose sids were renamed and reordered -- what a churn
+    re-merge does to the subplans it leaves alone -- finds its rows in the
+    pool, because cone signatures hold positions, not sids."""
 
+    @staticmethod
+    def _renamed(plan):
         # same plan, every sid renamed so that sid order reverses
         sids = sorted(subplan.sid for subplan in plan.subplans)
         renamed_to = dict(zip(sids, reversed([sid + 100 for sid in sids])))
@@ -338,20 +336,75 @@ class TestCarryStateOnConeOrder:
             renamed.catalog, list(reversed(renamed.subplans)),
             renamed.query_roots, renamed.queries,
         )
-        target = PlanCostModel(renamed, config.cost_config)
-        sid_map = {new: old for old, new in renamed_to.items()}
-        assert target.carry_state_from(source, sid_map) == rows
+        return renamed, renamed_to
 
-        carried_paces = {renamed_to[sid]: pace for sid, pace in paces.items()}
-        evaluation = target.evaluate(carried_paces)
-        assert target.simulation_count == 0
-        want = source.evaluate(paces)
-        assert evaluation.total_work == want.total_work
-        assert evaluation.subplan_total == {
-            renamed_to[sid]: work for sid, work in want.subplan_total.items()
-        }
+    def test_rows_are_found_under_permuted_sids(self, searched):
+        plan, config, _, paces = searched
+        source = PlanCostModel(plan, config.cost_config)
+        configs = (paces, batch_configuration(plan),
+                   uniform_configuration(plan, 2))
+        for pace_config in configs:
+            source.evaluate(pace_config)
 
-        back = PlanCostModel(plan.clone(), config.cost_config)
-        assert back.carry_state_from(target, renamed_to) == rows
+        renamed, renamed_to = self._renamed(plan)
+        target = PlanCostModel(
+            renamed, config.cost_config, memo_pool=source.memo_pool)
+        assert set(target.cone_signatures()) == set(source.cone_signatures())
         for subplan in plan.subplans:
-            assert back._tables[subplan.sid] == source._tables[subplan.sid]
+            assert target._tables[renamed_to[subplan.sid]] \
+                is source._tables[subplan.sid]
+        for pace_config in configs:
+            evaluation = target.evaluate(
+                {renamed_to[sid]: pace for sid, pace in pace_config.items()})
+            want = source.evaluate(pace_config)
+            # per subplan the rows are the same objects; the plan-wide
+            # sums run in the reversed subplan order
+            assert evaluation.subplan_total == {
+                renamed_to[sid]: work
+                for sid, work in want.subplan_total.items()
+            }
+            assert evaluation.total_work == pytest.approx(want.total_work)
+            assert evaluation.query_final_work == pytest.approx(
+                want.query_final_work)
+        assert target.simulation_count == 0
+
+    def test_feedback_and_solo_follow_the_sid_map(self, searched):
+        plan, config, _, paces = searched
+        source = PlanCostModel(plan, config.cost_config)
+        sids = [subplan.sid for subplan in plan.subplans]
+        source._feedback = {sid: (1.0 + sid / 10.0, 0.5) for sid in sids[::2]}
+        solo = {qid: source.solo_batch(qid) for qid in plan.query_roots}
+
+        renamed, renamed_to = self._renamed(plan)
+        target = PlanCostModel(
+            renamed, config.cost_config, memo_pool=source.memo_pool)
+        sid_map = {new: old for old, new in renamed_to.items()}
+        target.carry_feedback_and_solo_from(source, sid_map)
+        assert target.feedback_factors() == {
+            renamed_to[sid]: factors
+            for sid, factors in source.feedback_factors().items()
+        }
+        for qid, (total, per_subplan) in solo.items():
+            assert target._solo_cache[qid] == (total, {
+                renamed_to[sid]: work for sid, work in per_subplan.items()
+            })
+        got = target.evaluate(
+            {renamed_to[sid]: pace for sid, pace in paces.items()})
+        assert got.total_work == pytest.approx(
+            source.evaluate(paces).total_work)
+
+    def test_unmatched_subplan_blocks_the_solo_carry(self, searched):
+        plan, config, _, _ = searched
+        source = PlanCostModel(plan, config.cost_config)
+        for qid in plan.query_roots:
+            source.solo_batch(qid)
+        renamed, renamed_to = self._renamed(plan)
+        target = PlanCostModel(renamed, config.cost_config)
+        dropped = plan.subplans[0]
+        sid_map = {
+            new: old for old, new in renamed_to.items() if old != dropped.sid
+        }
+        target.carry_feedback_and_solo_from(source, sid_map)
+        assert set(target._solo_cache) == (
+            set(plan.query_roots) - set(dropped.query_ids())
+        )

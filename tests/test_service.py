@@ -5,14 +5,18 @@ import json
 import pytest
 
 from repro import obs
+from repro.core.incremental import merge_with_carry
 from repro.core.optimizer import OptimizerConfig
+from repro.core.pace import uniform_configuration
 from repro.errors import OptimizationError, ServiceError
+from repro.fuzz.oracles import stats_keys_outside_mask
 from repro.harness.service import run_service_schedule, shard_of
 from repro.logical.ops import Query
 from repro.obs import OBS
 from repro.service.core import QueryService
 from repro.service.schedule import DEMO_SCHEDULE, validate_schedule
 from repro.engine.compare import assert_results_close
+from repro.workloads.tpch import build_query, generate_catalog
 
 from .util import (
     batch_reference,
@@ -127,7 +131,7 @@ class TestAdmission:
 
 class TestServiceExecution:
     def test_results_match_unshared_reference_with_sparse_ids(self):
-        # external ids 10/11/12 prove the dense-slot renumbering works
+        # external ids 10/11/12 run under slots 0/1/2
         service = toy_service()
         catalog = service.basis_catalog
         dense = [
@@ -150,7 +154,7 @@ class TestServiceExecution:
                 context="service query %d" % ext,
             )
 
-    def test_deregistration_shifts_slots_and_reuses_subplans(self):
+    def test_survivors_of_a_deregistration_are_costed_like_a_cold_model(self):
         service = toy_service()
         catalog = service.basis_catalog
         dense = [
@@ -158,16 +162,34 @@ class TestServiceExecution:
             toy_query_region(catalog, 1),
             toy_query_max(catalog, 2),
         ]
-        for ext, query in zip((0, 1, 2), dense):
+        for query in dense:
             service.register(query, "t", 50.0)
         service.run_window()
 
-        service.deregister(0)  # shifts q1 -> slot 0, q2 -> slot 1
-        assert service.slots == {1: 0, 2: 1}
+        service.deregister(0)  # q1 and q2 stay where they are
+        assert service.slots == {1: 1, 2: 2}
         merge = service._last_merge
         # toy_query_max shares nothing with the departed query: all of its
         # subplans survive the re-merge with their calibrated state
-        assert merge.matched, "slot shift must not defeat subplan matching"
+        assert merge.matched, "a neighbour leaving must not defeat matching"
+
+        # what was carried over is what a fresh calibration would measure:
+        # with the measured-run corrections cleared, the live model and a
+        # cold one over the survivors agree on every estimate
+        cold = merge_with_carry(
+            catalog,
+            [Query(service.slots[q.query_id], q.name, q.root)
+             for q in dense[1:]],
+            service.config,
+        )
+        service.model.apply_feedback(None, None)
+        for pace in (1, 4):
+            live = service.model.evaluate(
+                uniform_configuration(service.plan, pace))
+            want = cold.model.evaluate(uniform_configuration(cold.plan, pace))
+            assert live.total_work == pytest.approx(want.total_work)
+            assert live.query_final_work == pytest.approx(
+                want.query_final_work)
 
         # the second trigger executes against window 1's data
         window1 = make_toy_catalog(seed=42)
@@ -179,6 +201,109 @@ class TestServiceExecution:
                 reference[ext],
                 context="surviving query %d" % ext,
             )
+
+    def test_freed_slot_taken_by_another_query_inherits_nothing(self):
+        service = toy_service()
+        catalog = service.basis_catalog
+        service.register(toy_query_total(catalog, 0), "t", 50.0)
+        service.register(toy_query_region(catalog, 1), "t", 50.0)
+        service.run_window()
+        service.deregister(0)
+        assert service.slots == {1: 1}
+
+        newcomer = toy_query_max(catalog, 7)
+        assert service.register(newcomer, "t", 50.0).status == "admitted"
+        assert service.slots == {1: 1, 7: 0}  # the lowest free slot
+        merge = service._last_merge
+        mine = [s.sid for s in service.plan.subplans if s.query_mask & 1]
+        assert mine and set(mine) <= set(merge.fresh_sids)
+        assert not stats_keys_outside_mask(service.plan)
+
+        cold = merge_with_carry(
+            catalog,
+            [Query(1, "region", toy_query_region(catalog, 1).root),
+             Query(0, newcomer.name, newcomer.root)],
+            service.config,
+        )
+        service.model.apply_feedback(None, None)
+        assert service.model.solo_batch(0)[0] == pytest.approx(
+            cold.model.solo_batch(0)[0])
+        for pace in (1, 4):
+            live = service.model.evaluate(
+                uniform_configuration(service.plan, pace))
+            want = cold.model.evaluate(uniform_configuration(cold.plan, pace))
+            assert live.total_work == pytest.approx(want.total_work)
+            assert live.query_final_work == pytest.approx(
+                want.query_final_work)
+
+    def test_slots_are_bounded_by_live_count_not_service_age(self):
+        # the columnar backend needs every slot below 62: that must limit
+        # how many queries are live at once, not how many ever were
+        service = toy_service()
+        catalog = service.basis_catalog
+        makers = (toy_query_total, toy_query_region, toy_query_max)
+        live = []
+        for ext in range(100):
+            decision = service.register(
+                makers[ext % 3](catalog, 1000 + ext), "t", 50.0)
+            assert decision.status == "admitted"
+            live.append(1000 + ext)
+            if len(live) == 5:
+                # drop the oldest, then one from the middle
+                service.deregister(live.pop(0 if ext % 2 else 2))
+            assert len(set(service.slots.values())) == len(live)
+            assert max(service.slots.values()) < 5
+        outcome = service.run_window(collect_results=True)
+        assert set(outcome.queries) == set(live)
+
+    def test_rejected_candidates_do_not_outlive_the_next_adopt(self):
+        service = toy_service()
+        catalog = service.basis_catalog
+        service.register(toy_query_total(catalog, 0), "t", 50.0)
+        service.run_window()
+        pool = service.model.memo_pool
+        assert pool.signatures() == set(service.model.cone_signatures())
+
+        rejected = service.register(toy_query_max(catalog, 1), "t", 1e-12)
+        assert rejected.status == "rejected"
+        # the candidate was costed over the live pool ...
+        assert pool.signatures() > set(service.model.cone_signatures())
+        # ... and the next plan change sweeps its cones out
+        service.register(toy_query_region(catalog, 2), "t", 50.0)
+        assert service.model.memo_pool is pool
+        assert pool.signatures() == set(service.model.cone_signatures())
+        service.deregister(0)
+        assert pool.signatures() == set(service.model.cone_signatures())
+
+    def test_statistics_stay_keyed_by_the_queries_a_node_serves(self):
+        # TPC-H churn: every register/deregister re-merges the plan, and
+        # whatever statistics survive must still name their own queries
+        service = QueryService(
+            lambda window: generate_catalog(scale=0.04, seed=100 + window),
+            OptimizerConfig(max_pace=4),
+        )
+
+        def churn(op, ext, name=None):
+            if op == "register":
+                query = build_query(service.basis_catalog, name, ext)
+                assert service.register(query, "t", 5.0).status == "admitted"
+            else:
+                service.deregister(ext)
+            assert stats_keys_outside_mask(service.plan) == []
+
+        for ext, name in enumerate(("Q1", "Q6", "Q12", "Q3", "Q18")):
+            churn("register", ext, name)
+        service.run_window()
+        churn("deregister", 0)
+        churn("register", 5, "Q19")
+        service.run_window()
+        churn("deregister", 2)
+        churn("deregister", 3)
+        churn("register", 6, "Q14")
+        churn("register", 7, "Q10")
+        outcome = service.run_window()
+        assert set(outcome.queries) == {1, 4, 5, 6, 7}
+        assert sorted(service.slots.values()) == [0, 1, 2, 3, 4]
 
     def test_idle_windows_advance_the_clock(self):
         service = toy_service()
