@@ -168,14 +168,12 @@ def _micro_case(make_exec, batches, repeat, make_columnar=None):
         return total
 
     modes = [
-        ("batched", dict(batched=True, compile_cache=True), make_exec),
-        ("reference", dict(batched=False, compile_cache=False), make_exec),
+        ("batched", dict(batched=True), make_exec),
+        ("reference", dict(batched=False), make_exec),
     ]
     if make_columnar is not None and columnar_available():
         modes.append(
-            ("columnar",
-             dict(batched=True, compile_cache=True, columnar=True),
-             make_columnar)
+            ("columnar", dict(batched=True, columnar=True), make_columnar)
         )
 
     timings = {}
@@ -467,15 +465,11 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
     config = StreamConfig()
 
     modes = [
-        ("batched", dict(batched=True, compile_cache=True, reuse_trees=True)),
-        ("reference", dict(batched=False, compile_cache=False,
-                           reuse_trees=False)),
+        ("batched", dict(batched=True)),
+        ("reference", dict(batched=False)),
     ]
     if columnar_available():
-        modes.append(
-            ("columnar", dict(batched=True, compile_cache=True,
-                              reuse_trees=True, columnar=True))
-        )
+        modes.append(("columnar", dict(batched=True, columnar=True)))
 
     results = {}
     for label, mode in modes:
@@ -504,8 +498,7 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
         # worker processes (repro.engine.parallel); the leg first asserts
         # bit-identity against the serial run, then times the fan-out
         clear_compiled_caches()
-        with engine_mode(batched=True, compile_cache=True, reuse_trees=True,
-                         columnar=True):
+        with engine_mode(batched=True, columnar=True):
             serial_probe = PlanExecutor(plan, config).run(paces)
             parallel_probe = run_parallel(plan, paces, config, jobs=jobs)
             if _run_fingerprint(serial_probe) != _run_fingerprint(
@@ -534,7 +527,7 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
     # compiled-plan reuse: repeated runs on one executor vs fresh executors
     runs = 4
     clear_compiled_caches()
-    with engine_mode(batched=True, compile_cache=True, reuse_trees=True):
+    with engine_mode(batched=True):
         executor = PlanExecutor(plan, config)
         executor.run(paces, collect_results=False)  # warm the tree
 
@@ -543,7 +536,7 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
                 executor.run(paces, collect_results=False)
 
         reused_seconds = _timed(reused, repeat)
-    with engine_mode(batched=True, compile_cache=False, reuse_trees=False):
+
         def fresh():
             for _ in range(runs):
                 clear_compiled_caches()
@@ -578,10 +571,10 @@ def bench_probe_crossover(repeat, total=32_768,
     The columnar join picks its probe strategy per delta batch:
     batches at or below ``SCALAR_PROBE_MAX`` rows run the scalar
     dict-loop probe, larger ones the arange/repeat vectorized probe
-    (``REPRO_SCALAR_PROBE_MAX`` overrides, 0 forces vectorized).  This
-    leg forces each strategy across per-advance batch sizes on the join
-    micro's distinct-row shape and reports where vectorization starts
-    winning -- the measurement behind the shipped default.
+    (0 forces vectorized).  This leg sets the module constant to force
+    each strategy across per-advance batch sizes on the join micro's
+    distinct-row shape and reports where vectorization starts winning --
+    the measurement behind the shipped default.
     """
     from repro.physical import columnar as columnar_mod
 
@@ -640,8 +633,7 @@ def bench_probe_crossover(repeat, total=32_768,
             columnar_mod.SCALAR_PROBE_MAX = probe_max
             try:
                 clear_compiled_caches()
-                with engine_mode(batched=True, compile_cache=True,
-                                 columnar=True):
+                with engine_mode(batched=True, columnar=True):
                     legs[label] = _timed(drain, repeat)
             finally:
                 columnar_mod.SCALAR_PROBE_MAX = saved
@@ -668,7 +660,6 @@ def bench_probe_crossover(repeat, total=32_768,
         "points": points,
         "crossover_batch_rows": crossover,
         "default_scalar_probe_max": columnar_mod.SCALAR_PROBE_MAX,
-        "env_override": "REPRO_SCALAR_PROBE_MAX",
     }
 
 
@@ -709,8 +700,7 @@ def bench_e2e_overhead_breakdown(scale, seed=5, fraction=0.25,
     config = StreamConfig()
 
     clear_compiled_caches()
-    with engine_mode(batched=True, compile_cache=True, reuse_trees=True,
-                     columnar=True):
+    with engine_mode(batched=True, columnar=True):
         executor = PlanExecutor(plan, config)
         executor.run(paces, collect_results=False)  # warm the tree
         profile = cProfile.Profile()
@@ -822,8 +812,7 @@ def bench_arrangements(n_events, repeat, n_queries=6, seed=9):
     fingerprints = {}
     for label, arranged in (("arranged", True), ("private", False)):
         clear_compiled_caches()
-        with engine_mode(batched=True, compile_cache=True, reuse_trees=True,
-                         arrangements=arranged):
+        with engine_mode(batched=True, arrangements=arranged):
             executor = PlanExecutor(plan, config)
             probe = executor.run(paces)
             fingerprints[label] = _run_fingerprint(probe)

@@ -16,7 +16,7 @@ inputs, the serialization of calibrated :class:`~repro.cost.stats
 .NodeStats` (nodes are keyed by their deterministic traversal position,
 so the same structural signature guarantees the same node order), and a
 small JSON-file-per-key store with atomic writes so concurrent worker
-processes (see :mod:`repro.harness.parallel`) can share one cache
+processes (see :mod:`repro.workers`) can share one cache
 directory safely.
 
 The cache is opt-in: nothing is read or written unless a cache is passed

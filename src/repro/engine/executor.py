@@ -10,11 +10,10 @@ own offsets.
 
 All state (hash tables, aggregate groups, buffer offsets) persists across
 the incremental executions of one run; a new :meth:`PlanExecutor.run`
-starts from scratch.  With :data:`~repro.physical.hotpath.HOTPATH`
-``reuse_trees`` enabled (the default) "from scratch" reuses the compiled
-operator tree -- state is deterministically reset instead of rebuilt, so
-repeated runs of one executor (pace search nudging, two-phase baselines,
-calibration) stop re-paying compilation.  Between trigger points the
+starts from scratch.  "From scratch" reuses the compiled operator tree
+-- state is deterministically reset instead of rebuilt, so repeated runs
+of one executor (pace search nudging, two-phase baselines, calibration)
+stop re-paying compilation.  Between trigger points the
 executor also compacts drained buffer prefixes in place; query-root
 buffers are pinned because :func:`query_result_view` replays them.
 """
@@ -104,10 +103,9 @@ class PlanExecutor:
         #: compiled, scheduled, and reported.
         self.only = frozenset(only) if only is not None else None
         self.compiled = None  # filled per run
-        self._runtime = None  # reusable compiled tree (HOTPATH.reuse_trees)
+        self._runtime = None  # compiled tree, reused across run() calls
         self._runtime_columnar = None  # backend the cached tree was built for
         self._runtime_arranged = None  # arrangements toggle at compile time
-        self._runtime_fused = None  # fusion toggle at compile time
 
     def rebind(self, plan=None, catalog=None):
         """Swap the plan and/or catalog this executor runs.
@@ -153,7 +151,6 @@ class PlanExecutor:
     def _compile(self):
         self._runtime_columnar = self._columnar_active()
         self._runtime_arranged = bool(HOTPATH.arrangements)
-        self._runtime_fused = bool(HOTPATH.fusion)
         order = [
             subplan for subplan in self.plan.topological_order()
             if self._included(subplan.sid)
@@ -182,18 +179,18 @@ class PlanExecutor:
         return table_streams, table_buffers, compiled, order, store
 
     def _ensure_compiled(self):
-        """The runtime tuple, reusing the previous run's tree when allowed.
+        """The runtime tuple, reusing the previous run's tree.
 
         Reuse resets all mutable state (streams, buffers, reader offsets,
         meters, hash tables, aggregate groups, stats counters) so a reused
-        tree is indistinguishable from a freshly compiled one.
+        tree is indistinguishable from a freshly compiled one.  The tree
+        is recompiled only when the backend or the arrangements toggle
+        changed since it was built (:meth:`rebind` drops it outright).
         """
         if (
-            HOTPATH.reuse_trees
-            and self._runtime is not None
+            self._runtime is not None
             and self._runtime_columnar == self._columnar_active()
             and self._runtime_arranged == bool(HOTPATH.arrangements)
-            and self._runtime_fused == bool(HOTPATH.fusion)
         ):
             table_streams, table_buffers, compiled, order, store = self._runtime
             for stream in table_streams.values():
@@ -209,10 +206,8 @@ class PlanExecutor:
             if OBS.enabled:
                 OBS.metrics.counter("engine.tree_reuse").inc()
             return self._runtime
-        runtime = self._compile()
-        if HOTPATH.reuse_trees:
-            self._runtime = runtime
-        return runtime
+        self._runtime = self._compile()
+        return self._runtime
 
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
                       store):

@@ -9,10 +9,9 @@ the union of those two edge sets.  Components never exchange data, never
 touch each other's operator state, and never co-own an arrangement, so
 one trigger window can execute them concurrently.
 
-:func:`run_parallel` fans the components out over a
-``ProcessPoolExecutor`` (the :mod:`repro.harness.parallel` pattern: the
-plan ships once per worker via the pool initializer, tasks are tiny sid
-lists).  Each worker compiles and runs *only* its component
+:func:`run_parallel` fans the components out over
+:func:`repro.workers.ordered_map` (the plan ships once per worker, tasks
+are tiny sid lists).  Each worker compiles and runs *only* its component
 (``PlanExecutor(plan, only=sids)``), rebuilding its own table streams
 from the catalog -- base-table delta streams are a seeded simulation, so
 every worker sees byte-identical table contents without sharing state.
@@ -34,19 +33,16 @@ make that hold:
 * per-worker arrangement summaries merge by the same sorted
   ``(table, key columns)`` order ``ArrangementStore.summary`` uses.
 
-``jobs=1`` (and a single-component plan) bypasses multiprocessing
-entirely and runs the exact serial path.  Observability payloads, when
-enabled, are drained per worker and absorbed in component order --
-deterministic at a fixed job count, exactly like the harness sweeps.
+``jobs=1`` (and a single-component plan) bypasses the component split
+entirely and runs the exact serial path.  Worker engine mode, error
+propagation and the observability merge (component order, run ids
+``component-<index>``) are the pool's contract (:mod:`repro.workers`).
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .. import obs
-from ..errors import ReproError
-from ..harness.parallel import _CapturedError, _reraise, resolve_jobs
 from ..physical.hotpath import HOTPATH
+from ..workers import ordered_map, resolve_jobs
 from .arrangements import arrangeable_side
 from .executor import PlanExecutor
 from .metrics import ExecutionRecord, RunResult
@@ -115,42 +111,18 @@ def plan_components(plan):
 
 # -- worker side ----------------------------------------------------------------
 
-_WORKER = None
-
-
-def _init_worker(plan, stream_config, stats_mode, toggles, obs_enabled):
-    """Receive the plan once; component tasks then arrive as sid lists."""
-    global _WORKER
-    import os
-
-    (HOTPATH.batched, HOTPATH.compile_cache, HOTPATH.reuse_trees,
-     HOTPATH.columnar, HOTPATH.arrangements, HOTPATH.fusion) = toggles
-    # a forked worker inherits the driver's enabled observability session
-    # (parent pid, collected events) -- always start from a clean slate
-    obs.disable()
-    if obs_enabled:
-        obs.enable(process_name="repro-engine-worker-%d" % os.getpid())
-    _WORKER = (plan, stream_config, stats_mode)
-
-
-def _run_component(index, sids, pace_config, collect_results):
-    plan, stream_config, stats_mode = _WORKER
-    if obs.OBS.enabled:
-        obs.OBS.declog.set_run("component-%d" % index)
-    try:
-        executor = PlanExecutor(plan, stream_config, stats_mode, only=sids)
-        result = executor.run(pace_config, collect_results=collect_results)
-        payload = {
-            "records": [
-                (r.sid, r.fraction, r.work, r.output_count, r.latency_work)
-                for r in result.records
-            ],
-            "query_results": dict(result.query_results),
-            "arrangement_summary": result.metadata.get("arrangement_summary"),
-        }
-    except ReproError as exc:
-        payload = _CapturedError(exc)
-    return index, payload, obs.drain_worker_payload()
+def _run_component(shared, sids):
+    plan, stream_config, stats_mode, pace_config, collect_results = shared
+    executor = PlanExecutor(plan, stream_config, stats_mode, only=sids)
+    result = executor.run(pace_config, collect_results=collect_results)
+    return {
+        "records": [
+            (r.sid, r.fraction, r.work, r.output_count, r.latency_work)
+            for r in result.records
+        ],
+        "query_results": dict(result.query_results),
+        "arrangement_summary": result.metadata.get("arrangement_summary"),
+    }
 
 
 # -- driver side ----------------------------------------------------------------
@@ -165,45 +137,21 @@ def run_parallel(plan, pace_config, stream_config=None, jobs=1,
     count.
     """
     stream_config = stream_config or StreamConfig()
-    jobs = resolve_jobs(jobs)
     components = plan_components(plan)
-    if jobs <= 1 or len(components) <= 1:
-        executor = PlanExecutor(plan, stream_config, stats_mode)
-        return executor.run(pace_config, collect_results=collect_results)
+    serial = PlanExecutor(plan, stream_config, stats_mode)
+    if resolve_jobs(jobs) <= 1 or len(components) <= 1:
+        return serial.run(pace_config, collect_results=collect_results)
 
     # fail fast on bad paces in the driver, not inside a worker
-    serial = PlanExecutor(plan, stream_config, stats_mode)
     serial._validate_paces(pace_config)
-
-    toggles = (HOTPATH.batched, HOTPATH.compile_cache, HOTPATH.reuse_trees,
-               HOTPATH.columnar, HOTPATH.arrangements, HOTPATH.fusion)
-    observing = obs.is_enabled()
-    workers = min(jobs, len(components))
-    payloads = [None] * len(components)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(plan, stream_config, stats_mode, toggles, observing),
-    ) as pool:
-        futures = [
-            pool.submit(_run_component, index, sids, pace_config,
-                        collect_results)
-            for index, sids in enumerate(components)
-        ]
-        for future in futures:
-            index, payload, obs_payload = future.result()
-            payloads[index] = (payload, obs_payload)
-
-    # absorb observability and surface errors in component (= submission)
-    # order, so the merged trace and the failing component are stable
-    merged = []
-    for payload, obs_payload in payloads:
-        obs.absorb_worker_payload(obs_payload)
-        if isinstance(payload, _CapturedError):
-            _reraise(payload)
-        merged.append(payload)
-
-    return _merge(plan, pace_config, stream_config, serial, merged,
+    shared = (plan, stream_config, stats_mode, pace_config, collect_results)
+    payloads = [
+        payload for payload, _ in ordered_map(
+            _run_component, components, jobs, shared=shared,
+            run_label="component",
+        )
+    ]
+    return _merge(plan, pace_config, stream_config, serial, payloads,
                   collect_results)
 
 

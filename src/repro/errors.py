@@ -13,7 +13,7 @@ class ReproError(Exception):
     Errors raised while replaying a fuzz case carry the generating seed
     and the on-disk case path (:meth:`attach_fuzz_context`), so a crash
     is actionable from any entry point -- including when it crosses a
-    worker-process boundary (:mod:`repro.harness.parallel` re-raises
+    worker-process boundary (:mod:`repro.workers` re-raises
     these errors verbatim, attributes included).
     """
 

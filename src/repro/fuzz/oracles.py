@@ -26,15 +26,6 @@ Every case runs through multiple pipelines that must agree:
     the join's vectorized arange/repeat probe runs even on fuzz-sized
     batches (the default adaptive threshold would pick the scalar probe
     for them).  Same exactness contract as ``shared-columnar``.
-``shared-columnar-nofuse``
-    the columnar backend with fused kernel codegen disabled
-    (``engine_mode(fusion=False)``), so every filter/projection/aggregate
-    input runs through the per-expression closure chain that the
-    generated kernels replace.  Must be *bit-identical* to the fused
-    ``shared-columnar`` run -- results, work, every execution record --
-    because fusion is a purely physical optimization
-    (:mod:`repro.physical.fused`); also held to the same exact work
-    identity against the batched run.
 ``shared-arranged`` / ``shared-private``
     the batched hot path with shared arrangements explicitly on and
     explicitly off (``engine_mode(arrangements=...)``).  The two runs
@@ -193,7 +184,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     shared_state = {}
 
     def run_shared(batched=None, pace1=False, columnar=False,
-                   probe_max=None, arranged=None, fusion=None):
+                   probe_max=None, arranged=None):
         def runner():
             if "plan" not in shared_state:
                 shared_state["plan"] = MQOOptimizer(catalog).build_shared_plan(
@@ -217,8 +208,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                     if probe_max is not None:
                         columnar_mod.SCALAR_PROBE_MAX = probe_max
                     try:
-                        with engine_mode(batched=True, columnar=True,
-                                         fusion=fusion):
+                        with engine_mode(batched=True, columnar=True):
                             return PlanExecutor(plan, config).run(paces)
                     finally:
                         columnar_mod.SCALAR_PROBE_MAX = saved
@@ -247,8 +237,6 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         attempt("shared-columnar", run_shared(columnar=True))
         attempt("shared-columnar-vec",
                 run_shared(columnar=True, probe_max=0))
-        attempt("shared-columnar-nofuse",
-                run_shared(columnar=True, fusion=False))
 
     if case.get("decompose") and "plan" in shared_state:
         target = _decomposition_target(shared_state["plan"], case["decompose"])
@@ -464,8 +452,7 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
     ):
         failures.extend(_check_bit_identity(batched.result, unbatched.result))
 
-    for oracle in ("shared-columnar", "shared-columnar-vec",
-                   "shared-columnar-nofuse"):
+    for oracle in ("shared-columnar", "shared-columnar-vec"):
         columnar = outcomes.get(oracle)
         if (
             batched is not None and columnar is not None
@@ -478,7 +465,6 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
     # arrangements are a physical optimization: on vs off must be exact
     for left_name, right_name, pair_label in (
         ("shared-arranged", "shared-private", "arrangements"),
-        ("shared-columnar", "shared-columnar-nofuse", "fusion"),
         ("service", "service-private", "arrangements"),
     ):
         left = outcomes.get(left_name)

@@ -4,41 +4,20 @@ One *cell* is an ``(approach, constraint_set)`` pair -- the unit both
 :meth:`~repro.harness.runner.ExperimentRunner.run_all` and the per-figure
 sweeps in :mod:`repro.harness.experiments` iterate over.  Cells are
 mutually independent (each builds its own plan, calibrates, optimizes and
-executes), so they fan out cleanly over a
-:class:`~concurrent.futures.ProcessPoolExecutor`: every worker receives
-the workload (catalog, query batch, optimizer config) once via the pool
-initializer and then processes cells from tiny ``(approach, constraints)``
-task tuples.
+executes), so they fan out cleanly over :func:`repro.workers.ordered_map`:
+every worker receives the runner (catalog, query batch, optimizer config)
+once and then processes cells as tasks.
 
-Determinism: the whole pipeline is a seeded simulation, so a worker
-process computes bit-identical results to the serial path; outcomes are
-re-ordered to the submission order before returning, and ``jobs=1`` does
-not touch multiprocessing at all -- it runs the exact serial loop the
-harness always ran.
-
-Workers inherit the calibration cache directory (if a process-wide cache
-is installed, see :mod:`repro.cost.cache`), so concurrent cells share
-reference calibrations through the on-disk store instead of each paying
-for their own.
-
-When observability is enabled in the driver (:mod:`repro.obs`), it is
-enabled in every worker too: each worker collects its own spans, metrics
-and decisions per cell and ships them back with the cell result; the
-driver absorbs the payloads in *submission* order, and cells are
-statically round-robin-assigned to workers, so the merged trace carries
-every worker process's spans (distinct pids) and the merged
-event/decision sequence is reproducible run to run at a fixed job count.
+Determinism, error propagation, the shared calibration cache and the
+observability merge (worker spans under distinct pids, absorbed in
+submission order, cells statically assigned while tracing) are the
+pool's contract -- see :mod:`repro.workers`.  ``jobs=1`` does not touch
+multiprocessing at all: it runs the same ``runner.run_approach`` calls in
+the same order, in process.
 """
 
-import os
-import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-
-from .. import obs
-from ..cost import cache as calibration_cache
-from ..errors import ReproError
-from ..obs import OBS, trace
+from ..obs import trace
+from ..workers import ordered_map, resolve_jobs
 
 
 class ExperimentCell:
@@ -72,240 +51,29 @@ class CellOutcome:
         return "CellOutcome(%r, %.2fs)" % (self.key, self.wall_seconds)
 
 
-def resolve_jobs(jobs):
-    """Normalize a ``--jobs`` value: 0/None means every core."""
-    if not jobs:
-        return os.cpu_count() or 1
-    return max(1, int(jobs))
-
-
-# -- error propagation across the process boundary ------------------------------
-
-class WorkerTraceback(Exception):
-    """Carrier for a worker-side traceback, chained as ``__cause__``.
-
-    Mirrors what ``concurrent.futures`` does internally, but for errors we
-    capture explicitly so the original exception -- type, ``args`` *and*
-    enrichment attributes like ``fuzz_seed``/``fuzz_case_path`` -- arrives
-    in the driver verbatim instead of flattened to a string.
-    """
-
-    def __init__(self, text):
-        super().__init__(text)
-        self.text = text
-
-    def __str__(self):
-        return "\n\nworker traceback:\n%s" % self.text
-
-
-class _CapturedError:
-    """Picklable snapshot of a :class:`ReproError` raised in a worker.
-
-    Snapshotting (class, args, attribute dict, formatted traceback) is
-    robust where pickling live exception objects is not: reconstruction
-    never depends on the exception's ``__init__`` signature, and the
-    attribute dict restores post-construction enrichment (fuzz context,
-    positions, ...) exactly.
-    """
-
-    __slots__ = ("exc_class", "args", "state", "traceback_text")
-
-    def __init__(self, exc):
-        self.exc_class = type(exc)
-        self.args = exc.args
-        self.state = dict(getattr(exc, "__dict__", {}) or {})
-        self.traceback_text = "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
+def _run_cell(runner, cell):
+    with trace.span("harness.cell", key=str(cell.key), approach=cell.approach):
+        return runner.run_approach(
+            cell.approach, cell.relative_constraints,
+            pace_override=cell.pace_override,
         )
 
-    def rebuild(self):
-        try:
-            exc = self.exc_class(*self.args)
-        except Exception:
-            exc = ReproError(
-                "%s%r (original could not be reconstructed)"
-                % (self.exc_class.__name__, self.args)
-            )
-        for key, value in self.state.items():
-            try:
-                setattr(exc, key, value)
-            except Exception:
-                pass
-        return exc
-
-
-def _reraise(captured):
-    """Re-raise a captured worker error with its remote traceback chained."""
-    raise captured.rebuild() from WorkerTraceback(captured.traceback_text)
-
-
-# -- worker side ----------------------------------------------------------------
-
-_WORKER_RUNNER = None
-
-
-def _init_worker(catalog, queries, config, cache_dir, obs_enabled=False):
-    """Build this worker's runner once; cells then arrive as tiny tuples."""
-    global _WORKER_RUNNER
-    from .runner import ExperimentRunner
-
-    if cache_dir is not None:
-        calibration_cache.set_default_cache(
-            calibration_cache.CalibrationCache(cache_dir)
-        )
-    # a forked worker inherits the driver's enabled session (parent pid,
-    # already-collected events) -- always start from a clean slate
-    obs.disable()
-    if obs_enabled:
-        obs.enable(process_name="repro-worker-%d" % os.getpid())
-    _WORKER_RUNNER = ExperimentRunner(catalog, queries, config)
-
-
-def _run_cell(index, approach, relative_constraints, pace_override):
-    started = time.monotonic()
-    # stamp the decision log with this cell's stable run id (the serial
-    # loop stamps the same id), so merged logs sort by (run, seq)
-    if obs.OBS.enabled:
-        obs.OBS.declog.set_run("cell-%d" % index)
-    try:
-        with trace.span("harness.cell", index=index, approach=approach):
-            result = _WORKER_RUNNER.run_approach(
-                approach, relative_constraints, pace_override=pace_override
-            )
-    except ReproError as exc:
-        # snapshot instead of raising: the driver re-raises the rebuilt
-        # exception verbatim (type, args, enrichment attributes) with the
-        # worker traceback chained, never a stringified copy
-        result = _CapturedError(exc)
-    payload = obs.drain_worker_payload()
-    return index, result, time.monotonic() - started, payload
-
-
-def _run_cell_batch(tasks):
-    """Run a statically assigned list of cells in this worker, in order.
-
-    Stops at the first failed cell (fail-fast, like the serial loop); the
-    captured error travels back inside the partial result list.
-    """
-    results = []
-    for task in tasks:
-        outcome = _run_cell(*task)
-        results.append(outcome)
-        if isinstance(outcome[1], _CapturedError):
-            break
-    return results
-
-
-# -- driver side ----------------------------------------------------------------
 
 def run_cells(runner, cells, jobs=1):
     """Run experiment cells; returns :class:`CellOutcome` in input order.
 
-    ``jobs=1`` (the default) preserves today's exact serial behavior --
-    the same ``runner.run_approach`` calls in the same order, in process.
-    ``jobs>1`` fans independent cells out over worker processes; result
-    ordering (and, the pipeline being deterministic, every measured
-    number) is identical to the serial run.
+    ``jobs=1`` (the default) runs ``runner.run_approach`` per cell in
+    order, in process.  ``jobs>1`` fans independent cells out over worker
+    processes; result ordering (and, the pipeline being deterministic,
+    every measured number) is identical to the serial run.
     """
     cells = list(cells)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(cells) <= 1:
-        outcomes = []
-        observing = obs.is_enabled()
-        previous_run = obs.OBS.declog.run_id if observing else None
-        try:
-            for index, cell in enumerate(cells):
-                started = time.monotonic()
-                # same run id the worker path stamps for this cell
-                if observing:
-                    obs.OBS.declog.set_run("cell-%d" % index)
-                with trace.span("harness.cell", key=str(cell.key),
-                                approach=cell.approach):
-                    result = runner.run_approach(
-                        cell.approach, cell.relative_constraints,
-                        pace_override=cell.pace_override,
-                    )
-                outcomes.append(
-                    CellOutcome(cell.key, cell.approach, result,
-                                time.monotonic() - started)
-                )
-        finally:
-            if observing:
-                obs.OBS.declog.set_run(previous_run)
-        return outcomes
-
-    cache = calibration_cache.get_default_cache()
-    cache_dir = cache.cache_dir if cache is not None else None
-    observing = obs.is_enabled()
-    workers = min(jobs, len(cells))
-    outcomes = [None] * len(cells)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(runner.catalog, runner.queries, runner.config, cache_dir,
-                  observing),
-    ) as pool:
-        if observing:
-            # Static round-robin assignment: worker k owns cells k, k+W,
-            # k+2W, ...  Each worker's warm/cold history -- and therefore
-            # each cell's shipped observability payload -- is then
-            # identical run to run, so the merged event / metric /
-            # decision sequence is deterministic.  Untraced runs keep the
-            # dynamically balanced pool below.
-            tasks = [
-                (index, cell.approach, cell.relative_constraints,
-                 cell.pace_override)
-                for index, cell in enumerate(cells)
-            ]
-            futures = [
-                pool.submit(_run_cell_batch, tasks[k::workers])
-                for k in range(workers)
-            ]
-            completed = {}
-            for future in futures:
-                for index, result, wall_seconds, payload in future.result():
-                    completed[index] = (result, wall_seconds, payload)
-            # absorb in submission order regardless of completion order;
-            # the first failing index (in submission order) re-raises its
-            # captured worker error after the preceding payloads landed
-            error_index = min(
-                (
-                    index
-                    for index, (result, _, _) in completed.items()
-                    if isinstance(result, _CapturedError)
-                ),
-                default=None,
-            )
-            for index, cell in enumerate(cells):
-                if error_index is not None and index >= error_index:
-                    break
-                result, wall_seconds, payload = completed[index]
-                outcomes[index] = CellOutcome(
-                    cell.key, cell.approach, result, wall_seconds
-                )
-                obs.absorb_worker_payload(payload)
-            if error_index is not None:
-                result, _, payload = completed[error_index]
-                obs.absorb_worker_payload(payload)
-                _reraise(result)
-            return outcomes
-
-        futures = [
-            pool.submit(
-                _run_cell, index, cell.approach, cell.relative_constraints,
-                cell.pace_override,
-            )
-            for index, cell in enumerate(cells)
-        ]
-        for future in futures:
-            index, result, wall_seconds, payload = future.result()
-            if isinstance(result, _CapturedError):
-                _reraise(result)
-            cell = cells[index]
-            outcomes[index] = CellOutcome(
-                cell.key, cell.approach, result, wall_seconds
-            )
-    return outcomes
+    outcomes = ordered_map(_run_cell, cells, jobs, shared=runner,
+                           run_label="cell")
+    return [
+        CellOutcome(cell.key, cell.approach, result, wall_seconds)
+        for cell, (result, wall_seconds) in zip(cells, outcomes)
+    ]
 
 
 def timing_report(outcomes, jobs, wall_seconds):

@@ -9,26 +9,22 @@ sharing is deliberately given up at the shard boundary, which is the
 standard scale-out trade of a shared-execution service.
 
 The serial path replays shards in index order; ``jobs>1`` fans the same
-shard schedules out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-(reusing :mod:`repro.harness.parallel`'s worker error capture and
-observability shipping) and merges results in shard order.  The whole
-pipeline is a seeded simulation, so the merged report is bit-identical
-to the serial one at any job count.
+shard schedules out over :func:`repro.workers.ordered_map`, which merges
+results, errors and observability in shard order.  The whole pipeline is
+a seeded simulation, so the merged report is bit-identical to the serial
+one at any job count.
 """
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 
-from .. import obs
 from ..core.optimizer import OptimizerConfig
-from ..cost import cache as calibration_cache
 from ..engine.stream import StreamConfig
-from ..errors import ReproError, ServiceError
+from ..errors import ServiceError
 from ..service.core import QueryService
 from ..service.schedule import replay_schedule, tenant_of_events, validate_schedule
+from ..workers import ordered_map
 from ..workloads.tpch import build_query as tpch_build_query
 from ..workloads.tpch import generate_catalog
-from .parallel import _CapturedError, _reraise, resolve_jobs
 
 
 def shard_of(tenant, shards):
@@ -73,26 +69,11 @@ def build_shard_service(shard_schedule):
     return service, build_query
 
 
-def _run_shard(shard_index, shard_schedule, collect_results=False):
-    """Replay one shard's schedule; returns its JSON-native report.
-
-    The decision log is stamped with ``shard-<index>`` for the replay's
-    duration -- this is the *shared* code path of the serial loop and the
-    worker processes, so merged logs carry identical ``run`` ids at any
-    job count and sort globally by ``(run, seq)``.
-    """
-    observing = obs.is_enabled()
-    previous_run = (
-        obs.OBS.declog.set_run("shard-%d" % shard_index) if observing else None
-    )
-    try:
-        service, build_query = build_shard_service(shard_schedule)
-        outcomes, decisions = replay_schedule(
-            service, shard_schedule, build_query, collect_results=collect_results
-        )
-    finally:
-        if observing:
-            obs.OBS.declog.set_run(previous_run)
+def _run_shard(_shared, task):
+    """Replay one shard's schedule; returns its JSON-native report."""
+    shard_index, shard_schedule = task
+    service, build_query = build_shard_service(shard_schedule)
+    outcomes, decisions = replay_schedule(service, shard_schedule, build_query)
     feedback = (
         service.model.feedback_factors() if service.model is not None else {}
     )
@@ -108,39 +89,14 @@ def _run_shard(shard_index, shard_schedule, collect_results=False):
     }
 
 
-# -- worker side -----------------------------------------------------------------
-
-def _init_service_worker(cache_dir, obs_enabled):
-    import os
-
-    if cache_dir is not None:
-        calibration_cache.set_default_cache(
-            calibration_cache.CalibrationCache(cache_dir)
-        )
-    # forked workers inherit the driver's live session -- reset it
-    obs.disable()
-    if obs_enabled:
-        obs.enable(process_name="repro-service-%d" % os.getpid())
-
-
-def _service_worker(shard_index, shard_schedule):
-    try:
-        report = _run_shard(shard_index, shard_schedule)
-    except ReproError as exc:
-        report = _CapturedError(exc)
-    return shard_index, report, obs.drain_worker_payload()
-
-
-# -- driver side -----------------------------------------------------------------
-
 def run_service_schedule(schedule, jobs=1):
     """Run a churn schedule across tenant shards; returns the merged report.
 
     ``jobs=1`` replays shards serially in index order; ``jobs>1``
     distributes whole shards over worker processes.  Either way the
     report -- window outcomes, admission decisions, summary -- is
-    bit-identical, and observability payloads are absorbed in shard
-    order so decision logs and metrics merge deterministically too.
+    bit-identical, and so is the merged observability session
+    (:mod:`repro.workers`).
     """
     ordered = validate_schedule(schedule)
     shards = schedule.get("shards", 1)
@@ -158,51 +114,12 @@ def run_service_schedule(schedule, jobs=1):
         dict(base, events=events) for events in shard_events
     ]
 
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or shards <= 1:
-        if obs.is_enabled() and shards > 1:
-            # cycle each shard's observability through the same
-            # drain/absorb path the workers use: counters then merge as
-            # per-shard sums in both modes, so even float-valued counters
-            # stay bit-identical between serial and --jobs N
-            reports = []
-            payloads = []
-            for index, shard_schedule in enumerate(shard_schedules):
-                reports.append(_run_shard(index, shard_schedule))
-                payloads.append(obs.drain_worker_payload())
-            for payload in payloads:
-                obs.absorb_worker_payload(payload)
-        else:
-            reports = [
-                _run_shard(index, shard_schedule)
-                for index, shard_schedule in enumerate(shard_schedules)
-            ]
-    else:
-        cache = calibration_cache.get_default_cache()
-        cache_dir = cache.cache_dir if cache is not None else None
-        observing = obs.is_enabled()
-        reports = [None] * shards
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, shards),
-            initializer=_init_service_worker,
-            initargs=(cache_dir, observing),
-        ) as pool:
-            futures = [
-                pool.submit(_service_worker, index, shard_schedule)
-                for index, shard_schedule in enumerate(shard_schedules)
-            ]
-            completed = {}
-            for future in futures:
-                shard_index, report, payload = future.result()
-                completed[shard_index] = (report, payload)
-            # absorb observability and surface errors in shard order, so
-            # the merged sequence matches the serial replay exactly
-            for shard_index in range(shards):
-                report, payload = completed[shard_index]
-                obs.absorb_worker_payload(payload)
-                if isinstance(report, _CapturedError):
-                    _reraise(report)
-                reports[shard_index] = report
+    # decision-log run ids are ``shard-<index>`` at any job count
+    reports = [
+        report for report, _ in ordered_map(
+            _run_shard, enumerate(shard_schedules), jobs, run_label="shard"
+        )
+    ]
     return {
         "schedule": {
             "windows": schedule["windows"],

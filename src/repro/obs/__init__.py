@@ -109,7 +109,7 @@ def reset():
         OBS.declog.clear()
 
 
-# -- worker <-> driver shipping (repro.harness.parallel) -------------------------
+# -- worker <-> driver shipping (repro.workers) ----------------------------------
 
 def drain_worker_payload():
     """Collected observability data as one JSON-safe dict, then cleared.

@@ -27,8 +27,6 @@ matter); ``tests/test_columnar_equivalence.py`` and the
 ``shared-columnar`` fuzz oracle enforce both invariants.
 """
 
-import os
-
 from ..engine.columns import (
     ColumnBatch,
     as_columns,
@@ -52,7 +50,6 @@ from .fused import (
     fused_aggregate_inputs,
     fused_decoration_kernel,
     fused_source_kernel,
-    fusion_active,
 )
 from .hotpath import cached_artifacts, qids_of
 from .operators import AggregateExec, _GroupQueryState
@@ -279,7 +276,7 @@ class ColumnarDecorations:
         self.stats_mode = stats_mode
         # stats mode needs the unfused path's per-filter counters; the
         # fused kernel only covers the plain hot path
-        if stats_mode or not fusion_active():
+        if stats_mode:
             self.fused = None
         else:
             self.fused = fused_decoration_kernel(node)
@@ -587,22 +584,16 @@ class _ColumnarJoinSide:
 
 # Batches below this row count probe with the scalar loop: per-delta
 # python emission beats the arange/repeat expansion until the probe
-# fan-out is large.  Exported so tests can force either path; the
-# ``REPRO_SCALAR_PROBE_MAX`` environment variable overrides the default
-# (0 forces the vectorized probe for every batch).  The default sits at
-# the measured crossover: the probe sweep in
-# benchmarks/bench_engine_hotpath.py (``probe_crossover`` in
-# BENCH_columnar.json) shows the vectorized probe overtaking the scalar
+# fan-out is large.  A module constant so tests, the fuzz ``-vec`` leg
+# and the bench sweep can force either path (0 forces the vectorized
+# probe for every batch).  The default sits at the measured crossover:
+# the probe sweep in benchmarks/bench_engine_hotpath.py
+# (``probe_crossover`` in BENCH_columnar.json) shows the vectorized probe overtaking the scalar
 # loop at 16 rows -- lazy gather emission (ColumnBatch.from_gather)
 # removed the per-probe column materialization that used to push the
 # crossover past 100 rows -- so only single-digit delta trickles stay
 # scalar.
-try:
-    SCALAR_PROBE_MAX = int(
-        os.environ.get("REPRO_SCALAR_PROBE_MAX", "") or 16
-    )
-except ValueError:  # unparseable override: keep the measured default
-    SCALAR_PROBE_MAX = 16
+SCALAR_PROBE_MAX = 16
 
 
 class ColumnarJoinExec:
@@ -1120,7 +1111,7 @@ class ColumnarAggregateExec(AggregateExec):
         self._vec_input_fns = artifacts.input_fns
         self._group_indexes = artifacts.group_indexes
         self._child_width = artifacts.child_width
-        if stats_mode or not fusion_active() or not self._vec_input_fns:
+        if stats_mode or not self._vec_input_fns:
             self._fused_inputs = None
         else:
             self._fused_inputs = fused_aggregate_inputs(node)

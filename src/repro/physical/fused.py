@@ -21,10 +21,11 @@ chain -- it only removes interpreter dispatch between them.  Expression
 shapes the flattener does not cover (containment predicates, row-wise
 fallbacks) are bound into the generated source as the very closures the
 unfused path would call, so results are bit-identical by construction.
-The unfused path is kept verbatim as the oracle: the kill switch
-``REPRO_ENGINE_NO_FUSION=1`` (or ``engine_mode(fusion=False)``) restores
-it, and the fuzz oracle matrix runs a fusion-off leg against the fused
-one (``shared-columnar-nofuse``).
+Columnar operators fuse whenever ``stats_mode`` is off; the unfused
+closures stay because calibration (``stats_mode`` needs their per-filter
+counters) still runs them, and ``tests/test_columnar_equivalence.py``
+feeds every fig11 node's batches to both and asserts identical arrays
+and identical WorkMeter charges.
 """
 
 from ..engine.columns import ColumnBatch, np
@@ -37,19 +38,13 @@ from ..relational.expressions import (
     Not,
     Or,
 )
-from .hotpath import HOTPATH, cached_artifacts
+from .hotpath import cached_artifacts
 
 __all__ = [
-    "fusion_active",
     "fused_decoration_kernel",
     "fused_source_kernel",
     "fused_aggregate_inputs",
 ]
-
-
-def fusion_active():
-    """Whether newly compiled columnar operators should fuse."""
-    return HOTPATH.fusion
 
 
 class _Emitter:

@@ -13,8 +13,8 @@ work/latency numbers and identical output delta streams -- the reference
 path exists as the correctness oracle (``tests/test_hotpath_equivalence``)
 and as the baseline of ``benchmarks/bench_engine_hotpath.py``.
 
-Independently toggleable (``batched``/``compile_cache``/``reuse_trees``
-default on, ``columnar`` defaults off):
+Three independent toggles (``batched`` and ``arrangements`` default on,
+``columnar`` defaults off):
 
 ``batched``
     batched delta application in the physical operators.
@@ -25,40 +25,30 @@ default on, ``columnar`` defaults off):
     exactly identical (docs/PERFORMANCE.md).  The request is honoured
     only when :func:`columnar_available` says so (NumPy importable, kill
     switch not set) and the plan's query ids fit an int64 bitvector.
-``compile_cache``
-    process-wide reuse of compiled per-node artifacts (predicate and
-    projection closures, join key getters, aggregate input closures)
-    keyed on the node's unique id, so repeated ``PlanExecutor`` builds
-    over the same plan stop re-paying expression compilation.
-``reuse_trees``
-    reuse of a :class:`~repro.engine.executor.PlanExecutor`'s compiled
-    operator tree across ``run()`` calls (state is deterministically
-    reset between runs instead of rebuilt).
-
+    Outside ``stats_mode`` its filter -> project -> aggregate-input
+    chains always run as generated fused kernels
+    (:mod:`repro.physical.fused`).
 ``arrangements``
     shared join arrangements (:mod:`repro.engine.arrangements`): one
     multi-reader index per ``(table, key columns)`` replaces the
     eligible joins' private hash tables.  Results and WorkMeter charges
     stay bit-identical to the private path (the fuzz oracle
     ``shared-arranged`` enforces it); resident state and maintenance
-    work drop (docs/ARRANGEMENTS.md).  Defaults on.
+    work drop (docs/ARRANGEMENTS.md).
 
-``fusion``
-    fused kernel codegen (:mod:`repro.physical.fused`): the columnar
-    backend's filter -> project -> aggregate-input chains collapse into
-    single generated NumPy kernels, compiled once per node and memoized
-    through :func:`cached_artifacts`.  Results, records and WorkMeter
-    charges are bit-identical to the unfused columnar path (the fuzz
-    oracle ``shared-columnar-nofuse`` enforces it).  Defaults on; only
-    affects the columnar backend.
+Not toggles: compiled per-node artifacts (predicate and projection
+closures, join key getters, aggregate input closures, fused kernels) are
+always memoized process-wide by :func:`cached_artifacts`, and a
+:class:`~repro.engine.executor.PlanExecutor` always reuses its compiled
+operator tree across ``run()`` calls (state is deterministically reset
+instead of rebuilt).
 
 Environment overrides (read once at import): ``REPRO_ENGINE_UNBATCHED``,
-``REPRO_ENGINE_NO_COMPILE_CACHE``, ``REPRO_ENGINE_NO_PLAN_REUSE``,
 ``REPRO_ENGINE_NO_ARRANGEMENTS`` (kill switch restoring per-join
-private state), ``REPRO_ENGINE_NO_FUSION`` (kill switch restoring the
-per-expression closure chain), and ``REPRO_ENGINE_COLUMNAR`` (``1``
-turns the columnar backend on by default, ``0`` is a kill switch that
-pins it off even when ``engine_mode(columnar=True)`` asks for it).
+private state), and ``REPRO_ENGINE_COLUMNAR`` (``1`` turns the columnar
+backend on by default, ``0`` is a kill switch that pins it off even
+when ``engine_mode(columnar=True)`` asks for it).  Worker processes do
+not rely on them: :mod:`repro.workers` ships the driver's mode.
 """
 
 import os
@@ -89,35 +79,32 @@ def columnar_available():
 class EngineMode:
     """Mutable toggles for the engine's hot-path optimisations."""
 
-    __slots__ = ("batched", "compile_cache", "reuse_trees", "columnar",
-                 "arrangements", "fusion")
+    __slots__ = ("batched", "columnar", "arrangements")
 
-    def __init__(self, batched=True, compile_cache=True, reuse_trees=True,
-                 columnar=False, arrangements=True, fusion=True):
+    def __init__(self, batched=True, columnar=False, arrangements=True):
         self.batched = bool(batched)
-        self.compile_cache = bool(compile_cache)
-        self.reuse_trees = bool(reuse_trees)
         self.columnar = bool(columnar)
         self.arrangements = bool(arrangements)
-        self.fusion = bool(fusion)
+
+    def values(self):
+        """The toggles as a tuple in ``__slots__`` order (picklable)."""
+        return (self.batched, self.columnar, self.arrangements)
+
+    def restore(self, values):
+        """Set every toggle from a :meth:`values` tuple."""
+        self.batched, self.columnar, self.arrangements = values
 
     def __repr__(self):
-        return (
-            "EngineMode(batched=%s, compile_cache=%s, reuse_trees=%s, "
-            "columnar=%s, arrangements=%s, fusion=%s)"
-            % (self.batched, self.compile_cache, self.reuse_trees,
-               self.columnar, self.arrangements, self.fusion)
+        return "EngineMode(batched=%s, columnar=%s, arrangements=%s)" % (
+            self.values()
         )
 
 
 #: process-wide engine mode; mutate via :func:`engine_mode` in tests
 HOTPATH = EngineMode(
     batched=not os.environ.get("REPRO_ENGINE_UNBATCHED"),
-    compile_cache=not os.environ.get("REPRO_ENGINE_NO_COMPILE_CACHE"),
-    reuse_trees=not os.environ.get("REPRO_ENGINE_NO_PLAN_REUSE"),
     columnar=_COLUMNAR_ENV in ("1", "on", "yes", "true"),
     arrangements=not os.environ.get("REPRO_ENGINE_NO_ARRANGEMENTS"),
-    fusion=not os.environ.get("REPRO_ENGINE_NO_FUSION"),
 )
 
 
@@ -129,28 +116,19 @@ def engine_mode_label():
 
 
 @contextmanager
-def engine_mode(batched=None, compile_cache=None, reuse_trees=None,
-                columnar=None, arrangements=None, fusion=None):
+def engine_mode(batched=None, columnar=None, arrangements=None):
     """Temporarily override :data:`HOTPATH` toggles (tests, benchmarks)."""
-    saved = (HOTPATH.batched, HOTPATH.compile_cache, HOTPATH.reuse_trees,
-             HOTPATH.columnar, HOTPATH.arrangements, HOTPATH.fusion)
+    saved = HOTPATH.values()
     if batched is not None:
         HOTPATH.batched = bool(batched)
-    if compile_cache is not None:
-        HOTPATH.compile_cache = bool(compile_cache)
-    if reuse_trees is not None:
-        HOTPATH.reuse_trees = bool(reuse_trees)
     if columnar is not None:
         HOTPATH.columnar = bool(columnar)
     if arrangements is not None:
         HOTPATH.arrangements = bool(arrangements)
-    if fusion is not None:
-        HOTPATH.fusion = bool(fusion)
     try:
         yield HOTPATH
     finally:
-        (HOTPATH.batched, HOTPATH.compile_cache, HOTPATH.reuse_trees,
-         HOTPATH.columnar, HOTPATH.arrangements, HOTPATH.fusion) = saved
+        HOTPATH.restore(saved)
 
 
 # -- bits -> query-id decoding cache ----------------------------------------
@@ -209,11 +187,8 @@ def cached_artifacts(key, builder):
     ``key`` is a hashable cache key, conventionally ``(kind, node.uid)``
     so different artifact families of the same node do not collide.
     ``builder`` is a zero-argument callable producing the artifact object;
-    it runs exactly once per key while the cache holds the entry.  With
-    ``HOTPATH.compile_cache`` off, the builder runs every time.
+    it runs exactly once per key while the cache holds the entry.
     """
-    if not HOTPATH.compile_cache:
-        return builder()
     artifacts = _ARTIFACTS.get(key)
     if artifacts is None:
         if len(_ARTIFACTS) >= _ARTIFACTS_LIMIT:

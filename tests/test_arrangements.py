@@ -177,7 +177,7 @@ class TestArrangedSavings:
     def test_resident_entries_halved_or_better(self, fanout_setup):
         plan, paces = fanout_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True, arrangements=False):
+        with engine_mode(batched=True, arrangements=False):
             executor = PlanExecutor(plan, StreamConfig())
             executor.run(paces)
             _, _, compiled, _, _ = executor._runtime
@@ -225,7 +225,7 @@ class TestTreeReuse:
     def test_reused_tree_matches_fresh(self, fanout_setup):
         plan, paces = fanout_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True, arrangements=True):
+        with engine_mode(batched=True, arrangements=True):
             executor = PlanExecutor(plan, StreamConfig())
             first = fingerprint(executor.run(paces))
             second = fingerprint(executor.run(paces))  # reused tree
@@ -235,7 +235,7 @@ class TestTreeReuse:
     def test_toggle_flip_recompiles(self, fanout_setup):
         plan, paces = fanout_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             with engine_mode(arrangements=True):
                 assert executor.run(paces).metadata["arrangements"] is True
@@ -420,7 +420,7 @@ class TestColumnarSideCompaction:
         plan = build_unshared_plan(catalog, single_join_queries(catalog, 2))
         paces = {s.sid: 3 for s in plan.subplans}
         clear_compiled_caches()
-        with engine_mode(columnar=True, reuse_trees=True, arrangements=False):
+        with engine_mode(columnar=True, arrangements=False):
             executor = PlanExecutor(plan, StreamConfig())
             run = executor.run(paces)
             sides = list(self._sides(executor))

@@ -125,30 +125,107 @@ class TestFig11WorkIdentity:
         columnar = run_with(plan, paces, batched=True, columnar=True)
         assert_columnar_equivalent(columnar, batched, queries)
 
-    def test_fusion_on_off_bit_identical(self, fig11_setup):
+    def test_fused_kernels_bit_identical_to_unfused_closures(
+        self, fig11_setup, monkeypatch
+    ):
         # fusion's contract is stronger than work-exact: a fused kernel
         # performs the same array ops in the same order as the unfused
-        # chain, so *query results* must match bit for bit too, not just
-        # within float tolerance (docs/PERFORMANCE.md, the fuzzer's
-        # shared-columnar-nofuse oracle)
+        # closure chain, so its output *arrays* and WorkMeter charges
+        # must match bit for bit (docs/PERFORMANCE.md).  Fusion is
+        # unconditional outside stats_mode, so there is no global switch
+        # to flip: record every batch the fig11 run feeds to a fused
+        # kernel, then replay it through the stats_mode (unfused) code.
+        from repro.physical import columnar as columnar_mod
+        from repro.physical.work import WorkMeter
+
         plan, paces, _ = fig11_setup
-        fused = run_with(plan, paces, batched=True, columnar=True,
-                         fusion=True)
-        unfused = run_with(plan, paces, batched=True, columnar=True,
-                           fusion=False)
-        assert work_fingerprint(fused) == work_fingerprint(unfused)
-        assert fused.query_results == unfused.query_results
-        assert fused.metadata == unfused.metadata
+        calls = {"src": [], "deco": [], "agg": []}
+
+        def recording(kind):
+            getter = getattr(columnar_mod, _FUSED_GETTERS[kind])
+
+            def get(node):
+                kernel = getter(node)
+
+                def record(*args):
+                    calls[kind].append((node, args))
+                    return kernel(*args)
+
+                return record
+
+            return get
+
+        for kind, name in _FUSED_GETTERS.items():
+            monkeypatch.setattr(columnar_mod, name, recording(kind))
+        clear_compiled_caches()
+        with engine_mode(batched=True, columnar=True):
+            PlanExecutor(plan, StreamConfig()).run(paces)
+        monkeypatch.undo()
+
+        nodes = [
+            node for subplan in plan.subplans for node in _walk(subplan.root)
+        ]
+        by_kind = {
+            kind: {node.uid for node, _ in recorded}
+            for kind, recorded in calls.items()
+        }
+        assert by_kind["src"] == {n.uid for n in nodes if n.kind == "source"}
+        # aggregates emit rows through the batched decorations; their
+        # fused part is the input-expression kernel
+        assert by_kind["deco"] == {n.uid for n in nodes if n.kind == "join"}
+        # only aggregates that absorbed a non-empty batch at this scale
+        assert by_kind["agg"] and by_kind["agg"] <= {
+            n.uid for n in nodes if n.kind == "aggregate"
+        }
+
+        for node, (batch, mask, _) in calls["src"]:
+            outputs, meters = [], []
+            for stats_mode in (False, True):
+                buffer = Buffer("replay")
+                buffer.append_segment(batch)
+                meter = WorkMeter()
+                source = columnar_mod.ColumnarSourceExec(
+                    node, buffer.reader(), mask, meter, stats_mode
+                )
+                assert (source._fused is None) == stats_mode
+                outputs.append(source.advance())
+                meters.append(meter)
+            _assert_batches_identical(*outputs)
+            _assert_meters_identical(*meters)
+
+        for node, (batch, _) in calls["deco"]:
+            fused_meter, unfused_meter = WorkMeter(), WorkMeter()
+            fused = columnar_mod.fused_decoration_kernel(node)(
+                batch, fused_meter
+            )
+            unfused = columnar_mod.ColumnarDecorations(
+                node, stats_mode=True
+            ).apply(batch, unfused_meter)
+            _assert_batches_identical(fused, unfused)
+            _assert_meters_identical(fused_meter, unfused_meter)
+
+        for node, (batch, n) in calls["agg"]:
+            fused = columnar_mod.fused_aggregate_inputs(node)(batch, n)
+            closures = columnar_mod.ColumnarAggregateExec(
+                node, None, -1, WorkMeter(), stats_mode=True
+            )
+            assert closures._fused_inputs is None
+            unfused = [
+                columnar_mod._materialize(fn(batch), n)
+                for fn in closures._vec_input_fns
+            ]
+            assert len(fused) == len(unfused)
+            for left, right in zip(fused, unfused):
+                _assert_arrays_identical(left, right)
 
     def test_fused_kernels_actually_fire(self, fig11_setup):
         # guard against the bit-identity test passing vacuously because
         # fusion silently stopped engaging
-        from repro.physical import fused, hotpath
+        from repro.physical import hotpath
 
         plan, paces, _ = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, columnar=True, fusion=True):
-            assert fused.fusion_active()
+        with engine_mode(batched=True, columnar=True):
             PlanExecutor(plan, StreamConfig()).run(paces)
             kernels = [
                 artifact
@@ -157,6 +234,43 @@ class TestFig11WorkIdentity:
             ]
         assert kernels, "no fused kernels were compiled during the run"
         assert all(hasattr(k, "fused_source") for k in kernels)
+
+
+#: kernel family -> the getter name ``repro.physical.columnar`` binds
+_FUSED_GETTERS = {
+    "src": "fused_source_kernel",
+    "deco": "fused_decoration_kernel",
+    "agg": "fused_aggregate_inputs",
+}
+
+
+def _walk(node):
+    yield node
+    for child in node.children:
+        yield from _walk(child)
+
+
+def _assert_arrays_identical(left, right):
+    assert left.dtype == right.dtype and left.shape == right.shape
+    if left.dtype == object:
+        assert left.tolist() == right.tolist()
+    else:  # bytes, not ==: NaN payloads and signed zeros count
+        assert left.tobytes() == right.tobytes()
+
+
+def _assert_batches_identical(left, right):
+    assert left.width == right.width
+    for a, b in zip(left.columns, right.columns):
+        _assert_arrays_identical(a, b)
+    _assert_arrays_identical(left.signs, right.signs)
+    _assert_arrays_identical(left.bits, right.bits)
+
+
+def _assert_meters_identical(left, right):
+    assert left.snapshot() == right.snapshot()
+    assert (left.input_units, left.output_units, left.rescan_units,
+            left.state_units) == (right.input_units, right.output_units,
+                                  right.rescan_units, right.state_units)
 
 
 class TestModeFlipOnOneExecutor:
@@ -170,12 +284,12 @@ class TestModeFlipOnOneExecutor:
         """
         plan, paces, queries = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             batched_first = executor.run(paces)
-        with engine_mode(batched=True, reuse_trees=True, columnar=True):
+        with engine_mode(batched=True, columnar=True):
             columnar = executor.run(paces)
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             batched_again = executor.run(paces)
         assert work_fingerprint(batched_first) == work_fingerprint(
             batched_again
@@ -186,7 +300,7 @@ class TestModeFlipOnOneExecutor:
     def test_columnar_tree_reuse_is_deterministic(self, fig11_setup):
         plan, paces, _ = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True, columnar=True):
+        with engine_mode(batched=True, columnar=True):
             executor = PlanExecutor(plan, StreamConfig())
             first = executor.run(paces)
             second = executor.run(paces)  # reused columnar tree

@@ -1,11 +1,14 @@
 """Bit-identity of the batched hot path against the per-tuple reference.
 
 The engine keeps the original per-tuple delta application as a switchable
-reference path (``repro.physical.hotpath``).  These tests are the ISSUE's
-hard constraint: the batched path, the compiled-artifact cache, operator
+reference path (``repro.physical.hotpath``).  These tests are the hard
+constraint: the batched path, the compiled-artifact cache, operator
 tree reuse, and in-place buffer compaction must leave every RunResult
 work/latency number and every query result *bit-identical* on the fig11
-workload (TPC-H, all 22 queries, update-stream churn included).
+workload (TPC-H, all 22 queries, update-stream churn included).  The
+artifact cache and tree reuse are unconditional, so they are checked by
+comparing a fresh executor over cleared caches against a second
+``run()`` on a warm one.
 """
 
 import os
@@ -68,37 +71,43 @@ class TestFig11BitIdentity:
     def test_batched_matches_reference(self, fig11_setup):
         plan, paces = fig11_setup
         batched = run_with(plan, paces, batched=True)
-        reference = run_with(
-            plan, paces, batched=False, compile_cache=False, reuse_trees=False
-        )
+        reference = run_with(plan, paces, batched=False)
         assert fingerprint(batched) == fingerprint(reference)
 
     def test_each_toggle_is_individually_neutral(self, fig11_setup):
         plan, paces = fig11_setup
         baseline = fingerprint(
-            run_with(plan, paces, batched=False, compile_cache=False,
-                     reuse_trees=False, arrangements=False)
+            run_with(plan, paces, batched=False, arrangements=False)
         )
-        for toggle in ("batched", "compile_cache", "reuse_trees",
-                       "arrangements"):
-            mode = {"batched": False, "compile_cache": False,
-                    "reuse_trees": False, "arrangements": False, toggle: True}
+        for toggle in ("batched", "arrangements"):
+            mode = {"batched": False, "arrangements": False, toggle: True}
             assert fingerprint(run_with(plan, paces, **mode)) == baseline, toggle
+
+    def test_warm_caches_and_reused_tree_are_neutral(self, fig11_setup):
+        # the baseline above is a fresh executor over cleared caches; a
+        # second run() hits the artifact cache and reuses the tree
+        plan, paces = fig11_setup
+        clear_compiled_caches()
+        with engine_mode(batched=False, arrangements=False):
+            executor = PlanExecutor(plan, StreamConfig())
+            cold = fingerprint(executor.run(paces))
+            warm = fingerprint(executor.run(paces))
+            # a second executor compiles a new tree from cached artifacts
+            cached = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
+        assert cold == warm == cached
 
     def test_uniform_pace_identity(self, fig11_setup):
         plan, _ = fig11_setup
         paces = {subplan.sid: 3 for subplan in plan.subplans}
         batched = run_with(plan, paces, batched=True)
-        reference = run_with(
-            plan, paces, batched=False, compile_cache=False, reuse_trees=False
-        )
+        reference = run_with(plan, paces, batched=False)
         assert fingerprint(batched) == fingerprint(reference)
 
 
 class TestTreeReuse:
     def test_reused_tree_matches_fresh_executor(self, fig11_setup):
         plan, paces = fig11_setup
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             first = fingerprint(executor.run(paces))
             assert executor._runtime is not None
@@ -109,7 +118,7 @@ class TestTreeReuse:
     def test_reuse_across_different_paces(self, fig11_setup):
         plan, paces = fig11_setup
         lazy = {subplan.sid: 1 for subplan in plan.subplans}
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             executor.run(paces)
             reused = fingerprint(executor.run(lazy))
@@ -118,7 +127,7 @@ class TestTreeReuse:
 
     def test_stats_mode_counters_reset_on_reuse(self, fig11_setup):
         plan, paces = fig11_setup
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
             executor.run(paces)
             first = {
@@ -195,19 +204,15 @@ class TestBufferCompaction:
 def test_fig11_sweep_jobs2_bit_identical(monkeypatch, tmp_path):
     """The full fig11 sweep under --jobs 2 is mode-invariant.
 
-    Worker processes read the REPRO_ENGINE_* toggles from the environment
-    at import, so the reference leg forces them via monkeypatch; the
-    parent process is switched with engine_mode.
+    The pool ships the driver's engine mode to its workers
+    (``repro.workers``), so ``engine_mode`` alone switches both legs.
     """
     from repro.harness.experiments import fig11
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     kwargs = dict(scale=0.1, max_pace=6, levels=(0.1,), jobs=2)
-    with engine_mode(batched=True, compile_cache=True, reuse_trees=True):
+    with engine_mode(batched=True):
         batched = fig11(**kwargs)
-    monkeypatch.setenv("REPRO_ENGINE_UNBATCHED", "1")
-    monkeypatch.setenv("REPRO_ENGINE_NO_COMPILE_CACHE", "1")
-    monkeypatch.setenv("REPRO_ENGINE_NO_PLAN_REUSE", "1")
-    with engine_mode(batched=False, compile_cache=False, reuse_trees=False):
+    with engine_mode(batched=False):
         reference = fig11(**kwargs)
     assert batched.tables == reference.tables

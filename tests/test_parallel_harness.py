@@ -12,13 +12,11 @@ from repro.harness.experiments import _uniform_sweep, fig11
 from repro.harness.parallel import (
     CellOutcome,
     ExperimentCell,
-    WorkerTraceback,
-    _CapturedError,
-    resolve_jobs,
     run_cells,
     timing_report,
 )
 from repro.harness.runner import APPROACHES, ExperimentRunner
+from repro.workers import CapturedError, WorkerTraceback, resolve_jobs
 from repro.workloads.constraints import uniform_constraints
 
 from .util import (
@@ -166,7 +164,7 @@ class TestWorkerErrorPropagation:
                 seed=42, case_path="/tmp/case-000.json"
             )
         except ExecutionError as exc:
-            captured = _CapturedError(exc)
+            captured = CapturedError(exc)
         captured = pickle.loads(pickle.dumps(captured))  # the pool boundary
         rebuilt = captured.rebuild()
         assert type(rebuilt) is ExecutionError
