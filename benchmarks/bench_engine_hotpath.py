@@ -564,105 +564,6 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
     return results
 
 
-def bench_probe_crossover(repeat, total=32_768,
-                          batch_sizes=(32, 64, 128, 256, 512, 1024)):
-    """Scalar-vs-vectorized join probe crossover sweep.
-
-    The columnar join picks its probe strategy per delta batch:
-    batches at or below ``SCALAR_PROBE_MAX`` rows run the scalar
-    dict-loop probe, larger ones the arange/repeat vectorized probe
-    (0 forces vectorized).  This leg sets the module constant to force
-    each strategy across per-advance batch sizes on the join micro's
-    distinct-row shape and reports where vectorization starts winning --
-    the measurement behind the shipped default.
-    """
-    from repro.physical import columnar as columnar_mod
-
-    left_schema = Schema.of("k", "x")
-    right_schema = Schema.of("k2", "y")
-    node = OpNode(
-        "join",
-        children=[
-            _source_node(left_schema, mask=0b11),
-            _source_node(right_schema, mask=0b11),
-        ],
-        left_keys=["k"], right_keys=["k2"], query_mask=0b11,
-    )
-
-    points = []
-    for per_batch in batch_sizes:
-        batches = max(2, total // (2 * per_batch))
-        n_keys = max(64, (per_batch * batches) // 32)
-        left_batches = [
-            [
-                Delta((i % n_keys, (i * 7) % 9973), INSERT,
-                      0b11 if i % 3 else 0b01)
-                for i in range(b * per_batch, (b + 1) * per_batch)
-            ]
-            for b in range(batches)
-        ]
-        right_batches = [
-            [
-                Delta(((i * 5) % n_keys, -((i * 11) % 9973)), INSERT,
-                      0b11 if i % 2 else 0b10)
-                for i in range(b * per_batch, (b + 1) * per_batch)
-            ]
-            for b in range(batches)
-        ]
-        left_columnar = _columnar_feed_batches(left_batches, 2)
-        right_columnar = _columnar_feed_batches(right_batches, 2)
-
-        def make():
-            left = _Feed(left_columnar)
-            right = _Feed(right_columnar)
-            op = _columnar_execs()[1](
-                node, left, right, WorkMeter(), state_factor=0.3
-            )
-            return _Harness(op, [left, right])
-
-        def drain():
-            harness = make()
-            while True:
-                harness.advance()
-                if not harness._feeds_pending():
-                    break
-
-        legs = {}
-        for label, probe_max in (("scalar", 1 << 30), ("vectorized", 0)):
-            saved = columnar_mod.SCALAR_PROBE_MAX
-            columnar_mod.SCALAR_PROBE_MAX = probe_max
-            try:
-                clear_compiled_caches()
-                with engine_mode(batched=True, columnar=True):
-                    legs[label] = _timed(drain, repeat)
-            finally:
-                columnar_mod.SCALAR_PROBE_MAX = saved
-        points.append({
-            "batch_rows": per_batch,
-            "scalar_seconds": legs["scalar"],
-            "vectorized_seconds": legs["vectorized"],
-            "vectorized_vs_scalar": (
-                legs["scalar"] / legs["vectorized"]
-                if legs["vectorized"] > 0 else None
-            ),
-        })
-
-    crossover = next(
-        (
-            point["batch_rows"]
-            for point in points
-            if point["vectorized_vs_scalar"] is not None
-            and point["vectorized_vs_scalar"] >= 1.0
-        ),
-        None,
-    )
-    return {
-        "points": points,
-        "crossover_batch_rows": crossover,
-        "default_scalar_probe_max": columnar_mod.SCALAR_PROBE_MAX,
-    }
-
-
 #: profiled-share buckets for the overhead breakdown, by code location
 _BREAKDOWN_BUCKETS = (
     # operator kernels: columnar/fused/batched operator code plus numpy
@@ -888,8 +789,6 @@ def _columnar_report(report):
         extract["end_to_end_fig11"]["columnar_parallel"] = (
             e2e["columnar_parallel"]
         )
-    if "probe_crossover" in report:
-        extract["probe_crossover"] = report["probe_crossover"]
     if "e2e_overhead_breakdown" in report:
         extract["e2e_overhead_breakdown"] = report["e2e_overhead_breakdown"]
     return extract
@@ -984,26 +883,6 @@ def main(argv=None):
     case = bench_consolidate(n // 2, repeat)
     report["micro"]["consolidate"] = case
     print("  %-22s %9.0f/s" % ("consolidate", case["deltas_per_sec"]))
-
-    if columnar_available():
-        print("columnar probe crossover sweep")
-        crossover = bench_probe_crossover(repeat)
-        report["probe_crossover"] = crossover
-        for point in crossover["points"]:
-            print(
-                "  %5d rows/batch: scalar %.4fs  vectorized %.4fs (%.2fx)"
-                % (
-                    point["batch_rows"],
-                    point["scalar_seconds"],
-                    point["vectorized_seconds"],
-                    point["vectorized_vs_scalar"],
-                )
-            )
-        print(
-            "  crossover at %s rows (shipped default %d)"
-            % (crossover["crossover_batch_rows"],
-               crossover["default_scalar_probe_max"])
-        )
 
     print("end-to-end fig11 workload (scale %.2f, seed %d)"
           % (scale, args.seed))

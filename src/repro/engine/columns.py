@@ -147,10 +147,19 @@ class ColumnBatch:
 
     @classmethod
     def empty(cls, width):
-        return cls.from_rows(
-            [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            width,
-        )
+        """The shared, immutable empty batch of ``width`` columns.
+
+        Eager schedules produce empty inputs and outputs by the hundred
+        per window, so "nothing" is one object per width rather than an
+        allocation per call: its row store is a tuple and its
+        signs/bits array is read-only.
+        """
+        batch = _EMPTY.get(width)
+        if batch is None:
+            none = np.empty(0, dtype=np.int64)
+            none.flags.writeable = False
+            batch = _EMPTY[width] = cls.from_rows((), none, none, width)
+        return batch
 
     @classmethod
     def from_rows(cls, rows, signs, bits, width):
@@ -436,6 +445,9 @@ class ColumnBatch:
             record.bits = bits
             append(record)
         return out
+
+
+_EMPTY = {}  # width -> the shared empty batch (ColumnBatch.empty)
 
 
 def as_columns(out, width):

@@ -104,6 +104,7 @@ class PlanExecutor:
         self.only = frozenset(only) if only is not None else None
         self.compiled = None  # filled per run
         self._runtime = None  # compiled tree, reused across run() calls
+        self._query_sids = None  # qid -> its subplan ids, set by _compile
         self._runtime_columnar = None  # backend the cached tree was built for
         self._runtime_arranged = None  # arrangements toggle at compile time
 
@@ -151,8 +152,9 @@ class PlanExecutor:
     def _compile(self):
         self._runtime_columnar = self._columnar_active()
         self._runtime_arranged = bool(HOTPATH.arrangements)
+        full_order = self.plan.topological_order()
         order = [
-            subplan for subplan in self.plan.topological_order()
+            subplan for subplan in full_order
             if self._included(subplan.sid)
         ]
         table_streams = {}
@@ -176,6 +178,13 @@ class PlanExecutor:
         for root in self.plan.query_roots.values():
             if root.sid in compiled:
                 compiled[root.sid].buffer.pinned = True
+        # per-query subplan ids, child-first (``plan.subplans_of_query``
+        # without its topological sort per query per run)
+        self._query_sids = {
+            qid: [s.sid for s in full_order if s.query_mask & (1 << qid)]
+            for qid, root in self.plan.query_roots.items()
+            if root.sid in compiled
+        }
         return table_streams, table_buffers, compiled, order, store
 
     def _ensure_compiled(self):
@@ -416,15 +425,13 @@ class PlanExecutor:
                         "engine.arrangement.reader_lag", table=info["table"]
                     ).set(info["reader_lag"])
 
-        for qid, root in self.plan.query_roots.items():
-            if root.sid not in compiled:
-                continue
-            final = sum(
-                result.subplan_final_work.get(subplan.sid, 0.0)
-                for subplan in self.plan.subplans_of_query(qid)
+        final_work = result.subplan_final_work
+        for qid, sids in self._query_sids.items():
+            result.query_final_work[qid] = sum(
+                final_work.get(sid, 0.0) for sid in sids
             )
-            result.query_final_work[qid] = final
             if collect_results:
+                root = self.plan.query_roots[qid]
                 result.query_results[qid] = query_result_view(
                     self.plan, qid, compiled[root.sid].buffer.materialize()
                 )

@@ -22,10 +22,11 @@ Every case runs through multiple pipelines that must agree:
     record, subplan final work).  Skipped when NumPy is unavailable or
     the kill switch is set.
 ``shared-columnar-vec``
-    the columnar backend again with ``SCALAR_PROBE_MAX`` forced to 0, so
-    the join's vectorized arange/repeat probe runs even on fuzz-sized
-    batches (the default adaptive threshold would pick the scalar probe
-    for them).  Same exactness contract as ``shared-columnar``.
+    the columnar backend again with ``ROW_LANE_MAX`` forced to 0, so the
+    fused/vectorised kernels of all three operators (source chain and
+    decorations, join probe, aggregate absorb) run even on fuzz-sized
+    batches (the default threshold keeps nearly every generated case on
+    the row lane).  Same exactness contract as ``shared-columnar``.
 ``shared-arranged`` / ``shared-private``
     the batched hot path with shared arrangements explicitly on and
     explicitly off (``engine_mode(arrangements=...)``).  The two runs
@@ -184,7 +185,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     shared_state = {}
 
     def run_shared(batched=None, pace1=False, columnar=False,
-                   probe_max=None, arranged=None):
+                   row_lane_max=None, arranged=None):
         def runner():
             if "plan" not in shared_state:
                 shared_state["plan"] = MQOOptimizer(catalog).build_shared_plan(
@@ -204,14 +205,14 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 if columnar:
                     from ..physical import columnar as columnar_mod
 
-                    saved = columnar_mod.SCALAR_PROBE_MAX
-                    if probe_max is not None:
-                        columnar_mod.SCALAR_PROBE_MAX = probe_max
+                    saved = columnar_mod.ROW_LANE_MAX
+                    if row_lane_max is not None:
+                        columnar_mod.ROW_LANE_MAX = row_lane_max
                     try:
                         with engine_mode(batched=True, columnar=True):
                             return PlanExecutor(plan, config).run(paces)
                     finally:
-                        columnar_mod.SCALAR_PROBE_MAX = saved
+                        columnar_mod.ROW_LANE_MAX = saved
                 if batched is None:
                     return PlanExecutor(plan, config).run(paces)
                 with engine_mode(batched=batched):
@@ -232,11 +233,11 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     attempt("shared-arranged", run_shared(batched=True, arranged=True))
     attempt("shared-private", run_shared(batched=True, arranged=False))
     if columnar_available():
-        # default thresholds (scalar probe on fuzz-sized batches), plus a
-        # forced-vectorized run so the arange/repeat probe is fuzzed too
+        # the default threshold (row lane on fuzz-sized batches), plus a
+        # forced-vector run so every operator's kernels are fuzzed too
         attempt("shared-columnar", run_shared(columnar=True))
         attempt("shared-columnar-vec",
-                run_shared(columnar=True, probe_max=0))
+                run_shared(columnar=True, row_lane_max=0))
 
     if case.get("decompose") and "plan" in shared_state:
         target = _decomposition_target(shared_state["plan"], case["decompose"])

@@ -8,7 +8,11 @@ with ``np.repeat``/``np.tile``, and grouped SUM/COUNT/AVG via stable
 sort + ``np.add.reduceat`` segment reduction with retraction as signed
 multiplicities.
 
-Two invariants tie this backend to the batched path:
+Those kernels serve batches above :data:`ROW_LANE_MAX` rows; smaller
+ones take each operator's row lane (see the constant), and an empty
+input allocates nothing beyond the shared :meth:`ColumnBatch.empty`.
+
+Two invariants tie this backend to the batched path, in both lanes:
 
 * **exact WorkMeter parity** -- every charge is computed from array
   lengths that equal the batched path's list lengths, and the aggregate
@@ -52,7 +56,26 @@ from .fused import (
     fused_source_kernel,
 )
 from .hotpath import cached_artifacts, qids_of
-from .operators import AggregateExec, _GroupQueryState
+from .operators import AggregateExec, _DecorationArtifacts, _GroupQueryState
+
+# Every columnar operator dispatches on its input row count: a batch of
+# ``n <= ROW_LANE_MAX`` rows takes the operator's *row lane* -- one
+# Python loop over ``batch.rows()`` / ``signs.tolist()`` /
+# ``bits.tolist()`` running the scalar closures the batched path
+# compiles, emitting a row-backed batch -- and anything larger takes the
+# fused/vectorised kernels.  Both lanes emit the same rows in the same
+# order with the same WorkMeter charges, so the lane may change batch by
+# batch.  The one threshold is sized on the pipeline workloads, not on a
+# micro (docs/PERFORMANCE.md, "Size-dispatched operators"): eager
+# schedules feed 0-64-row batches on which a kernel's ~20 NumPy calls
+# cost more than the loop they replace, and a shared aggregate's
+# per-query sort/reduceat passes only pay off past a few hundred rows.
+# ``exec_eager_22q`` improves up to 64 and ``exec_lazy_22q`` loses past
+# 1024; in between both are flat within noise, and 256 is the middle of
+# that plateau, not a resolved optimum.  Tests and the fuzz ``-vec``
+# leg set it to 0 (every non-empty batch vectorised) or ``1 << 30``
+# (every batch on the row lane).
+ROW_LANE_MAX = 256
 
 
 # -- vectorized expression compilation ---------------------------------------
@@ -263,9 +286,10 @@ class ColumnarDecorations:
 
     __slots__ = ("filter_name", "project_name", "filter_pairs",
                  "projection_fns", "stats_mode", "filter_in_per_q",
-                 "filter_out_per_q", "fused")
+                 "filter_out_per_q", "fused", "row_filters",
+                 "row_projection", "out_width")
 
-    def __init__(self, node, stats_mode=False):
+    def __init__(self, node, stats_mode=False, source=False):
         artifacts = cached_artifacts(
             ("cdeco", node.uid), lambda: _ColumnarDecorationArtifacts(node)
         )
@@ -273,11 +297,25 @@ class ColumnarDecorations:
         self.project_name = "proj:%d" % node.uid
         self.filter_pairs = artifacts.filter_pairs
         self.projection_fns = artifacts.projection_fns
+        # the row lane runs the batched path's scalar closures (the very
+        # artifacts ``Decorations`` binds), not a second compilation
+        scalar = cached_artifacts(
+            ("deco", node.uid), lambda: _DecorationArtifacts(node)
+        )
+        self.row_filters = scalar.filter_pairs
+        if scalar.projection is None:
+            self.row_projection = None
+            self.out_width = len(node.core_schema)
+        else:
+            self.row_projection = tuple(fn for _, fn in scalar.projection)
+            self.out_width = len(self.row_projection)
         self.stats_mode = stats_mode
-        # stats mode needs the unfused path's per-filter counters; the
-        # fused kernel only covers the plain hot path
+        # one generated kernel for the large-batch lane: filters ->
+        # projection, behind the subplan mask when a source owns the chain
         if stats_mode:
             self.fused = None
+        elif source:
+            self.fused = fused_source_kernel(node)
         else:
             self.fused = fused_decoration_kernel(node)
         self.filter_in_per_q = {}
@@ -287,16 +325,26 @@ class ColumnarDecorations:
         self.filter_in_per_q.clear()
         self.filter_out_per_q.clear()
 
-    def apply(self, batch, meter):
-        fused = self.fused
-        if fused is not None:
-            return fused(batch, meter)
+    def apply(self, batch, meter, mask=None):
+        """The one lane dispatch.  ``mask`` is the owning subplan's query
+        mask when a source runs its whole chain here, ``None`` otherwise
+        (and always in stats mode, where the source masks and counts
+        before it calls)."""
+        if self.stats_mode:
+            # calibration wants the per-filter counters at every size
+            return self._apply_unfused(batch, meter)
+        if len(batch) <= ROW_LANE_MAX:
+            return self.apply_rows(batch, meter, mask)
+        if mask is None:
+            return self.fused(batch, meter)
+        return self.fused(batch, mask, meter)
+
+    def _apply_unfused(self, batch, meter):
         pairs = self.filter_pairs
         if pairs:
             n = len(batch)
             meter.charge_input(self.filter_name, n)
-            if self.stats_mode:
-                _count_bits(batch.bits, self.filter_in_per_q)
+            _count_bits(batch.bits, self.filter_in_per_q)
             bits = batch.bits
             for bit, clear, fn in pairs:
                 has = (bits & bit) != 0
@@ -313,8 +361,7 @@ class ColumnarDecorations:
                 batch = batch.with_bits(bits)
             else:
                 batch = batch.with_bits(bits).take(np.flatnonzero(keep))
-            if self.stats_mode:
-                _count_bits(batch.bits, self.filter_out_per_q)
+            _count_bits(batch.bits, self.filter_out_per_q)
         fns = self.projection_fns
         if fns is not None:
             n = len(batch)
@@ -322,6 +369,62 @@ class ColumnarDecorations:
             columns = tuple(_materialize(fn(batch), n) for fn in fns)
             batch = ColumnBatch(columns, batch.signs, batch.bits)
         return batch
+
+    def apply_rows(self, batch, meter, mask):
+        """The row lane: (source mask ->) mark filters -> projection.
+
+        One loop over the batch's Python rows with the batched path's
+        scalar closures.  Charges what the fused kernel charges, where
+        it charges it: the filter stage its input length (after the
+        source mask), the projection stage the survivors, both even at
+        zero.  ``mask`` is the owning subplan's query mask when a source
+        runs its whole chain here, ``None`` for bare decorations.
+        """
+        pairs = self.row_filters
+        fns = self.row_projection
+        if mask is None and not pairs and fns is None:
+            return batch
+        n = len(batch)
+        masked = 0
+        out_rows = []
+        if n:
+            out_signs = []
+            out_bits = []
+            single = fns is not None and len(fns) == 1
+            for row, sign, bits in zip(
+                batch.rows(), batch.signs.tolist(), batch.bits.tolist()
+            ):
+                if mask is not None:
+                    bits &= mask
+                    if not bits:
+                        continue
+                    masked += 1
+                if pairs:
+                    for bit, clear, fn in pairs:
+                        if bits & bit and not fn(row):
+                            bits &= clear
+                    if not bits:
+                        continue
+                if fns is not None:
+                    if single:
+                        row = (fns[0](row),)
+                    else:
+                        row = tuple(fn(row) for fn in fns)
+                out_rows.append(row)
+                out_signs.append(sign)
+                out_bits.append(bits)
+        if pairs:
+            meter.charge_input(self.filter_name, n if mask is None else masked)
+        if fns is not None:
+            meter.charge_input(self.project_name, len(out_rows))
+        if not out_rows:
+            return ColumnBatch.empty(self.out_width)
+        return ColumnBatch.from_rows(
+            out_rows,
+            np.array(out_signs, dtype=np.int64),
+            np.array(out_bits, dtype=np.int64),
+            self.out_width,
+        )
 
 
 # -- source ------------------------------------------------------------------
@@ -397,13 +500,7 @@ class ColumnarSourceExec:
         self.subplan_mask = subplan_mask
         self.meter = meter
         self.name = "src:%d" % node.uid
-        self.decorations = ColumnarDecorations(node, stats_mode)
-        # one generated kernel for mask -> filters -> projection; gated
-        # exactly like the decoration kernel (off in stats mode)
-        if self.decorations.fused is not None:
-            self._fused = fused_source_kernel(node)
-        else:
-            self._fused = None
+        self.decorations = ColumnarDecorations(node, stats_mode, source=True)
         self.stats_mode = stats_mode
         self.consolidate_reads = consolidate_reads
         self.width = len(node.core_schema)
@@ -451,25 +548,31 @@ class ColumnarSourceExec:
             )
         else:
             batch = ColumnBatch.from_deltas(new_deltas, width)
-        self.meter.charge_input(self.name, len(batch))
-        self.scanned_total += len(batch)
-        fused = self._fused
-        if fused is not None:
-            return fused(batch, self.subplan_mask, self.meter)
+        n = len(batch)
+        self.meter.charge_input(self.name, n)
+        self.scanned_total += n
+        if not self.stats_mode:
+            return self.decorations.apply(
+                batch, self.meter, self.subplan_mask
+            )
         bits = batch.bits & self.subplan_mask
         keep = bits != 0
         if keep.all():
             kept = batch.with_bits(bits)
         else:
             kept = batch.with_bits(bits).take(np.flatnonzero(keep))
-        if self.stats_mode:
-            self.kept_total += len(kept)
-            self.deletes_kept += int((kept.signs < 0).sum())
-            _count_bits(kept.bits, self.kept_per_q)
+        self.kept_total += len(kept)
+        self.deletes_kept += int((kept.signs < 0).sum())
+        _count_bits(kept.bits, self.kept_per_q)
         return self.decorations.apply(kept, self.meter)
 
 
 # -- join --------------------------------------------------------------------
+
+
+def _listed(batch):
+    """A batch as parallel Python lists: ``(rows, signs, bits)``."""
+    return batch.rows(), batch.signs.tolist(), batch.bits.tolist()
 
 
 class _ColumnarJoinSide:
@@ -582,27 +685,15 @@ class _ColumnarJoinSide:
         self.dead = 0
 
 
-# Batches below this row count probe with the scalar loop: per-delta
-# python emission beats the arange/repeat expansion until the probe
-# fan-out is large.  A module constant so tests, the fuzz ``-vec`` leg
-# and the bench sweep can force either path (0 forces the vectorized
-# probe for every batch).  The default sits at the measured crossover:
-# the probe sweep in benchmarks/bench_engine_hotpath.py
-# (``probe_crossover`` in BENCH_columnar.json) shows the vectorized probe overtaking the scalar
-# loop at 16 rows -- lazy gather emission (ColumnBatch.from_gather)
-# removed the per-probe column materialization that used to push the
-# crossover past 100 rows -- so only single-digit delta trickles stay
-# scalar.
-SCALAR_PROBE_MAX = 16
-
-
 class ColumnarJoinExec:
     """Columnar twin of :class:`~repro.physical.operators.JoinExec`.
 
     Installs stay scalar (they are per-slot dict bookkeeping either
-    way); the probe is vectorized per distinct key and reassembled into
-    the batched path's exact output order: delta-major, matches in state
-    insertion order, |net| copies each via ``np.repeat``.
+    way).  The probe of a batch above ``ROW_LANE_MAX`` is vectorized per
+    distinct key and reassembled into the batched path's exact output
+    order -- delta-major, matches in state insertion order, |net| copies
+    each via ``np.repeat``; smaller batches walk the state per delta and
+    both sides' matches leave as one row-backed batch.
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
@@ -672,32 +763,26 @@ class ColumnarJoinExec:
     def advance(self):
         left_batch = as_columns(self.left.advance(), self.left_width)
         right_batch = as_columns(self.right.advance(), self.right_width)
-        self.meter.charge_input(
-            self.name, len(left_batch) + len(right_batch)
-        )
+        n_left = len(left_batch)
+        n_right = len(right_batch)
+        self.meter.charge_input(self.name, n_left + n_right)
+        # Four passes, in the batched path's order: probe new left
+        # deltas against the *old* right state, install them, probe new
+        # right deltas against the *new* left state, install those.
+        # Installs only touch a delta's own side, so batch-level
+        # probe/install matches the fused per-delta order.  An arranged
+        # side's install is ``advance_to`` on the shared index.
         outputs = []
-        if self._left_arranged is not None or self._right_arranged is not None:
-            self._advance_arranged(left_batch, right_batch, outputs)
-        else:
-            if len(left_batch):
-                keys = self._keys(left_batch, self._left_key_idx)
-                # probe new left deltas against the old right state, then
-                # install them -- installs only touch the left table, so
-                # batch-level probe/install matches the fused per-delta
-                # order
-                self._probe(left_batch, keys, self._right_state, True,
-                            outputs)
-                self._private_entries += self._install(
-                    self._left_state, left_batch, keys
-                )
-            if len(right_batch):
-                keys = self._keys(right_batch, self._right_key_idx)
-                # probe new right deltas against the *new* left state
-                self._probe(right_batch, keys, self._left_state, False,
-                            outputs)
-                self._private_entries += self._install(
-                    self._right_state, right_batch, keys
-                )
+        pending = [[], [], []]  # row-lane output rows/signs/bits, both sides
+        if n_left:
+            self._advance_side(left_batch, True, pending, outputs)
+        if self._left_arranged is not None:
+            self._left_arranged.advance_to(self.left.reader.offset)
+        if n_right:
+            self._advance_side(right_batch, False, pending, outputs)
+        if self._right_arranged is not None:
+            self._right_arranged.advance_to(self.right.reader.offset)
+        self._flush(pending, outputs)
         out = concat_batches(outputs, self.out_width)
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
@@ -705,70 +790,77 @@ class ColumnarJoinExec:
                 self.name, self.state_factor * self.entry_count
             )
         if self.stats_mode:
-            self.in_left += len(left_batch)
-            self.in_right += len(right_batch)
+            self.in_left += n_left
+            self.in_right += n_right
             self.out_total += len(out)
             _count_bits(left_batch.bits, self.in_left_per_q)
             _count_bits(right_batch.bits, self.in_right_per_q)
             _count_bits(out.bits, self.out_per_q)
         return self.decorations.apply(out, self.meter)
 
-    def _advance_arranged(self, left_batch, right_batch, outputs):
-        """The four-pass advance with arranged sides swapped in.
+    def _advance_side(self, batch, left_side, pending, outputs):
+        """Probe one side's new deltas, then install them.
 
-        Mirrors :meth:`~repro.physical.operators.JoinExec
-        ._advance_arranged`: probe left against the *old* right state,
-        install left, probe right against the *new* left state, install
-        right.  An arranged install is ``advance_to`` on the shared
-        index; a private side keeps the columnar probe/install verbatim.
+        The batch's rows, signs and bits are listed once and shared by
+        the scalar probes and the install.  Only a batch above
+        ``ROW_LANE_MAX`` probing a private state takes the vectorised
+        probe; an arranged side's ``key -> {row: net}`` dicts are shared
+        with readers at other offsets, so there is no per-reader array
+        form to vectorise over.
         """
-        la = self._left_arranged
-        ra = self._right_arranged
-        if len(left_batch):
-            keys = self._keys(left_batch, self._left_key_idx)
-            if ra is not None:
-                self._probe_arranged(left_batch, keys, ra, True, outputs)
+        if left_side:
+            key_idx = self._left_key_idx
+            probe_state, probe_handle = self._right_state, self._right_arranged
+            own_state, own_handle = self._left_state, self._left_arranged
+        else:
+            key_idx = self._right_key_idx
+            probe_state, probe_handle = self._left_state, self._left_arranged
+            own_state, own_handle = self._right_state, self._right_arranged
+        keys = self._keys(batch, key_idx)
+        listed = None
+        if probe_handle is not None:
+            table = probe_handle.version.table
+            if table:
+                listed = _listed(batch)
+                self._probe_arranged(listed, keys, table, left_side, pending)
+        elif probe_state.live:
+            if len(keys) <= ROW_LANE_MAX:
+                listed = _listed(batch)
+                self._probe_scalar(listed, keys, probe_state, left_side,
+                                   pending)
             else:
-                self._probe(left_batch, keys, self._right_state, True,
-                            outputs)
-            if la is None:
-                self._private_entries += self._install(
-                    self._left_state, left_batch, keys
-                )
-        if la is not None:
-            la.advance_to(self.left.reader.offset)
-        if len(right_batch):
-            keys = self._keys(right_batch, self._right_key_idx)
-            if la is not None:
-                self._probe_arranged(right_batch, keys, la, False, outputs)
-            else:
-                self._probe(right_batch, keys, self._left_state, False,
-                            outputs)
-            if ra is None:
-                self._private_entries += self._install(
-                    self._right_state, right_batch, keys
-                )
-        if ra is not None:
-            ra.advance_to(self.right.reader.offset)
+                self._flush(pending, outputs)  # keep left-before-right order
+                self._probe(batch, keys, probe_state, left_side, outputs)
+        if own_handle is None:
+            self._private_entries += self._install(
+                own_state, listed or _listed(batch), keys
+            )
 
-    def _probe_arranged(self, batch, keys, handle, left_side, outputs):
+    def _flush(self, pending, outputs):
+        """Turn the row lane's pending output into one row-backed batch
+        (the joined columns materialize only if a consumer reads them)."""
+        rows, signs, bits = pending
+        if rows:
+            outputs.append(ColumnBatch.from_rows(
+                rows,
+                np.array(signs, dtype=np.int64),
+                np.array(bits, dtype=np.int64),
+                self.out_width,
+            ))
+            pending[:] = [], [], []
+
+    @staticmethod
+    def _probe_arranged(listed, keys, table, left_side, pending):
         """Per-delta probe against an arranged side's current version.
 
-        Always scalar: the arrangement's ``key -> {row: net}`` dicts are
-        shared with readers at other offsets, so there is no per-reader
-        array form to vectorize over.  Emits exactly
-        :meth:`_probe_scalar`'s sequence — delta-major, matches in
-        insertion order, ``|net|`` copies, output bits the probing
-        delta's bits (see the exactness contract in
+        Emits exactly :meth:`_probe_scalar`'s sequence — delta-major,
+        matches in insertion order, ``|net|`` copies, output bits the
+        probing delta's bits (see the exactness contract in
         :mod:`repro.engine.arrangements`).
         """
-        table_get = handle.version.table.get
-        rows = batch.rows()
-        signs = batch.signs.tolist()
-        bits_list = batch.bits.tolist()
-        out_rows = []
-        out_signs = []
-        out_bits = []
+        table_get = table.get
+        rows, signs, bits_list = listed
+        out_rows, out_signs, out_bits = pending
         rows_append = out_rows.append
         signs_append = out_signs.append
         bits_append = out_bits.append
@@ -795,14 +887,6 @@ class ColumnarJoinExec:
                     out_rows.extend([joined] * reps)
                     out_signs.extend([out_sign] * reps)
                     out_bits.extend([dbits] * reps)
-        if not out_rows:
-            return
-        outputs.append(ColumnBatch.from_rows(
-            out_rows,
-            np.array(out_signs, dtype=np.int64),
-            np.array(out_bits, dtype=np.int64),
-            self.out_width,
-        ))
 
     @staticmethod
     def _keys(batch, key_idx):
@@ -813,13 +897,7 @@ class ColumnarJoinExec:
         return list(zip(*key_cols))
 
     def _probe(self, batch, keys, state, left_side, outputs):
-        if state.live == 0:
-            return
-        if len(keys) < SCALAR_PROBE_MAX:
-            # small batches: the arange/repeat machinery costs more than
-            # it saves, so walk the state slots directly (same order)
-            self._probe_scalar(batch, keys, state, left_side, outputs)
-            return
+        """The vectorised probe of a private state (large batches)."""
         index = state.slots
         # resolve each distinct key's match list once; ``flat`` holds the
         # concatenated per-key state indices in insertion order, so the
@@ -914,8 +992,9 @@ class ColumnarJoinExec:
             parts, signs_out, bits_out, self.out_width,
         ))
 
-    def _probe_scalar(self, batch, keys, state, left_side, outputs):
-        """Per-delta probe for small batches (no arrays touched).
+    @staticmethod
+    def _probe_scalar(listed, keys, state, left_side, pending):
+        """Per-delta probe of a private state (the row lane).
 
         Emits exactly the vectorized path's sequence: delta-major, per
         delta the matches in state insertion order, ``|net|`` copies
@@ -923,12 +1002,8 @@ class ColumnarJoinExec:
         """
         slots_get = state.slots.get
         net = state.net
-        rows = batch.rows()
-        signs = batch.signs.tolist()
-        bits_list = batch.bits.tolist()
-        out_rows = []
-        out_signs = []
-        out_bits = []
+        rows, signs, bits_list = listed
+        out_rows, out_signs, out_bits = pending
         rows_append = out_rows.append
         signs_append = out_signs.append
         bits_append = out_bits.append
@@ -959,28 +1034,17 @@ class ColumnarJoinExec:
                     out_rows.extend([joined] * reps)
                     out_signs.extend([out_sign] * reps)
                     out_bits.extend([joined_bits] * reps)
-        if not out_rows:
-            return
-        # row-backed output: the (wide) joined columns materialize only
-        # if a downstream operator actually reads them
-        outputs.append(ColumnBatch.from_rows(
-            out_rows,
-            np.array(out_signs, dtype=np.int64),
-            np.array(out_bits, dtype=np.int64),
-            self.out_width,
-        ))
 
     @staticmethod
-    def _install(state, batch, keys):
-        rows = batch.rows()
-        signs = batch.signs.tolist()
-        bits_list = batch.bits.tolist()
+    def _install(state, listed, keys):
+        rows, signs, bits_list = listed
         slots = state.slots
         net = state.net
         materialized = state.materialized
         net_dirty = state.net_dirty
-        entries = 0
-        live = 0
+        fresh = len(net)  # the index the next new slot takes
+        before = fresh
+        retracted = 0
         slots_get = slots.get
         net_append = net.append
         rows_append = state.rows_raw.append
@@ -990,14 +1054,14 @@ class ColumnarJoinExec:
             if per_key is None:
                 per_key = slots[key] = {}
             slot = (row, bit)
-            idx = per_key.get(slot)
-            if idx is None:
-                per_key[slot] = len(net)
+            # one hash of the (wide) row per delta: ``setdefault`` both
+            # looks the slot up and claims the fresh index for it
+            idx = per_key.setdefault(slot, fresh)
+            if idx == fresh:
+                fresh += 1
                 net_append(sign)
                 rows_append(row)
                 bits_append(bit)
-                entries += 1
-                live += 1
             else:
                 # stored nets are never 0 (empty slots are removed), so
                 # a +-1 step either moves the net or empties the slot;
@@ -1011,10 +1075,10 @@ class ColumnarJoinExec:
                     del per_key[slot]
                     if not per_key:
                         del slots[key]
-                    entries -= 1
-                    live -= 1
-                    state.dead += 1
-        state.live += live
+                    retracted += 1
+        entries = fresh - before - retracted
+        state.live += entries
+        state.dead += retracted
         # bound dead-slot waste: once retracted slots outnumber live
         # ones (with a floor so tiny states never thrash), rebuild
         if state.dead > 32 and state.dead >= state.live:
@@ -1083,13 +1147,32 @@ def _reduceat_exact(arr):
     return bool((arr == np.floor(arr)).all())
 
 
+_INTEGRAL_TYPES = frozenset((int, bool))
+_FLOAT_TYPE = frozenset((float,))
+
+
+def _values_exact(values):
+    """:func:`_reduceat_exact` for a list of Python scalars."""
+    kinds = set(map(type, values))
+    if kinds <= _INTEGRAL_TYPES:
+        return True
+    if kinds != _FLOAT_TYPE:
+        return False
+    return (
+        max(map(abs, values)) <= _EXACT_VALUE_BOUND
+        and all(map(float.is_integer, values))
+    )
+
+
 class ColumnarAggregateExec(AggregateExec):
     """Columnar twin of :class:`~repro.physical.operators.AggregateExec`.
 
-    Absorption is vectorized (per-query row selection by bit test,
-    stable sort by group code, segment reduction per aggregate);
-    emission reuses the batched ``_emit_batched`` verbatim, so emission
-    coalescing, ordering and state-count bookkeeping are shared code.
+    Absorption of a batch above ``ROW_LANE_MAX`` is vectorized
+    (per-query row selection by bit test, stable sort by group code,
+    segment reduction per aggregate); smaller batches go through the
+    inherited per-delta ``_absorb_batch``.  Emission reuses the batched
+    ``_emit_batched`` verbatim, so emission coalescing, ordering and
+    state-count bookkeeping are shared code.
     SUM/AVG use ``np.add.reduceat`` only while every input batch has
     been exact-summable (ints / bounded integral floats); the first
     batch that is not flips the spec to the reference's sequential
@@ -1129,8 +1212,10 @@ class ColumnarAggregateExec(AggregateExec):
             self.in_total += n
             _count_bits(batch.bits, self.in_per_q)
             self.in_deletes += int((batch.signs < 0).sum())
-        if n:
+        if n > ROW_LANE_MAX:
             self._absorb_columns(batch)
+        elif n:
+            self._absorb_rows(batch)
         out = self._emit_batched()
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
@@ -1140,6 +1225,30 @@ class ColumnarAggregateExec(AggregateExec):
         if self.stats_mode:
             self.out_total += len(out)
         return self.decorations.apply(out, self.meter)
+
+    def _absorb_rows(self, batch):
+        """The row lane: the inherited per-delta arithmetic, fed
+        ``(row, sign, bits)`` triples straight off the batch.
+
+        It updates the same ``groups`` / ``_GroupQueryState`` objects
+        with the reference's sequential arithmetic, so lanes may
+        alternate batch by batch -- provided ``_exact_ok`` keeps meaning
+        "every value absorbed so far was exact-summable": a SUM/AVG
+        input that is not flips its spec off ``reduceat`` here exactly
+        as it would in :meth:`_absorb_columns`, over the same rows (the
+        ones some query of the subplan wants).
+        """
+        rows, signs, bits = _listed(batch)
+        mask = self.subplan_mask
+        wanted = rows
+        if 0 in map(mask.__and__, bits):
+            wanted = [row for row, b in zip(rows, bits) if b & mask]
+        exact_ok = self._exact_ok
+        kinds = self._spec_kinds
+        for si, fn in enumerate(self._input_fns):
+            if exact_ok[si] and kinds[si] != 1 and kinds[si] != 3:
+                exact_ok[si] = _values_exact([fn(row) for row in wanted])
+        self._absorb_batch(zip(rows, signs, bits))
 
     def _absorb_columns(self, batch):
         n = len(batch)

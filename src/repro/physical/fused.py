@@ -21,11 +21,13 @@ chain -- it only removes interpreter dispatch between them.  Expression
 shapes the flattener does not cover (containment predicates, row-wise
 fallbacks) are bound into the generated source as the very closures the
 unfused path would call, so results are bit-identical by construction.
-Columnar operators fuse whenever ``stats_mode`` is off; the unfused
-closures stay because calibration (``stats_mode`` needs their per-filter
-counters) still runs them, and ``tests/test_columnar_equivalence.py``
-feeds every fig11 node's batches to both and asserts identical arrays
-and identical WorkMeter charges.
+Columnar operators run the fused kernel whenever ``stats_mode`` is off
+and the batch is above ``columnar.ROW_LANE_MAX`` rows (smaller batches
+take the operator's row lane); the unfused closures stay because
+calibration (``stats_mode`` needs their per-filter counters) still runs
+them, and ``tests/test_columnar_equivalence.py`` feeds every fig11
+node's batches to all three and asserts identical output and identical
+WorkMeter charges.
 """
 
 from ..engine.columns import ColumnBatch, np

@@ -26,8 +26,9 @@ Three independent toggles (``batched`` and ``arrangements`` default on,
     only when :func:`columnar_available` says so (NumPy importable, kill
     switch not set) and the plan's query ids fit an int64 bitvector.
     Outside ``stats_mode`` its filter -> project -> aggregate-input
-    chains always run as generated fused kernels
-    (:mod:`repro.physical.fused`).
+    chains run as generated fused kernels (:mod:`repro.physical.fused`)
+    on batches above ``columnar.ROW_LANE_MAX`` rows and as one scalar
+    row loop at or below it.
 ``arrangements``
     shared join arrangements (:mod:`repro.engine.arrangements`): one
     multi-reader index per ``(table, key columns)`` replaces the

@@ -23,6 +23,8 @@ Both produce identical outputs and identical work charges; a dedicated
 test enforces the bit-identical RunResult invariant (docs/PERFORMANCE.md).
 """
 
+from operator import attrgetter
+
 from ..errors import ExecutionError
 from ..relational import bitvec
 from ..relational.tuples import Delta, DELETE, INSERT, consolidate, make_delta
@@ -33,6 +35,7 @@ from .hotpath import HOTPATH, _QIDS_CACHE, cached_artifacts, qids_of
 # stores, skipping the constructor frame (make_delta adds one more frame
 # per record, which is measurable at join fan-out volumes).
 _NEW = Delta.__new__
+_TRIPLE = attrgetter("row", "sign", "bits")
 
 
 class _DecorationArtifacts:
@@ -951,7 +954,7 @@ class AggregateExec:
             _count_per_q(deltas, self.in_per_q)
             self.in_deletes += sum(1 for d in deltas if d.sign == DELETE)
         if HOTPATH.batched:
-            self._absorb_batch(deltas)
+            self._absorb_batch(map(_TRIPLE, deltas))
             out = self._emit_batched()
         else:
             for delta in deltas:
@@ -966,7 +969,9 @@ class AggregateExec:
 
     # -- batched hot path ----------------------------------------------------
 
-    def _absorb_batch(self, deltas):
+    def _absorb_batch(self, triples):
+        # Takes ``(row, sign, bits)`` triples, not Delta objects, so the
+        # columnar row lane feeds it straight off a batch's lists.
         # The inner dispatch inlines the state-update bodies by spec kind
         # so the per-(delta, query) cost carries no method-call frames.
         # The arithmetic is copied verbatim from the state classes (an
@@ -998,9 +1003,7 @@ class AggregateExec:
         # groups/_touched with the identical object (identity fast path)
         key_cache = {}
         key_cache_get = key_cache.get
-        for delta in deltas:
-            row = delta.row
-            sign = delta.sign
+        for row, sign, bits in triples:
             if gidx is not None:
                 value = row[gidx]
                 key = key_cache_get(value)
@@ -1019,7 +1022,7 @@ class AggregateExec:
             if per_query is None:
                 per_query = groups[key] = {}
             touched_add(key)
-            masked = delta.bits & mask
+            masked = bits & mask
             qids = qids_cache_get(masked)
             if qids is None:
                 qids = qids_of(masked)

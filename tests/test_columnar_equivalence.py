@@ -16,6 +16,7 @@ them) gets direct unit coverage at the bottom.
 import pytest
 
 from repro.engine.buffers import Buffer
+from repro.engine.columns import ColumnBatch
 from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
@@ -101,40 +102,43 @@ class TestFig11WorkIdentity:
         columnar = run_with(plan, paces, batched=True, columnar=True)
         assert_columnar_equivalent(columnar, batched, queries)
 
-    def test_forced_vectorized_probe(self, fig11_setup, monkeypatch):
-        # forcing the threshold to 0 exercises the arange/repeat
-        # expansion on every batch, including the single-digit trickles
-        # the default (measured-crossover) threshold keeps scalar -- it
-        # must emit the exact same sequence (docs/PERFORMANCE.md)
+    def test_forced_vector_lane(self, fig11_setup, monkeypatch):
+        # ROW_LANE_MAX = 0 sends every non-empty batch of every operator
+        # -- source chain, decorations, join probe, aggregate absorb --
+        # through the fused/vectorised kernels, including the
+        # single-digit trickles the default keeps on the row lane; it
+        # must charge and emit exactly the same (docs/PERFORMANCE.md)
         from repro.physical import columnar as columnar_mod
 
         plan, paces, queries = fig11_setup
         batched = run_with(plan, paces, batched=True)
-        monkeypatch.setattr(columnar_mod, "SCALAR_PROBE_MAX", 0)
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 0)
         columnar = run_with(plan, paces, batched=True, columnar=True)
         assert_columnar_equivalent(columnar, batched, queries)
 
-    def test_forced_scalar_probe(self, fig11_setup, monkeypatch):
-        # the inverse: a huge threshold keeps every batch on the scalar
-        # dict-loop probe, which must also match batched exactly
+    def test_forced_row_lane(self, fig11_setup, monkeypatch):
+        # the inverse: a huge threshold keeps every batch of every
+        # operator on the row lane, which must also match batched exactly
         from repro.physical import columnar as columnar_mod
 
         plan, paces, queries = fig11_setup
         batched = run_with(plan, paces, batched=True)
-        monkeypatch.setattr(columnar_mod, "SCALAR_PROBE_MAX", 1 << 30)
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
         columnar = run_with(plan, paces, batched=True, columnar=True)
         assert_columnar_equivalent(columnar, batched, queries)
 
-    def test_fused_kernels_bit_identical_to_unfused_closures(
+    def test_row_lane_fused_and_unfused_agree_on_every_batch(
         self, fig11_setup, monkeypatch
     ):
-        # fusion's contract is stronger than work-exact: a fused kernel
-        # performs the same array ops in the same order as the unfused
-        # closure chain, so its output *arrays* and WorkMeter charges
-        # must match bit for bit (docs/PERFORMANCE.md).  Fusion is
-        # unconditional outside stats_mode, so there is no global switch
-        # to flip: record every batch the fig11 run feeds to a fused
-        # kernel, then replay it through the stats_mode (unfused) code.
+        # Three implementations of one contract, none behind a global
+        # switch: the row lane (small batches), the generated fused
+        # kernels (large batches) and the unfused closure chain
+        # (stats_mode).  Record every batch the fig11 run feeds a source,
+        # a decoration or an aggregate, then replay it through all three
+        # and demand the same rows, signs, bits and WorkMeter charges.
+        # Recording runs with ROW_LANE_MAX = 0 so every non-empty batch
+        # reaches a fused kernel and node coverage does not depend on
+        # fig11's batch sizes.
         from repro.physical import columnar as columnar_mod
         from repro.physical.work import WorkMeter
 
@@ -157,6 +161,7 @@ class TestFig11WorkIdentity:
 
         for kind, name in _FUSED_GETTERS.items():
             monkeypatch.setattr(columnar_mod, name, recording(kind))
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 0)
         clear_compiled_caches()
         with engine_mode(batched=True, columnar=True):
             PlanExecutor(plan, StreamConfig()).run(paces)
@@ -170,40 +175,63 @@ class TestFig11WorkIdentity:
             for kind, recorded in calls.items()
         }
         assert by_kind["src"] == {n.uid for n in nodes if n.kind == "source"}
-        # aggregates emit rows through the batched decorations; their
-        # fused part is the input-expression kernel
-        assert by_kind["deco"] == {n.uid for n in nodes if n.kind == "join"}
         # only aggregates that absorbed a non-empty batch at this scale
+        # (aggregates emit rows through the batched decorations; their
+        # fused part is the input-expression kernel)
         assert by_kind["agg"] and by_kind["agg"] <= {
             n.uid for n in nodes if n.kind == "aggregate"
         }
+        # an empty batch returns before any lane runs, so a join records
+        # only the non-empty ones; every join's decorations are replayed
+        # on an empty batch too, which keeps coverage at all joins
+        # whatever fig11's traffic looks like
+        joins = [n for n in nodes if n.kind == "join"]
+        assert by_kind["deco"] <= {n.uid for n in joins}
+        deco_calls = [
+            (node, ColumnBatch.empty(len(node.core_schema))) for node in joins
+        ] + [(node, batch) for node, (batch, _) in calls["deco"]]
+
+        #: (ROW_LANE_MAX, stats_mode): row lane, fused kernel, unfused chain
+        lanes = ((1 << 30, False), (0, False), (0, True))
 
         for node, (batch, mask, _) in calls["src"]:
             outputs, meters = [], []
-            for stats_mode in (False, True):
+            for lane_max, stats_mode in lanes:
+                monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
                 buffer = Buffer("replay")
                 buffer.append_segment(batch)
                 meter = WorkMeter()
                 source = columnar_mod.ColumnarSourceExec(
                     node, buffer.reader(), mask, meter, stats_mode
                 )
-                assert (source._fused is None) == stats_mode
+                assert (source.decorations.fused is None) == stats_mode
                 outputs.append(source.advance())
                 meters.append(meter)
-            _assert_batches_identical(*outputs)
+            _assert_batches_identical(outputs[1], outputs[2])  # bit for bit
+            _assert_same_deltas(outputs[0], outputs[1])
             _assert_meters_identical(*meters)
 
-        for node, (batch, _) in calls["deco"]:
-            fused_meter, unfused_meter = WorkMeter(), WorkMeter()
+        # each lane called by name, not through the size dispatch: an
+        # empty batch would never reach the kernel that way
+        for node, batch in deco_calls:
+            meters = WorkMeter(), WorkMeter(), WorkMeter()
+            row_lane = columnar_mod.ColumnarDecorations(node).apply_rows(
+                batch, meters[0], None
+            )
             fused = columnar_mod.fused_decoration_kernel(node)(
-                batch, fused_meter
+                batch, meters[1]
             )
             unfused = columnar_mod.ColumnarDecorations(
                 node, stats_mode=True
-            ).apply(batch, unfused_meter)
+            ).apply(batch, meters[2])
             _assert_batches_identical(fused, unfused)
-            _assert_meters_identical(fused_meter, unfused_meter)
+            _assert_same_deltas(row_lane, fused)
+            _assert_meters_identical(*meters)
 
+        # the aggregate's fused part is the input-expression kernel: its
+        # arrays must match the unfused closures' dtype for dtype and bit
+        # for bit (the emission check below compares Python values, on
+        # which 3 == 3.0 == True)
         for node, (batch, n) in calls["agg"]:
             fused = columnar_mod.fused_aggregate_inputs(node)(batch, n)
             closures = columnar_mod.ColumnarAggregateExec(
@@ -218,12 +246,80 @@ class TestFig11WorkIdentity:
             for left, right in zip(fused, unfused):
                 _assert_arrays_identical(left, right)
 
-    def test_fused_kernels_actually_fire(self, fig11_setup):
-        # guard against the bit-identity test passing vacuously because
-        # fusion silently stopped engaging
+        # aggregates are stateful (a retraction needs the insertion it
+        # cancels), so each node keeps one instance per lane and absorbs
+        # its recorded batches in order, emitting after every one
+        aggregates = {}
+        for node, (batch, n) in calls["agg"]:
+            if node.uid not in aggregates:
+                aggregates[node.uid] = [
+                    (lane_max, columnar_mod.ColumnarAggregateExec(
+                        node, _Feed(), -1, WorkMeter(), stats_mode
+                    ))
+                    for lane_max, stats_mode in lanes
+                ]
+            emitted = []
+            for lane_max, aggregate in aggregates[node.uid]:
+                monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+                aggregate.child.batch = batch
+                out = aggregate.advance()
+                # value types ride along: (3,) == (3.0,) == (True,)
+                emitted.append([
+                    (d.row, tuple(map(type, d.row)), d.sign, d.bits)
+                    for d in out
+                ])
+                _assert_python_typed(d.row for d in out)
+            row_lane, fused, unfused = (a for _, a in aggregates[node.uid])
+            assert fused._fused_inputs is not None
+            assert unfused._fused_inputs is None
+            assert emitted[0] == emitted[1] == emitted[2]
+            _assert_meters_identical(
+                row_lane.meter, fused.meter, unfused.meter
+            )
+            assert row_lane.state_count == fused.state_count
+            # the row lane keeps the reduceat-exactness ledger the
+            # vector lane keeps, so alternating lanes stays exact
+            for si, kind in enumerate(fused._spec_kinds):
+                if kind in (0, 2):
+                    assert row_lane._exact_ok[si] == fused._exact_ok[si]
+
+    def test_fused_kernels_actually_fire(self, fig11_setup, monkeypatch):
+        # guard against the replay test passing vacuously because fusion
+        # silently stopped engaging: at the default threshold the fig11
+        # run must still hand batches above ROW_LANE_MAX to every kernel
+        # family, and batches at or below it to the row lane
+        from repro.physical import columnar as columnar_mod
         from repro.physical import hotpath
 
         plan, paces, _ = fig11_setup
+        sizes = {kind: [] for kind in _FUSED_GETTERS}
+
+        def counting(kind):
+            getter = getattr(columnar_mod, _FUSED_GETTERS[kind])
+
+            def get(node):
+                kernel = getter(node)
+
+                def count(batch, *args):
+                    sizes[kind].append(len(batch))
+                    return kernel(batch, *args)
+
+                return count
+
+            return get
+
+        for kind, name in _FUSED_GETTERS.items():
+            monkeypatch.setattr(columnar_mod, name, counting(kind))
+        row_lane = []
+        apply_rows = columnar_mod.ColumnarDecorations.apply_rows
+
+        def spy(self, batch, meter, mask):
+            row_lane.append(len(batch))
+            return apply_rows(self, batch, meter, mask)
+
+        monkeypatch.setattr(
+            columnar_mod.ColumnarDecorations, "apply_rows", spy
+        )
         clear_compiled_caches()
         with engine_mode(batched=True, columnar=True):
             PlanExecutor(plan, StreamConfig()).run(paces)
@@ -234,6 +330,11 @@ class TestFig11WorkIdentity:
             ]
         assert kernels, "no fused kernels were compiled during the run"
         assert all(hasattr(k, "fused_source") for k in kernels)
+        threshold = columnar_mod.ROW_LANE_MAX
+        for kind, seen in sizes.items():
+            assert seen, "no batch reached the fused %s kernel" % kind
+            assert min(seen) > threshold
+        assert row_lane and max(row_lane) <= threshold
 
 
 #: kernel family -> the getter name ``repro.physical.columnar`` binds
@@ -266,11 +367,281 @@ def _assert_batches_identical(left, right):
     _assert_arrays_identical(left.bits, right.bits)
 
 
-def _assert_meters_identical(left, right):
-    assert left.snapshot() == right.snapshot()
-    assert (left.input_units, left.output_units, left.rescan_units,
-            left.state_units) == (right.input_units, right.output_units,
-                                  right.rescan_units, right.state_units)
+def _assert_python_typed(rows):
+    for row in rows:
+        for value in row:
+            assert type(value).__module__ == "builtins", repr(value)
+
+
+def _assert_same_deltas(left, right):
+    """Same rows (values and Python types), signs and bits, in order.
+
+    The row lane emits row-backed batches and the kernels column-backed
+    ones, so equality is stated where consumers meet them: on the rows.
+    """
+    assert left.width == right.width
+    # list(): the shared empty batch's row store is an (immutable) tuple
+    assert list(left.rows()) == list(right.rows())
+    assert [tuple(map(type, row)) for row in left.rows()] == [
+        tuple(map(type, row)) for row in right.rows()
+    ]
+    _assert_python_typed(left.rows())
+    assert left.signs.tolist() == right.signs.tolist()
+    assert left.bits.tolist() == right.bits.tolist()
+
+
+class _Feed:
+    """A scripted child operator: hands over whatever ``batch`` is set."""
+
+    batch = None
+
+    def advance(self):
+        return self.batch
+
+
+def _assert_meters_identical(first, *others):
+    for other in others:
+        assert first.snapshot() == other.snapshot()
+        assert (first.input_units, first.output_units, first.rescan_units,
+                first.state_units) == (other.input_units, other.output_units,
+                                       other.rescan_units, other.state_units)
+
+
+class TestRowLaneBoundary:
+    """The size dispatch at its edge, on a hand-built pipeline.
+
+    ``source(filters, projection) JOIN source -> aggregate`` is fed
+    batches of ``ROW_LANE_MAX - 1``, ``ROW_LANE_MAX`` and
+    ``ROW_LANE_MAX + 1`` rows, an all-filtered batch and an empty one;
+    the columnar tree must emit and charge exactly what the batched tree
+    does whichever lane each operator picks, ``n <= ROW_LANE_MAX`` must
+    be the comparison, and an all-empty execution must hand out the
+    shared empty batch instead of allocating one.
+    """
+
+    MASK = 0b11
+
+    def _nodes(self):
+        from repro.mqo.nodes import OpNode, TableRef
+        from repro.relational.expressions import (
+            agg_avg, agg_count, agg_max, agg_sum, col,
+        )
+        from repro.relational.schema import Schema
+
+        left = OpNode(
+            "source", ref=TableRef("l", Schema.of("k", "v", "f")),
+            filters={0: col("v") > 10, 1: col("f") == "x"},
+            projections={
+                0: (("k", col("k")), ("w", col("v") * 2)),
+                1: (("k", col("k")), ("f", col("f"))),
+            },
+            query_mask=self.MASK,
+        )
+        right = OpNode(
+            "source", ref=TableRef("r", Schema.of("rk", "g")),
+            query_mask=self.MASK,
+        )
+        join = OpNode(
+            "join", children=[left, right], left_keys=["k"],
+            right_keys=["rk"], query_mask=self.MASK,
+        )
+        aggregate = OpNode(
+            "aggregate", children=[join], group_by=["g"],
+            aggs=[agg_sum(col("w"), "s"), agg_avg(col("w"), "a"),
+                  agg_max(col("k"), "m"), agg_count("c")],
+            query_mask=self.MASK,
+        )
+        return left, right, join, aggregate
+
+    def _tree(self, nodes, columnar):
+        from repro.physical import columnar as columnar_mod
+        from repro.physical import operators
+        from repro.physical.work import WorkMeter
+
+        left, right, join, aggregate = nodes
+        if columnar:
+            source_cls = columnar_mod.ColumnarSourceExec
+            join_cls = columnar_mod.ColumnarJoinExec
+            aggregate_cls = columnar_mod.ColumnarAggregateExec
+        else:
+            source_cls = operators.SourceExec
+            join_cls = operators.JoinExec
+            aggregate_cls = operators.AggregateExec
+        buffers = Buffer("l"), Buffer("r")
+        meter = WorkMeter()
+        root = aggregate_cls(
+            aggregate,
+            join_cls(
+                join,
+                source_cls(left, buffers[0].reader(), self.MASK, meter),
+                source_cls(right, buffers[1].reader(), self.MASK, meter),
+                meter,
+            ),
+            self.MASK, meter,
+        )
+        return root, buffers, meter
+
+    @staticmethod
+    def _left_rows(n, start, passing=True):
+        # v alternates around q0's ``v > 10``; f alternates around q1's
+        # ``f == "x"``; ``passing=False`` fails both for every row
+        return [
+            Delta(
+                (i % 7, (20.5 if i % 2 else 4.0) if passing else 1.0,
+                 ("x" if i % 3 else "y") if passing else "z"),
+                1, -1,
+            )
+            for i in range(start, start + n)
+        ]
+
+    def test_lanes_agree_with_batched_around_the_threshold(self, monkeypatch):
+        from repro.physical import columnar as columnar_mod
+
+        lane = columnar_mod.ROW_LANE_MAX
+        row_lane_sizes, kernel_sizes = [], []
+        apply_rows = columnar_mod.ColumnarDecorations.apply_rows
+        source_kernel = columnar_mod.fused_source_kernel
+
+        def spy_rows(self, batch, meter, mask):
+            row_lane_sizes.append(len(batch))
+            return apply_rows(self, batch, meter, mask)
+
+        def spy_kernel(node):
+            kernel = source_kernel(node)
+
+            def call(batch, *args):
+                kernel_sizes.append(len(batch))
+                return kernel(batch, *args)
+
+            return call
+
+        monkeypatch.setattr(
+            columnar_mod.ColumnarDecorations, "apply_rows", spy_rows
+        )
+        monkeypatch.setattr(columnar_mod, "fused_source_kernel", spy_kernel)
+        clear_compiled_caches()
+        with engine_mode(batched=True):
+            nodes = self._nodes()
+            batched, batched_buffers, batched_meter = self._tree(nodes, False)
+            columnar, columnar_buffers, columnar_meter = self._tree(
+                nodes, True
+            )
+            right_rows = [Delta((k, "g%d" % (k % 3)), 1, -1) for k in range(7)]
+            steps = [
+                ([], right_rows),
+                (self._left_rows(lane - 1, 0), []),
+                (self._left_rows(lane, 1000), []),
+                (self._left_rows(lane + 1, 2000), []),
+                (self._left_rows(lane, 3000, passing=False), []),
+                ([], []),
+                # retractions: the aggregate's MIN/MAX rescans and AVG
+                # resets must agree across lanes too
+                ([Delta(d.row, -1, d.bits)
+                  for d in self._left_rows(lane + 1, 2000)], []),
+                ([Delta(d.row, -1, d.bits)
+                  for d in self._left_rows(5, 1000)], right_rows[:2]),
+            ]
+            for left_deltas, right_deltas in steps:
+                for buffers in (batched_buffers, columnar_buffers):
+                    buffers[0].append(left_deltas)
+                    buffers[1].append(right_deltas)
+                expected = batched.advance()
+                got = columnar.advance()
+                assert [(d.row, d.sign, d.bits) for d in got] == [
+                    (d.row, d.sign, d.bits) for d in expected
+                ]
+                _assert_python_typed(d.row for d in got)
+                _assert_meters_identical(columnar_meter, batched_meter)
+                if not left_deltas and not right_deltas:
+                    # an all-empty execution allocates no batch at all
+                    join = columnar.child
+                    assert join.left.advance() is ColumnBatch.empty(3)
+                    assert join.advance() is ColumnBatch.empty(5)
+        # the left source saw lane-1, lane, lane+1, lane, 0, lane+1, 5 rows:
+        # exactly the two lane+1 batches reached the fused kernel
+        assert kernel_sizes == [lane + 1, lane + 1]
+        assert lane in row_lane_sizes and lane - 1 in row_lane_sizes
+        assert max(row_lane_sizes) == lane
+
+    def test_inexact_row_lane_value_turns_reduceat_off(self):
+        # 0.1 arrives on the row lane; the next batch is large, integral
+        # and cancels to zero, so a segment sum would add 0.0 where the
+        # reference's per-delta arithmetic leaves 0.1 + 3.0 - 3.0 =
+        # 0.10000000000000009 -- a different emission count, hence
+        # different work.  The row lane must record the inexact value.
+        from repro.mqo.nodes import OpNode, TableRef
+        from repro.physical import columnar as columnar_mod
+        from repro.physical import operators
+        from repro.physical.work import WorkMeter
+        from repro.relational.expressions import agg_avg, agg_sum, col
+        from repro.relational.schema import Schema
+
+        lane = columnar_mod.ROW_LANE_MAX
+        node = OpNode(
+            "aggregate",
+            children=[OpNode(
+                "source", ref=TableRef("t", Schema.of("g", "v")),
+                query_mask=1,
+            )],
+            group_by=["g"],
+            aggs=[agg_sum(col("v"), "s"), agg_avg(col("v"), "a")],
+            query_mask=1,
+        )
+        churn = [
+            Delta(("a", 3.0), sign, 1)
+            for _ in range(lane // 2 + 1) for sign in (1, -1)
+        ]
+        assert len(churn) > lane
+        outputs = []
+        for cls in (operators.AggregateExec,
+                    columnar_mod.ColumnarAggregateExec):
+            feed = _Feed()
+            meter = WorkMeter()
+            aggregate = cls(node, feed, 1, meter)
+            emitted = []
+            for batch in ([Delta(("a", 0.1), 1, 1)], churn):
+                feed.batch = batch
+                emitted.append(
+                    [(d.row, d.sign, d.bits) for d in aggregate.advance()]
+                )
+            outputs.append((emitted, meter.snapshot()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0][1]  # the churn batch did move the sum
+
+    def test_both_lanes_keep_the_exactness_ledger_over_wanted_rows(
+        self, monkeypatch
+    ):
+        # a row no query of the subplan wants is absorbed by neither
+        # lane, so its inexact value must flip the ledger in neither;
+        # an inexact value some query wants flips it in both
+        from repro.mqo.nodes import OpNode, TableRef
+        from repro.physical import columnar as columnar_mod
+        from repro.physical.work import WorkMeter
+        from repro.relational.expressions import agg_sum, col
+        from repro.relational.schema import Schema
+
+        node = OpNode(
+            "aggregate",
+            children=[OpNode(
+                "source", ref=TableRef("t", Schema.of("g", "v")),
+                query_mask=0b11,
+            )],
+            group_by=["g"], aggs=[agg_sum(col("v"), "s")], query_mask=0b11,
+        )
+        batches = (
+            ([Delta(("a", 2.0), 1, 0b01), Delta(("a", 0.1), 1, 0b10)], True),
+            ([Delta(("a", 0.1), 1, 0b01)], False),
+        )
+        for lane_max in (1 << 30, 0):
+            monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+            feed = _Feed()
+            aggregate = columnar_mod.ColumnarAggregateExec(
+                node, feed, 0b01, WorkMeter()
+            )
+            for batch, exact in batches:
+                feed.batch = batch
+                aggregate.advance()
+                assert aggregate._exact_ok == [exact], lane_max
 
 
 class TestModeFlipOnOneExecutor:
@@ -312,8 +683,6 @@ class TestModeFlipOnOneExecutor:
 
 class TestBufferSegments:
     def _batch(self, n, start=0, bits=1):
-        from repro.engine.columns import ColumnBatch
-
         return ColumnBatch.from_deltas(
             [Delta(("r%d" % (start + i),), 1, bits) for i in range(n)], 1
         )
@@ -383,8 +752,6 @@ class TestSegmentPassthroughEdgeCases:
     a fully columnar pipeline."""
 
     def _batch(self, n, start=0, bits=1):
-        from repro.engine.columns import ColumnBatch
-
         return ColumnBatch.from_deltas(
             [Delta(("r%d" % (start + i),), 1, bits) for i in range(n)], 1
         )
@@ -451,7 +818,6 @@ class TestSegmentPassthroughEdgeCases:
         # propagate batches, buffers park segments -- row deltas exist
         # only when a result sink asks.  Spy on the one conversion point
         # (ColumnBatch.to_deltas) across a full fig11 run.
-        from repro.engine.columns import ColumnBatch
 
         plan, paces, _ = fig11_setup
         calls = []
