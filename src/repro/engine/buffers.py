@@ -182,7 +182,7 @@ class Buffer:
             lo = max(start, seg_start) - seg_start
             hi = min(stop, seg_end) - seg_start
             rows = batch.rows()
-            out.extend(zip(rows[lo:hi], batch.signs[lo:hi].tolist()))
+            out.extend(zip(rows[lo:hi], batch.sign_list()[lo:hi]))
         expected = stop - max(start, self.base)
         if len(out) != expected:
             raise ExecutionError(

@@ -100,7 +100,12 @@ def concat_columns(arrays):
 class ColumnBatch:
     """One delta batch as (lazy) struct-of-arrays.
 
-    ``signs`` and ``bits`` are always parallel int64 arrays.  The row
+    ``signs`` and ``bits`` are parallel int64 arrays to a vector kernel
+    and parallel Python lists (:meth:`sign_list`, :meth:`bit_list`) to a
+    row kernel.  A batch built by the row lane carries the lists its
+    kernel produced and builds (and caches) an array only when ``signs``
+    / ``bits`` is actually read, so a chain of row kernels never touches
+    NumPy; a batch built from arrays lists them on demand.  The row
     columns live in one of four states:
 
     * **column-backed** -- ``_columns`` is a tuple of per-column arrays
@@ -121,21 +126,23 @@ class ColumnBatch:
     The lazy states compose (a gather part may itself be lazy, chunks
     may hold gathers), so a join-over-join pipeline materializes nothing
     until a sink, an aggregate input read, or a state install asks for
-    rows -- the top-level ``signs``/``bits`` arrays are always eager and
-    authoritative (backing chunks' own signs/bits are never consulted).
+    rows -- the top-level ``signs``/``bits`` are authoritative (backing
+    chunks' own are never consulted).
 
     Query bitvectors fit int64 because the executor only dispatches to
     the columnar backend when every query id is below 62 (``~0`` table
     bitvectors are ``-1``, which ANDs correctly in two's complement).
     """
 
-    __slots__ = ("_columns", "signs", "bits", "_rows", "width",
-                 "_col_cache", "_gather", "_chunks")
+    __slots__ = ("_columns", "_signs", "_bits", "_sign_list", "_bit_list",
+                 "_rows", "width", "_col_cache", "_gather", "_chunks")
 
     def __init__(self, columns, signs, bits):
         self._columns = columns
-        self.signs = signs
-        self.bits = bits
+        self._signs = signs
+        self._bits = bits
+        self._sign_list = None
+        self._bit_list = None
         self._rows = None
         self.width = len(columns)
         self._col_cache = None
@@ -143,7 +150,35 @@ class ColumnBatch:
         self._chunks = None
 
     def __len__(self):
-        return len(self.signs)
+        signs = self._sign_list
+        return len(self._signs) if signs is None else len(signs)
+
+    @property
+    def signs(self):
+        """The int64 sign array (built once from a list-backed batch)."""
+        signs = self._signs
+        if signs is None:
+            signs = self._signs = np.array(self._sign_list, dtype=np.int64)
+        return signs
+
+    @property
+    def bits(self):
+        """The int64 query-bitvector array (built once, like ``signs``)."""
+        bits = self._bits
+        if bits is None:
+            bits = self._bits = np.array(self._bit_list, dtype=np.int64)
+        return bits
+
+    def sign_list(self):
+        """The signs as Python ints (the list a row kernel produced, or
+        the array listed)."""
+        signs = self._sign_list
+        return self._signs.tolist() if signs is None else signs
+
+    def bit_list(self):
+        """The query bitvectors as Python ints, like :meth:`sign_list`."""
+        bits = self._bit_list
+        return self._bits.tolist() if bits is None else bits
 
     @classmethod
     def empty(cls, width):
@@ -151,29 +186,43 @@ class ColumnBatch:
 
         Eager schedules produce empty inputs and outputs by the hundred
         per window, so "nothing" is one object per width rather than an
-        allocation per call: its row store is a tuple and its
-        signs/bits array is read-only.
+        allocation per call: its row store and sign/bit lists are tuples
+        and its signs/bits array is read-only.
         """
         batch = _EMPTY.get(width)
         if batch is None:
             none = np.empty(0, dtype=np.int64)
             none.flags.writeable = False
             batch = _EMPTY[width] = cls.from_rows((), none, none, width)
+            batch._sign_list = batch._bit_list = ()
         return batch
 
     @classmethod
     def from_rows(cls, rows, signs, bits, width):
-        """A row-backed batch; columns materialize lazily on access."""
+        """A row-backed batch; columns materialize lazily on access.
+
+        ``signs`` and ``bits`` are each a list of Python ints (the row
+        lane) or an int64 array.
+        """
         batch = cls.__new__(cls)
         batch._columns = None
-        batch.signs = signs
-        batch.bits = bits
         batch._rows = rows
         batch.width = width
         batch._col_cache = None
         batch._gather = None
         batch._chunks = None
+        batch._set_signs_bits(signs, bits)
         return batch
+
+    def _set_signs_bits(self, signs, bits):
+        if type(signs) is list:
+            self._signs, self._sign_list = None, signs
+        else:
+            self._signs, self._sign_list = signs, None
+        if type(bits) is list:
+            self._bits, self._bit_list = None, bits
+        else:
+            self._bits, self._bit_list = bits, None
 
     @classmethod
     def from_gather(cls, parts, signs, bits, width):
@@ -187,15 +236,8 @@ class ColumnBatch:
         Sources must be snapshots (append-only or reassigned-on-change,
         never mutated in place) so the view stays valid after emission.
         """
-        batch = cls.__new__(cls)
-        batch._columns = None
-        batch.signs = signs
-        batch.bits = bits
-        batch._rows = None
-        batch.width = width
-        batch._col_cache = None
+        batch = cls.from_rows(None, signs, bits, width)
         batch._gather = parts
-        batch._chunks = None
         return batch
 
     @classmethod
@@ -206,14 +248,7 @@ class ColumnBatch:
         chunks' own may be stale after ``with_bits``); chunks are only
         consulted for row/column content.
         """
-        batch = cls.__new__(cls)
-        batch._columns = None
-        batch.signs = signs
-        batch.bits = bits
-        batch._rows = None
-        batch.width = width
-        batch._col_cache = None
-        batch._gather = None
+        batch = cls.from_rows(None, signs, bits, width)
         batch._chunks = chunks
         return batch
 
@@ -222,8 +257,8 @@ class ColumnBatch:
         n = len(deltas)
         if n == 0:
             return cls.empty(width)
-        signs = np.array([d.sign for d in deltas], dtype=np.int64)
-        bits = np.array([d.bits for d in deltas], dtype=np.int64)
+        signs = [d.sign for d in deltas]
+        bits = [d.bits for d in deltas]
         # the source tuples ARE the Python-typed rows; keeping them (and
         # columnizing lazily) makes every row-wise consumer free
         rows = [d.row for d in deltas] if width else [()] * n
@@ -400,8 +435,7 @@ class ColumnBatch:
                     return ColumnBatch.from_rows([], signs, bits, self.width)
                 if len(kept) == 1:
                     only = kept[0]
-                    only.signs = signs
-                    only.bits = bits
+                    only._set_signs_bits(signs, bits)
                     return only
                 return ColumnBatch.from_chunks(
                     tuple(kept), signs, bits, self.width
@@ -415,14 +449,12 @@ class ColumnBatch:
 
     def with_bits(self, bits):
         """Same rows/columns, new bits (shares backing storage)."""
-        if self._columns is not None:
-            batch = ColumnBatch(self._columns, self.signs, bits)
-            batch._rows = self._rows
-            return batch
         batch = ColumnBatch.__new__(ColumnBatch)
-        batch._columns = None
-        batch.signs = self.signs
-        batch.bits = bits
+        batch._columns = self._columns
+        batch._signs = self._signs
+        batch._sign_list = self._sign_list
+        batch._bits = bits
+        batch._bit_list = None
         batch._rows = self._rows
         batch.width = self.width
         batch._col_cache = self._col_cache
@@ -437,7 +469,7 @@ class ColumnBatch:
         new = _NEW
         cls = Delta
         for row, sign, bits in zip(
-            self.rows(), self.signs.tolist(), self.bits.tolist()
+            self.rows(), self.sign_list(), self.bit_list()
         ):
             record = new(cls)
             record.row = row
@@ -468,7 +500,8 @@ def concat_batches(batches, width):
     """Concatenate output batches in order (used by the columnar join).
 
     If every chunk is row-backed the concatenation is a list merge and
-    the result stays row-backed (lazy); if any chunk is a lazy view
+    the result stays row-backed (lazy; signs and bits stay lists when
+    every chunk carries lists); if any chunk is a lazy view
     (gather- or chunk-backed) the result is a chunk-backed stack that
     defers per-column concatenation until the column is read; only
     all-column-backed inputs concatenate eagerly.
@@ -477,9 +510,20 @@ def concat_batches(batches, width):
         return ColumnBatch.empty(width)
     if len(batches) == 1:
         return batches[0]
-    signs = np.concatenate([b.signs for b in batches])
-    bits = np.concatenate([b.bits for b in batches])
-    if all(b._rows is not None and b._columns is None for b in batches):
+    row_backed = all(
+        b._rows is not None and b._columns is None for b in batches
+    )
+    if row_backed and all(
+        b._sign_list is not None and b._bit_list is not None for b in batches
+    ):
+        signs, bits = [], []
+        for b in batches:
+            signs.extend(b._sign_list)
+            bits.extend(b._bit_list)
+    else:
+        signs = np.concatenate([b.signs for b in batches])
+        bits = np.concatenate([b.bits for b in batches])
+    if row_backed:
         rows = []
         for b in batches:
             rows.extend(b._rows)

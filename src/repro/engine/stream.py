@@ -127,10 +127,12 @@ class TableStream:
         columnar segment, so *every* subplan reading the table shares
         one batch object (and its lazily materialized column cache)
         instead of each rebuilding arrays from a private delta list.
-        Returns ``None`` when no new rows arrive.  Only called on the
-        columnar path, where NumPy is known importable.
+        Signs and bits are plain lists (arrays only if a vector kernel
+        reads the segment).  Returns ``None`` when no new rows arrive.
+        Only called on the columnar path, where NumPy is known
+        importable.
         """
-        from .columns import ColumnBatch, np
+        from .columns import ColumnBatch
 
         target = int(fraction * len(self.log))
         if fraction >= 1:
@@ -139,13 +141,11 @@ class TableStream:
             return None
         new = self.log[self.delivered:target]
         self.delivered = target
-        n = len(new)
         rows = [row for row, _ in new]
-        signs = np.fromiter((sign for _, sign in new), np.int64, n)
+        signs = [sign for _, sign in new]
         # table deltas carry the full bitvector ``~0``, which is -1 in
         # the int64 two's-complement encoding the columnar backend uses
-        bits = np.full(n, -1, dtype=np.int64)
-        return ColumnBatch.from_rows(rows, signs, bits,
+        return ColumnBatch.from_rows(rows, signs, [-1] * len(new),
                                      len(self.table.schema))
 
     def reset(self):

@@ -53,16 +53,18 @@ from ..relational.expressions import (
 from .fused import (
     fused_aggregate_inputs,
     fused_decoration_kernel,
+    fused_row_kernel,
     fused_source_kernel,
 )
 from .hotpath import cached_artifacts, qids_of
-from .operators import AggregateExec, _DecorationArtifacts, _GroupQueryState
+from .operators import AggregateExec, _GroupQueryState
 
 # Every columnar operator dispatches on its input row count: a batch of
 # ``n <= ROW_LANE_MAX`` rows takes the operator's *row lane* -- one
-# Python loop over ``batch.rows()`` / ``signs.tolist()`` /
-# ``bits.tolist()`` running the scalar closures the batched path
-# compiles, emitting a row-backed batch -- and anything larger takes the
+# generated Python loop over ``batch.rows()`` / ``sign_list()`` /
+# ``bit_list()`` with every expression inlined
+# (:func:`~repro.physical.fused.fused_row_kernel`), emitting a row-backed
+# batch whose signs and bits stay lists -- and anything larger takes the
 # fused/vectorised kernels.  Both lanes emit the same rows in the same
 # order with the same WorkMeter charges, so the lane may change batch by
 # batch.  The one threshold is sized on the pipeline workloads, not on a
@@ -284,40 +286,32 @@ class ColumnarDecorations:
     post-filter length, exactly like the batched path.
     """
 
-    __slots__ = ("filter_name", "project_name", "filter_pairs",
-                 "projection_fns", "stats_mode", "filter_in_per_q",
-                 "filter_out_per_q", "fused", "row_filters",
-                 "row_projection", "out_width")
+    __slots__ = ("node", "source", "filter_name", "project_name",
+                 "filter_pairs", "projection_fns", "stats_mode",
+                 "filter_in_per_q", "filter_out_per_q", "fused",
+                 "row_kernel")
 
     def __init__(self, node, stats_mode=False, source=False):
-        artifacts = cached_artifacts(
-            ("cdeco", node.uid), lambda: _ColumnarDecorationArtifacts(node)
-        )
+        self.node = node
+        #: whether a source owns this chain (its kernels mask first)
+        self.source = source
         self.filter_name = "filter:%d" % node.uid
         self.project_name = "proj:%d" % node.uid
-        self.filter_pairs = artifacts.filter_pairs
-        self.projection_fns = artifacts.projection_fns
-        # the row lane runs the batched path's scalar closures (the very
-        # artifacts ``Decorations`` binds), not a second compilation
-        scalar = cached_artifacts(
-            ("deco", node.uid), lambda: _DecorationArtifacts(node)
-        )
-        self.row_filters = scalar.filter_pairs
-        if scalar.projection is None:
-            self.row_projection = None
-            self.out_width = len(node.core_schema)
-        else:
-            self.row_projection = tuple(fn for _, fn in scalar.projection)
-            self.out_width = len(self.row_projection)
         self.stats_mode = stats_mode
-        # one generated kernel for the large-batch lane: filters ->
-        # projection, behind the subplan mask when a source owns the chain
+        # each lane's generated kernel is built the first time the lane
+        # is taken: an eager plan never pays for vector kernels
+        self.fused = None
+        self.row_kernel = None
         if stats_mode:
-            self.fused = None
-        elif source:
-            self.fused = fused_source_kernel(node)
+            # calibration runs the unfused vector closures at every size
+            artifacts = cached_artifacts(
+                ("cdeco", node.uid),
+                lambda: _ColumnarDecorationArtifacts(node),
+            )
+            self.filter_pairs = artifacts.filter_pairs
+            self.projection_fns = artifacts.projection_fns
         else:
-            self.fused = fused_decoration_kernel(node)
+            self.filter_pairs = self.projection_fns = None
         self.filter_in_per_q = {}
         self.filter_out_per_q = {}
 
@@ -335,9 +329,17 @@ class ColumnarDecorations:
             return self._apply_unfused(batch, meter)
         if len(batch) <= ROW_LANE_MAX:
             return self.apply_rows(batch, meter, mask)
+        fused = self.fused
+        if fused is None:
+            # one generated kernel: filters -> projection, behind the
+            # subplan mask when a source owns the chain
+            if self.source:
+                fused = self.fused = fused_source_kernel(self.node)
+            else:
+                fused = self.fused = fused_decoration_kernel(self.node)
         if mask is None:
-            return self.fused(batch, meter)
-        return self.fused(batch, mask, meter)
+            return fused(batch, meter)
+        return fused(batch, mask, meter)
 
     def _apply_unfused(self, batch, meter):
         pairs = self.filter_pairs
@@ -373,58 +375,20 @@ class ColumnarDecorations:
     def apply_rows(self, batch, meter, mask):
         """The row lane: (source mask ->) mark filters -> projection.
 
-        One loop over the batch's Python rows with the batched path's
-        scalar closures.  Charges what the fused kernel charges, where
-        it charges it: the filter stage its input length (after the
-        source mask), the projection stage the survivors, both even at
-        zero.  ``mask`` is the owning subplan's query mask when a source
-        runs its whole chain here, ``None`` for bare decorations.
+        One generated loop over the batch's Python rows
+        (:func:`~repro.physical.fused.fused_row_kernel`).  Charges what
+        the fused kernel charges, where it charges it: the filter stage
+        its input length (after the source mask), the projection stage
+        the survivors, both even at zero.  ``mask`` is the owning
+        subplan's query mask when a source runs its whole chain here,
+        ``None`` for bare decorations.
         """
-        pairs = self.row_filters
-        fns = self.row_projection
-        if mask is None and not pairs and fns is None:
-            return batch
-        n = len(batch)
-        masked = 0
-        out_rows = []
-        if n:
-            out_signs = []
-            out_bits = []
-            single = fns is not None and len(fns) == 1
-            for row, sign, bits in zip(
-                batch.rows(), batch.signs.tolist(), batch.bits.tolist()
-            ):
-                if mask is not None:
-                    bits &= mask
-                    if not bits:
-                        continue
-                    masked += 1
-                if pairs:
-                    for bit, clear, fn in pairs:
-                        if bits & bit and not fn(row):
-                            bits &= clear
-                    if not bits:
-                        continue
-                if fns is not None:
-                    if single:
-                        row = (fns[0](row),)
-                    else:
-                        row = tuple(fn(row) for fn in fns)
-                out_rows.append(row)
-                out_signs.append(sign)
-                out_bits.append(bits)
-        if pairs:
-            meter.charge_input(self.filter_name, n if mask is None else masked)
-        if fns is not None:
-            meter.charge_input(self.project_name, len(out_rows))
-        if not out_rows:
-            return ColumnBatch.empty(self.out_width)
-        return ColumnBatch.from_rows(
-            out_rows,
-            np.array(out_signs, dtype=np.int64),
-            np.array(out_bits, dtype=np.int64),
-            self.out_width,
-        )
+        kernel = self.row_kernel
+        if kernel is None:
+            kernel = self.row_kernel = fused_row_kernel(
+                self.node, self.source
+            )
+        return kernel(batch, mask, meter)
 
 
 # -- source ------------------------------------------------------------------
@@ -453,7 +417,7 @@ def _consolidated_batch(deltas, batches, width):
             order_append(key)
     for batch in batches:
         for row, sign, bit in zip(
-            batch.rows(), batch.signs.tolist(), batch.bits.tolist()
+            batch.rows(), batch.sign_list(), batch.bit_list()
         ):
             key = (row, bit)
             if key in net:
@@ -482,12 +446,7 @@ def _consolidated_batch(deltas, batches, width):
             rows.extend([row] * count)
             signs.extend([sign] * count)
             bits.extend([bit] * count)
-    return ColumnBatch.from_rows(
-        rows,
-        np.array(signs, dtype=np.int64),
-        np.array(bits, dtype=np.int64),
-        width,
-    )
+    return ColumnBatch.from_rows(rows, signs, bits, width)
 
 
 class ColumnarSourceExec:
@@ -572,7 +531,7 @@ class ColumnarSourceExec:
 
 def _listed(batch):
     """A batch as parallel Python lists: ``(rows, signs, bits)``."""
-    return batch.rows(), batch.signs.tolist(), batch.bits.tolist()
+    return batch.rows(), batch.sign_list(), batch.bit_list()
 
 
 class _ColumnarJoinSide:
@@ -841,12 +800,9 @@ class ColumnarJoinExec:
         (the joined columns materialize only if a consumer reads them)."""
         rows, signs, bits = pending
         if rows:
-            outputs.append(ColumnBatch.from_rows(
-                rows,
-                np.array(signs, dtype=np.int64),
-                np.array(bits, dtype=np.int64),
-                self.out_width,
-            ))
+            outputs.append(
+                ColumnBatch.from_rows(rows, signs, bits, self.out_width)
+            )
             pending[:] = [], [], []
 
     @staticmethod
@@ -1105,25 +1061,6 @@ class ColumnarJoinExec:
 # -- aggregate ---------------------------------------------------------------
 
 
-class _ColumnarAggArtifacts:
-    """Vector input closures and group-column indices (shareable)."""
-
-    __slots__ = ("input_fns", "group_indexes", "child_width")
-
-    def __init__(self, node):
-        child_schema = node.children[0].out_schema
-        self.child_width = len(child_schema)
-        self.input_fns = tuple(
-            compile_columnar(spec.expr, child_schema) for spec in node.aggs
-        )
-        if node.group_by:
-            self.group_indexes = tuple(
-                child_schema.index_of(name) for name in node.group_by
-            )
-        else:
-            self.group_indexes = None
-
-
 #: reduceat is used only when segment sums are provably exact: integral
 #: values bounded so every partial sum stays under 2**53 regardless of
 #: association order (values <= 2**31, at most 2**20 of them per batch)
@@ -1188,16 +1125,23 @@ class ColumnarAggregateExec(AggregateExec):
             self, node, child, subplan_mask, meter, stats_mode,
             state_factor=state_factor,
         )
-        artifacts = cached_artifacts(
-            ("cagg", node.uid), lambda: _ColumnarAggArtifacts(node)
-        )
-        self._vec_input_fns = artifacts.input_fns
-        self._group_indexes = artifacts.group_indexes
-        self._child_width = artifacts.child_width
-        if stats_mode or not self._vec_input_fns:
-            self._fused_inputs = None
-        else:
-            self._fused_inputs = fused_aggregate_inputs(node)
+        child_schema = node.children[0].out_schema
+        self._child_width = len(child_schema)
+        self._group_indexes = tuple(
+            child_schema.index_of(name) for name in node.group_by
+        ) or None
+        # the vector lane's input kernel is generated on first use;
+        # calibration runs the unfused closures instead
+        self._fused_inputs = None
+        self._vec_input_fns = None
+        if stats_mode:
+            self._vec_input_fns = cached_artifacts(
+                ("cagg", node.uid),
+                lambda: tuple(
+                    compile_columnar(spec.expr, child_schema)
+                    for spec in node.aggs
+                ),
+            )
         self._exact_ok = [True] * len(self.specs)
 
     def reset(self):
@@ -1269,13 +1213,17 @@ class ColumnarAggregateExec(AggregateExec):
         for key in keys:
             touched_add(key)
 
-        fused_inputs = self._fused_inputs
-        if fused_inputs is not None:
-            input_arrays = fused_inputs(batch, n)
-        else:
+        if self.stats_mode:
             input_arrays = [
                 _materialize(fn(batch), n) for fn in self._vec_input_fns
             ]
+        else:
+            fused_inputs = self._fused_inputs
+            if fused_inputs is None:
+                fused_inputs = self._fused_inputs = fused_aggregate_inputs(
+                    self.node
+                )
+            input_arrays = fused_inputs(batch, n)
         plists = []
         vec_ok = []
         kinds = self._spec_kinds
@@ -1421,25 +1369,12 @@ class ColumnarAggregateExec(AggregateExec):
                 keys = [(value,) for value in uniques.tolist()]
                 return inverse.astype(np.int64, copy=False), keys
             values = column.tolist()
-            keys = []
-            mapping = {}
-            codes = np.empty(n, dtype=np.int64)
-            for i, value in enumerate(values):
-                code = mapping.get(value)
-                if code is None:
-                    code = mapping[value] = len(keys)
-                    keys.append((value,))
-                codes[i] = code
-            return codes, keys
-        value_lists = [batch.column_values(i) for i in indexes]
-        rows = list(zip(*value_lists))
-        keys = []
+            wrap = True
+        else:
+            values = list(zip(*(batch.column_values(i) for i in indexes)))
+            wrap = False
+        # first-seen codes: ``setdefault`` hands a new key the next code
         mapping = {}
-        codes = np.empty(n, dtype=np.int64)
-        for i, row in enumerate(rows):
-            code = mapping.get(row)
-            if code is None:
-                code = mapping[row] = len(keys)
-                keys.append(row)
-            codes[i] = code
-        return codes, keys
+        codes = [mapping.setdefault(value, len(mapping)) for value in values]
+        keys = [(value,) for value in mapping] if wrap else list(mapping)
+        return np.array(codes, dtype=np.int64), keys

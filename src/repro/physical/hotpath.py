@@ -26,9 +26,9 @@ Three independent toggles (``batched`` and ``arrangements`` default on,
     only when :func:`columnar_available` says so (NumPy importable, kill
     switch not set) and the plan's query ids fit an int64 bitvector.
     Outside ``stats_mode`` its filter -> project -> aggregate-input
-    chains run as generated fused kernels (:mod:`repro.physical.fused`)
-    on batches above ``columnar.ROW_LANE_MAX`` rows and as one scalar
-    row loop at or below it.
+    chains run as generated fused kernels (:mod:`repro.physical.fused`):
+    NumPy kernels on batches above ``columnar.ROW_LANE_MAX`` rows, one
+    generated scalar row loop at or below it.
 ``arrangements``
     shared join arrangements (:mod:`repro.engine.arrangements`): one
     multi-reader index per ``(table, key columns)`` replaces the
@@ -38,8 +38,10 @@ Three independent toggles (``batched`` and ``arrangements`` default on,
     work drop (docs/ARRANGEMENTS.md).
 
 Not toggles: compiled per-node artifacts (predicate and projection
-closures, join key getters, aggregate input closures, fused kernels) are
-always memoized process-wide by :func:`cached_artifacts`, and a
+functions, join key getters, aggregate input functions, fused kernels)
+are always memoized process-wide by :func:`cached_artifacts` -- and the
+generated source under them once per distinct text
+(:func:`repro.relational.codegen.compile_source`) -- and a
 :class:`~repro.engine.executor.PlanExecutor` always reuses its compiled
 operator tree across ``run()`` calls (state is deterministically reset
 instead of rebuilt).
@@ -54,6 +56,8 @@ not rely on them: :mod:`repro.workers` ships the driver's mode.
 
 import os
 from contextlib import contextmanager
+
+from ..relational.codegen import clear_code_cache
 
 _COLUMNAR_ENV = os.environ.get("REPRO_ENGINE_COLUMNAR", "").strip().lower()
 
@@ -202,8 +206,10 @@ def cached_artifacts(key, builder):
 
 
 def clear_compiled_caches():
-    """Drop every memoized artifact and bits decoding (tests)."""
+    """Drop every memoized artifact, compiled source text and bits
+    decoding (tests, cold-compile measurements)."""
     _ARTIFACTS.clear()
+    clear_code_cache()
     _QIDS_CACHE.clear()
     _QIDS_CACHE[0] = ()
     compile_cache_stats["hits"] = 0

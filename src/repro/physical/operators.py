@@ -29,7 +29,7 @@ from ..errors import ExecutionError
 from ..relational import bitvec
 from ..relational.tuples import Delta, DELETE, INSERT, consolidate, make_delta
 from .faults import FAULTS, drop_first_retraction
-from .hotpath import HOTPATH, _QIDS_CACHE, cached_artifacts, qids_of
+from .hotpath import HOTPATH, cached_artifacts, qids_of
 
 # Bound once: the batched loops construct deltas via ``__new__`` + slot
 # stores, skipping the constructor frame (make_delta adds one more frame
@@ -866,27 +866,20 @@ _AGG_KINDS = {"sum": 0, "count": 1, "avg": 2}  # anything else: min/max = 3
 class _AggregateArtifacts:
     """Compiled group-key getter and input closures of one aggregate node.
 
-    ``group_index`` is the column position for single-column group keys
-    and ``spec_kinds`` int-codes each aggregate function so the batched
-    absorb loop can dispatch state updates without per-record method
-    calls.
+    They serve the per-tuple reference path and the columnar exactness
+    ledger (the batched absorb loop is generated whole,
+    :func:`~repro.physical.fused.fused_absorb_kernel`); ``spec_kinds``
+    int-codes each aggregate function for the columnar vector lane.
     """
 
-    __slots__ = ("group_key", "group_index", "input_fns", "spec_kinds")
+    __slots__ = ("group_key", "input_fns", "spec_kinds")
 
     def __init__(self, node):
         child_schema = node.children[0].out_schema
         if node.group_by:
             indexes = tuple(child_schema.index_of(name) for name in node.group_by)
-            if len(indexes) == 1:
-                index = indexes[0]
-                self.group_index = index
-                self.group_key = lambda row: (row[index],)
-            else:
-                self.group_index = None
-                self.group_key = lambda row: tuple(row[i] for i in indexes)
+            self.group_key = lambda row: tuple(row[i] for i in indexes)
         else:
-            self.group_index = None
             self.group_key = None
         self.input_fns = tuple(spec.expr.compile(child_schema) for spec in node.aggs)
         self.spec_kinds = tuple(
@@ -917,12 +910,13 @@ class AggregateExec:
         self.name = "agg:%d" % node.uid
         artifacts = cached_artifacts(("agg", node.uid), lambda: _AggregateArtifacts(node))
         self._group_key = artifacts.group_key
-        self._group_index = artifacts.group_index
         self.specs = node.aggs
         self._input_fns = artifacts.input_fns
         self._spec_kinds = artifacts.spec_kinds
+        self._absorb_kernel = None  # generated on first batched absorb
         self.groups = {}
         self.last_emitted = {}
+        self._sort_prefix = {}  # live group key -> its part of the sort key
         self._touched = set()
         self.decorations = Decorations(node, stats_mode)
         self.stats_mode = stats_mode
@@ -935,6 +929,7 @@ class AggregateExec:
         self.child.reset()
         self.groups.clear()
         self.last_emitted.clear()
+        self._sort_prefix.clear()
         self._touched.clear()
         self.state_count = 0
         self.in_total = 0
@@ -971,203 +966,25 @@ class AggregateExec:
 
     def _absorb_batch(self, triples):
         # Takes ``(row, sign, bits)`` triples, not Delta objects, so the
-        # columnar row lane feeds it straight off a batch's lists.
-        # The inner dispatch inlines the state-update bodies by spec kind
-        # so the per-(delta, query) cost carries no method-call frames.
-        # The arithmetic is copied verbatim from the state classes (an
-        # identical operation sequence keeps float results bit-identical
-        # to the reference path); min/max keeps the method call because
-        # it charges the work meter on rescans.
-        groups = self.groups
-        groups_get = groups.get
-        group_key = self._group_key
-        gidx = self._group_index
-        input_fns = self._input_fns
-        kinds = self._spec_kinds
-        specs = self.specs
-        mask = self.subplan_mask
-        touched_add = self._touched.add
-        meter = self.meter
-        name = self.name
-        state_count = self.state_count
-        qids_cache_get = _QIDS_CACHE.get
-        arity = len(kinds)
-        single = arity == 1
-        two = arity == 2
-        fn0 = input_fns[0] if input_fns else None
-        fn1 = input_fns[1] if arity > 1 else None
-        kind0 = kinds[0] if kinds else 3
-        kind1 = kinds[1] if arity > 1 else 3
-        # group keys are interned per batch: the key tuple is built once
-        # per distinct group, and every later delta of the group probes
-        # groups/_touched with the identical object (identity fast path)
-        key_cache = {}
-        key_cache_get = key_cache.get
-        for row, sign, bits in triples:
-            if gidx is not None:
-                value = row[gidx]
-                key = key_cache_get(value)
-                if key is None:
-                    key = key_cache[value] = (value,)
-            elif group_key is not None:
-                key = group_key(row)
-                interned = key_cache_get(key)
-                if interned is None:
-                    key_cache[key] = key
-                else:
-                    key = interned
-            else:
-                key = ()
-            per_query = groups_get(key)
-            if per_query is None:
-                per_query = groups[key] = {}
-            touched_add(key)
-            masked = bits & mask
-            qids = qids_cache_get(masked)
-            if qids is None:
-                qids = qids_of(masked)
-            per_query_get = per_query.get
-            if single:
-                value0 = fn0(row)
-                for qid in qids:
-                    state = per_query_get(qid)
-                    if state is None:
-                        state = per_query[qid] = _GroupQueryState(specs)
-                        state_count += 1
-                    state.contributions += sign
-                    st = state.states[0]
-                    if kind0 == 0:
-                        st.value += value0 if sign == 1 else -value0
-                    elif kind0 == 1:
-                        st.count += sign
-                    elif kind0 == 2:
-                        count = st.count + sign
-                        st.count = count
-                        if count == 0:
-                            st.total = 0
-                            st.compensation = 0.0
-                        else:
-                            value = -value0 if sign == DELETE else value0
-                            total = st.total
-                            if type(total) is int and type(value) is int:
-                                st.total = total + value
-                            else:
-                                new_total = total + value
-                                if abs(total) >= abs(value):
-                                    st.compensation += (total - new_total) + value
-                                else:
-                                    st.compensation += (value - new_total) + total
-                                st.total = new_total
-                    else:
-                        st.update(value0, sign, meter, name)
-            elif two:
-                # unrolled two-spec shape (e.g. SUM + AVG): no values list,
-                # no inner spec loop
-                value_a = fn0(row)
-                value_b = fn1(row)
-                for qid in qids:
-                    state = per_query_get(qid)
-                    if state is None:
-                        state = per_query[qid] = _GroupQueryState(specs)
-                        state_count += 1
-                    state.contributions += sign
-                    states = state.states
-                    st = states[0]
-                    if kind0 == 0:
-                        st.value += value_a if sign == 1 else -value_a
-                    elif kind0 == 1:
-                        st.count += sign
-                    elif kind0 == 2:
-                        count = st.count + sign
-                        st.count = count
-                        if count == 0:
-                            st.total = 0
-                            st.compensation = 0.0
-                        else:
-                            value = -value_a if sign == DELETE else value_a
-                            total = st.total
-                            if type(total) is int and type(value) is int:
-                                st.total = total + value
-                            else:
-                                new_total = total + value
-                                if abs(total) >= abs(value):
-                                    st.compensation += (total - new_total) + value
-                                else:
-                                    st.compensation += (value - new_total) + total
-                                st.total = new_total
-                    else:
-                        st.update(value_a, sign, meter, name)
-                    st = states[1]
-                    if kind1 == 0:
-                        st.value += value_b if sign == 1 else -value_b
-                    elif kind1 == 1:
-                        st.count += sign
-                    elif kind1 == 2:
-                        count = st.count + sign
-                        st.count = count
-                        if count == 0:
-                            st.total = 0
-                            st.compensation = 0.0
-                        else:
-                            value = -value_b if sign == DELETE else value_b
-                            total = st.total
-                            if type(total) is int and type(value) is int:
-                                st.total = total + value
-                            else:
-                                new_total = total + value
-                                if abs(total) >= abs(value):
-                                    st.compensation += (total - new_total) + value
-                                else:
-                                    st.compensation += (value - new_total) + total
-                                st.total = new_total
-                    else:
-                        st.update(value_b, sign, meter, name)
-            else:
-                values = [fn(row) for fn in input_fns]
-                for qid in qids:
-                    state = per_query_get(qid)
-                    if state is None:
-                        state = per_query[qid] = _GroupQueryState(specs)
-                        state_count += 1
-                    state.contributions += sign
-                    states = state.states
-                    i = 0
-                    for kind in kinds:
-                        value = values[i]
-                        st = states[i]
-                        i += 1
-                        if kind == 0:
-                            st.value += value if sign == 1 else -value
-                        elif kind == 1:
-                            st.count += sign
-                        elif kind == 2:
-                            count = st.count + sign
-                            st.count = count
-                            if count == 0:
-                                st.total = 0
-                                st.compensation = 0.0
-                            else:
-                                if sign == DELETE:
-                                    value = -value
-                                total = st.total
-                                if type(total) is int and type(value) is int:
-                                    st.total = total + value
-                                else:
-                                    new_total = total + value
-                                    if abs(total) >= abs(value):
-                                        st.compensation += (total - new_total) + value
-                                    else:
-                                        st.compensation += (value - new_total) + total
-                                    st.total = new_total
-                        else:
-                            st.update(value, sign, meter, name)
-        self.state_count = state_count
+        # columnar row lane feeds it straight off a batch's lists.  The
+        # loop is generated per node (group key, input expressions and
+        # each spec's state update inlined), the first time it runs.
+        kernel = self._absorb_kernel
+        if kernel is None:
+            from .fused import fused_absorb_kernel
+
+            kernel = self._absorb_kernel = fused_absorb_kernel(self.node)
+        self.state_count = kernel(
+            triples, self.groups, self._touched, self.subplan_mask,
+            self.meter, self.name, self.state_count,
+        )
 
     def _emit_batched(self):
-        emissions = {}
+        emissions = {}  # (row, sign) -> [sort order, query bits]
         emissions_get = emissions.get
         groups = self.groups
         last_emitted = self.last_emitted
+        sort_prefix = self._sort_prefix
         state_count = self.state_count
         for key in self._touched:
             per_query = groups.get(key)
@@ -1177,33 +994,51 @@ class AggregateExec:
             if emitted is None:
                 emitted = last_emitted[key] = {}
             emitted_get = emitted.get
+            # a row's sort key is its group key's (memoised while the
+            # group lives) followed by its aggregate values'
+            prefix = sort_prefix.get(key)
+            if prefix is None:
+                prefix = sort_prefix[key] = _sort_key(key)
+            width = len(key)
             for qid in list(per_query):
                 state = per_query[qid]
                 contributions = state.contributions
                 previous = emitted_get(qid)
-                if contributions <= 0:
+                if contributions > 0:
+                    values = tuple(s.current() for s in state.states)
+                    row = key + values
+                    if row == previous:
+                        continue
+                    emitted[qid] = row
+                else:
                     if contributions < 0:
                         raise ExecutionError(
                             "negative multiplicity in group %r for q%d" % (key, qid)
                         )
+                    row = None
                     if previous is not None:
-                        slot = (previous, DELETE)
-                        emissions[slot] = emissions_get(slot, 0) | (1 << qid)
                         del emitted[qid]
                     del per_query[qid]
                     state_count -= 1
-                    continue
-                row = key + tuple(s.current() for s in state.states)
-                if row == previous:
-                    continue
                 if previous is not None:
                     slot = (previous, DELETE)
-                    emissions[slot] = emissions_get(slot, 0) | (1 << qid)
-                slot = (row, INSERT)
-                emissions[slot] = emissions_get(slot, 0) | (1 << qid)
-                emitted[qid] = row
+                    entry = emissions_get(slot)
+                    if entry is None:
+                        order = prefix + _sort_key(previous[width:])
+                        emissions[slot] = [(DELETE, order), 1 << qid]
+                    else:
+                        entry[1] |= 1 << qid
+                if row is not None:
+                    slot = (row, INSERT)
+                    entry = emissions_get(slot)
+                    if entry is None:
+                        order = prefix + _sort_key(values)
+                        emissions[slot] = [(INSERT, order), 1 << qid]
+                    else:
+                        entry[1] |= 1 << qid
             if not per_query:
                 groups.pop(key, None)
+                sort_prefix.pop(key, None)
             if not emitted:
                 last_emitted.pop(key, None)
         self._touched.clear()
@@ -1212,10 +1047,10 @@ class AggregateExec:
             return []
         # deterministic order: deletions first so downstream never sees a
         # transient duplicate, then insertions
-        ordered = sorted(
-            emissions.items(), key=lambda item: (item[0][1], _sort_key(item[0][0]))
-        )
-        return [make_delta(row, sign, bits) for (row, sign), bits in ordered]
+        ordered = sorted(emissions.items(), key=lambda item: item[1][0])
+        return [
+            make_delta(row, sign, entry[1]) for (row, sign), entry in ordered
+        ]
 
     # -- per-tuple reference path --------------------------------------------
 
@@ -1268,6 +1103,7 @@ class AggregateExec:
                 emitted[qid] = row
             if not per_query:
                 self.groups.pop(key, None)
+                self._sort_prefix.pop(key, None)
             if not emitted:
                 self.last_emitted.pop(key, None)
         self._touched.clear()

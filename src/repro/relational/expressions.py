@@ -3,10 +3,14 @@
 Expressions are small immutable trees (column references, constants,
 arithmetic, comparisons, boolean connectives).  They support:
 
-* **binding**: :meth:`Expression.compile` turns an expression into a plain
-  Python closure ``row -> value`` against a concrete :class:`~repro
-  .relational.schema.Schema`, so per-tuple evaluation costs one function
-  call and tuple indexing rather than a tree walk;
+* **binding**: :meth:`Expression.compile` turns an expression into one
+  generated Python function ``row -> value`` against a concrete
+  :class:`~repro.relational.schema.Schema`: every node emits a source
+  fragment (:meth:`Expression.row_source`), the fragments nest into a
+  single flat expression (``(row[3] >= 8766) and (row[6] in _k0)``),
+  and that text is compiled once -- per-tuple evaluation costs one call
+  whatever the tree's depth.  :mod:`repro.physical.fused` inlines the
+  same fragments into whole operator loops;
 * **signatures**: :meth:`Expression.signature` produces the canonical
   string used by the MQO optimizer's sharability test (paper section 2.3);
 * **introspection**: :meth:`Expression.columns` lists referenced columns.
@@ -16,9 +20,8 @@ A convenient builder DSL is provided through operator overloading::
     pred = (col("p_brand") == "Brand#23") & (col("p_size") < 15)
 """
 
-import operator
-
 from ..errors import ExpressionError
+from .codegen import Bindings, const_fragment, row_function
 
 
 class Expression:
@@ -33,9 +36,24 @@ class Expression:
     def _collect_columns(self, acc):
         raise NotImplementedError
 
-    def compile(self, schema):
-        """Return a closure ``row -> value`` bound to ``schema``."""
+    #: whether evaluation always yields a ``bool`` (comparisons of the
+    #: Python scalars rows carry do); ``And``/``Or`` wrap other operands
+    #: in ``bool()``
+    boolean = False
+
+    def row_source(self, schema, bindings):
+        """Source text evaluating this expression over the name ``row``.
+
+        Evaluation order and short-circuiting are Python's own, left to
+        right; objects the text cannot spell as literals are named in
+        ``bindings`` (:class:`~repro.relational.codegen.Bindings`).
+        """
         raise NotImplementedError
+
+    def compile(self, schema):
+        """Return a function ``row -> value`` bound to ``schema``."""
+        bindings = Bindings()
+        return row_function(self.row_source(schema, bindings), bindings)
 
     def signature(self):
         """A canonical string identifying this expression."""
@@ -133,9 +151,8 @@ class Col(Expression):
     def _collect_columns(self, acc):
         acc.add(self.name)
 
-    def compile(self, schema):
-        index = schema.index_of(self.name)
-        return lambda row: row[index]
+    def row_source(self, schema, bindings):
+        return "row[%d]" % schema.index_of(self.name)
 
     def signature(self):
         return "col(%s)" % self.name
@@ -160,9 +177,12 @@ class Const(Expression):
     def _collect_columns(self, acc):
         pass
 
-    def compile(self, schema):
-        value = self.value
-        return lambda row: value
+    @property
+    def boolean(self):
+        return self.value is True or self.value is False
+
+    def row_source(self, schema, bindings):
+        return const_fragment(self.value, bindings)
 
     def signature(self):
         return "const(%r)" % (self.value,)
@@ -171,22 +191,23 @@ class Const(Expression):
         return "const(%r)" % (self.value,)
 
 
-_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "//": operator.floordiv,
-}
+_ARITH = ("+", "-", "*", "/", "//")
 
-_COMPARE = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+_COMPARE = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _binary_source(expr, schema, bindings):
+    """``(left op right)``: parenthesised, so comparisons never chain."""
+    return "(%s %s %s)" % (
+        expr.left.row_source(schema, bindings),
+        expr.op,
+        expr.right.row_source(schema, bindings),
+    )
+
+
+def _truth_source(expr, schema, bindings):
+    source = expr.row_source(schema, bindings)
+    return source if expr.boolean else "bool(%s)" % source
 
 
 class BinaryOp(Expression):
@@ -205,11 +226,7 @@ class BinaryOp(Expression):
         self.left._collect_columns(acc)
         self.right._collect_columns(acc)
 
-    def compile(self, schema):
-        fn = _ARITH[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: fn(left(row), right(row))
+    row_source = _binary_source
 
     def signature(self):
         return "(%s %s %s)" % (self.left.signature(), self.op, self.right.signature())
@@ -234,11 +251,8 @@ class Comparison(Expression):
         self.left._collect_columns(acc)
         self.right._collect_columns(acc)
 
-    def compile(self, schema):
-        fn = _COMPARE[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: fn(left(row), right(row))
+    boolean = True
+    row_source = _binary_source
 
     def signature(self):
         return "(%s %s %s)" % (self.left.signature(), self.op, self.right.signature())
@@ -260,10 +274,13 @@ class And(Expression):
         self.left._collect_columns(acc)
         self.right._collect_columns(acc)
 
-    def compile(self, schema):
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: bool(left(row)) and bool(right(row))
+    boolean = True
+
+    def row_source(self, schema, bindings):
+        return "(%s and %s)" % (
+            _truth_source(self.left, schema, bindings),
+            _truth_source(self.right, schema, bindings),
+        )
 
     def signature(self):
         return "(%s and %s)" % (self.left.signature(), self.right.signature())
@@ -285,10 +302,13 @@ class Or(Expression):
         self.left._collect_columns(acc)
         self.right._collect_columns(acc)
 
-    def compile(self, schema):
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: bool(left(row)) or bool(right(row))
+    boolean = True
+
+    def row_source(self, schema, bindings):
+        return "(%s or %s)" % (
+            _truth_source(self.left, schema, bindings),
+            _truth_source(self.right, schema, bindings),
+        )
 
     def signature(self):
         return "(%s or %s)" % (self.left.signature(), self.right.signature())
@@ -308,9 +328,10 @@ class Not(Expression):
     def _collect_columns(self, acc):
         self.child._collect_columns(acc)
 
-    def compile(self, schema):
-        child = self.child.compile(schema)
-        return lambda row: not child(row)
+    boolean = True
+
+    def row_source(self, schema, bindings):
+        return "(not %s)" % self.child.row_source(schema, bindings)
 
     def signature(self):
         return "(not %s)" % self.child.signature()
@@ -331,10 +352,15 @@ class InList(Expression):
     def _collect_columns(self, acc):
         self.child._collect_columns(acc)
 
-    def compile(self, schema):
-        child = self.child.compile(schema)
-        values = frozenset(self.values)
-        return lambda row: child(row) in values
+    boolean = True
+
+    def row_source(self, schema, bindings):
+        # a frozenset, bound: hash-equality membership, and NaN members
+        # keep matching by identity
+        return "(%s in %s)" % (
+            self.child.row_source(schema, bindings),
+            bindings.bind("k", frozenset(self.values)),
+        )
 
     def signature(self):
         return "(%s in %r)" % (self.child.signature(), tuple(sorted(map(repr, self.values))))
@@ -355,10 +381,13 @@ class StartsWith(Expression):
     def _collect_columns(self, acc):
         self.child._collect_columns(acc)
 
-    def compile(self, schema):
-        child = self.child.compile(schema)
-        prefix = self.prefix
-        return lambda row: child(row).startswith(prefix)
+    boolean = True
+
+    def row_source(self, schema, bindings):
+        return "(%s).startswith(%s)" % (
+            self.child.row_source(schema, bindings),
+            const_fragment(self.prefix, bindings),
+        )
 
     def signature(self):
         return "startswith(%s, %r)" % (self.child.signature(), self.prefix)
@@ -379,10 +408,13 @@ class Contains(Expression):
     def _collect_columns(self, acc):
         self.child._collect_columns(acc)
 
-    def compile(self, schema):
-        child = self.child.compile(schema)
-        needle = self.needle
-        return lambda row: needle in child(row)
+    boolean = True
+
+    def row_source(self, schema, bindings):
+        return "(%s in %s)" % (
+            const_fragment(self.needle, bindings),
+            self.child.row_source(schema, bindings),
+        )
 
     def signature(self):
         return "contains(%s, %r)" % (self.child.signature(), self.needle)

@@ -33,6 +33,7 @@ from repro.workloads.tpch import (
     generate_catalog,
 )
 
+from .expression_spec import evaluate
 from .util import shared_plan_for
 
 pytestmark = pytest.mark.skipif(
@@ -131,11 +132,15 @@ class TestFig11WorkIdentity:
         self, fig11_setup, monkeypatch
     ):
         # Three implementations of one contract, none behind a global
-        # switch: the row lane (small batches), the generated fused
-        # kernels (large batches) and the unfused closure chain
-        # (stats_mode).  Record every batch the fig11 run feeds a source,
-        # a decoration or an aggregate, then replay it through all three
-        # and demand the same rows, signs, bits and WorkMeter charges.
+        # switch: the generated row kernels (small batches), the
+        # generated fused vector kernels (large batches) and the unfused
+        # closure chain (stats_mode).  Record every batch the fig11 run
+        # feeds a source, a decoration or an aggregate, then replay it
+        # through all three and demand the same rows, signs, bits and
+        # WorkMeter charges.  The row kernels are also held to PR 16's
+        # hand-written row loop over the tree-walking expression spec
+        # (``_reference_apply_rows`` below), and the generated absorb
+        # loop to the per-tuple reference aggregate.
         # Recording runs with ROW_LANE_MAX = 0 so every non-empty batch
         # reaches a fused kernel and node coverage does not depend on
         # fig11's batch sizes.
@@ -204,12 +209,18 @@ class TestFig11WorkIdentity:
                 source = columnar_mod.ColumnarSourceExec(
                     node, buffer.reader(), mask, meter, stats_mode
                 )
-                assert (source.decorations.fused is None) == stats_mode
                 outputs.append(source.advance())
                 meters.append(meter)
+                # each lane's kernel is generated when the lane is taken
+                decorations = source.decorations
+                assert (decorations.row_kernel is not None) == (
+                    lane_max > 0 and not stats_mode)
+                assert (decorations.fused is not None) == (
+                    lane_max == 0 and not stats_mode)
             _assert_batches_identical(outputs[1], outputs[2])  # bit for bit
             _assert_same_deltas(outputs[0], outputs[1])
             _assert_meters_identical(*meters)
+            _assert_row_kernel_matches_reference(node, batch, mask)
 
         # each lane called by name, not through the size dispatch: an
         # empty batch would never reach the kernel that way
@@ -227,6 +238,7 @@ class TestFig11WorkIdentity:
             _assert_batches_identical(fused, unfused)
             _assert_same_deltas(row_lane, fused)
             _assert_meters_identical(*meters)
+            _assert_row_kernel_matches_reference(node, batch, None)
 
         # the aggregate's fused part is the input-expression kernel: its
         # arrays must match the unfused closures' dtype for dtype and bit
@@ -237,7 +249,6 @@ class TestFig11WorkIdentity:
             closures = columnar_mod.ColumnarAggregateExec(
                 node, None, -1, WorkMeter(), stats_mode=True
             )
-            assert closures._fused_inputs is None
             unfused = [
                 columnar_mod._materialize(fn(batch), n)
                 for fn in closures._vec_input_fns
@@ -249,6 +260,8 @@ class TestFig11WorkIdentity:
         # aggregates are stateful (a retraction needs the insertion it
         # cancels), so each node keeps one instance per lane and absorbs
         # its recorded batches in order, emitting after every one
+        from repro.physical.operators import AggregateExec
+
         aggregates = {}
         for node, (batch, n) in calls["agg"]:
             if node.uid not in aggregates:
@@ -257,24 +270,35 @@ class TestFig11WorkIdentity:
                         node, _Feed(), -1, WorkMeter(), stats_mode
                     ))
                     for lane_max, stats_mode in lanes
-                ]
+                ] + [(None, AggregateExec(node, _Feed(), -1, WorkMeter()))]
             emitted = []
             for lane_max, aggregate in aggregates[node.uid]:
-                monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
-                aggregate.child.batch = batch
-                out = aggregate.advance()
+                if lane_max is None:
+                    # the per-tuple reference path: no generated code
+                    aggregate.child.batch = batch.to_deltas()
+                    with engine_mode(batched=False):
+                        out = aggregate.advance()
+                else:
+                    monkeypatch.setattr(
+                        columnar_mod, "ROW_LANE_MAX", lane_max)
+                    aggregate.child.batch = batch
+                    out = aggregate.advance()
                 # value types ride along: (3,) == (3.0,) == (True,)
                 emitted.append([
                     (d.row, tuple(map(type, d.row)), d.sign, d.bits)
                     for d in out
                 ])
                 _assert_python_typed(d.row for d in out)
-            row_lane, fused, unfused = (a for _, a in aggregates[node.uid])
+            row_lane, fused, unfused, reference = (
+                a for _, a in aggregates[node.uid])
+            assert row_lane._absorb_kernel.fused_source
+            assert row_lane._fused_inputs is None
             assert fused._fused_inputs is not None
             assert unfused._fused_inputs is None
-            assert emitted[0] == emitted[1] == emitted[2]
+            assert reference._absorb_kernel is None
+            assert emitted[0] == emitted[1] == emitted[2] == emitted[3]
             _assert_meters_identical(
-                row_lane.meter, fused.meter, unfused.meter
+                row_lane.meter, fused.meter, unfused.meter, reference.meter
             )
             assert row_lane.state_count == fused.state_count
             # the row lane keeps the reduceat-exactness ledger the
@@ -371,6 +395,70 @@ def _assert_python_typed(rows):
     for row in rows:
         for value in row:
             assert type(value).__module__ == "builtins", repr(value)
+
+
+def _reference_apply_rows(node, batch, meter, mask):
+    """PR 16's hand-written row lane, kept as the row kernels' reference.
+
+    (source mask ->) mark filters -> projection in one loop, calling one
+    function per filter and per projected column -- here the
+    tree-walking spec of ``tests/expression_spec.py``, so nothing in it
+    is generated code.  Returns ``(rows, signs, bits)`` lists.
+    """
+    schema = node.core_schema
+    pairs = [
+        (1 << qid, ~(1 << qid), predicate)
+        for qid, predicate in sorted(node.filters.items())
+    ]
+    union = node.union_projection()
+    masked = 0
+    out_rows, out_signs, out_bits = [], [], []
+    for row, sign, bits in zip(
+        batch.rows(), batch.signs.tolist(), batch.bits.tolist()
+    ):
+        if mask is not None:
+            bits &= mask
+            if not bits:
+                continue
+            masked += 1
+        for bit, clear, predicate in pairs:
+            if bits & bit and not evaluate(predicate, row, schema):
+                bits &= clear
+        if not bits:
+            continue
+        if union is not None:
+            row = tuple(evaluate(expr, row, schema) for _, expr in union)
+        out_rows.append(row)
+        out_signs.append(sign)
+        out_bits.append(bits)
+    if pairs:
+        meter.charge_input(
+            "filter:%d" % node.uid, len(batch) if mask is None else masked)
+    if union is not None:
+        meter.charge_input("proj:%d" % node.uid, len(out_rows))
+    return out_rows, out_signs, out_bits
+
+
+def _assert_row_kernel_matches_reference(node, batch, mask):
+    from repro.physical.fused import fused_row_kernel
+    from repro.physical.work import WorkMeter
+
+    meters = WorkMeter(), WorkMeter()
+    kernel = fused_row_kernel(node, source=mask is not None)
+    out = kernel(batch, mask, meters[0])
+    rows, signs, bits = _reference_apply_rows(node, batch, meters[1], mask)
+    assert list(out.rows()) == rows
+    assert [tuple(map(type, row)) for row in out.rows()] == [
+        tuple(map(type, row)) for row in rows
+    ]
+    # list-backed: the kernel's own lists, no array was ever built
+    assert list(out.sign_list()) == signs
+    assert list(out.bit_list()) == bits
+    # (a chain with nothing to do hands its input through)
+    assert out is batch or not rows or (
+        out._signs is None and out._bits is None)
+    assert len(out) == len(rows)
+    _assert_meters_identical(*meters)
 
 
 def _assert_same_deltas(left, right):
@@ -642,6 +730,201 @@ class TestRowLaneBoundary:
                 feed.batch = batch
                 aggregate.advance()
                 assert aggregate._exact_ok == [exact], lane_max
+
+
+class TestListBackedSignsBits:
+    """A row-lane batch carries its signs and bits as the lists its
+    kernel produced; arrays appear only when something reads them."""
+
+    @staticmethod
+    def _batch():
+        rows = [(i, "r%d" % i) for i in range(5)]
+        return ColumnBatch.from_rows(rows, [1, -1, 1, 1, -1],
+                                     [3, 1, 2, 3, 1], 2)
+
+    def test_lists_until_an_array_is_read(self):
+        import numpy as np
+
+        batch = self._batch()
+        assert len(batch) == 5
+        assert batch._signs is None and batch._bits is None
+        assert batch.sign_list() is batch._sign_list
+        assert batch.to_deltas()[1] == Delta((1, "r1"), -1, 1)
+        assert batch._signs is None and batch._bits is None
+        signs = batch.signs
+        assert signs.dtype == np.int64 and signs.tolist() == [1, -1, 1, 1, -1]
+        assert batch.signs is signs  # built once, cached
+        assert batch.bits.dtype == np.int64
+        assert batch.bit_list() == [3, 1, 2, 3, 1]
+
+    def test_array_backed_batches_list_on_demand(self):
+        import numpy as np
+
+        batch = ColumnBatch.from_rows(
+            [(1,), (2,)], np.array([1, -1]), np.array([1, 2]), 1)
+        assert batch.sign_list() == [1, -1] and batch.bit_list() == [1, 2]
+        assert type(batch.sign_list()[0]) is int
+        assert len(batch) == 2
+
+    def test_take_and_with_bits(self):
+        import numpy as np
+
+        batch = self._batch()
+        taken = batch.take(np.array([0, 3]))
+        assert taken.rows() == [(0, "r0"), (3, "r3")]
+        assert taken.sign_list() == [1, 1] and taken.bit_list() == [3, 3]
+        rebitted = batch.with_bits(np.array([1, 1, 0, 2, 2]))
+        assert rebitted.bit_list() == [1, 1, 0, 2, 2]
+        # the signs are shared in whichever form exists, never copied
+        assert rebitted._sign_list is batch._sign_list
+        assert rebitted.sign_list() == batch.sign_list()
+        assert batch.bit_list() == [3, 1, 2, 3, 1]
+
+    def test_concat_keeps_lists_only_when_every_chunk_has_them(self):
+        import numpy as np
+
+        from repro.engine.columns import concat_batches
+
+        first, second = self._batch(), self._batch()
+        merged = concat_batches([first, second], 2)
+        assert merged._signs is None and merged._bits is None
+        assert merged.sign_list() == first.sign_list() * 2
+        assert merged.rows() == first.rows() * 2
+        assert first.sign_list() == [1, -1, 1, 1, -1]  # inputs untouched
+        arrays = ColumnBatch.from_rows(
+            [(9, "z")], np.array([1]), np.array([7]), 2)
+        mixed = concat_batches([first, arrays], 2)
+        assert mixed.sign_list() == [1, -1, 1, 1, -1, 1]
+        assert mixed.bit_list() == [3, 1, 2, 3, 1, 7]
+        assert mixed.rows()[-1] == (9, "z")
+        columnar = ColumnBatch(
+            (np.array([5]), np.array(["q"], dtype=object)),
+            np.array([-1]), np.array([4]))
+        stacked = concat_batches([first, columnar], 2)
+        assert stacked.rows()[-1] == (5, "q")
+        assert stacked.sign_list()[-1] == -1
+
+    def test_a_list_backed_batch_enters_a_vector_kernel(self, monkeypatch):
+        from repro.mqo.nodes import OpNode, TableRef
+        from repro.physical import columnar as columnar_mod
+        from repro.physical.work import WorkMeter
+        from repro.relational.expressions import col
+        from repro.relational.schema import Schema
+
+        node = OpNode(
+            "source", ref=TableRef("t", Schema.of("k", "f")),
+            filters={0: col("k") > 1}, query_mask=0b11,
+        )
+        outputs = []
+        for lane_max in (0, 1 << 30):
+            monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+            buffer = Buffer("t")
+            buffer.append_segment(self._batch())
+            source = columnar_mod.ColumnarSourceExec(
+                node, buffer.reader(), 0b11, WorkMeter())
+            outputs.append(source.advance())
+        _assert_same_deltas(*outputs)
+        # q0 (k > 1) loses k=0 and k=1; k=1 carried no other bit
+        assert outputs[0].bit_list() == [2, 2, 3, 1]
+
+    def test_the_empty_batch_is_shared_and_immutable(self):
+        empty = ColumnBatch.empty(3)
+        assert ColumnBatch.empty(3) is empty
+        assert ColumnBatch.from_deltas([], 3) is empty
+        assert len(empty) == 0 and empty.rows() == ()
+        assert empty.sign_list() == () and empty.bit_list() == ()
+        assert not empty.signs.flags.writeable
+        assert empty.to_deltas() == []
+
+
+class TestGeneratedCodeFailures:
+    """A predicate that raises propagates the exception the closure
+    chain raised, through a frame whose source line is the generated
+    one (every kernel's text is registered with ``linecache``)."""
+
+    @staticmethod
+    def _source(predicate, rows, columnar_mod):
+        from repro.mqo.nodes import OpNode, TableRef
+        from repro.physical.work import WorkMeter
+        from repro.relational.schema import Schema
+
+        node = OpNode(
+            "source", ref=TableRef("t", Schema.of("k", "v")),
+            filters={0: predicate}, query_mask=1,
+        )
+        buffer = Buffer("t")
+        buffer.append([Delta(row, 1, 1) for row in rows])
+        return columnar_mod.ColumnarSourceExec(
+            node, buffer.reader(), 1, WorkMeter())
+
+    @pytest.mark.parametrize("lane_max", [1 << 30, 0], ids=["row", "vector"])
+    @pytest.mark.parametrize("case", ["none-compare", "zero-division"])
+    def test_exception_type_and_generated_line(
+        self, case, lane_max, monkeypatch
+    ):
+        import linecache
+        import traceback
+
+        from repro.physical import columnar as columnar_mod
+        from repro.relational.expressions import col
+
+        if case == "none-compare":
+            predicate, bad, error = col("v") < 5, None, TypeError
+        else:
+            predicate, bad, error = 1 / col("v") > 2, 0, ZeroDivisionError
+        rows = [(1, 3), (2, bad), (3, 4)]
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+        clear_compiled_caches()
+        with pytest.raises(error) as caught:
+            self._source(predicate, rows, columnar_mod).advance()
+        frames = [
+            frame for frame in traceback.extract_tb(caught.value.__traceback__)
+            if frame.filename.startswith("<fused:")
+        ]
+        assert frames, "no generated frame in the traceback"
+        innermost = frames[-1]
+        assert innermost.line  # traceback found the generated source
+        assert innermost.line == linecache.getline(
+            innermost.filename, innermost.lineno).strip()
+        # the batched path raises the same exception type
+        from repro.physical import operators
+
+        source = self._source(predicate, rows, columnar_mod)
+        batched = operators.SourceExec(
+            source.node, source.reader, 1, source.meter)
+        with engine_mode(batched=True), pytest.raises(error):
+            batched.advance()
+
+
+class TestEmissionOrder:
+    def test_memoised_sort_prefix_keeps_the_emission_order(
+        self, fig11_setup, monkeypatch
+    ):
+        # every aggregate emission of the fig11 run, both backends: the
+        # order built from memoised group-key prefixes must be the order
+        # of the full per-row sort key
+        from repro.physical import operators
+
+        plan, paces, _ = fig11_setup
+        emissions = []
+        emit = operators.AggregateExec._emit_batched
+
+        def spy(self):
+            out = emit(self)
+            emissions.append(out)
+            return out
+
+        monkeypatch.setattr(operators.AggregateExec, "_emit_batched", spy)
+        run_with(plan, paces, batched=True)
+        run_with(plan, paces, batched=True, columnar=True)
+        assert sum(map(len, emissions)) > 1000
+        assert any(
+            len({d.row[0] for d in out}) > 1 and len(out[0].row) > 1
+            for out in emissions if out
+        )
+        for out in emissions:
+            assert out == sorted(
+                out, key=lambda d: (d.sign, operators._sort_key(d.row)))
 
 
 class TestModeFlipOnOneExecutor:
