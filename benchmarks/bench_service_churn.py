@@ -22,8 +22,8 @@ and reports the metrics the service exists to optimize:
 
 Results land in ``BENCH_service.json`` (repo root by default).
 ``--check`` compares a fresh run against the committed baseline instead
-of overwriting it: admission decisions must be *identical* and the SLO
-miss count must not regress.  CI runs this mode (see
+of overwriting it: the engine-mode stamp and the admission decisions
+must be *identical* and the SLO miss count must not regress.  CI runs this mode (see
 ``.github/workflows/ci.yml``'s ``service-smoke`` job).
 
 Usage::
@@ -134,6 +134,7 @@ def run_benchmark(jobs):
         parallel, sort_keys=True
     )
     return {
+        "engine_mode": report["engine_mode"],
         "schedule": {
             "windows": SCHEDULE["windows"],
             "shards": SCHEDULE["shards"],
@@ -169,6 +170,11 @@ def check_against(result, baseline_path):
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     failures = []
+    if result["engine_mode"] != baseline["engine_mode"]:
+        failures.append(
+            "ran on the %s backend, the baseline on %s"
+            % (result["engine_mode"], baseline["engine_mode"])
+        )
     if result["admission"] != baseline["admission"]:
         failures.append(
             "admission decisions diverge from baseline:\n  now:      %r\n"

@@ -110,7 +110,6 @@ def run_and_report(benchmark, name, experiment):
     meta = {
         "benchmark": name,
         "engine_mode": data.get("engine_mode"),
-        "columnar": data.get("columnar"),
         "catalog_seed": data.get("catalog_seed", bench_seed()),
     }
     with open(os.path.join(RESULTS_DIR, "%s.meta.json" % name), "w") as handle:

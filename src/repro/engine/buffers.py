@@ -26,8 +26,8 @@ class Buffer:
     Columnar producers may append :class:`~repro.engine.columns
     .ColumnBatch` segments instead of delta lists (:meth:`append_segment`).
     Segments stay columnar in a pending tail as long as every consumer is
-    batch-aware; the first consumer that needs plain deltas (a batched
-    reader, ``query_result_view``) forces :meth:`materialize`, which
+    batch-aware; the first consumer that needs plain deltas (a reference
+    operator's reader, ``query_result_view``) forces :meth:`materialize`, which
     converts the pending tail in order.  Logical offsets, ``len()`` and
     compaction semantics are identical either way, so producers and
     consumers may mix freely.

@@ -18,23 +18,17 @@ import logging
 from ..cost import cache as calibration_cache
 from ..cost.stats import NodeStats
 from ..obs import OBS
-from ..physical.hotpath import columnar_available
+from ..physical.columnar import ColumnarJoinExec, ColumnarSourceExec
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
 from .executor import PlanExecutor
 from .stream import StreamConfig
 
-# the columnar twins expose the identical stats surface
-# (scanned/kept/in/out totals and per-q dicts, decorations counters), so
-# the stats walker treats them interchangeably; ColumnarAggregateExec
-# subclasses AggregateExec and needs no separate entry
-if columnar_available():
-    from ..physical.columnar import ColumnarJoinExec, ColumnarSourceExec
-
-    _SOURCE_EXECS = (SourceExec, ColumnarSourceExec)
-    _JOIN_EXECS = (JoinExec, ColumnarJoinExec)
-else:  # pragma: no cover - the container bakes numpy in
-    _SOURCE_EXECS = (SourceExec,)
-    _JOIN_EXECS = (JoinExec,)
+# the production operators and the reference expose the identical stats
+# surface (scanned/kept/in/out totals and per-q dicts, decorations
+# counters), so the stats walker treats them interchangeably;
+# ColumnarAggregateExec subclasses AggregateExec and needs no entry
+_SOURCE_EXECS = (SourceExec, ColumnarSourceExec)
+_JOIN_EXECS = (JoinExec, ColumnarJoinExec)
 
 logger = logging.getLogger(__name__)
 

@@ -1,11 +1,13 @@
-"""Struct-of-arrays delta batches for the columnar engine backend.
+"""Struct-of-arrays delta batches for the production operators.
 
 A :class:`ColumnBatch` is the columnar twin of a ``list[Delta]``: one
 NumPy array per row column plus parallel int64 arrays for the delta sign
 (signed multiplicity) and the SharedDB query bitvector.  Conversion
-happens at subplan buffer boundaries only -- buffers, readers and the
-optimizer keep trafficking in plain :class:`~repro.relational.tuples
-.Delta` lists, so every non-columnar consumer is untouched.
+happens at subplan buffer boundaries only -- the reference operators,
+plain readers and the optimizer keep trafficking in plain
+:class:`~repro.relational.tuples.Delta` lists.  NumPy is optional: a
+chain of row-lane kernels carries rows, signs and bits as Python lists
+and never builds an array.
 
 Columns are **late-materialized**: a batch built from deltas (or from a
 scalar join probe) carries the original Python row tuples and builds a
@@ -30,7 +32,7 @@ original objects untouched.  Row-backed batches are even stronger: their
 
 try:
     import numpy as np
-except ImportError:  # pragma: no cover - the container bakes numpy in
+except ImportError:  # the row lane alone serves every batch size
     np = None
 
 from ..relational.tuples import Delta
@@ -46,7 +48,7 @@ _BOOL_KIND = frozenset((bool,))
 
 
 def available():
-    """Whether NumPy imported; mirrors ``hotpath.columnar_available``."""
+    """Whether NumPy imported (the vector lane needs it)."""
     return np is not None
 
 
@@ -129,9 +131,10 @@ class ColumnBatch:
     rows -- the top-level ``signs``/``bits`` are authoritative (backing
     chunks' own are never consulted).
 
-    Query bitvectors fit int64 because the executor only dispatches to
-    the columnar backend when every query id is below 62 (``~0`` table
-    bitvectors are ``-1``, which ANDs correctly in two's complement).
+    The ``bits`` array is only ever built when every query id is below
+    62, so bitvectors fit int64 (``~0`` table bitvectors are ``-1``,
+    which ANDs correctly in two's complement): the executor keeps a plan
+    with a larger id on the row lane, whose bit lists hold plain ints.
     """
 
     __slots__ = ("_columns", "_signs", "_bits", "_sign_list", "_bit_list",
@@ -187,12 +190,14 @@ class ColumnBatch:
         Eager schedules produce empty inputs and outputs by the hundred
         per window, so "nothing" is one object per width rather than an
         allocation per call: its row store and sign/bit lists are tuples
-        and its signs/bits array is read-only.
+        and its signs/bits array (absent without NumPy) is read-only.
         """
         batch = _EMPTY.get(width)
         if batch is None:
-            none = np.empty(0, dtype=np.int64)
-            none.flags.writeable = False
+            none = None
+            if np is not None:
+                none = np.empty(0, dtype=np.int64)
+                none.flags.writeable = False
             batch = _EMPTY[width] = cls.from_rows((), none, none, width)
             batch._sign_list = batch._bit_list = ()
         return batch

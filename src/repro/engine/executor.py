@@ -24,14 +24,16 @@ from time import perf_counter
 from ..errors import ExecutionError
 from ..mqo.nodes import SubplanRef, TableRef
 from ..obs import OBS
-from ..physical.hotpath import (
-    HOTPATH,
-    columnar_available,
-    compile_cache_stats,
+from ..physical.columnar import (
+    ColumnarAggregateExec,
+    ColumnarJoinExec,
+    ColumnarSourceExec,
 )
+from ..physical.hotpath import HOTPATH, compile_cache_stats
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
 from ..physical.work import WorkMeter
 from ..relational.tuples import consolidate
+from . import columns
 from .arrangements import ArrangementStore, arrangeable_side
 from .buffers import Buffer
 from .metrics import ExecutionRecord, RunResult
@@ -67,12 +69,12 @@ class CompiledSubplan:
         tuple_before = meter.input_units + meter.output_units + meter.rescan_units
         state_before = meter.state_units
         out = self.root_exec.advance()
-        if type(out) is list:
+        if type(out) is list:  # the reference operators
             self.buffer.append(out)
         else:
-            # columnar root: the batch goes into the buffer as a pending
-            # segment; deltas materialize only if a non-columnar consumer
-            # (a batched reader, query_result_view) actually needs them
+            # the batch goes into the buffer as a pending segment;
+            # deltas materialize only if a plain consumer
+            # (query_result_view) actually needs them
             self.buffer.append_segment(out)
         self.executions += 1
         tuple_delta = (
@@ -105,8 +107,9 @@ class PlanExecutor:
         self.compiled = None  # filled per run
         self._runtime = None  # compiled tree, reused across run() calls
         self._query_sids = None  # qid -> its subplan ids, set by _compile
-        self._runtime_columnar = None  # backend the cached tree was built for
-        self._runtime_arranged = None  # arrangements toggle at compile time
+        self._runtime_mode = None  # engine toggles the tree was built under
+        self._runtime_reference = None  # whether it is the per-tuple reference
+        self._operators = None  # its (source, join, aggregate) classes + kwargs
 
     def rebind(self, plan=None, catalog=None):
         """Swap the plan and/or catalog this executor runs.
@@ -132,26 +135,31 @@ class PlanExecutor:
 
     # -- compilation ---------------------------------------------------------
 
-    def _columnar_active(self):
-        """Whether this plan compiles to the columnar backend right now.
-
-        Requires the mode toggle, an importable NumPy (and no kill
-        switch), and every query id below 62 so bitvectors fit the
-        int64 ``bits`` array (``~0`` table bitvectors are ``-1``, which
-        ANDs correctly in two's complement).
-        """
-        return (
-            HOTPATH.columnar
-            and columnar_available()
-            and max(self.plan.query_roots, default=0) < 62
-        )
-
     def _included(self, sid):
         return self.only is None or sid in self.only
 
     def _compile(self):
-        self._runtime_columnar = self._columnar_active()
-        self._runtime_arranged = bool(HOTPATH.arrangements)
+        self._runtime_mode = HOTPATH.values()
+        # The vector lane needs NumPy and every query id below 62, so
+        # bitvectors fit the int64 ``bits`` array (``~0`` table
+        # bitvectors are ``-1``, which ANDs correctly in two's
+        # complement); without it the row lane serves every batch size.
+        # Calibration's per-filter counters are NumPy closures, so a
+        # stats run that cannot have them compiles the reference.
+        vector = (
+            columns.available()
+            and max(self.plan.query_roots, default=0) < 62
+        )
+        self._runtime_reference = not HOTPATH.batched or (
+            self.stats_mode and not vector
+        )
+        if self._runtime_reference:
+            self._operators = (SourceExec, JoinExec, AggregateExec, {})
+        else:
+            self._operators = (
+                ColumnarSourceExec, ColumnarJoinExec, ColumnarAggregateExec,
+                {"vector": vector},
+            )
         full_order = self.plan.topological_order()
         order = [
             subplan for subplan in full_order
@@ -193,13 +201,12 @@ class PlanExecutor:
         Reuse resets all mutable state (streams, buffers, reader offsets,
         meters, hash tables, aggregate groups, stats counters) so a reused
         tree is indistinguishable from a freshly compiled one.  The tree
-        is recompiled only when the backend or the arrangements toggle
-        changed since it was built (:meth:`rebind` drops it outright).
+        is recompiled only when an engine toggle changed since it was
+        built (:meth:`rebind` drops it outright).
         """
         if (
             self._runtime is not None
-            and self._runtime_columnar == self._columnar_active()
-            and self._runtime_arranged == bool(HOTPATH.arrangements)
+            and self._runtime_mode == HOTPATH.values()
         ):
             table_streams, table_buffers, compiled, order, store = self._runtime
             for stream in table_streams.values():
@@ -221,16 +228,7 @@ class PlanExecutor:
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
                       store):
         mask = subplan.query_mask
-        if self._runtime_columnar:
-            from ..physical.columnar import (
-                ColumnarAggregateExec as aggregate_cls,
-                ColumnarJoinExec as join_cls,
-                ColumnarSourceExec as source_cls,
-            )
-        else:
-            source_cls = SourceExec
-            join_cls = JoinExec
-            aggregate_cls = AggregateExec
+        source_cls, join_cls, aggregate_cls, lane = self._operators
         if node.kind == "source":
             ref = node.ref
             consolidate_reads = False
@@ -250,7 +248,7 @@ class PlanExecutor:
                 raise ExecutionError("unknown source ref %r" % (ref,))
             return source_cls(
                 node, reader, mask, meter, self.stats_mode,
-                consolidate_reads=consolidate_reads,
+                consolidate_reads=consolidate_reads, **lane
             )
         children = [
             self._compile_node(child, subplan, meter, table_buffers, compiled,
@@ -261,9 +259,9 @@ class PlanExecutor:
         if node.kind == "join":
             join = join_cls(
                 node, children[0], children[1], meter, self.stats_mode,
-                state_factor=state_factor,
+                state_factor=state_factor, **lane
             )
-            if self._runtime_arranged:
+            if HOTPATH.arrangements:
                 for side in (0, 1):
                     spec = arrangeable_side(node, side)
                     if spec is not None:
@@ -277,7 +275,7 @@ class PlanExecutor:
             return join
         return aggregate_cls(
             node, children[0], mask, meter, self.stats_mode,
-            state_factor=state_factor,
+            state_factor=state_factor, **lane
         )
 
     # -- execution -------------------------------------------------------------
@@ -340,34 +338,28 @@ class PlanExecutor:
         if pace_config is None:
             pace_config = {sid: len(points) for sid, points in fractions.items()}
         result = RunResult(pace_config, self.stream_config)
-        if self._runtime_columnar:
-            result.metadata["engine_mode"] = "columnar"
-        else:
-            # the plan may fall back (kill switch, >=62 query ids), so
-            # record what actually ran, not what was requested
-            result.metadata["engine_mode"] = (
-                "batched" if HOTPATH.batched else "reference"
-            )
-        result.metadata["columnar"] = bool(self._runtime_columnar)
-        result.metadata["arrangements"] = bool(
-            self._runtime_arranged and len(store)
+        # what the compiled tree is, not what was asked for (a stats run
+        # without the vector lane compiles the reference)
+        reference = self._runtime_reference
+        result.metadata["engine_mode"] = (
+            "reference" if reference else "columnar"
         )
+        result.metadata["arrangements"] = bool(len(store))
         overhead = self.stream_config.execution_overhead
         run_start_us = OBS.tracer.now_us() if OBS.enabled else 0.0
-        columnar_ingest = self._runtime_columnar
         for fraction in sorted(schedule):
             for name, stream in table_streams.items():
-                if columnar_ingest:
+                if reference:
+                    new_deltas = stream.deltas_until(fraction)
+                    if new_deltas:
+                        table_buffers[name].append(new_deltas)
+                else:
                     # one shared columnar segment per (table, fraction):
                     # all readers of the buffer see the same batch object
                     # and share its lazy column materialization
                     segment = stream.batch_until(fraction)
                     if segment is not None:
                         table_buffers[name].append_segment(segment)
-                else:
-                    new_deltas = stream.deltas_until(fraction)
-                    if new_deltas:
-                        table_buffers[name].append(new_deltas)
             due = set(schedule[fraction])
             for subplan in order:  # child-first within one trigger point
                 if subplan.sid not in due:

@@ -121,6 +121,7 @@ def _run_component(shared, sids):
             for r in result.records
         ],
         "query_results": dict(result.query_results),
+        "engine_mode": result.metadata["engine_mode"],
         "arrangement_summary": result.metadata.get("arrangement_summary"),
     }
 
@@ -151,12 +152,11 @@ def run_parallel(plan, pace_config, stream_config=None, jobs=1,
             run_label="component",
         )
     ]
-    return _merge(plan, pace_config, stream_config, serial, payloads,
+    return _merge(plan, pace_config, stream_config, payloads,
                   collect_results)
 
 
-def _merge(plan, pace_config, stream_config, serial, payloads,
-           collect_results):
+def _merge(plan, pace_config, stream_config, payloads, collect_results):
     """Reassemble one serial-identical RunResult from component payloads."""
     order = plan.topological_order()
     position = {subplan.sid: index for index, subplan in enumerate(order)}
@@ -174,14 +174,8 @@ def _merge(plan, pace_config, stream_config, serial, payloads,
             summaries.append(payload["arrangement_summary"])
 
     result = RunResult(pace_config, stream_config)
-    columnar = serial._columnar_active()
-    if columnar:
-        result.metadata["engine_mode"] = "columnar"
-    else:
-        result.metadata["engine_mode"] = (
-            "batched" if HOTPATH.batched else "reference"
-        )
-    result.metadata["columnar"] = bool(columnar)
+    # every worker compiled the whole plan's backend for its component
+    result.metadata["engine_mode"] = payloads[0]["engine_mode"]
 
     one = Fraction(1)
     # serial schedule order: ascending fraction, topological position

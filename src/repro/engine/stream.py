@@ -129,8 +129,6 @@ class TableStream:
         instead of each rebuilding arrays from a private delta list.
         Signs and bits are plain lists (arrays only if a vector kernel
         reads the segment).  Returns ``None`` when no new rows arrive.
-        Only called on the columnar path, where NumPy is known
-        importable.
         """
         from .columns import ColumnBatch
 
@@ -143,8 +141,8 @@ class TableStream:
         self.delivered = target
         rows = [row for row, _ in new]
         signs = [sign for _, sign in new]
-        # table deltas carry the full bitvector ``~0``, which is -1 in
-        # the int64 two's-complement encoding the columnar backend uses
+        # table deltas carry the full bitvector ``~0``, which is -1 both
+        # as a Python int and in the vector lane's int64 encoding
         return ColumnBatch.from_rows(rows, signs, [-1] * len(new),
                                      len(self.table.schema))
 

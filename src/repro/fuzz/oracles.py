@@ -4,31 +4,32 @@ Every case runs through multiple pipelines that must agree:
 
 ``unshared``
     each query as its own plan, everything at pace 1 -- the reference.
-``shared-batched``
-    the MQO-merged shared plan at a random (derived) pace configuration,
-    batched hot path.
+``shared-columnar``
+    the MQO-merged shared plan at a random (derived) pace configuration
+    on the production operators at their default size dispatch.
 ``shared-unbatched``
     the same plan and paces through the per-tuple reference path
-    (``REPRO_ENGINE_UNBATCHED``); must be *bit-identical* to the batched
-    run -- results, work, and every execution record.
-``shared-pace1``
-    the shared plan with every pace forced to 1 (one-shot batch
-    recompute of every trigger).
-``shared-columnar``
-    the same plan and paces through the columnar vectorized backend
-    (``engine_mode(columnar=True)``); results must be tolerance-close
-    to the reference like every oracle, and *work accounting* must be
-    exactly identical to the batched run (total work, every execution
-    record, subplan final work).  Skipped when NumPy is unavailable or
-    the kill switch is set.
+    (``REPRO_ENGINE_UNBATCHED``).  Every production leg's *work
+    accounting* must equal it exactly (total work, every execution
+    record, subplan final work).
+``shared-columnar-rows``
+    the production operators with ``ROW_LANE_MAX`` forced to ``1 << 30``
+    (every batch on the row lane); must be *bit-identical* to
+    ``shared-unbatched`` -- results, work, and every execution record.
 ``shared-columnar-vec``
-    the columnar backend again with ``ROW_LANE_MAX`` forced to 0, so the
+    the production operators with ``ROW_LANE_MAX`` forced to 0, so the
     fused/vectorised kernels of all three operators (source chain and
     decorations, join probe, aggregate absorb) run even on fuzz-sized
     batches (the default threshold keeps nearly every generated case on
-    the row lane).  Same exactness contract as ``shared-columnar``.
+    the row lane).  Results are tolerance-close to the reference like
+    every oracle (float segment sums may associate differently), work is
+    exact.  Skipped when NumPy is unavailable (it would repeat the row
+    lane).
+``shared-pace1``
+    the shared plan with every pace forced to 1 (one-shot batch
+    recompute of every trigger).
 ``shared-arranged`` / ``shared-private``
-    the batched hot path with shared arrangements explicitly on and
+    the production operators with shared arrangements explicitly on and
     explicitly off (``engine_mode(arrangements=...)``).  The two runs
     must be *bit-identical* -- results, total work, every execution
     record and subplan final work -- because arrangements are a purely
@@ -67,11 +68,13 @@ import random
 
 from ..core import pace as pace_mod
 from ..cost.stats import NodeStats
+from ..engine import columns
 from ..engine.compare import REL_TOL, ABS_TOL, result_diff, results_close
 from ..engine.executor import PlanExecutor
 from ..errors import OptimizationError, ReproError
 from ..mqo.merge import MQOOptimizer, build_unshared_plan
-from ..physical.hotpath import columnar_available, engine_mode
+from ..physical import columnar as columnar_mod
+from ..physical.hotpath import engine_mode
 from ..relational import bitvec
 from . import grammar
 
@@ -184,8 +187,8 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
 
     shared_state = {}
 
-    def run_shared(batched=None, pace1=False, columnar=False,
-                   row_lane_max=None, arranged=None):
+    def run_shared(batched=True, pace1=False, row_lane_max=None,
+                   arranged=None):
         def runner():
             if "plan" not in shared_state:
                 shared_state["plan"] = MQOOptimizer(catalog).build_shared_plan(
@@ -200,44 +203,28 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 if pace1
                 else shared_state["paces"]
             )
-
-            def execute():
-                if columnar:
-                    from ..physical import columnar as columnar_mod
-
-                    saved = columnar_mod.ROW_LANE_MAX
-                    if row_lane_max is not None:
-                        columnar_mod.ROW_LANE_MAX = row_lane_max
-                    try:
-                        with engine_mode(batched=True, columnar=True):
-                            return PlanExecutor(plan, config).run(paces)
-                    finally:
-                        columnar_mod.ROW_LANE_MAX = saved
-                if batched is None:
-                    return PlanExecutor(plan, config).run(paces)
-                with engine_mode(batched=batched):
-                    return PlanExecutor(plan, config).run(paces)
-
-            if arranged is None:
-                result = execute()
-            else:
-                with engine_mode(arrangements=arranged):
-                    result = execute()
+            saved = columnar_mod.ROW_LANE_MAX
+            if row_lane_max is not None:
+                columnar_mod.ROW_LANE_MAX = row_lane_max
+            try:
+                with engine_mode(batched=batched, arrangements=arranged):
+                    result = PlanExecutor(plan, config).run(paces)
+            finally:
+                columnar_mod.ROW_LANE_MAX = saved
             return result, plan, paces
 
         return runner
 
-    attempt("shared-batched", run_shared(batched=True))
+    attempt("shared-columnar", run_shared())
     attempt("shared-unbatched", run_shared(batched=False))
+    # the default threshold keeps fuzz-sized batches on the row lane, so
+    # each lane is also forced on every batch of every operator
+    attempt("shared-columnar-rows", run_shared(row_lane_max=1 << 30))
+    if columns.available():
+        attempt("shared-columnar-vec", run_shared(row_lane_max=0))
     attempt("shared-pace1", run_shared(pace1=True))
-    attempt("shared-arranged", run_shared(batched=True, arranged=True))
-    attempt("shared-private", run_shared(batched=True, arranged=False))
-    if columnar_available():
-        # the default threshold (row lane on fuzz-sized batches), plus a
-        # forced-vector run so every operator's kernels are fuzzed too
-        attempt("shared-columnar", run_shared(columnar=True))
-        attempt("shared-columnar-vec",
-                run_shared(columnar=True, row_lane_max=0))
+    attempt("shared-arranged", run_shared(arranged=True))
+    attempt("shared-private", run_shared(arranged=False))
 
     if case.get("decompose") and "plan" in shared_state:
         target = _decomposition_target(shared_state["plan"], case["decompose"])
@@ -445,23 +432,18 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
             )
         )
 
-    batched = outcomes.get("shared-batched")
     unbatched = outcomes.get("shared-unbatched")
-    if (
-        batched is not None and unbatched is not None
-        and batched.error is None and unbatched.error is None
-    ):
-        failures.extend(_check_bit_identity(batched.result, unbatched.result))
-
-    for oracle in ("shared-columnar", "shared-columnar-vec"):
-        columnar = outcomes.get(oracle)
-        if (
-            batched is not None and columnar is not None
-            and batched.error is None and columnar.error is None
+    if unbatched is not None and unbatched.error is None:
+        for oracle, check in (
+            ("shared-columnar-rows", _check_bit_identity),
+            ("shared-columnar", _check_work_identity),
+            ("shared-columnar-vec", _check_work_identity),
         ):
-            failures.extend(
-                _check_work_identity(columnar.result, batched.result)
-            )
+            production = outcomes.get(oracle)
+            if production is not None and production.error is None:
+                failures.extend(
+                    check(production.result, unbatched.result, oracle)
+                )
 
     # arrangements are a physical optimization: on vs off must be exact
     for left_name, right_name, pair_label in (
@@ -546,36 +528,34 @@ def _compare_results(name, run, reference, queries, rel_tol, abs_tol,
     return failures
 
 
-def _check_bit_identity(batched, unbatched, label="hotpath",
-                        names=("batched", "unbatched")):
-    """Two runs that must match *exactly* (results, work, records)."""
+def _records(run):
+    return [
+        (r.sid, r.fraction, r.work, r.latency_work, r.output_count)
+        for r in run.records
+    ]
+
+
+def _check_work_identity(run, other, label, names=None):
+    """Two runs whose work accounting must match *exactly*.
+
+    Every WorkMeter-derived number is charged from batch lengths that
+    must equal the reference's list lengths, so the slightest drift here
+    means a dropped/duplicated delta or a divergent emission decision.
+    ``names`` defaults to ``(label, "shared-unbatched")``.
+    """
+    left_name, right_name = names or (label, "shared-unbatched")
     failures = []
-    left_name, right_name = names
-    if batched.query_results != unbatched.query_results:
-        failures.append(
-            "%s: %s and %s query results are not bit-identical"
-            % (label, left_name, right_name)
-        )
-    if batched.total_work != unbatched.total_work:
+    if run.total_work != other.total_work:
         failures.append(
             "%s: total_work differs %s=%r %s=%r"
-            % (label, left_name, batched.total_work,
-               right_name, unbatched.total_work)
+            % (label, left_name, run.total_work, right_name, other.total_work)
         )
-    batched_records = [
-        (r.sid, r.fraction, r.work, r.latency_work, r.output_count)
-        for r in batched.records
-    ]
-    unbatched_records = [
-        (r.sid, r.fraction, r.work, r.latency_work, r.output_count)
-        for r in unbatched.records
-    ]
-    if batched_records != unbatched_records:
+    if _records(run) != _records(other):
         failures.append(
             "%s: execution records differ between %s and %s"
             % (label, left_name, right_name)
         )
-    if batched.subplan_final_work != unbatched.subplan_final_work:
+    if run.subplan_final_work != other.subplan_final_work:
         failures.append(
             "%s: subplan final work differs between %s and %s"
             % (label, left_name, right_name)
@@ -583,35 +563,13 @@ def _check_bit_identity(batched, unbatched, label="hotpath",
     return failures
 
 
-def _check_work_identity(columnar, batched):
-    """Columnar work accounting must match the batched path *exactly*.
-
-    Query results are compared against the reference with tolerance like
-    any oracle (float segment sums may associate differently), but every
-    WorkMeter-derived number is charged from array lengths that must
-    equal the batched path's list lengths, so the slightest drift here
-    means a dropped/duplicated delta or a divergent emission decision.
-    """
+def _check_bit_identity(run, other, label, names=None):
+    """Two runs that must match *exactly* (results, work, records)."""
+    left_name, right_name = names or (label, "shared-unbatched")
     failures = []
-    if columnar.total_work != batched.total_work:
+    if run.query_results != other.query_results:
         failures.append(
-            "columnar: total_work differs columnar=%r batched=%r"
-            % (columnar.total_work, batched.total_work)
+            "%s: %s and %s query results are not bit-identical"
+            % (label, left_name, right_name)
         )
-    columnar_records = [
-        (r.sid, r.fraction, r.work, r.latency_work, r.output_count)
-        for r in columnar.records
-    ]
-    batched_records = [
-        (r.sid, r.fraction, r.work, r.latency_work, r.output_count)
-        for r in batched.records
-    ]
-    if columnar_records != batched_records:
-        failures.append(
-            "columnar: execution records differ from the batched path"
-        )
-    if columnar.subplan_final_work != batched.subplan_final_work:
-        failures.append(
-            "columnar: subplan final work differs from the batched path"
-        )
-    return failures
+    return failures + _check_work_identity(run, other, label, names)

@@ -17,7 +17,7 @@ from ..engine.calibrate import calibrate_plan
 from ..engine.executor import PlanExecutor
 from ..engine.stream import StreamConfig
 from ..mqo.merge import MQOOptimizer, build_unshared_plan
-from ..physical.hotpath import HOTPATH, columnar_available, engine_mode_label
+from ..physical.hotpath import engine_mode_label
 from ..workloads.constraints import CONSTRAINT_LEVELS, random_constraints, uniform_constraints
 from ..obs import OBS
 from ..workloads.tpch import (
@@ -54,9 +54,7 @@ class ExperimentResult:
         # backend attribution stamped into every report header so archived
         # results say which engine path produced them
         self.engine_mode = engine_mode_label()
-        self.columnar = bool(HOTPATH.columnar and columnar_available())
         self.data["engine_mode"] = self.engine_mode
-        self.data["columnar"] = self.columnar
 
     def add_section(self, text):
         self.sections.append(text)
@@ -68,9 +66,7 @@ class ExperimentResult:
 
     def text(self):
         header = "== %s ==" % self.name
-        engine = "[engine: %s | columnar %s]" % (
-            self.engine_mode, "on" if self.columnar else "off"
-        )
+        engine = "[engine: %s]" % self.engine_mode
         return ("\n\n").join([header, engine] + self.sections)
 
     def to_csv(self):

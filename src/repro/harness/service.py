@@ -20,6 +20,7 @@ import zlib
 from ..core.optimizer import OptimizerConfig
 from ..engine.stream import StreamConfig
 from ..errors import ServiceError
+from ..physical.hotpath import engine_mode_label
 from ..service.core import QueryService
 from ..service.schedule import replay_schedule, tenant_of_events, validate_schedule
 from ..workers import ordered_map
@@ -121,6 +122,7 @@ def run_service_schedule(schedule, jobs=1):
         )
     ]
     return {
+        "engine_mode": engine_mode_label(),
         "schedule": {
             "windows": schedule["windows"],
             "window_seconds": schedule.get("window_seconds", 60.0),

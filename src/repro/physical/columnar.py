@@ -1,21 +1,26 @@
-"""Columnar (struct-of-arrays) physical operators with vectorized kernels.
+"""The production operators: struct-of-arrays batches, two lanes per size.
 
-The third engine mode (``HOTPATH.columnar``): delta batches flow between
-operators as :class:`~repro.engine.columns.ColumnBatch` structs and the
-per-delta interpreter work of the batched path becomes NumPy array ops --
-mask-based mark filters, dict-of-row-ranges hash-join probes expanded
-with ``np.repeat``/``np.tile``, and grouped SUM/COUNT/AVG via stable
-sort + ``np.add.reduceat`` segment reduction with retraction as signed
-multiplicities.
+Delta batches flow between operators as
+:class:`~repro.engine.columns.ColumnBatch` structs and every operator
+dispatches on its input row count (see :data:`ROW_LANE_MAX`).  Above the
+threshold the *vector lane* turns per-delta interpreter work into NumPy
+array ops -- mask-based mark filters, dict-of-row-ranges hash-join
+probes expanded with ``np.repeat``/``np.tile``, and grouped
+SUM/COUNT/AVG via stable sort + ``np.add.reduceat`` segment reduction
+with retraction as signed multiplicities.  At or below it the *row lane*
+runs one generated Python loop per operator, and an empty input
+allocates nothing beyond the shared :meth:`ColumnBatch.empty`.
 
-Those kernels serve batches above :data:`ROW_LANE_MAX` rows; smaller
-ones take each operator's row lane (see the constant), and an empty
-input allocates nothing beyond the shared :meth:`ColumnBatch.empty`.
+The vector lane needs NumPy and int64 bitvectors (every query id below
+62); the executor works that out per plan and binds it into each
+operator as ``vector``.  Where it is false every batch takes the row
+lane, which touches neither.
 
-Two invariants tie this backend to the batched path, in both lanes:
+Two invariants tie both lanes to the per-tuple reference
+(:mod:`repro.physical.operators`):
 
-* **exact WorkMeter parity** -- every charge is computed from array
-  lengths that equal the batched path's list lengths, and the aggregate
+* **exact WorkMeter parity** -- every charge is computed from batch
+  lengths that equal the reference's list lengths, and the aggregate
   only uses segment reduction when the arithmetic is provably exact
   (ints, integral floats), falling back to the reference's sequential
   per-delta arithmetic otherwise so emission *counts* (and therefore
@@ -25,10 +30,12 @@ Two invariants tie this backend to the batched path, in both lanes:
   update order is the original delta order (stable sorts throughout),
   because MIN/MAX rescan charges depend on it.
 
-Results are tolerance-equivalent to the batched path (float segment
-sums may associate differently only on the exact paths where it cannot
-matter); ``tests/test_columnar_equivalence.py`` and the
-``shared-columnar`` fuzz oracle enforce both invariants.
+The row lane is bit-identical to the reference; the vector lane's
+results are tolerance-equivalent (float segment sums may associate
+differently only on the exact paths where it cannot matter).
+``tests/test_columnar_equivalence.py``, ``tests/test_hotpath_equivalence.py``
+and the ``shared-columnar`` / ``shared-columnar-rows`` /
+``shared-columnar-vec`` fuzz oracles enforce both invariants.
 """
 
 from ..engine.columns import (
@@ -50,6 +57,7 @@ from ..relational.expressions import (
     Or,
     StartsWith,
 )
+from .faults import FAULTS, drop_first_retraction
 from .fused import (
     fused_aggregate_inputs,
     fused_decoration_kernel,
@@ -59,7 +67,7 @@ from .fused import (
 from .hotpath import cached_artifacts, qids_of
 from .operators import AggregateExec, _GroupQueryState
 
-# Every columnar operator dispatches on its input row count: a batch of
+# Every operator dispatches on its input row count: a batch of
 # ``n <= ROW_LANE_MAX`` rows takes the operator's *row lane* -- one
 # generated Python loop over ``batch.rows()`` / ``sign_list()`` /
 # ``bit_list()`` with every expression inlined
@@ -68,16 +76,17 @@ from .operators import AggregateExec, _GroupQueryState
 # fused/vectorised kernels.  Both lanes emit the same rows in the same
 # order with the same WorkMeter charges, so the lane may change batch by
 # batch.  The one threshold is sized on the pipeline workloads, not on a
-# micro (docs/PERFORMANCE.md, "Size-dispatched operators"): eager
-# schedules feed 0-64-row batches on which a kernel's ~20 NumPy calls
-# cost more than the loop they replace, and a shared aggregate's
-# per-query sort/reduceat passes only pay off past a few hundred rows.
-# ``exec_eager_22q`` improves up to 64 and ``exec_lazy_22q`` loses past
-# 1024; in between both are flat within noise, and 256 is the middle of
-# that plateau, not a resolved optimum.  Tests and the fuzz ``-vec``
-# leg set it to 0 (every non-empty batch vectorised) or ``1 << 30``
-# (every batch on the row lane).
-ROW_LANE_MAX = 256
+# micro (docs/PERFORMANCE.md, "Size-dispatched operators"): on clean
+# two-column micro batches the vector lane wins from ~256 rows, but a
+# TPC-H chain pays for every lane change at an operator boundary (rows
+# to arrays and back, per column read) and a shared aggregate runs one
+# sort/reduceat pass per query, so with the row lane compiled the
+# pipeline keeps improving up to 4096 (``exec_lazy_22q`` -12% against
+# 256, ``plan_22q`` -5%), is flat to 8192 and loses 6% with no vector
+# lane at all; ``exec_eager_22q``'s largest input is 316 rows.  Tests
+# and the fuzz legs set it to 0 (every non-empty batch vectorised) or
+# ``1 << 30`` (every batch on the row lane).
+ROW_LANE_MAX = 4096
 
 
 # -- vectorized expression compilation ---------------------------------------
@@ -283,18 +292,21 @@ class ColumnarDecorations:
 
     Charges the same amounts under the same operator names: the filter
     charge is the pre-filter batch length, the projection charge the
-    post-filter length, exactly like the batched path.
+    post-filter length, exactly like the reference.
     """
 
-    __slots__ = ("node", "source", "filter_name", "project_name",
+    __slots__ = ("node", "source", "vector", "filter_name", "project_name",
                  "filter_pairs", "projection_fns", "stats_mode",
                  "filter_in_per_q", "filter_out_per_q", "fused",
                  "row_kernel")
 
-    def __init__(self, node, stats_mode=False, source=False):
+    def __init__(self, node, stats_mode=False, source=False,
+                 vector=np is not None):
         self.node = node
         #: whether a source owns this chain (its kernels mask first)
         self.source = source
+        #: whether the vector lane may fire (NumPy, int64 bitvectors)
+        self.vector = vector
         self.filter_name = "filter:%d" % node.uid
         self.project_name = "proj:%d" % node.uid
         self.stats_mode = stats_mode
@@ -327,7 +339,7 @@ class ColumnarDecorations:
         if self.stats_mode:
             # calibration wants the per-filter counters at every size
             return self._apply_unfused(batch, meter)
-        if len(batch) <= ROW_LANE_MAX:
+        if not self.vector or len(batch) <= ROW_LANE_MAX:
             return self.apply_rows(batch, meter, mask)
         fused = self.fused
         if fused is None:
@@ -453,13 +465,15 @@ class ColumnarSourceExec:
     """Columnar twin of :class:`~repro.physical.operators.SourceExec`."""
 
     def __init__(self, node, reader, subplan_mask, meter, stats_mode=False,
-                 consolidate_reads=False):
+                 consolidate_reads=False, vector=np is not None):
         self.node = node
         self.reader = reader
         self.subplan_mask = subplan_mask
         self.meter = meter
         self.name = "src:%d" % node.uid
-        self.decorations = ColumnarDecorations(node, stats_mode, source=True)
+        self.decorations = ColumnarDecorations(
+            node, stats_mode, source=True, vector=vector
+        )
         self.stats_mode = stats_mode
         self.consolidate_reads = consolidate_reads
         self.width = len(node.core_schema)
@@ -537,9 +551,9 @@ def _listed(batch):
 class _ColumnarJoinSide:
     """One side's hash state: append-only column chunks plus live indices.
 
-    Slot bookkeeping mirrors the batched ``key -> {(row, bits): net}``
+    Slot bookkeeping mirrors the reference's ``key -> {(row, bits): net}``
     tables exactly -- per-key slot lists keep insertion order (matching
-    dict insertion order in the batched path, including remove-then-
+    dict insertion order in the reference, including remove-then-
     reinsert moving a slot to the tail), and materialized arrays are
     maintained incrementally so each advance pays O(batch), not O(state).
     """
@@ -558,7 +572,7 @@ class _ColumnarJoinSide:
         self.net = []
         # key -> {(row, bits): slot index}; dict order IS the probe
         # order (insertion order, removals free their position, a
-        # reinsertion lands at the tail -- exactly the batched tables)
+        # reinsertion lands at the tail -- exactly the reference tables)
         self.slots = {}
         self.arrays = None
         self.net_array = None
@@ -649,19 +663,20 @@ class ColumnarJoinExec:
 
     Installs stay scalar (they are per-slot dict bookkeeping either
     way).  The probe of a batch above ``ROW_LANE_MAX`` is vectorized per
-    distinct key and reassembled into the batched path's exact output
+    distinct key and reassembled into the reference's exact output
     order -- delta-major, matches in state insertion order, |net| copies
     each via ``np.repeat``; smaller batches walk the state per delta and
     both sides' matches leave as one row-backed batch.
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
-                 state_factor=0.0):
+                 state_factor=0.0, vector=np is not None):
         self.node = node
         self.left = left
         self.right = right
         self.meter = meter
         self.state_factor = state_factor
+        self.vector = vector
         self._private_entries = 0
         self._left_arranged = None
         self._right_arranged = None
@@ -679,7 +694,9 @@ class ColumnarJoinExec:
         )
         self._left_state = _ColumnarJoinSide(self.left_width)
         self._right_state = _ColumnarJoinSide(self.right_width)
-        self.decorations = ColumnarDecorations(node, stats_mode)
+        self.decorations = ColumnarDecorations(
+            node, stats_mode, vector=vector
+        )
         self.stats_mode = stats_mode
         self.in_left = 0
         self.in_right = 0
@@ -725,11 +742,11 @@ class ColumnarJoinExec:
         n_left = len(left_batch)
         n_right = len(right_batch)
         self.meter.charge_input(self.name, n_left + n_right)
-        # Four passes, in the batched path's order: probe new left
+        # Four passes, in the reference's order: probe new left
         # deltas against the *old* right state, install them, probe new
         # right deltas against the *new* left state, install those.
         # Installs only touch a delta's own side, so batch-level
-        # probe/install matches the fused per-delta order.  An arranged
+        # probe/install emits that per-delta order.  An arranged
         # side's install is ``advance_to`` on the shared index.
         outputs = []
         pending = [[], [], []]  # row-lane output rows/signs/bits, both sides
@@ -783,7 +800,7 @@ class ColumnarJoinExec:
                 listed = _listed(batch)
                 self._probe_arranged(listed, keys, table, left_side, pending)
         elif probe_state.live:
-            if len(keys) <= ROW_LANE_MAX:
+            if not self.vector or len(keys) <= ROW_LANE_MAX:
                 listed = _listed(batch)
                 self._probe_scalar(listed, keys, probe_state, left_side,
                                    pending)
@@ -859,7 +876,7 @@ class ColumnarJoinExec:
         # concatenated per-key state indices in insertion order, so the
         # arange/repeat expansion below yields delta-major output with
         # per-delta matches in state insertion order -- exactly the
-        # batched path's emission order, with no sort
+        # reference's emission order, with no sort
         slots_get = index.get
         flat = []
         key_column = None
@@ -1022,7 +1039,7 @@ class ColumnarJoinExec:
                 # stored nets are never 0 (empty slots are removed), so
                 # a +-1 step either moves the net or empties the slot;
                 # reinsertion later lands at the key's tail like dict
-                # insertion order in the batched tables
+                # insertion order in the reference tables
                 updated = net[idx] + sign
                 net[idx] = updated
                 if idx < materialized:
@@ -1107,24 +1124,27 @@ class ColumnarAggregateExec(AggregateExec):
     Absorption of a batch above ``ROW_LANE_MAX`` is vectorized
     (per-query row selection by bit test, stable sort by group code,
     segment reduction per aggregate); smaller batches go through the
-    inherited per-delta ``_absorb_batch``.  Emission reuses the batched
-    ``_emit_batched`` verbatim, so emission coalescing, ordering and
-    state-count bookkeeping are shared code.
+    inherited generated per-delta loop (``_absorb_batch``).  Both lanes
+    share one emission (``_emit_batched``), so emission coalescing,
+    ordering and state-count bookkeeping are one piece of code, and the
+    emitted batch goes through the node's decorations like any other.
     SUM/AVG use ``np.add.reduceat`` only while every input batch has
     been exact-summable (ints / bounded integral floats); the first
     batch that is not flips the spec to the reference's sequential
     per-delta arithmetic forever, keeping state values -- and therefore
-    emission decisions and work charges -- bit-identical to the batched
-    path.  MIN/MAX always runs sequentially per segment because its
+    emission decisions and work charges -- bit-identical to the
+    reference.  MIN/MAX always runs sequentially per segment because its
     rescan work charges depend on per-delta order.
     """
 
     def __init__(self, node, child, subplan_mask, meter, stats_mode=False,
-                 state_factor=0.0):
+                 state_factor=0.0, vector=np is not None):
         AggregateExec.__init__(
             self, node, child, subplan_mask, meter, stats_mode,
             state_factor=state_factor,
+            decorations=ColumnarDecorations(node, stats_mode, vector=vector),
         )
+        self.vector = vector
         child_schema = node.children[0].out_schema
         self._child_width = len(child_schema)
         self._group_indexes = tuple(
@@ -1150,13 +1170,17 @@ class ColumnarAggregateExec(AggregateExec):
 
     def advance(self):
         batch = as_columns(self.child.advance(), self._child_width)
+        if FAULTS.drop_agg_retraction:
+            # test-only injected bug, ahead of the lane dispatch: see
+            # repro.physical.faults
+            batch = drop_first_retraction(batch)
         n = len(batch)
         self.meter.charge_input(self.name, n)
         if self.stats_mode:
             self.in_total += n
             _count_bits(batch.bits, self.in_per_q)
             self.in_deletes += int((batch.signs < 0).sum())
-        if n > ROW_LANE_MAX:
+        if self.vector and n > ROW_LANE_MAX:
             self._absorb_columns(batch)
         elif n:
             self._absorb_rows(batch)
@@ -1200,7 +1224,7 @@ class ColumnarAggregateExec(AggregateExec):
         keep = masked != 0
         if not keep.all():
             # rows no query wants only "touch" their group in the
-            # batched path, which is observably a no-op (state carried
+            # reference, which is observably a no-op (state carried
             # across emissions always re-emits identically)
             indices = np.flatnonzero(keep)
             batch = batch.take(indices)
@@ -1349,7 +1373,7 @@ class ColumnarAggregateExec(AggregateExec):
                                 )
                     else:
                         # MIN/MAX: sequential in original delta order so
-                        # rescan charges match the batched path exactly
+                        # rescan charges match the reference exactly
                         for j in range(starts_list[s], ends[s]):
                             st.update(
                                 data[take_list[j]], signs_list[j],

@@ -8,17 +8,20 @@ within a bounded case budget and shrink it to a minimal repro
 (``tests/test_fuzz.py``).
 
 The injected bug mimics a classic incremental-view-maintenance mistake:
-the batched aggregate path silently drops the first retraction (DELETE
-delta) of every incremental execution, so any workload with churn that
-reaches an aggregate produces results that diverge from the per-tuple
-reference path.
+the production aggregate silently drops the first retraction (DELETE
+delta) of every incremental execution -- before its lane dispatch, so
+both lanes lose it -- and any workload with churn that reaches an
+aggregate produces results that diverge from the per-tuple reference
+path, which has no hook.
 
 All flags default off and the hook in
-:class:`~repro.physical.operators.AggregateExec` is a single attribute
-check, so production behavior and benchmarks are unaffected.
+:class:`~repro.physical.columnar.ColumnarAggregateExec` is a single
+attribute check, so production behavior and benchmarks are unaffected.
 """
 
 from contextlib import contextmanager
+
+from ..engine.columns import ColumnBatch
 
 
 class FaultFlags:
@@ -27,7 +30,7 @@ class FaultFlags:
     __slots__ = ("drop_agg_retraction",)
 
     def __init__(self):
-        #: batched aggregate path drops the first DELETE delta per execution
+        #: the production aggregate drops the first DELETE delta per execution
         self.drop_agg_retraction = False
 
     def reset(self):
@@ -53,9 +56,13 @@ def inject_fault(drop_agg_retraction=None):
         FAULTS.drop_agg_retraction = saved
 
 
-def drop_first_retraction(deltas):
+def drop_first_retraction(batch):
     """The injected bug's behavior: lose the first DELETE of a batch."""
-    for index, delta in enumerate(deltas):
-        if delta.sign == -1:
-            return deltas[:index] + deltas[index + 1:]
-    return deltas
+    signs = list(batch.sign_list())
+    if -1 not in signs:
+        return batch
+    index = signs.index(-1)
+    rows = list(batch.rows())
+    bits = list(batch.bit_list())
+    del rows[index], signs[index], bits[index]
+    return ColumnBatch.from_rows(rows, signs, bits, batch.width)

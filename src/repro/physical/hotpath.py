@@ -1,34 +1,35 @@
-"""Hot-path engine configuration and shared compile-time caches.
+"""Engine mode configuration and shared compile-time caches.
 
-The incremental engine has two interchangeable execution paths:
+The incremental engine has one production backend and one oracle:
 
-* the **batched** path (default) processes whole delta lists per operator
-  with hoisted attribute lookups, pre-bound closures, cached bits->query
-  decodings and multiplicity-shared delta expansion;
-* the **reference** path applies every delta through the original
-  per-tuple calls.
+* the **size-dispatched operators** (:mod:`repro.physical.columnar`,
+  the default; reports and ``RunResult.metadata`` label it
+  ``"columnar"``) pass struct-of-arrays delta batches between operators
+  and run every filter -> project -> aggregate-input chain as a
+  generated kernel (:mod:`repro.physical.fused`): one scalar row loop
+  for a batch of at most ``columnar.ROW_LANE_MAX`` rows (the *row
+  lane*), NumPy kernels above it (the *vector lane*);
+* the **reference** path (:mod:`repro.physical.operators`) applies every
+  delta through the original per-tuple calls.  It is the correctness
+  oracle (``tests/test_hotpath_equivalence``, the fuzzer's
+  ``shared-unbatched`` leg) and the kill switch.
 
-Both paths produce bit-identical :class:`~repro.engine.metrics.RunResult`
-work/latency numbers and identical output delta streams -- the reference
-path exists as the correctness oracle (``tests/test_hotpath_equivalence``)
-and as the baseline of ``benchmarks/bench_engine_hotpath.py``.
+The row lane is bit-identical to the reference -- results, WorkMeter
+charges, every execution record.  The vector lane charges exactly the
+same work; its float segment sums may associate differently, so its
+results are tolerance-equivalent (docs/PERFORMANCE.md).
 
-Three independent toggles (``batched`` and ``arrangements`` default on,
-``columnar`` defaults off):
+Whether the vector lane may fire is not a setting: the executor works
+it out per plan from what it can observe -- NumPy importable and every
+query id below 62, so bitvectors fit an int64 array -- and binds it into
+each operator.  Where it may not, every batch takes the row lane (and
+calibration, whose per-filter counters are NumPy closures, runs the
+reference operators).
+
+Two independent toggles, both default on:
 
 ``batched``
-    batched delta application in the physical operators.
-``columnar``
-    struct-of-arrays delta batches with NumPy-vectorized operator
-    kernels (:mod:`repro.physical.columnar`); results are
-    tolerance-equivalent to the batched path and WorkMeter charges are
-    exactly identical (docs/PERFORMANCE.md).  The request is honoured
-    only when :func:`columnar_available` says so (NumPy importable, kill
-    switch not set) and the plan's query ids fit an int64 bitvector.
-    Outside ``stats_mode`` its filter -> project -> aggregate-input
-    chains run as generated fused kernels (:mod:`repro.physical.fused`):
-    NumPy kernels on batches above ``columnar.ROW_LANE_MAX`` rows, one
-    generated scalar row loop at or below it.
+    the production operators; ``False`` runs the per-tuple reference.
 ``arrangements``
     shared join arrangements (:mod:`repro.engine.arrangements`): one
     multi-reader index per ``(table, key columns)`` replaces the
@@ -37,21 +38,18 @@ Three independent toggles (``batched`` and ``arrangements`` default on,
     ``shared-arranged`` enforces it); resident state and maintenance
     work drop (docs/ARRANGEMENTS.md).
 
-Not toggles: compiled per-node artifacts (predicate and projection
-functions, join key getters, aggregate input functions, fused kernels)
-are always memoized process-wide by :func:`cached_artifacts` -- and the
-generated source under them once per distinct text
-(:func:`repro.relational.codegen.compile_source`) -- and a
+Not toggles: compiled per-node artifacts (key getters, aggregate input
+functions, fused kernels) are always memoized process-wide by
+:func:`cached_artifacts` -- and the generated source under them once per
+distinct text (:func:`repro.relational.codegen.compile_source`) -- and a
 :class:`~repro.engine.executor.PlanExecutor` always reuses its compiled
 operator tree across ``run()`` calls (state is deterministically reset
 instead of rebuilt).
 
-Environment overrides (read once at import): ``REPRO_ENGINE_UNBATCHED``,
-``REPRO_ENGINE_NO_ARRANGEMENTS`` (kill switch restoring per-join
-private state), and ``REPRO_ENGINE_COLUMNAR`` (``1`` turns the columnar
-backend on by default, ``0`` is a kill switch that pins it off even
-when ``engine_mode(columnar=True)`` asks for it).  Worker processes do
-not rely on them: :mod:`repro.workers` ships the driver's mode.
+Environment overrides (read once at import): ``REPRO_ENGINE_UNBATCHED``
+(run the reference) and ``REPRO_ENGINE_NO_ARRANGEMENTS`` (kill switch
+restoring per-join private state).  Worker processes do not rely on
+them: :mod:`repro.workers` ships the driver's mode.
 """
 
 import os
@@ -59,75 +57,46 @@ from contextlib import contextmanager
 
 from ..relational.codegen import clear_code_cache
 
-_COLUMNAR_ENV = os.environ.get("REPRO_ENGINE_COLUMNAR", "").strip().lower()
-
-#: kill switch: ``REPRO_ENGINE_COLUMNAR=0`` (or ``off``) disables the
-#: columnar backend regardless of :data:`HOTPATH`; tests monkeypatch it
-COLUMNAR_KILLED = _COLUMNAR_ENV in ("0", "off", "no", "false")
-
-_NUMPY_OK = None
-
-
-def columnar_available():
-    """Whether the columnar backend can run at all in this process."""
-    global _NUMPY_OK
-    if _NUMPY_OK is None:
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            _NUMPY_OK = False
-        else:
-            _NUMPY_OK = True
-    return _NUMPY_OK and not COLUMNAR_KILLED
-
 
 class EngineMode:
-    """Mutable toggles for the engine's hot-path optimisations."""
+    """Mutable toggles of the engine's execution paths."""
 
-    __slots__ = ("batched", "columnar", "arrangements")
+    __slots__ = ("batched", "arrangements")
 
-    def __init__(self, batched=True, columnar=False, arrangements=True):
+    def __init__(self, batched=True, arrangements=True):
         self.batched = bool(batched)
-        self.columnar = bool(columnar)
         self.arrangements = bool(arrangements)
 
     def values(self):
         """The toggles as a tuple in ``__slots__`` order (picklable)."""
-        return (self.batched, self.columnar, self.arrangements)
+        return (self.batched, self.arrangements)
 
     def restore(self, values):
         """Set every toggle from a :meth:`values` tuple."""
-        self.batched, self.columnar, self.arrangements = values
+        self.batched, self.arrangements = values
 
     def __repr__(self):
-        return "EngineMode(batched=%s, columnar=%s, arrangements=%s)" % (
-            self.values()
-        )
+        return "EngineMode(batched=%s, arrangements=%s)" % self.values()
 
 
 #: process-wide engine mode; mutate via :func:`engine_mode` in tests
 HOTPATH = EngineMode(
     batched=not os.environ.get("REPRO_ENGINE_UNBATCHED"),
-    columnar=_COLUMNAR_ENV in ("1", "on", "yes", "true"),
     arrangements=not os.environ.get("REPRO_ENGINE_NO_ARRANGEMENTS"),
 )
 
 
 def engine_mode_label():
     """Short backend name for reports/metadata: which path would run."""
-    if HOTPATH.columnar and columnar_available():
-        return "columnar"
-    return "batched" if HOTPATH.batched else "reference"
+    return "columnar" if HOTPATH.batched else "reference"
 
 
 @contextmanager
-def engine_mode(batched=None, columnar=None, arrangements=None):
+def engine_mode(batched=None, arrangements=None):
     """Temporarily override :data:`HOTPATH` toggles (tests, benchmarks)."""
     saved = HOTPATH.values()
     if batched is not None:
         HOTPATH.batched = bool(batched)
-    if columnar is not None:
-        HOTPATH.columnar = bool(columnar)
     if arrangements is not None:
         HOTPATH.arrangements = bool(arrangements)
     try:

@@ -15,34 +15,30 @@ retracts the previously emitted row (sign -1) and emits the new one
 deletion removes the current extremum -- the exact behaviour that makes
 TPC-H Q15 non-incrementable in the paper's section 5.3.
 
-Every operator has two delta-application paths selected by
-:data:`~repro.physical.hotpath.HOTPATH`: the *batched* hot path (whole
-delta lists, hoisted lookups, pre-bound closures) and the per-tuple
-*reference* path kept as the correctness oracle and benchmark baseline.
-Both produce identical outputs and identical work charges; a dedicated
-test enforces the bit-identical RunResult invariant (docs/PERFORMANCE.md).
+These classes are the per-tuple *reference*: the correctness oracle and
+the ``REPRO_ENGINE_UNBATCHED`` kill switch.  Production runs compile the
+size-dispatched operators of :mod:`repro.physical.columnar`, whose
+aggregate inherits the state classes, the generated absorb loop and the
+emission of :class:`AggregateExec`; their row lane is bit-identical to
+these operators and a dedicated test enforces it (docs/PERFORMANCE.md).
 """
 
-from operator import attrgetter
-
+from ..engine.columns import ColumnBatch
 from ..errors import ExecutionError
 from ..relational import bitvec
-from ..relational.tuples import Delta, DELETE, INSERT, consolidate, make_delta
-from .faults import FAULTS, drop_first_retraction
-from .hotpath import HOTPATH, cached_artifacts, qids_of
+from ..relational.tuples import Delta, DELETE, INSERT, consolidate
+from .hotpath import cached_artifacts, qids_of
 
-# Bound once: the batched loops construct deltas via ``__new__`` + slot
-# stores, skipping the constructor frame (make_delta adds one more frame
-# per record, which is measurable at join fan-out volumes).
+# Bound once: the arranged probe constructs deltas via ``__new__`` + slot
+# stores, skipping the constructor frame (measurable at join fan-out
+# volumes).
 _NEW = Delta.__new__
-_TRIPLE = attrgetter("row", "sign", "bits")
 
 
 class _DecorationArtifacts:
     """Compiled mark-filter and union projection of one node (shareable)."""
 
-    __slots__ = ("compiled_filters", "filter_mask", "filter_pairs",
-                 "projection")
+    __slots__ = ("compiled_filters", "filter_mask", "projection")
 
     def __init__(self, node):
         core_schema = node.core_schema
@@ -51,13 +47,6 @@ class _DecorationArtifacts:
             for qid, predicate in node.filters.items()
         }
         self.filter_mask = bitvec.mask_of(self.compiled_filters)
-        # (own_bit, clear_mask, predicate) per filter, ascending by qid:
-        # the batched path tests membership with one AND instead of
-        # decoding the bitvector per record
-        self.filter_pairs = tuple(
-            (1 << qid, ~(1 << qid), self.compiled_filters[qid])
-            for qid in sorted(self.compiled_filters)
-        )
         union = node.union_projection()
         if union is None:
             self.projection = None
@@ -75,9 +64,7 @@ class Decorations:
         "project_name",
         "compiled_filters",
         "filter_mask",
-        "filter_pairs",
         "projection",
-        "projection_fns",
         "stats_mode",
         "filter_in_per_q",
         "filter_out_per_q",
@@ -91,12 +78,7 @@ class Decorations:
         self.project_name = "proj:%d" % node.uid
         self.compiled_filters = artifacts.compiled_filters
         self.filter_mask = artifacts.filter_mask
-        self.filter_pairs = artifacts.filter_pairs
         self.projection = artifacts.projection
-        if artifacts.projection is None:
-            self.projection_fns = None
-        else:
-            self.projection_fns = tuple(fn for _, fn in artifacts.projection)
         self.stats_mode = stats_mode
         self.filter_in_per_q = {}
         self.filter_out_per_q = {}
@@ -105,74 +87,8 @@ class Decorations:
         self.filter_in_per_q.clear()
         self.filter_out_per_q.clear()
 
-    def apply(self, deltas, meter):
-        """Mark-filter then project ``deltas``; returns the surviving list."""
-        if HOTPATH.batched:
-            return self._apply_batched(deltas, meter)
-        return self._apply_reference(deltas, meter)
-
-    def _apply_batched(self, deltas, meter):
-        out = deltas
-        pairs = self.filter_pairs
-        stats = self.stats_mode
-        if pairs:
-            meter.charge_input(self.filter_name, len(out))
-            in_per_q = self.filter_in_per_q
-            out_per_q = self.filter_out_per_q
-            filtered = []
-            append = filtered.append
-            # each filter owns exactly one bit, so testing/clearing with
-            # precomputed masks is order-independent and needs no decode
-            for delta in out:
-                original = delta.bits
-                bits = original
-                if stats:
-                    for qid in qids_of(original):
-                        in_per_q[qid] = in_per_q.get(qid, 0) + 1
-                row = delta.row
-                for bit, clear, fn in pairs:
-                    if bits & bit and not fn(row):
-                        bits &= clear
-                if bits == 0:
-                    continue
-                if stats:
-                    for qid in qids_of(bits):
-                        out_per_q[qid] = out_per_q.get(qid, 0) + 1
-                if bits == original:
-                    append(delta)
-                else:
-                    record = _NEW(Delta)
-                    record.row = row
-                    record.sign = delta.sign
-                    record.bits = bits
-                    append(record)
-            out = filtered
-        fns = self.projection_fns
-        if fns is not None:
-            meter.charge_input(self.project_name, len(out))
-            projected = []
-            append = projected.append
-            if len(fns) == 1:
-                fn = fns[0]
-                for d in out:
-                    record = _NEW(Delta)
-                    record.row = (fn(d.row),)
-                    record.sign = d.sign
-                    record.bits = d.bits
-                    append(record)
-            else:
-                for d in out:
-                    row = d.row
-                    record = _NEW(Delta)
-                    record.row = tuple(fn(row) for fn in fns)
-                    record.sign = d.sign
-                    record.bits = d.bits
-                    append(record)
-            out = projected
-        return out
-
     def _apply_reference(self, deltas, meter):
-        """Original per-tuple path (oracle / benchmark baseline)."""
+        """Mark-filter then project ``deltas``; returns the surviving list."""
         out = deltas
         if self.compiled_filters:
             filtered = []
@@ -204,6 +120,8 @@ class Decorations:
                 for delta in out
             ]
         return out
+
+    apply = _apply_reference
 
 
 class SourceExec:
@@ -238,42 +156,6 @@ class SourceExec:
         self.deletes_kept = 0
         self.decorations.reset_stats()
 
-    def advance(self):
-        if HOTPATH.batched:
-            return self._advance_batched()
-        return self._advance_reference()
-
-    def _advance_batched(self):
-        new_deltas = self.reader.read_new()
-        if self.consolidate_reads and new_deltas:
-            new_deltas = consolidate(new_deltas)
-        self.meter.charge_input(self.name, len(new_deltas))
-        self.scanned_total += len(new_deltas)
-        mask = self.subplan_mask
-        kept = []
-        append = kept.append
-        for delta in new_deltas:
-            bits = delta.bits & mask
-            if bits == 0:
-                continue
-            if bits == delta.bits:
-                append(delta)
-            else:
-                record = _NEW(Delta)
-                record.row = delta.row
-                record.sign = delta.sign
-                record.bits = bits
-                append(record)
-        if self.stats_mode:
-            self.kept_total += len(kept)
-            kept_per_q = self.kept_per_q
-            for delta in kept:
-                if delta.sign == DELETE:
-                    self.deletes_kept += 1
-                for qid in qids_of(delta.bits):
-                    kept_per_q[qid] = kept_per_q.get(qid, 0) + 1
-        return self.decorations.apply(kept, self.meter)
-
     def _advance_reference(self):
         new_deltas = self.reader.read_new()
         if self.consolidate_reads and new_deltas:
@@ -301,13 +183,15 @@ class SourceExec:
                     self.kept_per_q[qid] = self.kept_per_q.get(qid, 0) + 1
         return self.decorations.apply(kept, self.meter)
 
+    advance = _advance_reference
+
 
 class _JoinArtifacts:
     """Compiled key getters of one join node (shareable).
 
     ``left_index``/``right_index`` carry the column position for
-    single-column keys (the overwhelmingly common case) so the batched
-    loops index the row directly instead of calling the getter closure.
+    single-column keys (the overwhelmingly common case) so the arranged
+    probe indexes the row directly instead of calling the getter closure.
     """
 
     __slots__ = ("left_key", "right_key", "left_index", "right_index")
@@ -406,130 +290,6 @@ class JoinExec:
         self.out_per_q = {}
         self.decorations.reset_stats()
 
-    def advance(self):
-        if HOTPATH.batched:
-            return self._advance_batched()
-        return self._advance_reference()
-
-    def _advance_batched(self):
-        left_deltas = self.left.advance()
-        right_deltas = self.right.advance()
-        self.meter.charge_input(self.name, len(left_deltas) + len(right_deltas))
-        out = []
-        if self._left_arranged is not None or self._right_arranged is not None:
-            self._advance_arranged(left_deltas, right_deltas, out)
-        else:
-            if left_deltas:
-                # probe new left deltas against the old right state,
-                # installing each into the left table as it goes (fused:
-                # installs only touch the delta's own side, so per-delta
-                # probe/install interleaving emits exactly the two-pass
-                # reference order)
-                self._private_entries += self._process_batch(
-                    left_deltas, self._right_table, self._left_table,
-                    self._left_index, self._left_key, out, True,
-                )
-            if right_deltas:
-                # probe new right deltas against the *new* left state
-                self._private_entries += self._process_batch(
-                    right_deltas, self._left_table, self._right_table,
-                    self._right_index, self._right_key, out, False,
-                )
-        self.meter.charge_output(self.name, len(out))
-        if self.state_factor:
-            self.meter.charge_state(self.name, self.state_factor * self.entry_count)
-        if self.stats_mode:
-            self.in_left += len(left_deltas)
-            self.in_right += len(right_deltas)
-            self.out_total += len(out)
-            _count_per_q(left_deltas, self.in_left_per_q)
-            _count_per_q(right_deltas, self.in_right_per_q)
-            _count_per_q(out, self.out_per_q)
-        return self.decorations.apply(out, self.meter)
-
-    @staticmethod
-    def _process_batch(deltas, probe_table, own_table, key_index, key_fn,
-                       out, left_side):
-        """Fused probe + install of one side's deltas; returns the
-        entry-count change.
-
-        Installs mutate ``own_table`` only, so probing ``probe_table``
-        per delta while installing preserves the reference path's
-        probe-all-then-install-all output order exactly.  The loop body
-        constructs output deltas inline (no constructor frames) and the
-        two ``left_side`` variants exist so the row-concatenation order
-        is branch-free per output.  Installs delete empty slots eagerly,
-        so a stored net multiplicity is never 0 here.
-        """
-        probe_get = probe_table.get
-        own_get = own_table.get
-        append = out.append
-        extend = out.extend
-        new = _NEW
-        cls = Delta
-        entries = 0
-        for delta in deltas:
-            row_d = delta.row
-            sign_d = delta.sign
-            bits_d = delta.bits
-            if key_index is None:
-                key = key_fn(row_d)
-            else:
-                key = row_d[key_index]
-            matches = probe_get(key)
-            if matches:
-                if left_side:
-                    for (other_row, other_bits), net in matches.items():
-                        bits = bits_d & other_bits
-                        if bits == 0:
-                            continue
-                        record = new(cls)
-                        record.row = row_d + other_row
-                        record.bits = bits
-                        if net > 0:
-                            record.sign = sign_d
-                        else:
-                            record.sign = -sign_d
-                            net = -net
-                        if net == 1:
-                            append(record)
-                        else:
-                            extend([record] * net)
-                else:
-                    for (other_row, other_bits), net in matches.items():
-                        bits = bits_d & other_bits
-                        if bits == 0:
-                            continue
-                        record = new(cls)
-                        record.row = other_row + row_d
-                        record.bits = bits
-                        if net > 0:
-                            record.sign = sign_d
-                        else:
-                            record.sign = -sign_d
-                            net = -net
-                        if net == 1:
-                            append(record)
-                        else:
-                            extend([record] * net)
-            entry = own_get(key)
-            if entry is None:
-                entry = own_table[key] = {}
-            slot = (row_d, bits_d)
-            previous = entry.get(slot, 0)
-            net = previous + sign_d
-            if net == 0:
-                # previous was +-1, so the slot existed and empties out
-                del entry[slot]
-                if not entry:
-                    del own_table[key]
-                entries -= 1
-            else:
-                entry[slot] = net
-                if previous == 0:
-                    entries += 1
-        return entries
-
     def _advance_reference(self):
         left_deltas = self.left.advance()
         right_deltas = self.right.advance()
@@ -568,15 +328,16 @@ class JoinExec:
             _count_per_q(out, self.out_per_q)
         return self.decorations.apply(out, self.meter)
 
+    advance = _advance_reference
+
     def _advance_arranged(self, left_deltas, right_deltas, out):
         """The four-pass advance with arranged sides swapped in.
 
-        Pass order matches the fused/reference paths exactly: probe left
-        against the *old* right state, install left, probe right against
-        the *new* left state, install right.  An arranged side's install
-        is ``advance_to`` on the shared index (a no-op past the first
-        reader of the batch); a private side falls back to the per-tuple
-        reference loops, which emit the same outputs as the fused path.
+        Pass order matches the private path exactly: probe left against
+        the *old* right state, install left, probe right against the
+        *new* left state, install right.  An arranged side's install is
+        ``advance_to`` on the shared index (a no-op past the first
+        reader of the batch); a private side runs the per-tuple loops.
         """
         la = self._left_arranged
         ra = self._right_arranged
@@ -866,10 +627,10 @@ _AGG_KINDS = {"sum": 0, "count": 1, "avg": 2}  # anything else: min/max = 3
 class _AggregateArtifacts:
     """Compiled group-key getter and input closures of one aggregate node.
 
-    They serve the per-tuple reference path and the columnar exactness
-    ledger (the batched absorb loop is generated whole,
+    They serve the per-tuple reference path and the production
+    aggregate's exactness ledger (its absorb loop is generated whole,
     :func:`~repro.physical.fused.fused_absorb_kernel`); ``spec_kinds``
-    int-codes each aggregate function for the columnar vector lane.
+    int-codes each aggregate function for the vector lane.
     """
 
     __slots__ = ("group_key", "input_fns", "spec_kinds")
@@ -900,7 +661,7 @@ class AggregateExec:
     """
 
     def __init__(self, node, child, subplan_mask, meter, stats_mode=False,
-                 state_factor=0.0):
+                 state_factor=0.0, decorations=None):
         self.node = node
         self.child = child
         self.subplan_mask = subplan_mask
@@ -913,12 +674,12 @@ class AggregateExec:
         self.specs = node.aggs
         self._input_fns = artifacts.input_fns
         self._spec_kinds = artifacts.spec_kinds
-        self._absorb_kernel = None  # generated on first batched absorb
+        self._absorb_kernel = None  # generated on first row-lane absorb
         self.groups = {}
         self.last_emitted = {}
         self._sort_prefix = {}  # live group key -> its part of the sort key
         self._touched = set()
-        self.decorations = Decorations(node, stats_mode)
+        self.decorations = decorations or Decorations(node, stats_mode)
         self.stats_mode = stats_mode
         self.in_total = 0
         self.in_per_q = {}
@@ -940,21 +701,14 @@ class AggregateExec:
 
     def advance(self):
         deltas = self.child.advance()
-        if FAULTS.drop_agg_retraction and HOTPATH.batched:
-            # test-only injected bug: see repro.physical.faults
-            deltas = drop_first_retraction(deltas)
         self.meter.charge_input(self.name, len(deltas))
         if self.stats_mode:
             self.in_total += len(deltas)
             _count_per_q(deltas, self.in_per_q)
             self.in_deletes += sum(1 for d in deltas if d.sign == DELETE)
-        if HOTPATH.batched:
-            self._absorb_batch(map(_TRIPLE, deltas))
-            out = self._emit_batched()
-        else:
-            for delta in deltas:
-                self._absorb(delta)
-            out = self._emit()
+        for delta in deltas:
+            self._absorb(delta)
+        out = self._emit()
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
             self.meter.charge_state(self.name, self.state_factor * self.state_count)
@@ -962,11 +716,11 @@ class AggregateExec:
             self.out_total += len(out)
         return self.decorations.apply(out, self.meter)
 
-    # -- batched hot path ----------------------------------------------------
+    # -- inherited by the production aggregate (physical/columnar.py) ---------
 
     def _absorb_batch(self, triples):
         # Takes ``(row, sign, bits)`` triples, not Delta objects, so the
-        # columnar row lane feeds it straight off a batch's lists.  The
+        # row lane feeds it straight off a batch's lists.  The
         # loop is generated per node (group key, input expressions and
         # each spec's state update inlined), the first time it runs.
         kernel = self._absorb_kernel
@@ -1043,14 +797,21 @@ class AggregateExec:
                 last_emitted.pop(key, None)
         self._touched.clear()
         self.state_count = state_count
+        width = len(self.node.group_by) + len(self.specs)
         if not emissions:
-            return []
+            return ColumnBatch.empty(width)
         # deterministic order: deletions first so downstream never sees a
         # transient duplicate, then insertions
-        ordered = sorted(emissions.items(), key=lambda item: item[1][0])
-        return [
-            make_delta(row, sign, entry[1]) for (row, sign), entry in ordered
-        ]
+        rows = []
+        signs = []
+        bits = []
+        for (row, sign), entry in sorted(
+            emissions.items(), key=lambda item: item[1][0]
+        ):
+            rows.append(row)
+            signs.append(sign)
+            bits.append(entry[1])
+        return ColumnBatch.from_rows(rows, signs, bits, width)
 
     # -- per-tuple reference path --------------------------------------------
 

@@ -34,11 +34,8 @@ from repro.errors import ExecutionError
 from repro.logical.builder import PlanBuilder
 from repro.mqo.merge import build_unshared_plan
 from repro.obs import OBS
-from repro.physical.hotpath import (
-    clear_compiled_caches,
-    columnar_available,
-    engine_mode,
-)
+from repro.physical import columnar as columnar_mod
+from repro.physical.hotpath import clear_compiled_caches, engine_mode
 from repro.relational.expressions import agg_sum, col
 from repro.relational.tuples import Delta
 from repro.workloads.constraints import uniform_constraints
@@ -124,12 +121,14 @@ class TestArrangedExactness:
         private = run_with(plan, paces, batched=False, arrangements=False)
         assert fingerprint(arranged) == fingerprint(private)
 
-    @pytest.mark.skipif(not columnar_available(), reason="requires numpy")
-    def test_columnar_paths_bit_identical(self, fanout_setup):
+    def test_columnar_paths_bit_identical(self, fanout_setup, monkeypatch):
+        # each lane forced on every batch: the vector lane, then the row lane
         plan, paces = fanout_setup
-        arranged = run_with(plan, paces, columnar=True, arrangements=True)
-        private = run_with(plan, paces, columnar=True, arrangements=False)
-        assert fingerprint(arranged) == fingerprint(private)
+        for lane_max in (0, 1 << 30):
+            monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+            arranged = run_with(plan, paces, arrangements=True)
+            private = run_with(plan, paces, arrangements=False)
+            assert fingerprint(arranged) == fingerprint(private), lane_max
 
     def test_mixed_shared_plan_bit_identical(self):
         # toy shared plan: filtered scans stay private, bare scans share
@@ -398,7 +397,6 @@ class TestArrangeableSide:
 # -- satellite: columnar join-side compaction under churn --------------------------
 
 
-@pytest.mark.skipif(not columnar_available(), reason="requires numpy")
 class TestColumnarSideCompaction:
     def _sides(self, executor):
         _, _, compiled, _, _ = executor._runtime
@@ -415,12 +413,15 @@ class TestColumnarSideCompaction:
                     if nxt is not None and hasattr(nxt, "advance"):
                         stack.append(nxt)
 
-    def test_dead_slots_stay_bounded(self):
+    def test_dead_slots_stay_bounded(self, monkeypatch):
+        # every batch on the row lane, which is bit-identical to the
+        # reference whatever the toy batch sizes are
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
         catalog = add_event_churn(make_toy_catalog(seed=41), fraction=0.6)
         plan = build_unshared_plan(catalog, single_join_queries(catalog, 2))
         paces = {s.sid: 3 for s in plan.subplans}
         clear_compiled_caches()
-        with engine_mode(columnar=True, arrangements=False):
+        with engine_mode(arrangements=False):
             executor = PlanExecutor(plan, StreamConfig())
             run = executor.run(paces)
             sides = list(self._sides(executor))
@@ -431,9 +432,9 @@ class TestColumnarSideCompaction:
             # the trigger threshold)
             assert state.dead <= max(32, state.live)
         # compaction preserved per-key probe order: still bit-identical
-        # to the batched row path
-        batched = run_with(plan, paces, batched=True, arrangements=False)
-        assert fingerprint(run) == fingerprint(batched)
+        # to the per-tuple reference
+        reference = run_with(plan, paces, batched=False, arrangements=False)
+        assert fingerprint(run) == fingerprint(reference)
 
 
 # -- satellite: buffer occupancy gauge refreshes on compaction ---------------------

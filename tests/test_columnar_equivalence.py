@@ -1,30 +1,34 @@
-"""Work-exact equivalence of the columnar backend against the batched path.
+"""The production operators' two lanes against the per-tuple reference.
 
-Mirror of ``test_hotpath_equivalence``: the columnar backend
-(``engine_mode(columnar=True)``, docs/PERFORMANCE.md) must charge the
-WorkMeter *exactly* like the batched path on the fig11 workload -- every
-work/latency number bit-identical -- because both paths count the same
-logical deltas, just in different memory layouts.  Query results are
-compared with the engine's standard float tolerance (array segment sums
-may associate differently).
+Mirror of ``test_hotpath_equivalence``: on the fig11 workload the
+production operators (docs/PERFORMANCE.md) must charge the WorkMeter
+*exactly* like the reference at every lane choice -- the default size
+dispatch, every batch forced onto the vector lane, every batch forced
+onto the row lane -- because all of them count the same logical deltas,
+just in different memory layouts.  Query results are bit-identical on
+the row lane and compared with the engine's standard float tolerance
+wherever the vector lane may run (array segment sums may associate
+differently).
 
-The buffer segment passthrough (columnar producers park ``ColumnBatch``
-segments in buffers; deltas materialize only when a plain consumer needs
-them) gets direct unit coverage at the bottom.
+The buffer segment passthrough (producers park ``ColumnBatch`` segments
+in buffers; deltas materialize only when a plain consumer needs them)
+gets direct unit coverage at the bottom, and the two inputs that rule
+the vector lane out -- no NumPy, query ids of 62 and above -- at the
+very end.
 """
+
+import subprocess
+import sys
 
 import pytest
 
+from repro.engine import columns
 from repro.engine.buffers import Buffer
-from repro.engine.columns import ColumnBatch
+from repro.engine.columns import ColumnBatch, as_deltas
 from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
-from repro.physical.hotpath import (
-    clear_compiled_caches,
-    columnar_available,
-    engine_mode,
-)
+from repro.physical.hotpath import clear_compiled_caches, engine_mode
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
     ALL_QUERY_NAMES,
@@ -36,9 +40,8 @@ from repro.workloads.tpch import (
 from .expression_spec import evaluate
 from .util import shared_plan_for
 
-pytestmark = pytest.mark.skipif(
-    not columnar_available(),
-    reason="columnar backend needs numpy",
+needs_numpy = pytest.mark.skipif(
+    not columns.available(), reason="the vector lane needs numpy",
 )
 
 
@@ -76,32 +79,40 @@ def run_with(plan, paces, **mode):
         return executor.run(paces)
 
 
-def assert_columnar_equivalent(columnar, batched, queries):
-    assert work_fingerprint(columnar) == work_fingerprint(batched)
-    assert set(columnar.query_results) == set(batched.query_results)
+def assert_columnar_equivalent(columnar, reference, queries):
+    """Exactly equal work, tolerance-close results."""
+    assert work_fingerprint(columnar) == work_fingerprint(reference)
+    assert set(columnar.query_results) == set(reference.query_results)
     for query in queries:
         assert_results_close(
             columnar.query_results[query.query_id],
-            batched.query_results[query.query_id],
-            context="columnar vs batched: %s" % query.name,
+            reference.query_results[query.query_id],
+            context="columnar vs reference: %s" % query.name,
         )
 
 
+@needs_numpy
 class TestFig11WorkIdentity:
-    def test_columnar_matches_batched(self, fig11_setup):
+    def test_columnar_matches_reference(self, fig11_setup):
         plan, paces, queries = fig11_setup
-        batched = run_with(plan, paces, batched=True)
-        columnar = run_with(plan, paces, batched=True, columnar=True)
+        reference = run_with(plan, paces, batched=False)
+        columnar = run_with(plan, paces, batched=True)
         assert columnar.metadata["engine_mode"] == "columnar"
-        assert batched.metadata["engine_mode"] == "batched"
-        assert_columnar_equivalent(columnar, batched, queries)
+        assert reference.metadata["engine_mode"] == "reference"
+        assert_columnar_equivalent(columnar, reference, queries)
 
-    def test_uniform_pace_identity(self, fig11_setup):
+    def test_uniform_pace_identity(self, fig11_setup, monkeypatch):
+        # a threshold inside this catalog's batch sizes (its largest
+        # table has 528 rows): lanes alternate batch by batch, operator
+        # by operator, over shared state
+        from repro.physical import columnar as columnar_mod
+
         plan, _, queries = fig11_setup
         paces = {subplan.sid: 3 for subplan in plan.subplans}
-        batched = run_with(plan, paces, batched=True)
-        columnar = run_with(plan, paces, batched=True, columnar=True)
-        assert_columnar_equivalent(columnar, batched, queries)
+        reference = run_with(plan, paces, batched=False)
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 64)
+        columnar = run_with(plan, paces, batched=True)
+        assert_columnar_equivalent(columnar, reference, queries)
 
     def test_forced_vector_lane(self, fig11_setup, monkeypatch):
         # ROW_LANE_MAX = 0 sends every non-empty batch of every operator
@@ -112,21 +123,22 @@ class TestFig11WorkIdentity:
         from repro.physical import columnar as columnar_mod
 
         plan, paces, queries = fig11_setup
-        batched = run_with(plan, paces, batched=True)
+        reference = run_with(plan, paces, batched=False)
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 0)
-        columnar = run_with(plan, paces, batched=True, columnar=True)
-        assert_columnar_equivalent(columnar, batched, queries)
+        columnar = run_with(plan, paces, batched=True)
+        assert_columnar_equivalent(columnar, reference, queries)
 
     def test_forced_row_lane(self, fig11_setup, monkeypatch):
         # the inverse: a huge threshold keeps every batch of every
-        # operator on the row lane, which must also match batched exactly
+        # operator on the row lane, which is the reference bit for bit
         from repro.physical import columnar as columnar_mod
 
-        plan, paces, queries = fig11_setup
-        batched = run_with(plan, paces, batched=True)
+        plan, paces, _ = fig11_setup
+        reference = run_with(plan, paces, batched=False)
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
-        columnar = run_with(plan, paces, batched=True, columnar=True)
-        assert_columnar_equivalent(columnar, batched, queries)
+        columnar = run_with(plan, paces, batched=True)
+        assert work_fingerprint(columnar) == work_fingerprint(reference)
+        assert columnar.query_results == reference.query_results
 
     def test_row_lane_fused_and_unfused_agree_on_every_batch(
         self, fig11_setup, monkeypatch
@@ -168,8 +180,7 @@ class TestFig11WorkIdentity:
             monkeypatch.setattr(columnar_mod, name, recording(kind))
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 0)
         clear_compiled_caches()
-        with engine_mode(batched=True, columnar=True):
-            PlanExecutor(plan, StreamConfig()).run(paces)
+        PlanExecutor(plan, StreamConfig()).run(paces)
         monkeypatch.undo()
 
         nodes = [
@@ -181,19 +192,18 @@ class TestFig11WorkIdentity:
         }
         assert by_kind["src"] == {n.uid for n in nodes if n.kind == "source"}
         # only aggregates that absorbed a non-empty batch at this scale
-        # (aggregates emit rows through the batched decorations; their
-        # fused part is the input-expression kernel)
         assert by_kind["agg"] and by_kind["agg"] <= {
             n.uid for n in nodes if n.kind == "aggregate"
         }
-        # an empty batch returns before any lane runs, so a join records
-        # only the non-empty ones; every join's decorations are replayed
-        # on an empty batch too, which keeps coverage at all joins
-        # whatever fig11's traffic looks like
-        joins = [n for n in nodes if n.kind == "join"]
-        assert by_kind["deco"] <= {n.uid for n in joins}
+        # an empty batch returns before any lane runs, so a join or an
+        # aggregate records only its non-empty outputs; every one's
+        # decorations are replayed on an empty batch too, which keeps
+        # coverage at all of them whatever fig11's traffic looks like
+        decorated = [n for n in nodes if n.kind != "source"]
+        assert by_kind["deco"] <= {n.uid for n in decorated}
         deco_calls = [
-            (node, ColumnBatch.empty(len(node.core_schema))) for node in joins
+            (node, ColumnBatch.empty(len(node.core_schema)))
+            for node in decorated
         ] + [(node, batch) for node, (batch, _) in calls["deco"]]
 
         #: (ROW_LANE_MAX, stats_mode): row lane, fused kernel, unfused chain
@@ -276,13 +286,12 @@ class TestFig11WorkIdentity:
                 if lane_max is None:
                     # the per-tuple reference path: no generated code
                     aggregate.child.batch = batch.to_deltas()
-                    with engine_mode(batched=False):
-                        out = aggregate.advance()
+                    out = aggregate.advance()
                 else:
                     monkeypatch.setattr(
                         columnar_mod, "ROW_LANE_MAX", lane_max)
                     aggregate.child.batch = batch
-                    out = aggregate.advance()
+                    out = aggregate.advance().to_deltas()
                 # value types ride along: (3,) == (3.0,) == (True,)
                 emitted.append([
                     (d.row, tuple(map(type, d.row)), d.sign, d.bits)
@@ -309,13 +318,16 @@ class TestFig11WorkIdentity:
 
     def test_fused_kernels_actually_fire(self, fig11_setup, monkeypatch):
         # guard against the replay test passing vacuously because fusion
-        # silently stopped engaging: at the default threshold the fig11
-        # run must still hand batches above ROW_LANE_MAX to every kernel
-        # family, and batches at or below it to the row lane
+        # silently stopped engaging: the size dispatch must hand batches
+        # above ROW_LANE_MAX to every kernel family, and batches at or
+        # below it to the row lane.  The threshold is lowered to split
+        # this catalog's traffic (its largest table has 528 rows, far
+        # below the default).
         from repro.physical import columnar as columnar_mod
         from repro.physical import hotpath
 
         plan, paces, _ = fig11_setup
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 64)
         sizes = {kind: [] for kind in _FUSED_GETTERS}
 
         def counting(kind):
@@ -345,13 +357,12 @@ class TestFig11WorkIdentity:
             columnar_mod.ColumnarDecorations, "apply_rows", spy
         )
         clear_compiled_caches()
-        with engine_mode(batched=True, columnar=True):
-            PlanExecutor(plan, StreamConfig()).run(paces)
-            kernels = [
-                artifact
-                for (kind, _), artifact in hotpath._ARTIFACTS.items()
-                if isinstance(kind, str) and kind.startswith("fused-")
-            ]
+        PlanExecutor(plan, StreamConfig()).run(paces)
+        kernels = [
+            artifact
+            for (kind, _), artifact in hotpath._ARTIFACTS.items()
+            if isinstance(kind, str) and kind.startswith("fused-")
+        ]
         assert kernels, "no fused kernels were compiled during the run"
         assert all(hasattr(k, "fused_source") for k in kernels)
         threshold = columnar_mod.ROW_LANE_MAX
@@ -495,14 +506,15 @@ def _assert_meters_identical(first, *others):
                                        other.rescan_units, other.state_units)
 
 
+@needs_numpy
 class TestRowLaneBoundary:
     """The size dispatch at its edge, on a hand-built pipeline.
 
     ``source(filters, projection) JOIN source -> aggregate`` is fed
     batches of ``ROW_LANE_MAX - 1``, ``ROW_LANE_MAX`` and
     ``ROW_LANE_MAX + 1`` rows, an all-filtered batch and an empty one;
-    the columnar tree must emit and charge exactly what the batched tree
-    does whichever lane each operator picks, ``n <= ROW_LANE_MAX`` must
+    the production tree must emit and charge exactly what the reference
+    tree does whichever lane each operator picks, ``n <= ROW_LANE_MAX`` must
     be the comparison, and an all-empty execution must hand out the
     shared empty batch instead of allocating one.
     """
@@ -582,7 +594,7 @@ class TestRowLaneBoundary:
             for i in range(start, start + n)
         ]
 
-    def test_lanes_agree_with_batched_around_the_threshold(self, monkeypatch):
+    def test_lanes_match_reference_around_the_threshold(self, monkeypatch):
         from repro.physical import columnar as columnar_mod
 
         lane = columnar_mod.ROW_LANE_MAX
@@ -608,43 +620,43 @@ class TestRowLaneBoundary:
         )
         monkeypatch.setattr(columnar_mod, "fused_source_kernel", spy_kernel)
         clear_compiled_caches()
-        with engine_mode(batched=True):
-            nodes = self._nodes()
-            batched, batched_buffers, batched_meter = self._tree(nodes, False)
-            columnar, columnar_buffers, columnar_meter = self._tree(
-                nodes, True
-            )
-            right_rows = [Delta((k, "g%d" % (k % 3)), 1, -1) for k in range(7)]
-            steps = [
-                ([], right_rows),
-                (self._left_rows(lane - 1, 0), []),
-                (self._left_rows(lane, 1000), []),
-                (self._left_rows(lane + 1, 2000), []),
-                (self._left_rows(lane, 3000, passing=False), []),
-                ([], []),
-                # retractions: the aggregate's MIN/MAX rescans and AVG
-                # resets must agree across lanes too
-                ([Delta(d.row, -1, d.bits)
-                  for d in self._left_rows(lane + 1, 2000)], []),
-                ([Delta(d.row, -1, d.bits)
-                  for d in self._left_rows(5, 1000)], right_rows[:2]),
+        nodes = self._nodes()
+        reference, reference_buffers, reference_meter = self._tree(
+            nodes, False
+        )
+        columnar, columnar_buffers, columnar_meter = self._tree(nodes, True)
+        right_rows = [Delta((k, "g%d" % (k % 3)), 1, -1) for k in range(7)]
+        steps = [
+            ([], right_rows),
+            (self._left_rows(lane - 1, 0), []),
+            (self._left_rows(lane, 1000), []),
+            (self._left_rows(lane + 1, 2000), []),
+            (self._left_rows(lane, 3000, passing=False), []),
+            ([], []),
+            # retractions: the aggregate's MIN/MAX rescans and AVG
+            # resets must agree across lanes too
+            ([Delta(d.row, -1, d.bits)
+              for d in self._left_rows(lane + 1, 2000)], []),
+            ([Delta(d.row, -1, d.bits)
+              for d in self._left_rows(5, 1000)], right_rows[:2]),
+        ]
+        for left_deltas, right_deltas in steps:
+            for buffers in (reference_buffers, columnar_buffers):
+                buffers[0].append(left_deltas)
+                buffers[1].append(right_deltas)
+            expected = reference.advance()
+            got = columnar.advance().to_deltas()
+            assert [(d.row, d.sign, d.bits) for d in got] == [
+                (d.row, d.sign, d.bits) for d in expected
             ]
-            for left_deltas, right_deltas in steps:
-                for buffers in (batched_buffers, columnar_buffers):
-                    buffers[0].append(left_deltas)
-                    buffers[1].append(right_deltas)
-                expected = batched.advance()
-                got = columnar.advance()
-                assert [(d.row, d.sign, d.bits) for d in got] == [
-                    (d.row, d.sign, d.bits) for d in expected
-                ]
-                _assert_python_typed(d.row for d in got)
-                _assert_meters_identical(columnar_meter, batched_meter)
-                if not left_deltas and not right_deltas:
-                    # an all-empty execution allocates no batch at all
-                    join = columnar.child
-                    assert join.left.advance() is ColumnBatch.empty(3)
-                    assert join.advance() is ColumnBatch.empty(5)
+            _assert_python_typed(d.row for d in got)
+            _assert_meters_identical(columnar_meter, reference_meter)
+            if not left_deltas and not right_deltas:
+                # an all-empty execution allocates no batch at all
+                join = columnar.child
+                assert join.left.advance() is ColumnBatch.empty(3)
+                assert join.advance() is ColumnBatch.empty(5)
+                assert columnar.advance() is ColumnBatch.empty(5)
         # the left source saw lane-1, lane, lane+1, lane, 0, lane+1, 5 rows:
         # exactly the two lane+1 batches reached the fused kernel
         assert kernel_sizes == [lane + 1, lane + 1]
@@ -689,9 +701,10 @@ class TestRowLaneBoundary:
             emitted = []
             for batch in ([Delta(("a", 0.1), 1, 1)], churn):
                 feed.batch = batch
-                emitted.append(
-                    [(d.row, d.sign, d.bits) for d in aggregate.advance()]
-                )
+                emitted.append([
+                    (d.row, d.sign, d.bits)
+                    for d in as_deltas(aggregate.advance())
+                ])
             outputs.append((emitted, meter.snapshot()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0][1]  # the churn batch did move the sum
@@ -732,6 +745,7 @@ class TestRowLaneBoundary:
                 assert aggregate._exact_ok == [exact], lane_max
 
 
+@needs_numpy
 class TestListBackedSignsBits:
     """A row-lane batch carries its signs and bits as the lists its
     kernel produced; arrays appear only when something reads them."""
@@ -837,6 +851,7 @@ class TestListBackedSignsBits:
         assert empty.to_deltas() == []
 
 
+@needs_numpy
 class TestGeneratedCodeFailures:
     """A predicate that raises propagates the exception the closure
     chain raised, through a frame whose source line is the generated
@@ -886,23 +901,23 @@ class TestGeneratedCodeFailures:
         assert innermost.line  # traceback found the generated source
         assert innermost.line == linecache.getline(
             innermost.filename, innermost.lineno).strip()
-        # the batched path raises the same exception type
+        # the per-tuple reference raises the same exception type
         from repro.physical import operators
 
         source = self._source(predicate, rows, columnar_mod)
-        batched = operators.SourceExec(
+        reference = operators.SourceExec(
             source.node, source.reader, 1, source.meter)
-        with engine_mode(batched=True), pytest.raises(error):
-            batched.advance()
+        with pytest.raises(error):
+            reference.advance()
 
 
 class TestEmissionOrder:
     def test_memoised_sort_prefix_keeps_the_emission_order(
         self, fig11_setup, monkeypatch
     ):
-        # every aggregate emission of the fig11 run, both backends: the
-        # order built from memoised group-key prefixes must be the order
-        # of the full per-row sort key
+        # every aggregate emission of the fig11 run: the order built from
+        # memoised group-key prefixes must be the order of the full
+        # per-row sort key (which is how the reference sorts)
         from repro.physical import operators
 
         plan, paces, _ = fig11_setup
@@ -911,13 +926,12 @@ class TestEmissionOrder:
 
         def spy(self):
             out = emit(self)
-            emissions.append(out)
+            emissions.append(out.to_deltas())
             return out
 
         monkeypatch.setattr(operators.AggregateExec, "_emit_batched", spy)
         run_with(plan, paces, batched=True)
-        run_with(plan, paces, batched=True, columnar=True)
-        assert sum(map(len, emissions)) > 1000
+        assert sum(map(len, emissions)) > 500
         assert any(
             len({d.row[0] for d in out}) > 1 and len(out[0].row) > 1
             for out in emissions if out
@@ -929,32 +943,36 @@ class TestEmissionOrder:
 
 class TestModeFlipOnOneExecutor:
     def test_reused_executor_recompiles_across_backends(self, fig11_setup):
-        """One reused executor flipped columnar -> batched -> columnar.
+        """One reused executor flipped reference -> production -> reference.
 
         The flip is the hard case for the buffer segment passthrough: a
-        columnar run leaves no pending segments behind (every run ends
-        with result collection), and the rebuilt batched tree must read
-        the reset buffers identically.
+        production run leaves no pending segments behind (every run ends
+        with result collection), and the rebuilt reference tree must
+        read the reset buffers identically.
         """
         plan, paces, queries = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True):
+        with engine_mode(batched=False):
             executor = PlanExecutor(plan, StreamConfig())
-            batched_first = executor.run(paces)
-        with engine_mode(batched=True, columnar=True):
-            columnar = executor.run(paces)
+            reference_first = executor.run(paces)
         with engine_mode(batched=True):
-            batched_again = executor.run(paces)
-        assert work_fingerprint(batched_first) == work_fingerprint(
-            batched_again
+            columnar = executor.run(paces)
+        with engine_mode(batched=False):
+            reference_again = executor.run(paces)
+        assert [
+            run.metadata["engine_mode"]
+            for run in (reference_first, columnar, reference_again)
+        ] == ["reference", "columnar", "reference"]
+        assert work_fingerprint(reference_first) == work_fingerprint(
+            reference_again
         )
-        assert batched_first.query_results == batched_again.query_results
-        assert_columnar_equivalent(columnar, batched_first, queries)
+        assert reference_first.query_results == reference_again.query_results
+        assert_columnar_equivalent(columnar, reference_first, queries)
 
     def test_columnar_tree_reuse_is_deterministic(self, fig11_setup):
         plan, paces, _ = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, columnar=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             first = executor.run(paces)
             second = executor.run(paces)  # reused columnar tree
@@ -1112,59 +1130,138 @@ class TestSegmentPassthroughEdgeCases:
 
         monkeypatch.setattr(ColumnBatch, "to_deltas", spy)
         clear_compiled_caches()
-        with engine_mode(batched=True, columnar=True):
-            PlanExecutor(plan, StreamConfig()).run(
-                paces, collect_results=False
-            )
-            assert calls == []  # no sink read -> no deltas, ever
-            result = PlanExecutor(plan, StreamConfig()).run(
-                paces, collect_results=True
-            )
+        PlanExecutor(plan, StreamConfig()).run(paces, collect_results=False)
+        assert calls == []  # no sink read -> no deltas, ever
+        result = PlanExecutor(plan, StreamConfig()).run(
+            paces, collect_results=True
+        )
         assert calls != []  # result collection is the only consumer
         assert result.query_results
 
 
-def test_calibration_under_columnar_matches_batched():
-    """The stats walker must know the columnar operator classes.
+def _toy_queries(catalog, query_ids=(0, 1, 2)):
+    from .util import toy_query_max, toy_query_region, toy_query_total
+
+    makers = (toy_query_total, toy_query_region, toy_query_max)
+    return [make(catalog, qid) for make, qid in zip(makers, query_ids)]
+
+
+@needs_numpy
+def test_calibration_under_columnar_matches_reference():
+    """The stats walker must know the production operator classes.
 
     Calibration runs a stats-mode batch execution and walks the compiled
-    tree; under ``REPRO_ENGINE_COLUMNAR=1`` that tree is columnar, and
-    the collected per-node statistics must equal the batched path's
-    (work identity makes every count the same).
+    tree; the statistics collected from the production tree (its vector
+    closures, at every size) must equal the reference's (work identity
+    makes every count the same).
     """
     from repro.cost.cache import serialize_stats
     from repro.engine.calibrate import calibrate_plan
 
-    from .util import (
-        make_toy_catalog,
-        toy_query_max,
-        toy_query_region,
-        toy_query_total,
-    )
+    from .util import make_toy_catalog
 
     catalog = make_toy_catalog()
-    queries = [
-        toy_query_total(catalog),
-        toy_query_region(catalog),
-        toy_query_max(catalog),
-    ]
-    batched_plan = shared_plan_for(catalog, queries)
+    queries = _toy_queries(catalog)
+    reference_plan = shared_plan_for(catalog, queries)
     columnar_plan = shared_plan_for(catalog, queries)
     clear_compiled_caches()
-    with engine_mode(batched=True):
-        calibrate_plan(batched_plan, StreamConfig())
+    with engine_mode(batched=False):
+        reference = calibrate_plan(reference_plan, StreamConfig())
     clear_compiled_caches()
-    with engine_mode(batched=True, columnar=True):
-        calibrate_plan(columnar_plan, StreamConfig())
-    assert serialize_stats(columnar_plan) == serialize_stats(batched_plan)
+    with engine_mode(batched=True):
+        columnar = calibrate_plan(columnar_plan, StreamConfig())
+    assert columnar.run.metadata["engine_mode"] == "columnar"
+    assert serialize_stats(columnar_plan) == serialize_stats(reference_plan)
+    assert columnar.run.total_work == reference.run.total_work
 
 
 def test_fuzz_oracle_matrix_includes_columnar():
-    """The fuzzer's oracle matrix must keep the columnar legs pinned."""
+    """The fuzzer's oracle matrix must keep every lane pinned."""
     import inspect
 
     from repro.fuzz import oracles
 
     source = inspect.getsource(oracles)
-    assert "shared-columnar" in source
-    assert "shared-columnar-vec" in source
+    assert '"shared-columnar"' in source
+    assert '"shared-columnar-rows"' in source
+    assert '"shared-columnar-vec"' in source
+
+
+# -- the two inputs without a vector lane ------------------------------------
+#
+# Without NumPy, or with a query id of 62 or more (no int64 bitvector),
+# the executor binds ``vector=False`` into every operator: the row lane
+# serves every batch size and calibration compiles the reference.  Both
+# must be the reference bit for bit -- results, every WorkMeter-derived
+# number, and the calibrated statistics.
+
+_ROW_LANE_ONLY = """
+import sys
+{block}
+sys.path.insert(0, {root!r})
+from repro.cost.cache import serialize_stats
+from repro.engine import columns
+from repro.engine.calibrate import calibrate_plan
+from repro.engine.executor import PlanExecutor
+from repro.engine.stream import StreamConfig
+from repro.physical import columnar
+from repro.physical.hotpath import engine_mode
+from tests.test_columnar_equivalence import _toy_queries, work_fingerprint
+from tests.util import make_toy_catalog, shared_plan_for
+
+assert columns.available() is {numpy}
+# any vector kernel would fire on these toy batches if it were allowed to
+columnar.ROW_LANE_MAX = 0
+catalog = make_toy_catalog()
+plan = shared_plan_for(catalog, _toy_queries(catalog, {query_ids!r}))
+paces = dict((s.sid, 2 if s.child_subplans() else 4) for s in plan.subplans)
+runs, stats = [], []
+for batched in (True, False):
+    with engine_mode(batched=batched):
+        calibration = calibrate_plan(plan, StreamConfig())
+        executor = PlanExecutor(plan, StreamConfig())
+        runs.append(executor.run(paces))
+    assert calibration.run.metadata["engine_mode"] == "reference"
+    stats.append((serialize_stats(plan), calibration.run.total_work,
+                  calibration.query_batch_work))
+    meters = dict(
+        (sid, unit.meter.snapshot()) for sid, unit in executor.compiled.items())
+    stats.append(meters)
+production, reference = runs
+assert production.metadata["engine_mode"] == "columnar"
+assert reference.metadata["engine_mode"] == "reference"
+assert len(production.query_results) == 3
+assert all(production.query_results.values())
+assert production.query_results == reference.query_results
+assert work_fingerprint(production) == work_fingerprint(reference)
+assert stats[0] == stats[2] and stats[1] == stats[3]
+print("row-lane-only ok", sorted(production.query_results))
+"""
+
+
+def _run_row_lane_only(block, numpy, query_ids):
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = _ROW_LANE_ONLY.format(
+        block=block, root=str(root / "src"), numpy=numpy, query_ids=query_ids,
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=str(root),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_without_numpy_the_row_lane_is_the_reference():
+    # ``sys.modules["numpy"] = None`` makes every ``import numpy`` raise
+    # ImportError in the child, before ``repro`` is first imported
+    out = _run_row_lane_only('sys.modules["numpy"] = None', False, (0, 1, 2))
+    assert "row-lane-only ok [0, 1, 2]" in out
+
+
+@needs_numpy
+def test_query_ids_past_int64_keep_the_row_lane():
+    out = _run_row_lane_only("", True, (3, 62, 81))
+    assert "row-lane-only ok [3, 62, 81]" in out

@@ -74,9 +74,33 @@ class TestInjectedBugDetection:
         )
         first = result.failures[0]
         assert any(
-            "diverges from reference" in line or "hotpath" in line
+            "diverges from reference" in line or "shared-columnar" in line
             for line in first.failures
         )
+
+    def test_the_bug_lives_in_the_production_aggregate(self, monkeypatch):
+        # the hook sits ahead of the production aggregate's lane
+        # dispatch, so the default dispatch and both forced lanes lose
+        # the retraction while the per-tuple reference does not ...
+        from repro.physical import columnar as columnar_mod
+
+        with inject_fault(drop_agg_retraction=True):
+            result = run_campaign(0, self.BUDGET)
+        lines = [line for failure in result.failures
+                 for line in failure.failures]
+        for oracle in ("shared-columnar", "shared-columnar-rows",
+                       "shared-columnar-vec"):
+            assert any(
+                line.startswith(oracle + ": total_work differs")
+                and "shared-unbatched" in line for line in lines
+            ), oracle
+        # ... and with the hook taken out of that aggregate the armed
+        # flag injects nothing: the self-test above would fail
+        monkeypatch.setattr(
+            columnar_mod, "drop_first_retraction", lambda batch: batch
+        )
+        with inject_fault(drop_agg_retraction=True):
+            assert run_campaign(0, self.BUDGET).failures == []
 
     def test_shrinker_minimizes_to_tiny_repro(self):
         with inject_fault(drop_agg_retraction=True):

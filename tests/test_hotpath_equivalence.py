@@ -1,14 +1,16 @@
-"""Bit-identity of the batched hot path against the per-tuple reference.
+"""Bit-identity of the production row lane against the per-tuple reference.
 
 The engine keeps the original per-tuple delta application as a switchable
-reference path (``repro.physical.hotpath``).  These tests are the hard
-constraint: the batched path, the compiled-artifact cache, operator
+reference path (``engine_mode(batched=False)``, ``repro.physical.hotpath``).
+These tests are the hard constraint: the production operators with every
+batch forced onto the row lane, the compiled-artifact cache, operator
 tree reuse, and in-place buffer compaction must leave every RunResult
 work/latency number and every query result *bit-identical* on the fig11
 workload (TPC-H, all 22 queries, update-stream churn included).  The
-artifact cache and tree reuse are unconditional, so they are checked by
-comparing a fresh executor over cleared caches against a second
-``run()`` on a warm one.
+vector lane's contract -- exact work, tolerance-close results -- lives in
+``test_columnar_equivalence``.  The artifact cache and tree reuse are
+unconditional, so they are checked by comparing a fresh executor over
+cleared caches against a second ``run()`` on a warm one.
 """
 
 import os
@@ -19,6 +21,7 @@ from repro.engine.buffers import Buffer
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
+from repro.physical import columnar as columnar_mod
 from repro.physical.hotpath import clear_compiled_caches, engine_mode
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
@@ -67,11 +70,20 @@ def run_with(plan, paces, **mode):
         return executor.run(paces)
 
 
+@pytest.fixture
+def row_lane(monkeypatch):
+    """Every batch of every production operator takes the row lane."""
+    monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
+
+
+@pytest.mark.usefixtures("row_lane")
 class TestFig11BitIdentity:
     def test_batched_matches_reference(self, fig11_setup):
         plan, paces = fig11_setup
         batched = run_with(plan, paces, batched=True)
         reference = run_with(plan, paces, batched=False)
+        assert batched.metadata["engine_mode"] == "columnar"
+        assert reference.metadata["engine_mode"] == "reference"
         assert fingerprint(batched) == fingerprint(reference)
 
     def test_each_toggle_is_individually_neutral(self, fig11_setup):
@@ -87,14 +99,16 @@ class TestFig11BitIdentity:
         # the baseline above is a fresh executor over cleared caches; a
         # second run() hits the artifact cache and reuses the tree
         plan, paces = fig11_setup
-        clear_compiled_caches()
-        with engine_mode(batched=False, arrangements=False):
-            executor = PlanExecutor(plan, StreamConfig())
-            cold = fingerprint(executor.run(paces))
-            warm = fingerprint(executor.run(paces))
-            # a second executor compiles a new tree from cached artifacts
-            cached = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
-        assert cold == warm == cached
+        for batched in (False, True):
+            clear_compiled_caches()
+            with engine_mode(batched=batched, arrangements=False):
+                executor = PlanExecutor(plan, StreamConfig())
+                cold = fingerprint(executor.run(paces))
+                warm = fingerprint(executor.run(paces))
+                # a second executor compiles a new tree from cached artifacts
+                cached = fingerprint(
+                    PlanExecutor(plan, StreamConfig()).run(paces))
+            assert cold == warm == cached, batched
 
     def test_uniform_pace_identity(self, fig11_setup):
         plan, _ = fig11_setup
@@ -206,6 +220,8 @@ def test_fig11_sweep_jobs2_bit_identical(monkeypatch, tmp_path):
 
     The pool ships the driver's engine mode to its workers
     (``repro.workers``), so ``engine_mode`` alone switches both legs.
+    The report tables are work-derived, and work is exact in both
+    lanes, so the default size dispatch runs here.
     """
     from repro.harness.experiments import fig11
 

@@ -6,7 +6,7 @@ executor at every job count -- query results, total work, every
 execution record, subplan final work, metadata (including the
 arrangement summary).  These tests pin the partition's structural
 invariants and the identity on the fig11-shaped workload for both the
-batched and the columnar backend.
+production operators and the per-tuple reference.
 """
 
 import pytest
@@ -15,11 +15,7 @@ from repro.engine.executor import PlanExecutor
 from repro.engine.parallel import plan_components, run_parallel
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
-from repro.physical.hotpath import (
-    clear_compiled_caches,
-    columnar_available,
-    engine_mode,
-)
+from repro.physical.hotpath import clear_compiled_caches, engine_mode
 from repro.workloads.tpch import (
     ALL_QUERY_NAMES,
     add_lineitem_updates,
@@ -111,18 +107,17 @@ def _serial_and_parallel(plan, paces, jobs, **mode):
     return serial, parallel
 
 
-def test_parallel_batched_bit_identical(fig11_plan):
+def test_parallel_columnar_bit_identical(fig11_plan):
     plan, paces = fig11_plan
     serial, parallel = _serial_and_parallel(plan, paces, jobs=2, batched=True)
+    assert serial.metadata["engine_mode"] == "columnar"
     assert_bit_identical(serial, parallel)
 
 
-@pytest.mark.skipif(not columnar_available(), reason="needs numpy")
-def test_parallel_columnar_bit_identical(fig11_plan):
+def test_parallel_reference_bit_identical(fig11_plan):
     plan, paces = fig11_plan
-    serial, parallel = _serial_and_parallel(
-        plan, paces, jobs=2, batched=True, columnar=True
-    )
+    serial, parallel = _serial_and_parallel(plan, paces, jobs=2, batched=False)
+    assert serial.metadata["engine_mode"] == "reference"
     assert_bit_identical(serial, parallel)
 
 

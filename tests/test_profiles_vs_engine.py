@@ -14,7 +14,7 @@ from repro.engine.calibrate import calibrate_plan
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.mqo.merge import build_blocking_cut_plan
-from repro.physical.operators import SourceExec
+from repro.physical.columnar import ColumnarSourceExec
 
 from .util import make_toy_catalog, toy_query_max
 
@@ -40,7 +40,7 @@ def _consumed_records(plan, config, paces, top_sid):
     unit = executor.compiled[top_sid]
 
     def find_source(exec_op):
-        if isinstance(exec_op, SourceExec):
+        if isinstance(exec_op, ColumnarSourceExec):
             return exec_op
         for attr in ("child", "left", "right"):
             child = getattr(exec_op, attr, None)

@@ -25,7 +25,6 @@ from repro.obs import OBS
 from repro.physical.hotpath import (
     HOTPATH,
     EngineMode,
-    columnar_available,
     engine_mode,
     engine_mode_label,
 )
@@ -159,24 +158,24 @@ class TestOrderedMap:
 
 # -- engine mode across start methods ------------------------------------------------
 
-@pytest.mark.skipif(not columnar_available(), reason="needs numpy")
 class TestEngineModeUnderSpawn:
     """``spawn`` workers re-import ``repro``: they get the environment's
-    engine mode, not the driver's, unless the pool ships it."""
+    engine mode (the production operators), not the driver's, unless
+    the pool ships it."""
 
     def test_primitive_ships_the_mode(self, spawn_start_method):
-        with engine_mode(columnar=True, arrangements=False):
+        with engine_mode(batched=False, arrangements=False):
             outcomes = ordered_map(_mode_probe, range(4), jobs=2)
-        assert [result for result, _ in outcomes] == [("columnar", False)] * 4
+        assert [result for result, _ in outcomes] == [("reference", False)] * 4
 
     def test_run_cells_reports_the_serial_engine_mode(self, spawn_start_method):
         runner = _toy_runner()
         cells = _toy_cells()
-        with engine_mode(columnar=True):
+        with engine_mode(batched=False):
             serial = run_cells(runner, cells, jobs=1)
             parallel = run_cells(runner, cells, jobs=2)
         for ser, par in zip(serial, parallel):
-            assert ser.result.run.metadata["engine_mode"] == "columnar"
+            assert ser.result.run.metadata["engine_mode"] == "reference"
             assert par.result.run.metadata == ser.result.run.metadata
             assert par.result.total_work == ser.result.total_work
             assert par.result.missed.absolute == ser.result.missed.absolute
@@ -185,10 +184,10 @@ class TestEngineModeUnderSpawn:
         self, spawn_start_method, component_plan
     ):
         plan, paces = component_plan
-        with engine_mode(columnar=True):
+        with engine_mode(batched=False):
             serial = PlanExecutor(plan, StreamConfig()).run(paces)
             parallel = run_parallel(plan, paces, StreamConfig(), jobs=2)
-        assert serial.metadata["engine_mode"] == "columnar"
+        assert serial.metadata["engine_mode"] == "reference"
         assert parallel.metadata == serial.metadata
         assert parallel.query_results == serial.query_results
         assert parallel.total_work == serial.total_work
@@ -210,13 +209,14 @@ def test_service_schedule_bit_identical_under_spawn(spawn_start_method):
 
 
 def test_engine_matrix_guard():
-    """Three toggles, three environment switches, one process pool."""
+    """Two toggles, two environment switches, one production backend,
+    one process pool."""
     import pathlib
     import re
 
     import repro
 
-    assert EngineMode.__slots__ == ("batched", "columnar", "arrangements")
+    assert EngineMode.__slots__ == ("batched", "arrangements")
     root = pathlib.Path(repro.__file__).parent
     sources = {path: path.read_text() for path in root.rglob("*.py")}
     switches = {
@@ -224,9 +224,15 @@ def test_engine_matrix_guard():
         for name in re.findall(r"REPRO_ENGINE_[A-Z_]+", text)
     }
     assert switches == {
-        "REPRO_ENGINE_UNBATCHED", "REPRO_ENGINE_COLUMNAR",
-        "REPRO_ENGINE_NO_ARRANGEMENTS",
+        "REPRO_ENGINE_UNBATCHED", "REPRO_ENGINE_NO_ARRANGEMENTS",
     }
+    retired = re.compile(
+        r"_advance_batched|_apply_batched|_process_batch|columnar_available"
+        r"|COLUMNAR_KILLED|_columnar_active"
+    )
+    assert not [
+        path.name for path, text in sources.items() if retired.search(text)
+    ]
     pools = [
         path.name for path, text in sources.items()
         if "ProcessPoolExecutor(" in text
