@@ -197,6 +197,7 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
     splitter = LocalSplitOptimizer(
         target, input_stats, local, max_pace, model.config,
         cost_cache=model.partition_costs(sid, input_stats),
+        program=model.programs[sid],
     )
     decision = splitter.brute_force() if use_brute_force else splitter.cluster()
 
@@ -235,6 +236,7 @@ def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
         splitter = LocalSplitOptimizer(
             top, top_inputs, local, max_pace, model.config,
             cost_cache=cut_model.partition_costs(top_sid, top_inputs),
+            program=cut_model.programs[top_sid],
         )
         decision = splitter.brute_force() if use_brute_force else splitter.cluster()
         if not decision.is_split():

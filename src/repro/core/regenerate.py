@@ -163,13 +163,18 @@ def _merge_single_consumer_chains(work, initial_paces, lineage=None):
     (section 4.2, step 2); the parent's *other* children may be lazier
     than that and are raised with it.
     """
+    # built once and patched per merge: plan.parents_of re-walks every tree
+    parents_of = {subplan.sid: [] for subplan in work.subplans}
+    for subplan in work.subplans:
+        for child in subplan.child_subplans():
+            parents_of[child.sid].append(subplan)
     changed = True
     while changed:
         changed = False
         for child in list(work.subplans):
             if any(root is child for root in work.query_roots.values()):
                 continue
-            parents = work.parents_of(child)
+            parents = parents_of[child.sid]
             if len(parents) != 1:
                 continue
             parent = parents[0]
@@ -190,6 +195,12 @@ def _merge_single_consumer_chains(work, initial_paces, lineage=None):
             else:
                 _replace_child(parent.root, leaf, child.root)
             work.subplans.remove(child)
+            # the child's inputs are the parent's now
+            for grandchild in child.child_subplans():
+                consumers = parents_of[grandchild.sid]
+                consumers.remove(child)
+                if parent not in consumers:
+                    consumers.append(parent)
             child_pace = initial_paces.pop(child.sid)
             merged_pace = max(initial_paces[parent.sid], child_pace)
             initial_paces[parent.sid] = merged_pace

@@ -52,7 +52,8 @@ class LocalSplitOptimizer:
     """Solves the section 4.1 local optimization for one shared subplan."""
 
     def __init__(self, subplan, input_stats, local_constraints, max_pace,
-                 cost_config=None, verify_warm_start=False, cost_cache=None):
+                 cost_config=None, verify_warm_start=False, cost_cache=None,
+                 program=None):
         self.subplan = subplan
         self.input_stats = input_stats
         self.local_constraints = dict(local_constraints)
@@ -63,6 +64,8 @@ class LocalSplitOptimizer:
         #: :class:`~repro.cost.memo.PlanCostModel` keeps for this subplan
         #: and these inputs to reuse simulations across optimizers
         self._cost_cache = cost_cache if cost_cache is not None else {}
+        #: the subplan's entry of ``PlanCostModel.programs``, if any
+        self._program = program
         self.simulations = 0
         #: re-run every warm-started selected-pace search from pace 1 and
         #: assert the answers match (tests; guards the monotonicity
@@ -82,6 +85,7 @@ class LocalSplitOptimizer:
                 self.input_stats,
                 self.cost_config,
                 query_subset=partition,
+                program=self._program,
             )
             self.simulations += 1
             cached = (sim.private_total, sim.private_final)

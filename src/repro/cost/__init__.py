@@ -1,6 +1,6 @@
 """Cost model: calibrated statistics, subplan simulation, memoized plans."""
 
-from .stats import NodeStats, EdgeStat, union_estimate, require_stats, perturb_stats
+from .stats import NodeStats, EdgeStat, union_estimate, perturb_stats
 from .model import (
     CostConfig,
     DEFAULT_COST_CONFIG,
@@ -19,7 +19,6 @@ __all__ = [
     "NodeStats",
     "EdgeStat",
     "union_estimate",
-    "require_stats",
     "perturb_stats",
     "CostConfig",
     "DEFAULT_COST_CONFIG",

@@ -28,7 +28,12 @@ import time
 from ..errors import CostModelError
 from ..mqo.nodes import SubplanRef, TableRef
 from ..obs import OBS
-from .model import DEFAULT_COST_CONFIG, UniformProfile, simulate_subplan
+from .model import (
+    DEFAULT_COST_CONFIG,
+    SimProgram,
+    UniformProfile,
+    simulate_subplan,
+)
 from .stats import EdgeStat
 
 #: Feedback correction factors are clamped to this range.  A single
@@ -86,17 +91,28 @@ class MemoPool:
     attached model; ``hits`` the lookups served by a table the reading
     model found already in the pool, i.e. rows it owes to another model.
 
+    Beside the tables the pool keeps what else is a function of content
+    alone and :meth:`retain` prunes it with the cones: ``solo``, the
+    pace-1 single-query rows of :meth:`PlanCostModel.solo_batch`
+    (``{(cone signature, qid): (private_total, out_profile)}``), and
+    ``programs``, one :class:`~repro.cost.model.SimProgram` per operator
+    tree (keyed by the tree's part of a cone signature), so the clones of
+    a tree share its program and its specialisations.
+
     Content is what the signature can see: one pool serves plans over one
     catalog, and a ``NodeStats`` object stands for its values, so
     statistics must not be mutated in place while a pool holds rows
     computed from them (recalibration attaches fresh objects).
     """
 
-    __slots__ = ("_tables", "_partition_costs", "simulations", "hits")
+    __slots__ = ("_tables", "_partition_costs", "solo", "programs",
+                 "simulations", "hits")
 
     def __init__(self):
         self._tables = {}
         self._partition_costs = {}
+        self.solo = {}
+        self.programs = {}
         self.simulations = 0
         self.hits = 0
 
@@ -125,6 +141,18 @@ class MemoPool:
             key: costs for key, costs in self._partition_costs.items()
             if key[0] in keep
         }
+        self.solo = {
+            key: row for key, row in self.solo.items() if key[0] in keep
+        }
+        trees = {tree for _, cone in keep for _, tree, _ in cone}
+        self.programs = {
+            tree: program for tree, program in self.programs.items()
+            if tree in trees
+        }
+        # a kept program starts over: a decomposition step specialises it
+        # for every partition it tries, masks the next step will not ask for
+        for program in self.programs.values():
+            program.specs.clear()
 
     def partition_costs(self, signature, child_profiles):
         """The local-split cost table of one subplan under fixed inputs.
@@ -166,8 +194,10 @@ class PlanCostModel:
 
     The constructor walks every operator tree once and keeps what
     :meth:`evaluate` and the pace searches need per subplan --
-    ``query_ids``, ``children``, ``parents`` (sid-keyed dicts) and the
-    source inputs -- so nothing re-walks the plan per evaluation.  The
+    ``query_ids``, ``children``, ``parents``, ``programs`` (sid-keyed
+    dicts; a program is the ``(SimProgram, leaf keys)`` pair
+    :func:`~repro.cost.model.simulate_subplan` takes) and the source
+    inputs -- so nothing re-walks the plan per evaluation.  The
     plan must not be mutated while a model over it is in use.
     """
 
@@ -188,13 +218,17 @@ class PlanCostModel:
         self.evaluation_count = 0
 
     def sibling(self, plan):
-        """A memoizing model over another plan of the same optimizer call.
+        """A model over another plan of the same optimizer call.
 
-        Same cost config, same memo pool, same deadline: the candidate
-        plans of a decomposition are costed against the rows and the time
-        budget of the search that proposed them.
+        Same cost config, same memo pool, same ``use_memo`` (the siblings
+        of a model that keeps no rows keep none), same deadline: the
+        candidate plans of a decomposition are costed against the rows and
+        the time budget of the search that proposed them.
         """
-        model = PlanCostModel(plan, self.config, memo_pool=self.memo_pool)
+        model = PlanCostModel(
+            plan, self.config, use_memo=self.use_memo,
+            memo_pool=self.memo_pool,
+        )
         model.time_budget = self.time_budget
         model._deadline = self._deadline
         return model
@@ -216,17 +250,20 @@ class PlanCostModel:
         self.children = {}
         self.parents = {subplan.sid: [] for subplan in self.plan.subplans}
         self._sources = {}
+        self.programs = {}
         trees = {}
         for subplan in self._order:
             sid = subplan.sid
             sources = {}
             nodes = []
             leaves = []
+            keys = []
             for node in subplan.root.walk():
                 table = None
                 if node.kind == "source":
                     ref = node.ref
                     key = ref.key()
+                    keys.append(key)
                     if isinstance(ref, TableRef):
                         table = ref.name
                         sources.setdefault(key, (key, table, None))
@@ -248,7 +285,12 @@ class PlanCostModel:
             self.children[sid] = tuple(
                 child for _, _, child in sources.values() if child is not None
             )
-            trees[sid] = (subplan.query_mask, tuple(nodes), tuple(leaves))
+            tree = tuple(nodes)
+            trees[sid] = (subplan.query_mask, tree, tuple(leaves))
+            programs = self.memo_pool.programs  # equal content, one program
+            if tree not in programs:
+                programs[tree] = SimProgram(subplan.root)
+            self.programs[sid] = (programs[tree], keys)
         for subplan in self.plan.subplans:  # parents in plan order
             for child in self.children[subplan.sid]:
                 self.parents[child].append(subplan.sid)
@@ -291,7 +333,10 @@ class PlanCostModel:
 
     def partition_costs(self, sid, inputs):
         """The pool's local-split cost table for ``sid`` reading ``inputs``
-        (its entry of ``evaluate(..., collect_inputs=True).subplan_inputs``)."""
+        (its entry of ``evaluate(..., collect_inputs=True).subplan_inputs``);
+        a private one when this model keeps no rows."""
+        if not self.use_memo:
+            return {}
         return self.memo_pool.partition_costs(self._signatures[sid], tuple(
             inputs[key] for key, _, child in self._sources[sid]
             if child is not None
@@ -369,7 +414,7 @@ class PlanCostModel:
             if cached is None:
                 sim = simulate_subplan(
                     subplan, pace_config[sid], self._inputs_for(sid, outputs),
-                    self.config,
+                    self.config, program=self.programs[sid],
                 )
                 self.simulation_count += 1
                 pool.simulations += 1
@@ -512,15 +557,21 @@ class PlanCostModel:
         outputs = {}
         per_subplan = {}
         bit = 1 << query_id
+        # a function of the cone's content and the query: shared pool-wide
+        rows = self.memo_pool.solo if self.use_memo else {}
         for subplan in self._order:
             if not subplan.query_mask & bit:
                 continue
-            sim = simulate_subplan(
-                subplan, 1, self._inputs_for(subplan.sid, outputs),
-                self.config, query_subset=(query_id,),
-            )
-            outputs[subplan.sid] = sim.out_profile
-            per_subplan[subplan.sid] = sim.private_total
+            sid = subplan.sid
+            key = (self._signatures[sid], query_id)
+            row = rows.get(key)
+            if row is None:
+                sim = simulate_subplan(
+                    subplan, 1, self._inputs_for(sid, outputs), self.config,
+                    query_subset=(query_id,), program=self.programs[sid],
+                )
+                row = rows[key] = (sim.private_total, sim.out_profile)
+            per_subplan[sid], outputs[sid] = row
         result = (sum(per_subplan.values()), per_subplan)
         self._solo_cache[query_id] = result
         return result

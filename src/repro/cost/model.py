@@ -41,9 +41,12 @@ Operator models
   group receiving deletions, weighted by ``minmax_rescan_factor``.
 """
 
+import itertools
 import math
 
-from .stats import EdgeStat, require_stats, union_estimate
+from ..errors import CostModelError
+from ..relational import bitvec
+from .stats import EdgeStat, union_estimate
 
 
 class CostConfig:
@@ -158,12 +161,11 @@ class LedgerProfile:
     cover (quantized to the producer's grid).
     """
 
-    __slots__ = ("exec_stats", "granularity", "_cumulative")
+    __slots__ = ("exec_stats", "granularity")
 
     def __init__(self, exec_stats, granularity):
         self.exec_stats = list(exec_stats)
         self.granularity = granularity
-        self._cumulative = None
 
     def window(self, index, pace):
         g = self.granularity
@@ -272,26 +274,96 @@ class SubplanSimResult:
         )
 
 
-class _JoinSimState:
-    __slots__ = ("left_net", "right_net", "left_q", "right_q")
+class SimProgram:
+    """One operator tree flattened for :func:`simulate_subplan`.
 
-    def __init__(self):
-        self.left_net = 0.0
-        self.right_net = 0.0
-        self.left_q = {}
-        self.right_q = {}
+    ``ops`` lists the operators child-first (the root last), one *slot*
+    ``(kind, stats, filtered, projected, a, b, shared)`` each: ``a`` /
+    ``b`` are child slots (of a source, ``a`` is its ordinal among the
+    source leaves), ``shared`` a join's arrangement-eligible sides.
+    ``anchor`` is the slot of the aggregate an output
+    :class:`CollapsingProfile` re-derives (the first in pre-order) or None.
+
+    A program is content -- statistics objects and flags, no ``OpNode``
+    or ``Subplan`` -- so the clones of a tree share one, each with its own
+    leaf keys, and it keeps no plan alive.  ``specs`` caches one
+    *specialisation* per query mask; that reads the statistics once, so
+    programs belong to a :class:`~repro.cost.memo.MemoPool` or to one
+    call, never to the subplan, whose statistics may change in place.
+    """
+
+    __slots__ = ("ops", "anchor", "specs")
+
+    def __init__(self, root):
+        self.ops = []
+        self.specs = {}
+        self.anchor = None
+        self._flatten(root, itertools.count())
+
+    def _flatten(self, node, leaf_ordinals):
+        """Append ``node``'s subtree child-first; returns the node's slot."""
+        a = b = shared = None
+        claims = self.anchor is None and node.kind == "aggregate"
+        if claims:
+            self.anchor = -1  # before its subtree is visited; the slot below
+        if node.kind == "source":
+            a = next(leaf_ordinals)
+        else:
+            a = self._flatten(node.children[0], leaf_ordinals)
+            if node.kind == "join":
+                # imported here: repro.engine imports this package
+                from ..engine.arrangements import arrangeable_side
+
+                b = self._flatten(node.children[1], leaf_ordinals)
+                shared = (arrangeable_side(node, 0) is not None,
+                          arrangeable_side(node, 1) is not None)
+        if claims:
+            self.anchor = len(self.ops)
+        self.ops.append((node.kind, node.stats, bool(node.filters),
+                         bool(node.projections), a, b, shared))
+        return len(self.ops) - 1
+
+    def specialise(self, mask):
+        """``(queries, ops)`` for one query mask, cached in ``specs``.
+
+        Everything independent of the execution index, read once: per
+        slot ``(kind, a, b, filters, projected, x, y, z)`` -- ``filters``
+        the ``(qid, selectivity)`` pairs of a filtering slot; for a join
+        the union selectivity, the ``(qid, selectivity)`` pairs with
+        output and the shared sides; for an aggregate the mask's group
+        universe, ``{qid: universe}`` and the MIN/MAX flag.
+        """
+        queries = bitvec.to_ids(mask)
+        ops = []
+        for kind, stats, filtered, projected, a, b, z in self.ops:
+            if stats is None and (filtered or kind != "source"):
+                raise CostModelError(
+                    "a %s node has no calibrated statistics; run "
+                    "repro.engine.calibrate.calibrate_plan(plan) first" % kind
+                )
+            filters = x = y = None
+            if filtered:
+                filters = [
+                    (qid, stats.filter_selectivity(qid)) for qid in queries
+                ]
+            if kind == "join":
+                x = stats.join_selectivity()
+                y = [(qid, stats.join_selectivity(qid)) for qid in queries]
+                y = [pair for pair in y if pair[1] > 0]
+            elif kind == "aggregate":
+                x = stats.group_universe(queries)
+                y = {
+                    qid: max(1.0, stats.groups_per_q.get(qid, stats.groups_union))
+                    for qid in queries
+                }
+                z = stats.has_minmax
+            ops.append((kind, a, b, filters, projected, x, y, z))
+        spec = self.specs[mask] = (queries, ops)
+        return spec
 
 
-class _AggSimState:
-    __slots__ = ("n_union", "n_q", "net_union")
-
-    def __init__(self):
-        self.n_union = 0.0
-        self.n_q = {}
-        self.net_union = 0.0
-
-
-def simulate_subplan(subplan, pace, input_stats, config=None, query_subset=None):
+def simulate_subplan(subplan, pace, input_stats, config=None, query_subset=None,
+                     program=None):
     """Simulate ``pace`` incremental executions of ``subplan``.
 
     Parameters
@@ -303,6 +375,16 @@ def simulate_subplan(subplan, pace, input_stats, config=None, query_subset=None)
         restrict the simulation to these query ids (used by the
         decomposition's local optimization, section 4.1); ``None`` means
         the subplan's full query set.
+    program:
+        the tree's ``(SimProgram, leaf keys)`` pair when the caller keeps
+        one (``PlanCostModel.programs``); by default the tree is
+        flattened and specialised for this call alone.
+
+    Per execution every slot, child-first, turns its inputs' ``(total,
+    deletes, per-query cards)`` into its own and charges its work.
+    ``tests/cost_sim_spec.py`` is the same computation as a recursive
+    interpreter; the two agree bit for bit because every floating-point
+    operation keeps its operands and its place in the order.
     """
     config = config or DEFAULT_COST_CONFIG
     if pace < 1:
@@ -311,234 +393,181 @@ def simulate_subplan(subplan, pace, input_stats, config=None, query_subset=None)
         raise ValueError(
             "subplan %d pace must be >= 1, got %r" % (subplan.sid, pace)
         )
-    mask_queries = set(subplan.query_ids())
+    tree, keys = program or (SimProgram(subplan.root), [
+        node.ref.key() for node in subplan.root.source_nodes()
+    ])
+    mask = subplan.query_mask
     if query_subset is not None:
-        mask_queries &= set(query_subset)
-    mask_queries = sorted(mask_queries)
-
-    anchor = next(
-        (node for node in subplan.root.walk() if node.kind == "aggregate"), None
-    )
-    anchor_raw = EdgeStat()
-
-    node_states = {}
+        mask &= bitvec.mask_of(query_subset)
+    queries, ops = tree.specs.get(mask) or tree.specialise(mask)
+    profiles = [input_stats.get(key) for key in keys]
+    if None in profiles:
+        raise KeyError("no input stats for source %r"
+                       % (keys[profiles.index(None)],))
+    state_factor = config.state_factor
+    arranged = config.arranged_state
+    anchor = tree.anchor
+    # what each slot emitted in the current execution ...
+    totals, deleted, cards = ([None] * len(ops) for _ in range(3))
+    # ... and keeps between executions -- join: net and per-query sizes
+    # of its sides; aggregate: records seen, net values, seen per query
+    state = [[0.0, 0.0, {}, {}] for _ in ops]
     works = []
-    out_stat = EdgeStat()
-    work_box = [0.0]
-    exec_box = [0]
-
-    def charge(units):
-        work_box[0] += units
-
-    def decorate(node, stat):
-        if node.filters:
-            stats = require_stats(node)
-            charge(stat.total)
-            per_q = {}
-            for qid in mask_queries:
-                card = stat.query_card(qid)
-                if card <= 0:
-                    continue
-                per_q[qid] = card * stats.filter_selectivity(qid)
-            total = union_estimate(stat.total, per_q.values())
-            delete_ratio = stat.deletes / stat.total if stat.total > 0 else 0.0
-            stat = EdgeStat(total, total * delete_ratio, per_q)
-        if node.projections:
-            charge(stat.total)
-        return stat
-
-    def eval_node(node, pace_count):
-        if node.kind == "source":
-            profile = input_stats.get(node.ref.key())
-            if profile is None:
-                raise KeyError("no input stats for source %r" % (node.ref,))
-            window = profile.window(exec_box[0], pace_count)
-            charge(window.total)  # scanning every (compacted) buffer record
-            kept = window.restricted(mask_queries)
-            return decorate(node, kept)
-        if node.kind == "join":
-            left = eval_node(node.children[0], pace_count)
-            right = eval_node(node.children[1], pace_count)
-            return decorate(node, _join_model(node, left, right))
-        child = eval_node(node.children[0], pace_count)
-        raw = _aggregate_model(node, child)
-        if node is anchor:
-            anchor_raw.add(raw)
-        return decorate(node, raw)
-
-    def _join_model(node, left, right):
-        stats = require_stats(node)
-        state = node_states.get(node.uid)
-        if state is None:
-            state = node_states[node.uid] = _JoinSimState()
-        charge(left.total + right.total)
-        sel_union = stats.join_selectivity()
-        base = sel_union * (
-            left.total * state.right_net
-            + (state.left_net + left.total) * right.total
-        )
-        per_q = {}
-        for qid in mask_queries:
-            sel_q = stats.join_selectivity(qid)
-            if sel_q <= 0:
-                continue
-            l_new = left.query_card(qid)
-            r_new = right.query_card(qid)
-            l_old = state.left_q.get(qid, 0.0)
-            r_old = state.right_q.get(qid, 0.0)
-            out_q = sel_q * (l_new * r_old + (l_old + l_new) * r_new)
-            if out_q > 0:
-                per_q[qid] = out_q
-        total = max(base, max(per_q.values(), default=0.0))
-        total = min(total, sum(per_q.values())) if per_q else total
-        # contribution-weighted delete fraction
-        f_left = left.deletes / left.total if left.total > 0 else 0.0
-        f_right = right.deletes / right.total if right.total > 0 else 0.0
-        left_part = left.total * (state.right_net + right.total)
-        right_part = state.left_net * right.total
-        parts = left_part + right_part
-        if parts > 0:
-            delete_fraction = (left_part * f_left + right_part * f_right) / parts
-        else:
-            delete_fraction = 0.0
-        charge(total)
-        # install the new deltas into the simulated hash tables (net sizes)
-        left_keep = left.net() / left.total if left.total > 0 else 0.0
-        right_keep = right.net() / right.total if right.total > 0 else 0.0
-        state.left_net += left.net()
-        state.right_net += right.net()
-        for qid in mask_queries:
-            state.left_q[qid] = (
-                state.left_q.get(qid, 0.0) + left.query_card(qid) * left_keep
-            )
-            state.right_q[qid] = (
-                state.right_q.get(qid, 0.0) + right.query_card(qid) * right_keep
-            )
-        return EdgeStat(total, total * delete_fraction, per_q)
-
-    def _aggregate_model(node, child):
-        stats = require_stats(node)
-        state = node_states.get(node.uid)
-        if state is None:
-            state = node_states[node.uid] = _AggSimState()
-        charge(child.total)
-        universe = stats.group_universe(mask_queries)
-        n = child.total
-        emit_union, retract_union = emissions(universe, state.n_union, n)
-        per_q = {}
-        for qid in mask_queries:
-            n_q = child.query_card(qid)
-            if n_q <= 0:
-                continue
-            universe_q = max(1.0, stats.groups_per_q.get(qid, stats.groups_union))
-            agg_universes[(node.uid, qid)] = universe_q
-            emit_q, _ = emissions(universe_q, state.n_q.get(qid, 0.0), n_q)
-            per_q[qid] = min(emit_q, emit_union) if emit_union > 0 else emit_q
-            state.n_q[qid] = state.n_q.get(qid, 0.0) + n_q
-        charge(emit_union)
-        if stats.has_minmax and child.deletes > 0:
-            # A deletion that removes the current extremum of its group
-            # forces a rescan of the group's stored value multiset.  With
-            # monotone update streams the extremum-holding group is hit in
-            # nearly every execution, so we charge one rescan per group
-            # that receives deletions, over the *net* values stored so far
-            # (retract/insert pairs cancel in the multiset).
-            groups_hit = expected_touched(universe, child.deletes)
-            net_values = max(state.net_union + child.net(), 0.0)
-            # group_universe clamps to >= 1.0, but guard explicitly so a
-            # future stats change cannot reintroduce a division by zero
-            values_per_group = net_values / universe if universe > 0 else 0.0
-            charge(config.minmax_rescan_factor * groups_hit * values_per_group)
-        state.n_union += n
-        state.net_union += child.net()
-        return EdgeStat(emit_union, retract_union, per_q)
-
-    agg_universes = {}
-
-    arranged_sides = {}
-    if config.arranged_state and config.state_factor:
-        from ..engine.arrangements import arrangeable_side
-
-        for node in subplan.root.walk():
-            if node.kind == "join":
-                arranged_sides[node.uid] = (
-                    arrangeable_side(node, 0) is not None,
-                    arrangeable_side(node, 1) is not None,
-                )
-
-    def _state_charge():
-        """Per-execution state-store maintenance (mirrors the engine)."""
-        if not config.state_factor:
-            return 0.0
-        entries = 0.0
-        for uid, state in node_states.items():
-            if isinstance(state, _JoinSimState):
-                left_shared, right_shared = arranged_sides.get(
-                    uid, (False, False)
-                )
-                if not left_shared:
-                    entries += state.left_net
-                if not right_shared:
-                    entries += state.right_net
-            else:
-                # one state entry per (group, query) pair, like the engine
-                for qid, n_q in state.n_q.items():
-                    universe_q = agg_universes.get((uid, qid), 1.0)
-                    entries += expected_touched(universe_q, n_q)
-        return config.state_factor * entries
-
-    exec_outputs = []
-    anchor_series = [0.0]
-    anchor_series_q = {}
-    latency_work = 0.0
+    outputs = []
+    out_total = out_deletes = raw_total = 0.0
+    out_q = {}
+    raw_q = {}
+    series = [0.0]
+    series_q = {}
     for index in range(1, pace + 1):
-        exec_box[0] = index
-        work_box[0] = 0.0
-        execution_out = eval_node(subplan.root, pace)
-        out_stat.add(execution_out)
-        exec_outputs.append(execution_out)
-        latency_work = work_box[0] + config.execution_overhead
-        works.append(latency_work + _state_charge())
-        if anchor is not None and anchor.uid in node_states:
-            anchor_state = node_states[anchor.uid]
-            anchor_series.append(anchor_state.n_union)
-            for qid, n_q in anchor_state.n_q.items():
-                anchor_series_q.setdefault(qid, [0.0] * index)
-                anchor_series_q[qid].append(n_q)
-            for qid, series in anchor_series_q.items():
-                while len(series) < index + 1:
-                    series.append(series[-1])
+        work = entries = 0.0
+        for slot, (kind, a, b, filters, projected, x, y, z) in enumerate(ops):
+            if kind == "source":
+                window = profiles[a].window(index, pace)
+                total = window.total
+                work += total  # scanning every (compacted) buffer record
+                # keep what some query of the mask reads (EdgeStat.restricted)
+                if total <= 0 or not queries:
+                    total = deletes = 0.0
+                    per_q = {}
+                elif window.uniform:
+                    deletes = window.deletes
+                    per_q = dict.fromkeys(queries, total)
+                else:
+                    per_q = {
+                        qid: min(window.per_q.get(qid, 0.0), total)
+                        for qid in queries
+                    }
+                    union = union_estimate(total, per_q.values())
+                    deletes = union * (window.deletes / total)
+                    total = union
+            elif kind == "join":
+                slot_state = state[slot]
+                left_net, right_net, left_q, right_q = slot_state
+                l_total, r_total = totals[a], totals[b]
+                l_q, r_q = cards[a], cards[b]
+                work += l_total + r_total
+                base = x * (l_total * right_net + (left_net + l_total) * r_total)
+                per_q = {}
+                for qid, sel_q in y:
+                    l_new = l_q.get(qid, 0.0)
+                    r_new = r_q.get(qid, 0.0)
+                    out = sel_q * (
+                        l_new * right_q.get(qid, 0.0)
+                        + (left_q.get(qid, 0.0) + l_new) * r_new
+                    )
+                    if out > 0:
+                        per_q[qid] = out
+                total = max(base, max(per_q.values(), default=0.0))
+                if per_q:
+                    total = min(total, sum(per_q.values()))
+                work += total
+                # contribution-weighted delete fraction
+                f_left = deleted[a] / l_total if l_total > 0 else 0.0
+                f_right = deleted[b] / r_total if r_total > 0 else 0.0
+                left_part = l_total * (right_net + r_total)
+                right_part = left_net * r_total
+                parts = left_part + right_part
+                deletes = total * (
+                    (left_part * f_left + right_part * f_right) / parts
+                    if parts > 0 else 0.0
+                )
+                # install the net deltas into the simulated hash tables
+                l_net = max(0.0, l_total - 2.0 * deleted[a])
+                r_net = max(0.0, r_total - 2.0 * deleted[b])
+                slot_state[0] = left_net = left_net + l_net
+                slot_state[1] = right_net = right_net + r_net
+                if l_total > 0:
+                    keep = l_net / l_total
+                    for qid, card in l_q.items():
+                        left_q[qid] = left_q.get(qid, 0.0) + card * keep
+                if r_total > 0:
+                    keep = r_net / r_total
+                    for qid, card in r_q.items():
+                        right_q[qid] = right_q.get(qid, 0.0) + card * keep
+                if state_factor:  # arranged sides are billed elsewhere
+                    if not (arranged and z[0]):
+                        entries += left_net
+                    if not (arranged and z[1]):
+                        entries += right_net
+            else:
+                slot_state = state[slot]
+                n_union, net_union, n_q, _ = slot_state
+                c_total, c_deletes = totals[a], deleted[a]
+                work += c_total
+                total, deletes = emissions(x, n_union, c_total)
+                per_q = {}
+                for qid, fresh in cards[a].items():
+                    if fresh > 0:
+                        seen = n_q.get(qid, 0.0)
+                        emit_q = emissions(y[qid], seen, fresh)[0]
+                        per_q[qid] = min(emit_q, total) if total > 0 else emit_q
+                        n_q[qid] = seen + fresh
+                work += total
+                c_net = max(0.0, c_total - 2.0 * c_deletes)
+                if z and c_deletes > 0:
+                    # MIN/MAX rescan: one per group that receives deletions,
+                    # over the *net* values stored so far
+                    net_values = max(net_union + c_net, 0.0)
+                    # group_universe clamps x to >= 1.0; guarded anyway
+                    values_per_group = net_values / x if x > 0 else 0.0
+                    work += (config.minmax_rescan_factor
+                             * expected_touched(x, c_deletes) * values_per_group)
+                slot_state[0] = n_union + c_total
+                slot_state[1] = net_union + c_net
+                if state_factor:
+                    # one state entry per (group, query) pair, like the engine
+                    for qid, count in n_q.items():
+                        entries += expected_touched(y[qid], count)
+                if slot == anchor:
+                    raw_total += total
+                    for qid, card in per_q.items():
+                        raw_q[qid] = raw_q.get(qid, 0.0) + card
+            if filters is not None:
+                work += total
+                kept = {}
+                for qid, selectivity in filters:
+                    card = per_q.get(qid, 0.0)
+                    if card > 0:
+                        kept[qid] = card * selectivity
+                union = union_estimate(total, kept.values())
+                deletes = union * (deletes / total if total > 0 else 0.0)
+                total, per_q = union, kept
+            if projected:
+                work += total
+            totals[slot], deleted[slot], cards[slot] = total, deletes, per_q
+        # the root is the last slot: its locals are the execution's output
+        out_total += total
+        out_deletes += deletes
+        for qid, card in per_q.items():
+            out_q[qid] = out_q.get(qid, 0.0) + card
+        outputs.append((total, deletes, per_q))
+        latency_work = work + config.execution_overhead
+        # plus per-execution state-store maintenance (mirrors the engine)
+        works.append(latency_work + state_factor * entries)
+        if anchor is not None:
+            series.append(state[anchor][0])
+            for qid, count in state[anchor][2].items():
+                series_q.setdefault(qid, [0.0] * index).append(count)
 
-    out_profile = _build_profile(
-        subplan, pace, anchor, anchor_raw, node_states, out_stat, mask_queries,
-        exec_outputs, anchor_series, anchor_series_q,
-    )
+    if anchor is None or raw_total <= 0:
+        out_profile = LedgerProfile(
+            [EdgeStat(*output) for output in outputs], pace
+        )
+    else:
+        universe, universes_q = ops[anchor][5:7]
+        per_q = {
+            qid: (universes_q[qid], series_q[qid])
+            for qid in queries if state[anchor][2].get(qid, 0.0) > 0
+        }
+        scale_per_q = {
+            qid: out_q.get(qid, 0.0) / raw_q[qid]
+            for qid in per_q if raw_q.get(qid, 0.0) > 0
+        }
+        out_profile = CollapsingProfile(
+            universe, series, per_q, out_total / raw_total, scale_per_q, pace
+        )
     return SubplanSimResult(
-        sum(works), latency_work, out_stat, out_profile, works
-    )
-
-
-def _build_profile(subplan, pace, anchor, anchor_raw, node_states, out_stat,
-                   mask_queries, exec_outputs, anchor_series, anchor_series_q):
-    """Derive the output emission profile of a simulated subplan."""
-    if anchor is None or anchor.uid not in node_states or anchor_raw.total <= 0:
-        return LedgerProfile(exec_outputs, pace)
-    state = node_states[anchor.uid]
-    stats = anchor.stats
-    universe = stats.group_universe(mask_queries)
-    per_q = {}
-    scale_per_q = {}
-    scale_total = out_stat.total / anchor_raw.total
-    for qid in mask_queries:
-        in_q = state.n_q.get(qid, 0.0)
-        if in_q <= 0:
-            continue
-        universe_q = max(1.0, stats.groups_per_q.get(qid, stats.groups_union))
-        series_q = anchor_series_q.get(qid, [0.0] * (pace + 1))
-        per_q[qid] = (universe_q, series_q)
-        raw_q = anchor_raw.per_q.get(qid, 0.0)
-        if raw_q > 0:
-            scale_per_q[qid] = out_stat.per_q.get(qid, 0.0) / raw_q
-    return CollapsingProfile(
-        universe, anchor_series, per_q, scale_total, scale_per_q, pace
+        sum(works), latency_work, EdgeStat(out_total, out_deletes, out_q),
+        out_profile, works,
     )

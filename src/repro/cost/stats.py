@@ -12,8 +12,6 @@ the plan node.  Cloned/decomposed plan nodes share the same
 recalibration.
 """
 
-from ..errors import CostModelError
-
 
 class NodeStats:
     """Measured full-data statistics of one plan node.
@@ -100,24 +98,8 @@ class NodeStats:
             miss *= 1.0 - share
         return max(1.0, universe * (1.0 - miss))
 
-    def require(self, field_hint):
-        """Raise if this stats object was never calibrated."""
-        if self.kind is None:
-            raise CostModelError("node statistics missing (%s)" % field_hint)
-        return self
-
     def __repr__(self):
         return "NodeStats(%s)" % self.kind
-
-
-def require_stats(node):
-    """Fetch ``node.stats`` or fail with a calibration hint."""
-    if node.stats is None:
-        raise CostModelError(
-            "node %r has no calibrated statistics; run "
-            "repro.engine.calibrate.calibrate_plan(plan) first" % (node,)
-        )
-    return node.stats
 
 
 class EdgeStat:

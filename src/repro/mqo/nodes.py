@@ -251,7 +251,7 @@ class OpNode:
 class Subplan:
     """A pace-schedulable unit: an operator tree between buffer boundaries."""
 
-    __slots__ = ("sid", "root", "query_mask", "label")
+    __slots__ = ("sid", "root", "query_mask", "label", "__weakref__")
 
     def __init__(self, sid, root, query_mask, label=""):
         self.sid = sid
