@@ -13,9 +13,12 @@ the incremental executions of one run; a new :meth:`PlanExecutor.run`
 starts from scratch.  "From scratch" reuses the compiled operator tree
 -- state is deterministically reset instead of rebuilt, so repeated runs
 of one executor (pace search nudging, two-phase baselines, calibration)
-stop re-paying compilation.  Between trigger points the
-executor also compacts drained buffer prefixes in place; query-root
-buffers are pinned because :func:`query_result_view` replays them.
+stop re-paying compilation.  The schedule is compiled too: one
+:class:`WindowProgram` per pace configuration of a compiled tree, a flat
+list of trigger-point steps that every run of that configuration replays
+with integer arithmetic only.  Between trigger points the executor also
+compacts drained buffer prefixes in place; query-root buffers are pinned
+because :func:`query_result_view` replays them.
 """
 
 from fractions import Fraction
@@ -43,14 +46,18 @@ from .stream import StreamConfig, TableStream, execution_fractions
 class CompiledSubplan:
     """A subplan's physical operator tree plus its work meter and buffer."""
 
-    __slots__ = ("subplan", "meter", "root_exec", "buffer", "executions")
+    __slots__ = ("subplan", "meter", "root_exec", "buffer", "executions",
+                 "reads")
 
-    def __init__(self, subplan, meter, root_exec, buffer):
+    def __init__(self, subplan, meter, root_exec, buffer, reads):
         self.subplan = subplan
         self.meter = meter
         self.root_exec = root_exec
         self.buffer = buffer
         self.executions = 0
+        #: the buffers an execution advances a reader of (source readers
+        #: and arrangement cursors) -- what it can make compactable
+        self.reads = reads
 
     def run_execution(self, overhead):
         """One incremental execution.
@@ -86,6 +93,51 @@ class CompiledSubplan:
         return work, latency_work, out
 
 
+class TriggerPoint:
+    """One step of a :class:`WindowProgram`: a progress point and what is due.
+
+    ``numerator`` / ``denominator`` are the point's integers in lowest
+    terms -- all :meth:`TableStream.batch_until` needs to place its row
+    target -- and ``fraction`` is the same value as the
+    :class:`~fractions.Fraction` the execution records carry.
+    """
+
+    __slots__ = ("fraction", "numerator", "denominator", "final", "units",
+                 "drains")
+
+    def __init__(self, fraction, units):
+        self.fraction = fraction
+        self.numerator = fraction.numerator
+        self.denominator = fraction.denominator
+        self.final = fraction == 1
+        #: the :class:`CompiledSubplan` s due here, children first
+        self.units = units
+        #: the buffers this step can drain: those a due subplan reads (a
+        #: buffer no reader moved on has nothing new to drop), minus the
+        #: pinned, which never compact
+        self.drains = []
+        for unit in units:
+            for buffer in unit.reads:
+                if not buffer.pinned and buffer not in self.drains:
+                    self.drains.append(buffer)
+
+
+class WindowProgram:
+    """A trigger window's schedule, compiled against one operator tree.
+
+    ``feeds`` are the ``(TableStream, Buffer)`` pairs every step ingests
+    and ``steps`` the :class:`TriggerPoint` s in ascending order.  All
+    validation happened when it was built; replaying it does integer
+    arithmetic only.
+    """
+
+    __slots__ = ("feeds", "steps")
+
+    def __init__(self, feeds, steps):
+        self.feeds = feeds
+        self.steps = steps
+
+
 class PlanExecutor:
     """Executes a shared plan under pace configurations."""
 
@@ -106,6 +158,9 @@ class PlanExecutor:
         self.only = frozenset(only) if only is not None else None
         self.compiled = None  # filled per run
         self._runtime = None  # compiled tree, reused across run() calls
+        #: ``(pace tuple, WindowProgram)`` of the last pace configuration
+        #: run on the tree; dropped whenever the tree is
+        self._program = None
         self._query_sids = None  # qid -> its subplan ids, set by _compile
         self._runtime_mode = None  # engine toggles the tree was built under
         self._runtime_reference = None  # whether it is the per-tuple reference
@@ -116,22 +171,41 @@ class PlanExecutor:
 
         Long-running services re-optimize on churn and advance the data
         window between trigger firings; rebinding keeps one executor
-        alive across both.  The cached runtime tree is invalidated only
-        when something actually changed, so consecutive triggers over an
-        unchanged plan+window still reuse it.  Returns whether a
-        recompile was scheduled.
+        alive across both.  A new catalog is a data-only change: the
+        live tree's table streams are re-pointed at its tables, and the
+        operators, buffers, readers, arrangements and window program
+        stay.  The tree is dropped only when the plan changed or a
+        table's schema differs from the one its stream was built over
+        (the next run then compiles exactly what a fresh executor
+        would).  Returns whether a recompile was scheduled.
         """
-        changed = False
-        if plan is not None and plan is not self.plan:
+        recompile = plan is not None and plan is not self.plan
+        if recompile:
             self.plan = plan
-            changed = True
         if catalog is not None and catalog is not self.catalog:
             self.catalog = catalog
-            changed = True
-        if changed:
+            if not recompile and self._runtime is not None:
+                recompile = not self._repoint_streams()
+        if recompile:
             self._runtime = None
+            self._program = None
             self.compiled = None
-        return changed
+        return recompile
+
+    def _repoint_streams(self):
+        """Point the live tree's streams at ``self.catalog``; False if it cannot."""
+        catalog = self.catalog
+        streams = self._runtime[0]
+        tables = [
+            catalog.get(name) if catalog.has(name) else None
+            for name in streams
+        ]
+        for stream, table in zip(streams.values(), tables):
+            if table is None or table.schema != stream.table.schema:
+                return False
+        for stream, table in zip(streams.values(), tables):
+            stream.rebind(table)
+        return True
 
     # -- compilation ---------------------------------------------------------
 
@@ -177,11 +251,15 @@ class PlanExecutor:
         store = ArrangementStore()
         for subplan in order:
             meter = WorkMeter()
+            reads = []
             root_exec = self._compile_node(
-                subplan.root, subplan, meter, table_buffers, compiled, store
+                subplan.root, subplan, meter, table_buffers, compiled, store,
+                reads
             )
             buffer = Buffer("subplan:%d" % subplan.sid)
-            compiled[subplan.sid] = CompiledSubplan(subplan, meter, root_exec, buffer)
+            compiled[subplan.sid] = CompiledSubplan(
+                subplan, meter, root_exec, buffer, reads
+            )
         # query-root buffers are replayed from offset 0 by query_result_view
         for root in self.plan.query_roots.values():
             if root.sid in compiled:
@@ -202,7 +280,7 @@ class PlanExecutor:
         meters, hash tables, aggregate groups, stats counters) so a reused
         tree is indistinguishable from a freshly compiled one.  The tree
         is recompiled only when an engine toggle changed since it was
-        built (:meth:`rebind` drops it outright).
+        built (:meth:`rebind` drops it when the plan changed).
         """
         if (
             self._runtime is not None
@@ -223,17 +301,18 @@ class PlanExecutor:
                 OBS.metrics.counter("engine.tree_reuse").inc()
             return self._runtime
         self._runtime = self._compile()
+        self._program = None
         return self._runtime
 
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
-                      store):
+                      store, reads):
         mask = subplan.query_mask
         source_cls, join_cls, aggregate_cls, lane = self._operators
         if node.kind == "source":
             ref = node.ref
             consolidate_reads = False
             if isinstance(ref, TableRef):
-                reader = table_buffers[ref.name].reader()
+                buffer = table_buffers[ref.name]
             elif isinstance(ref, SubplanRef):
                 child = compiled.get(ref.subplan.sid)
                 if child is None:
@@ -241,18 +320,19 @@ class PlanExecutor:
                         "subplan %d compiled before its child %d"
                         % (subplan.sid, ref.subplan.sid)
                     )
-                reader = child.buffer.reader()
+                buffer = child.buffer
                 # compacted inter-subplan buffers (ablation-toggleable)
                 consolidate_reads = self.stream_config.compact_buffers
             else:
                 raise ExecutionError("unknown source ref %r" % (ref,))
+            reads.append(buffer)
             return source_cls(
-                node, reader, mask, meter, self.stats_mode,
+                node, buffer.reader(), mask, meter, self.stats_mode,
                 consolidate_reads=consolidate_reads, **lane
             )
         children = [
             self._compile_node(child, subplan, meter, table_buffers, compiled,
-                               store)
+                               store, reads)
             for child in node.children
         ]
         state_factor = self.stream_config.state_factor
@@ -272,6 +352,7 @@ class PlanExecutor:
                             "join:%d" % node.uid,
                         )
                         join.attach_arrangement(side, handle)
+                        reads.append(table_buffers[table_name])
             return join
         return aggregate_cls(
             node, children[0], mask, meter, self.stats_mode,
@@ -285,13 +366,7 @@ class PlanExecutor:
 
         Returns a :class:`~repro.engine.metrics.RunResult`.
         """
-        self._validate_paces(pace_config)
-        fractions = {
-            subplan.sid: execution_fractions(pace_config[subplan.sid])
-            for subplan in self.plan.subplans
-            if self._included(subplan.sid)
-        }
-        return self.run_schedule(fractions, pace_config, collect_results)
+        return self.run_schedule(None, pace_config, collect_results)
 
     def run_schedule(self, fractions, pace_config=None, collect_results=True):
         """Execute with explicit per-subplan execution fractions.
@@ -300,43 +375,23 @@ class PlanExecutor:
         fractions in ``(0, 1]``; every subplan must include an execution
         at 1 (the trigger point).  This generalizes pace-based runs --
         e.g. the paper's "simple approach" baseline executes once before
-        the trigger and once at it.
+        the trigger and once at it.  ``None`` means the ``i / pace``
+        points of ``pace_config``, whose program is kept for the next
+        run of the same paces; explicit fractions compile theirs afresh.
         """
         table_streams, table_buffers, compiled, order, store = (
             self._ensure_compiled()
         )
         self.compiled = compiled
+        if fractions is None:
+            program = self._pace_program(pace_config)
+        else:
+            program = self._compile_program(fractions)
+            if pace_config is None:
+                pace_config = {
+                    sid: len(points) for sid, points in fractions.items()
+                }
 
-        one = Fraction(1)
-        schedule = {}
-        for subplan in order:
-            if subplan.sid not in fractions:
-                raise ExecutionError(
-                    "no execution fractions for subplan %d" % subplan.sid
-                )
-            points = [Fraction(f) for f in fractions[subplan.sid]]
-            if not points or points[-1] != one:
-                raise ExecutionError(
-                    "subplan %d must execute at the trigger point" % subplan.sid
-                )
-            previous = None
-            for fraction in points:
-                if fraction <= 0 or fraction > one:
-                    raise ExecutionError(
-                        "subplan %d execution fraction %s outside (0, 1]"
-                        % (subplan.sid, fraction)
-                    )
-                if previous is not None and fraction <= previous:
-                    raise ExecutionError(
-                        "subplan %d execution fractions must be strictly "
-                        "ascending, got %s after %s"
-                        % (subplan.sid, fraction, previous)
-                    )
-                previous = fraction
-                schedule.setdefault(fraction, []).append(subplan.sid)
-
-        if pace_config is None:
-            pace_config = {sid: len(points) for sid, points in fractions.items()}
         result = RunResult(pace_config, self.stream_config)
         # what the compiled tree is, not what was asked for (a stats run
         # without the vector lane compiles the reference)
@@ -346,42 +401,43 @@ class PlanExecutor:
         )
         result.metadata["arrangements"] = bool(len(store))
         overhead = self.stream_config.execution_overhead
-        run_start_us = OBS.tracer.now_us() if OBS.enabled else 0.0
-        for fraction in sorted(schedule):
-            for name, stream in table_streams.items():
+        observed = OBS.enabled
+        run_start_us = OBS.tracer.now_us() if observed else 0.0
+        feeds = program.feeds
+        for step in program.steps:
+            for stream, buffer in feeds:
                 if reference:
-                    new_deltas = stream.deltas_until(fraction)
+                    new_deltas = stream.deltas_until(step)
                     if new_deltas:
-                        table_buffers[name].append(new_deltas)
+                        buffer.append(new_deltas)
                 else:
                     # one shared columnar segment per (table, fraction):
                     # all readers of the buffer see the same batch object
                     # and share its lazy column materialization
-                    segment = stream.batch_until(fraction)
+                    segment = stream.batch_until(step)
                     if segment is not None:
-                        table_buffers[name].append_segment(segment)
-            due = set(schedule[fraction])
-            for subplan in order:  # child-first within one trigger point
-                if subplan.sid not in due:
-                    continue
-                unit = compiled[subplan.sid]
-                if OBS.enabled:
+                        buffer.append_segment(segment)
+            fraction = step.fraction
+            final = step.final
+            for unit in step.units:  # child-first within one trigger point
+                if observed:
                     work, latency_work, out = _observed_execution(
                         unit, overhead, fraction
                     )
                 else:
                     work, latency_work, out = unit.run_execution(overhead)
-                record = ExecutionRecord(
-                    subplan.sid, fraction, work, len(out), latency_work
+                result.add_record(
+                    ExecutionRecord(
+                        unit.subplan.sid, fraction, work, len(out),
+                        latency_work
+                    ),
+                    final,
                 )
-                result.add_record(record, is_final=(fraction == one))
-            # memory-only: drop drained prefixes (pinned/unread buffers
-            # skip themselves); logical offsets and work are unaffected
-            for buffer in table_buffers.values():
+            # memory-only: drop drained prefixes; logical offsets and
+            # work are unaffected
+            for buffer in step.drains:
                 buffer.compact()
-            for unit in compiled.values():
-                unit.buffer.compact()
-        if OBS.enabled:
+        if observed:
             OBS.tracer.complete("engine.run", run_start_us, {
                 "subplans": len(order),
                 "executions": len(result.records),
@@ -399,7 +455,7 @@ class PlanExecutor:
         if len(store):
             summary = store.summary()
             result.metadata["arrangement_summary"] = summary
-            if OBS.enabled:
+            if observed:
                 metrics = OBS.metrics
                 metrics.gauge("engine.arrangement.resident_entries").set(
                     summary["resident_entries"]
@@ -428,6 +484,63 @@ class PlanExecutor:
                     self.plan, qid, compiled[root.sid].buffer.materialize()
                 )
         return result
+
+    # -- the window program ------------------------------------------------
+
+    def _pace_program(self, pace_config):
+        """The program of ``pace_config`` on the current tree, last one kept."""
+        compiled = self._runtime[2]  # keyed by sid, child-first
+        key = tuple([pace_config.get(sid) for sid in compiled])
+        memo = self._program
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        self._validate_paces(pace_config)
+        program = self._compile_program({
+            sid: execution_fractions(pace_config[sid]) for sid in compiled
+        })
+        self._program = (key, program)
+        return program
+
+    def _compile_program(self, fractions):
+        """Validate a schedule and flatten it into a :class:`WindowProgram`."""
+        table_streams, table_buffers, compiled, order, _ = self._runtime
+        one = Fraction(1)
+        schedule = {}
+        for subplan in order:
+            if subplan.sid not in fractions:
+                raise ExecutionError(
+                    "no execution fractions for subplan %d" % subplan.sid
+                )
+            points = [Fraction(f) for f in fractions[subplan.sid]]
+            if not points or points[-1] != one:
+                raise ExecutionError(
+                    "subplan %d must execute at the trigger point" % subplan.sid
+                )
+            previous = None
+            for fraction in points:
+                if fraction <= 0 or fraction > one:
+                    raise ExecutionError(
+                        "subplan %d execution fraction %s outside (0, 1]"
+                        % (subplan.sid, fraction)
+                    )
+                if previous is not None and fraction <= previous:
+                    raise ExecutionError(
+                        "subplan %d execution fractions must be strictly "
+                        "ascending, got %s after %s"
+                        % (subplan.sid, fraction, previous)
+                    )
+                previous = fraction
+                # ``order`` is child-first, so each point's list is too
+                schedule.setdefault(fraction, []).append(compiled[subplan.sid])
+        feeds = [
+            (stream, table_buffers[name])
+            for name, stream in table_streams.items()
+        ]
+        steps = [
+            TriggerPoint(fraction, schedule[fraction])
+            for fraction in sorted(schedule)
+        ]
+        return WindowProgram(feeds, steps)
 
     def _validate_paces(self, pace_config):
         for subplan in self.plan.subplans:

@@ -12,6 +12,7 @@ fill proportionally, matching the paper's fixed arrival-rate assumption
 from fractions import Fraction
 
 from ..relational.tuples import Delta, INSERT
+from .columns import ColumnBatch
 
 
 class StreamConfig:
@@ -99,6 +100,10 @@ class TableStream:
     __slots__ = ("table", "log", "delivered")
 
     def __init__(self, table):
+        self.rebind(table)
+
+    def rebind(self, table):
+        """Replay ``table`` from its start: the next window's data."""
         self.table = table
         self.log = table.delta_log()
         self.delivered = 0
@@ -106,11 +111,21 @@ class TableStream:
     def total_rows(self):
         return len(self.log)
 
+    def _target(self, fraction):
+        """Rows of the log due by ``fraction``: ``floor(fraction * N)``.
+
+        ``fraction`` is any rational -- only its integer ``numerator``
+        and ``denominator`` are read (a :class:`~fractions.Fraction`, or
+        a window program's :class:`~repro.engine.executor.TriggerPoint`),
+        so a compiled schedule places its targets without rational
+        arithmetic.
+        """
+        total = len(self.log)
+        return min(fraction.numerator * total // fraction.denominator, total)
+
     def deltas_until(self, fraction):
-        """New deltas to reach progress ``fraction`` (a Fraction)."""
-        target = int(fraction * len(self.log))
-        if fraction >= 1:
-            target = len(self.log)
+        """New deltas to reach progress ``fraction`` (see :meth:`_target`)."""
+        target = self._target(fraction)
         if target <= self.delivered:
             return []
         new = self.log[self.delivered:target]
@@ -130,11 +145,7 @@ class TableStream:
         Signs and bits are plain lists (arrays only if a vector kernel
         reads the segment).  Returns ``None`` when no new rows arrive.
         """
-        from .columns import ColumnBatch
-
-        target = int(fraction * len(self.log))
-        if fraction >= 1:
-            target = len(self.log)
+        target = self._target(fraction)
         if target <= self.delivered:
             return None
         new = self.log[self.delivered:target]

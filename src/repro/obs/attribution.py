@@ -68,6 +68,9 @@ class AttributionLedger:
         #: exact running totals
         self.query_totals = {}
         self.tenant_totals = {}
+        #: the audit side of :meth:`check_running_totals`: every window's
+        #: *measured* work, summed from the inputs rather than the shares
+        self._measured_total = Fraction(0)
 
     def record_window(self, window, subplan_work, beneficiaries, weight_of,
                       tenant_of=None):
@@ -103,6 +106,7 @@ class AttributionLedger:
                 % (window, attributed, measured)
             )
         self.windows.append((window, query_shares))
+        self._measured_total += measured
         for qid, share in query_shares.items():
             self.query_totals[qid] = (
                 self.query_totals.get(qid, Fraction(0)) + share
@@ -134,6 +138,24 @@ class AttributionLedger:
                     % (qid, self.query_totals.get(qid), recomputed.get(qid))
                 )
         return failures
+
+    def check_running_totals(self):
+        """Conservation of the whole history at the cost of one window.
+
+        :meth:`record_window` proved the newest window conserved and
+        folded its measured work into the audit total; the running
+        per-query totals must sum to exactly that, or something edited
+        them since.  Unlike :meth:`check_conservation` this does not
+        revisit earlier windows, so a long-running service can ask after
+        every trigger.  Returns failure strings.
+        """
+        attributed = sum(self.query_totals.values(), Fraction(0))
+        if attributed != self._measured_total:
+            return [
+                "running totals sum to %s, measured work to %s"
+                % (attributed, self._measured_total)
+            ]
+        return []
 
     def window_shares(self, index=-1):
         """One window's shares as floats: ``(window, {qid: work})``."""

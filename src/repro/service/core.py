@@ -533,7 +533,9 @@ class QueryService:
             window, run.total_work, queries, tenants,
             reoptimized=reoptimized, run=run, slack=slack,
             attribution=attribution,
-            conserved=not self.attribution.check_conservation(),
+            # this window's split was checked exactly when recorded; the
+            # full replay (``check_conservation``) is the ledger export's
+            conserved=not self.attribution.check_running_totals(),
         )
 
     def _attribute_work(self, window, run):

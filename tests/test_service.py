@@ -440,6 +440,53 @@ class TestSlackAndAttribution:
         )
         assert sum(shares.values(), Fraction(0)) == measured
 
+    def test_tampered_totals_fail_the_next_window(self):
+        from fractions import Fraction
+
+        service, outcome = self._run_outcome()
+        assert outcome.conserved is True
+        service.attribution.query_totals[0] += Fraction(1, 3)
+        assert service.run_window().conserved is False
+
+    def test_window_path_skips_the_full_replay(self, monkeypatch):
+        def full_replay(self):
+            raise AssertionError("check_conservation() on the window path")
+
+        service, _ = self._run_outcome()
+        monkeypatch.setattr(
+            type(service.attribution), "check_conservation", full_replay
+        )
+        assert service.run_window().conserved is True
+
+    def test_ledger_additions_per_window_do_not_grow(self, monkeypatch):
+        """Exact-rational additions per ``run_window``, window 10 vs 300."""
+        import fractions
+
+        import repro.obs.attribution as attribution_module
+
+        additions = [0]
+
+        class CountingFraction(fractions.Fraction):
+            # a subclass's reflected method wins, so ``x + counted`` counts
+            def __add__(self, other):
+                additions[0] += 1
+                return CountingFraction(fractions.Fraction.__add__(self, other))
+
+            def __radd__(self, other):
+                additions[0] += 1
+                return CountingFraction(fractions.Fraction.__radd__(self, other))
+
+        monkeypatch.setattr(attribution_module, "Fraction", CountingFraction)
+        service, _ = self._run_outcome()
+        per_window = {}
+        for window in range(1, 301):
+            before = additions[0]
+            assert service.run_window().conserved is True
+            per_window[window] = additions[0] - before
+        assert per_window[10] > 0
+        assert per_window[300] == per_window[10]
+        assert service.attribution.check_conservation() == []
+
     def test_tenant_buckets_hold_attributed_work(self):
         service, outcome = self._run_outcome()
         assert outcome.tenants["alpha"]["work"] == pytest.approx(

@@ -184,6 +184,26 @@ class TestAttributionLedger:
         failures = ledger.check_conservation()
         assert failures and "query 0" in failures[0]
 
+    def test_running_totals_check_catches_tampered_totals(self):
+        ledger = AttributionLedger()
+        self._record(ledger, 0)
+        assert ledger.check_running_totals() == []
+        ledger.query_totals[0] += Fraction(1, 3)
+        self._record(ledger, 1)  # recording more does not launder it
+        [failure] = ledger.check_running_totals()
+        assert "running totals" in failure
+
+    def test_full_replay_still_catches_a_retroactive_edit(self):
+        ledger = AttributionLedger()
+        for window in range(3):
+            self._record(ledger, window)
+        ledger.windows[0][1][0] += Fraction(1, 7)
+        # an edited history is beyond the constant-time check ...
+        assert ledger.check_running_totals() == []
+        # ... and exactly what the full replay is for
+        assert any("query 0" in f for f in ledger.check_conservation())
+        assert ledger.to_dict()["conserved"] is False
+
     def test_window_shares_float_view(self):
         ledger = AttributionLedger()
         self._record(ledger, window=3)
