@@ -19,7 +19,9 @@ join-state entries and index-maintenance operations for both legs --
 after asserting the two runs are work- and result-identical -- and the
 extract lands in ``BENCH_arrangements.json``.  With ``--check`` the
 script exits nonzero unless every guarded micro holds
-``VECTOR_LANE_FLOOR`` and arrangements cut resident entries by at least
+``VECTOR_LANE_FLOOR``, the emission-dominated aggregate micros
+(``EAGER_BATCH``-delta batches) hold ``EAGER_ROW_LANE_FLOOR`` of *row
+lane / reference*, and arrangements cut resident entries by at least
 ``ARRANGEMENT_ENTRY_FLOOR``.
 
 Usage::
@@ -87,10 +89,25 @@ ARRANGEMENT_ENTRY_FLOOR = 2.0
 #: of every guarded micro (thousands of rows per batch)
 VECTOR_LANE_FLOOR = 2.0
 
-#: micros outside the floor: a filter -> project chain is one pass of
-#: cheap scalar work per row either way (the vector lane is ~1.2x), and
-#: the multiplicity-bag join is dominated by install bookkeeping
-UNGUARDED = ("filter_project", "join_shared_multiplicity")
+#: deltas per batch of the emission-dominated aggregate micros: the eager
+#: regime, where every batch ends in a retract-and-re-emit of the groups
+#: it touched and the vector lane has nothing to amortise over
+EAGER_BATCH = 200
+
+#: ``--check``: minimum same-run row-lane / reference throughput ratio of
+#: those micros (group records and the per-group generated emission
+#: against the reference's per-state objects and global (row, sign) dict)
+EAGER_ROW_LANE_FLOOR = {
+    "aggregate_eager": 1.6,
+    "aggregate_eager_single_query": 3.0,
+}
+
+#: micros outside the vector floor: a filter -> project chain is one pass
+#: of cheap scalar work per row either way (the vector lane is ~1.2x), the
+#: multiplicity-bag join is dominated by install bookkeeping, and the
+#: eager aggregates are held to ``EAGER_ROW_LANE_FLOOR`` instead
+UNGUARDED = ("filter_project", "join_shared_multiplicity") + tuple(
+    EAGER_ROW_LANE_FLOOR)
 
 #: leg -> the ``ROW_LANE_MAX`` that forces it on every non-empty batch
 LANES = (("row_lane", 1 << 30), ("vector_lane", 0))
@@ -320,10 +337,10 @@ def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):
     )
 
 
-def bench_aggregate(n, batches, repeat, with_deletes=True):
+def bench_aggregate(n, batches, repeat, with_deletes=True, mask=0b111111):
     # six shared queries over one aggregate (the paper's sharing regime)
     # and a Q1-like group cardinality: few groups, many updates per group
-    mask = 0b111111
+    # (``mask`` narrows it: 0b1 is the one-query node of the 22-query plan)
     child_schema = Schema.of("g", "v")
     node = OpNode(
         "aggregate",
@@ -334,7 +351,8 @@ def bench_aggregate(n, batches, repeat, with_deletes=True):
     )
     per_batch = max(1, n // batches)
     n_groups = max(16, n // 600)
-    bit_patterns = (0b111111, 0b010101, 0b001111)
+    bit_patterns = tuple(
+        bits & mask for bits in (0b111111, 0b010101, 0b001111))
     feed_batches = []
     for b in range(batches):
         batch = []
@@ -373,8 +391,8 @@ def bench_aggregate_string_keys(n, batches, repeat):
     """Group-by over string keys: the key-interning regime.
 
     Few distinct string groups, many deltas per group per batch -- the
-    shape where the row lane's absorb loop builds each key tuple once
-    per batch (``fused_absorb_kernel``'s key interning).
+    shape where the row lane's absorb loop reaches a group's record
+    with one dict lookup on the bare key and never builds a key tuple.
     """
     mask = 0b1111
     child_schema = Schema.of("g", "v")
@@ -553,8 +571,10 @@ def main(argv=None):
                         help="where to write the arrangements extract")
     parser.add_argument("--check", action="store_true",
                         help="fail unless every guarded micro's vector lane "
-                             "is %.1fx its row lane and arrangements cut "
-                             "resident join-state entries by %.1fx"
+                             "is %.1fx its row lane, the eager aggregates' "
+                             "row lane holds its floor over the reference "
+                             "and arrangements cut resident join-state "
+                             "entries by %.1fx"
                              % (VECTOR_LANE_FLOOR, ARRANGEMENT_ENTRY_FLOOR))
     parser.add_argument("--repeat", type=int, default=None,
                         help="timing repetitions (best-of)")
@@ -599,6 +619,10 @@ def main(argv=None):
          lambda: bench_aggregate(n, batches, repeat, with_deletes=False)),
         ("aggregate_string_keys",
          lambda: bench_aggregate_string_keys(n, batches, repeat)),
+        ("aggregate_eager",
+         lambda: bench_aggregate(n, n // EAGER_BATCH, repeat)),
+        ("aggregate_eager_single_query",
+         lambda: bench_aggregate(n, n // EAGER_BATCH, repeat, mask=0b1)),
     ):
         case = runner()
         report["micro"][name] = case
@@ -666,6 +690,20 @@ def main(argv=None):
                 "%s %.2fx" % item for item in sorted(low.items())))
         )
         status = 1
+    slow = {
+        name: report["micro"][name]["row_lane_vs_reference"]
+        for name, floor in EAGER_ROW_LANE_FLOOR.items()
+        if report["micro"][name]["row_lane_vs_reference"] < floor
+    }
+    if slow:
+        print(
+            "%s: eager aggregate row lane below its floor over the "
+            "reference: %s" % (verdict, ", ".join(
+                "%s %.2fx (floor %.1fx)"
+                % (name, ratio, EAGER_ROW_LANE_FLOOR[name])
+                for name, ratio in sorted(slow.items())))
+        )
+        status = 1
     entry_reduction = arrangements["entry_reduction"] or 0.0
     if entry_reduction < ARRANGEMENT_ENTRY_FLOOR:
         print(
@@ -676,6 +714,7 @@ def main(argv=None):
     if args.check and not status:
         print(
             "check passed: every guarded vector lane >= %.1fx its row lane, "
+            "eager aggregate row lanes over their floors, "
             "%.2fx resident-entry reduction (floor %.1fx)"
             % (VECTOR_LANE_FLOOR, entry_reduction, ARRANGEMENT_ENTRY_FLOOR)
         )

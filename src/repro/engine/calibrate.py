@@ -18,17 +18,22 @@ import logging
 from ..cost import cache as calibration_cache
 from ..cost.stats import NodeStats
 from ..obs import OBS
-from ..physical.columnar import ColumnarJoinExec, ColumnarSourceExec
+from ..physical.columnar import (
+    ColumnarAggregateExec,
+    ColumnarJoinExec,
+    ColumnarSourceExec,
+)
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
 from .executor import PlanExecutor
 from .stream import StreamConfig
 
 # the production operators and the reference expose the identical stats
 # surface (scanned/kept/in/out totals and per-q dicts, decorations
-# counters), so the stats walker treats them interchangeably;
-# ColumnarAggregateExec subclasses AggregateExec and needs no entry
+# counters, ``group_count``), so the stats walker treats them
+# interchangeably
 _SOURCE_EXECS = (SourceExec, ColumnarSourceExec)
 _JOIN_EXECS = (JoinExec, ColumnarJoinExec)
+_AGGREGATE_EXECS = (AggregateExec, ColumnarAggregateExec)
 
 logger = logging.getLogger(__name__)
 
@@ -226,7 +231,7 @@ def _collect_stats(exec_op):
         _fill_filter_sel(stats, exec_op.decorations)
         exec_op.node.stats = stats
         return
-    if isinstance(exec_op, AggregateExec):
+    if isinstance(exec_op, _AGGREGATE_EXECS):
         _collect_stats(exec_op.child)
         stats = NodeStats("aggregate")
         stats.agg_in = float(exec_op.in_total)

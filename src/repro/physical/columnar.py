@@ -60,12 +60,12 @@ from ..relational.expressions import (
 from .faults import FAULTS, drop_first_retraction
 from .fused import (
     fused_aggregate_inputs,
+    fused_aggregate_kernels,
     fused_decoration_kernel,
     fused_row_kernel,
     fused_source_kernel,
 )
 from .hotpath import cached_artifacts, qids_of
-from .operators import AggregateExec, _GroupQueryState
 
 # Every operator dispatches on its input row count: a batch of
 # ``n <= ROW_LANE_MAX`` rows takes the operator's *row lane* -- one
@@ -1101,72 +1101,64 @@ def _reduceat_exact(arr):
     return bool((arr == np.floor(arr)).all())
 
 
-_INTEGRAL_TYPES = frozenset((int, bool))
-_FLOAT_TYPE = frozenset((float,))
+def _value_exact(value):
+    """:func:`_reduceat_exact` for one Python scalar (the row lane's
+    absorb kernel applies it to every SUM/AVG input some query wants)."""
+    kind = type(value)
+    if kind is float:
+        return value.is_integer() and abs(value) <= _EXACT_VALUE_BOUND
+    return kind is int or kind is bool
 
 
-def _values_exact(values):
-    """:func:`_reduceat_exact` for a list of Python scalars."""
-    kinds = set(map(type, values))
-    if kinds <= _INTEGRAL_TYPES:
-        return True
-    if kinds != _FLOAT_TYPE:
-        return False
-    return (
-        max(map(abs, values)) <= _EXACT_VALUE_BOUND
-        and all(map(float.is_integer, values))
-    )
+class ColumnarAggregateExec:
+    """The production shared group-by aggregate: bit for bit the emitted
+    sequences, float arithmetic, WorkMeter charges and ``state_count`` of
+    the reference :class:`~repro.physical.operators.AggregateExec`.
 
-
-class ColumnarAggregateExec(AggregateExec):
-    """Columnar twin of :class:`~repro.physical.operators.AggregateExec`.
-
-    Absorption of a batch above ``ROW_LANE_MAX`` is vectorized
-    (per-query row selection by bit test, stable sort by group code,
-    segment reduction per aggregate); smaller batches go through the
-    inherited generated per-delta loop (``_absorb_batch``).  Both lanes
-    share one emission (``_emit_batched``), so emission coalescing,
-    ordering and state-count bookkeeping are one piece of code, and the
-    emitted batch goes through the node's decorations like any other.
-    SUM/AVG use ``np.add.reduceat`` only while every input batch has
-    been exact-summable (ints / bounded integral floats); the first
-    batch that is not flips the spec to the reference's sequential
-    per-delta arithmetic forever, keeping state values -- and therefore
-    emission decisions and work charges -- bit-identical to the
-    reference.  MIN/MAX always runs sequentially per segment because its
-    rescan work charges depend on per-delta order.
+    State is one *group record* per live group (layout and generated
+    code: :mod:`repro.physical.fused`), written by both lanes -- the
+    generated per-delta loop and, above ``ROW_LANE_MAX``, a vectorized
+    absorb -- and read by one generated per-group emission.  SUM/AVG may
+    ``np.add.reduceat`` only while every value absorbed, by either lane,
+    has been exact-summable (the ``_exact_ok`` ledger: ints / bounded
+    integral floats); from the first that is not, every batch takes the
+    loop, whose sequential arithmetic is the reference's.
     """
 
     def __init__(self, node, child, subplan_mask, meter, stats_mode=False,
                  state_factor=0.0, vector=np is not None):
-        AggregateExec.__init__(
-            self, node, child, subplan_mask, meter, stats_mode,
-            state_factor=state_factor,
-            decorations=ColumnarDecorations(node, stats_mode, vector=vector),
-        )
+        self.node = node
+        self.child = child
+        self.subplan_mask = subplan_mask
+        self.meter = meter
+        self.state_factor = state_factor
+        self.name = "agg:%d" % node.uid
+        self.specs = node.aggs
+        self.decorations = ColumnarDecorations(node, stats_mode, vector=vector)
+        self.stats_mode = stats_mode
         self.vector = vector
-        child_schema = node.children[0].out_schema
-        self._child_width = len(child_schema)
-        self._group_indexes = tuple(
-            child_schema.index_of(name) for name in node.group_by
-        ) or None
-        # the vector lane's input kernel is generated on first use;
-        # calibration runs the unfused closures instead
-        self._fused_inputs = None
-        self._vec_input_fns = None
-        if stats_mode:
-            self._vec_input_fns = cached_artifacts(
-                ("cagg", node.uid),
-                lambda: tuple(
-                    compile_columnar(spec.expr, child_schema)
-                    for spec in node.aggs
-                ),
-            )
+        schema = node.children[0].out_schema
+        self._child_width = len(schema)
+        self._group_indexes = [schema.index_of(g) for g in node.group_by]
+        # the queries this operator keeps state for: its subplan's, or
+        # the node's when a caller passes the all-ones mask
+        qids = qids_of(subplan_mask if subplan_mask >= 0 else node.query_mask)
+        self._kernels = fused_aggregate_kernels(node, qids)
+        self._empty = ColumnBatch.empty(len(node.group_by) + len(node.aggs))
+        self._clear()
+
+    def _clear(self):
+        self._groups = {}  # group key -> record
+        self._touched = []  # records absorbed into since the last emission
+        self.state_count = 0
         self._exact_ok = [True] * len(self.specs)
+        self.in_total = self.in_deletes = self.out_total = 0
+        self.in_per_q = {}
 
     def reset(self):
-        AggregateExec.reset(self)
-        self._exact_ok = [True] * len(self.specs)
+        self.child.reset()
+        self._clear()
+        self.decorations.reset_stats()
 
     def advance(self):
         batch = as_columns(self.child.advance(), self._child_width)
@@ -1180,11 +1172,15 @@ class ColumnarAggregateExec(AggregateExec):
             self.in_total += n
             _count_bits(batch.bits, self.in_per_q)
             self.in_deletes += int((batch.signs < 0).sum())
-        if self.vector and n > ROW_LANE_MAX:
-            self._absorb_columns(batch)
-        elif n:
-            self._absorb_rows(batch)
-        out = self._emit_batched()
+        if n and not (
+            self.vector and n > ROW_LANE_MAX and self._absorb_columns(batch)
+        ):
+            self.state_count = self._kernels.absorb(
+                batch.rows(), batch.sign_list(), batch.bit_list(),
+                self._groups, self._touched, self.meter, self.name,
+                self.state_count, self._exact_ok,
+            )
+        out = self._emit()
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
             self.meter.charge_state(
@@ -1194,211 +1190,120 @@ class ColumnarAggregateExec(AggregateExec):
             self.out_total += len(out)
         return self.decorations.apply(out, self.meter)
 
-    def _absorb_rows(self, batch):
-        """The row lane: the inherited per-delta arithmetic, fed
-        ``(row, sign, bits)`` triples straight off the batch.
+    def _emit(self):
+        """Nothing touched: the shared empty batch, nothing allocated."""
+        touched = self._touched
+        if not touched:
+            return self._empty
+        out, self.state_count = self._kernels.emit(
+            touched, self._groups, self.state_count
+        )
+        del touched[:]
+        return out
 
-        It updates the same ``groups`` / ``_GroupQueryState`` objects
-        with the reference's sequential arithmetic, so lanes may
-        alternate batch by batch -- provided ``_exact_ok`` keeps meaning
-        "every value absorbed so far was exact-summable": a SUM/AVG
-        input that is not flips its spec off ``reduceat`` here exactly
-        as it would in :meth:`_absorb_columns`, over the same rows (the
-        ones some query of the subplan wants).
-        """
-        rows, signs, bits = _listed(batch)
-        mask = self.subplan_mask
-        wanted = rows
-        if 0 in map(mask.__and__, bits):
-            wanted = [row for row, b in zip(rows, bits) if b & mask]
-        exact_ok = self._exact_ok
-        kinds = self._spec_kinds
-        for si, fn in enumerate(self._input_fns):
-            if exact_ok[si] and kinds[si] != 1 and kinds[si] != 3:
-                exact_ok[si] = _values_exact([fn(row) for row in wanted])
-        self._absorb_batch(zip(rows, signs, bits))
+    def group_count(self, qid=None):
+        """Number of live groups (optionally for one query); diagnostics."""
+        if qid is None:
+            return len(self._groups)
+        slot = self._kernels.slot_of.get(qid)
+        if slot is None:
+            return 0
+        return sum(1 for rec in self._groups.values() if rec[slot] is not None)
 
     def _absorb_columns(self, batch):
-        n = len(batch)
+        """The vector lane.  ``False``, with nothing absorbed, when a
+        SUM/AVG input is not exact-summable, in this batch or an earlier
+        one: the batch then takes the row lane."""
+        exact_ok = self._exact_ok
+        if False in exact_ok:
+            return False
         masked = batch.bits & self.subplan_mask
         keep = masked != 0
         if not keep.all():
             # rows no query wants only "touch" their group in the
-            # reference, which is observably a no-op (state carried
-            # across emissions always re-emits identically)
+            # reference: state carried across emissions re-emits nothing
             indices = np.flatnonzero(keep)
             batch = batch.take(indices)
             masked = masked[indices]
-            n = len(batch)
-            if n == 0:
-                return
+        n = len(batch)
+        if n == 0:
+            return True
+        inputs = fused_aggregate_inputs(self.node)(batch, n)
+        funcs = [spec.func for spec in self.specs]
+        for si, arr in enumerate(inputs):
+            if funcs[si] in ("sum", "avg") and not _reduceat_exact(arr):
+                exact_ok[si] = False
+                return False
+
         codes, keys = self._group_codes(batch, n)
-        touched_add = self._touched.add
-        for key in keys:
-            touched_add(key)
-
-        if self.stats_mode:
-            input_arrays = [
-                _materialize(fn(batch), n) for fn in self._vec_input_fns
-            ]
-        else:
-            fused_inputs = self._fused_inputs
-            if fused_inputs is None:
-                fused_inputs = self._fused_inputs = fused_aggregate_inputs(
-                    self.node
-                )
-            input_arrays = fused_inputs(batch, n)
-        plists = []
-        vec_ok = []
-        kinds = self._spec_kinds
-        for si, arr in enumerate(input_arrays):
-            kind = kinds[si]
-            if kind == 3:
-                vec_ok.append(False)
-            elif self._exact_ok[si]:
-                exact = _reduceat_exact(arr)
-                if not exact:
-                    self._exact_ok[si] = False
-                vec_ok.append(exact)
-            else:
-                vec_ok.append(False)
-            plists.append(None)
-
-        groups = self.groups
-        specs = self.specs
-        meter = self.meter
-        name = self.name
+        kernels = self._kernels
+        records = [
+            kernels.touch(self._groups, self._touched, key) for key in keys
+        ]
         state_count = self.state_count
-        signs = batch.signs
-        union = int(np.bitwise_or.reduce(masked))
-        for qid in qids_of(union):
-            bit = 1 << qid
-            selected = np.flatnonzero((masked & bit) != 0)
-            if not selected.size:
-                continue
-            group_codes = codes[selected]
-            order = np.argsort(group_codes, kind="stable")
-            take = selected[order]
-            sorted_codes = group_codes[order]
-            if sorted_codes.size == 1:
-                starts = np.zeros(1, dtype=np.int64)
-            else:
-                boundaries = np.flatnonzero(
-                    sorted_codes[1:] != sorted_codes[:-1]
-                ) + 1
-                starts = np.concatenate(
-                    (np.zeros(1, dtype=np.int64), boundaries)
-                )
-            sorted_signs = signs[take]
-            contribs = np.add.reduceat(sorted_signs, starts).tolist()
-            seg_codes = sorted_codes[starts].tolist()
-            take_list = None
-            signs_list = None
-
+        # one stable sort by group: every query's rows are then runs of
+        # its groups, each in original delta order
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        masked = masked[order]
+        signs = batch.signs[order]
+        inputs = [arr[order] for arr in inputs]
+        for qid in qids_of(int(np.bitwise_or.reduce(masked))):
+            slot = kernels.slot_of[qid]
+            take = np.flatnonzero((masked & (1 << qid)) != 0)
+            own_codes = codes[take]
+            starts = np.concatenate((
+                np.zeros(1, dtype=np.int64),
+                np.flatnonzero(own_codes[1:] != own_codes[:-1]) + 1,
+            ))
+            own_signs = signs[take]
+            contribs = np.add.reduceat(own_signs, starts).tolist()
             spec_data = []
-            for si, kind in enumerate(kinds):
-                if kind == 1:
-                    spec_data.append(None)  # count: contribs already has it
-                elif vec_ok[si]:
-                    values = input_arrays[si][take]
+            for func, arr in zip(funcs, inputs):
+                values = arr[take]
+                if func in ("sum", "avg"):
                     if values.dtype == np.bool_:
                         values = values.astype(np.int64)
-                    seg = np.add.reduceat(values * sorted_signs, starts)
-                    spec_data.append(seg.tolist())
-                else:
-                    plist = plists[si]
-                    if plist is None:
-                        plist = plists[si] = input_arrays[si].tolist()
-                    if take_list is None:
-                        take_list = take.tolist()
-                        signs_list = sorted_signs.tolist()
-                    spec_data.append(plist)
-
-            seg_count = len(seg_codes)
-            ends = starts[1:].tolist() + [len(take)]
-            starts_list = starts.tolist()
-            for s in range(seg_count):
-                key = keys[seg_codes[s]]
-                per_query = groups.get(key)
-                if per_query is None:
-                    per_query = groups[key] = {}
-                state = per_query.get(qid)
-                if state is None:
-                    state = per_query[qid] = _GroupQueryState(specs)
+                    values = np.add.reduceat(values * own_signs, starts)
+                spec_data.append(None if func == "count" else values.tolist())
+            bounds = starts.tolist() + [len(take)]
+            sign_list = own_signs.tolist()
+            for s, code in enumerate(own_codes[starts].tolist()):
+                st = records[code][slot]
+                if st is None:
+                    st = records[code][slot] = kernels.new_state()
                     state_count += 1
-                state.contributions += contribs[s]
-                states = state.states
-                for si, kind in enumerate(kinds):
-                    st = states[si]
-                    data = spec_data[si]
-                    if kind == 1:
-                        st.count += contribs[s]
-                    elif kind == 0:
-                        if vec_ok[si]:
-                            st.value += data[s]
-                        else:
-                            value = st.value
-                            for j in range(starts_list[s], ends[s]):
-                                v = data[take_list[j]]
-                                value += v if signs_list[j] == 1 else -v
-                            st.value = value
-                    elif kind == 2:
-                        if vec_ok[si]:
-                            count = st.count + contribs[s]
-                            st.count = count
-                            if count == 0:
-                                st.total = 0
-                                st.compensation = 0.0
-                            else:
-                                value = data[s]
-                                total = st.total
-                                if type(total) is int and type(value) is int:
-                                    st.total = total + value
-                                else:
-                                    new_total = total + value
-                                    if abs(total) >= abs(value):
-                                        st.compensation += (
-                                            (total - new_total) + value
-                                        )
-                                    else:
-                                        st.compensation += (
-                                            (value - new_total) + total
-                                        )
-                                    st.total = new_total
-                        else:
-                            for j in range(starts_list[s], ends[s]):
-                                st.update(
-                                    data[take_list[j]], signs_list[j],
-                                    meter, name,
-                                )
-                    else:
+                st[0] += contribs[s]  # and with them COUNT
+                for func, at, data in zip(funcs, kernels.offsets, spec_data):
+                    if func == "sum":
+                        st[at] += data[s]
+                    elif func == "avg":
+                        kernels.avg_step(st, at, data[s], st[0])
+                    elif func != "count":
                         # MIN/MAX: sequential in original delta order so
                         # rescan charges match the reference exactly
-                        for j in range(starts_list[s], ends[s]):
-                            st.update(
-                                data[take_list[j]], signs_list[j],
-                                meter, name,
-                            )
+                        update = st[at].update
+                        for j in range(bounds[s], bounds[s + 1]):
+                            update(data[j], sign_list[j], self.meter,
+                                   self.name)
         self.state_count = state_count
+        return True
 
     def _group_codes(self, batch, n):
-        """(codes array, distinct key tuples) with first-seen stability."""
+        """(codes array, distinct group keys as the groups dict keys them)
+        with first-seen stability."""
         indexes = self._group_indexes
-        if indexes is None:
+        if not indexes:
             return np.zeros(n, dtype=np.int64), [()]
         if len(indexes) == 1:
             column = batch.column(indexes[0])
             if column.dtype != object:
                 uniques, inverse = np.unique(column, return_inverse=True)
-                keys = [(value,) for value in uniques.tolist()]
-                return inverse.astype(np.int64, copy=False), keys
+                return inverse.astype(np.int64, copy=False), uniques.tolist()
             values = column.tolist()
-            wrap = True
         else:
             values = list(zip(*(batch.column_values(i) for i in indexes)))
-            wrap = False
         # first-seen codes: ``setdefault`` hands a new key the next code
         mapping = {}
         codes = [mapping.setdefault(value, len(mapping)) for value in values]
-        keys = [(value,) for value in mapping] if wrap else list(mapping)
-        return np.array(codes, dtype=np.int64), keys
+        return np.array(codes, dtype=np.int64), list(mapping)

@@ -19,10 +19,9 @@ SNIPPETS.md), there is one generator per lane of the size dispatch
   bit-clears and the projection tuple inlined from
   :meth:`Expression.row_source <repro.relational.expressions.Expression
   .row_source>` (no call per row at all), and
-  :func:`fused_absorb_kernel` is the aggregate's per-delta loop with the
-  group key, the input expressions and each spec's state update
-  inlined.  A row-lane chain passes Python lists from kernel to kernel
-  and never touches NumPy.
+  :func:`fused_aggregate_kernels` holds the aggregate's per-delta absorb
+  over its group records and its per-group emission.  A row-lane chain
+  passes Python lists from kernel to kernel and never touches NumPy.
 
 A kernel is generated the first time its lane is taken, the compiled
 text is shared by every node that generates the same text
@@ -42,7 +41,13 @@ closures that chain would call.  ``tests/test_columnar_equivalence.py``
 replays every fig11 batch through all of them.
 """
 
+from collections import namedtuple
+from operator import itemgetter
+from sys import intern
+from textwrap import indent
+
 from ..engine.columns import ColumnBatch, np
+from ..errors import ExecutionError
 from ..relational.codegen import Bindings, compile_source, const_fragment
 from ..relational.expressions import (
     And,
@@ -53,14 +58,15 @@ from ..relational.expressions import (
     Not,
     Or,
 )
-from .hotpath import _QIDS_CACHE, cached_artifacts, qids_of
+from .hotpath import _QIDS_LIMIT, cached_artifacts, qids_of
+from .operators import _MinMaxState, _sort_key
 
 __all__ = [
     "fused_decoration_kernel",
     "fused_source_kernel",
     "fused_aggregate_inputs",
     "fused_row_kernel",
-    "fused_absorb_kernel",
+    "fused_aggregate_kernels",
 ]
 
 
@@ -376,117 +382,327 @@ def _build_row_kernel(node, source):
     ))
 
 
-#: per aggregate function, the state update of one (delta, query) with
-#: the input value spelled ``{v}``.  The arithmetic is copied verbatim
-#: from the state classes of :mod:`repro.physical.operators` (an
-#: identical operation sequence keeps float results bit-identical to the
-#: per-tuple reference path); MIN/MAX keeps the method call because it
-#: charges the work meter on rescans.
-_STATE_UPDATES = {
-    "sum": ("st.value += {v} if sign == 1 else -{v}",),
-    "count": ("st.count += sign",),
-    "avg": (
-        "count = st.count + sign",
-        "st.count = count",
-        "if count == 0:",
-        "    st.total = 0",
-        "    st.compensation = 0.0",
-        "else:",
-        "    value = -{v} if sign == -1 else {v}",
-        "    total = st.total",
-        "    if type(total) is int and type(value) is int:",
-        "        st.total = total + value",
-        "    else:",
-        "        new_total = total + value",
-        "        if abs(total) >= abs(value):",
-        "            st.compensation += (total - new_total) + value",
-        "        else:",
-        "            st.compensation += (value - new_total) + total",
-        "        st.total = new_total",
-    ),
-}
-_MINMAX_UPDATE = ("st.update({v}, sign, meter, name)",)
+# -- aggregate: group records, absorb and per-group emission ----------------
+#
+# The production aggregate keeps ONE record per live group, reached by one
+# dict lookup per delta: ``[key, sort prefix, touched, state, state, ...]``
+# -- the groups dict's key (the bare value of a one-column group-by, else
+# the tuple), ``_sort_key`` of the group key (memoised at the first
+# emission), whether the record is in the operator's touched list, and one
+# state per query of the operator's mask, ``None`` while that query has
+# nothing in the group.  A state is the flat list ``[contributions,
+# previously emitted row, spec slots...]``: SUM one slot, AVG two (total,
+# Neumaier compensation), MIN/MAX one (its multiset object), COUNT none --
+# its value, like AVG's count, *is* the contributions.  The arithmetic
+# copies :mod:`repro.physical.operators`' state classes operation for
+# operation, so floats stay bit-identical to the per-tuple reference.
+
+_STATE0 = 3  # record index of the first query's state
+
+_TOUCH = """\
+rec = groups_get(group)
+if rec is None:
+    rec = groups[group] = [group, None, True{nones}]
+    touched_append(rec)
+elif not rec[2]:
+    rec[2] = True
+    touched_append(rec)
+"""
+
+#: ``{v}``: the signed input; ``count``: the state's new contributions (an
+#: emptied group snaps back to exactly zero: it has drifted nowhere)
+_AVG_UPDATE = """\
+if count == 0:
+    {t} = 0
+    {c} = 0.0
+else:
+    value = {v}
+    total = {t}
+    if type(total) is int and type(value) is int:
+        {t} = total + value
+    else:
+        new_total = total + value
+        if abs(total) >= abs(value):
+            {c} += (total - new_total) + value
+        else:
+            {c} += (value - new_total) + total
+        {t} = new_total
+"""
+
+#: the vector lane shares ``touch`` (fetch or create a group's record),
+#: ``new_state`` and ``avg_step`` (one AVG update at ``st[at]``)
+_ABSORB = """\
+def absorb(rows, signs, bits, groups, touched, meter, name, state_count, exact):
+    groups_get = groups.get
+    touched_append = touched.append
+    for row, sign, b in zip(rows, signs, bits):
+        {wanted}
+            continue
+        group = {group}
+{touch8}
+{inputs}
+{update}
+    return state_count
+
+def touch(groups, touched, group):
+    groups_get = groups.get
+    touched_append = touched.append
+{touch4}
+    return rec
+
+def new_state():
+    return {fresh}
+
+def avg_step(st, at, value, count):
+{avg_step}
+"""
+
+#: one query: straight-line, at most one delete and one insert per group,
+#: nothing to coalesce or tie-break
+_EMIT_ONE = """\
+def emit(touched, groups, state_count):
+    pending = []
+    for rec in touched:
+        rec[2] = False
+        key = rec[0]
+        st = rec[{slot}]
+        previous = st[1]
+        if st[0] > 0:
+            row = {row}
+            if row == previous:
+                continue
+            st[1] = row
+        else:
+            if st[0] < 0:
+                raise ExecutionError({negative} % ({key}, QID))
+            del groups[key]
+            state_count -= 1
+            if previous is None:
+                continue
+            row = None
+        prefix = rec[1]
+        if prefix is None:
+            prefix = rec[1] = sort_key({key})
+        pending.append((prefix, previous, row))
+    if not pending:
+        return EMPTY, state_count
+    if len(pending) > 1:
+        pending.sort(key=first)
+    rows = [old for _, old, _ in pending if old is not None]
+    deleted = len(rows)
+    rows += [new for _, _, new in pending if new is not None]
+    n = len(rows)
+    return from_rows(rows, [-1] * deleted + [1] * (n - deleted),
+                     [MASK] * n, {width}), state_count
+"""
+
+#: several queries: the rows they emit meet inside their group, and only
+#: there (``olds`` / ``news``: row, bit, row, bit, ...)
+_EMIT_MANY = """\
+def emit(touched, groups, state_count):
+    pending = []
+    for rec in touched:
+        rec[2] = False
+        key = rec[0]
+        olds = news = ()
+        live = False
+        for slot, bit, qid in QUERIES:
+            st = rec[slot]
+            if st is None:
+                continue
+            previous = st[1]
+            if st[0] > 0:
+                live = True
+                row = {row}
+                if row == previous:
+                    continue
+                st[1] = row
+                news += (row, bit)
+            else:
+                if st[0] < 0:
+                    raise ExecutionError({negative} % ({key}, qid))
+                rec[slot] = None
+                state_count -= 1
+            if previous is not None:
+                olds += (previous, bit)
+        if not live:
+            del groups[key]
+        if olds or news:
+            prefix = rec[1]
+            if prefix is None:
+                prefix = rec[1] = sort_key({key})
+            pending.append((prefix, coalesce(olds, {arity}),
+                            coalesce(news, {arity})))
+    if not pending:
+        return EMPTY, state_count
+    if len(pending) > 1:
+        pending.sort(key=first)
+    rows = []
+    bits = []
+    for _, (old_rows, old_bits), _ in pending:
+        rows += old_rows
+        bits += old_bits
+    deleted = len(rows)
+    for _, _, (new_rows, new_bits) in pending:
+        rows += new_rows
+        bits += new_bits
+    return from_rows(rows, [-1] * deleted + [1] * (len(rows) - deleted),
+                     bits, {width}), state_count
+"""
+
+def _coalesce(flat, arity):
+    """One group's ``(row, bit, row, bit, ...)`` of one sign as ``(rows,
+    bits)``: equal rows OR their bits, distinct ones order by ``_sort_key``
+    of their values -- the only place those are ever sort-keyed."""
+    if len(flat) <= 2:
+        return flat[:1], flat[1:]
+    merged = {}
+    for row, bit in zip(flat[::2], flat[1::2]):
+        merged[row] = merged.get(row, 0) | bit
+    rows = list(merged)
+    if len(rows) > 1:
+        rows.sort(key=lambda row: _sort_key(row[arity:]))
+    return rows, [merged[row] for row in rows]
 
 
-def _build_absorb_kernel(node):
-    """``kernel(triples, groups, touched, mask, meter, name, state_count)
-    -> state_count``: an aggregate's per-delta absorb over ``(row, sign,
-    bits)`` triples, with the group key, the input expressions and every
-    spec's state update inlined (no call per row but MIN/MAX's)."""
-    from .operators import _GroupQueryState
+AggregateKernels = namedtuple(
+    "AggregateKernels",
+    "absorb emit touch new_state avg_step slot_of offsets fused_source",
+)
+
+
+def _build_aggregate_kernels(node, qids):
+    """Generate the :class:`AggregateKernels` of aggregate ``node`` run
+    for the queries ``qids``, specialised on what the operator can see:
+    the arity of its group key, its specs, whether it serves one query.
+
+    ``absorb`` is the per-delta loop with the group key, the inputs, the
+    state updates and the SUM/AVG exactness ledger (``exact``) inlined.
+    ``emit`` re-emits every touched group whose row changed, in the
+    reference's ``(sign, _sort_key(row))`` order (deletions first, so
+    downstream never sees a transient duplicate): rows of different
+    groups never tie or coalesce -- a row starts with its group key -- so
+    groups sort once by their memoised prefix and queries meet inside a
+    group only.
+    """
+    from .columnar import _value_exact
 
     bindings = Bindings()
     schema = node.children[0].out_schema
-    lines = [
-        "def kernel(triples, groups, touched, mask, meter, name, state_count):",
-        "    groups_get = groups.get",
-        "    touched_add = touched.add",
-        # group keys are interned per batch: the key tuple is built once
-        # per distinct group, and every later delta of the group probes
-        # groups/touched with the identical object (identity fast path)
-        "    key_cache = {}",
-        "    key_cache_get = key_cache.get",
-        "    for row, sign, bits in triples:",
-    ]
     indexes = [schema.index_of(name) for name in node.group_by]
-    if len(indexes) == 1:
-        lines.extend((
-            "        group = row[%d]" % indexes[0],
-            "        key = key_cache_get(group)",
-            "        if key is None:",
-            "            key = key_cache[group] = (group,)",
-        ))
-    elif indexes:
-        lines.extend((
-            "        group = (%s)" % ", ".join("row[%d]" % i for i in indexes),
-            "        key = key_cache_get(group)",
-            "        if key is None:",
-            "            key = key_cache[group] = group",
-        ))
-    else:
-        lines.append("        key = ()")
-    lines.extend((
-        "        per_query = groups_get(key)",
-        "        if per_query is None:",
-        "            per_query = groups[key] = {}",
-        "        touched_add(key)",
-        "        masked = bits & mask",
-        "        qids = qids_cache_get(masked)",
-        "        if qids is None:",
-        "            qids = qids_of(masked)",
-        "        per_query_get = per_query.get",
-    ))
-    values = []
+    arity = len(indexes)
+    slot_of = {qid: _STATE0 + i for i, qid in enumerate(qids)}
+    touch = _TOUCH.format(nones=", None" * len(qids))
+
+    # a state's layout: per spec its first slot, its update and its value
+    fresh = ["0", "None"]
+    offsets, inputs, updates, currents = [], [], [], []
     for position, spec in enumerate(node.aggs):
-        source = spec.expr.row_source(schema, bindings)
-        if isinstance(spec.expr, (Col, Const)):
-            values.append(source)  # cannot raise and costs nothing: inline
+        slot = len(fresh)
+        offsets.append(slot)
+        value = spec.expr.row_source(schema, bindings)
+        summed = spec.func in ("sum", "avg")
+        if summed or not isinstance(spec.expr, (Col, Const)):
+            # (a bare column or constant cannot raise: it stays inline)
+            inputs.append("v%d = %s" % (position, value))
+            value = "v%d" % position
+        if summed:
+            # the exactness rule (columnar._value_exact), tested where
+            # the value already exists; ints pass on the type test alone
+            inputs.append(
+                "if exact[{0}] and type(v{0}) is not int:\n"
+                "    exact[{0}] = value_exact(v{0})".format(position))
+        if spec.func == "sum":
+            fresh.append("0")
+            updates.append("st[%d] += %s if sign == 1 else -%s\n"
+                           % (slot, value, value))
+            currents.append("st[%d]" % slot)
+        elif spec.func == "count":
+            currents.append("st[0]")
+        elif spec.func == "avg":
+            fresh.extend(("0", "0.0"))
+            total, comp = "st[%d]" % slot, "st[%d]" % (slot + 1)
+            updates.append(_AVG_UPDATE.format(
+                t=total, c=comp, v="-{0} if sign == -1 else {0}".format(value)))
+            currents.append("(({t} + {c}) / st[0] if {c} else {t} / st[0])"
+                            .format(t=total, c=comp))
         else:
-            values.append("v%d" % position)
-            lines.append("        v%d = %s" % (position, source))
-    lines.extend((
-        "        for qid in qids:",
-        "            state = per_query_get(qid)",
-        "            if state is None:",
-        "                state = per_query[qid] = new_state(specs)",
-        "                state_count += 1",
-        "            state.contributions += sign",
-    ))
-    if len(values) > 1:
-        lines.append("            states = state.states")
-    for position, spec in enumerate(node.aggs):
-        lines.append("            st = %s[%d]" % (
-            "states" if len(values) > 1 else "state.states", position))
-        for line in _STATE_UPDATES.get(spec.func, _MINMAX_UPDATE):
-            lines.append("            " + line.replace("{v}", values[position]))
-    lines.append("    return state_count")
-    return _compile_kernel("absorb", lines, dict(
+            # MIN/MAX keeps the method call: it charges the meter on rescans
+            fresh.append("MinMax(%r)" % (spec.func == "max"))
+            updates.append("st[%d].update(%s, sign, meter, name)\n"
+                           % (slot, value))
+            currents.append("st[%d].extremum" % slot)
+    fresh = "[%s]" % ", ".join(fresh)
+    update = (
+        "st = rec[{slot}]\n"
+        "if st is None:\n"
+        "    st = rec[{slot}] = %s\n"
+        "    state_count += 1\n"
+        "count = st[0] = st[0] + sign\n" % fresh
+    ) + "".join(updates)
+    if len(qids) == 1:
+        # a row no query wants only "touches" its group in the reference,
+        # which is observably a no-op
+        wanted = "if not b & MASK:"
+        update = indent(update.format(slot=_STATE0), " " * 8)
+    else:
+        wanted = "masked = b & MASK\n        if not masked:"
+        update = indent(
+            "slots = slots_get(masked)\n"
+            "if slots is None:\n"
+            "    slots = decode_slots(masked)\n"
+            "for slot in slots:\n", " " * 8,
+        ) + indent(update.format(slot="slot"), " " * 12)
+    group = "row[%d]" % indexes[0] if arity == 1 else "(%s)" % "".join(
+        "row[%d], " % i for i in indexes)
+    source = _ABSORB.format(
+        wanted=wanted, group=group, touch8=indent(touch, " " * 8),
+        touch4=indent(touch, " " * 4), fresh=fresh,
+        inputs=indent("\n".join(inputs), " " * 8), update=update,
+        avg_step=indent(_AVG_UPDATE.format(
+            t="st[at]", c="st[at + 1]", v="value"), " " * 4),
+    )
+
+    key_part = "key, " if arity == 1 else "".join(
+        "key[%d], " % i for i in range(arity))
+    shape = dict(
+        row="(%s%s)" % (key_part, "".join("%s, " % c for c in currents)),
+        key="(key,)" if arity == 1 else "key",
+        negative='"negative multiplicity in group %r for q%d"',
+        width=arity + len(node.aggs), arity=arity,
+    )
+    emit = _EMIT_ONE if len(qids) == 1 else _EMIT_MANY
+    # interned: nodes of one shape share the text they keep inspectable
+    source = intern(source + "\n" + emit.format(slot=_STATE0, **shape))
+
+    slots = {}  # a delta's masked bits -> the record slots of its queries
+
+    def decode_slots(masked):
+        if len(slots) >= _QIDS_LIMIT:
+            slots.clear()
+        found = slots[masked] = tuple(slot_of[q] for q in qids_of(masked))
+        return found
+
+    # queries are bound, not spelled: one compiled text per node shape
+    namespace = dict(
         bindings.names,
-        specs=node.aggs,
-        new_state=_GroupQueryState,
-        qids_cache_get=_QIDS_CACHE.get,
-        qids_of=qids_of,
-    ))
+        MASK=sum(1 << qid for qid in qids),
+        QID=qids[0],
+        MinMax=_MinMaxState,
+        value_exact=_value_exact,
+        slots_get=slots.get,
+        decode_slots=decode_slots,
+        QUERIES=tuple((slot, 1 << qid, qid) for qid, slot in slot_of.items()),
+        ExecutionError=ExecutionError,
+        sort_key=_sort_key,
+        coalesce=_coalesce,
+        first=itemgetter(0),
+        EMPTY=ColumnBatch.empty(shape["width"]),
+        from_rows=ColumnBatch.from_rows,
+    )
+    exec(compile_source("aggregate", source), namespace)
+    generated = map(namespace.get, AggregateKernels._fields[:5])
+    return AggregateKernels(*generated, slot_of, offsets, source)
 
 
 def fused_decoration_kernel(node):
@@ -519,8 +735,10 @@ def fused_row_kernel(node, source=False):
     )
 
 
-def fused_absorb_kernel(node):
-    """The memoized per-delta absorb kernel of aggregate ``node``."""
+def fused_aggregate_kernels(node, qids):
+    """The memoized :class:`AggregateKernels` of aggregate ``node`` run
+    for the queries ``qids``."""
     return cached_artifacts(
-        ("fused-absorb", node.uid), lambda: _build_absorb_kernel(node)
+        ("fused-aggregate", (node.uid, qids)),
+        lambda: _build_aggregate_kernels(node, qids),
     )

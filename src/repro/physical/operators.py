@@ -17,13 +17,11 @@ TPC-H Q15 non-incrementable in the paper's section 5.3.
 
 These classes are the per-tuple *reference*: the correctness oracle and
 the ``REPRO_ENGINE_UNBATCHED`` kill switch.  Production runs compile the
-size-dispatched operators of :mod:`repro.physical.columnar`, whose
-aggregate inherits the state classes, the generated absorb loop and the
-emission of :class:`AggregateExec`; their row lane is bit-identical to
-these operators and a dedicated test enforces it (docs/PERFORMANCE.md).
+size-dispatched operators of :mod:`repro.physical.columnar`; their row
+lane is bit-identical to these and dedicated tests enforce it
+(docs/PERFORMANCE.md).
 """
 
-from ..engine.columns import ColumnBatch
 from ..errors import ExecutionError
 from ..relational import bitvec
 from ..relational.tuples import Delta, DELETE, INSERT, consolidate
@@ -621,31 +619,13 @@ class _GroupQueryState:
         self.states = [_make_state(spec) for spec in specs]
 
 
-_AGG_KINDS = {"sum": 0, "count": 1, "avg": 2}  # anything else: min/max = 3
-
-
-class _AggregateArtifacts:
-    """Compiled group-key getter and input closures of one aggregate node.
-
-    They serve the per-tuple reference path and the production
-    aggregate's exactness ledger (its absorb loop is generated whole,
-    :func:`~repro.physical.fused.fused_absorb_kernel`); ``spec_kinds``
-    int-codes each aggregate function for the vector lane.
-    """
-
-    __slots__ = ("group_key", "input_fns", "spec_kinds")
-
-    def __init__(self, node):
-        child_schema = node.children[0].out_schema
-        if node.group_by:
-            indexes = tuple(child_schema.index_of(name) for name in node.group_by)
-            self.group_key = lambda row: tuple(row[i] for i in indexes)
-        else:
-            self.group_key = None
-        self.input_fns = tuple(spec.expr.compile(child_schema) for spec in node.aggs)
-        self.spec_kinds = tuple(
-            _AGG_KINDS.get(spec.func, 3) for spec in node.aggs
-        )
+def _aggregate_artifacts(node):
+    """(group-key getter or None, input closures) of an aggregate node."""
+    child_schema = node.children[0].out_schema
+    indexes = tuple(child_schema.index_of(name) for name in node.group_by)
+    group_key = (lambda row: tuple(row[i] for i in indexes)) if indexes else None
+    return group_key, tuple(
+        spec.expr.compile(child_schema) for spec in node.aggs)
 
 
 class AggregateExec:
@@ -661,7 +641,7 @@ class AggregateExec:
     """
 
     def __init__(self, node, child, subplan_mask, meter, stats_mode=False,
-                 state_factor=0.0, decorations=None):
+                 state_factor=0.0):
         self.node = node
         self.child = child
         self.subplan_mask = subplan_mask
@@ -669,17 +649,13 @@ class AggregateExec:
         self.state_factor = state_factor
         self.state_count = 0
         self.name = "agg:%d" % node.uid
-        artifacts = cached_artifacts(("agg", node.uid), lambda: _AggregateArtifacts(node))
-        self._group_key = artifacts.group_key
+        self._group_key, self._input_fns = cached_artifacts(
+            ("agg", node.uid), lambda: _aggregate_artifacts(node))
         self.specs = node.aggs
-        self._input_fns = artifacts.input_fns
-        self._spec_kinds = artifacts.spec_kinds
-        self._absorb_kernel = None  # generated on first row-lane absorb
         self.groups = {}
         self.last_emitted = {}
-        self._sort_prefix = {}  # live group key -> its part of the sort key
         self._touched = set()
-        self.decorations = decorations or Decorations(node, stats_mode)
+        self.decorations = Decorations(node, stats_mode)
         self.stats_mode = stats_mode
         self.in_total = 0
         self.in_per_q = {}
@@ -690,7 +666,6 @@ class AggregateExec:
         self.child.reset()
         self.groups.clear()
         self.last_emitted.clear()
-        self._sort_prefix.clear()
         self._touched.clear()
         self.state_count = 0
         self.in_total = 0
@@ -715,103 +690,6 @@ class AggregateExec:
         if self.stats_mode:
             self.out_total += len(out)
         return self.decorations.apply(out, self.meter)
-
-    # -- inherited by the production aggregate (physical/columnar.py) ---------
-
-    def _absorb_batch(self, triples):
-        # Takes ``(row, sign, bits)`` triples, not Delta objects, so the
-        # row lane feeds it straight off a batch's lists.  The
-        # loop is generated per node (group key, input expressions and
-        # each spec's state update inlined), the first time it runs.
-        kernel = self._absorb_kernel
-        if kernel is None:
-            from .fused import fused_absorb_kernel
-
-            kernel = self._absorb_kernel = fused_absorb_kernel(self.node)
-        self.state_count = kernel(
-            triples, self.groups, self._touched, self.subplan_mask,
-            self.meter, self.name, self.state_count,
-        )
-
-    def _emit_batched(self):
-        emissions = {}  # (row, sign) -> [sort order, query bits]
-        emissions_get = emissions.get
-        groups = self.groups
-        last_emitted = self.last_emitted
-        sort_prefix = self._sort_prefix
-        state_count = self.state_count
-        for key in self._touched:
-            per_query = groups.get(key)
-            if per_query is None:
-                per_query = {}
-            emitted = last_emitted.get(key)
-            if emitted is None:
-                emitted = last_emitted[key] = {}
-            emitted_get = emitted.get
-            # a row's sort key is its group key's (memoised while the
-            # group lives) followed by its aggregate values'
-            prefix = sort_prefix.get(key)
-            if prefix is None:
-                prefix = sort_prefix[key] = _sort_key(key)
-            width = len(key)
-            for qid in list(per_query):
-                state = per_query[qid]
-                contributions = state.contributions
-                previous = emitted_get(qid)
-                if contributions > 0:
-                    values = tuple(s.current() for s in state.states)
-                    row = key + values
-                    if row == previous:
-                        continue
-                    emitted[qid] = row
-                else:
-                    if contributions < 0:
-                        raise ExecutionError(
-                            "negative multiplicity in group %r for q%d" % (key, qid)
-                        )
-                    row = None
-                    if previous is not None:
-                        del emitted[qid]
-                    del per_query[qid]
-                    state_count -= 1
-                if previous is not None:
-                    slot = (previous, DELETE)
-                    entry = emissions_get(slot)
-                    if entry is None:
-                        order = prefix + _sort_key(previous[width:])
-                        emissions[slot] = [(DELETE, order), 1 << qid]
-                    else:
-                        entry[1] |= 1 << qid
-                if row is not None:
-                    slot = (row, INSERT)
-                    entry = emissions_get(slot)
-                    if entry is None:
-                        order = prefix + _sort_key(values)
-                        emissions[slot] = [(INSERT, order), 1 << qid]
-                    else:
-                        entry[1] |= 1 << qid
-            if not per_query:
-                groups.pop(key, None)
-                sort_prefix.pop(key, None)
-            if not emitted:
-                last_emitted.pop(key, None)
-        self._touched.clear()
-        self.state_count = state_count
-        width = len(self.node.group_by) + len(self.specs)
-        if not emissions:
-            return ColumnBatch.empty(width)
-        # deterministic order: deletions first so downstream never sees a
-        # transient duplicate, then insertions
-        rows = []
-        signs = []
-        bits = []
-        for (row, sign), entry in sorted(
-            emissions.items(), key=lambda item: item[1][0]
-        ):
-            rows.append(row)
-            signs.append(sign)
-            bits.append(entry[1])
-        return ColumnBatch.from_rows(rows, signs, bits, width)
 
     # -- per-tuple reference path --------------------------------------------
 
@@ -864,7 +742,6 @@ class AggregateExec:
                 emitted[qid] = row
             if not per_query:
                 self.groups.pop(key, None)
-                self._sort_prefix.pop(key, None)
             if not emitted:
                 self.last_emitted.pop(key, None)
         self._touched.clear()

@@ -252,69 +252,20 @@ class TestFig11WorkIdentity:
 
         # the aggregate's fused part is the input-expression kernel: its
         # arrays must match the unfused closures' dtype for dtype and bit
-        # for bit (the emission check below compares Python values, on
-        # which 3 == 3.0 == True)
+        # for bit.  (What the operator does with them -- both lanes, the
+        # emission, against the per-tuple reference -- is replayed batch
+        # by batch in tests/test_aggregate_emission_spec.py.)
         for node, (batch, n) in calls["agg"]:
             fused = columnar_mod.fused_aggregate_inputs(node)(batch, n)
-            closures = columnar_mod.ColumnarAggregateExec(
-                node, None, -1, WorkMeter(), stats_mode=True
-            )
+            schema = node.children[0].out_schema
             unfused = [
-                columnar_mod._materialize(fn(batch), n)
-                for fn in closures._vec_input_fns
+                columnar_mod._materialize(
+                    columnar_mod.compile_columnar(spec.expr, schema)(batch), n)
+                for spec in node.aggs
             ]
             assert len(fused) == len(unfused)
             for left, right in zip(fused, unfused):
                 _assert_arrays_identical(left, right)
-
-        # aggregates are stateful (a retraction needs the insertion it
-        # cancels), so each node keeps one instance per lane and absorbs
-        # its recorded batches in order, emitting after every one
-        from repro.physical.operators import AggregateExec
-
-        aggregates = {}
-        for node, (batch, n) in calls["agg"]:
-            if node.uid not in aggregates:
-                aggregates[node.uid] = [
-                    (lane_max, columnar_mod.ColumnarAggregateExec(
-                        node, _Feed(), -1, WorkMeter(), stats_mode
-                    ))
-                    for lane_max, stats_mode in lanes
-                ] + [(None, AggregateExec(node, _Feed(), -1, WorkMeter()))]
-            emitted = []
-            for lane_max, aggregate in aggregates[node.uid]:
-                if lane_max is None:
-                    # the per-tuple reference path: no generated code
-                    aggregate.child.batch = batch.to_deltas()
-                    out = aggregate.advance()
-                else:
-                    monkeypatch.setattr(
-                        columnar_mod, "ROW_LANE_MAX", lane_max)
-                    aggregate.child.batch = batch
-                    out = aggregate.advance().to_deltas()
-                # value types ride along: (3,) == (3.0,) == (True,)
-                emitted.append([
-                    (d.row, tuple(map(type, d.row)), d.sign, d.bits)
-                    for d in out
-                ])
-                _assert_python_typed(d.row for d in out)
-            row_lane, fused, unfused, reference = (
-                a for _, a in aggregates[node.uid])
-            assert row_lane._absorb_kernel.fused_source
-            assert row_lane._fused_inputs is None
-            assert fused._fused_inputs is not None
-            assert unfused._fused_inputs is None
-            assert reference._absorb_kernel is None
-            assert emitted[0] == emitted[1] == emitted[2] == emitted[3]
-            _assert_meters_identical(
-                row_lane.meter, fused.meter, unfused.meter, reference.meter
-            )
-            assert row_lane.state_count == fused.state_count
-            # the row lane keeps the reduceat-exactness ledger the
-            # vector lane keeps, so alternating lanes stays exact
-            for si, kind in enumerate(fused._spec_kinds):
-                if kind in (0, 2):
-                    assert row_lane._exact_ok[si] == fused._exact_ok[si]
 
     def test_fused_kernels_actually_fire(self, fig11_setup, monkeypatch):
         # guard against the replay test passing vacuously because fusion
@@ -918,18 +869,18 @@ class TestEmissionOrder:
         # every aggregate emission of the fig11 run: the order built from
         # memoised group-key prefixes must be the order of the full
         # per-row sort key (which is how the reference sorts)
-        from repro.physical import operators
+        from repro.physical import columnar, operators
 
         plan, paces, _ = fig11_setup
         emissions = []
-        emit = operators.AggregateExec._emit_batched
+        emit = columnar.ColumnarAggregateExec._emit
 
         def spy(self):
             out = emit(self)
             emissions.append(out.to_deltas())
             return out
 
-        monkeypatch.setattr(operators.AggregateExec, "_emit_batched", spy)
+        monkeypatch.setattr(columnar.ColumnarAggregateExec, "_emit", spy)
         run_with(plan, paces, batched=True)
         assert sum(map(len, emissions)) > 500
         assert any(
@@ -1173,6 +1124,47 @@ def test_calibration_under_columnar_matches_reference():
     assert columnar.run.metadata["engine_mode"] == "columnar"
     assert serialize_stats(columnar_plan) == serialize_stats(reference_plan)
     assert columnar.run.total_work == reference.run.total_work
+
+
+@needs_numpy
+@pytest.mark.parametrize("lane_max", (0, None, 1 << 30))
+def test_aggregate_stats_identical_across_operator_families(
+    fig11_setup, monkeypatch, lane_max
+):
+    """``_collect_stats`` names both aggregate classes -- the production
+    one is no subclass of the reference -- and a stats-mode run over
+    either family fills identical aggregate ``NodeStats``, deletes,
+    MIN/MAX and per-query group counts included, whichever lane absorbs.
+    """
+    from repro.engine import calibrate
+    from repro.physical import columnar as columnar_mod
+    from repro.physical.operators import AggregateExec
+
+    production = columnar_mod.ColumnarAggregateExec
+    assert calibrate._AGGREGATE_EXECS == (AggregateExec, production)
+    assert AggregateExec not in production.__mro__
+    plan, _, _ = fig11_setup
+    if lane_max is not None:
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+    collected = []
+    for batched in (False, True):
+        clear_compiled_caches()
+        with engine_mode(batched=batched):
+            calibrate.calibrate_plan(plan, StreamConfig())
+        collected.append({
+            node.uid: {
+                name: getattr(node.stats, name, None)
+                for name in type(node.stats).__slots__
+            }
+            for subplan in plan.subplans for node in _walk(subplan.root)
+            if node.kind == "aggregate"
+        })
+    reference, columnar = collected
+    assert len(reference) >= 20
+    assert any(stats["has_minmax"] for stats in reference.values())
+    assert any(len(stats["groups_per_q"]) == 1 and stats["agg_in"] > 100
+               for stats in reference.values())
+    assert columnar == reference
 
 
 def test_fuzz_oracle_matrix_includes_columnar():
