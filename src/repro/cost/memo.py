@@ -297,7 +297,7 @@ class PlanCostModel:
 
         config = self.config
         config_key = (config.execution_overhead, config.minmax_rescan_factor,
-                      config.state_factor, config.arranged_state)
+                      config.state_factor)
         self._cones = {}
         self._signatures = {}
         self._tables = {}

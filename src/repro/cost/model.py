@@ -57,27 +57,18 @@ class CostConfig:
     groups whose extremum is displaced (monotonically growing aggregates
     displace it nearly every time, which is why Q15 is non-incrementable).
 
-    ``arranged_state`` makes :func:`simulate_subplan` skip the state
-    charge of arrangement-eligible join sides (bare base-table scans, see
-    :func:`repro.engine.arrangements.arrangeable_side`), modeling a
-    deployment that bills shared-index maintenance once instead of once
-    per reader.  It defaults to off because the engine's *charged* work
-    is arrangement-invariant by contract -- arrangements reduce resident
-    state and physical maintenance, not WorkMeter charges -- so the
-    default keeps the simulation aligned with what the engine bills.
-    Turning it on is the what-if: the split optimizer then sees shared
-    base-table join state as free, which shifts sharing benefits.
+    ``state_factor`` bills join and aggregate state per reader, as the
+    engine's WorkMeter does: shared arrangements reduce resident state
+    and physical maintenance, not charged work.
     """
 
-    __slots__ = ("execution_overhead", "minmax_rescan_factor", "state_factor",
-                 "arranged_state")
+    __slots__ = ("execution_overhead", "minmax_rescan_factor", "state_factor")
 
     def __init__(self, execution_overhead=1.0, minmax_rescan_factor=0.5,
-                 state_factor=0.3, arranged_state=False):
+                 state_factor=0.3):
         self.execution_overhead = float(execution_overhead)
         self.minmax_rescan_factor = float(minmax_rescan_factor)
         self.state_factor = float(state_factor)
-        self.arranged_state = bool(arranged_state)
 
 
 DEFAULT_COST_CONFIG = CostConfig()
@@ -278,9 +269,9 @@ class SimProgram:
     """One operator tree flattened for :func:`simulate_subplan`.
 
     ``ops`` lists the operators child-first (the root last), one *slot*
-    ``(kind, stats, filtered, projected, a, b, shared)`` each: ``a`` /
-    ``b`` are child slots (of a source, ``a`` is its ordinal among the
-    source leaves), ``shared`` a join's arrangement-eligible sides.
+    ``(kind, stats, filtered, projected, a, b)`` each: ``a`` / ``b`` are
+    child slots (of a source, ``a`` is its ordinal among the source
+    leaves).
     ``anchor`` is the slot of the aggregate an output
     :class:`CollapsingProfile` re-derives (the first in pre-order) or None.
 
@@ -302,7 +293,7 @@ class SimProgram:
 
     def _flatten(self, node, leaf_ordinals):
         """Append ``node``'s subtree child-first; returns the node's slot."""
-        a = b = shared = None
+        a = b = None
         claims = self.anchor is None and node.kind == "aggregate"
         if claims:
             self.anchor = -1  # before its subtree is visited; the slot below
@@ -311,16 +302,11 @@ class SimProgram:
         else:
             a = self._flatten(node.children[0], leaf_ordinals)
             if node.kind == "join":
-                # imported here: repro.engine imports this package
-                from ..engine.arrangements import arrangeable_side
-
                 b = self._flatten(node.children[1], leaf_ordinals)
-                shared = (arrangeable_side(node, 0) is not None,
-                          arrangeable_side(node, 1) is not None)
         if claims:
             self.anchor = len(self.ops)
         self.ops.append((node.kind, node.stats, bool(node.filters),
-                         bool(node.projections), a, b, shared))
+                         bool(node.projections), a, b))
         return len(self.ops) - 1
 
     def specialise(self, mask):
@@ -329,19 +315,19 @@ class SimProgram:
         Everything independent of the execution index, read once: per
         slot ``(kind, a, b, filters, projected, x, y, z)`` -- ``filters``
         the ``(qid, selectivity)`` pairs of a filtering slot; for a join
-        the union selectivity, the ``(qid, selectivity)`` pairs with
-        output and the shared sides; for an aggregate the mask's group
-        universe, ``{qid: universe}`` and the MIN/MAX flag.
+        the union selectivity and the ``(qid, selectivity)`` pairs with
+        output; for an aggregate the mask's group universe,
+        ``{qid: universe}`` and the MIN/MAX flag.
         """
         queries = bitvec.to_ids(mask)
         ops = []
-        for kind, stats, filtered, projected, a, b, z in self.ops:
+        for kind, stats, filtered, projected, a, b in self.ops:
             if stats is None and (filtered or kind != "source"):
                 raise CostModelError(
                     "a %s node has no calibrated statistics; run "
                     "repro.engine.calibrate.calibrate_plan(plan) first" % kind
                 )
-            filters = x = y = None
+            filters = x = y = z = None
             if filtered:
                 filters = [
                     (qid, stats.filter_selectivity(qid)) for qid in queries
@@ -405,7 +391,6 @@ def simulate_subplan(subplan, pace, input_stats, config=None, query_subset=None,
         raise KeyError("no input stats for source %r"
                        % (keys[profiles.index(None)],))
     state_factor = config.state_factor
-    arranged = config.arranged_state
     anchor = tree.anchor
     # what each slot emitted in the current execution ...
     totals, deleted, cards = ([None] * len(ops) for _ in range(3))
@@ -485,11 +470,9 @@ def simulate_subplan(subplan, pace, input_stats, config=None, query_subset=None,
                     keep = r_net / r_total
                     for qid, card in r_q.items():
                         right_q[qid] = right_q.get(qid, 0.0) + card * keep
-                if state_factor:  # arranged sides are billed elsewhere
-                    if not (arranged and z[0]):
-                        entries += left_net
-                    if not (arranged and z[1]):
-                        entries += right_net
+                if state_factor:
+                    entries += left_net
+                    entries += right_net
             else:
                 slot_state = state[slot]
                 n_union, net_union, n_q, _ = slot_state

@@ -11,17 +11,22 @@ existing logical-offset machinery of :mod:`repro.engine.buffers`.
 
 Exactness contract
 ------------------
-Arrangements are a *physical* optimization: with them on or off, query
-results, per-record outputs and every WorkMeter charge are bit-identical
-(the fuzz oracle ``shared-arranged`` vs ``shared-private`` enforces
-this).  That holds because base-table deltas always carry the full
-bitvector (``Delta(row, sign, ~0)``), so an eligible join side's private
-table would store every delta with bits equal to the subplan mask — a
-bijection with the bits-free arrangement index.  Probe outputs take
-their bits from the *probing* delta, exactly as the private probe does.
-What changes is resource occupancy: resident entries and maintenance
-operations are paid once per arrangement instead of once per reader, and
-the savings are reported through ``RunResult.metadata
+Arrangements are a *physical* optimization, selected by plan shape: the
+executor hands a production join side a handle whenever
+:func:`arrangeable_side` accepts it and a private table otherwise.  The
+per-tuple reference (:mod:`repro.physical.operators`) keeps private
+tables on every side and is the oracle: query results, per-record
+outputs and every WorkMeter charge of a run with arranged sides are
+bit-identical to its run (``tests/test_join_emission_spec.py``, the fuzz
+oracles ``shared-columnar-rows`` and ``service`` against their
+``-unbatched`` replays).  That holds because base-table deltas always
+carry the full bitvector (``Delta(row, sign, ~0)``), so an eligible join
+side's private table stores every delta with bits equal to the subplan
+mask — a bijection with the bits-free arrangement index.  Probe outputs
+take their bits from the *probing* delta, exactly as the private probe
+does.  What differs is resource occupancy: resident entries and
+maintenance operations are paid once per arrangement instead of once per
+reader, and the savings are reported through ``RunResult.metadata
 ["arrangement_summary"]`` and the ``engine.arrangement.*`` metrics.
 
 Multiversioning
@@ -39,10 +44,6 @@ exclusive ownership on both sides of a clone).  Inner dicts map
 eagerly, so the index never holds dead keys.  A pinned
 :class:`~repro.engine.buffers.BufferReader` trails the oldest live
 version so buffer compaction never outruns an arrangement.
-
-The kill switch ``REPRO_ENGINE_NO_ARRANGEMENTS=1`` (or
-``engine_mode(arrangements=False)``) restores the private-state path,
-which is kept as the work/result oracle.
 """
 
 from operator import attrgetter

@@ -141,8 +141,7 @@ class WindowProgram:
 class PlanExecutor:
     """Executes a shared plan under pace configurations."""
 
-    def __init__(self, plan, stream_config=None, stats_mode=False, catalog=None,
-                 only=None):
+    def __init__(self, plan, stream_config=None, stats_mode=False, catalog=None):
         self.plan = plan
         self.stream_config = stream_config or StreamConfig()
         self.stats_mode = stats_mode
@@ -150,19 +149,13 @@ class PlanExecutor:
         #: different day's data (recurring queries re-run over each new
         #: trigger window while the plan/statistics come from history)
         self.catalog = catalog or plan.catalog
-        #: optional restriction to a subset of subplan sids (an
-        #: intra-trigger parallel worker's component,
-        #: :mod:`repro.engine.parallel`).  The subset must be closed
-        #: under subplan dependencies; only the included subplans are
-        #: compiled, scheduled, and reported.
-        self.only = frozenset(only) if only is not None else None
         self.compiled = None  # filled per run
         self._runtime = None  # compiled tree, reused across run() calls
         #: ``(pace tuple, WindowProgram)`` of the last pace configuration
         #: run on the tree; dropped whenever the tree is
         self._program = None
         self._query_sids = None  # qid -> its subplan ids, set by _compile
-        self._runtime_mode = None  # engine toggles the tree was built under
+        self._runtime_mode = None  # engine toggle the tree was built under
         self._runtime_reference = None  # whether it is the per-tuple reference
         self._operators = None  # its (source, join, aggregate) classes + kwargs
 
@@ -209,9 +202,6 @@ class PlanExecutor:
 
     # -- compilation ---------------------------------------------------------
 
-    def _included(self, sid):
-        return self.only is None or sid in self.only
-
     def _compile(self):
         self._runtime_mode = HOTPATH.values()
         # The vector lane needs NumPy and every query id below 62, so
@@ -234,11 +224,7 @@ class PlanExecutor:
                 ColumnarSourceExec, ColumnarJoinExec, ColumnarAggregateExec,
                 {"vector": vector},
             )
-        full_order = self.plan.topological_order()
-        order = [
-            subplan for subplan in full_order
-            if self._included(subplan.sid)
-        ]
+        order = self.plan.topological_order()
         table_streams = {}
         table_buffers = {}
         for subplan in order:
@@ -262,14 +248,12 @@ class PlanExecutor:
             )
         # query-root buffers are replayed from offset 0 by query_result_view
         for root in self.plan.query_roots.values():
-            if root.sid in compiled:
-                compiled[root.sid].buffer.pinned = True
+            compiled[root.sid].buffer.pinned = True
         # per-query subplan ids, child-first (``plan.subplans_of_query``
         # without its topological sort per query per run)
         self._query_sids = {
-            qid: [s.sid for s in full_order if s.query_mask & (1 << qid)]
-            for qid, root in self.plan.query_roots.items()
-            if root.sid in compiled
+            qid: [s.sid for s in order if s.query_mask & (1 << qid)]
+            for qid in self.plan.query_roots
         }
         return table_streams, table_buffers, compiled, order, store
 
@@ -279,7 +263,7 @@ class PlanExecutor:
         Reuse resets all mutable state (streams, buffers, reader offsets,
         meters, hash tables, aggregate groups, stats counters) so a reused
         tree is indistinguishable from a freshly compiled one.  The tree
-        is recompiled only when an engine toggle changed since it was
+        is recompiled only when the engine toggle changed since it was
         built (:meth:`rebind` drops it when the plan changed).
         """
         if (
@@ -337,23 +321,28 @@ class PlanExecutor:
         ]
         state_factor = self.stream_config.state_factor
         if node.kind == "join":
-            join = join_cls(
+            if self._runtime_reference:
+                # the oracle keeps private tables on every side
+                return join_cls(
+                    node, children[0], children[1], meter, self.stats_mode,
+                    state_factor=state_factor
+                )
+            # a bare base-table scan reads the one shared index of its
+            # (table, key columns); any other input gets a private state
+            arranged = [None, None]
+            for side in (0, 1):
+                spec = arrangeable_side(node, side)
+                if spec is not None:
+                    table_name, key_indexes = spec
+                    arranged[side] = store.handle(
+                        table_name, key_indexes, table_buffers[table_name],
+                        subplan.sid, "join:%d" % node.uid,
+                    )
+                    reads.append(table_buffers[table_name])
+            return join_cls(
                 node, children[0], children[1], meter, self.stats_mode,
-                state_factor=state_factor, **lane
+                state_factor=state_factor, arranged=arranged, **lane
             )
-            if HOTPATH.arrangements:
-                for side in (0, 1):
-                    spec = arrangeable_side(node, side)
-                    if spec is not None:
-                        table_name, key_indexes = spec
-                        handle = store.handle(
-                            table_name, key_indexes,
-                            table_buffers[table_name], subplan.sid,
-                            "join:%d" % node.uid,
-                        )
-                        join.attach_arrangement(side, handle)
-                        reads.append(table_buffers[table_name])
-            return join
         return aggregate_cls(
             node, children[0], mask, meter, self.stats_mode,
             state_factor=state_factor, **lane
@@ -544,8 +533,6 @@ class PlanExecutor:
 
     def _validate_paces(self, pace_config):
         for subplan in self.plan.subplans:
-            if not self._included(subplan.sid):
-                continue
             if subplan.sid not in pace_config:
                 raise ExecutionError("no pace for subplan %d" % subplan.sid)
             pace = pace_config[subplan.sid]

@@ -16,6 +16,9 @@ Every case runs through multiple pipelines that must agree:
     the production operators with ``ROW_LANE_MAX`` forced to ``1 << 30``
     (every batch on the row lane); must be *bit-identical* to
     ``shared-unbatched`` -- results, work, and every execution record.
+    This is also the exactness pair of shared arrangements
+    (:mod:`repro.engine.arrangements`): production joins read them
+    wherever the plan shape allows, the reference keeps private tables.
 ``shared-columnar-vec``
     the production operators with ``ROW_LANE_MAX`` forced to 0, so the
     fused/vectorised kernels of all three operators (source chain and
@@ -28,16 +31,6 @@ Every case runs through multiple pipelines that must agree:
 ``shared-pace1``
     the shared plan with every pace forced to 1 (one-shot batch
     recompute of every trigger).
-``shared-arranged`` / ``shared-private``
-    the production operators with shared arrangements explicitly on and
-    explicitly off (``engine_mode(arrangements=...)``).  The two runs
-    must be *bit-identical* -- results, total work, every execution
-    record and subplan final work -- because arrangements are a purely
-    physical optimization (see :mod:`repro.engine.arrangements`).
-``service-private``
-    when the case exercises the service, the same register/churn/dropout
-    sequence is replayed with arrangements off and the final window must
-    be bit-identical to the ``service`` oracle's.
 ``decomposed``
     optionally, the shared plan after a random two-way decomposition
     (:func:`repro.core.regenerate.apply_split`) of one shared subplan,
@@ -54,6 +47,11 @@ Every case runs through multiple pipelines that must agree:
     stable query slots and the carry of calibrated state; after every
     churn event the live plan's statistics must be keyed by the queries
     each node serves (:func:`stats_keys_outside_mask`).
+``service-unbatched``
+    the same register/churn/dropout script replayed through the per-tuple
+    reference; its final window must be *bit-identical* to the
+    ``service`` oracle's, so arranged join state carried across register,
+    rebind and dropout is checked against private tables.
 
 Divergence in net query results (tolerance-based multiset comparison,
 :mod:`repro.engine.compare`), in WorkMeter invariants, or in the *class*
@@ -187,8 +185,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
 
     shared_state = {}
 
-    def run_shared(batched=True, pace1=False, row_lane_max=None,
-                   arranged=None):
+    def run_shared(batched=True, pace1=False, row_lane_max=None):
         def runner():
             if "plan" not in shared_state:
                 shared_state["plan"] = MQOOptimizer(catalog).build_shared_plan(
@@ -207,7 +204,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             if row_lane_max is not None:
                 columnar_mod.ROW_LANE_MAX = row_lane_max
             try:
-                with engine_mode(batched=batched, arrangements=arranged):
+                with engine_mode(batched=batched):
                     result = PlanExecutor(plan, config).run(paces)
             finally:
                 columnar_mod.ROW_LANE_MAX = saved
@@ -223,8 +220,6 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     if columns.available():
         attempt("shared-columnar-vec", run_shared(row_lane_max=0))
     attempt("shared-pace1", run_shared(pace1=True))
-    attempt("shared-arranged", run_shared(arranged=True))
-    attempt("shared-private", run_shared(arranged=False))
 
     if case.get("decompose") and "plan" in shared_state:
         target = _decomposition_target(shared_state["plan"], case["decompose"])
@@ -271,7 +266,9 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     service_failures = []
     if case.get("service"):
 
-        def run_service(collect=True, arranged=None):
+        def run_service(batched=True):
+            # ``batched=False`` is the replay leg: the same script on the
+            # per-tuple reference, kept for its final window only
             def runner():
                 from fractions import Fraction
 
@@ -288,7 +285,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 )
 
                 def churned(event):
-                    if collect and svc.plan is not None:
+                    if batched and svc.plan is not None:
                         service_failures.extend(
                             "service stats keys after %s: %s" % (event, failure)
                             for failure in stats_keys_outside_mask(svc.plan)
@@ -312,12 +309,9 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                             churned("deregister %d" % qid)
                     return svc.run_window(collect_results=True)
 
-                if arranged is None:
+                with engine_mode(batched=batched):
                     outcome = drive()
-                else:
-                    with engine_mode(arrangements=arranged):
-                        outcome = drive()
-                if not collect:
+                if not batched:
                     return outcome.run, svc.plan, svc.paces
                 service_slots.update(svc.slots)
                 # attribution conservation oracle: the ledger's own exact
@@ -353,7 +347,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             return runner
 
         attempt("service", run_service())
-        attempt("service-private", run_service(collect=False, arranged=False))
+        attempt("service-unbatched", run_service(batched=False))
 
     failures = _verdict(
         case, queries, outcomes, reference, rel_tol, abs_tol, service_slots
@@ -412,7 +406,7 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
         failures.extend(_check_invariants(name, outcome))
         if name == "unshared":
             continue
-        if name in ("service", "service-private"):
+        if name in ("service", "service-unbatched"):
             # the service runs each query under the slot it assigned at
             # registration and deregistered queries have no final-window
             # result: compare only the survivors, through the slot map
@@ -432,35 +426,21 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
             )
         )
 
-    unbatched = outcomes.get("shared-unbatched")
-    if unbatched is not None and unbatched.error is None:
-        for oracle, check in (
-            ("shared-columnar-rows", _check_bit_identity),
-            ("shared-columnar", _check_work_identity),
-            ("shared-columnar-vec", _check_work_identity),
-        ):
-            production = outcomes.get(oracle)
-            if production is not None and production.error is None:
-                failures.extend(
-                    check(production.result, unbatched.result, oracle)
-                )
-
-    # arrangements are a physical optimization: on vs off must be exact
-    for left_name, right_name, pair_label in (
-        ("shared-arranged", "shared-private", "arrangements"),
-        ("service", "service-private", "arrangements"),
+    # every production leg against the per-tuple replay of the same thing
+    for oracle, per_tuple, check in (
+        ("shared-columnar-rows", "shared-unbatched", _check_bit_identity),
+        ("shared-columnar", "shared-unbatched", _check_work_identity),
+        ("shared-columnar-vec", "shared-unbatched", _check_work_identity),
+        ("service", "service-unbatched", _check_bit_identity),
     ):
-        left = outcomes.get(left_name)
-        right = outcomes.get(right_name)
+        production = outcomes.get(oracle)
+        unbatched = outcomes.get(per_tuple)
         if (
-            left is not None and right is not None
-            and left.error is None and right.error is None
+            production is not None and unbatched is not None
+            and production.error is None and unbatched.error is None
         ):
             failures.extend(
-                _check_bit_identity(
-                    left.result, right.result, label=pair_label,
-                    names=(left_name, right_name),
-                )
+                check(production.result, unbatched.result, oracle, per_tuple)
             )
     return failures
 
@@ -535,41 +515,38 @@ def _records(run):
     ]
 
 
-def _check_work_identity(run, other, label, names=None):
+def _check_work_identity(run, other, name, other_name):
     """Two runs whose work accounting must match *exactly*.
 
     Every WorkMeter-derived number is charged from batch lengths that
     must equal the reference's list lengths, so the slightest drift here
     means a dropped/duplicated delta or a divergent emission decision.
-    ``names`` defaults to ``(label, "shared-unbatched")``.
     """
-    left_name, right_name = names or (label, "shared-unbatched")
     failures = []
     if run.total_work != other.total_work:
         failures.append(
             "%s: total_work differs %s=%r %s=%r"
-            % (label, left_name, run.total_work, right_name, other.total_work)
+            % (name, name, run.total_work, other_name, other.total_work)
         )
     if _records(run) != _records(other):
         failures.append(
             "%s: execution records differ between %s and %s"
-            % (label, left_name, right_name)
+            % (name, name, other_name)
         )
     if run.subplan_final_work != other.subplan_final_work:
         failures.append(
             "%s: subplan final work differs between %s and %s"
-            % (label, left_name, right_name)
+            % (name, name, other_name)
         )
     return failures
 
 
-def _check_bit_identity(run, other, label, names=None):
+def _check_bit_identity(run, other, name, other_name):
     """Two runs that must match *exactly* (results, work, records)."""
-    left_name, right_name = names or (label, "shared-unbatched")
     failures = []
     if run.query_results != other.query_results:
         failures.append(
             "%s: %s and %s query results are not bit-identical"
-            % (label, left_name, right_name)
+            % (name, name, other_name)
         )
-    return failures + _check_work_identity(run, other, label, names)
+    return failures + _check_work_identity(run, other, name, other_name)

@@ -560,7 +560,7 @@ class _ColumnarJoinSide:
 
     __slots__ = ("width", "rows_raw", "bits_raw", "net", "slots",
                  "arrays", "net_array", "materialized", "net_dirty",
-                 "live", "dead")
+                 "entries", "dead")
 
     def __init__(self, width):
         self.width = width
@@ -578,7 +578,7 @@ class _ColumnarJoinSide:
         self.net_array = None
         self.materialized = 0
         self.net_dirty = []
-        self.live = 0
+        self.entries = 0  # live slots (named as ArrangementHandle.entries is)
         self.dead = 0
 
     def _columnize(self, rows):
@@ -661,6 +661,14 @@ class _ColumnarJoinSide:
 class ColumnarJoinExec:
     """Columnar twin of :class:`~repro.physical.operators.JoinExec`.
 
+    Each side's state is one of two things, fixed at construction: an
+    :class:`~repro.engine.arrangements.ArrangementHandle` when the
+    executor passes one (``arranged``, a bare base-table scan sharing
+    the index of its ``(table, key columns)``), a private
+    :class:`_ColumnarJoinSide` otherwise.  Both emit the reference's
+    exact sequence and charge its exact work (the exactness contract in
+    :mod:`repro.engine.arrangements`).
+
     Installs stay scalar (they are per-slot dict bookkeeping either
     way).  The probe of a batch above ``ROW_LANE_MAX`` is vectorized per
     distinct key and reassembled into the reference's exact output
@@ -670,16 +678,14 @@ class ColumnarJoinExec:
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
-                 state_factor=0.0, vector=np is not None):
+                 state_factor=0.0, vector=np is not None,
+                 arranged=(None, None)):
         self.node = node
         self.left = left
         self.right = right
         self.meter = meter
         self.state_factor = state_factor
         self.vector = vector
-        self._private_entries = 0
-        self._left_arranged = None
-        self._right_arranged = None
         self.name = "join:%d" % node.uid
         left_schema = node.children[0].out_schema
         right_schema = node.children[1].out_schema
@@ -692,8 +698,15 @@ class ColumnarJoinExec:
         self._right_key_idx = tuple(
             right_schema.index_of(name) for name in node.right_keys
         )
-        self._left_state = _ColumnarJoinSide(self.left_width)
-        self._right_state = _ColumnarJoinSide(self.right_width)
+        self._left_arranged, self._right_arranged = arranged
+        self._left_state = (
+            _ColumnarJoinSide(self.left_width)
+            if self._left_arranged is None else None
+        )
+        self._right_state = (
+            _ColumnarJoinSide(self.right_width)
+            if self._right_arranged is None else None
+        )
         self.decorations = ColumnarDecorations(
             node, stats_mode, vector=vector
         )
@@ -705,29 +718,23 @@ class ColumnarJoinExec:
         self.in_right_per_q = {}
         self.out_per_q = {}
 
-    def attach_arrangement(self, side, handle):
-        """Serve one side (0=left, 1=right) from a shared arrangement."""
-        if side == 0:
-            self._left_arranged = handle
-        else:
-            self._right_arranged = handle
-
     @property
     def entry_count(self):
-        """Net stored entries this join is charged for (private + shared)."""
-        count = self._private_entries
-        if self._left_arranged is not None:
-            count += self._left_arranged.version.entries
-        if self._right_arranged is not None:
-            count += self._right_arranged.version.entries
-        return count
+        """Net stored entries this join is charged for, both sides.
+
+        An arranged side counts its handle's version entries -- exactly
+        what a private table holds at the same offset.
+        """
+        left = self._left_state or self._left_arranged
+        right = self._right_state or self._right_arranged
+        return left.entries + right.entries
 
     def reset(self):
         self.left.reset()
         self.right.reset()
-        self._left_state.reset()
-        self._right_state.reset()
-        self._private_entries = 0
+        for state in (self._left_state, self._right_state):
+            if state is not None:
+                state.reset()
         self.in_left = 0
         self.in_right = 0
         self.out_total = 0
@@ -787,11 +794,11 @@ class ColumnarJoinExec:
         if left_side:
             key_idx = self._left_key_idx
             probe_state, probe_handle = self._right_state, self._right_arranged
-            own_state, own_handle = self._left_state, self._left_arranged
+            own_state = self._left_state
         else:
             key_idx = self._right_key_idx
             probe_state, probe_handle = self._left_state, self._left_arranged
-            own_state, own_handle = self._right_state, self._right_arranged
+            own_state = self._right_state
         keys = self._keys(batch, key_idx)
         listed = None
         if probe_handle is not None:
@@ -799,7 +806,7 @@ class ColumnarJoinExec:
             if table:
                 listed = _listed(batch)
                 self._probe_arranged(listed, keys, table, left_side, pending)
-        elif probe_state.live:
+        elif probe_state.entries:
             if not self.vector or len(keys) <= ROW_LANE_MAX:
                 listed = _listed(batch)
                 self._probe_scalar(listed, keys, probe_state, left_side,
@@ -807,10 +814,8 @@ class ColumnarJoinExec:
             else:
                 self._flush(pending, outputs)  # keep left-before-right order
                 self._probe(batch, keys, probe_state, left_side, outputs)
-        if own_handle is None:
-            self._private_entries += self._install(
-                own_state, listed or _listed(batch), keys
-            )
+        if own_state is not None:
+            self._install(own_state, listed or _listed(batch), keys)
 
     def _flush(self, pending, outputs):
         """Turn the row lane's pending output into one row-backed batch
@@ -1049,30 +1054,12 @@ class ColumnarJoinExec:
                     if not per_key:
                         del slots[key]
                     retracted += 1
-        entries = fresh - before - retracted
-        state.live += entries
+        state.entries += fresh - before - retracted
         state.dead += retracted
         # bound dead-slot waste: once retracted slots outnumber live
         # ones (with a floor so tiny states never thrash), rebuild
-        if state.dead > 32 and state.dead >= state.live:
+        if state.dead > 32 and state.dead >= state.entries:
             state.compact()
-        return entries
-
-    def state_size(self):
-        """Net stored entries (both sides); used by tests and diagnostics."""
-        total = 0
-        for state in (self._left_state, self._right_state):
-            for per_key in state.slots.values():
-                for idx in per_key.values():
-                    total += abs(state.net[idx])
-        for handle in (self._left_arranged, self._right_arranged):
-            if handle is not None:
-                total += sum(
-                    abs(n)
-                    for m in handle.version.table.values()
-                    for n in m.values()
-                )
-        return total
 
 
 # -- aggregate ---------------------------------------------------------------

@@ -26,17 +26,16 @@ each operator.  Where it may not, every batch takes the row lane (and
 calibration, whose per-filter counters are NumPy closures, runs the
 reference operators).
 
-Two independent toggles, both default on:
+One toggle, default on: ``batched`` -- the production operators;
+``False`` runs the per-tuple reference.
 
-``batched``
-    the production operators; ``False`` runs the per-tuple reference.
-``arrangements``
-    shared join arrangements (:mod:`repro.engine.arrangements`): one
-    multi-reader index per ``(table, key columns)`` replaces the
-    eligible joins' private hash tables.  Results and WorkMeter charges
-    stay bit-identical to the private path (the fuzz oracle
-    ``shared-arranged`` enforces it); resident state and maintenance
-    work drop (docs/ARRANGEMENTS.md).
+Not a toggle either: which join sides read a shared arrangement
+(:mod:`repro.engine.arrangements`).  The executor gives a production
+join side over a bare base-table scan a handle on the one multi-reader
+index of its ``(table, key columns)``; every other side, and every side
+of the reference, keeps a private hash table.  Results and WorkMeter
+charges are bit-identical either way -- the reference's private tables
+are the oracle for the arranged sides (docs/ARRANGEMENTS.md).
 
 Not toggles: compiled per-node artifacts (key getters, aggregate input
 functions, fused kernels) are always memoized process-wide by
@@ -46,10 +45,9 @@ distinct text (:func:`repro.relational.codegen.compile_source`) -- and a
 operator tree across ``run()`` calls (state is deterministically reset
 instead of rebuilt).
 
-Environment overrides (read once at import): ``REPRO_ENGINE_UNBATCHED``
-(run the reference) and ``REPRO_ENGINE_NO_ARRANGEMENTS`` (kill switch
-restoring per-join private state).  Worker processes do not rely on
-them: :mod:`repro.workers` ships the driver's mode.
+Environment override (read once at import): ``REPRO_ENGINE_UNBATCHED``
+(run the reference).  Worker processes do not rely on it:
+:mod:`repro.workers` ships the driver's mode.
 """
 
 import os
@@ -59,31 +57,27 @@ from ..relational.codegen import clear_code_cache
 
 
 class EngineMode:
-    """Mutable toggles of the engine's execution paths."""
+    """The engine's one mutable execution toggle."""
 
-    __slots__ = ("batched", "arrangements")
+    __slots__ = ("batched",)
 
-    def __init__(self, batched=True, arrangements=True):
+    def __init__(self, batched=True):
         self.batched = bool(batched)
-        self.arrangements = bool(arrangements)
 
     def values(self):
         """The toggles as a tuple in ``__slots__`` order (picklable)."""
-        return (self.batched, self.arrangements)
+        return (self.batched,)
 
     def restore(self, values):
         """Set every toggle from a :meth:`values` tuple."""
-        self.batched, self.arrangements = values
+        (self.batched,) = values
 
     def __repr__(self):
-        return "EngineMode(batched=%s, arrangements=%s)" % self.values()
+        return "EngineMode(batched=%s)" % self.values()
 
 
 #: process-wide engine mode; mutate via :func:`engine_mode` in tests
-HOTPATH = EngineMode(
-    batched=not os.environ.get("REPRO_ENGINE_UNBATCHED"),
-    arrangements=not os.environ.get("REPRO_ENGINE_NO_ARRANGEMENTS"),
-)
+HOTPATH = EngineMode(batched=not os.environ.get("REPRO_ENGINE_UNBATCHED"))
 
 
 def engine_mode_label():
@@ -92,13 +86,11 @@ def engine_mode_label():
 
 
 @contextmanager
-def engine_mode(batched=None, arrangements=None):
-    """Temporarily override :data:`HOTPATH` toggles (tests, benchmarks)."""
+def engine_mode(batched=None):
+    """Temporarily override the :data:`HOTPATH` toggle (tests, benchmarks)."""
     saved = HOTPATH.values()
     if batched is not None:
         HOTPATH.batched = bool(batched)
-    if arrangements is not None:
-        HOTPATH.arrangements = bool(arrangements)
     try:
         yield HOTPATH
     finally:

@@ -27,11 +27,6 @@ from ..relational import bitvec
 from ..relational.tuples import Delta, DELETE, INSERT, consolidate
 from .hotpath import cached_artifacts, qids_of
 
-# Bound once: the arranged probe constructs deltas via ``__new__`` + slot
-# stores, skipping the constructor frame (measurable at join fan-out
-# volumes).
-_NEW = Delta.__new__
-
 
 class _DecorationArtifacts:
     """Compiled mark-filter and union projection of one node (shareable)."""
@@ -185,28 +180,13 @@ class SourceExec:
 
 
 class _JoinArtifacts:
-    """Compiled key getters of one join node (shareable).
+    """Compiled key getters of one join node (shareable)."""
 
-    ``left_index``/``right_index`` carry the column position for
-    single-column keys (the overwhelmingly common case) so the arranged
-    probe indexes the row directly instead of calling the getter closure.
-    """
-
-    __slots__ = ("left_key", "right_key", "left_index", "right_index")
+    __slots__ = ("left_key", "right_key")
 
     def __init__(self, node):
-        left_schema = node.children[0].out_schema
-        right_schema = node.children[1].out_schema
-        self.left_key = _key_getter(left_schema, node.left_keys)
-        self.right_key = _key_getter(right_schema, node.right_keys)
-        self.left_index = (
-            left_schema.index_of(node.left_keys[0])
-            if len(node.left_keys) == 1 else None
-        )
-        self.right_index = (
-            right_schema.index_of(node.right_keys[0])
-            if len(node.right_keys) == 1 else None
-        )
+        self.left_key = _key_getter(node.children[0].out_schema, node.left_keys)
+        self.right_key = _key_getter(node.children[1].out_schema, node.right_keys)
 
 
 class JoinExec:
@@ -215,13 +195,6 @@ class JoinExec:
     Both sides keep net-multiplicity hash tables keyed by the join key;
     output bitvectors are the AND of the matching inputs' bitvectors, and
     deletions propagate with multiplied signs.
-
-    A side over a bare base-table scan may instead hold an
-    :class:`~repro.engine.arrangements.ArrangementHandle`
-    (:meth:`attach_arrangement`): the shared index replaces that side's
-    private table, with identical probe outputs and identical WorkMeter
-    charges (see the exactness contract in
-    :mod:`repro.engine.arrangements`).
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
@@ -231,15 +204,12 @@ class JoinExec:
         self.right = right
         self.meter = meter
         self.state_factor = state_factor
-        self._private_entries = 0
-        self._left_arranged = None
-        self._right_arranged = None
+        #: net stored entries (both sides), what ``charge_state`` bills
+        self.entry_count = 0
         self.name = "join:%d" % node.uid
         artifacts = cached_artifacts(("join", node.uid), lambda: _JoinArtifacts(node))
         self._left_key = artifacts.left_key
         self._right_key = artifacts.right_key
-        self._left_index = artifacts.left_index
-        self._right_index = artifacts.right_index
         # key -> {(row, bits): net multiplicity}
         self._left_table = {}
         self._right_table = {}
@@ -252,34 +222,12 @@ class JoinExec:
         self.in_right_per_q = {}
         self.out_per_q = {}
 
-    def attach_arrangement(self, side, handle):
-        """Serve one side (0=left, 1=right) from a shared arrangement."""
-        if side == 0:
-            self._left_arranged = handle
-        else:
-            self._right_arranged = handle
-
-    @property
-    def entry_count(self):
-        """Net stored entries this join is charged for (private + shared).
-
-        An arranged side contributes its handle's version entries — the
-        exact count the private table would hold at the same offset — so
-        ``charge_state`` stays bit-identical across the toggle.
-        """
-        count = self._private_entries
-        if self._left_arranged is not None:
-            count += self._left_arranged.version.entries
-        if self._right_arranged is not None:
-            count += self._right_arranged.version.entries
-        return count
-
     def reset(self):
         self.left.reset()
         self.right.reset()
         self._left_table.clear()
         self._right_table.clear()
-        self._private_entries = 0
+        self.entry_count = 0
         self.in_left = 0
         self.in_right = 0
         self.out_total = 0
@@ -293,27 +241,24 @@ class JoinExec:
         right_deltas = self.right.advance()
         self.meter.charge_input(self.name, len(left_deltas) + len(right_deltas))
         out = []
-        if self._left_arranged is not None or self._right_arranged is not None:
-            self._advance_arranged(left_deltas, right_deltas, out)
-        else:
-            # 1) probe new left deltas against the old right state
-            for delta in left_deltas:
-                self._probe(delta, self._right_table, self._left_key, out,
-                            left_side=True)
-            # 2) install new left deltas
-            for delta in left_deltas:
-                self._private_entries += _table_update(
-                    self._left_table, self._left_key(delta.row), delta
-                )
-            # 3) probe new right deltas against the *new* left state
-            for delta in right_deltas:
-                self._probe(delta, self._left_table, self._right_key, out,
-                            left_side=False)
-            # 4) install new right deltas
-            for delta in right_deltas:
-                self._private_entries += _table_update(
-                    self._right_table, self._right_key(delta.row), delta
-                )
+        # 1) probe new left deltas against the old right state
+        for delta in left_deltas:
+            self._probe(delta, self._right_table, self._left_key, out,
+                        left_side=True)
+        # 2) install new left deltas
+        for delta in left_deltas:
+            self.entry_count += _table_update(
+                self._left_table, self._left_key(delta.row), delta
+            )
+        # 3) probe new right deltas against the *new* left state
+        for delta in right_deltas:
+            self._probe(delta, self._left_table, self._right_key, out,
+                        left_side=False)
+        # 4) install new right deltas
+        for delta in right_deltas:
+            self.entry_count += _table_update(
+                self._right_table, self._right_key(delta.row), delta
+            )
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
             self.meter.charge_state(self.name, self.state_factor * self.entry_count)
@@ -327,95 +272,6 @@ class JoinExec:
         return self.decorations.apply(out, self.meter)
 
     advance = _advance_reference
-
-    def _advance_arranged(self, left_deltas, right_deltas, out):
-        """The four-pass advance with arranged sides swapped in.
-
-        Pass order matches the private path exactly: probe left against
-        the *old* right state, install left, probe right against the
-        *new* left state, install right.  An arranged side's install is
-        ``advance_to`` on the shared index (a no-op past the first
-        reader of the batch); a private side runs the per-tuple loops.
-        """
-        la = self._left_arranged
-        ra = self._right_arranged
-        if left_deltas:
-            if ra is not None:
-                self._probe_arranged(left_deltas, ra, self._left_index,
-                                     self._left_key, out, left_side=True)
-            else:
-                for delta in left_deltas:
-                    self._probe(delta, self._right_table, self._left_key,
-                                out, left_side=True)
-        if la is not None:
-            la.advance_to(self.left.reader.offset)
-        else:
-            for delta in left_deltas:
-                self._private_entries += _table_update(
-                    self._left_table, self._left_key(delta.row), delta
-                )
-        if right_deltas:
-            if la is not None:
-                self._probe_arranged(right_deltas, la, self._right_index,
-                                     self._right_key, out, left_side=False)
-            else:
-                for delta in right_deltas:
-                    self._probe(delta, self._left_table, self._right_key,
-                                out, left_side=False)
-        if ra is not None:
-            ra.advance_to(self.right.reader.offset)
-        else:
-            for delta in right_deltas:
-                self._private_entries += _table_update(
-                    self._right_table, self._right_key(delta.row), delta
-                )
-
-    @staticmethod
-    def _probe_arranged(deltas, handle, key_index, key_fn, out, left_side):
-        """Probe deltas against an arranged side's current version.
-
-        ``key_index``/``key_fn`` extract the join key from the *probing*
-        side's rows.  The arrangement stores ``key -> {row: net}``
-        without bits: an eligible side's private table would store every
-        row with bits equal to the subplan mask, and every probing delta
-        already has ``bits & mask == bits``, so the output bits are
-        exactly the probing delta's bits — matching :meth:`_probe` bit
-        for bit.
-        """
-        table_get = handle.version.table.get
-        append = out.append
-        extend = out.extend
-        new = _NEW
-        cls = Delta
-        for delta in deltas:
-            row_d = delta.row
-            bits_d = delta.bits
-            if bits_d == 0:
-                continue
-            if key_index is not None:
-                key = row_d[key_index]
-            else:
-                key = key_fn(row_d)
-            matches = table_get(key)
-            if not matches:
-                continue
-            sign_d = delta.sign
-            for other_row, net in matches.items():
-                record = new(cls)
-                if left_side:
-                    record.row = row_d + other_row
-                else:
-                    record.row = other_row + row_d
-                record.bits = bits_d
-                if net > 0:
-                    record.sign = sign_d
-                else:
-                    record.sign = -sign_d
-                    net = -net
-                if net == 1:
-                    append(record)
-                else:
-                    extend([record] * net)
 
     def _probe(self, delta, table, key_fn, out, left_side):
         matches = table.get(key_fn(delta.row))
@@ -437,13 +293,6 @@ class JoinExec:
         """Net stored entries (both sides); used by tests and diagnostics."""
         total = sum(abs(n) for m in self._left_table.values() for n in m.values())
         total += sum(abs(n) for m in self._right_table.values() for n in m.values())
-        for handle in (self._left_arranged, self._right_arranged):
-            if handle is not None:
-                total += sum(
-                    abs(n)
-                    for m in handle.version.table.values()
-                    for n in m.values()
-                )
         return total
 
 

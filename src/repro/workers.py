@@ -2,9 +2,9 @@
 
 The paper's metric is deterministic work, so every ``--jobs N`` path --
 experiment sweeps (:mod:`repro.harness.parallel`), sharded service
-schedules (:mod:`repro.harness.service`), intra-trigger components
-(:mod:`repro.engine.parallel`) -- promises a report bit-identical to the
-serial one.  :func:`ordered_map` is where that promise is kept, once:
+schedules (:mod:`repro.harness.service`) -- promises a report
+bit-identical to the serial one.  :func:`ordered_map` is where that
+promise is kept, once:
 
 * every worker process starts from the *driver's* state, not from its
   own environment: the initializer restores the driver's

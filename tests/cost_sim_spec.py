@@ -2,7 +2,8 @@
 
 This is the closure-tree interpreter the cost model ran until the flat
 simulation programs replaced it, moved here verbatim (only the imports,
-the inlined ``require_stats`` and the result record differ): one
+the inlined ``require_stats`` and the result record differ, and join
+state is billed per reader only, like the model's): one
 recursive ``eval_node`` per operator per execution, an ``EdgeStat`` per
 edge, every selectivity looked up where it is used.  It is slow and
 obviously right; ``tests/test_cost_sim_program.py`` holds the production
@@ -220,17 +221,6 @@ def simulate_subplan_spec(subplan, pace, input_stats, config, query_subset=None)
 
     agg_universes = {}
 
-    arranged_sides = {}
-    if config.arranged_state and config.state_factor:
-        from repro.engine.arrangements import arrangeable_side
-
-        for node in subplan.root.walk():
-            if node.kind == "join":
-                arranged_sides[node.uid] = (
-                    arrangeable_side(node, 0) is not None,
-                    arrangeable_side(node, 1) is not None,
-                )
-
     def _state_charge():
         """Per-execution state-store maintenance (mirrors the engine)."""
         if not config.state_factor:
@@ -238,13 +228,8 @@ def simulate_subplan_spec(subplan, pace, input_stats, config, query_subset=None)
         entries = 0.0
         for uid, state in node_states.items():
             if isinstance(state, _JoinSimState):
-                left_shared, right_shared = arranged_sides.get(
-                    uid, (False, False)
-                )
-                if not left_shared:
-                    entries += state.left_net
-                if not right_shared:
-                    entries += state.right_net
+                entries += state.left_net
+                entries += state.right_net
             else:
                 # one state entry per (group, query) pair, like the engine
                 for qid, n_q in state.n_q.items():

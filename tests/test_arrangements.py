@@ -1,15 +1,14 @@
 """Shared arrangements: one join index per ``(table, key columns)``.
 
-The tentpole contract (docs/ARRANGEMENTS.md): with arrangements on, N
-subplans joining the same base table on the same keys share one index --
-resident join-state entries and index-maintenance operations drop by the
-number of readers -- while query results, execution records and every
-WorkMeter charge stay *bit-identical* to the private-table path.  These
-tests pin the exactness contract on both join backends, the resource
-wins, the multiversioned copy-on-write protocol, and the satellite fixes
-that rode along (columnar join-side compaction, the buffer occupancy
-gauge, warm-started selected-pace scans, the cost model's
-``arranged_state`` knob).
+The contract (docs/ARRANGEMENTS.md): N production subplans joining the
+same base table on the same keys share one index -- resident join-state
+entries and index-maintenance operations drop by the number of readers
+-- while query results, execution records and every WorkMeter charge
+stay *bit-identical* to the per-tuple reference, whose joins keep a
+private table on every side.  These tests pin that exactness contract,
+the resource wins, the multiversioned copy-on-write protocol, and the
+satellite fixes that rode along (columnar join-side compaction, the
+buffer occupancy gauge, warm-started selected-pace scans).
 """
 
 import random
@@ -58,15 +57,21 @@ def fingerprint(result):
     }
 
 
-def single_join_queries(catalog, n=4):
+def single_join_queries(catalog, n=4, filtered=False):
     """N identical-shape events |X| items rollups, one subplan each.
 
     ``build_unshared_plan`` keeps them separate, so every subplan probes
-    the same two base tables with a private index -- the workload where
-    one shared arrangement replaces N private tables.
+    the same two base tables -- the workload where one shared arrangement
+    replaces N private tables.  ``filtered`` puts an always-true filter
+    on the events scan: the same deltas arrive, but a decorated scan is
+    not arrangeable, so that side keeps a private table.
     """
+    def events():
+        scan = PlanBuilder.scan(catalog, "events")
+        return scan.where(col("qty") > 0) if filtered else scan
+
     return [
-        PlanBuilder.scan(catalog, "events")
+        events()
         .join(PlanBuilder.scan(catalog, "items"), "ev_item", "item_id")
         .aggregate(["item_cat"], [agg_sum(col("qty"), "total")])
         .as_query(i, "arr_q%d" % i)
@@ -103,31 +108,28 @@ def fanout_setup():
     return plan, paces
 
 
-# -- exactness: arranged vs private must be bit-identical --------------------------
+# -- exactness: production-arranged vs reference-private, bit-identical ------------
 
 
 class TestArrangedExactness:
     def test_batched_paths_bit_identical(self, fanout_setup):
         plan, paces = fanout_setup
-        arranged = run_with(plan, paces, batched=True, arrangements=True)
-        private = run_with(plan, paces, batched=True, arrangements=False)
+        arranged = run_with(plan, paces, batched=True)
+        private = run_with(plan, paces, batched=False)
         assert arranged.metadata["arrangements"] is True
         assert private.metadata["arrangements"] is False
-        assert fingerprint(arranged) == fingerprint(private)
-
-    def test_reference_path_bit_identical(self, fanout_setup):
-        plan, paces = fanout_setup
-        arranged = run_with(plan, paces, batched=False, arrangements=True)
-        private = run_with(plan, paces, batched=False, arrangements=False)
+        assert "arrangement_summary" not in private.metadata
         assert fingerprint(arranged) == fingerprint(private)
 
     def test_columnar_paths_bit_identical(self, fanout_setup, monkeypatch):
-        # each lane forced on every batch: the vector lane, then the row lane
+        # each lane forced on every batch: the vector lane, then the row
+        # lane (the fan-out sums integral quantities, so the vector
+        # lane's segment sums are exact as well)
         plan, paces = fanout_setup
+        private = run_with(plan, paces, batched=False)
         for lane_max in (0, 1 << 30):
             monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
-            arranged = run_with(plan, paces, arrangements=True)
-            private = run_with(plan, paces, arrangements=False)
+            arranged = run_with(plan, paces, batched=True)
             assert fingerprint(arranged) == fingerprint(private), lane_max
 
     def test_mixed_shared_plan_bit_identical(self):
@@ -143,8 +145,8 @@ class TestArrangedExactness:
         paces = {
             s.sid: 2 if s.child_subplans() else 4 for s in plan.subplans
         }
-        arranged = run_with(plan, paces, batched=True, arrangements=True)
-        private = run_with(plan, paces, batched=True, arrangements=False)
+        arranged = run_with(plan, paces, batched=True)
+        private = run_with(plan, paces, batched=False)
         assert arranged.metadata["arrangements"] is True
         assert fingerprint(arranged) == fingerprint(private)
 
@@ -152,8 +154,8 @@ class TestArrangedExactness:
         catalog = add_event_churn(make_toy_catalog(seed=17))
         plan = build_unshared_plan(catalog, single_join_queries(catalog))
         paces = dict(zip(sorted(s.sid for s in plan.subplans), (2, 3, 6, 1)))
-        arranged = run_with(plan, paces, batched=True, arrangements=True)
-        private = run_with(plan, paces, batched=True, arrangements=False)
+        arranged = run_with(plan, paces, batched=True)
+        private = run_with(plan, paces, batched=False)
         assert fingerprint(arranged) == fingerprint(private)
 
 
@@ -165,7 +167,7 @@ class TestArrangedSavings:
         stack, found = [root_exec], []
         while stack:
             node = stack.pop()
-            if hasattr(node, "_private_entries"):
+            if hasattr(node, "entry_count"):
                 found.append(node)
             for attr in ("left", "right", "child"):
                 nxt = getattr(node, attr, None)
@@ -173,26 +175,32 @@ class TestArrangedSavings:
                     stack.append(nxt)
         return found
 
+    def _resident(self, executor):
+        return sum(
+            join.entry_count
+            for unit in executor._runtime[2].values()
+            for join in self._join_execs(unit.root_exec)
+        )
+
     def test_resident_entries_halved_or_better(self, fanout_setup):
+        # what N private tables would hold is what ``charge_state`` bills
+        # per reader: the joins' entry counts, which the reference's
+        # private tables really do hold
         plan, paces = fanout_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, arrangements=False):
-            executor = PlanExecutor(plan, StreamConfig())
-            executor.run(paces)
-            _, _, compiled, _, _ = executor._runtime
-            private_resident = sum(
-                join.entry_count
-                for unit in compiled.values()
-                for join in self._join_execs(unit.root_exec)
-            )
-        arranged = run_with(plan, paces, batched=True, arrangements=True)
-        summary = arranged.metadata["arrangement_summary"]
+        executor = PlanExecutor(plan, StreamConfig())
+        summary = executor.run(paces).metadata["arrangement_summary"]
+        private_resident = self._resident(executor)
+        with engine_mode(batched=False):
+            reference = PlanExecutor(plan, StreamConfig())
+            reference.run(paces)
+            assert self._resident(reference) == private_resident
         assert summary["resident_entries"] > 0
         assert private_resident >= 2 * summary["resident_entries"]
 
     def test_maintenance_ops_halved_or_better(self, fanout_setup):
         plan, paces = fanout_setup
-        arranged = run_with(plan, paces, batched=True, arrangements=True)
+        arranged = run_with(plan, paces, batched=True)
         summary = arranged.metadata["arrangement_summary"]
         assert summary["maintenance_ops"] > 0
         assert summary["private_ops"] >= 2 * summary["maintenance_ops"]
@@ -202,19 +210,13 @@ class TestArrangedSavings:
 
     def test_attribution_is_exact_per_arrangement(self, fanout_setup):
         plan, paces = fanout_setup
-        arranged = run_with(plan, paces, batched=True, arrangements=True)
+        arranged = run_with(plan, paces, batched=True)
         for info in arranged.metadata["arrangement_summary"]["arrangements"]:
             shares = info["attribution"]
             assert len(shares) == info["readers"]
             assert sum(shares.values()) == pytest.approx(
                 info["maintenance_ops"]
             )
-
-    def test_kill_switch_disables_sharing(self, fanout_setup):
-        plan, paces = fanout_setup
-        private = run_with(plan, paces, batched=True, arrangements=False)
-        assert private.metadata["arrangements"] is False
-        assert "arrangement_summary" not in private.metadata
 
 
 # -- tree reuse across runs --------------------------------------------------------
@@ -224,22 +226,12 @@ class TestTreeReuse:
     def test_reused_tree_matches_fresh(self, fanout_setup):
         plan, paces = fanout_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, arrangements=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             first = fingerprint(executor.run(paces))
             second = fingerprint(executor.run(paces))  # reused tree
             fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
         assert first == second == fresh
-
-    def test_toggle_flip_recompiles(self, fanout_setup):
-        plan, paces = fanout_setup
-        clear_compiled_caches()
-        with engine_mode(batched=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            with engine_mode(arrangements=True):
-                assert executor.run(paces).metadata["arrangements"] is True
-            with engine_mode(arrangements=False):
-                assert executor.run(paces).metadata["arrangements"] is False
 
 
 # -- the multiversioned copy-on-write protocol, in isolation -----------------------
@@ -418,22 +410,23 @@ class TestColumnarSideCompaction:
         # reference whatever the toy batch sizes are
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
         catalog = add_event_churn(make_toy_catalog(seed=41), fraction=0.6)
-        plan = build_unshared_plan(catalog, single_join_queries(catalog, 2))
+        plan = build_unshared_plan(
+            catalog, single_join_queries(catalog, 2, filtered=True)
+        )
         paces = {s.sid: 3 for s in plan.subplans}
         clear_compiled_caches()
-        with engine_mode(arrangements=False):
-            executor = PlanExecutor(plan, StreamConfig())
-            run = executor.run(paces)
-            sides = list(self._sides(executor))
-        assert sides, "no columnar join sides compiled"
+        executor = PlanExecutor(plan, StreamConfig())
+        run = executor.run(paces)
+        sides = list(self._sides(executor))
+        assert sides, "no private columnar join sides compiled"
         for state in sides:
             # before the fix the raw delta chunks grew without bound;
             # compaction now keeps dead slots below the live count (plus
             # the trigger threshold)
-            assert state.dead <= max(32, state.live)
+            assert state.dead <= max(32, state.entries)
         # compaction preserved per-key probe order: still bit-identical
         # to the per-tuple reference
-        reference = run_with(plan, paces, batched=False, arrangements=False)
+        reference = run_with(plan, paces, batched=False)
         assert fingerprint(run) == fingerprint(reference)
 
 
@@ -512,29 +505,3 @@ class TestWarmStartedSelectedPace:
                 best = total
         assert best == pytest.approx(warm_decision.local_total_work)
         assert warm.simulations <= cold.simulations
-
-
-# -- satellite: the cost model's arranged_state knob -------------------------------
-
-
-class TestCostModelArrangedState:
-    def _totals(self, **config_kwargs):
-        catalog = make_toy_catalog(seed=37)
-        plan = build_unshared_plan(catalog, single_join_queries(catalog))
-        calibrate_plan(plan, StreamConfig())
-        model = PlanCostModel(plan, CostConfig(**config_kwargs))
-        paces = {s.sid: 2 for s in plan.subplans}
-        return model.evaluate(paces).total_work
-
-    def test_arranged_state_lowers_simulated_state_charge(self):
-        default = self._totals(state_factor=0.3)
-        arranged = self._totals(state_factor=0.3, arranged_state=True)
-        assert arranged < default
-
-    def test_no_state_factor_means_no_difference(self):
-        default = self._totals(state_factor=0.0)
-        arranged = self._totals(state_factor=0.0, arranged_state=True)
-        assert arranged == default
-
-    def test_default_config_keeps_the_knob_off(self):
-        assert CostConfig().arranged_state is False

@@ -256,22 +256,13 @@ class TestWhatTheRecursionHandledImplicitly:
 
     @pytest.mark.parametrize("config", [
         CostConfig(state_factor=0),
-        CostConfig(arranged_state=True),
         CostConfig(execution_overhead=0.0, minmax_rescan_factor=2.0),
-    ], ids=["no-state", "arranged-state", "rescan-heavy"])
+    ], ids=["no-state", "rescan-heavy"])
     def test_cost_configs(self, toy, config):
         plan, _, inputs = toy
         for subplan in plan.subplans:
             for pace in (1, 2, 5):
                 assert_matches_spec(subplan, pace, inputs[subplan.sid], config)
-        # the arranged what-if really is a different number somewhere
-        if config.arranged_state:
-            assert any(
-                simulate_subplan(
-                    subplan, 3, inputs[subplan.sid], config).private_total
-                < simulate_subplan(subplan, 3, inputs[subplan.sid]).private_total
-                for subplan in plan.subplans
-            )
 
     def test_minmax_aggregate_under_deletes(self, toy):
         plan, _, inputs = toy

@@ -12,7 +12,6 @@ import pytest
 from repro import obs
 from repro.core.optimizer import OptimizerConfig
 from repro.engine.executor import PlanExecutor
-from repro.mqo.merge import build_unshared_plan
 from repro.obs import OBS
 from repro.physical.hotpath import engine_mode
 from repro.relational.schema import STR, Column, Schema
@@ -88,20 +87,15 @@ def widened(catalog, name):
     return wide
 
 
-def assert_rebound_windows_match_fresh(plan, catalogs, compiles, only=None):
-    paces = {
-        sid: pace for sid, pace in mixed_paces(plan).items()
-        if only is None or sid in only
-    }
-    executor = PlanExecutor(plan, catalog=catalogs[0], only=only)
+def assert_rebound_windows_match_fresh(plan, catalogs, compiles):
+    paces = mixed_paces(plan)
+    executor = PlanExecutor(plan, catalog=catalogs[0])
     for today in catalogs:
         recompile = executor.rebind(catalog=today)
         assert recompile is False
         kept = fingerprint(executor.run(paces))
         assert compiles(executor) == 1
-        fresh = fingerprint(
-            PlanExecutor(plan, catalog=today, only=only).run(paces)
-        )
+        fresh = fingerprint(PlanExecutor(plan, catalog=today).run(paces))
         assert kept == fresh, "window over %r" % (today,)
         assert executor.catalog is today
 
@@ -119,15 +113,6 @@ class TestDataOnlyRebind:
             assert_rebound_windows_match_fresh(
                 plan, days + [days[0]], compiles
             )
-
-    def test_component_executor(self, days, compiles):
-        queries = toy_queries(days[0])
-        plan = build_unshared_plan(days[0], queries)
-        only = {s.sid for s in plan.subplans if s.query_mask == 1 << 1}
-        assert only and len(only) < len(plan.subplans)
-        assert_rebound_windows_match_fresh(
-            plan, days + [days[0]], compiles, only=only
-        )
 
     def test_window_program_survives_a_data_rebind(self, days):
         plan = shared_plan_for(days[0], toy_queries(days[0]))

@@ -88,11 +88,9 @@ class TestFig11BitIdentity:
 
     def test_each_toggle_is_individually_neutral(self, fig11_setup):
         plan, paces = fig11_setup
-        baseline = fingerprint(
-            run_with(plan, paces, batched=False, arrangements=False)
-        )
-        for toggle in ("batched", "arrangements"):
-            mode = {"batched": False, "arrangements": False, toggle: True}
+        baseline = fingerprint(run_with(plan, paces, batched=False))
+        for toggle in ("batched",):
+            mode = {"batched": False, toggle: True}
             assert fingerprint(run_with(plan, paces, **mode)) == baseline, toggle
 
     def test_warm_caches_and_reused_tree_are_neutral(self, fig11_setup):
@@ -101,7 +99,7 @@ class TestFig11BitIdentity:
         plan, paces = fig11_setup
         for batched in (False, True):
             clear_compiled_caches()
-            with engine_mode(batched=batched, arrangements=False):
+            with engine_mode(batched=batched):
                 executor = PlanExecutor(plan, StreamConfig())
                 cold = fingerprint(executor.run(paces))
                 warm = fingerprint(executor.run(paces))

@@ -1,4 +1,4 @@
-"""The ordered-map worker pool (``repro.workers``) and its three callers.
+"""The ordered-map worker pool (``repro.workers``) and its two callers.
 
 The primitive owns the determinism contract of every ``--jobs N`` path:
 task-order results, errors and observability merge; static assignment
@@ -14,8 +14,6 @@ import pytest
 from repro import obs, workers
 from repro.core.optimizer import OptimizerConfig
 from repro.cost import cache as calibration_cache
-from repro.engine.executor import PlanExecutor
-from repro.engine.parallel import plan_components, run_parallel
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
 from repro.harness.parallel import ExperimentCell, run_cells
@@ -30,15 +28,9 @@ from repro.physical.hotpath import (
 )
 from repro.workers import WorkerTraceback, ordered_map
 from repro.workloads.constraints import uniform_constraints
-from repro.workloads.tpch import (
-    ALL_QUERY_NAMES,
-    build_workload,
-    generate_catalog,
-)
 
 from .util import (
     make_toy_catalog,
-    shared_plan_for,
     toy_query_max,
     toy_query_region,
     toy_query_total,
@@ -82,7 +74,7 @@ def _log_or_fail(_shared, task):
 
 
 def _mode_probe(_shared, _task):
-    return engine_mode_label(), HOTPATH.arrangements
+    return engine_mode_label(), HOTPATH.values()
 
 
 def _cache_probe(_shared, _task):
@@ -164,9 +156,11 @@ class TestEngineModeUnderSpawn:
     the pool ships it."""
 
     def test_primitive_ships_the_mode(self, spawn_start_method):
-        with engine_mode(batched=False, arrangements=False):
+        with engine_mode(batched=False):
             outcomes = ordered_map(_mode_probe, range(4), jobs=2)
-        assert [result for result, _ in outcomes] == [("reference", False)] * 4
+        assert [result for result, _ in outcomes] == [
+            ("reference", (False,))
+        ] * 4
 
     def test_run_cells_reports_the_serial_engine_mode(self, spawn_start_method):
         runner = _toy_runner()
@@ -179,18 +173,6 @@ class TestEngineModeUnderSpawn:
             assert par.result.run.metadata == ser.result.run.metadata
             assert par.result.total_work == ser.result.total_work
             assert par.result.missed.absolute == ser.result.missed.absolute
-
-    def test_run_parallel_reports_the_serial_engine_mode(
-        self, spawn_start_method, component_plan
-    ):
-        plan, paces = component_plan
-        with engine_mode(batched=False):
-            serial = PlanExecutor(plan, StreamConfig()).run(paces)
-            parallel = run_parallel(plan, paces, StreamConfig(), jobs=2)
-        assert serial.metadata["engine_mode"] == "reference"
-        assert parallel.metadata == serial.metadata
-        assert parallel.query_results == serial.query_results
-        assert parallel.total_work == serial.total_work
 
 
 def test_service_schedule_bit_identical_under_spawn(spawn_start_method):
@@ -209,30 +191,30 @@ def test_service_schedule_bit_identical_under_spawn(spawn_start_method):
 
 
 def test_engine_matrix_guard():
-    """Two toggles, two environment switches, one production backend,
-    one process pool."""
+    """One toggle, one environment switch, one production backend, one
+    process pool -- and a reference that knows nothing of arrangements."""
     import pathlib
     import re
 
     import repro
 
-    assert EngineMode.__slots__ == ("batched", "arrangements")
+    assert EngineMode.__slots__ == ("batched",)
     root = pathlib.Path(repro.__file__).parent
     sources = {path: path.read_text() for path in root.rglob("*.py")}
     switches = {
         name for text in sources.values()
         for name in re.findall(r"REPRO_ENGINE_[A-Z_]+", text)
     }
-    assert switches == {
-        "REPRO_ENGINE_UNBATCHED", "REPRO_ENGINE_NO_ARRANGEMENTS",
-    }
+    assert switches == {"REPRO_ENGINE_UNBATCHED"}
     retired = re.compile(
         r"_advance_batched|_apply_batched|_process_batch|columnar_available"
-        r"|COLUMNAR_KILLED|_columnar_active"
+        r"|COLUMNAR_KILLED|_columnar_active|_advance_arranged|arranged_state"
+        r"|run_parallel"
     )
     assert not [
         path.name for path, text in sources.items() if retired.search(text)
     ]
+    assert "arrang" not in (root / "physical" / "operators.py").read_text()
     pools = [
         path.name for path, text in sources.items()
         if "ProcessPoolExecutor(" in text
@@ -260,15 +242,6 @@ def _toy_cells():
         ExperimentCell(name, relative)
         for name in ("iShare", "NoShare-Uniform", "Share-Uniform")
     ]
-
-
-@pytest.fixture(scope="module")
-def component_plan():
-    catalog = generate_catalog(scale=0.05, seed=5)
-    queries = build_workload(catalog, ALL_QUERY_NAMES)
-    plan = shared_plan_for(catalog, queries)
-    assert len(plan_components(plan)) > 2
-    return plan, {subplan.sid: 2 for subplan in plan.subplans}
 
 
 SCHEDULE = {
@@ -342,11 +315,3 @@ class TestStaticAssignmentWhileTracing:
         # crc32 leaves one of the three shards without a tenant
         runs = {run for run, _, _ in declog}
         assert len(runs) == 2 and runs < {"shard-0", "shard-1", "shard-2"}
-
-    def test_run_parallel(self, component_plan):
-        plan, paces = component_plan
-        _, counters, spans = self._twice(
-            lambda: run_parallel(plan, paces, StreamConfig(), jobs=2)
-        )
-        assert counters["engine.executions"] == 2 * len(plan.subplans)
-        assert spans.count("engine.run") == len(plan_components(plan))
