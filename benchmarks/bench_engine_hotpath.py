@@ -215,14 +215,18 @@ def _ratio(timings, slower, faster):
 def _columnar_feed_batches(feed_batches, width):
     """Pre-converted ``ColumnBatch`` inputs for the production legs.
 
-    Inside a production pipeline an operator's input arrives as columnar
-    buffer segments (the buffer passthrough path), so the join and
-    aggregate legs are fed their native format -- exactly as the
-    reference leg is fed delta lists.  The source micro is the exception
-    and keeps raw deltas on every leg: ingest conversion is inherent to
-    the source operator.
+    Inside a production tree every operator's input -- a source's
+    buffer segments included -- is a ``ColumnBatch``, so the production
+    legs are fed their native form, exactly as the reference leg is fed
+    delta lists.
     """
-    return [ColumnBatch.from_deltas(batch, width) for batch in feed_batches]
+    return [
+        ColumnBatch.from_rows(
+            [d.row for d in batch], [d.sign for d in batch],
+            [d.bits for d in batch], width,
+        )
+        for batch in feed_batches
+    ]
 
 
 class _Harness:
@@ -256,28 +260,27 @@ def bench_filter_project(n, batches, repeat):
         for b in range(batches)
     ]
 
-    # SourceExec reads via reader.read_new(); adapt the feed
+    # a source reads via reader.read_new(): one segment per advance
     class _ReaderFeed(_Feed):
         offset = 0  # logical span cursor (cache_view keys go unused here)
 
         def read_new(self):
-            return self.advance()
+            segment = self.advance()
+            self.offset += len(segment)
+            return [segment]
 
-        def read_new_segments(self):
-            batch = self.advance()
-            self.offset += len(batch)
-            return batch, []
-
-    def make(source_cls):
+    def make(source_cls, segments):
         def build():
-            feed = _ReaderFeed(feed_batches)
+            feed = _ReaderFeed(segments)
             return _Harness(
                 source_cls(node, feed, 0b1111, WorkMeter()), [feed])
 
         return build
 
     return _micro_case(
-        make(SourceExec), make(ColumnarSourceExec), feed_batches, repeat)
+        make(SourceExec, feed_batches),
+        make(ColumnarSourceExec, _columnar_feed_batches(feed_batches, 2)),
+        feed_batches, repeat)
 
 
 def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):

@@ -41,17 +41,14 @@ copy-on-write: the top-level dict is copied shallowly and per-key inner
 dicts are cloned only when first written (the ``owned`` key set tracks
 exclusive ownership on both sides of a clone).  Inner dicts map
 ``row -> net multiplicity``; entries retracting to zero are deleted
-eagerly, so the index never holds dead keys.  A pinned
-:class:`~repro.engine.buffers.BufferReader` trails the oldest live
-version so buffer compaction never outruns an arrangement.
+eagerly, so the index never holds dead keys.  The arrangement's
+trailing :class:`~repro.engine.buffers.BufferReader` follows the oldest
+live version, so the table log holds every segment a laggard handle has
+yet to apply.
 """
-
-from operator import attrgetter
 
 from ..errors import ExecutionError
 from ..mqo.nodes import TableRef
-
-_ROW_SIGN = attrgetter("row", "sign")
 
 __all__ = [
     "Arrangement",
@@ -157,7 +154,7 @@ class Arrangement:
             self.key_indexes[0] if len(self.key_indexes) == 1 else None
         )
         self.buffer = buffer
-        # pins compaction at the oldest live version's offset
+        # trails the oldest live version: what the table log holds for us
         self.reader = buffer.reader()
         self.versions = {0: _Version({}, set(), 0, 0, 0)}
         self.handles = []
@@ -232,28 +229,10 @@ class Arrangement:
         """Apply log deltas ``[version.offset, target)`` to ``version``.
 
         Reads through :meth:`~repro.engine.buffers.Buffer.span_entries`,
-        which serves pending columnar segments directly -- the
-        columnar-native ingest path never pays a Delta round-trip just
-        to maintain an arrangement.
+        which takes rows and signs straight off the table log's
+        segments and fails if the span is no longer held.
         """
-        buffer = self.buffer
-        if version.offset < buffer.base:
-            raise ExecutionError(
-                "arrangement %r version @%d is behind the compaction "
-                "horizon (base %d)"
-                % (self.table_name, version.offset, buffer.base)
-            )
-        start = version.offset - buffer.base
-        stop = target - buffer.base
-        if stop <= len(buffer.deltas):
-            # span fully materialized: iterate the deltas in place
-            # (C-speed attrgetter, no intermediate pair list)
-            span = buffer.deltas[start:stop]
-            count = len(span)
-            entries_span = map(_ROW_SIGN, span)
-        else:
-            entries_span = buffer.span_entries(version.offset, target)
-            count = len(entries_span)
+        entries_span = self.buffer.span_entries(version.offset, target)
         table = version.table
         owned = version.owned
         key_index = self.key_index
@@ -285,7 +264,7 @@ class Arrangement:
                     entries += 1
         version.entries = entries
         version.offset = target
-        self.maintenance_ops += count
+        self.maintenance_ops += len(entries_span)
 
     def _prune(self):
         versions = self.versions

@@ -2,14 +2,14 @@
 
 A :class:`ColumnBatch` is the columnar twin of a ``list[Delta]``: one
 NumPy array per row column plus parallel int64 arrays for the delta sign
-(signed multiplicity) and the SharedDB query bitvector.  Conversion
-happens at subplan buffer boundaries only -- the reference operators,
-plain readers and the optimizer keep trafficking in plain
-:class:`~repro.relational.tuples.Delta` lists.  NumPy is optional: a
-chain of row-lane kernels carries rows, signs and bits as Python lists
-and never builds an array.
+(signed multiplicity) and the SharedDB query bitvector.  There is no
+conversion between the two: a production tree carries batches from the
+table feed to the result view, the per-tuple reference tree carries
+:class:`~repro.relational.tuples.Delta` lists, and a tree is one or the
+other.  NumPy is optional: a chain of row-lane kernels carries rows,
+signs and bits as Python lists and never builds an array.
 
-Columns are **late-materialized**: a batch built from deltas (or from a
+Columns are **late-materialized**: a batch built from table rows (or by a
 scalar join probe) carries the original Python row tuples and builds a
 column array only when an operator actually reads that column.  At
 fig11-sized batches most columns are never read -- a source feeds a join
@@ -34,10 +34,6 @@ try:
     import numpy as np
 except ImportError:  # the row lane alone serves every batch size
     np = None
-
-from ..relational.tuples import Delta
-
-_NEW = Delta.__new__
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -257,18 +253,6 @@ class ColumnBatch:
         batch._chunks = chunks
         return batch
 
-    @classmethod
-    def from_deltas(cls, deltas, width):
-        n = len(deltas)
-        if n == 0:
-            return cls.empty(width)
-        signs = [d.sign for d in deltas]
-        bits = [d.bits for d in deltas]
-        # the source tuples ARE the Python-typed rows; keeping them (and
-        # columnizing lazily) makes every row-wise consumer free
-        rows = [d.row for d in deltas] if width else [()] * n
-        return cls.from_rows(rows, signs, bits, width)
-
     @property
     def columns(self):
         """The full struct-of-arrays view (materializes a row-backed
@@ -467,38 +451,8 @@ class ColumnBatch:
         batch._chunks = self._chunks
         return batch
 
-    def to_deltas(self):
-        """Back to tuple-land; every value is a Python scalar again."""
-        out = []
-        append = out.append
-        new = _NEW
-        cls = Delta
-        for row, sign, bits in zip(
-            self.rows(), self.sign_list(), self.bit_list()
-        ):
-            record = new(cls)
-            record.row = row
-            record.sign = sign
-            record.bits = bits
-            append(record)
-        return out
-
 
 _EMPTY = {}  # width -> the shared empty batch (ColumnBatch.empty)
-
-
-def as_columns(out, width):
-    """Adapt a child operator's output (batch or delta list) to columns."""
-    if isinstance(out, ColumnBatch):
-        return out
-    return ColumnBatch.from_deltas(out, width)
-
-
-def as_deltas(out):
-    """Adapt an operator's output (batch or delta list) to a delta list."""
-    if isinstance(out, ColumnBatch):
-        return out.to_deltas()
-    return out
 
 
 def concat_batches(batches, width):

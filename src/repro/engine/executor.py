@@ -5,8 +5,11 @@ configuration, the executor simulates the loading window: at every system
 progress fraction where some subplan is due, newly arrived base-table
 deltas are appended to the table logs and the due subplans run one
 incremental execution each, children before parents (paper section 5.1).
-Subplan outputs are materialized into buffers that parents drain at their
-own offsets.
+Each execution's output is appended, as one segment, to the subplan's
+buffer, which parents drain at their own offsets.  A compiled tree is
+built from one operator family and speaks one delta form end to end:
+``ColumnBatch`` segments in production, ``list[Delta]`` segments in the
+per-tuple reference -- table feeds, buffers and sources included.
 
 All state (hash tables, aggregate groups, buffer offsets) persists across
 the incremental executions of one run; a new :meth:`PlanExecutor.run`
@@ -17,11 +20,15 @@ stop re-paying compilation.  The schedule is compiled too: one
 :class:`WindowProgram` per pace configuration of a compiled tree, a flat
 list of trigger-point steps that every run of that configuration replays
 with integer arithmetic only.  Between trigger points the executor also
-compacts drained buffer prefixes in place; query-root buffers are pinned
-because :func:`query_result_view` replays them.
+compacts the buffers a due subplan read.  Results are one more reader:
+a run that collects them registers a reader on every query-root buffer
+before the first trigger point and hands what it read to
+:func:`query_result_view` at the end; a run that does not leaves the
+roots without a reader, and a buffer nobody reads holds nothing.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 from time import perf_counter
 
 from ..errors import ExecutionError
@@ -35,7 +42,6 @@ from ..physical.columnar import (
 from ..physical.hotpath import HOTPATH, compile_cache_stats
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
 from ..physical.work import WorkMeter
-from ..relational.tuples import consolidate
 from . import columns
 from .arrangements import ArrangementStore, arrangeable_side
 from .buffers import Buffer
@@ -76,13 +82,7 @@ class CompiledSubplan:
         tuple_before = meter.input_units + meter.output_units + meter.rescan_units
         state_before = meter.state_units
         out = self.root_exec.advance()
-        if type(out) is list:  # the reference operators
-            self.buffer.append(out)
-        else:
-            # the batch goes into the buffer as a pending segment;
-            # deltas materialize only if a plain consumer
-            # (query_result_view) actually needs them
-            self.buffer.append_segment(out)
+        self.buffer.append(out)
         self.executions += 1
         tuple_delta = (
             meter.input_units + meter.output_units + meter.rescan_units
@@ -113,12 +113,11 @@ class TriggerPoint:
         #: the :class:`CompiledSubplan` s due here, children first
         self.units = units
         #: the buffers this step can drain: those a due subplan reads (a
-        #: buffer no reader moved on has nothing new to drop), minus the
-        #: pinned, which never compact
+        #: buffer no reader moved on has nothing new to drop)
         self.drains = []
         for unit in units:
             for buffer in unit.reads:
-                if not buffer.pinned and buffer not in self.drains:
+                if buffer not in self.drains:
                     self.drains.append(buffer)
 
 
@@ -246,9 +245,6 @@ class PlanExecutor:
             compiled[subplan.sid] = CompiledSubplan(
                 subplan, meter, root_exec, buffer, reads
             )
-        # query-root buffers are replayed from offset 0 by query_result_view
-        for root in self.plan.query_roots.values():
-            compiled[root.sid].buffer.pinned = True
         # per-query subplan ids, child-first (``plan.subplans_of_query``
         # without its topological sort per query per run)
         self._query_sids = {
@@ -368,10 +364,7 @@ class PlanExecutor:
         points of ``pace_config``, whose program is kept for the next
         run of the same paces; explicit fractions compile theirs afresh.
         """
-        table_streams, table_buffers, compiled, order, store = (
-            self._ensure_compiled()
-        )
-        self.compiled = compiled
+        compiled = self.compiled = self._ensure_compiled()[2]
         if fractions is None:
             program = self._pace_program(pace_config)
         else:
@@ -380,7 +373,21 @@ class PlanExecutor:
                 pace_config = {
                     sid: len(points) for sid, points in fractions.items()
                 }
+        # results are one more reader of each query-root buffer, registered
+        # before the window's first append so the log holds it for them
+        sinks = {}
+        if collect_results:
+            for qid, root in self.plan.query_roots.items():
+                sinks[qid] = compiled[root.sid].buffer.reader()
+        try:
+            return self._replay(program, pace_config, sinks)
+        finally:
+            for reader in sinks.values():
+                reader.buffer.detach(reader)
 
+    def _replay(self, program, pace_config, sinks):
+        """One window of ``program``, with the results of ``sinks``' queries."""
+        order, store = self._runtime[3:]
         result = RunResult(pace_config, self.stream_config)
         # what the compiled tree is, not what was asked for (a stats run
         # without the vector lane compiles the reference)
@@ -396,16 +403,14 @@ class PlanExecutor:
         for step in program.steps:
             for stream, buffer in feeds:
                 if reference:
-                    new_deltas = stream.deltas_until(step)
-                    if new_deltas:
-                        buffer.append(new_deltas)
+                    buffer.append(stream.deltas_until(step))
                 else:
                     # one shared columnar segment per (table, fraction):
                     # all readers of the buffer see the same batch object
                     # and share its lazy column materialization
                     segment = stream.batch_until(step)
                     if segment is not None:
-                        buffer.append_segment(segment)
+                        buffer.append(segment)
             fraction = step.fraction
             final = step.final
             for unit in step.units:  # child-first within one trigger point
@@ -467,11 +472,10 @@ class PlanExecutor:
             result.query_final_work[qid] = sum(
                 final_work.get(sid, 0.0) for sid in sids
             )
-            if collect_results:
-                root = self.plan.query_roots[qid]
-                result.query_results[qid] = query_result_view(
-                    self.plan, qid, compiled[root.sid].buffer.materialize()
-                )
+        for qid, reader in sinks.items():
+            result.query_results[qid] = query_result_view(
+                self.plan, qid, reader.read_new()
+            )
         return result
 
     # -- the window program ------------------------------------------------
@@ -580,12 +584,18 @@ def _observed_execution(unit, overhead, fraction):
     return work, latency_work, out
 
 
-def query_result_view(plan, query_id, root_deltas):
-    """Net result multiset ``{row: count}`` of one query from its root buffer.
+_TRIPLE = attrgetter("row", "sign", "bits")
 
-    Filters the buffer by the query's bit, consolidates retractions, and
-    projects the shared union schema down to the query's own output
-    columns (the per-query projection recorded at the root node).
+
+def query_result_view(plan, query_id, segments):
+    """Net result multiset ``{row: count}`` of one query from its root's log.
+
+    Keeps the entries carrying the query's bit, projects the shared union
+    schema down to the query's own output columns (the per-query
+    projection recorded at the root node) and nets out retractions.  The
+    one consumer that takes either delta form: a production root's
+    ``ColumnBatch`` segments are read as their parallel lists (no
+    ``Delta`` is built for them), a reference root's as ``Delta`` s.
     """
     root_subplan = plan.query_roots[query_id]
     node = root_subplan.root
@@ -598,11 +608,20 @@ def query_result_view(plan, query_id, root_deltas):
     indexes = [out_schema.index_of(name) for name in names]
 
     mask = 1 << query_id
-    relevant = [d for d in root_deltas if d.bits & mask]
     net = {}
-    for delta in consolidate(relevant):
-        projected = tuple(delta.row[i] for i in indexes)
-        net[projected] = net.get(projected, 0) + delta.sign
-        if net[projected] == 0:
-            del net[projected]
+    for segment in segments:
+        if type(segment) is list:
+            triples = map(_TRIPLE, segment)
+        else:
+            triples = zip(
+                segment.rows(), segment.sign_list(), segment.bit_list()
+            )
+        for row, sign, bits in triples:
+            if bits & mask:
+                projected = tuple(row[i] for i in indexes)
+                count = net.get(projected, 0) + sign
+                if count:
+                    net[projected] = count
+                else:
+                    del net[projected]
     return net

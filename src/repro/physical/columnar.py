@@ -40,7 +40,6 @@ and the ``shared-columnar`` / ``shared-columnar-rows`` /
 
 from ..engine.columns import (
     ColumnBatch,
-    as_columns,
     column_array,
     concat_batches,
     np,
@@ -406,27 +405,18 @@ class ColumnarDecorations:
 # -- source ------------------------------------------------------------------
 
 
-def _consolidated_batch(deltas, batches, width):
-    """Fused ``consolidate`` + ``from_deltas``: one pass from raw deltas
-    (and/or columnar buffer segments) to a row-backed batch, no
-    intermediate Delta allocations.
+def _consolidated_batch(batches, width):
+    """``consolidate`` over buffer segments: one pass to a row-backed
+    batch, no Delta allocated.
 
     Emits exactly :func:`repro.relational.tuples.consolidate`'s
     sequence -- first-seen ``(row, bits)`` order, net multiplicity
-    expanded back into unit entries -- so the batch is indistinguishable
-    from ``from_deltas(consolidate(deltas), width)`` over the
-    concatenated input.
+    expanded back into unit entries -- over the concatenated segments,
+    which is what the reference source computes from its Delta lists.
     """
     net = {}
     order = []
     order_append = order.append
-    for delta in deltas:
-        key = (delta.row, delta.bits)
-        if key in net:
-            net[key] += delta.sign
-        else:
-            net[key] = delta.sign
-            order_append(key)
     for batch in batches:
         for row, sign, bit in zip(
             batch.rows(), batch.sign_list(), batch.bit_list()
@@ -490,37 +480,30 @@ class ColumnarSourceExec:
         self.deletes_kept = 0
         self.decorations.reset_stats()
 
-    def _combine(self, new_deltas, segments):
-        parts = []
-        if new_deltas:
-            parts.append(ColumnBatch.from_deltas(new_deltas, self.width))
-        parts.extend(segments)
-        return concat_batches(parts, self.width)
-
     def advance(self):
         reader = self.reader
         start = reader.offset
-        new_deltas, segments = reader.read_new_segments()
+        segments = reader.read_new()
         width = self.width
-        if self.consolidate_reads and (new_deltas or segments):
+        if not segments:
+            batch = ColumnBatch.empty(width)
+        elif self.consolidate_reads:
             # consolidation depends only on the logical span read, so
             # same-pace consumers of one buffer share a single pass
             batch = reader.buffer.cache_view(
                 (start, reader.offset, True),
-                lambda: _consolidated_batch(new_deltas, segments, width),
+                lambda: _consolidated_batch(segments, width),
             )
-        elif len(segments) == 1 and not new_deltas:
-            # the common columnar-native case: the producer's segment is
-            # consumed as-is, sharing its lazy column cache across every
-            # reader of the buffer
+        elif len(segments) == 1:
+            # the common case: the producer's segment is consumed as-is,
+            # sharing its lazy column cache across every reader of the
+            # buffer
             batch = segments[0]
-        elif segments:
+        else:
             batch = reader.buffer.cache_view(
                 (start, reader.offset, False),
-                lambda: self._combine(new_deltas, segments),
+                lambda: concat_batches(segments, width),
             )
-        else:
-            batch = ColumnBatch.from_deltas(new_deltas, width)
         n = len(batch)
         self.meter.charge_input(self.name, n)
         self.scanned_total += n
@@ -744,8 +727,8 @@ class ColumnarJoinExec:
         self.decorations.reset_stats()
 
     def advance(self):
-        left_batch = as_columns(self.left.advance(), self.left_width)
-        right_batch = as_columns(self.right.advance(), self.right_width)
+        left_batch = self.left.advance()
+        right_batch = self.right.advance()
         n_left = len(left_batch)
         n_right = len(right_batch)
         self.meter.charge_input(self.name, n_left + n_right)
@@ -1125,7 +1108,6 @@ class ColumnarAggregateExec:
         self.stats_mode = stats_mode
         self.vector = vector
         schema = node.children[0].out_schema
-        self._child_width = len(schema)
         self._group_indexes = [schema.index_of(g) for g in node.group_by]
         # the queries this operator keeps state for: its subplan's, or
         # the node's when a caller passes the all-ones mask
@@ -1148,7 +1130,7 @@ class ColumnarAggregateExec:
         self.decorations.reset_stats()
 
     def advance(self):
-        batch = as_columns(self.child.advance(), self._child_width)
+        batch = self.child.advance()
         if FAULTS.drop_agg_retraction:
             # test-only injected bug, ahead of the lane dispatch: see
             # repro.physical.faults

@@ -58,8 +58,13 @@ from ..relational.expressions import (
     Not,
     Or,
 )
-from .hotpath import _QIDS_LIMIT, cached_artifacts, qids_of
-from .operators import _MinMaxState, _sort_key
+from .hotpath import (
+    _QIDS_LIMIT,
+    _MinMaxState,
+    _sort_key,
+    cached_artifacts,
+    qids_of,
+)
 
 __all__ = [
     "fused_decoration_kernel",

@@ -53,7 +53,9 @@ Environment override (read once at import): ``REPRO_ENGINE_UNBATCHED``
 import os
 from contextlib import contextmanager
 
+from ..errors import ExecutionError
 from ..relational.codegen import clear_code_cache
+from ..relational.tuples import INSERT
 
 
 class EngineMode:
@@ -175,3 +177,78 @@ def clear_compiled_caches():
     _QIDS_CACHE[0] = ()
     compile_cache_stats["hits"] = 0
     compile_cache_stats["misses"] = 0
+
+
+# -- aggregate pieces both operator families use ------------------------------
+#
+# The per-tuple reference (:mod:`repro.physical.operators`) and the
+# generated group-record kernels (:mod:`repro.physical.fused`) keep
+# MIN/MAX values in the same state object and order emissions by the
+# same key, so neither imports the other.
+
+
+class _MinMaxState:
+    """MIN/MAX with rescan-on-delete.
+
+    Values are kept in a multiset; when a deletion removes the current
+    extremum the state rescans all stored values to find the new one,
+    charging one rescan work unit per value scanned (paper section 5.3:
+    "the max operator needs to rescan all arrived values to find the new
+    max one").
+    """
+
+    __slots__ = ("is_max", "values", "extremum")
+
+    def __init__(self, is_max):
+        self.is_max = is_max
+        self.values = {}
+        self.extremum = None
+
+    def update(self, value, sign, meter, name):
+        if sign == INSERT:
+            self.values[value] = self.values.get(value, 0) + 1
+            if self.extremum is None:
+                self.extremum = value
+            elif self.is_max and value > self.extremum:
+                self.extremum = value
+            elif not self.is_max and value < self.extremum:
+                self.extremum = value
+            return
+        count = self.values.get(value, 0)
+        if count <= 0:
+            # Deleting a value that never arrived would silently drive the
+            # multiset count negative and corrupt every later rescan.
+            raise ExecutionError(
+                "%s: MIN/MAX delete of value %r not present in the multiset"
+                % (name, value)
+            )
+        if count == 1:
+            del self.values[value]
+        else:
+            self.values[value] = count - 1
+        if value == self.extremum and value not in self.values:
+            meter.charge_rescan(name, len(self.values))
+            if self.values:
+                self.extremum = max(self.values) if self.is_max else min(self.values)
+            else:
+                self.extremum = None
+
+    def current(self):
+        return self.extremum
+
+
+_TYPE_NAMES = {}
+
+
+def _sort_key(row):
+    # str(type(v)) is memoized per type; the rendered value is not (rows
+    # rarely repeat within one emission sort).
+    names = _TYPE_NAMES
+    key = []
+    for value in row:
+        value_type = type(value)
+        name = names.get(value_type)
+        if name is None:
+            name = names[value_type] = str(value_type)
+        key.append((name, str(value)))
+    return tuple(key)

@@ -25,7 +25,7 @@ lane is bit-identical to these and dedicated tests enforce it
 from ..errors import ExecutionError
 from ..relational import bitvec
 from ..relational.tuples import Delta, DELETE, INSERT, consolidate
-from .hotpath import cached_artifacts, qids_of
+from .hotpath import _MinMaxState, _sort_key, cached_artifacts, qids_of
 
 
 class _DecorationArtifacts:
@@ -150,7 +150,10 @@ class SourceExec:
         self.decorations.reset_stats()
 
     def _advance_reference(self):
-        new_deltas = self.reader.read_new()
+        # the reference tree's buffer segments are Delta lists
+        new_deltas = [
+            delta for segment in self.reader.read_new() for delta in segment
+        ]
         if self.consolidate_reads and new_deltas:
             # Reading from a child subplan's buffer: retract/insert churn
             # that cancelled within the unread window is compacted away
@@ -398,56 +401,6 @@ class _AvgState:
         return self.total / self.count
 
 
-class _MinMaxState:
-    """MIN/MAX with rescan-on-delete.
-
-    Values are kept in a multiset; when a deletion removes the current
-    extremum the state rescans all stored values to find the new one,
-    charging one rescan work unit per value scanned (paper section 5.3:
-    "the max operator needs to rescan all arrived values to find the new
-    max one").
-    """
-
-    __slots__ = ("is_max", "values", "extremum")
-
-    def __init__(self, is_max):
-        self.is_max = is_max
-        self.values = {}
-        self.extremum = None
-
-    def update(self, value, sign, meter, name):
-        if sign == INSERT:
-            self.values[value] = self.values.get(value, 0) + 1
-            if self.extremum is None:
-                self.extremum = value
-            elif self.is_max and value > self.extremum:
-                self.extremum = value
-            elif not self.is_max and value < self.extremum:
-                self.extremum = value
-            return
-        count = self.values.get(value, 0)
-        if count <= 0:
-            # Deleting a value that never arrived would silently drive the
-            # multiset count negative and corrupt every later rescan.
-            raise ExecutionError(
-                "%s: MIN/MAX delete of value %r not present in the multiset"
-                % (name, value)
-            )
-        if count == 1:
-            del self.values[value]
-        else:
-            self.values[value] = count - 1
-        if value == self.extremum and value not in self.values:
-            meter.charge_rescan(name, len(self.values))
-            if self.values:
-                self.extremum = max(self.values) if self.is_max else min(self.values)
-            else:
-                self.extremum = None
-
-    def current(self):
-        return self.extremum
-
-
 def _make_state(spec):
     if spec.func == "sum":
         return _SumState()
@@ -606,20 +559,3 @@ class AggregateExec:
         if qid is None:
             return len(self.groups)
         return sum(1 for per_query in self.groups.values() if qid in per_query)
-
-
-_TYPE_NAMES = {}
-
-
-def _sort_key(row):
-    # str(type(v)) is memoized per type; the rendered value is not (rows
-    # rarely repeat within one emission sort).
-    names = _TYPE_NAMES
-    key = []
-    for value in row:
-        value_type = type(value)
-        name = names.get(value_type)
-        if name is None:
-            name = names[value_type] = str(value_type)
-        key.append((name, str(value)))
-    return tuple(key)

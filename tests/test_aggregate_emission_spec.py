@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.engine.columns import ColumnBatch, as_columns, as_deltas
+from repro.engine.columns import ColumnBatch
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.mqo.nodes import OpNode, TableRef
@@ -43,7 +43,13 @@ from repro.workloads.tpch import (
 )
 
 from .test_columnar_equivalence import fig11_setup, needs_numpy  # noqa: F401
-from .util import make_toy_catalog, shared_plan_for, toy_query_total
+from .util import (
+    batch_of,
+    deltas_of,
+    make_toy_catalog,
+    shared_plan_for,
+    toy_query_total,
+)
 
 #: leg -> the ROW_LANE_MAX of its n-th advance
 LANES = {
@@ -76,7 +82,7 @@ def record_aggregate_inputs(monkeypatch, plan, paces):
 
         def advance(self):
             op = self.op
-            batch = as_columns(self.child.advance(), op._child_width)
+            batch = self.child.advance()
             recorded.append((op.node, op.subplan_mask, batch))
             return batch
 
@@ -98,7 +104,7 @@ def _typed(out):
     # value types ride along: (3,) == (3.0,) == (True,)
     return [
         (d.row, tuple(map(type, d.row)), d.sign, d.bits)
-        for d in as_deltas(out)
+        for d in deltas_of(out)
     ]
 
 
@@ -125,7 +131,7 @@ def replay(recorded, monkeypatch):
         outcomes = []
         for lane, op in ops[:-1]:
             if lane == "reference":
-                op.child.batch = batch.to_deltas()
+                op.child.batch = deltas_of(batch)
             else:
                 monkeypatch.setattr(
                     columnar, "ROW_LANE_MAX",
@@ -146,7 +152,7 @@ def replay(recorded, monkeypatch):
 
 
 def _batches(*batches):
-    return [ColumnBatch.from_deltas(list(batch), 2) for batch in batches]
+    return [batch_of(list(batch), 2) for batch in batches]
 
 
 def _node(group_by, aggs, mask):
@@ -249,6 +255,8 @@ class TestRecordedReplay:
             for cls in (AggregateExec, columnar.ColumnarAggregateExec):
                 feed = _Feed()
                 feed.batch = [Delta(("x", 1.0), -1, mask)]
+                if cls is columnar.ColumnarAggregateExec:
+                    feed.batch = batch_of(feed.batch, 2)
                 with pytest.raises(ExecutionError, match="negative multiplicity"
                                    r" in group \('x',\) for q0"):
                     cls(node, feed, mask, WorkMeter()).advance()
@@ -298,7 +306,7 @@ class TestEmissionCosts:
             out = emit(op)
             current.pop()
             op._kernels = kernels
-            emits.append((op.node, out.to_deltas()))
+            emits.append((op.node, deltas_of(out)))
             if not touched:
                 # nothing touched: the shared empty batch, no kernel call
                 assert out is ColumnBatch.empty(out.width)

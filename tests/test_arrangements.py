@@ -39,7 +39,13 @@ from repro.relational.expressions import agg_sum, col
 from repro.relational.tuples import Delta
 from repro.workloads.constraints import uniform_constraints
 
-from .util import make_toy_catalog, shared_plan_for, toy_query_region, toy_query_total
+from .util import (
+    batch_of,
+    make_toy_catalog,
+    shared_plan_for,
+    toy_query_region,
+    toy_query_total,
+)
 
 
 def fingerprint(result):
@@ -244,8 +250,10 @@ def _delta(key, payload, sign=1):
 class TestArrangementVersions:
     def _arranged_buffer(self, deltas):
         buffer = Buffer("t")
-        buffer.append(deltas)
-        return Arrangement("t", (0,), buffer), buffer
+        # the arrangement's trailing reader registers before the feed
+        arrangement = Arrangement("t", (0,), buffer)
+        buffer.append(batch_of(deltas, 2))
+        return arrangement, buffer
 
     def test_exact_match_shares_a_version(self):
         arr, _ = self._arranged_buffer([_delta(1, "a"), _delta(2, "b")])
@@ -339,7 +347,7 @@ class TestArrangementVersions:
         # the executor resets buffers alongside the store, then the
         # streams re-feed them; a fresh advance sees the replayed log
         buffer.reset()
-        buffer.append([_delta(1, "a"), _delta(2, "b")])
+        buffer.append(batch_of([_delta(1, "a"), _delta(2, "b")], 2))
         assert h1.advance_to(2).table == {
             1: {(1, "a"): 1}, 2: {(2, "b"): 1}
         }
@@ -443,8 +451,8 @@ class TestOccupancyGauge:
     def test_compact_refreshes_the_gauge(self):
         obs.enable()
         buffer = Buffer("churny")
-        buffer.append([_delta(k, "p") for k in range(10)])
         reader = buffer.reader()
+        buffer.append([_delta(k, "p") for k in range(10)])
         reader.read_new()
         gauge = OBS.metrics.gauge("engine.buffer.occupancy", buffer="churny")
         assert gauge.value == 10
@@ -452,6 +460,20 @@ class TestOccupancyGauge:
         # the stale-gauge bug: this kept reading 10 after compaction
         assert gauge.value == 0
         assert gauge.max == 10
+        # and its twin: a reused tree's buffer kept reading the previous
+        # window's last occupancy until its next append
+        buffer.append([_delta(k, "q") for k in range(4)])
+        assert gauge.value == 4
+        buffer.reset()
+        assert gauge.value == 0
+
+    def test_gauge_reads_zero_where_nothing_is_held(self):
+        obs.enable()
+        buffer = Buffer("unread")
+        buffer.append([_delta(k, "p") for k in range(10)])
+        gauge = OBS.metrics.gauge("engine.buffer.occupancy", buffer="unread")
+        assert gauge.value == 0 and gauge.max == 0
+        assert buffer.end() == 10
 
 
 # -- satellite: warm-started selected-pace scans -----------------------------------

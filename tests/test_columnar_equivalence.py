@@ -10,8 +10,8 @@ the row lane and compared with the engine's standard float tolerance
 wherever the vector lane may run (array segment sums may associate
 differently).
 
-The buffer segment passthrough (producers park ``ColumnBatch`` segments
-in buffers; deltas materialize only when a plain consumer needs them)
+The buffer segment log (producers append ``ColumnBatch`` segments,
+readers get the same objects back, nothing converts them to deltas)
 gets direct unit coverage at the bottom, and the two inputs that rule
 the vector lane out -- no NumPy, query ids of 62 and above -- at the
 very end.
@@ -24,7 +24,7 @@ import pytest
 
 from repro.engine import columns
 from repro.engine.buffers import Buffer
-from repro.engine.columns import ColumnBatch, as_deltas
+from repro.engine.columns import ColumnBatch
 from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
@@ -38,7 +38,7 @@ from repro.workloads.tpch import (
 )
 
 from .expression_spec import evaluate
-from .util import shared_plan_for
+from .util import batch_of, deltas_of, shared_plan_for
 
 needs_numpy = pytest.mark.skipif(
     not columns.available(), reason="the vector lane needs numpy",
@@ -214,11 +214,11 @@ class TestFig11WorkIdentity:
             for lane_max, stats_mode in lanes:
                 monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
                 buffer = Buffer("replay")
-                buffer.append_segment(batch)
                 meter = WorkMeter()
                 source = columnar_mod.ColumnarSourceExec(
                     node, buffer.reader(), mask, meter, stats_mode
                 )
+                buffer.append(batch)
                 outputs.append(source.advance())
                 meters.append(meter)
                 # each lane's kernel is generated when the lane is taken
@@ -592,11 +592,12 @@ class TestRowLaneBoundary:
               for d in self._left_rows(5, 1000)], right_rows[:2]),
         ]
         for left_deltas, right_deltas in steps:
-            for buffers in (reference_buffers, columnar_buffers):
-                buffers[0].append(left_deltas)
-                buffers[1].append(right_deltas)
+            reference_buffers[0].append(left_deltas)
+            reference_buffers[1].append(right_deltas)
+            columnar_buffers[0].append(batch_of(left_deltas, 3))
+            columnar_buffers[1].append(batch_of(right_deltas, 2))
             expected = reference.advance()
-            got = columnar.advance().to_deltas()
+            got = deltas_of(columnar.advance())
             assert [(d.row, d.sign, d.bits) for d in got] == [
                 (d.row, d.sign, d.bits) for d in expected
             ]
@@ -651,10 +652,12 @@ class TestRowLaneBoundary:
             aggregate = cls(node, feed, 1, meter)
             emitted = []
             for batch in ([Delta(("a", 0.1), 1, 1)], churn):
+                if cls is columnar_mod.ColumnarAggregateExec:
+                    batch = batch_of(batch, 2)
                 feed.batch = batch
                 emitted.append([
                     (d.row, d.sign, d.bits)
-                    for d in as_deltas(aggregate.advance())
+                    for d in deltas_of(aggregate.advance())
                 ])
             outputs.append((emitted, meter.snapshot()))
         assert outputs[0] == outputs[1]
@@ -691,7 +694,7 @@ class TestRowLaneBoundary:
                 node, feed, 0b01, WorkMeter()
             )
             for batch, exact in batches:
-                feed.batch = batch
+                feed.batch = batch_of(batch, 2)
                 aggregate.advance()
                 assert aggregate._exact_ok == [exact], lane_max
 
@@ -714,7 +717,7 @@ class TestListBackedSignsBits:
         assert len(batch) == 5
         assert batch._signs is None and batch._bits is None
         assert batch.sign_list() is batch._sign_list
-        assert batch.to_deltas()[1] == Delta((1, "r1"), -1, 1)
+        assert deltas_of(batch)[1] == Delta((1, "r1"), -1, 1)
         assert batch._signs is None and batch._bits is None
         signs = batch.signs
         assert signs.dtype == np.int64 and signs.tolist() == [1, -1, 1, 1, -1]
@@ -784,9 +787,9 @@ class TestListBackedSignsBits:
         for lane_max in (0, 1 << 30):
             monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
             buffer = Buffer("t")
-            buffer.append_segment(self._batch())
             source = columnar_mod.ColumnarSourceExec(
                 node, buffer.reader(), 0b11, WorkMeter())
+            buffer.append(self._batch())
             outputs.append(source.advance())
         _assert_same_deltas(*outputs)
         # q0 (k > 1) loses k=0 and k=1; k=1 carried no other bit
@@ -795,11 +798,9 @@ class TestListBackedSignsBits:
     def test_the_empty_batch_is_shared_and_immutable(self):
         empty = ColumnBatch.empty(3)
         assert ColumnBatch.empty(3) is empty
-        assert ColumnBatch.from_deltas([], 3) is empty
         assert len(empty) == 0 and empty.rows() == ()
         assert empty.sign_list() == () and empty.bit_list() == ()
         assert not empty.signs.flags.writeable
-        assert empty.to_deltas() == []
 
 
 @needs_numpy
@@ -809,8 +810,9 @@ class TestGeneratedCodeFailures:
     one (every kernel's text is registered with ``linecache``)."""
 
     @staticmethod
-    def _source(predicate, rows, columnar_mod):
+    def _source(predicate, rows, columnar_mod, reference=False):
         from repro.mqo.nodes import OpNode, TableRef
+        from repro.physical import operators
         from repro.physical.work import WorkMeter
         from repro.relational.schema import Schema
 
@@ -819,9 +821,16 @@ class TestGeneratedCodeFailures:
             filters={0: predicate}, query_mask=1,
         )
         buffer = Buffer("t")
-        buffer.append([Delta(row, 1, 1) for row in rows])
-        return columnar_mod.ColumnarSourceExec(
-            node, buffer.reader(), 1, WorkMeter())
+        deltas = [Delta(row, 1, 1) for row in rows]
+        if reference:  # each family reads its own segment form
+            source = operators.SourceExec(
+                node, buffer.reader(), 1, WorkMeter())
+            buffer.append(deltas)
+        else:
+            source = columnar_mod.ColumnarSourceExec(
+                node, buffer.reader(), 1, WorkMeter())
+            buffer.append(batch_of(deltas, 2))
+        return source
 
     @pytest.mark.parametrize("lane_max", [1 << 30, 0], ids=["row", "vector"])
     @pytest.mark.parametrize("case", ["none-compare", "zero-division"])
@@ -853,11 +862,7 @@ class TestGeneratedCodeFailures:
         assert innermost.line == linecache.getline(
             innermost.filename, innermost.lineno).strip()
         # the per-tuple reference raises the same exception type
-        from repro.physical import operators
-
-        source = self._source(predicate, rows, columnar_mod)
-        reference = operators.SourceExec(
-            source.node, source.reader, 1, source.meter)
+        reference = self._source(predicate, rows, columnar_mod, True)
         with pytest.raises(error):
             reference.advance()
 
@@ -877,7 +882,7 @@ class TestEmissionOrder:
 
         def spy(self):
             out = emit(self)
-            emissions.append(out.to_deltas())
+            emissions.append(deltas_of(out))
             return out
 
         monkeypatch.setattr(columnar.ColumnarAggregateExec, "_emit", spy)
@@ -935,159 +940,188 @@ class TestModeFlipOnOneExecutor:
 
 class TestBufferSegments:
     def _batch(self, n, start=0, bits=1):
-        return ColumnBatch.from_deltas(
+        return batch_of(
             [Delta(("r%d" % (start + i),), 1, bits) for i in range(n)], 1
         )
 
     def test_segments_materialize_for_plain_readers(self):
+        # a consumer that wants Deltas builds them from the segments it
+        # read (here with tests/util.deltas_of); the log never does
         buffer = Buffer("b")
         reader = buffer.reader()
-        buffer.append_segment(self._batch(4))
-        buffer.append_segment(self._batch(3, start=4))
-        assert len(buffer) == 7
-        deltas = reader.read_new()  # plain consumer forces materialization
+        first, second = self._batch(4), self._batch(3, start=4)
+        buffer.append(first)
+        buffer.append(second)
+        assert buffer.end() == 7
+        segments = reader.read_new()
+        assert segments[0] is first and segments[1] is second
+        deltas = [d for segment in segments for d in deltas_of(segment)]
         assert [d.row for d in deltas] == [("r%d" % i,) for i in range(7)]
-        assert buffer._pending == []
+        assert buffer.held == 7  # read, not yet compacted
 
     def test_segment_reader_skips_the_deltas_round_trip(self):
         buffer = Buffer("b")
         reader = buffer.reader()
-        buffer.append(
-            [Delta(("p%d" % i,), 1, 1) for i in range(2)]
-        )
         batch = self._batch(5, start=2)
-        buffer.append_segment(batch)
-        prefix, segments = reader.read_new_segments()
-        assert [d.row for d in prefix] == [("p0",), ("p1",)]
-        assert segments == [batch]  # the very same object, no conversion
-        assert reader.remaining() == 0
+        buffer.append(batch)
+        assert reader.read_new() == [batch]  # the very same object
+        assert reader.offset == buffer.end() == 5
         # a second read sees nothing new
-        assert reader.read_new_segments() == ([], [])
+        assert reader.read_new() == []
 
     def test_plain_append_after_segments_keeps_order(self):
+        # segments are opaque to the log: it asks one for its length and
+        # hands it back, whatever it is
         buffer = Buffer("b")
         reader = buffer.reader()
-        buffer.append_segment(self._batch(2))
-        buffer.append([Delta(("tail",), 1, 1)])  # forces materialization
-        rows = [d.row for d in reader.read_new()]
-        assert rows == [("r0",), ("r1",), ("tail",)]
+        batch, tail = self._batch(2), [Delta(("tail",), 1, 1)]
+        buffer.append(batch)
+        buffer.append(tail)
+        segments = reader.read_new()
+        assert segments[0] is batch and segments[1] is tail
+        assert reader.offset == 3
 
     def test_compact_drops_consumed_segments_without_materializing(self):
         buffer = Buffer("b")
         reader = buffer.reader()
-        buffer.append_segment(self._batch(4))
-        buffer.append_segment(self._batch(4, start=4))
-        reader.read_new_segments()  # consume everything
-        buffer.append_segment(self._batch(2, start=8))
+        buffer.append(self._batch(4))
+        buffer.append(self._batch(4, start=4))
+        reader.read_new()  # consume everything
+        buffer.append(self._batch(2, start=8))
         dropped = buffer.compact()
         assert dropped == 8
-        assert buffer.deltas == []  # consumed segments never became deltas
-        assert len(buffer) == 10  # logical length unchanged
-        prefix, segments = reader.read_new_segments()
-        assert prefix == [] and len(segments) == 1
-        assert len(segments[0]) == 2
+        assert buffer.base == 8 and buffer.held == 2
+        assert buffer.end() == 10  # logical length unchanged
+        segments = reader.read_new()
+        assert len(segments) == 1 and len(segments[0]) == 2
 
     def test_reset_clears_pending_segments(self):
         buffer = Buffer("b")
         reader = buffer.reader()
-        buffer.append_segment(self._batch(3))
-        reader.read_new_segments()
+        buffer.append(self._batch(3))
+        reader.read_new()
         buffer.reset()
-        assert len(buffer) == 0 and reader.offset == 0
-        buffer.append_segment(self._batch(1))
-        assert len(reader.read_new()) == 1
+        assert buffer.end() == 0 and buffer.held == 0 and reader.offset == 0
+        buffer.append(self._batch(1))
+        assert [len(segment) for segment in reader.read_new()] == [1]
+
+    def test_empty_segments_are_not_held(self):
+        buffer = Buffer("b")
+        reader = buffer.reader()
+        buffer.append(ColumnBatch.empty(1))
+        buffer.append([])
+        assert buffer.end() == 0 and reader.read_new() == []
 
 
 class TestSegmentPassthroughEdgeCases:
-    """The passthrough's corners: mixed appends, mid-segment compaction
-    with lagging/pinned readers, and the no-materialization guarantee of
-    a fully columnar pipeline."""
+    """The log's corners: alternating segment kinds, compaction with a
+    reader inside a segment, a reader that detaches, and the guarantee
+    that a production run never builds a Delta."""
 
     def _batch(self, n, start=0, bits=1):
-        return ColumnBatch.from_deltas(
+        return batch_of(
             [Delta(("r%d" % (start + i),), 1, bits) for i in range(n)], 1
         )
 
     def test_interleaved_plain_and_segment_appends(self):
-        # plain -> segment -> plain -> segment; a segment-aware reader
-        # consuming mid-stream must see every entry exactly once, in
-        # order, across the alternating representations
+        # list -> batch -> list -> batch; a reader consuming mid-stream
+        # must see every entry exactly once, in order
         buffer = Buffer("b")
         reader = buffer.reader()
         buffer.append([Delta(("a%d" % i,), 1, 1) for i in range(2)])
-        buffer.append_segment(self._batch(3))
-        prefix, segments = reader.read_new_segments()
-        assert [d.row for d in prefix] == [("a0",), ("a1",)]
-        assert len(segments) == 1 and len(segments[0]) == 3
-        buffer.append([Delta(("b0",), 1, 1)])  # materializes the tail
-        buffer.append_segment(self._batch(2, start=3))
-        prefix, segments = reader.read_new_segments()
-        assert [d.row for d in prefix] == [("b0",)]
-        assert len(segments) == 1 and len(segments[0]) == 2
-        assert reader.remaining() == 0
-        assert len(buffer) == 8
+        buffer.append(self._batch(3))
+        assert [len(segment) for segment in reader.read_new()] == [2, 3]
+        buffer.append([Delta(("b0",), 1, 1)])
+        buffer.append(self._batch(2, start=3))
+        rows = [
+            d.row for segment in reader.read_new() for d in deltas_of(segment)
+        ]
+        assert rows == [("b0",), ("r3",), ("r4",)]
+        assert reader.offset == buffer.end() == 8
 
     def test_compact_keeps_partially_consumed_segment_whole(self):
         # two readers: one drained, one lagging mid-segment.  Compaction
         # may only drop up to the segment boundary below the laggard --
-        # the partially consumed segment stays whole and columnar.
+        # the partially consumed segment stays whole.
         buffer = Buffer("b")
         ahead = buffer.reader()
         lagging = buffer.reader()
         buffer.append([Delta(("p%d" % i,), 1, 1) for i in range(2)])
-        lagging.read_new()  # laggard consumes only the plain prefix
-        buffer.append_segment(self._batch(4))
-        buffer.append_segment(self._batch(4, start=4))
-        ahead.read_new_segments()  # drains everything
-        # simulate a cursor inside the first segment (offset 3 of 10)
+        lagging.read_new()  # laggard consumes only the first segment
+        buffer.append(self._batch(4))
+        buffer.append(self._batch(4, start=4))
+        ahead.read_new()  # drains everything
+        # simulate a cursor inside the second segment (offset 3 of 10)
         lagging.offset = 3
         dropped = buffer.compact()
-        # horizon clamps to the segment start (2), so only the plain
-        # prefix goes; both segments survive unmaterialized
+        # the horizon clamps to that segment's start (2): only the
+        # first segment goes
         assert dropped == 2
-        assert buffer.base == 2 and buffer.deltas == []
-        assert len(buffer._pending) == 2
-        # the laggard's defensive mid-segment read still sees the right
-        # rows (via the plain fallback), never a hole
-        rows = [d.row for d in lagging.read_new()]
-        assert rows == [("r%d" % i,) for i in range(1, 8)]
+        assert buffer.base == 2 and buffer.held == 8
+        # reads are whole segments: the cursor inside one gets it again
+        # from its start, never a hole after it
+        rows = [
+            d.row for segment in lagging.read_new() for d in deltas_of(segment)
+        ]
+        assert rows == [("r%d" % i,) for i in range(8)]
 
-    def test_pinned_buffer_never_compacts_segments(self):
+    def test_detached_reader_releases_its_segments(self):
+        # how results are collected: a reader attached for one window
+        # holds the whole window, and detaching it lets the log go back
+        # to what the remaining readers need
         buffer = Buffer("b")
-        buffer.pinned = True
-        reader = buffer.reader()
-        buffer.append_segment(self._batch(5))
-        reader.read_new_segments()
-        assert buffer.compact() == 0
-        assert len(buffer._pending) == 1  # replayable from offset 0
-        replay = buffer.reader()
-        assert len(replay.read_new()) == 5
+        parent = buffer.reader()
+        sink = buffer.reader()
+        buffer.append(self._batch(5))
+        parent.read_new()
+        assert buffer.compact() == 0  # the sink has not read
+        assert len(sink.read_new()) == 1
+        buffer.detach(sink)
+        assert buffer.held == 0 and buffer.base == 5
+        buffer.detach(parent)
+        buffer.append(self._batch(2, start=5))
+        assert buffer.held == 0 and buffer.end() == 7  # nobody reads
 
     def test_columnar_pipeline_never_materializes_before_sink(
         self, fig11_setup, monkeypatch
     ):
-        # the tentpole guarantee: sources emit ColumnBatch, operators
-        # propagate batches, buffers park segments -- row deltas exist
-        # only when a result sink asks.  Spy on the one conversion point
-        # (ColumnBatch.to_deltas) across a full fig11 run.
+        # sources emit ColumnBatch, operators propagate batches, buffers
+        # log segments and the result view reads their lists: a
+        # production run builds no Delta at all, results included.  Spy
+        # on both ways a Delta comes to be and on what the sink is fed.
+        from repro.engine import executor as executor_mod
+        from repro.relational import tuples
 
         plan, paces, _ = fig11_setup
-        calls = []
-        original = ColumnBatch.to_deltas
+        built = []
+        init, new = Delta.__init__, tuples._DELTA_NEW
 
-        def spy(batch):
-            calls.append(len(batch))
-            return original(batch)
+        def spy_init(delta, *args, **kwargs):
+            built.append("Delta()")
+            init(delta, *args, **kwargs)
 
-        monkeypatch.setattr(ColumnBatch, "to_deltas", spy)
+        def spy_new(cls):
+            built.append("make_delta")
+            return new(cls)
+
+        fed = []
+        view = executor_mod.query_result_view
+
+        def spy_view(plan, qid, segments):
+            fed.extend(type(segment) for segment in segments)
+            return view(plan, qid, segments)
+
+        monkeypatch.setattr(Delta, "__init__", spy_init)
+        monkeypatch.setattr(tuples, "_DELTA_NEW", spy_new)
+        monkeypatch.setattr(executor_mod, "query_result_view", spy_view)
         clear_compiled_caches()
-        PlanExecutor(plan, StreamConfig()).run(paces, collect_results=False)
-        assert calls == []  # no sink read -> no deltas, ever
-        result = PlanExecutor(plan, StreamConfig()).run(
-            paces, collect_results=True
-        )
-        assert calls != []  # result collection is the only consumer
-        assert result.query_results
+        with engine_mode(batched=True):
+            result = PlanExecutor(plan, StreamConfig()).run(
+                paces, collect_results=True
+            )
+        assert built == []
+        assert fed and set(fed) == {ColumnBatch}
+        assert any(result.query_results.values())
 
 
 def _toy_queries(catalog, query_ids=(0, 1, 2)):

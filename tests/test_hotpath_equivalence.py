@@ -161,31 +161,38 @@ class TestBufferCompaction:
     def test_compact_drops_only_consumed_prefix(self):
         buffer = Buffer("b")
         reader = buffer.reader()
-        buffer.append(self._deltas(10))
-        assert reader.read_new() == buffer.deltas
+        first = self._deltas(10)
+        buffer.append(first)
+        assert reader.read_new() == [first]
         buffer.append(self._deltas(3))
         dropped = buffer.compact()
         assert dropped == 10
-        assert len(buffer) == 13  # logical length unchanged
-        assert len(buffer.deltas) == 3
-        assert len(reader.read_new()) == 3
-        assert reader.remaining() == 0
+        assert buffer.end() == 13  # logical length unchanged
+        assert buffer.held == 3
+        assert [len(segment) for segment in reader.read_new()] == [3]
+        assert reader.offset == buffer.end()
 
-    def test_pinned_buffer_never_compacts(self):
+    def test_unread_buffer_holds_nothing(self):
+        # retention is by readers: a log nobody reads only counts
         buffer = Buffer("b")
-        buffer.pinned = True
-        reader = buffer.reader()
         buffer.append(self._deltas(5))
-        reader.read_new()
+        assert buffer.held == 0 and buffer.base == buffer.end() == 5
         assert buffer.compact() == 0
-        assert len(buffer.deltas) == 5
 
-    def test_unread_buffer_never_compacts(self):
+    def test_late_reader_fails_loudly(self):
+        # a reader registered after entries were discarded starts at
+        # logical offset 0, which is behind the horizon: it must raise
+        # on its first read -- with or without anything new to read --
+        # and never skip the rows it missed
         buffer = Buffer("b")
         buffer.append(self._deltas(5))
-        assert buffer.compact() == 0  # no readers registered
         late = buffer.reader()
-        assert len(late.read_new()) == 5
+        with pytest.raises(ExecutionError, match="compaction horizon"):
+            late.read_new()
+        buffer.append(self._deltas(2))
+        assert buffer.held == 2  # held for the reader that cannot use it
+        with pytest.raises(ExecutionError, match="compaction horizon"):
+            late.read_new()
 
     def test_reader_behind_horizon_raises(self):
         buffer = Buffer("b")
@@ -204,9 +211,9 @@ class TestBufferCompaction:
         reader.read_new()
         buffer.compact()
         buffer.reset()
-        assert buffer.base == 0 and buffer.deltas == [] and reader.offset == 0
+        assert buffer.base == 0 and buffer.held == 0 and reader.offset == 0
         buffer.append(self._deltas(2))
-        assert len(reader.read_new()) == 2
+        assert [len(segment) for segment in reader.read_new()] == [2]
 
 
 @pytest.mark.skipif(

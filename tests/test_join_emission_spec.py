@@ -25,7 +25,6 @@ import os
 
 import pytest
 
-from repro.engine.columns import as_deltas
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.fuzz.oracles import run_case
@@ -36,6 +35,7 @@ from repro.physical.operators import JoinExec
 from repro.physical.work import WorkMeter
 
 from .test_columnar_equivalence import fig11_setup  # noqa: F401
+from .util import deltas_of
 
 CORPUS_CASE = os.path.join(
     os.path.dirname(__file__), "fuzz_corpus", "arranged-service-churn.json"
@@ -74,7 +74,7 @@ def _typed(out):
     # value types ride along: (3,) == (3.0,) == (True,)
     return [
         (d.row, tuple(map(type, d.row)), d.sign, d.bits)
-        for d in as_deltas(out)
+        for d in deltas_of(out)
     ]
 
 
@@ -118,7 +118,7 @@ def record_join_advances(monkeypatch, plan, paces):
                     recording.most_versions, len(handle.arrangement.versions)
                 )
         recording.advances.append((
-            self, as_deltas(self.left.batch), as_deltas(self.right.batch),
+            self, deltas_of(self.left.batch), deltas_of(self.right.batch),
             _typed(out), _charges(self), self.entry_count,
         ))
         return out

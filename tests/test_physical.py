@@ -23,7 +23,7 @@ from repro.relational.tuples import DELETE, Delta, INSERT
 
 
 class FakeReader:
-    """A scripted buffer reader: one list of deltas per advance call."""
+    """A scripted buffer reader: one segment of deltas per advance call."""
 
     def __init__(self, batches):
         self.batches = list(batches)
@@ -31,7 +31,7 @@ class FakeReader:
     def read_new(self):
         if not self.batches:
             return []
-        return self.batches.pop(0)
+        return [self.batches.pop(0)]
 
 
 def table_node(schema, name="t", filters=None, projections=None, mask=0b1):

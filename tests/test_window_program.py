@@ -147,7 +147,7 @@ class TestTargetedCompaction:
 
     def end_state(self, executor):
         return {
-            buffer.name: (buffer.base, len(buffer.deltas) + buffer._pending_len)
+            buffer.name: (buffer.base, buffer.held)
             for buffer in self.buffers(executor)
         }
 

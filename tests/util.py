@@ -3,6 +3,7 @@
 import random
 
 from repro.engine.calibrate import calibrate_plan
+from repro.engine.columns import ColumnBatch
 from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
@@ -11,6 +12,31 @@ from repro.mqo.merge import MQOOptimizer, build_unshared_plan
 from repro.relational.expressions import agg_avg, agg_count, agg_max, agg_sum, col
 from repro.relational.schema import Schema, INT, FLOAT, STR
 from repro.relational.table import Catalog
+from repro.relational.tuples import Delta
+
+
+def batch_of(deltas, width):
+    """The row-backed ``ColumnBatch`` carrying ``deltas`` (a production
+    tree's form of that Delta list)."""
+    if not deltas:
+        return ColumnBatch.empty(width)
+    rows = [d.row for d in deltas] if width else [()] * len(deltas)
+    return ColumnBatch.from_rows(
+        rows, [d.sign for d in deltas], [d.bits for d in deltas], width
+    )
+
+
+def deltas_of(out):
+    """An operator output or buffer segment, of either tree's form, as a
+    Delta list (every value a Python scalar)."""
+    if isinstance(out, ColumnBatch):
+        return [
+            Delta(row, sign, bits)
+            for row, sign, bits in zip(
+                out.rows(), out.sign_list(), out.bit_list()
+            )
+        ]
+    return out
 
 
 def make_toy_catalog(seed=13, n_categories=12, n_items=60, n_events=900):
