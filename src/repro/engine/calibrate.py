@@ -4,7 +4,10 @@ Mirrors the paper's use of historical statistics (sections 2.1, 3.2): a
 recurring query's prior executions tell the optimizer the cardinalities
 it needs.  :func:`calibrate_plan` runs the plan once in batch mode
 (every pace 1) with statistics collection enabled and attaches a
-:class:`~repro.cost.stats.NodeStats` to every plan node.
+:class:`~repro.cost.stats.NodeStats` to every plan node.  That run is a
+production run plus counters: the executor compiles the operator family
+and lanes every window runs, and ``stats_mode`` only makes each operator
+tally the batches that cross its boundaries.
 
 Calibration results can be cached on disk (:mod:`repro.cost.cache`):
 when a cache is passed -- or installed process-wide with

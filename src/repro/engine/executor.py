@@ -207,15 +207,13 @@ class PlanExecutor:
         # bitvectors fit the int64 ``bits`` array (``~0`` table
         # bitvectors are ``-1``, which ANDs correctly in two's
         # complement); without it the row lane serves every batch size.
-        # Calibration's per-filter counters are NumPy closures, so a
-        # stats run that cannot have them compiles the reference.
+        # A stats run compiles the same tree: calibration's counters are
+        # tallies of the batches between operators, which need neither.
         vector = (
             columns.available()
             and max(self.plan.query_roots, default=0) < 62
         )
-        self._runtime_reference = not HOTPATH.batched or (
-            self.stats_mode and not vector
-        )
+        self._runtime_reference = not HOTPATH.batched
         if self._runtime_reference:
             self._operators = (SourceExec, JoinExec, AggregateExec, {})
         else:
@@ -389,8 +387,6 @@ class PlanExecutor:
         """One window of ``program``, with the results of ``sinks``' queries."""
         order, store = self._runtime[3:]
         result = RunResult(pace_config, self.stream_config)
-        # what the compiled tree is, not what was asked for (a stats run
-        # without the vector lane compiles the reference)
         reference = self._runtime_reference
         result.metadata["engine_mode"] = (
             "reference" if reference else "columnar"

@@ -16,6 +16,15 @@ The vector lane needs NumPy and int64 bitvectors (every query id below
 operator as ``vector``.  Where it is false every batch takes the row
 lane, which touches neither.
 
+Calibration runs these operators as every window does.  In
+``stats_mode`` an operator additionally tallies, per query, the batches
+that already cross its boundaries -- a source's input under its subplan
+mask, a join's and an aggregate's inputs and raw output, every chain's
+input and output when the node has filters (:func:`_count_bits`, from
+the lists or arrays the batch holds) -- around the one lane dispatch
+(:meth:`ColumnarDecorations.apply`), so the statistics describe the
+code that will run.
+
 Two invariants tie both lanes to the per-tuple reference
 (:mod:`repro.physical.operators`):
 
@@ -38,23 +47,13 @@ and the ``shared-columnar`` / ``shared-columnar-rows`` /
 ``shared-columnar-vec`` fuzz oracles enforce both invariants.
 """
 
+from collections import Counter
+
 from ..engine.columns import (
     ColumnBatch,
     column_array,
     concat_batches,
     np,
-)
-from ..relational.expressions import (
-    And,
-    BinaryOp,
-    Col,
-    Comparison,
-    Const,
-    Contains,
-    InList,
-    Not,
-    Or,
-    StartsWith,
 )
 from .faults import FAULTS, drop_first_retraction
 from .fused import (
@@ -88,202 +87,29 @@ from .hotpath import cached_artifacts, qids_of
 ROW_LANE_MAX = 4096
 
 
-# -- vectorized expression compilation ---------------------------------------
+def _count_bits(batch, *accs, mask=-1):
+    """Stats mode: tally ``batch``'s rows per query, under ``mask``.
 
-
-class _NotVectorizable(Exception):
-    """Internal: fall back to the row-wise closure for this expression."""
-
-
-_ARITH_SAFE = {"+", "-", "*"}
-
-
-def _vec(expr, schema):
-    """Build ``fn(batch) -> ndarray-or-scalar`` for a vectorizable tree."""
-    if isinstance(expr, Col):
-        index = schema.index_of(expr.name)
-        # per-column access: a row-backed batch materializes (and
-        # caches) only the columns an expression actually reads
-        return lambda batch: batch.column(index)
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda batch: value
-    if isinstance(expr, BinaryOp):
-        left = _vec(expr.left, schema)
-        right = _vec(expr.right, schema)
-        op = expr.op
-        if op in _ARITH_SAFE:
-            if op == "+":
-                return lambda batch: left(batch) + right(batch)
-            if op == "-":
-                return lambda batch: left(batch) - right(batch)
-            return lambda batch: left(batch) * right(batch)
-        # division vectorizes only by a nonzero constant: NumPy yields
-        # inf/nan where the scalar path raises ZeroDivisionError, and the
-        # error class is part of the differential-oracle contract
-        if not (isinstance(expr.right, Const) and expr.right.value != 0):
-            raise _NotVectorizable
-        if op == "/":
-            return lambda batch: left(batch) / right(batch)
-        return lambda batch: left(batch) // right(batch)
-    if isinstance(expr, Comparison):
-        left = _vec(expr.left, schema)
-        right = _vec(expr.right, schema)
-        op = expr.op
-        if op == "==":
-            return lambda batch: left(batch) == right(batch)
-        if op == "!=":
-            return lambda batch: left(batch) != right(batch)
-        if op == "<":
-            return lambda batch: left(batch) < right(batch)
-        if op == "<=":
-            return lambda batch: left(batch) <= right(batch)
-        if op == ">":
-            return lambda batch: left(batch) > right(batch)
-        return lambda batch: left(batch) >= right(batch)
-    if isinstance(expr, And):
-        left = _vec(expr.left, schema)
-        right = _vec(expr.right, schema)
-        return lambda batch: np.logical_and(
-            _truthy(left(batch), len(batch)), _truthy(right(batch), len(batch))
-        )
-    if isinstance(expr, Or):
-        left = _vec(expr.left, schema)
-        right = _vec(expr.right, schema)
-        return lambda batch: np.logical_or(
-            _truthy(left(batch), len(batch)), _truthy(right(batch), len(batch))
-        )
-    if isinstance(expr, Not):
-        child = _vec(expr.child, schema)
-        return lambda batch: np.logical_not(_truthy(child(batch), len(batch)))
-    if isinstance(expr, InList):
-        child = _vec(expr.child, schema)
-        values = frozenset(expr.values)
-
-        def isin(batch):
-            # frozenset membership per element keeps hash-equality
-            # semantics identical to the scalar closure
-            x = child(batch)
-            if isinstance(x, np.ndarray):
-                return np.fromiter(
-                    (v in values for v in x.tolist()), np.bool_, len(x)
-                )
-            return x in values
-
-        return isin
-    if isinstance(expr, StartsWith):
-        child = _vec(expr.child, schema)
-        prefix = expr.prefix
-
-        def starts(batch):
-            x = child(batch)
-            if isinstance(x, np.ndarray):
-                return np.fromiter(
-                    (v.startswith(prefix) for v in x.tolist()),
-                    np.bool_, len(x),
-                )
-            return x.startswith(prefix)
-
-        return starts
-    if isinstance(expr, Contains):
-        child = _vec(expr.child, schema)
-        needle = expr.needle
-
-        def contains(batch):
-            x = child(batch)
-            if isinstance(x, np.ndarray):
-                return np.fromiter(
-                    (needle in v for v in x.tolist()), np.bool_, len(x)
-                )
-            return needle in x
-
-        return contains
-    raise _NotVectorizable
-
-
-def compile_columnar(expr, schema):
-    """``fn(batch) -> column`` for ``expr``; row-wise fallback when the
-    tree has a shape the vectorizer does not cover (exact by
-    construction: it runs the same scalar closure the other paths use).
+    Adds each query's row count to every counter dict of ``accs`` and
+    returns how many rows keep a bit.  Bit patterns are counted from the
+    form the batch already holds (``bit_list`` lists an array, hands a
+    row-lane list through), then decoded once per distinct pattern, in
+    ascending pattern order: the counters' key order, which the cost
+    model's float sums follow, depends on neither lane nor batch form.
     """
-    try:
-        return _vec(expr, schema)
-    except _NotVectorizable:
-        scalar = expr.compile(schema)
-
-        def rowwise(batch):
-            return column_array([scalar(row) for row in batch.rows()])
-
-        return rowwise
-
-
-def _truthy(x, n):
-    """Coerce a predicate result to a bool mask (or scalar bool)."""
-    if isinstance(x, np.ndarray):
-        if x.dtype == np.bool_:
-            return x
-        if x.dtype == object:
-            return np.fromiter((bool(v) for v in x), np.bool_, len(x))
-        return x.astype(np.bool_)
-    return bool(x)
-
-
-def _bool_mask(x, n):
-    """A full-length bool mask from a predicate result."""
-    x = _truthy(x, n)
-    if isinstance(x, np.ndarray):
-        return x
-    return np.full(n, x, dtype=np.bool_)
-
-
-def _materialize(x, n):
-    """A full-length column from a projection result (broadcast scalars)."""
-    if isinstance(x, np.ndarray):
-        if x.ndim != 0:
-            return x
-        x = x.item()
-    if isinstance(x, (bool, np.bool_)):
-        return np.full(n, bool(x), dtype=np.bool_)
-    if isinstance(x, (int, np.integer)):
-        return np.full(n, int(x), dtype=np.int64)
-    if isinstance(x, (float, np.floating)):
-        return np.full(n, float(x), dtype=np.float64)
-    arr = np.empty(n, dtype=object)
-    arr.fill(x)
-    return arr
-
-
-def _count_bits(bits, acc):
-    """Per-query counters from a bits array (stats mode)."""
-    if not len(bits):
-        return
-    values, counts = np.unique(bits, return_counts=True)
-    for value, count in zip(values.tolist(), counts.tolist()):
-        for qid in qids_of(value):
-            acc[qid] = acc.get(qid, 0) + count
+    patterns = {}
+    for pattern, count in Counter(batch.bit_list()).items():
+        pattern &= mask
+        if pattern:
+            patterns[pattern] = patterns.get(pattern, 0) + count
+    for pattern, count in sorted(patterns.items()):
+        for qid in qids_of(pattern):
+            for acc in accs:
+                acc[qid] = acc.get(qid, 0) + count
+    return sum(patterns.values())
 
 
 # -- columnar decorations ----------------------------------------------------
-
-
-class _ColumnarDecorationArtifacts:
-    """Vector-compiled mark filters and union projection (shareable)."""
-
-    __slots__ = ("filter_pairs", "projection_fns")
-
-    def __init__(self, node):
-        core_schema = node.core_schema
-        self.filter_pairs = tuple(
-            (1 << qid, ~(1 << qid), compile_columnar(predicate, core_schema))
-            for qid, predicate in sorted(node.filters.items())
-        )
-        union = node.union_projection()
-        if union is None:
-            self.projection_fns = None
-        else:
-            self.projection_fns = tuple(
-                compile_columnar(expr, core_schema) for _, expr in union
-            )
 
 
 class ColumnarDecorations:
@@ -295,12 +121,10 @@ class ColumnarDecorations:
     """
 
     __slots__ = ("node", "source", "vector", "filter_name", "project_name",
-                 "filter_pairs", "projection_fns", "stats_mode",
                  "filter_in_per_q", "filter_out_per_q", "fused",
                  "row_kernel")
 
-    def __init__(self, node, stats_mode=False, source=False,
-                 vector=np is not None):
+    def __init__(self, node, source=False, vector=np is not None):
         self.node = node
         #: whether a source owns this chain (its kernels mask first)
         self.source = source
@@ -308,21 +132,10 @@ class ColumnarDecorations:
         self.vector = vector
         self.filter_name = "filter:%d" % node.uid
         self.project_name = "proj:%d" % node.uid
-        self.stats_mode = stats_mode
         # each lane's generated kernel is built the first time the lane
         # is taken: an eager plan never pays for vector kernels
         self.fused = None
         self.row_kernel = None
-        if stats_mode:
-            # calibration runs the unfused vector closures at every size
-            artifacts = cached_artifacts(
-                ("cdeco", node.uid),
-                lambda: _ColumnarDecorationArtifacts(node),
-            )
-            self.filter_pairs = artifacts.filter_pairs
-            self.projection_fns = artifacts.projection_fns
-        else:
-            self.filter_pairs = self.projection_fns = None
         self.filter_in_per_q = {}
         self.filter_out_per_q = {}
 
@@ -332,12 +145,7 @@ class ColumnarDecorations:
 
     def apply(self, batch, meter, mask=None):
         """The one lane dispatch.  ``mask`` is the owning subplan's query
-        mask when a source runs its whole chain here, ``None`` otherwise
-        (and always in stats mode, where the source masks and counts
-        before it calls)."""
-        if self.stats_mode:
-            # calibration wants the per-filter counters at every size
-            return self._apply_unfused(batch, meter)
+        mask when a source runs its whole chain here, ``None`` otherwise."""
         if not self.vector or len(batch) <= ROW_LANE_MAX:
             return self.apply_rows(batch, meter, mask)
         fused = self.fused
@@ -352,36 +160,26 @@ class ColumnarDecorations:
             return fused(batch, meter)
         return fused(batch, mask, meter)
 
-    def _apply_unfused(self, batch, meter):
-        pairs = self.filter_pairs
-        if pairs:
-            n = len(batch)
-            meter.charge_input(self.filter_name, n)
-            _count_bits(batch.bits, self.filter_in_per_q)
-            bits = batch.bits
-            for bit, clear, fn in pairs:
-                has = (bits & bit) != 0
-                if not has.any():
-                    continue
-                pred = _bool_mask(fn(batch), n)
-                # clear the query's bit where its predicate rejects the
-                # row; rows without the bit are unaffected by design
-                drop = has & ~pred
-                if drop.any():
-                    bits = np.where(drop, bits & clear, bits)
-            keep = bits != 0
-            if keep.all():
-                batch = batch.with_bits(bits)
-            else:
-                batch = batch.with_bits(bits).take(np.flatnonzero(keep))
-            _count_bits(batch.bits, self.filter_out_per_q)
-        fns = self.projection_fns
-        if fns is not None:
-            n = len(batch)
-            meter.charge_input(self.project_name, n)
-            columns = tuple(_materialize(fn(batch), n) for fn in fns)
-            batch = ColumnBatch(columns, batch.signs, batch.bits)
-        return batch
+    def apply_tallied(self, batch, meter, *accs, mask=None):
+        """Stats mode: :meth:`apply` between two tallies.
+
+        The chain's input -- under ``mask`` for a source -- is counted
+        into the owner's per-query counters ``accs`` and, when the node
+        has filters, into ``filter_in_per_q``; its output then into
+        ``filter_out_per_q`` (projection changes no bits).  Returns the
+        output and how many input rows kept a bit.
+        """
+        filtered = bool(self.node.filters)
+        if filtered:
+            accs += (self.filter_in_per_q,)
+        kept = 0
+        if accs:
+            kept = _count_bits(
+                batch, *accs, mask=-1 if mask is None else mask)
+        batch = self.apply(batch, meter, mask)
+        if filtered:
+            _count_bits(batch, self.filter_out_per_q)
+        return batch, kept
 
     def apply_rows(self, batch, meter, mask):
         """The row lane: (source mask ->) mark filters -> projection.
@@ -462,7 +260,7 @@ class ColumnarSourceExec:
         self.meter = meter
         self.name = "src:%d" % node.uid
         self.decorations = ColumnarDecorations(
-            node, stats_mode, source=True, vector=vector
+            node, source=True, vector=vector
         )
         self.stats_mode = stats_mode
         self.consolidate_reads = consolidate_reads
@@ -470,14 +268,12 @@ class ColumnarSourceExec:
         self.scanned_total = 0
         self.kept_total = 0
         self.kept_per_q = {}
-        self.deletes_kept = 0
 
     def reset(self):
         self.reader.offset = 0
         self.scanned_total = 0
         self.kept_total = 0
         self.kept_per_q = {}
-        self.deletes_kept = 0
         self.decorations.reset_stats()
 
     def advance(self):
@@ -511,16 +307,11 @@ class ColumnarSourceExec:
             return self.decorations.apply(
                 batch, self.meter, self.subplan_mask
             )
-        bits = batch.bits & self.subplan_mask
-        keep = bits != 0
-        if keep.all():
-            kept = batch.with_bits(bits)
-        else:
-            kept = batch.with_bits(bits).take(np.flatnonzero(keep))
-        self.kept_total += len(kept)
-        self.deletes_kept += int((kept.signs < 0).sum())
-        _count_bits(kept.bits, self.kept_per_q)
-        return self.decorations.apply(kept, self.meter)
+        out, kept = self.decorations.apply_tallied(
+            batch, self.meter, self.kept_per_q, mask=self.subplan_mask
+        )
+        self.kept_total += kept
+        return out
 
 
 # -- join --------------------------------------------------------------------
@@ -690,9 +481,7 @@ class ColumnarJoinExec:
             _ColumnarJoinSide(self.right_width)
             if self._right_arranged is None else None
         )
-        self.decorations = ColumnarDecorations(
-            node, stats_mode, vector=vector
-        )
+        self.decorations = ColumnarDecorations(node, vector=vector)
         self.stats_mode = stats_mode
         self.in_left = 0
         self.in_right = 0
@@ -755,14 +544,16 @@ class ColumnarJoinExec:
             self.meter.charge_state(
                 self.name, self.state_factor * self.entry_count
             )
-        if self.stats_mode:
-            self.in_left += n_left
-            self.in_right += n_right
-            self.out_total += len(out)
-            _count_bits(left_batch.bits, self.in_left_per_q)
-            _count_bits(right_batch.bits, self.in_right_per_q)
-            _count_bits(out.bits, self.out_per_q)
-        return self.decorations.apply(out, self.meter)
+        if not self.stats_mode:
+            return self.decorations.apply(out, self.meter)
+        self.in_left += n_left
+        self.in_right += n_right
+        self.out_total += len(out)
+        _count_bits(left_batch, self.in_left_per_q)
+        _count_bits(right_batch, self.in_right_per_q)
+        return self.decorations.apply_tallied(
+            out, self.meter, self.out_per_q
+        )[0]
 
     def _advance_side(self, batch, left_side, pending, outputs):
         """Probe one side's new deltas, then install them.
@@ -1104,7 +895,7 @@ class ColumnarAggregateExec:
         self.state_factor = state_factor
         self.name = "agg:%d" % node.uid
         self.specs = node.aggs
-        self.decorations = ColumnarDecorations(node, stats_mode, vector=vector)
+        self.decorations = ColumnarDecorations(node, vector=vector)
         self.stats_mode = stats_mode
         self.vector = vector
         schema = node.children[0].out_schema
@@ -1121,7 +912,7 @@ class ColumnarAggregateExec:
         self._touched = []  # records absorbed into since the last emission
         self.state_count = 0
         self._exact_ok = [True] * len(self.specs)
-        self.in_total = self.in_deletes = self.out_total = 0
+        self.in_total = self.out_total = 0
         self.in_per_q = {}
 
     def reset(self):
@@ -1139,8 +930,7 @@ class ColumnarAggregateExec:
         self.meter.charge_input(self.name, n)
         if self.stats_mode:
             self.in_total += n
-            _count_bits(batch.bits, self.in_per_q)
-            self.in_deletes += int((batch.signs < 0).sum())
+            _count_bits(batch, self.in_per_q)
         if n and not (
             self.vector and n > ROW_LANE_MAX and self._absorb_columns(batch)
         ):
@@ -1155,9 +945,10 @@ class ColumnarAggregateExec:
             self.meter.charge_state(
                 self.name, self.state_factor * self.state_count
             )
-        if self.stats_mode:
-            self.out_total += len(out)
-        return self.decorations.apply(out, self.meter)
+        if not self.stats_mode:
+            return self.decorations.apply(out, self.meter)
+        self.out_total += len(out)
+        return self.decorations.apply_tallied(out, self.meter)[0]
 
     def _emit(self):
         """Nothing touched: the shared empty batch, nothing allocated."""

@@ -32,13 +32,15 @@ tracebacks under its ``<fused:...>`` filename.
 Exactness contract: every kernel of a node emits the same rows in the
 same order with the same WorkMeter charges -- the filter stage is
 charged its input length (after the source mask), the projection stage
-the survivors, both even at zero.  The vector kernels perform the *same
-array operations in the same order* as the unfused closure chain that
-calibration still runs (``stats_mode`` needs its per-filter counters);
-expression shapes the flattener does not cover (containment predicates,
-row-wise fallbacks) are bound into the generated source as the very
-closures that chain would call.  ``tests/test_columnar_equivalence.py``
-replays every fig11 batch through all of them.
+the survivors, both even at zero.  This module is the engine's only
+vector expression compiler: calibration (``stats_mode``) runs these
+kernels too and tallies its counters from the batches between them.
+Containment predicates are one helper call per column (hash-equality and
+``str`` semantics per element, like the row lane), and an expression the
+flattener cannot take -- division by anything but a nonzero constant --
+is evaluated whole, row by row, through the scalar closure the reference
+runs.  ``tests/test_columnar_equivalence.py`` replays every fig11 batch
+through both lanes.
 """
 
 from collections import namedtuple
@@ -46,7 +48,7 @@ from operator import itemgetter
 from sys import intern
 from textwrap import indent
 
-from ..engine.columns import ColumnBatch, np
+from ..engine.columns import ColumnBatch, column_array, np
 from ..errors import ExecutionError
 from ..relational.codegen import Bindings, compile_source, const_fragment
 from ..relational.expressions import (
@@ -55,8 +57,11 @@ from ..relational.expressions import (
     Col,
     Comparison,
     Const,
+    Contains,
+    InList,
     Not,
     Or,
+    StartsWith,
 )
 from .hotpath import (
     _QIDS_LIMIT,
@@ -89,15 +94,75 @@ class _Emitter(Bindings):
 
 
 class _NotInline(Exception):
-    """Internal: this subtree is not flattened; bind its closure."""
+    """Internal: this tree is not flattened; evaluate it row by row."""
+
+
+def _truthy(x, n):
+    """Coerce a predicate result to a bool mask (or scalar bool)."""
+    if isinstance(x, np.ndarray):
+        if x.dtype == np.bool_:
+            return x
+        if x.dtype == object:
+            return np.fromiter((bool(v) for v in x), np.bool_, len(x))
+        return x.astype(np.bool_)
+    return bool(x)
+
+
+def _bool_mask(x, n):
+    """A full-length bool mask from a predicate result."""
+    x = _truthy(x, n)
+    if isinstance(x, np.ndarray):
+        return x
+    return np.full(n, x, dtype=np.bool_)
+
+
+def _materialize(x, n):
+    """A full-length column from a projection result (broadcast scalars)."""
+    if isinstance(x, np.ndarray):
+        if x.ndim != 0:
+            return x
+        x = x.item()
+    if isinstance(x, (bool, np.bool_)):
+        return np.full(n, bool(x), dtype=np.bool_)
+    if isinstance(x, (int, np.integer)):
+        return np.full(n, int(x), dtype=np.int64)
+    if isinstance(x, (float, np.floating)):
+        return np.full(n, float(x), dtype=np.float64)
+    arr = np.empty(n, dtype=object)
+    arr.fill(x)
+    return arr
+
+
+# Containment over a column is a test per element on Python values, so
+# hash equality (``InList``) and ``str`` semantics stay the row lane's;
+# a constant child stays a scalar.
+
+def _isin(x, values):
+    if isinstance(x, np.ndarray):
+        return np.fromiter((v in values for v in x.tolist()), np.bool_, len(x))
+    return x in values
+
+
+def _startswith(x, prefix):
+    if isinstance(x, np.ndarray):
+        return np.fromiter(
+            (v.startswith(prefix) for v in x.tolist()), np.bool_, len(x))
+    return x.startswith(prefix)
+
+
+def _contains(x, needle):
+    if isinstance(x, np.ndarray):
+        return np.fromiter((needle in v for v in x.tolist()), np.bool_, len(x))
+    return needle in x
 
 
 def _fragment(expr, schema, batch_var, columns, emitter, n_var):
-    """A source fragment evaluating ``expr`` over ``batch_var``.
+    """A source fragment evaluating ``expr`` over ``batch_var``: one
+    inline NumPy expression over the hoisted column reads.
 
-    Mirrors :func:`repro.physical.columnar._vec` operation for
-    operation; anything `_vec` would reject raises :class:`_NotInline`
-    so the caller binds the chain's compiled closure instead.
+    Raises :class:`_NotInline` for a tree it does not flatten; the
+    caller then evaluates the *whole* expression row-wise (a partial
+    fallback would change the arithmetic path under it).
     """
     if isinstance(expr, Col):
         index = schema.index_of(expr.name)
@@ -114,7 +179,9 @@ def _fragment(expr, schema, batch_var, columns, emitter, n_var):
         op = expr.op
         if op in ("+", "-", "*"):
             return "(%s %s %s)" % (left, op, right)
-        # division only by a nonzero constant, like the vectorizer
+        # division only by a nonzero constant: NumPy yields inf/nan where
+        # the scalar path raises ZeroDivisionError, and the error class is
+        # part of the differential-oracle contract
         if not (isinstance(expr.right, Const) and expr.right.value != 0):
             raise _NotInline
         if op == "/":
@@ -143,31 +210,28 @@ def _fragment(expr, schema, batch_var, columns, emitter, n_var):
         child = _fragment(expr.child, schema, batch_var, columns, emitter,
                           n_var)
         return "np.logical_not(_truthy(%s, %s))" % (child, n_var)
-    # Containment predicates vectorize but do not flatten: bind the very
-    # closure ``_vec`` would build for this subtree.  If the subtree is
-    # *not* vectorizable, re-raise so the whole expression falls back to
-    # the row-wise closure exactly like the unfused path (a partial
-    # fallback would change the arithmetic path and break bit-identity).
-    from .columnar import _NotVectorizable, _vec
-
-    try:
-        fn = _vec(expr, schema)
-    except _NotVectorizable:
+    if isinstance(expr, InList):
+        helper, operand = "_isin", frozenset(expr.values)
+    elif isinstance(expr, StartsWith):
+        helper, operand = "_startswith", expr.prefix
+    elif isinstance(expr, Contains):
+        helper, operand = "_contains", expr.needle
+    else:
         raise _NotInline
-    name = emitter.bind("f", fn)
-    return "%s(%s)" % (name, batch_var)
+    child = _fragment(expr.child, schema, batch_var, columns, emitter, n_var)
+    return "%s(%s, %s)" % (helper, child, emitter.bind("k", operand))
 
 
 def _expr_source(expr, schema, batch_var, columns, emitter, n_var):
-    """Fragment for ``expr``, falling back to a bound closure call."""
+    """Fragment for ``expr``, falling back to the row-wise evaluation of
+    its scalar closure (exact by construction: the one the reference
+    runs, raising what it raises)."""
     try:
         return _fragment(expr, schema, batch_var, columns, emitter, n_var)
     except _NotInline:
-        from .columnar import compile_columnar
-
-        fn = compile_columnar(expr, schema)
-        name = emitter.bind("f", fn)
-        return "%s(%s)" % (name, batch_var)
+        scalar = emitter.bind("f", expr.compile(schema))
+        return "column_array([%s(row) for row in %s.rows()])" % (
+            scalar, batch_var)
 
 
 def _hoist_columns(lines, batch_var, columns):
@@ -179,8 +243,8 @@ def _hoist_columns(lines, batch_var, columns):
 
 
 def _filter_block(node, batch_var, emitter, indent="    "):
-    """Source lines replicating ``ColumnarDecorations.apply``'s filter
-    loop over ``batch_var`` (charge, per-pair bit clears, final keep)."""
+    """Source lines of the filter stage over ``batch_var`` (charge, one
+    bit clear per filter where its predicate rejects, final keep)."""
     lines = []
     columns = {}
     body = []
@@ -218,7 +282,7 @@ def _filter_block(node, batch_var, emitter, indent="    "):
 
 
 def _projection_block(node, batch_var, emitter, indent="    "):
-    """Source lines replicating the union-projection stage."""
+    """Source lines of the union-projection stage."""
     union = node.union_projection()
     if union is None:
         return None
@@ -254,15 +318,17 @@ def _compile_kernel(kind, lines, namespace):
 
 
 def _vector_namespace(node, emitter):
-    from .columnar import _bool_mask, _materialize, _truthy
-
     return dict(
         emitter.names,
         np=np,
         ColumnBatch=ColumnBatch,
+        column_array=column_array,
         _truthy=_truthy,
         _bool_mask=_bool_mask,
         _materialize=_materialize,
+        _isin=_isin,
+        _startswith=_startswith,
+        _contains=_contains,
         FILTER_NAME="filter:%d" % node.uid,
         PROJ_NAME="proj:%d" % node.uid,
     )

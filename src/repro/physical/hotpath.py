@@ -22,9 +22,9 @@ results are tolerance-equivalent (docs/PERFORMANCE.md).
 Whether the vector lane may fire is not a setting: the executor works
 it out per plan from what it can observe -- NumPy importable and every
 query id below 62, so bitvectors fit an int64 array -- and binds it into
-each operator.  Where it may not, every batch takes the row lane (and
-calibration, whose per-filter counters are NumPy closures, runs the
-reference operators).
+each operator.  Where it may not, every batch takes the row lane --
+calibration's too: a stats run is the production tree plus tallies of
+the batches between its operators.
 
 One toggle, default on: ``batched`` -- the production operators;
 ``False`` runs the per-tuple reference.

@@ -138,7 +138,6 @@ class SourceExec:
         self.scanned_total = 0
         self.kept_total = 0
         self.kept_per_q = {}
-        self.deletes_kept = 0
 
     def reset(self):
         """Restore fresh-run state (offsets are reset by the executor)."""
@@ -146,7 +145,6 @@ class SourceExec:
         self.scanned_total = 0
         self.kept_total = 0
         self.kept_per_q = {}
-        self.deletes_kept = 0
         self.decorations.reset_stats()
 
     def _advance_reference(self):
@@ -173,8 +171,6 @@ class SourceExec:
         if self.stats_mode:
             self.kept_total += len(kept)
             for delta in kept:
-                if delta.sign == DELETE:
-                    self.deletes_kept += 1
                 for qid in bitvec.iter_bits(delta.bits):
                     self.kept_per_q[qid] = self.kept_per_q.get(qid, 0) + 1
         return self.decorations.apply(kept, self.meter)
@@ -461,7 +457,6 @@ class AggregateExec:
         self.stats_mode = stats_mode
         self.in_total = 0
         self.in_per_q = {}
-        self.in_deletes = 0
         self.out_total = 0
 
     def reset(self):
@@ -472,7 +467,6 @@ class AggregateExec:
         self.state_count = 0
         self.in_total = 0
         self.in_per_q = {}
-        self.in_deletes = 0
         self.out_total = 0
         self.decorations.reset_stats()
 
@@ -482,7 +476,6 @@ class AggregateExec:
         if self.stats_mode:
             self.in_total += len(deltas)
             _count_per_q(deltas, self.in_per_q)
-            self.in_deletes += sum(1 for d in deltas if d.sign == DELETE)
         for delta in deltas:
             self._absorb(delta)
         out = self._emit()

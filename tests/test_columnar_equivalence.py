@@ -140,19 +140,18 @@ class TestFig11WorkIdentity:
         assert work_fingerprint(columnar) == work_fingerprint(reference)
         assert columnar.query_results == reference.query_results
 
-    def test_row_lane_fused_and_unfused_agree_on_every_batch(
-        self, fig11_setup, monkeypatch
-    ):
-        # Three implementations of one contract, none behind a global
-        # switch: the generated row kernels (small batches), the
-        # generated fused vector kernels (large batches) and the unfused
-        # closure chain (stats_mode).  Record every batch the fig11 run
-        # feeds a source, a decoration or an aggregate, then replay it
-        # through all three and demand the same rows, signs, bits and
-        # WorkMeter charges.  The row kernels are also held to PR 16's
-        # hand-written row loop over the tree-walking expression spec
-        # (``_reference_apply_rows`` below), and the generated absorb
-        # loop to the per-tuple reference aggregate.
+    def test_two_lanes_agree_on_every_batch(self, fig11_setup, monkeypatch):
+        # Two implementations of one contract, neither behind a global
+        # switch: the generated row kernels (small batches) and the
+        # generated fused vector kernels (large batches).  Record every
+        # batch the fig11 run feeds a source, a decoration or an
+        # aggregate, then replay it through both -- as a window runs
+        # them and as calibration does (stats_mode: the same dispatch
+        # between tallies) -- and demand the same rows, signs, bits,
+        # WorkMeter charges and counters.  The row kernels are also held
+        # to PR 16's hand-written row loop over the tree-walking
+        # expression spec (``_reference_apply_rows`` below), and the
+        # generated absorb loop to the per-tuple reference aggregate.
         # Recording runs with ROW_LANE_MAX = 0 so every non-empty batch
         # reaches a fused kernel and node coverage does not depend on
         # fig11's batch sizes.
@@ -160,24 +159,7 @@ class TestFig11WorkIdentity:
         from repro.physical.work import WorkMeter
 
         plan, paces, _ = fig11_setup
-        calls = {"src": [], "deco": [], "agg": []}
-
-        def recording(kind):
-            getter = getattr(columnar_mod, _FUSED_GETTERS[kind])
-
-            def get(node):
-                kernel = getter(node)
-
-                def record(*args):
-                    calls[kind].append((node, args))
-                    return kernel(*args)
-
-                return record
-
-            return get
-
-        for kind, name in _FUSED_GETTERS.items():
-            monkeypatch.setattr(columnar_mod, name, recording(kind))
+        calls = _record_fused_calls(monkeypatch, columnar_mod)
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 0)
         clear_compiled_caches()
         PlanExecutor(plan, StreamConfig()).run(paces)
@@ -206,11 +188,11 @@ class TestFig11WorkIdentity:
             for node in decorated
         ] + [(node, batch) for node, (batch, _) in calls["deco"]]
 
-        #: (ROW_LANE_MAX, stats_mode): row lane, fused kernel, unfused chain
-        lanes = ((1 << 30, False), (0, False), (0, True))
+        #: (ROW_LANE_MAX, stats_mode): each lane, in a window and calibrating
+        lanes = ((1 << 30, False), (0, False), (1 << 30, True), (0, True))
 
         for node, (batch, mask, _) in calls["src"]:
-            outputs, meters = [], []
+            outputs, meters, tallies = [], [], []
             for lane_max, stats_mode in lanes:
                 monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
                 buffer = Buffer("replay")
@@ -221,51 +203,56 @@ class TestFig11WorkIdentity:
                 buffer.append(batch)
                 outputs.append(source.advance())
                 meters.append(meter)
-                # each lane's kernel is generated when the lane is taken
+                # each lane's kernel is generated when the lane is taken,
+                # by a stats run like by any other
                 decorations = source.decorations
-                assert (decorations.row_kernel is not None) == (
-                    lane_max > 0 and not stats_mode)
-                assert (decorations.fused is not None) == (
-                    lane_max == 0 and not stats_mode)
-            _assert_batches_identical(outputs[1], outputs[2])  # bit for bit
-            _assert_same_deltas(outputs[0], outputs[1])
+                assert (decorations.row_kernel is not None) == (lane_max > 0)
+                assert (decorations.fused is not None) == (lane_max == 0)
+                tallies.append((
+                    source.kept_total, source.kept_per_q,
+                    decorations.filter_in_per_q, decorations.filter_out_per_q,
+                ))
+            row_lane, fused, stats_rows, stats_fused = outputs
+            _assert_same_deltas(row_lane, fused)
+            _assert_batches_identical(row_lane, stats_rows)  # bit for bit
+            _assert_batches_identical(fused, stats_fused)
             _assert_meters_identical(*meters)
+            assert tallies[0] == tallies[1] == (0, {}, {}, {})
+            assert tallies[2] == tallies[3]
+            assert tallies[2][0] == sum(
+                1 for bits in batch.bit_list() if bits & mask)
+            assert bool(tallies[2][2]) == bool(
+                node.filters and tallies[2][0])
             _assert_row_kernel_matches_reference(node, batch, mask)
 
         # each lane called by name, not through the size dispatch: an
         # empty batch would never reach the kernel that way
         for node, batch in deco_calls:
-            meters = WorkMeter(), WorkMeter(), WorkMeter()
+            meters = WorkMeter(), WorkMeter()
             row_lane = columnar_mod.ColumnarDecorations(node).apply_rows(
                 batch, meters[0], None
             )
             fused = columnar_mod.fused_decoration_kernel(node)(
                 batch, meters[1]
             )
-            unfused = columnar_mod.ColumnarDecorations(
-                node, stats_mode=True
-            ).apply(batch, meters[2])
-            _assert_batches_identical(fused, unfused)
             _assert_same_deltas(row_lane, fused)
             _assert_meters_identical(*meters)
             _assert_row_kernel_matches_reference(node, batch, None)
 
         # the aggregate's fused part is the input-expression kernel: its
-        # arrays must match the unfused closures' dtype for dtype and bit
-        # for bit.  (What the operator does with them -- both lanes, the
-        # emission, against the per-tuple reference -- is replayed batch
-        # by batch in tests/test_aggregate_emission_spec.py.)
+        # arrays must match the columns of the scalar closures' per-row
+        # values dtype for dtype and bit for bit.  (What the operator
+        # does with them -- both lanes, the emission, against the
+        # per-tuple reference -- is replayed batch by batch in
+        # tests/test_aggregate_emission_spec.py.)
         for node, (batch, n) in calls["agg"]:
             fused = columnar_mod.fused_aggregate_inputs(node)(batch, n)
             schema = node.children[0].out_schema
-            unfused = [
-                columnar_mod._materialize(
-                    columnar_mod.compile_columnar(spec.expr, schema)(batch), n)
-                for spec in node.aggs
-            ]
-            assert len(fused) == len(unfused)
-            for left, right in zip(fused, unfused):
-                _assert_arrays_identical(left, right)
+            assert len(fused) == len(node.aggs)
+            for array, spec in zip(fused, node.aggs):
+                scalar = spec.expr.compile(schema)
+                _assert_arrays_identical(array, columns.column_array(
+                    [scalar(row) for row in batch.rows()]))
 
     def test_fused_kernels_actually_fire(self, fig11_setup, monkeypatch):
         # guard against the replay test passing vacuously because fusion
@@ -279,24 +266,7 @@ class TestFig11WorkIdentity:
 
         plan, paces, _ = fig11_setup
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 64)
-        sizes = {kind: [] for kind in _FUSED_GETTERS}
-
-        def counting(kind):
-            getter = getattr(columnar_mod, _FUSED_GETTERS[kind])
-
-            def get(node):
-                kernel = getter(node)
-
-                def count(batch, *args):
-                    sizes[kind].append(len(batch))
-                    return kernel(batch, *args)
-
-                return count
-
-            return get
-
-        for kind, name in _FUSED_GETTERS.items():
-            monkeypatch.setattr(columnar_mod, name, counting(kind))
+        calls = _record_fused_calls(monkeypatch, columnar_mod)
         row_lane = []
         apply_rows = columnar_mod.ColumnarDecorations.apply_rows
 
@@ -317,9 +287,9 @@ class TestFig11WorkIdentity:
         assert kernels, "no fused kernels were compiled during the run"
         assert all(hasattr(k, "fused_source") for k in kernels)
         threshold = columnar_mod.ROW_LANE_MAX
-        for kind, seen in sizes.items():
+        for kind, seen in calls.items():
             assert seen, "no batch reached the fused %s kernel" % kind
-            assert min(seen) > threshold
+            assert min(len(args[0]) for _, args in seen) > threshold
         assert row_lane and max(row_lane) <= threshold
 
 
@@ -329,6 +299,28 @@ _FUSED_GETTERS = {
     "deco": "fused_decoration_kernel",
     "agg": "fused_aggregate_inputs",
 }
+
+
+def _record_fused_calls(monkeypatch, columnar_mod):
+    """Spy on every vector kernel: family -> ``[(node, call args)]``."""
+    calls = {kind: [] for kind in _FUSED_GETTERS}
+
+    def recording(kind, getter):
+        def get(node):
+            kernel = getter(node)
+
+            def record(*args):
+                calls[kind].append((node, args))
+                return kernel(*args)
+
+            return record
+
+        return get
+
+    for kind, name in _FUSED_GETTERS.items():
+        monkeypatch.setattr(
+            columnar_mod, name, recording(kind, getattr(columnar_mod, name)))
+    return calls
 
 
 def _walk(node):
@@ -866,6 +858,39 @@ class TestGeneratedCodeFailures:
         with pytest.raises(error):
             reference.advance()
 
+    @pytest.mark.parametrize("over", ["column", "arithmetic", "not-inline"])
+    @pytest.mark.parametrize("kind", ["in", "prefix", "needle"])
+    def test_containment_on_both_lanes(self, kind, over, monkeypatch):
+        # a containment predicate is a helper call over its child's
+        # fragment; a child that does not flatten (division by a column)
+        # sends the whole predicate to the row-wise scalar closure
+        from repro.physical import columnar as columnar_mod
+        from repro.relational.expressions import (
+            col, contains, starts_with)
+
+        text, number = {
+            "column": (col("k"), col("v")),
+            "arithmetic": (col("k") + "x" + col("k"), col("v") * 2 - 1),
+            "not-inline": (col("k") + "x" * (6 // col("v")), 12 / col("v")),
+        }[over]
+        predicate, helper = {
+            "in": (number.isin([3, 5, 4.0, 2]), "_isin("),
+            "prefix": (starts_with(text, "ab"), "_startswith("),
+            "needle": (contains(text, "ab"), "_contains("),
+        }[kind]
+        rows = [("ab", 2), ("ba", 3), ("abc", 6), ("b", 3), ("cab", 4)]
+        expected = [delta.row for delta in self._source(
+            predicate, rows, columnar_mod, True).advance()]
+        assert 0 < len(expected) < len(rows)
+        for lane_max in (1 << 30, 0):
+            monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+            clear_compiled_caches()
+            source = self._source(predicate, rows, columnar_mod)
+            assert list(source.advance().rows()) == expected
+        generated = source.decorations.fused.fused_source
+        assert (helper in generated) == (over != "not-inline")
+        assert ("column_array(" in generated) == (over == "not-inline")
+
 
 class TestEmissionOrder:
     def test_memoised_sort_prefix_keeps_the_emission_order(
@@ -1132,44 +1157,19 @@ def _toy_queries(catalog, query_ids=(0, 1, 2)):
 
 
 @needs_numpy
-def test_calibration_under_columnar_matches_reference():
-    """The stats walker must know the production operator classes.
-
-    Calibration runs a stats-mode batch execution and walks the compiled
-    tree; the statistics collected from the production tree (its vector
-    closures, at every size) must equal the reference's (work identity
-    makes every count the same).
-    """
-    from repro.cost.cache import serialize_stats
-    from repro.engine.calibrate import calibrate_plan
-
-    from .util import make_toy_catalog
-
-    catalog = make_toy_catalog()
-    queries = _toy_queries(catalog)
-    reference_plan = shared_plan_for(catalog, queries)
-    columnar_plan = shared_plan_for(catalog, queries)
-    clear_compiled_caches()
-    with engine_mode(batched=False):
-        reference = calibrate_plan(reference_plan, StreamConfig())
-    clear_compiled_caches()
-    with engine_mode(batched=True):
-        columnar = calibrate_plan(columnar_plan, StreamConfig())
-    assert columnar.run.metadata["engine_mode"] == "columnar"
-    assert serialize_stats(columnar_plan) == serialize_stats(reference_plan)
-    assert columnar.run.total_work == reference.run.total_work
-
-
-@needs_numpy
 @pytest.mark.parametrize("lane_max", (0, None, 1 << 30))
 def test_aggregate_stats_identical_across_operator_families(
     fig11_setup, monkeypatch, lane_max
 ):
-    """``_collect_stats`` names both aggregate classes -- the production
-    one is no subclass of the reference -- and a stats-mode run over
-    either family fills identical aggregate ``NodeStats``, deletes,
-    MIN/MAX and per-query group counts included, whichever lane absorbs.
+    """A calibration run is a production run plus tallies at the operator
+    boundaries: whichever lane runs under them, it fills the
+    ``NodeStats`` of every node -- sources, joins, and aggregates with
+    their deletes, MIN/MAX and per-query group counts -- and bills the
+    work exactly as the per-tuple reference family does.  (The
+    production aggregate is no subclass of the reference one:
+    ``_collect_stats`` names both.)
     """
+    from repro.cost.cache import serialize_stats
     from repro.engine import calibrate
     from repro.physical import columnar as columnar_mod
     from repro.physical.operators import AggregateExec
@@ -1181,23 +1181,37 @@ def test_aggregate_stats_identical_across_operator_families(
     if lane_max is not None:
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
     collected = []
-    for batched in (False, True):
+    for batched, family in ((False, "reference"), (True, "columnar")):
         clear_compiled_caches()
         with engine_mode(batched=batched):
-            calibrate.calibrate_plan(plan, StreamConfig())
-        collected.append({
+            calibration = calibrate.calibrate_plan(plan, StreamConfig())
+        assert calibration.run.metadata["engine_mode"] == family
+        collected.append(({
             node.uid: {
                 name: getattr(node.stats, name, None)
                 for name in type(node.stats).__slots__
             }
             for subplan in plan.subplans for node in _walk(subplan.root)
-            if node.kind == "aggregate"
-        })
+        }, serialize_stats(plan), calibration.run.total_work,
+            calibration.query_batch_work))
     reference, columnar = collected
-    assert len(reference) >= 20
-    assert any(stats["has_minmax"] for stats in reference.values())
+    aggregates = [
+        stats for stats in reference[0].values()
+        if stats["kind"] == "aggregate"
+    ]
+    assert len(aggregates) >= 20
+    assert any(stats["has_minmax"] for stats in aggregates)
     assert any(len(stats["groups_per_q"]) == 1 and stats["agg_in"] > 100
-               for stats in reference.values())
+               for stats in aggregates)
+    # some nodes of every kind filter, most do not: only those report a
+    # selectivity
+    for kind in ("source", "join", "aggregate"):
+        filtering = {
+            bool(stats["filter_sel_per_q"])
+            for stats in reference[0].values() if stats["kind"] == kind
+        }
+        assert False in filtering, kind
+    assert any(stats["filter_sel_per_q"] for stats in reference[0].values())
     assert columnar == reference
 
 
@@ -1217,9 +1231,10 @@ def test_fuzz_oracle_matrix_includes_columnar():
 #
 # Without NumPy, or with a query id of 62 or more (no int64 bitvector),
 # the executor binds ``vector=False`` into every operator: the row lane
-# serves every batch size and calibration compiles the reference.  Both
-# must be the reference bit for bit -- results, every WorkMeter-derived
-# number, and the calibrated statistics.
+# serves every batch size, calibration included (its counters are
+# tallies over the batches' lists).  It must be the reference bit for
+# bit -- results, every WorkMeter-derived number, and the calibrated
+# statistics.
 
 _ROW_LANE_ONLY = """
 import sys
@@ -1242,12 +1257,13 @@ catalog = make_toy_catalog()
 plan = shared_plan_for(catalog, _toy_queries(catalog, {query_ids!r}))
 paces = dict((s.sid, 2 if s.child_subplans() else 4) for s in plan.subplans)
 runs, stats = [], []
-for batched in (True, False):
+for batched, family in ((True, "columnar"), (False, "reference")):
     with engine_mode(batched=batched):
         calibration = calibrate_plan(plan, StreamConfig())
         executor = PlanExecutor(plan, StreamConfig())
         runs.append(executor.run(paces))
-    assert calibration.run.metadata["engine_mode"] == "reference"
+    # a stats run compiles what the windows run
+    assert calibration.run.metadata["engine_mode"] == family
     stats.append((serialize_stats(plan), calibration.run.total_work,
                   calibration.query_batch_work))
     meters = dict(
