@@ -191,7 +191,9 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
                  max_pace, use_brute_force, enable_partial):
     """Best decomposition candidate for one subplan, or None."""
     target = plan.subplan_by_id(sid)
-    inputs_eval = model.evaluate(paces, collect_inputs=True)
+    # the plan in force, re-read only for its inputs: ``evaluation`` is
+    # this model's evaluation of ``paces``, so nothing is re-keyed
+    inputs_eval = model.evaluate(paces, collect_inputs=True, base=evaluation)
     input_stats = inputs_eval.subplan_inputs[sid]
     local = model.local_constraints(target, absolute_constraints)
     splitter = LocalSplitOptimizer(

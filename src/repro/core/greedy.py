@@ -127,7 +127,8 @@ class PaceSearch:
                 if candidate is None:
                     skipped[reason] += 1
                     continue
-                candidate_eval = self.cost_model.evaluate(candidate)
+                candidate_eval = self.cost_model.evaluate(
+                    candidate, base=evaluation)
                 inc = incrementability(candidate_eval, evaluation, self.constraints)
                 extra = candidate_eval.total_work - evaluation.total_work
                 score = (inc, -extra)
@@ -216,7 +217,7 @@ def decrease_paces(cost_model, constraints, initial, keep_met=True):
             if any(pace_config[p] > new_pace for p in parents[sid]):
                 continue
             candidate = with_pace(pace_config, sid, new_pace)
-            candidate_eval = cost_model.evaluate(candidate)
+            candidate_eval = cost_model.evaluate(candidate, base=evaluation)
             saved = evaluation.total_work - candidate_eval.total_work
             if saved <= 0:
                 continue

@@ -51,7 +51,12 @@ def clamp_feedback_factor(factor):
 
 
 class CostEvaluation:
-    """Estimated cost of one pace configuration."""
+    """Estimated cost of one pace configuration.
+
+    ``pace_config`` is a copy of the configuration costed and ``epoch``
+    the token of the model state it was costed under: together they let
+    :meth:`PlanCostModel.evaluate` cost a neighbour as a delta of it.
+    """
 
     __slots__ = (
         "total_work",
@@ -60,15 +65,19 @@ class CostEvaluation:
         "subplan_final",
         "subplan_inputs",
         "subplan_outputs",
+        "pace_config",
+        "epoch",
     )
 
-    def __init__(self):
+    def __init__(self, pace_config=None, epoch=None):
         self.total_work = 0.0
         self.query_final_work = {}
         self.subplan_total = {}
         self.subplan_final = {}
         self.subplan_inputs = {}
         self.subplan_outputs = {}
+        self.pace_config = dict(pace_config or ())
+        self.epoch = epoch
 
     def __repr__(self):
         return "CostEvaluation(total=%.1f)" % self.total_work
@@ -214,6 +223,7 @@ class PlanCostModel:
         self._table_stats = {}
         self._solo_cache = {}
         self._feedback = {}
+        self._epoch = object()  # replaced whenever the feedback changes
         self.simulation_count = 0
         self.evaluation_count = 0
 
@@ -294,6 +304,22 @@ class PlanCostModel:
         for subplan in self.plan.subplans:  # parents in plan order
             for child in self.children[subplan.sid]:
                 self.parents[child].append(subplan.sid)
+        # what a pace move re-reads: the moved subplan and its ancestors
+        self._upward = {}
+        for subplan in reversed(self._order):  # parent-first
+            sid = subplan.sid
+            upward = {sid}
+            for parent in self.parents[sid]:
+                upward |= self._upward[parent]
+            self._upward[sid] = frozenset(upward)
+        # per query its subplans in step order, queries in the order a
+        # full evaluation first meets them (roots without subplans last)
+        self._query_sids = {}
+        for subplan in self._order:
+            for qid in self.query_ids[subplan.sid]:
+                self._query_sids.setdefault(qid, []).append(subplan.sid)
+        for qid in self.plan.query_roots:
+            self._query_sids.setdefault(qid, [])
 
         config = self.config
         config_key = (config.execution_overhead, config.minmax_rescan_factor,
@@ -323,9 +349,11 @@ class PlanCostModel:
                 else (None, False)
             )
             self._tables[sid] = table
-            self._steps.append(
-                (sid, subplan, cone, table, inherited, self.query_ids[sid])
-            )
+            self._steps.append((sid, subplan, cone, table, inherited))
+        self._inherited = frozenset(
+            sid for sid, _, _, _, inherited in self._steps if inherited
+        )
+        self._everything = (self._steps, self._query_sids, 0, 0)
 
     def cone_signature(self, sid):
         """The content signature addressing ``sid``'s memo table."""
@@ -380,9 +408,21 @@ class PlanCostModel:
 
     # -- Algorithm 1 ---------------------------------------------------------
 
-    def evaluate(self, pace_config, collect_inputs=False):
-        """Estimate ``C_T(P)`` and ``C_F(P, q)`` for every query."""
+    def evaluate(self, pace_config, collect_inputs=False, base=None):
+        """Estimate ``C_T(P)`` and ``C_F(P, q)`` for every query.
+
+        ``base``, an evaluation this model returned since its feedback
+        last changed, makes the call a delta of it (section 3.2): only
+        the *dirty* subplans -- those whose cone holds a pace that differs
+        from ``base.pace_config``, i.e. the moved subplans and their
+        ancestors -- are looked up and simulated.  Every other subplan
+        keeps the base's row, which is the memo row a lookup would find,
+        and counts as that hit.  Without a base, or in a model that keeps
+        no memo rows, every subplan is dirty.  Both sums run in step order
+        either way, so the result is bit-identical to a full evaluation.
+        """
         self._check_deadline()
+        steps, touched, clean, clean_inherited = self._dirty(pace_config, base)
         self.evaluation_count += 1
         metrics = OBS.metrics if OBS.enabled else None
         if metrics is not None:
@@ -391,16 +431,27 @@ class PlanCostModel:
                 metrics.gauge("cost.deadline_headroom_seconds").set(
                     round(self._deadline - time.monotonic(), 4)
                 )
-        evaluation = CostEvaluation()
+        evaluation = CostEvaluation(pace_config, self._epoch)
         subplan_total = evaluation.subplan_total
         subplan_final = evaluation.subplan_final
         query_final_work = evaluation.query_final_work
         feedback = self._feedback
         outputs = evaluation.subplan_outputs
-        total_work = 0.0
         pool = self.memo_pool
         pool_hits = 0
-        for sid, subplan, cone, memo, inherited, query_ids in self._steps:
+        if clean:
+            # the base's rows in step order, corrected as read; the loop
+            # overwrites the dirty ones in place
+            subplan_total.update(base.subplan_total)
+            subplan_final.update(base.subplan_final)
+            outputs.update(base.subplan_outputs)
+            query_final_work.update(base.query_final_work)
+            pool_hits = clean_inherited
+            if metrics is not None:
+                metrics.counter("cost.memo.hit").inc(clean)
+                if clean_inherited:
+                    metrics.counter("cost.memo.pool_hit").inc(clean_inherited)
+        for sid, subplan, cone, memo, inherited in steps:
             cached = None
             if memo is not None:
                 key = tuple([pace_config[member] for member in cone])
@@ -431,20 +482,55 @@ class PlanCostModel:
                     private_total *= correction[0]
                     private_final *= correction[1]
             outputs[sid] = out_profile
-            total_work += private_total
             subplan_total[sid] = private_total
             subplan_final[sid] = private_final
-            if collect_inputs:
+        if collect_inputs:
+            for sid in subplan_total:
                 evaluation.subplan_inputs[sid] = self._inputs_for(sid, outputs)
-            for qid in query_ids:
-                query_final_work[qid] = (
-                    query_final_work.get(qid, 0.0) + private_final
-                )
+        total_work = 0.0
+        for private_total in subplan_total.values():
+            total_work += private_total
         evaluation.total_work = total_work
-        for qid in self.plan.query_roots:
-            query_final_work.setdefault(qid, 0.0)
+        query_sids = self._query_sids
+        for qid in touched:
+            final_work = 0.0
+            for sid in query_sids[qid]:
+                final_work += subplan_final[sid]
+            query_final_work[qid] = final_work
         pool.hits += pool_hits
         return evaluation
+
+    def _dirty(self, pace_config, base):
+        """What an evaluation of ``pace_config`` against ``base`` re-reads.
+
+        ``(steps, qids, clean, clean_inherited)``: the dirty steps in step
+        order, the queries whose final work they feed (in first-met order
+        when every step is dirty), and how many steps, and of those how
+        many over an inherited table, keep the base's row.
+        """
+        if base is None:
+            return self._everything
+        if base.epoch is not self._epoch:
+            raise CostModelError(
+                "a delta base must be an evaluation of this cost model made "
+                "since its feedback last changed"
+            )
+        if not self.use_memo:
+            return self._everything
+        moved = base.pace_config
+        sids = set()
+        for sid, upward in self._upward.items():
+            if pace_config[sid] != moved[sid]:
+                sids |= upward
+        if len(sids) == len(self._steps):
+            return self._everything
+        qids = set()
+        for sid in sids:
+            qids.update(self.query_ids[sid])
+        return (
+            [step for step in self._steps if step[0] in sids], qids,
+            len(self._steps) - len(sids), len(self._inherited - sids),
+        )
 
     # -- feedback calibration from prior executions -----------------------------
 
@@ -464,10 +550,12 @@ class PlanCostModel:
         factors are clamped to
         ``[FEEDBACK_FACTOR_MIN, FEEDBACK_FACTOR_MAX]``.
         """
-        if run_result is None:
-            self._feedback = {}
-            return {}
+        # every change of the corrections starts a new epoch: evaluations
+        # made before it are no delta base for evaluations after it
         self._feedback = {}  # measure corrections against raw estimates
+        self._epoch = object()
+        if run_result is None:
+            return {}
         estimate = self.evaluate(pace_config)
         feedback = {}
         for subplan in self.plan.subplans:
@@ -486,6 +574,7 @@ class PlanCostModel:
             )
             feedback[sid] = (total_factor, final_factor)
         self._feedback = feedback
+        self._epoch = object()
         if OBS.enabled:
             # Q-error of the *total-work* estimate: max(f, 1/f) >= 1, the
             # standard symmetric under/over-estimation measure
@@ -524,6 +613,7 @@ class PlanCostModel:
             correction = old_model._feedback.get(old_sid)
             if correction is not None:
                 self._feedback[new_sid] = correction
+        self._epoch = object()
         for qid in self.plan.query_roots:
             new_sids = [s.sid for s in self._order if s.query_mask & (1 << qid)]
             if any(sid not in sid_map for sid in new_sids):

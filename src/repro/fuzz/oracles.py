@@ -109,7 +109,12 @@ def stats_keys_outside_mask(plan):
 
 
 class OracleOutcome:
-    """One oracle's execution: a run (plus its plan/paces) or an error."""
+    """One oracle's execution: a run (plus its plan/paces) or an error.
+
+    A service leg whose final window ran no query -- every registration
+    was rejected, so the service fired an idle window -- has neither: its
+    outcome is ``idle``, and there is nothing of it to compare.
+    """
 
     __slots__ = ("name", "result", "plan", "paces", "error")
 
@@ -120,8 +125,15 @@ class OracleOutcome:
         self.paces = paces
         self.error = error
 
+    @property
+    def idle(self):
+        return self.result is None and self.error is None
+
     def __repr__(self):
-        state = "error=%r" % self.error if self.error is not None else "ok"
+        state = (
+            "error=%r" % self.error if self.error is not None
+            else "idle" if self.idle else "ok"
+        )
         return "OracleOutcome(%r, %s)" % (self.name, state)
 
 
@@ -146,6 +158,10 @@ class CaseReport:
             % (self.case.get("seed"), self.case.get("index"), self.status)
         ]
         lines.extend("  - %s" % failure for failure in self.failures)
+        lines.extend(
+            "  (%s: idle final window, nothing compared)" % name
+            for name, outcome in sorted(self.oracles.items()) if outcome.idle
+        )
         return "\n".join(lines)
 
     def __repr__(self):
@@ -311,6 +327,10 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
 
                 with engine_mode(batched=batched):
                     outcome = drive()
+                if outcome.run is None:
+                    # no query was live (every registration rejected): an
+                    # idle window records no attribution and has no result
+                    return None, svc.plan, svc.paces
                 if not batched:
                     return outcome.run, svc.plan, svc.paces
                 service_slots.update(svc.slots)
@@ -403,6 +423,8 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
                 % (name, type(outcome.error).__name__, outcome.error)
             )
             continue
+        if outcome.idle:
+            continue
         failures.extend(_check_invariants(name, outcome))
         if name == "unshared":
             continue
@@ -436,12 +458,20 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
         production = outcomes.get(oracle)
         unbatched = outcomes.get(per_tuple)
         if (
-            production is not None and unbatched is not None
-            and production.error is None and unbatched.error is None
+            production is None or unbatched is None
+            or production.error is not None or unbatched.error is not None
         ):
-            failures.extend(
-                check(production.result, unbatched.result, oracle, per_tuple)
-            )
+            continue
+        if production.idle or unbatched.idle:
+            if production.idle != unbatched.idle:
+                failures.append(
+                    "%s: final window idle in %s only"
+                    % (oracle, oracle if production.idle else per_tuple)
+                )
+            continue
+        failures.extend(
+            check(production.result, unbatched.result, oracle, per_tuple)
+        )
     return failures
 
 

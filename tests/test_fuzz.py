@@ -9,6 +9,7 @@ a minimal repro.
 """
 
 import json
+import os
 
 from repro.errors import ReproError
 from repro.fuzz import generate_case, run_campaign, shrink
@@ -58,6 +59,21 @@ class TestHealthyEngineFuzzesGreen:
             assert isinstance(outcome.error, ReproError)
             assert outcome.error.fuzz_seed == 3
             assert outcome.error.fuzz_case_path == "/tmp/bad-case.json"
+
+    def test_service_that_admits_nothing_is_an_idle_outcome(self):
+        # a goal admission rejects for every query: the service only ever
+        # fires idle windows, which record no attribution and no result
+        case = load_case(os.path.join(
+            os.path.dirname(__file__), "fuzz_corpus",
+            "service-idle-final-window.json"))
+        report = run_case(case)
+        assert report.status == "ok", report.describe()
+        for name in ("service", "service-unbatched"):
+            outcome = report.oracles[name]
+            assert outcome.idle and outcome.error is None, outcome
+            assert "idle" in repr(outcome)
+        assert "service: idle final window" in report.describe()
+        assert not report.oracles["shared-columnar"].idle
 
 
 class TestInjectedBugDetection:
