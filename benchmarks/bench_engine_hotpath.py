@@ -478,10 +478,12 @@ def bench_arrangements(n_events, repeat, n_queries=6, seed=9):
     table.  What the benchmark records is the resource gap against one
     private table per reader -- resident join-state entries and
     index-maintenance operations -- plus wall clock.  The
-    private-equivalent resident entries are the sum of the joins'
-    ``entry_count``, which is what ``charge_state`` bills per reader;
-    the run must be work- and result-identical to the per-tuple
-    reference, whose joins really keep private tables (asserted here).
+    private-equivalent resident entries are the summary's
+    ``private_entries``: every join side here is arranged, so that is
+    the sum of the joins' ``entry_count`` as the window ends, which is
+    what ``charge_state`` bills per reader; the run must be work- and
+    result-identical to the per-tuple reference, whose joins really
+    keep private tables (asserted here).
     """
     catalog = _arrangement_catalog(n_events, seed)
     queries = [
@@ -499,24 +501,8 @@ def bench_arrangements(n_events, repeat, n_queries=6, seed=9):
     }
     config = StreamConfig()
 
-    def billed_entries(executor):
-        _, _, compiled, _, _ = executor._runtime
-        total = 0
-        for unit in compiled.values():
-            stack = [unit.root_exec]
-            while stack:
-                node = stack.pop()
-                if hasattr(node, "entry_count"):
-                    total += node.entry_count
-                for attr in ("left", "right", "child"):
-                    nxt = getattr(node, attr, None)
-                    if nxt is not None and hasattr(nxt, "advance"):
-                        stack.append(nxt)
-        return total
-
     clear_compiled_caches()
-    executor = PlanExecutor(plan, config)
-    probe = executor.run(paces)
+    probe = PlanExecutor(plan, config).run(paces)
     summary = probe.metadata["arrangement_summary"]
     arranged = {
         "seconds": _timed(
@@ -530,7 +516,7 @@ def bench_arrangements(n_events, repeat, n_queries=6, seed=9):
         "private_ops": summary["private_ops"],
         "arrangements": len(summary["arrangements"]),
     }
-    private = {"resident_entries": billed_entries(executor)}
+    private = {"resident_entries": summary["private_entries"]}
     with engine_mode(batched=False):
         reference = PlanExecutor(plan, config).run(paces)
     if (

@@ -115,16 +115,14 @@ def scoped_calibration_plan(plan, fresh_sids):
     if not fresh_sids:
         return None
     needed = set()
-
-    def need(subplan):
+    # a loop, not a self-recursive closure (which would be a reference
+    # cycle through its own cell)
+    stack = [s for s in plan.subplans if s.sid in fresh_sids]
+    while stack:
+        subplan = stack.pop()
         if subplan.sid not in needed:
             needed.add(subplan.sid)
-            for child in subplan.child_subplans():
-                need(child)
-
-    for subplan in plan.subplans:
-        if subplan.sid in fresh_sids:
-            need(subplan)
+            stack.extend(subplan.child_subplans())
     subset = [s for s in plan.subplans if s.sid in needed]
     return SharedQueryPlan(plan.catalog, subset, {}, {})
 

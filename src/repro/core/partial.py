@@ -51,29 +51,36 @@ def partial_cut_candidates(plan, target_sid):
         if target.root.kind == "source":
             continue
         bottom_sids = []
-
-        def cut(node):
-            for index, child in enumerate(node.children):
-                if id(child) in prefix:
-                    cut(child)
-                else:
-                    bottom = Subplan(
-                        work.next_sid(),
-                        child,
-                        target.query_mask,
-                        label="%s.bottom%d" % (target.label, len(bottom_sids)),
-                    )
-                    work.subplans.append(bottom)
-                    bottom_sids.append(bottom.sid)
-                    node.children[index] = OpNode(
-                        "source", ref=SubplanRef(bottom),
-                        query_mask=target.query_mask,
-                    )
-
-        cut(target.root)
+        _cut_below(target.root, prefix, work, target, bottom_sids)
         if not bottom_sids:
             continue  # the prefix covered the whole tree: nothing was cut
         new_plan = SharedQueryPlan(
             work.catalog, work.subplans, work.query_roots, work.queries
         )
         yield new_plan, target_sid, bottom_sids
+
+
+def _cut_below(node, prefix, work, target, bottom_sids):
+    """Turn every maximal subtree under ``node`` outside ``prefix`` into a
+    bottom subplan of ``work``, read through a source in its place.
+
+    A module-level function rather than a closure: a closure that calls
+    itself holds its own cell, and that cycle kept every candidate plan
+    alive until the cyclic collector found it.
+    """
+    for index, child in enumerate(node.children):
+        if id(child) in prefix:
+            _cut_below(child, prefix, work, target, bottom_sids)
+        else:
+            bottom = Subplan(
+                work.next_sid(),
+                child,
+                target.query_mask,
+                label="%s.bottom%d" % (target.label, len(bottom_sids)),
+            )
+            work.subplans.append(bottom)
+            bottom_sids.append(bottom.sid)
+            node.children[index] = OpNode(
+                "source", ref=SubplanRef(bottom),
+                query_mask=target.query_mask,
+            )

@@ -267,18 +267,20 @@ def set_partitions(items):
     if not items:
         yield []
         return
+    yield from _extend_partitions(items, 1, [[items[0]]])
 
-    def extend(index, blocks):
-        if index == len(items):
-            yield [tuple(sorted(block)) for block in blocks]
-            return
-        item = items[index]
-        for block in blocks:
-            block.append(item)
-            yield from extend(index + 1, blocks)
-            block.pop()
-        blocks.append([item])
-        yield from extend(index + 1, blocks)
-        blocks.pop()
 
-    yield from extend(1, [[items[0]]])
+def _extend_partitions(items, index, blocks):
+    # module-level, not a closure: a self-recursive closure is a
+    # reference cycle through its own cell
+    if index == len(items):
+        yield [tuple(sorted(block)) for block in blocks]
+        return
+    item = items[index]
+    for block in blocks:
+        block.append(item)
+        yield from _extend_partitions(items, index + 1, blocks)
+        block.pop()
+    blocks.append([item])
+    yield from _extend_partitions(items, index + 1, blocks)
+    blocks.pop()

@@ -267,7 +267,10 @@ class CalibrationCache:
         fd, tmp_path = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                # dumps, not dump: the same text from the C encoder,
+                # where dump's pure-Python one leaves its self-recursive
+                # closures in reference cycles
+                handle.write(json.dumps(payload))
             os.replace(tmp_path, self._path(key))
         except OSError:
             try:

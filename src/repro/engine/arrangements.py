@@ -108,33 +108,52 @@ class _Version:
         )
 
 
-class ArrangementHandle:
-    """One reader's cursor into a shared arrangement."""
+class _Cursor:
+    """What an arrangement keeps of one reader: its version and its span."""
 
-    __slots__ = ("arrangement", "version", "sid", "name", "advanced")
+    __slots__ = ("version", "sid", "name", "advanced")
 
-    def __init__(self, arrangement, sid, name):
-        self.arrangement = arrangement
-        self.version = None
+    def __init__(self, version, sid, name):
+        self.version = version
         self.sid = sid
         self.name = name
         self.advanced = 0  # total log span this reader asked to cover
 
+
+class ArrangementHandle:
+    """One reader's cursor into a shared arrangement.
+
+    The handle points at the arrangement, which holds only the handle's
+    :class:`_Cursor`: nothing points back, so a dropped operator tree is
+    freed by reference counting.
+    """
+
+    __slots__ = ("arrangement", "cursor")
+
+    def __init__(self, arrangement, cursor):
+        self.arrangement = arrangement
+        self.cursor = cursor
+
     def advance_to(self, target):
         """Position this handle at the index state as of ``target``."""
-        return self.arrangement.advance(self, target)
+        return self.arrangement.advance(self.cursor, target)
+
+    @property
+    def version(self):
+        return self.cursor.version
 
     @property
     def table(self):
-        return self.version.table
+        return self.cursor.version.table
 
     @property
     def entries(self):
-        return self.version.entries
+        return self.cursor.version.entries
 
     def __repr__(self):
+        cursor = self.cursor
         return "ArrangementHandle(%s @ %d, sid=%d)" % (
-            self.name, self.version.offset if self.version else -1, self.sid,
+            cursor.name, cursor.version.offset, cursor.sid,
         )
 
 
@@ -157,7 +176,7 @@ class Arrangement:
         # trails the oldest live version: what the table log holds for us
         self.reader = buffer.reader()
         self.versions = {0: _Version({}, set(), 0, 0, 0)}
-        self.handles = []
+        self.cursors = []  # one per reader, in acquisition order
         self.maintenance_ops = 0
         self.private_ops = 0
 
@@ -168,36 +187,35 @@ class Arrangement:
             raise ExecutionError(
                 "arrangement %r acquired after advancing" % self.table_name
             )
-        handle = ArrangementHandle(self, sid, name)
-        handle.version = base
+        cursor = _Cursor(base, sid, name)
         base.refs += 1
-        self.handles.append(handle)
-        return handle
+        self.cursors.append(cursor)
+        return ArrangementHandle(self, cursor)
 
-    def advance(self, handle, target):
-        """Move ``handle`` to the version at offset ``target``.
+    def advance(self, cursor, target):
+        """Move a reader's ``cursor`` to the version at offset ``target``.
 
-        Shares an existing version, cannibalizes the handle's own
+        Shares an existing version, cannibalizes the reader's own
         version in place when it holds the only reference, or clones
         copy-on-write otherwise.
         """
-        source = handle.version
+        source = cursor.version
         if target < source.offset:
             raise ExecutionError(
                 "arrangement %r reader %s moving backwards (%d < %d)"
-                % (self.table_name, handle.name, target, source.offset)
+                % (self.table_name, cursor.name, target, source.offset)
             )
         if target == source.offset:
             return source
         span = target - source.offset
-        handle.advanced += span
+        cursor.advanced += span
         self.private_ops += span
         versions = self.versions
         source.refs -= 1
         existing = versions.get(target)
         if existing is not None:
             existing.refs += 1
-            handle.version = existing
+            cursor.version = existing
             self._prune()
             return existing
         # nearest materialized version at or below the target; the
@@ -221,7 +239,7 @@ class Arrangement:
         self._apply(version, target)
         version.refs = version.refs + 1
         versions[target] = version
-        handle.version = version
+        cursor.version = version
         self._prune()
         return version
 
@@ -275,18 +293,22 @@ class Arrangement:
         self.reader.offset = min(versions)
 
     def reset(self):
-        """Rewind to offset 0 with every handle reattached (tree reuse)."""
-        base = _Version({}, set(), 0, 0, len(self.handles))
+        """Rewind to offset 0 with every reader reattached (tree reuse)."""
+        base = _Version({}, set(), 0, 0, len(self.cursors))
         self.versions = {0: base}
-        for handle in self.handles:
-            handle.version = base
-            handle.advanced = 0
+        for cursor in self.cursors:
+            cursor.version = base
+            cursor.advanced = 0
         self.reader.offset = 0
         self.maintenance_ops = 0
         self.private_ops = 0
 
     def resident_entries(self):
         return sum(version.entries for version in self.versions.values())
+
+    def private_entries(self):
+        """What one private table per reader would hold right now."""
+        return sum(cursor.version.entries for cursor in self.cursors)
 
     def reader_lag(self):
         """Offset gap between the eagerest and laggardest live version."""
@@ -303,17 +325,18 @@ class Arrangement:
         from ..obs.attribution import split_work
 
         weights = {}
-        for handle in self.handles:
-            weights[handle.sid] = weights.get(handle.sid, 0) + handle.advanced
+        for cursor in self.cursors:
+            weights[cursor.sid] = weights.get(cursor.sid, 0) + cursor.advanced
         return split_work(self.maintenance_ops, sorted(weights.items()))
 
     def describe(self):
         return {
             "table": self.table_name,
             "key_columns": list(self.key_indexes),
-            "readers": len(self.handles),
+            "readers": len(self.cursors),
             "versions": len(self.versions),
             "resident_entries": self.resident_entries(),
+            "private_entries": self.private_entries(),
             "maintenance_ops": self.maintenance_ops,
             "private_ops": self.private_ops,
             "reader_lag": self.reader_lag(),
@@ -325,7 +348,7 @@ class Arrangement:
 
     def __repr__(self):
         return "Arrangement(%r, keys=%r, %d readers, %d versions)" % (
-            self.table_name, self.key_indexes, len(self.handles),
+            self.table_name, self.key_indexes, len(self.cursors),
             len(self.versions),
         )
 
@@ -358,16 +381,18 @@ class ArrangementStore:
     def summary(self):
         """JSON-safe totals plus one record per arrangement."""
         per_arrangement = []
-        resident = maintenance = private = 0
+        resident = private_entries = maintenance = private = 0
         for key in sorted(self.arrangements):
             info = self.arrangements[key].describe()
             per_arrangement.append(info)
             resident += info["resident_entries"]
+            private_entries += info["private_entries"]
             maintenance += info["maintenance_ops"]
             private += info["private_ops"]
         return {
             "arrangements": per_arrangement,
             "resident_entries": resident,
+            "private_entries": private_entries,
             "maintenance_ops": maintenance,
             "private_ops": private,
             "shared_ops_saved": private - maintenance,

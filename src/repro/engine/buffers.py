@@ -16,6 +16,10 @@ consumed, and a buffer nobody reads holds nothing.  So a consumer
 registers before the run's first append (the executor's result readers,
 an arrangement's trailing reader); one that arrives after entries were
 discarded fails on its first read instead of skipping them.
+
+A reader points at its buffer; the buffer holds only each reader's
+offset *cell*, never the reader, so nothing points back and a dropped
+operator tree is freed by reference counting.
 """
 
 from ..errors import ExecutionError
@@ -25,7 +29,7 @@ from ..obs import OBS
 class Buffer:
     """An append-only log of segments, trimmed behind its slowest reader."""
 
-    __slots__ = ("name", "base", "held", "_segments", "_readers",
+    __slots__ = ("name", "base", "held", "_segments", "_cells",
                  "view_cache")
 
     _VIEW_CACHE_LIMIT = 8
@@ -36,7 +40,8 @@ class Buffer:
         #: entries currently held, ``end() - base``
         self.held = 0
         self._segments = []  # the non-empty segments held, in append order
-        self._readers = []
+        #: one ``[offset]`` cell per registered reader
+        self._cells = []
         #: per-span memo for derived read views, keyed ``(start, end,
         #: tag)``.  Consumers at the same offset reading the same span
         #: (pace-aligned parents of one child, the many scans of one base
@@ -59,7 +64,7 @@ class Buffer:
     def append(self, segment):
         """Log one producer execution's output (kept only for a reader)."""
         count = len(segment)
-        if count and self._readers:
+        if count and self._cells:
             self._segments.append(segment)
             self.held += count
         else:
@@ -76,7 +81,12 @@ class Buffer:
 
     def detach(self, reader):
         """Unregister ``reader``; what only it was holding back goes."""
-        self._readers.remove(reader)
+        cells = self._cells
+        for index, cell in enumerate(cells):
+            # by identity: two readers at one offset have equal cells
+            if cell is reader.cell:
+                del cells[index]
+                break
         self.compact()
 
     def compact(self):
@@ -90,7 +100,7 @@ class Buffer:
         if not segments:
             return 0
         consumed = min(
-            (reader.offset for reader in self._readers), default=self.end()
+            (cell[0] for cell in self._cells), default=self.end()
         ) - self.base
         gone = drop = 0
         for segment in segments:
@@ -138,8 +148,8 @@ class Buffer:
         self.held = 0
         self._segments = []
         self.view_cache.clear()
-        for reader in self._readers:
-            reader.offset = 0
+        for cell in self._cells:
+            cell[0] = 0
         self._gauge_occupancy()
 
     def _gauge_occupancy(self):
@@ -155,19 +165,31 @@ class Buffer:
 
 
 class BufferReader:
-    """A consumer cursor over a :class:`Buffer` (logical offsets)."""
+    """A consumer cursor over a :class:`Buffer` (logical offsets).
 
-    __slots__ = ("buffer", "offset")
+    Its offset lives in a one-element list the buffer holds (``cell``).
+    """
+
+    __slots__ = ("buffer", "cell")
 
     def __init__(self, buffer):
         self.buffer = buffer
-        self.offset = 0
-        buffer._readers.append(self)  # no reader the log does not hold for
+        self.cell = [0]
+        buffer._cells.append(self.cell)  # no reader the log does not hold for
+
+    @property
+    def offset(self):
+        return self.cell[0]
+
+    @offset.setter
+    def offset(self, value):
+        self.cell[0] = value
 
     def read_new(self):
         """The segments appended since the previous call, in order."""
         buffer = self.buffer
-        offset = self.offset
+        cell = self.cell
+        offset = cell[0]
         if offset < buffer.base:
             raise ExecutionError(
                 "reader of %r is behind the compaction horizon "
@@ -176,7 +198,7 @@ class BufferReader:
         # walk back from the end to this reader's segment boundary
         segments = buffer._segments
         first = len(segments)
-        start = self.offset = buffer.end()
+        start = cell[0] = buffer.end()
         while start > offset:
             first -= 1
             start -= len(segments[first])

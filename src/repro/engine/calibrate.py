@@ -27,7 +27,7 @@ from ..physical.columnar import (
     ColumnarSourceExec,
 )
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
-from .executor import PlanExecutor
+from .executor import PlanExecutor, collector_paused
 from .stream import StreamConfig
 
 # the production operators and the reference expose the identical stats
@@ -128,9 +128,10 @@ def calibrate_plan(plan, stream_config=None, cache=None):
             if OBS.enabled:
                 OBS.metrics.counter("calibration.cache.invalidation").inc()
 
-    executor = PlanExecutor(plan, stream_config, stats_mode=True)
-    paces = {subplan.sid: 1 for subplan in plan.subplans}
-    run = executor.run(paces, collect_results=False)
+    # the statistics are read off the stats run's operators, so the
+    # collector stays paused until they are and the executor is gone
+    with collector_paused():
+        run = _batch_run(plan, stream_config)
     _execution_count[0] += 1
     logger.debug(
         "calibration batch run: %d subplans, total work %.1f",
@@ -143,9 +144,6 @@ def calibrate_plan(plan, stream_config=None, cache=None):
             {"cached": False, "subplans": len(plan.subplans),
              "total_work": round(run.total_work, 2)},
         )
-
-    for unit in executor.compiled.values():
-        _collect_stats(unit.root_exec)
 
     query_batch_work = {}
     query_batch_latency = {}
@@ -160,6 +158,21 @@ def calibrate_plan(plan, stream_config=None, cache=None):
     if cache is not None:
         cache.put(key, _serialize_result(plan, result))
     return result
+
+
+def _batch_run(plan, stream_config):
+    """The stats run at pace 1 everywhere, its statistics attached.
+
+    The executor is local: it dies on return, freed by reference
+    counting with the state its run kept for the statistics walk.
+    """
+    executor = PlanExecutor(plan, stream_config, stats_mode=True)
+    run = executor.run(
+        {subplan.sid: 1 for subplan in plan.subplans}, collect_results=False
+    )
+    for unit in executor.compiled.values():
+        _collect_stats(unit.root_exec)
+    return run
 
 
 def _serialize_result(plan, result):

@@ -25,8 +25,20 @@ a run that collects them registers a reader on every query-root buffer
 before the first trigger point and hands what it read to
 :func:`query_result_view` at the end; a run that does not leaves the
 roots without a reader, and a buffer nobody reads holds nothing.
+
+A window's operator state lives exactly as long as the window.  A run
+holds CPython's cyclic collector off (:func:`collector_paused`): the
+join sides, aggregate groups, arrangement versions and buffered segments
+it builds are all live until the trigger point, so a collector pass
+inside the window could only traverse them.  Before the collector
+resumes, the run releases that state (a stats run keeps it for the
+statistics walk that follows), and reference counting frees it without
+a traversal.  Nothing in the tree points back at its owner, so a
+dropped executor is freed the same way.
 """
 
+import gc
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
 from time import perf_counter
@@ -47,6 +59,23 @@ from .arrangements import ArrangementStore, arrangeable_side
 from .buffers import Buffer
 from .metrics import ExecutionRecord, RunResult
 from .stream import StreamConfig, TableStream, execution_fractions
+
+
+@contextmanager
+def collector_paused():
+    """Hold the cyclic collector off for the body; nesting-safe.
+
+    A collector that was already off stays off; one that was on is back
+    on at every exit, a raise included.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class CompiledSubplan:
@@ -264,16 +293,11 @@ class PlanExecutor:
             self._runtime is not None
             and self._runtime_mode == HOTPATH.values()
         ):
-            table_streams, table_buffers, compiled, order, store = self._runtime
-            for stream in table_streams.values():
+            for stream in self._runtime[0].values():
                 stream.reset()
-            for buffer in table_buffers.values():
-                buffer.reset()
-            store.reset()
-            for unit in compiled.values():
-                unit.buffer.reset()
+            self._release()
+            for unit in self._runtime[2].values():
                 unit.meter.reset()
-                unit.root_exec.reset()
                 unit.executions = 0
             if OBS.enabled:
                 OBS.metrics.counter("engine.tree_reuse").inc()
@@ -281,6 +305,21 @@ class PlanExecutor:
         self._runtime = self._compile()
         self._program = None
         return self._runtime
+
+    def _release(self):
+        """Drop the window's bulk state: buffered segments and view
+        caches, arrangement versions, join sides and aggregate groups.
+
+        Readers rewind to offset 0; meters and execution counts stay
+        for whoever reads them after the run.
+        """
+        _, table_buffers, compiled, _, store = self._runtime
+        for buffer in table_buffers.values():
+            buffer.reset()
+        store.reset()
+        for unit in compiled.values():
+            unit.buffer.reset()
+            unit.root_exec.reset()
 
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
                       store, reads):
@@ -361,27 +400,34 @@ class PlanExecutor:
         the trigger and once at it.  ``None`` means the ``i / pace``
         points of ``pace_config``, whose program is kept for the next
         run of the same paces; explicit fractions compile theirs afresh.
+
+        The window runs with the cyclic collector paused, and a run that
+        is not a stats run releases the tree's state before it resumes.
         """
-        compiled = self.compiled = self._ensure_compiled()[2]
-        if fractions is None:
-            program = self._pace_program(pace_config)
-        else:
-            program = self._compile_program(fractions)
-            if pace_config is None:
-                pace_config = {
-                    sid: len(points) for sid, points in fractions.items()
-                }
-        # results are one more reader of each query-root buffer, registered
-        # before the window's first append so the log holds it for them
-        sinks = {}
-        if collect_results:
-            for qid, root in self.plan.query_roots.items():
-                sinks[qid] = compiled[root.sid].buffer.reader()
-        try:
-            return self._replay(program, pace_config, sinks)
-        finally:
-            for reader in sinks.values():
-                reader.buffer.detach(reader)
+        with collector_paused():
+            compiled = self.compiled = self._ensure_compiled()[2]
+            if fractions is None:
+                program = self._pace_program(pace_config)
+            else:
+                program = self._compile_program(fractions)
+                if pace_config is None:
+                    pace_config = {
+                        sid: len(points) for sid, points in fractions.items()
+                    }
+            # results are one more reader of each query-root buffer,
+            # registered before the window's first append so the log
+            # holds it for them
+            sinks = {}
+            if collect_results:
+                for qid, root in self.plan.query_roots.items():
+                    sinks[qid] = compiled[root.sid].buffer.reader()
+            try:
+                return self._replay(program, pace_config, sinks)
+            finally:
+                for reader in sinks.values():
+                    reader.buffer.detach(reader)
+                if not self.stats_mode:
+                    self._release()
 
     def _replay(self, program, pace_config, sinks):
         """One window of ``program``, with the results of ``sinks``' queries."""

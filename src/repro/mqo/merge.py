@@ -93,37 +93,11 @@ class MQOOptimizer:
     def _merge(self, queries):
         merge_table = {}
         merged_roots = {}
-
-        def intern(canonical_node, query_id):
-            children = tuple(
-                intern(child, query_id) for child in canonical_node.children
-            )
-            base_key = (
-                canonical_node.structure_key(),
-                tuple(id(child) for child in children),
-            )
-            variant = 0
-            while True:
-                key = (base_key, variant)
-                node = merge_table.get(key)
-                if node is None:
-                    node = _MergedNode(
-                        canonical_node.kind,
-                        canonical_node.payload,
-                        children,
-                        canonical_node,
-                    )
-                    merge_table[key] = node
-                    break
-                if not node.projection_conflicts_with(canonical_node.projection):
-                    break
-                variant += 1
-            node.add_query(query_id, canonical_node)
-            return node
-
         for query in queries:
             canonical = canonicalize_optimized(query.root)
-            merged_roots[query.query_id] = intern(canonical, query.query_id)
+            merged_roots[query.query_id] = _intern(
+                canonical, query.query_id, merge_table
+            )
         return merged_roots, list(merge_table.values())
 
     # -- phase 2: cutting into subplans --------------------------------------
@@ -154,54 +128,11 @@ class MQOOptimizer:
         order = self._topological(cut_nodes, cut_ids)
         subplan_of = {}
         subplans = []
-        next_sid = [0]
-
-        def convert(node, region_mask, region_root):
-            if id(node) in cut_ids and node is not region_root:
-                return OpNode(
-                    "source",
-                    ref=SubplanRef(subplan_of[id(node)]),
-                    query_mask=region_mask,
-                )
-            keep = set(bitvec.iter_bits(region_mask))
-            filters = {q: p for q, p in node.filters.items() if q in keep}
-            projections = {q: p for q, p in node.projections.items() if q in keep}
-            if node.canonical_kind == "scan":
-                table = self.catalog.get(node.payload)
-                return OpNode(
-                    "source",
-                    ref=TableRef(table.name, table.schema),
-                    filters=filters,
-                    projections=projections,
-                    query_mask=region_mask,
-                )
-            children = [convert(child, region_mask, region_root) for child in node.children]
-            if node.canonical_kind == "join":
-                left_keys, right_keys = node.payload
-                return OpNode(
-                    "join",
-                    children=children,
-                    left_keys=left_keys,
-                    right_keys=right_keys,
-                    filters=filters,
-                    projections=projections,
-                    query_mask=region_mask,
-                )
-            group_by, aggs = node.payload
-            return OpNode(
-                "aggregate",
-                children=children,
-                group_by=group_by,
-                aggs=aggs,
-                filters=filters,
-                projections=projections,
-                query_mask=region_mask,
+        for sid, node in enumerate(order):
+            root_op = self._convert(
+                node, node.query_mask, node, cut_ids, subplan_of
             )
-
-        for node in order:
-            root_op = convert(node, node.query_mask, node)
-            subplan = Subplan(next_sid[0], root_op, node.query_mask)
-            next_sid[0] += 1
+            subplan = Subplan(sid, root_op, node.query_mask)
             subplan_of[id(node)] = subplan
             subplans.append(subplan)
 
@@ -210,6 +141,52 @@ class MQOOptimizer:
         }
         query_meta = {q.query_id: q for q in queries}
         return SharedQueryPlan(self.catalog, subplans, query_root_subplans, query_meta)
+
+    def _convert(self, node, region_mask, region_root, cut_ids, subplan_of):
+        """The OpNode tree of ``region_root``'s subplan below ``node``."""
+        if id(node) in cut_ids and node is not region_root:
+            return OpNode(
+                "source",
+                ref=SubplanRef(subplan_of[id(node)]),
+                query_mask=region_mask,
+            )
+        keep = set(bitvec.iter_bits(region_mask))
+        filters = {q: p for q, p in node.filters.items() if q in keep}
+        projections = {q: p for q, p in node.projections.items() if q in keep}
+        if node.canonical_kind == "scan":
+            table = self.catalog.get(node.payload)
+            return OpNode(
+                "source",
+                ref=TableRef(table.name, table.schema),
+                filters=filters,
+                projections=projections,
+                query_mask=region_mask,
+            )
+        children = [
+            self._convert(child, region_mask, region_root, cut_ids, subplan_of)
+            for child in node.children
+        ]
+        if node.canonical_kind == "join":
+            left_keys, right_keys = node.payload
+            return OpNode(
+                "join",
+                children=children,
+                left_keys=left_keys,
+                right_keys=right_keys,
+                filters=filters,
+                projections=projections,
+                query_mask=region_mask,
+            )
+        group_by, aggs = node.payload
+        return OpNode(
+            "aggregate",
+            children=children,
+            group_by=group_by,
+            aggs=aggs,
+            filters=filters,
+            projections=projections,
+            query_mask=region_mask,
+        )
 
     @staticmethod
     def _operator_weight(node):
@@ -223,27 +200,65 @@ class MQOOptimizer:
     def _topological(cut_nodes, cut_ids):
         order = []
         done = set()
-
-        def depends_on(node, acc):
-            for child in node.children:
-                if id(child) in cut_ids:
-                    acc.append(child)
-                else:
-                    depends_on(child, acc)
-
-        def visit(node):
-            if id(node) in done:
-                return
-            done.add(id(node))
-            dependencies = []
-            depends_on(node, dependencies)
-            for dependency in dependencies:
-                visit(dependency)
-            order.append(node)
-
         for node in cut_nodes:
-            visit(node)
+            _visit_cut(node, cut_ids, done, order)
         return order
+
+
+# The merge's recursive walks are module-level functions rather than
+# nested closures: a closure that calls itself holds its own cell, and
+# that reference cycle kept every merged DAG alive until the cyclic
+# collector found it.
+
+
+def _intern(canonical_node, query_id, merge_table):
+    """Hash-cons one canonical subtree into ``merge_table``."""
+    children = tuple(
+        _intern(child, query_id, merge_table)
+        for child in canonical_node.children
+    )
+    base_key = (
+        canonical_node.structure_key(),
+        tuple(id(child) for child in children),
+    )
+    variant = 0
+    while True:
+        key = (base_key, variant)
+        node = merge_table.get(key)
+        if node is None:
+            node = _MergedNode(
+                canonical_node.kind,
+                canonical_node.payload,
+                children,
+                canonical_node,
+            )
+            merge_table[key] = node
+            break
+        if not node.projection_conflicts_with(canonical_node.projection):
+            break
+        variant += 1
+    node.add_query(query_id, canonical_node)
+    return node
+
+
+def _depends_on(node, cut_ids, acc):
+    """The cut nodes directly below ``node``, left to right."""
+    for child in node.children:
+        if id(child) in cut_ids:
+            acc.append(child)
+        else:
+            _depends_on(child, cut_ids, acc)
+
+
+def _visit_cut(node, cut_ids, done, order):
+    if id(node) in done:
+        return
+    done.add(id(node))
+    dependencies = []
+    _depends_on(node, cut_ids, dependencies)
+    for dependency in dependencies:
+        _visit_cut(dependency, cut_ids, done, order)
+    order.append(node)
 
 
 def _tree_to_opnode(catalog, canonical_node, query_id, cut_at_aggregates, out):

@@ -345,17 +345,8 @@ class SharedQueryPlan:
         """Subplans ordered child-first (leaves before parents)."""
         order = []
         visited = set()
-
-        def visit(subplan):
-            if subplan.sid in visited:
-                return
-            visited.add(subplan.sid)
-            for child in subplan.child_subplans():
-                visit(child)
-            order.append(subplan)
-
         for subplan in self.subplans:
-            visit(subplan)
+            _visit_child_first(subplan, visited, order)
         return order
 
     def shared_subplans(self):
@@ -436,25 +427,13 @@ class SharedQueryPlan:
                         )
                     )
         # acyclicity: topological_order visits every subplan exactly once
-        # unless a ref cycle makes visit() recurse forever; detect by depth.
+        # unless a ref cycle makes the walk recurse forever; detect it.
         self._check_acyclic()
 
     def _check_acyclic(self):
         state = {}
-
-        def visit(subplan):
-            mark = state.get(subplan.sid)
-            if mark == "done":
-                return
-            if mark == "active":
-                raise PlanError("cycle through subplan %d" % subplan.sid)
-            state[subplan.sid] = "active"
-            for child in subplan.child_subplans():
-                visit(child)
-            state[subplan.sid] = "done"
-
         for subplan in self.subplans:
-            visit(subplan)
+            _visit_acyclic(subplan, state)
 
     # -- copying ---------------------------------------------------------------
 
@@ -501,3 +480,29 @@ class SharedQueryPlan:
             len(self.subplans),
             len(self.query_roots),
         )
+
+
+# Plan walks are module-level functions rather than nested closures: a
+# closure that calls itself holds its own cell, and that reference cycle
+# kept every plan it walked alive until the cyclic collector found it.
+
+
+def _visit_child_first(subplan, visited, order):
+    if subplan.sid in visited:
+        return
+    visited.add(subplan.sid)
+    for child in subplan.child_subplans():
+        _visit_child_first(child, visited, order)
+    order.append(subplan)
+
+
+def _visit_acyclic(subplan, state):
+    mark = state.get(subplan.sid)
+    if mark == "done":
+        return
+    if mark == "active":
+        raise PlanError("cycle through subplan %d" % subplan.sid)
+    state[subplan.sid] = "active"
+    for child in subplan.child_subplans():
+        _visit_acyclic(child, state)
+    state[subplan.sid] = "done"

@@ -34,7 +34,9 @@ from repro.logical.builder import PlanBuilder
 from repro.mqo.merge import build_unshared_plan
 from repro.obs import OBS
 from repro.physical import columnar as columnar_mod
+from repro.physical.columnar import ColumnarJoinExec
 from repro.physical.hotpath import clear_compiled_caches, engine_mode
+from repro.physical.operators import JoinExec
 from repro.relational.expressions import agg_sum, col
 from repro.relational.tuples import Delta
 from repro.workloads.constraints import uniform_constraints
@@ -168,41 +170,46 @@ class TestArrangedExactness:
 # -- the resource win: >= 2x fewer resident entries and maintenance ops ------------
 
 
+def tap_join_advances(monkeypatch, join_cls, check):
+    """Call ``check(join)`` after every ``join_cls`` advance.
+
+    A run releases its join state as the window ends, so what a join
+    holds is read inside the window, at its advances.
+    """
+    advance = join_cls.advance
+
+    def tapped(join):
+        out = advance(join)
+        check(join)
+        return out
+
+    monkeypatch.setattr(join_cls, "advance", tapped)
+
+
 class TestArrangedSavings:
-    def _join_execs(self, root_exec):
-        stack, found = [root_exec], []
-        while stack:
-            node = stack.pop()
-            if hasattr(node, "entry_count"):
-                found.append(node)
-            for attr in ("left", "right", "child"):
-                nxt = getattr(node, attr, None)
-                if nxt is not None and hasattr(nxt, "advance"):
-                    stack.append(nxt)
-        return found
+    def _final_entries(self, monkeypatch, plan, paces, batched):
+        """The run, and its joins' entry counts summed as the window ends."""
+        last = {}
+        join_cls = ColumnarJoinExec if batched else JoinExec
+        with monkeypatch.context() as patch:
+            tap_join_advances(
+                patch, join_cls,
+                lambda join: last.__setitem__(id(join), join.entry_count))
+            run = run_with(plan, paces, batched=batched)
+        return run, sum(last.values())
 
-    def _resident(self, executor):
-        return sum(
-            join.entry_count
-            for unit in executor._runtime[2].values()
-            for join in self._join_execs(unit.root_exec)
-        )
-
-    def test_resident_entries_halved_or_better(self, fanout_setup):
+    def test_resident_entries_halved_or_better(self, fanout_setup, monkeypatch):
         # what N private tables would hold is what ``charge_state`` bills
         # per reader: the joins' entry counts, which the reference's
         # private tables really do hold
         plan, paces = fanout_setup
-        clear_compiled_caches()
-        executor = PlanExecutor(plan, StreamConfig())
-        summary = executor.run(paces).metadata["arrangement_summary"]
-        private_resident = self._resident(executor)
-        with engine_mode(batched=False):
-            reference = PlanExecutor(plan, StreamConfig())
-            reference.run(paces)
-            assert self._resident(reference) == private_resident
+        arranged, billed = self._final_entries(monkeypatch, plan, paces, True)
+        _, held = self._final_entries(monkeypatch, plan, paces, False)
+        summary = arranged.metadata["arrangement_summary"]
+        # every join side of the fan-out is arranged
+        assert summary["private_entries"] == billed == held
         assert summary["resident_entries"] > 0
-        assert private_resident >= 2 * summary["resident_entries"]
+        assert billed >= 2 * summary["resident_entries"]
 
     def test_maintenance_ops_halved_or_better(self, fanout_setup):
         plan, paces = fanout_setup
@@ -398,21 +405,6 @@ class TestArrangeableSide:
 
 
 class TestColumnarSideCompaction:
-    def _sides(self, executor):
-        _, _, compiled, _, _ = executor._runtime
-        for unit in compiled.values():
-            stack = [unit.root_exec]
-            while stack:
-                node = stack.pop()
-                for attr in ("_left_state", "_right_state"):
-                    state = getattr(node, attr, None)
-                    if state is not None:
-                        yield state
-                for attr in ("left", "right", "child"):
-                    nxt = getattr(node, attr, None)
-                    if nxt is not None and hasattr(nxt, "advance"):
-                        stack.append(nxt)
-
     def test_dead_slots_stay_bounded(self, monkeypatch):
         # every batch on the row lane, which is bit-identical to the
         # reference whatever the toy batch sizes are
@@ -422,16 +414,22 @@ class TestColumnarSideCompaction:
             catalog, single_join_queries(catalog, 2, filtered=True)
         )
         paces = {s.sid: 3 for s in plan.subplans}
-        clear_compiled_caches()
-        executor = PlanExecutor(plan, StreamConfig())
-        run = executor.run(paces)
-        sides = list(self._sides(executor))
-        assert sides, "no private columnar join sides compiled"
-        for state in sides:
-            # before the fix the raw delta chunks grew without bound;
-            # compaction now keeps dead slots below the live count (plus
-            # the trigger threshold)
-            assert state.dead <= max(32, state.entries)
+        checked = []
+
+        def bounded(join):
+            for state in (join._left_state, join._right_state):
+                if state is not None:
+                    # before the fix the raw delta chunks grew without
+                    # bound; compaction now keeps dead slots below the
+                    # live count (plus the trigger threshold)
+                    assert state.dead <= max(32, state.entries)
+                    checked.append(state.dead)
+
+        with monkeypatch.context() as patch:
+            tap_join_advances(patch, ColumnarJoinExec, bounded)
+            run = run_with(plan, paces, batched=True)
+        assert checked, "no private columnar join sides compiled"
+        assert any(checked), "no slot ever retracted"
         # compaction preserved per-key probe order: still bit-identical
         # to the per-tuple reference
         reference = run_with(plan, paces, batched=False)
