@@ -47,8 +47,9 @@ class Buffer:
         #: (pace-aligned parents of one child, the many scans of one base
         #: table) share one consolidated/concatenated batch instead of
         #: each rebuilding it.  Logical content of a span never changes
-        #: after append, so entries stay valid across ``compact()``; the
-        #: dict is bounded and cleared wholesale.
+        #: after append, so an entry stays valid until every reader has
+        #: passed its span (``compact()`` then drops it); the dict is
+        #: bounded and cleared wholesale.
         self.view_cache = {}
 
     def cache_view(self, key, builder):
@@ -90,18 +91,24 @@ class Buffer:
         self.compact()
 
     def compact(self):
-        """Drop the segments every registered reader has consumed.
+        """Drop the segments, and the cached views of spans, every
+        registered reader has consumed.
 
         Memory-only: logical offsets and work accounting are unaffected.
         A segment some reader is still inside of stays whole; with no
         reader left everything goes.  Returns the entries dropped.
         """
         segments = self._segments
-        if not segments:
+        cache = self.view_cache
+        if not segments and not cache:
             return 0
-        consumed = min(
-            (cell[0] for cell in self._cells), default=self.end()
-        ) - self.base
+        horizon = min((cell[0] for cell in self._cells), default=self.end())
+        if cache:
+            # a view is keyed ``(start, end, tag)``: no reader reads a
+            # span that ends at or behind every reader again
+            for key in [key for key in cache if key[1] <= horizon]:
+                del cache[key]
+        consumed = horizon - self.base
         gone = drop = 0
         for segment in segments:
             if drop + len(segment) > consumed:

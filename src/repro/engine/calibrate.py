@@ -27,7 +27,7 @@ from ..physical.columnar import (
     ColumnarSourceExec,
 )
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
-from .executor import PlanExecutor, collector_paused
+from .executor import PlanExecutor
 from .stream import StreamConfig
 
 # the production operators and the reference expose the identical stats
@@ -128,10 +128,7 @@ def calibrate_plan(plan, stream_config=None, cache=None):
             if OBS.enabled:
                 OBS.metrics.counter("calibration.cache.invalidation").inc()
 
-    # the statistics are read off the stats run's operators, so the
-    # collector stays paused until they are and the executor is gone
-    with collector_paused():
-        run = _batch_run(plan, stream_config)
+    run = _batch_run(plan, stream_config)
     _execution_count[0] += 1
     logger.debug(
         "calibration batch run: %d subplans, total work %.1f",
@@ -163,16 +160,14 @@ def calibrate_plan(plan, stream_config=None, cache=None):
 def _batch_run(plan, stream_config):
     """The stats run at pace 1 everywhere, its statistics attached.
 
-    The executor is local: it dies on return, freed by reference
-    counting with the state its run kept for the statistics walk.
+    Each subplan's statistics are read as it retires, so the run holds
+    the state of the subplans still running, never of the whole plan.
     """
     executor = PlanExecutor(plan, stream_config, stats_mode=True)
-    run = executor.run(
-        {subplan.sid: 1 for subplan in plan.subplans}, collect_results=False
+    return executor.run(
+        {subplan.sid: 1 for subplan in plan.subplans},
+        collect_results=False, on_retire=_collect_stats,
     )
-    for unit in executor.compiled.values():
-        _collect_stats(unit.root_exec)
-    return run
 
 
 def _serialize_result(plan, result):
@@ -225,7 +220,12 @@ def _replay_cached(plan, stream_config, payload):
     return CalibrationResult(run, query_batch_work, query_batch_latency)
 
 
-def _collect_stats(exec_op):
+def _collect_stats(unit):
+    """Attach a retiring subplan's statistics to its plan nodes."""
+    _node_stats(unit.root_exec)
+
+
+def _node_stats(exec_op):
     if isinstance(exec_op, _SOURCE_EXECS):
         stats = NodeStats("source")
         stats.scanned_total = float(exec_op.scanned_total)
@@ -235,8 +235,8 @@ def _collect_stats(exec_op):
         exec_op.node.stats = stats
         return
     if isinstance(exec_op, _JOIN_EXECS):
-        _collect_stats(exec_op.left)
-        _collect_stats(exec_op.right)
+        _node_stats(exec_op.left)
+        _node_stats(exec_op.right)
         stats = NodeStats("join")
         stats.in_left = float(exec_op.in_left)
         stats.in_right = float(exec_op.in_right)
@@ -248,7 +248,7 @@ def _collect_stats(exec_op):
         exec_op.node.stats = stats
         return
     if isinstance(exec_op, _AGGREGATE_EXECS):
-        _collect_stats(exec_op.child)
+        _node_stats(exec_op.child)
         stats = NodeStats("aggregate")
         stats.agg_in = float(exec_op.in_total)
         stats.agg_in_per_q = {q: float(c) for q, c in exec_op.in_per_q.items()}

@@ -22,19 +22,30 @@ list of trigger-point steps that every run of that configuration replays
 with integer arithmetic only.  Between trigger points the executor also
 compacts the buffers a due subplan read.  Results are one more reader:
 a run that collects them registers a reader on every query-root buffer
-before the first trigger point and hands what it read to
-:func:`query_result_view` at the end; a run that does not leaves the
-roots without a reader, and a buffer nobody reads holds nothing.
+before the first trigger point and folds what it reads into each
+query's net result (:func:`query_result_view`) right after each
+execution of the root, so a root buffer is compacted like any other; a
+run that does not leaves the roots without a reader, and a buffer nobody
+reads holds nothing.
 
-A window's operator state lives exactly as long as the window.  A run
-holds CPython's cyclic collector off (:func:`collector_paused`): the
-join sides, aggregate groups, arrangement versions and buffered segments
-it builds are all live until the trigger point, so a collector pass
-inside the window could only traverse them.  Before the collector
-resumes, the run releases that state (a stats run keeps it for the
-statistics walk that follows), and reference counting frees it without
-a traversal.  Nothing in the tree points back at its owner, so a
-dropped executor is freed the same way.
+A subplan's operator state lives until its final execution.  Every
+subplan executes at the trigger point and never again in the window, so
+right after that execution it *retires*: its private join sides and
+aggregate group records are released, and each buffer whose last due
+reader it is gets compacted.  Its output buffer, meters and stats
+counters stay for its readers -- a stats run reads its statistics off a
+retiring subplan (the ``on_retire`` callback) before the release.  A
+window's peak therefore follows the subplans still running, not the
+whole plan.  Shared arrangements serve several subplans and live until
+the window ends.
+
+A run holds CPython's cyclic collector off (:func:`collector_paused`):
+what the window builds is live until it retires, so a collector pass
+inside the window could only traverse it.  Before the collector resumes,
+a production run releases the rest -- arrangement versions and buffered
+segments (a stats run keeps those for inspection) -- and reference
+counting frees it without a traversal.  Nothing in the tree points back
+at its owner, so a dropped executor is freed the same way.
 """
 
 import gc
@@ -132,7 +143,7 @@ class TriggerPoint:
     """
 
     __slots__ = ("fraction", "numerator", "denominator", "final", "units",
-                 "drains")
+                 "retires", "drains")
 
     def __init__(self, fraction, units):
         self.fraction = fraction
@@ -141,13 +152,25 @@ class TriggerPoint:
         self.final = fraction == 1
         #: the :class:`CompiledSubplan` s due here, children first
         self.units = units
-        #: the buffers this step can drain: those a due subplan reads (a
-        #: buffer no reader moved on has nothing new to drop)
-        self.drains = []
-        for unit in units:
+        # the buffers this step can drain: those a due subplan reads (a
+        # buffer no reader moved on has nothing new to drop), each
+        # mapped to the last due unit that reads it
+        last = {}
+        for index, unit in enumerate(units):
             for buffer in unit.reads:
-                if buffer not in self.drains:
-                    self.drains.append(buffer)
+                last[buffer] = index
+        if self.final:
+            #: per unit, ``None`` before the trigger point; at it, the
+            #: buffers the unit drains as it retires (it is their last
+            #: due reader)
+            self.retires = [[] for _ in units]
+            for buffer, index in last.items():
+                self.retires[index].append(buffer)
+            #: the buffers drained once the step's units all ran
+            self.drains = []
+        else:
+            self.retires = [None] * len(units)
+            self.drains = list(last)
 
 
 class WindowProgram:
@@ -285,9 +308,10 @@ class PlanExecutor:
 
         Reuse resets all mutable state (streams, buffers, reader offsets,
         meters, hash tables, aggregate groups, stats counters) so a reused
-        tree is indistinguishable from a freshly compiled one.  The tree
-        is recompiled only when the engine toggle changed since it was
-        built (:meth:`rebind` drops it when the plan changed).
+        tree is indistinguishable from a freshly compiled one: the
+        window-end :meth:`_release` plus each operator tree's ``rewind``.
+        The tree is recompiled only when the engine toggle changed since
+        it was built (:meth:`rebind` drops it when the plan changed).
         """
         if (
             self._runtime is not None
@@ -297,6 +321,7 @@ class PlanExecutor:
                 stream.reset()
             self._release()
             for unit in self._runtime[2].values():
+                unit.root_exec.rewind()
                 unit.meter.reset()
                 unit.executions = 0
             if OBS.enabled:
@@ -308,10 +333,11 @@ class PlanExecutor:
 
     def _release(self):
         """Drop the window's bulk state: buffered segments and view
-        caches, arrangement versions, join sides and aggregate groups.
+        caches, arrangement versions, and what a subplan that did not
+        retire (a failed window) still holds.
 
-        Readers rewind to offset 0; meters and execution counts stay
-        for whoever reads them after the run.
+        Buffer readers rewind to offset 0; meters, execution counts and
+        stats counters stay for whoever reads them after the run.
         """
         _, table_buffers, compiled, _, store = self._runtime
         for buffer in table_buffers.values():
@@ -319,7 +345,7 @@ class PlanExecutor:
         store.reset()
         for unit in compiled.values():
             unit.buffer.reset()
-            unit.root_exec.reset()
+            unit.root_exec.release()
 
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
                       store, reads):
@@ -383,14 +409,17 @@ class PlanExecutor:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, pace_config, collect_results=True):
+    def run(self, pace_config, collect_results=True, on_retire=None):
         """Execute the plan under ``pace_config`` (``{sid: pace}``).
 
         Returns a :class:`~repro.engine.metrics.RunResult`.
         """
-        return self.run_schedule(None, pace_config, collect_results)
+        return self.run_schedule(
+            None, pace_config, collect_results, on_retire
+        )
 
-    def run_schedule(self, fractions, pace_config=None, collect_results=True):
+    def run_schedule(self, fractions, pace_config=None, collect_results=True,
+                     on_retire=None):
         """Execute with explicit per-subplan execution fractions.
 
         ``fractions`` maps subplan id to an ascending list of progress
@@ -401,8 +430,12 @@ class PlanExecutor:
         points of ``pace_config``, whose program is kept for the next
         run of the same paces; explicit fractions compile theirs afresh.
 
-        The window runs with the cyclic collector paused, and a run that
-        is not a stats run releases the tree's state before it resumes.
+        Each subplan retires right after its execution at the trigger
+        point; ``on_retire(unit)``, when given, is handed the
+        :class:`CompiledSubplan` first, with its state still whole.  The
+        window runs with the cyclic collector paused, and a run that is
+        not a stats run releases the rest of the tree's state before it
+        resumes.
         """
         with collector_paused():
             compiled = self.compiled = self._ensure_compiled()[2]
@@ -422,16 +455,25 @@ class PlanExecutor:
                 for qid, root in self.plan.query_roots.items():
                     sinks[qid] = compiled[root.sid].buffer.reader()
             try:
-                return self._replay(program, pace_config, sinks)
+                return self._replay(program, pace_config, sinks, on_retire)
             finally:
                 for reader in sinks.values():
                     reader.buffer.detach(reader)
                 if not self.stats_mode:
                     self._release()
 
-    def _replay(self, program, pace_config, sinks):
+    def _replay(self, program, pace_config, sinks, on_retire):
         """One window of ``program``, with the results of ``sinks``' queries."""
-        order, store = self._runtime[3:]
+        compiled, order, store = self._runtime[2:]
+        plan = self.plan
+        # each root's readers, folded into their queries' net results
+        # after every execution of the root
+        results = {}
+        folds = {}
+        for qid, reader in sinks.items():
+            net = results[qid] = {}
+            root = compiled[plan.query_roots[qid].sid]
+            folds.setdefault(root, []).append((qid, reader, net))
         result = RunResult(pace_config, self.stream_config)
         reference = self._runtime_reference
         result.metadata["engine_mode"] = (
@@ -455,7 +497,8 @@ class PlanExecutor:
                         buffer.append(segment)
             fraction = step.fraction
             final = step.final
-            for unit in step.units:  # child-first within one trigger point
+            # child-first within one trigger point
+            for unit, retire in zip(step.units, step.retires):
                 if observed:
                     work, latency_work, out = _observed_execution(
                         unit, overhead, fraction
@@ -469,6 +512,19 @@ class PlanExecutor:
                     ),
                     final,
                 )
+                readers = folds.get(unit)
+                if readers is not None:
+                    for qid, reader, net in readers:
+                        segments = reader.read_new()
+                        if segments:
+                            query_result_view(plan, qid, segments, net)
+                    unit.buffer.compact()
+                if retire is not None:
+                    if on_retire is not None:
+                        on_retire(unit)
+                    unit.root_exec.release()
+                    for buffer in retire:
+                        buffer.compact()
             # memory-only: drop drained prefixes; logical offsets and
             # work are unaffected
             for buffer in step.drains:
@@ -514,10 +570,7 @@ class PlanExecutor:
             result.query_final_work[qid] = sum(
                 final_work.get(sid, 0.0) for sid in sids
             )
-        for qid, reader in sinks.items():
-            result.query_results[qid] = query_result_view(
-                self.plan, qid, reader.read_new()
-            )
+        result.query_results = results
         return result
 
     # -- the window program ------------------------------------------------
@@ -629,7 +682,7 @@ def _observed_execution(unit, overhead, fraction):
 _TRIPLE = attrgetter("row", "sign", "bits")
 
 
-def query_result_view(plan, query_id, segments):
+def query_result_view(plan, query_id, segments, net=None):
     """Net result multiset ``{row: count}`` of one query from its root's log.
 
     Keeps the entries carrying the query's bit, projects the shared union
@@ -638,6 +691,9 @@ def query_result_view(plan, query_id, segments):
     one consumer that takes either delta form: a production root's
     ``ColumnBatch`` segments are read as their parallel lists (no
     ``Delta`` is built for them), a reference root's as ``Delta`` s.
+    ``segments`` fold into ``net`` (a fresh dict when None), which is
+    returned: folding a log piece by piece, in order, leaves the dict --
+    its order included -- exactly as one fold of the whole log would.
     """
     root_subplan = plan.query_roots[query_id]
     node = root_subplan.root
@@ -650,7 +706,8 @@ def query_result_view(plan, query_id, segments):
     indexes = [out_schema.index_of(name) for name in names]
 
     mask = 1 << query_id
-    net = {}
+    if net is None:
+        net = {}
     for segment in segments:
         if type(segment) is list:
             triples = map(_TRIPLE, segment)

@@ -2,17 +2,59 @@
 
 A recompute-from-scratch evaluator of a logical query over the *final*
 contents of its tables: plain dicts and loops, one obvious walk of the
-logical tree, expressions through the tree-walking spec
-(``tests/expression_spec.py``).  It imports nothing from
-``repro.physical``, ``repro.engine`` or ``repro.mqo`` -- no operators, no
-batches, no bitvectors, no deltas after the tables are netted -- so a
-bug shared by every engine path (reference, production, shared,
-unshared) cannot pass it.  Float sums associate in table order here and
-in arrival order in the engine: compare with
-``repro.engine.compare.results_close``.
+logical tree, and expressions through :func:`evaluate`, a tree-walking
+spec of the expression language (``Expression.compile`` and the fused
+kernels run *generated source*; this is the independent statement of
+what that source must compute).  It imports nothing from
+``repro.physical``, ``repro.engine`` or ``repro.mqo`` -- no operators,
+no batches, no bitvectors, no deltas after the tables are netted -- so
+a bug shared by every engine path (reference, production, shared,
+unshared) cannot pass it; CI walks this module's imports to keep it so.
+Float sums associate in table order here and in arrival order in the
+engine: compare with ``repro.engine.compare.results_close``.
+
+It is the reference leg of every fuzz case (:mod:`repro.fuzz.oracles`).
 """
 
-from .expression_spec import evaluate
+import operator
+
+from ..relational.expressions import (
+    And, BinaryOp, Col, Comparison, Const, Contains, InList, Not, Or,
+    StartsWith,
+)
+
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "//": operator.floordiv,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def evaluate(expr, row, schema):
+    """The value of ``expr`` on ``row`` (left to right, short-circuit)."""
+    if isinstance(expr, Col):
+        return row[schema.index_of(expr.name)]
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, (BinaryOp, Comparison)):
+        left = evaluate(expr.left, row, schema)
+        return _OPS[expr.op](left, evaluate(expr.right, row, schema))
+    if isinstance(expr, And):
+        return (bool(evaluate(expr.left, row, schema))
+                and bool(evaluate(expr.right, row, schema)))
+    if isinstance(expr, Or):
+        return (bool(evaluate(expr.left, row, schema))
+                or bool(evaluate(expr.right, row, schema)))
+    if isinstance(expr, Not):
+        return not evaluate(expr.child, row, schema)
+    if isinstance(expr, InList):
+        return evaluate(expr.child, row, schema) in frozenset(expr.values)
+    if isinstance(expr, StartsWith):
+        return evaluate(expr.child, row, schema).startswith(expr.prefix)
+    if isinstance(expr, Contains):
+        return expr.needle in evaluate(expr.child, row, schema)
+    raise TypeError("no spec for %r" % (expr,))
 
 
 def final_rows(table):

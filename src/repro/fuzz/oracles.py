@@ -2,8 +2,16 @@
 
 Every case runs through multiple pipelines that must agree:
 
+``naive``
+    the ground truth every leg's final results are compared against:
+    each query recomputed from its tables' final contents by
+    :mod:`repro.fuzz.naive`, which shares no code with the engine.  A
+    bug every engine leg shares (``drop_last_key_match`` in
+    :mod:`repro.physical.faults`) is caught here and nowhere else.
 ``unshared``
-    each query as its own plan, everything at pace 1 -- the reference.
+    each query as its own plan, everything at pace 1 -- the work
+    baseline, and the leg whose error class decides whether a case is
+    rejected.
 ``shared-columnar``
     the MQO-merged shared plan at a random (derived) pace configuration
     on the production operators at their default size dispatch.
@@ -24,10 +32,10 @@ Every case runs through multiple pipelines that must agree:
     fused/vectorised kernels of all three operators (source chain and
     decorations, join probe, aggregate absorb) run even on fuzz-sized
     batches (the default threshold keeps nearly every generated case on
-    the row lane).  Results are tolerance-close to the reference like
-    every oracle (float segment sums may associate differently), work is
-    exact.  Skipped when NumPy is unavailable (it would repeat the row
-    lane).
+    the row lane).  Results are tolerance-close to the naive ground
+    truth like every oracle (float segment sums may associate
+    differently), work is exact.  Skipped when NumPy is unavailable (it
+    would repeat the row lane).
 ``shared-pace1``
     the shared plan with every pace forced to 1 (one-shot batch
     recompute of every trigger).
@@ -42,20 +50,21 @@ Every case runs through multiple pipelines that must agree:
     optionally, the whole batch registered into a long-running
     :class:`~repro.service.core.QueryService`, some queries deregistered
     after a trigger window (the case's ``dropouts``), and the *final*
-    window's run compared against the reference for the surviving
-    queries.  This fuzzes registration churn, incremental re-merge on
-    stable query slots and the carry of calibrated state; after every
-    churn event the live plan's statistics must be keyed by the queries
-    each node serves (:func:`stats_keys_outside_mask`).
+    window's run compared against the naive ground truth for the
+    surviving queries.  This fuzzes registration churn, incremental
+    re-merge on stable query slots and the carry of calibrated state;
+    after every churn event the live plan's statistics must be keyed by
+    the queries each node serves (:func:`stats_keys_outside_mask`).
 ``service-unbatched``
     the same register/churn/dropout script replayed through the per-tuple
     reference; its final window must be *bit-identical* to the
     ``service`` oracle's, so arranged join state carried across register,
     rebind and dropout is checked against private tables.
 
-Divergence in net query results (tolerance-based multiset comparison,
-:mod:`repro.engine.compare`), in WorkMeter invariants, or in the *class*
-of raised :class:`~repro.errors.ReproError` is a failure.  A ReproError
+Divergence in net query results from the naive ground truth
+(tolerance-based multiset comparison, :mod:`repro.engine.compare`), in
+WorkMeter invariants, or in the *class* of raised
+:class:`~repro.errors.ReproError` is a failure.  A ReproError
 raised consistently by every oracle is a *rejected* case (the generator
 built something invalid) -- noted, but not a bug.  Exceptions outside
 the ReproError hierarchy propagate to the campaign loop, which treats
@@ -74,7 +83,7 @@ from ..mqo.merge import MQOOptimizer, build_unshared_plan
 from ..physical import columnar as columnar_mod
 from ..physical.hotpath import engine_mode
 from ..relational import bitvec
-from . import grammar
+from . import grammar, naive
 
 #: relative slack allowed on total_work vs the sum of execution records
 WORK_SUM_TOL = 1e-6
@@ -369,8 +378,15 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         attempt("service", run_service())
         attempt("service-unbatched", run_service(batched=False))
 
+    truth = None
+    if reference.error is None:
+        truth = {
+            query.query_id: naive.naive_result(query, catalog)
+            for query in queries
+        }
     failures = _verdict(
-        case, queries, outcomes, reference, rel_tol, abs_tol, service_slots
+        case, queries, outcomes, reference, truth, rel_tol, abs_tol,
+        service_slots,
     )
     if failures is REJECTED:
         return CaseReport(case, "rejected", [], outcomes)
@@ -399,7 +415,7 @@ def _decomposition_target(plan, spec):
     return subplan.sid, [tuple(sorted(qids[:cut])), tuple(sorted(qids[cut:]))]
 
 
-def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
+def _verdict(case, queries, outcomes, reference, truth, rel_tol, abs_tol,
              service_slots=None):
     failures = []
     if reference.error is not None:
@@ -426,25 +442,17 @@ def _verdict(case, queries, outcomes, reference, rel_tol, abs_tol,
         if outcome.idle:
             continue
         failures.extend(_check_invariants(name, outcome))
-        if name == "unshared":
-            continue
+        slots, checked = None, queries
         if name in ("service", "service-unbatched"):
             # the service runs each query under the slot it assigned at
             # registration and deregistered queries have no final-window
             # result: compare only the survivors, through the slot map
             slots = service_slots or {}
-            failures.extend(
-                _compare_results(
-                    name, outcome.result, reference.result,
-                    [q for q in queries if q.query_id in slots],
-                    rel_tol, abs_tol, slots=slots,
-                )
-            )
-            continue
+            checked = [q for q in queries if q.query_id in slots]
         failures.extend(
             _compare_results(
-                name, outcome.result, reference.result, queries,
-                rel_tol, abs_tol,
+                name, outcome.result, truth, checked, rel_tol, abs_tol,
+                slots=slots,
             )
         )
 
@@ -514,22 +522,25 @@ def _check_invariants(name, outcome):
     return failures
 
 
-def _compare_results(name, run, reference, queries, rel_tol, abs_tol,
+def _compare_results(name, run, truth, queries, rel_tol, abs_tol,
                      slots=None):
+    """One failure per query whose result in ``run`` is not close to the
+    naive ``truth[qid]``; ``slots`` maps a query id to the id ``run``
+    answers it under."""
     failures = []
     for query in queries:
         qid = query.query_id
         left_qid = slots[qid] if slots is not None else qid
         left = run.query_results.get(left_qid, {})
-        right = reference.query_results.get(qid, {})
+        right = truth[qid]
         if results_close(left, right, rel_tol=rel_tol, abs_tol=abs_tol):
             continue
         only_left, only_right = result_diff(
             left, right, rel_tol=rel_tol, abs_tol=abs_tol
         )
         failures.append(
-            "%s: query %s (qid %d) diverges from reference: "
-            "%d row(s) only in %s %r; %d row(s) only in reference %r"
+            "%s: query %s (qid %d) diverges from the naive ground truth: "
+            "%d row(s) only in %s %r; %d row(s) only in naive %r"
             % (
                 name, query.name, qid, len(only_left), name,
                 only_left[:4], len(only_right), only_right[:4],

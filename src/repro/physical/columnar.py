@@ -55,7 +55,7 @@ from ..engine.columns import (
     concat_batches,
     np,
 )
-from .faults import FAULTS, drop_first_retraction
+from .faults import FAULTS, drop_first_retraction, drop_lost_key_matches
 from .fused import (
     fused_aggregate_inputs,
     fused_aggregate_kernels,
@@ -269,7 +269,11 @@ class ColumnarSourceExec:
         self.kept_total = 0
         self.kept_per_q = {}
 
-    def reset(self):
+    def release(self):
+        """Nothing to drop: a source's log is its buffer's."""
+
+    def rewind(self):
+        """Reader back to offset 0, counters zeroed."""
         self.reader.offset = 0
         self.scanned_total = 0
         self.kept_total = 0
@@ -501,12 +505,19 @@ class ColumnarJoinExec:
         right = self._right_state or self._right_arranged
         return left.entries + right.entries
 
-    def reset(self):
-        self.left.reset()
-        self.right.reset()
+    def release(self):
+        """Drop both private sides, down the tree; an arranged side's
+        version (the arrangement's to free), readers and counters stay."""
+        self.left.release()
+        self.right.release()
         for state in (self._left_state, self._right_state):
             if state is not None:
                 state.reset()
+
+    def rewind(self):
+        """Readers back to offset 0 and counters zeroed, down the tree."""
+        self.left.rewind()
+        self.right.rewind()
         self.in_left = 0
         self.in_right = 0
         self.out_total = 0
@@ -539,6 +550,10 @@ class ColumnarJoinExec:
             self._right_arranged.advance_to(self.right.reader.offset)
         self._flush(pending, outputs)
         out = concat_batches(outputs, self.out_width)
+        if FAULTS.drop_last_key_match:
+            # test-only injected bug, after every lane's probe: see
+            # repro.physical.faults
+            out = drop_lost_key_matches(out, self._left_key_idx[0])
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
             self.meter.charge_state(
@@ -906,18 +921,26 @@ class ColumnarAggregateExec:
         self._kernels = fused_aggregate_kernels(node, qids)
         self._empty = ColumnBatch.empty(len(node.group_by) + len(node.aggs))
         self._clear()
+        self.in_total = self.out_total = 0
+        self.in_per_q = {}
 
     def _clear(self):
         self._groups = {}  # group key -> record
         self._touched = []  # records absorbed into since the last emission
         self.state_count = 0
         self._exact_ok = [True] * len(self.specs)
+
+    def release(self):
+        """Drop the group records, down the tree; readers and counters
+        stay."""
+        self.child.release()
+        self._clear()
+
+    def rewind(self):
+        """Readers back to offset 0 and counters zeroed, down the tree."""
+        self.child.rewind()
         self.in_total = self.out_total = 0
         self.in_per_q = {}
-
-    def reset(self):
-        self.child.reset()
-        self._clear()
         self.decorations.reset_stats()
 
     def advance(self):
@@ -1063,7 +1086,10 @@ class ColumnarAggregateExec:
             values = column.tolist()
         else:
             values = list(zip(*(batch.column_values(i) for i in indexes)))
-        # first-seen codes: ``setdefault`` hands a new key the next code
-        mapping = {}
-        codes = [mapping.setdefault(value, len(mapping)) for value in values]
-        return np.array(codes, dtype=np.int64), list(mapping)
+        # first-seen codes: ``dict.fromkeys`` keeps each distinct key's
+        # first occurrence in order, and the per-row code lookup runs in
+        # C, not as one Python call per row
+        keys = list(dict.fromkeys(values))
+        code_of = {key: code for code, key in enumerate(keys)}
+        codes = np.fromiter(map(code_of.__getitem__, values), np.int64, n)
+        return codes, keys

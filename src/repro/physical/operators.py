@@ -25,6 +25,7 @@ lane is bit-identical to these and dedicated tests enforce it
 from ..errors import ExecutionError
 from ..relational import bitvec
 from ..relational.tuples import Delta, DELETE, INSERT, consolidate
+from .faults import FAULTS, lost_key
 from .hotpath import _MinMaxState, _sort_key, cached_artifacts, qids_of
 
 
@@ -139,8 +140,11 @@ class SourceExec:
         self.kept_total = 0
         self.kept_per_q = {}
 
-    def reset(self):
-        """Restore fresh-run state (offsets are reset by the executor)."""
+    def release(self):
+        """Nothing to drop: a source's log is its buffer's."""
+
+    def rewind(self):
+        """Reader back to offset 0, counters zeroed."""
         self.reader.offset = 0
         self.scanned_total = 0
         self.kept_total = 0
@@ -221,12 +225,18 @@ class JoinExec:
         self.in_right_per_q = {}
         self.out_per_q = {}
 
-    def reset(self):
-        self.left.reset()
-        self.right.reset()
+    def release(self):
+        """Drop both hash tables, down the tree; readers and counters stay."""
+        self.left.release()
+        self.right.release()
         self._left_table.clear()
         self._right_table.clear()
         self.entry_count = 0
+
+    def rewind(self):
+        """Readers back to offset 0 and counters zeroed, down the tree."""
+        self.left.rewind()
+        self.right.rewind()
         self.in_left = 0
         self.in_right = 0
         self.out_total = 0
@@ -258,6 +268,11 @@ class JoinExec:
             self.entry_count += _table_update(
                 self._right_table, self._right_key(delta.row), delta
             )
+        if FAULTS.drop_last_key_match:
+            # test-only injected bug: see repro.physical.faults (an
+            # output row starts with the left row, so the left key
+            # getter reads it)
+            out = [d for d in out if not lost_key(self._left_key(d.row))]
         self.meter.charge_output(self.name, len(out))
         if self.state_factor:
             self.meter.charge_state(self.name, self.state_factor * self.entry_count)
@@ -459,12 +474,17 @@ class AggregateExec:
         self.in_per_q = {}
         self.out_total = 0
 
-    def reset(self):
-        self.child.reset()
+    def release(self):
+        """Drop the group states, down the tree; readers and counters stay."""
+        self.child.release()
         self.groups.clear()
         self.last_emitted.clear()
         self._touched.clear()
         self.state_count = 0
+
+    def rewind(self):
+        """Readers back to offset 0 and counters zeroed, down the tree."""
+        self.child.rewind()
         self.in_total = 0
         self.in_per_q = {}
         self.out_total = 0

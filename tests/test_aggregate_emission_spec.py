@@ -86,8 +86,11 @@ def record_aggregate_inputs(monkeypatch, plan, paces):
             recorded.append((op.node, op.subplan_mask, batch))
             return batch
 
-        def reset(self):
-            self.child.reset()
+        def release(self):
+            self.child.release()
+
+        def rewind(self):
+            self.child.rewind()
 
     def tapped(self, node, child, *args, **kwargs):
         init(self, node, child, *args, **kwargs)

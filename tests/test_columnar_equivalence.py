@@ -28,6 +28,7 @@ from repro.engine.columns import ColumnBatch
 from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
+from repro.fuzz.naive import evaluate
 from repro.physical.hotpath import clear_compiled_caches, engine_mode
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
@@ -37,7 +38,6 @@ from repro.workloads.tpch import (
     generate_catalog,
 )
 
-from .expression_spec import evaluate
 from .util import batch_of, deltas_of, shared_plan_for
 
 needs_numpy = pytest.mark.skipif(
@@ -356,7 +356,7 @@ def _reference_apply_rows(node, batch, meter, mask):
 
     (source mask ->) mark filters -> projection in one loop, calling one
     function per filter and per projected column -- here the
-    tree-walking spec of ``tests/expression_spec.py``, so nothing in it
+    tree-walking spec of :mod:`repro.fuzz.naive`, so nothing in it
     is generated code.  Returns ``(rows, signs, bits)`` lists.
     """
     schema = node.core_schema
@@ -1132,9 +1132,9 @@ class TestSegmentPassthroughEdgeCases:
         fed = []
         view = executor_mod.query_result_view
 
-        def spy_view(plan, qid, segments):
+        def spy_view(plan, qid, segments, net=None):
             fed.extend(type(segment) for segment in segments)
-            return view(plan, qid, segments)
+            return view(plan, qid, segments, net)
 
         monkeypatch.setattr(Delta, "__init__", spy_init)
         monkeypatch.setattr(tuples, "_DELTA_NEW", spy_new)

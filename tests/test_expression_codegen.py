@@ -1,8 +1,8 @@
 """Generated expression code against the tree-walking spec.
 
 ``Expression.compile`` evals one flat generated ``lambda``; the closure
-interpreter it replaced is gone, so ``tests/expression_spec.py`` is the
-statement of what the generated code must compute.  A seeded property
+interpreter it replaced is gone, so :func:`repro.fuzz.naive.evaluate` is
+the statement of what the generated code must compute.  A seeded property
 test draws expression trees (every node type, plus the filters
 ``repro.fuzz.grammar`` generates) and rows over awkward values, and
 demands the same value, the same result type and the same raised
@@ -18,6 +18,7 @@ import pytest
 
 import repro.relational.expressions as expressions_module
 from repro.fuzz import grammar
+from repro.fuzz.naive import evaluate
 from repro.relational.codegen import Bindings, compile_source
 from repro.relational.expressions import (
     And, BinaryOp, Comparison, Const, Contains, InList, Not, Or, StartsWith,
@@ -25,7 +26,6 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Schema
 
-from .expression_spec import evaluate
 
 SCHEMA = Schema.of("a", "b", "c", "s")
 NAN = float("nan")

@@ -138,11 +138,41 @@ class TestInjectedBugDetection:
         report = run_case(small)
         assert report.status == "ok"
 
+    def test_a_bug_every_engine_leg_shares_is_caught_by_the_naive_leg_alone(
+        self
+    ):
+        from repro.engine.compare import results_close
+
+        with inject_fault(drop_last_key_match=True):
+            result = run_campaign(0, self.BUDGET)
+            lines = [line for failure in result.failures
+                     for line in failure.failures]
+            assert lines, "drop_last_key_match not detected"
+            # no work or bit identity between engine legs broke ...
+            assert all(
+                "diverges from the naive ground truth" in line
+                for line in lines
+            )
+            # ... and every engine leg agrees with the unshared one
+            for failure in result.failures:
+                oracles = run_case(failure.case).oracles
+                expected = oracles["unshared"].result.query_results
+                for name, outcome in oracles.items():
+                    if outcome.result is None or name.startswith("service"):
+                        continue  # (the service answers under its slots)
+                    for qid, rows in expected.items():
+                        assert results_close(
+                            outcome.result.query_results[qid], rows), name
+
     def test_fault_flag_restored_after_context(self):
         assert not FAULTS.drop_agg_retraction
         with inject_fault(drop_agg_retraction=True):
             assert FAULTS.drop_agg_retraction
         assert not FAULTS.drop_agg_retraction
+        with inject_fault(drop_last_key_match=True):
+            assert FAULTS.drop_last_key_match
+            assert not FAULTS.drop_agg_retraction
+        assert not FAULTS.drop_last_key_match
 
 
 class TestCampaignCli:

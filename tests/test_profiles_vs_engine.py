@@ -36,10 +36,9 @@ def chain():
 def _consumed_records(plan, config, paces, top_sid):
     """Count the delta records the top subplan's source actually scanned.
 
-    A stats run is the production run plus tallies, and it keeps them
-    for the statistics walk that follows it: the source's
-    ``scanned_total`` is the count calibration reports as its
-    ``NodeStats.scanned_total``.
+    A stats run is the production run plus tallies, and a retiring
+    subplan keeps its counters: the source's ``scanned_total`` is the
+    count calibration reports as its ``NodeStats.scanned_total``.
     """
     executor = PlanExecutor(plan, config, stats_mode=True)
     executor.run(paces, collect_results=False)

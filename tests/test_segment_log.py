@@ -110,8 +110,8 @@ def test_a_window_without_results_leaves_nothing_behind(workload, regime):
     # before buffers were held for their readers alone, the pinned
     # query-root buffers still held every delta of the window here.  A
     # production run releases its buffers as the window ends; a stats
-    # run is the same tree and leaves it as the window did, for the
-    # statistics walk that follows it
+    # run is the same tree and leaves its logs' offsets as the window
+    # did
     catalog, queries, _ = workload
     plan = shared_plan_for(catalog, queries)
     executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
