@@ -107,8 +107,14 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
     candidate plan is costed by a
     :meth:`~repro.cost.memo.PlanCostModel.sibling` of it -- same memo
     pool, so only the cones a surgery touched are re-simulated, and same
-    deadline, so ``time_budget`` bounds the decomposition too.  After
-    each step the pool is pruned to the cones of the plan in force: the
+    deadline, so ``time_budget`` bounds the decomposition too.
+
+    The pool keeps every row until the decomposition ends: a subplan is
+    re-tried after each adoption, and its candidates' rows, solo rows and
+    partition-cost tables are what the retry reads.  Rows are functions
+    of cone content, so keeping them changes no decision.  On return, and
+    on an :class:`~repro.cost.memo.OptimizationTimeout` raised midway,
+    the pool is pruned once to the cones of the plan in force: the
     returned model keeps rows for the returned plan only.
     """
     current_plan = plan
@@ -126,55 +132,60 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
         for subplan in reversed(current_plan.topological_order())
         if bitvec.popcount(subplan.query_mask) > 1
     ]
-    while worklist:
-        sid = worklist.pop(0)
-        candidate = _try_subplan(
-            current_plan, current_paces, model, evaluation, sid,
-            absolute_constraints, max_pace, use_brute_force, enable_partial,
-        )
-        if candidate is not None and _improves(
-                candidate[3], evaluation, absolute_constraints):
-            new_plan, new_paces, new_model, new_eval, action, step_lineage = candidate
-            action.work_before = evaluation.total_work
-            action.work_after = new_eval.total_work
-            actions.append(action)
-            logger.debug(
-                "decomposition adopted: subplan %d %s, work %.1f -> %.1f",
-                sid, action.kind, action.work_before, action.work_after,
+    try:
+        while worklist:
+            sid = worklist.pop(0)
+            candidate = _try_subplan(
+                current_plan, current_paces, model, evaluation, sid,
+                absolute_constraints, max_pace, use_brute_force, enable_partial,
             )
-            if declog is not None:
-                declog.log(
-                    "decompose_adopt", sid=sid, kind=action.kind,
-                    partitions=[list(p) for p in action.partitions],
-                    work_before=round(action.work_before, 4),
-                    work_after=round(action.work_after, 4),
+            if candidate is not None and _improves(
+                    candidate[3], evaluation, absolute_constraints):
+                (new_plan, new_paces, new_model, new_eval, action,
+                 step_lineage) = candidate
+                action.work_before = evaluation.total_work
+                action.work_after = new_eval.total_work
+                actions.append(action)
+                logger.debug(
+                    "decomposition adopted: subplan %d %s, work %.1f -> %.1f",
+                    sid, action.kind, action.work_before, action.work_after,
                 )
-            current_plan, current_paces = new_plan, new_paces
-            model, evaluation = new_model, new_eval
-            lineage = lineage.compose(step_lineage)
-            # newly created shared pieces may decompose further
-            fresh = [
-                subplan.sid
-                for subplan in reversed(current_plan.topological_order())
-                if bitvec.popcount(subplan.query_mask) > 1
-                and subplan.sid not in worklist
-                and subplan.sid != sid
-            ]
-            live = {subplan.sid for subplan in current_plan.subplans}
-            worklist = fresh + [s for s in worklist if s in live]
-        elif declog is not None:
-            if candidate is None:
-                declog.log("decompose_reject", sid=sid, reason="no_split")
-            else:
-                _, _, _, rejected_eval, rejected_action, _ = candidate
-                declog.log(
-                    "decompose_reject", sid=sid, reason="not_improving",
-                    kind=rejected_action.kind,
-                    work_before=round(evaluation.total_work, 4),
-                    work_after=round(rejected_eval.total_work, 4),
-                )
-        # the caller keeps the returned model, and with it the pool: rows
-        # of cones the plan in force no longer has go with the candidates
+                if declog is not None:
+                    declog.log(
+                        "decompose_adopt", sid=sid, kind=action.kind,
+                        partitions=[list(p) for p in action.partitions],
+                        work_before=round(action.work_before, 4),
+                        work_after=round(action.work_after, 4),
+                    )
+                current_plan, current_paces = new_plan, new_paces
+                model, evaluation = new_model, new_eval
+                lineage = lineage.compose(step_lineage)
+                # newly created shared pieces may decompose further
+                fresh = [
+                    subplan.sid
+                    for subplan in reversed(current_plan.topological_order())
+                    if bitvec.popcount(subplan.query_mask) > 1
+                    and subplan.sid not in worklist
+                    and subplan.sid != sid
+                ]
+                live = {subplan.sid for subplan in current_plan.subplans}
+                worklist = fresh + [s for s in worklist if s in live]
+            elif declog is not None:
+                if candidate is None:
+                    declog.log("decompose_reject", sid=sid, reason="no_split")
+                else:
+                    _, _, _, rejected_eval, rejected_action, _ = candidate
+                    declog.log(
+                        "decompose_reject", sid=sid, reason="not_improving",
+                        kind=rejected_action.kind,
+                        work_before=round(evaluation.total_work, 4),
+                        work_after=round(rejected_eval.total_work, 4),
+                    )
+    finally:
+        # the caller keeps the returned model, and with it the pool:
+        # rows of cones the plan in force no longer has go with the
+        # candidates -- once, so a subplan re-tried after an adoption
+        # finds the rows its earlier try simulated
         pool.retain(model.cone_signatures())
     if OBS.enabled:
         OBS.tracer.complete("optimize.decompose", start_us, {
@@ -207,7 +218,7 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
         parts = [part for part, _ in decision.partitions]
         lineage = SplitLineage()
         new_plan, initial = apply_split(plan, paces, sid, parts, lineage=lineage)
-        new_model = model.sibling(new_plan)
+        new_model = model.sibling(new_plan, lineage)
         new_paces, new_eval = decrease_paces(
             new_model, absolute_constraints, initial
         )
@@ -230,7 +241,12 @@ def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
         cut_paces = dict(paces)
         for bottom_sid in bottom_sids:
             cut_paces[bottom_sid] = paces[sid]
-        cut_model = model.sibling(cut_plan)
+        # the vertical cut carved sid into top + bottoms: pre-seed the
+        # lineage so pieces of the top piece resolve back to sid
+        lineage = SplitLineage(
+            origin={top_sid: sid, **{b: sid for b in bottom_sids}}
+        )
+        cut_model = model.sibling(cut_plan, lineage)
         cut_eval = cut_model.evaluate(cut_paces, collect_inputs=True)
         top = cut_plan.subplan_by_id(top_sid)
         local = cut_model.local_constraints(top, absolute_constraints)
@@ -244,15 +260,10 @@ def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
         if not decision.is_split():
             continue
         parts = [part for part, _ in decision.partitions]
-        # the vertical cut carved sid into top + bottoms: pre-seed the
-        # lineage so pieces of the top piece resolve back to sid
-        lineage = SplitLineage(
-            origin={top_sid: sid, **{b: sid for b in bottom_sids}}
-        )
         new_plan, initial = apply_split(
             cut_plan, cut_paces, top_sid, parts, lineage=lineage
         )
-        new_model = model.sibling(new_plan)
+        new_model = model.sibling(new_plan, lineage)
         new_paces, new_eval = decrease_paces(new_model, absolute_constraints, initial)
         if not _improves(new_eval, evaluation, absolute_constraints):
             continue

@@ -137,8 +137,8 @@ class MemoPool:
         """Drop every table whose cone is not in ``signatures``.
 
         Rows are only worth their memory while some live plan still has
-        the cone; decomposition prunes to the adopted plan after every
-        step, and the service to the live plan after every churn event,
+        the cone; decomposition prunes to the plan it returns once it
+        ends, and the service to the live plan after every churn event,
         so the pool the caller keeps is bounded by that plan.
         """
         keep = set(signatures)
@@ -227,13 +227,23 @@ class PlanCostModel:
         self.simulation_count = 0
         self.evaluation_count = 0
 
-    def sibling(self, plan):
+    def sibling(self, plan, lineage=None):
         """A model over another plan of the same optimizer call.
 
         Same cost config, same memo pool, same ``use_memo`` (the siblings
         of a model that keeps no rows keep none), same deadline: the
         candidate plans of a decomposition are costed against the rows and
         the time budget of the search that proposed them.
+
+        Same feedback corrections, too, so a candidate and the plan in
+        force are compared on one footing: each subplan of ``plan`` takes
+        the live correction of the subplan of this model's plan whose
+        operators it carries.  That is its own sid when the surgery kept
+        it, and its origin in ``lineage`` (a
+        :class:`~repro.core.regenerate.SplitLineage` relative to this
+        model's plan) when the surgery created it -- a split piece or a
+        cut bottom is corrected like the subplan it was carved from.  A
+        subplan with neither gets no correction.
         """
         model = PlanCostModel(
             plan, self.config, use_memo=self.use_memo,
@@ -241,6 +251,13 @@ class PlanCostModel:
         )
         model.time_budget = self.time_budget
         model._deadline = self._deadline
+        if self._feedback:
+            origin = lineage.origin if lineage is not None else {}
+            for subplan in plan.subplans:
+                correction = self._feedback.get(
+                    origin.get(subplan.sid, subplan.sid))
+                if correction is not None:
+                    model._feedback[subplan.sid] = correction
         return model
 
     def _index_plan(self):

@@ -7,7 +7,8 @@ optional explicit churn log of updates/deletes), a batch of queries
 MIN/MAX and two-level Q15-style shapes, plus plain projections), a pace
 ceiling + salt from which per-plan pace configurations are derived, a
 stream configuration, and optional decomposition / SQL-roundtrip /
-service-churn (register, then deregister ``dropouts`` mid-run) choices.
+service-churn (register, then deregister ``dropouts`` mid-run) /
+optimizer (relative goals, ``enable_partial``, ``use_memo``) choices.
 
 Everything in a case is a JSON-native value (lists, not tuples), so a
 case survives ``json.dumps``/``loads`` bit-for-bit -- the property the
@@ -118,6 +119,19 @@ def generate_case(seed, index):
                     if n_queries >= 2 and rng.random() < 0.6
                     else []
                 ),
+            }
+            if rng.random() < 0.35
+            else None
+        ),
+        # optimize_ishare on the case, its plan run at its paces (drawn
+        # after ``service`` for the same reason)
+        "optimize": (
+            {
+                "goals": [
+                    rng.choice([0.2, 0.5, 1.0, 2.0]) for _ in range(n_queries)
+                ],
+                "enable_partial": rng.random() < 0.5,
+                "use_memo": rng.random() < 0.8,
             }
             if rng.random() < 0.35
             else None

@@ -60,6 +60,13 @@ Every case runs through multiple pipelines that must agree:
     reference; its final window must be *bit-identical* to the
     ``service`` oracle's, so arranged join state carried across register,
     rebind and dropout is checked against private tables.
+``optimized``
+    optionally, :func:`~repro.core.optimizer.optimize_ishare` on the
+    batch with the case's relative goals, ``enable_partial`` and
+    ``use_memo`` and a maximum pace of ``pace_ceiling``, then the returned
+    plan run at the returned paces.  Its exits are checked as they leave
+    the optimizer (:func:`optimizer_exit_failures`): paces legal, no
+    stray statistics keys, the memo pool pruned to the returned plan.
 
 Divergence in net query results from the naive ground truth
 (tolerance-based multiset comparison, :mod:`repro.engine.compare`), in
@@ -89,23 +96,28 @@ from . import grammar, naive
 WORK_SUM_TOL = 1e-6
 
 
-def stats_keys_outside_mask(plan):
+def stats_keys_outside_mask(plan, mask=None):
     """Plan nodes whose per-query statistics name a query they do not serve.
 
     Every key of a ``*_per_q`` map of a node's calibrated
     :class:`~repro.cost.stats.NodeStats` must be a member of the node's
     query mask -- statistics carried across a churn re-merge under
-    another query's id would silently cost the wrong query.  Returns one
-    failure string per offending node (empty when the invariant holds).
+    another query's id would silently cost the wrong query.  ``mask``,
+    when given, is what every node's statistics may name instead of the
+    node's own mask.  A node without statistics (the source leaf a
+    partial cut reads its bottom piece through) has nothing to check.
+    Returns one failure string per offending node (empty when the
+    invariant holds).
     """
     maps = [name for name in NodeStats.__slots__ if name.endswith("_per_q")]
     failures = []
     for subplan in plan.subplans:
         for node in subplan.root.walk():
+            if node.stats is None:
+                continue
+            served = node.query_mask if mask is None else mask
             keys = {qid for name in maps for qid in getattr(node.stats, name)}
-            strays = sorted(
-                qid for qid in keys if not node.query_mask & bitvec.bit(qid)
-            )
+            strays = sorted(qid for qid in keys if not served & bitvec.bit(qid))
             if strays:
                 failures.append(
                     "subplan %d %s node: statistics keyed by queries %s, "
@@ -114,6 +126,43 @@ def stats_keys_outside_mask(plan):
                         bitvec.format_mask(node.query_mask),
                     )
                 )
+    return failures
+
+
+def optimizer_exit_failures(result):
+    """What must hold of every :class:`~repro.core.optimizer.OptimizationResult`:
+    parents never eagerer than their children, statistics keyed by the
+    queries each node serves, and a memo pool holding exactly the returned
+    plan's cones (none at all under ``use_memo=False``).  One failure
+    string per violation.
+
+    A decomposed plan is held to its batch's queries only: the copies of
+    a split operator share its statistics by reference
+    (:meth:`~repro.mqo.nodes.OpNode.clone`), so each keeps the keys of
+    the queries its sibling pieces serve, and a single-consumer merge
+    can inline away the sibling that served them.
+    """
+    plan = result.plan
+    failures = []
+    try:
+        pace_mod.validate_parent_child(plan, result.pace_config)
+    except OptimizationError as exc:
+        failures.append("optimized paces: %s" % exc)
+    batch = bitvec.mask_of(plan.query_roots)
+    failures.extend(
+        "optimized stats keys: " + failure
+        for failure in stats_keys_outside_mask(
+            plan, batch if result.diagnostics.get("actions") else None)
+    )
+    model = result.cost_model
+    held = model.memo_pool.signatures()
+    live = set(model.cone_signatures()) if model.use_memo else set()
+    if held != live:
+        failures.append(
+            "optimized memo pool: %d table(s) for cones outside the returned "
+            "plan, %d of its cones without one"
+            % (len(held - live), len(live - held))
+        )
     return failures
 
 
@@ -378,6 +427,31 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         attempt("service", run_service())
         attempt("service-unbatched", run_service(batched=False))
 
+    optimizer_failures = []
+    if case.get("optimize"):
+
+        def run_optimized():
+            from ..core.optimizer import OptimizerConfig, optimize_ishare
+
+            spec = case["optimize"]
+            # the shrinker drops queries, not goals: index goals cyclically
+            goals = spec.get("goals") or [1.0]
+            relative = {
+                query.query_id: goals[query.query_id % len(goals)]
+                for query in queries
+            }
+            result = optimize_ishare(catalog, queries, relative, OptimizerConfig(
+                max_pace=max(1, int(case.get("pace_ceiling", 1))),
+                stream_config=config,
+                enable_partial=bool(spec.get("enable_partial", True)),
+                use_memo=bool(spec.get("use_memo", True)),
+            ))
+            optimizer_failures.extend(optimizer_exit_failures(result))
+            run = PlanExecutor(result.plan, config).run(result.pace_config)
+            return run, result.plan, result.pace_config
+
+        attempt("optimized", run_optimized)
+
     truth = None
     if reference.error is None:
         truth = {
@@ -390,7 +464,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     )
     if failures is REJECTED:
         return CaseReport(case, "rejected", [], outcomes)
-    failures = list(failures) + service_failures
+    failures = list(failures) + service_failures + optimizer_failures
     status = "fail" if failures else "ok"
     return CaseReport(case, status, failures, outcomes)
 

@@ -2,9 +2,9 @@
 
 Greedy reduction to a fixpoint: each pass proposes structurally smaller
 variants of the case (drop a query, drop an operator, halve a table,
-drop churn, lower paces, disable decomposition/SQL); a variant is kept
-iff the failure predicate still holds.  Passes repeat until a full sweep
-accepts nothing, or the checker budget runs out.
+drop churn, lower paces, disable decomposition/SQL/optimization); a
+variant is kept iff the failure predicate still holds.  Passes repeat
+until a full sweep accepts nothing, or the checker budget runs out.
 
 The predicate is caller-supplied (usually "run_case reports a failure
 *or* raises"), so the shrinker works unchanged for result divergences,
@@ -217,6 +217,8 @@ def _restrict_rows(table, kept):
 def _simplify_config(case):
     if case.get("decompose") is not None:
         yield _variant(case, lambda c: c.update(decompose=None))
+    if case.get("optimize") is not None:
+        yield _variant(case, lambda c: c.update(optimize=None))
     if case.get("use_sql"):
         yield _variant(case, lambda c: c.update(use_sql=False))
     ceiling = case.get("pace_ceiling", 1)

@@ -347,9 +347,9 @@ class TestProgramLifecycle:
         candidates = []
         original = PlanCostModel.sibling
 
-        def recording(self, derived):
+        def recording(self, derived, lineage=None):
             candidates.extend(weakref.ref(s) for s in derived.subplans)
-            return original(self, derived)
+            return original(self, derived, lineage)
 
         monkeypatch.setattr(PlanCostModel, "sibling", recording)
         outcome = decompose_full_plan(

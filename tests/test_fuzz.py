@@ -76,6 +76,46 @@ class TestHealthyEngineFuzzesGreen:
         assert not report.oracles["shared-columnar"].idle
 
 
+def _optimized_cases(seed, limit):
+    cases = (generate_case(seed, index) for index in range(limit))
+    return [case for case in cases if case.get("optimize")]
+
+
+class TestOptimizerExits:
+    """The ``optimized`` leg: ``optimize_ishare`` on the case, its plan run
+    at its paces, and its exits checked as they leave the optimizer."""
+
+    def test_the_leg_runs_and_agrees_with_the_naive_evaluator(self):
+        cases = _optimized_cases(7, 12)
+        assert cases
+        for case in cases:
+            report = run_case(case)
+            assert report.status == "ok", report.describe()
+            outcome = report.oracles["optimized"]
+            assert outcome.error is None and outcome.result is not None
+
+    def test_a_pool_the_decomposition_never_prunes_is_caught(
+            self, monkeypatch):
+        from repro.cost.memo import MemoPool
+
+        monkeypatch.setattr(MemoPool, "retain", lambda self, signatures: None)
+        lines = [
+            line for case in _optimized_cases(7, 40)
+            for line in run_case(case).failures
+        ]
+        assert lines
+        assert all(line.startswith("optimized memo pool:") for line in lines)
+
+    def test_the_shrinker_drops_the_leg(self):
+        from repro.fuzz.shrinker import _simplify_config
+
+        case = _optimized_cases(7, 12)[0]
+        assert any(
+            variant.get("optimize") is None
+            for variant in _simplify_config(case)
+        )
+
+
 class TestInjectedBugDetection:
     """The fault toggle plants a known bug; the fuzzer must find it."""
 

@@ -8,8 +8,13 @@ from repro.core.greedy import PaceSearch
 from repro.core.optimizer import OptimizerConfig, optimize_ishare
 from repro.core.pace import batch_configuration, uniform_configuration
 from repro.core.partial import partial_cut_candidates
-from repro.core.regenerate import apply_split
-from repro.cost.memo import MemoPool, OptimizationTimeout, PlanCostModel
+from repro.core.regenerate import SplitLineage, apply_split
+from repro.cost.memo import (
+    FeedbackSample,
+    MemoPool,
+    OptimizationTimeout,
+    PlanCostModel,
+)
 from repro.cost.stats import NodeStats
 from repro.engine.calibrate import calibrate_plan
 from repro.mqo.nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
@@ -201,12 +206,35 @@ class TestConeSignatures:
         assert diamond_model.cone_signature(1) != twins_model.cone_signature(2)
 
 
-def _private_sibling(self, plan):
+def _private_sibling(self, plan, lineage=None):
     """``PlanCostModel.sibling`` with a fresh pool: the pre-pool behaviour."""
     model = PlanCostModel(plan, self.config)
     model.time_budget = self.time_budget
     model._deadline = self._deadline
     return model
+
+
+def _count_simulations(monkeypatch):
+    """``{"memo": n, "split": n}``, counted where the benchmark's
+    ``cost.simulations`` hook counts -- the ``simulate_subplan`` binding
+    of each calling module."""
+    import repro.core.split as split_module
+    import repro.cost.memo as memo_module
+
+    counts = {"memo": 0, "split": 0}
+
+    def counting(module, name):
+        original = module.simulate_subplan
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "simulate_subplan", wrapper)
+
+    counting(memo_module, "memo")
+    counting(split_module, "split")
+    return counts
 
 
 def _optimize_logged():
@@ -255,27 +283,8 @@ class TestOptimizerWithPool:
         assert again.total_work == result.evaluation.total_work
 
     def test_simulation_budget_on_the_small_instance(self, monkeypatch):
-        """The CI floor: these counts are deterministic and only go down.
-
-        Counted where the benchmark's ``cost.simulations`` hook counts --
-        the ``simulate_subplan`` binding of each calling module.
-        """
-        import repro.core.split as split_module
-        import repro.cost.memo as memo_module
-
-        counts = {"memo": 0, "split": 0}
-
-        def counting(module, name):
-            original = module.simulate_subplan
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "simulate_subplan", wrapper)
-
-        counting(memo_module, "memo")
-        counting(split_module, "split")
+        """The CI floor: these counts are deterministic and only go down."""
+        counts = _count_simulations(monkeypatch)
         catalog, queries, relative = small_workload(SMALL_QUERIES)
         result = optimize_ishare(
             catalog, queries, relative, OptimizerConfig(max_pace=4))
@@ -287,9 +296,77 @@ class TestOptimizerWithPool:
         assert diagnostics["simulations"] == 31
         assert diagnostics["decompose_simulations"] == 33
 
-    def test_time_budget_bounds_decomposition(self, searched, monkeypatch):
-        """The deadline reaches the candidate models: once it passes, the
-        next candidate evaluation raises, not the next worklist step."""
+    def test_simulation_budget_on_the_22_query_instance(self, monkeypatch):
+        """The CI floor that sees retries: on all 22 queries every shared
+        subplan is re-tried after each of eight adoptions, and a retry
+        reads the rows its earlier try simulated.  Deterministic counts
+        that only go down (1916 memo-side and 1410 split-side simulations
+        while the pool was pruned after every worklist step)."""
+        counts = _count_simulations(monkeypatch)
+        catalog, queries, relative = small_workload()
+        result = optimize_ishare(
+            catalog, queries, relative, OptimizerConfig(max_pace=8))
+        assert result.evaluation.total_work == 20938.594083826905
+        assert len(result.diagnostics["actions"]) == 8
+        assert counts["memo"] <= 1287
+        assert counts["split"] <= 855
+        assert result.diagnostics["simulations"] == 698
+        assert result.diagnostics["decompose_simulations"] == 313
+
+    def test_no_cache_key_is_simulated_twice(self, monkeypatch):
+        """Within one ``optimize_ishare`` every memo row ``(cone, private
+        paces)``, solo row ``(cone, qid)`` and partition cost ``(cone,
+        input profiles, partition, pace)`` is simulated at most once: the
+        decomposition keeps what it simulated until it returns."""
+        written = {}
+
+        class Recording(dict):
+            __slots__ = ("prefix",)
+
+            def __setitem__(self, key, value):
+                address = (self.prefix, key)
+                written[address] = written.get(address, 0) + 1
+                super().__setitem__(key, value)
+
+        def recording(prefix):
+            table = Recording()
+            table.prefix = prefix
+            return table
+
+        original_init = MemoPool.__init__
+
+        def init(self):
+            original_init(self)
+            self.solo = recording("solo")
+
+        def attach(self, signature):
+            table = self._tables.get(signature)
+            if table is not None:
+                return table, True
+            table = self._tables[signature] = recording(("memo", signature))
+            return table, False
+
+        def partition_costs(self, signature, child_profiles):
+            key = (signature, child_profiles)
+            return self._partition_costs.setdefault(
+                key, recording(("partition",) + key))
+
+        monkeypatch.setattr(MemoPool, "__init__", init)
+        monkeypatch.setattr(MemoPool, "attach", attach)
+        monkeypatch.setattr(MemoPool, "partition_costs", partition_costs)
+        catalog, queries, relative = small_workload()
+        result = optimize_ishare(
+            catalog, queries, relative, OptimizerConfig(max_pace=8))
+        assert len(result.diagnostics["actions"]) == 8
+        kinds = {address[0] if address[0] == "solo" else address[0][0]
+                 for address in written}
+        assert kinds == {"memo", "solo", "partition"}
+        assert [address for address, n in written.items() if n > 1] == []
+
+    @staticmethod
+    def _expire_at_sibling(searched, monkeypatch, expire_at):
+        """Decompose with a deadline that passes as the ``expire_at``-th
+        candidate model is built; ``(model, model in force, excinfo)``."""
         import repro.cost.memo as memo_module
 
         plan, config, constraints, paces = searched
@@ -304,10 +381,13 @@ class TestOptimizerWithPool:
         monkeypatch.setattr(memo_module, "time", Clock)
         model = PlanCostModel(plan, config.cost_config, time_budget=10.0)
         original = PlanCostModel.sibling
+        calls = []
 
-        def sibling_then_expire(self, derived):
-            candidate = original(self, derived)
-            Clock.now = 11.0
+        def sibling_then_expire(self, derived, lineage=None):
+            candidate = original(self, derived, lineage)
+            calls.append(candidate)
+            if len(calls) == expire_at:
+                Clock.now = 11.0
             return candidate
 
         monkeypatch.setattr(PlanCostModel, "sibling", sibling_then_expire)
@@ -316,8 +396,102 @@ class TestOptimizerWithPool:
                 plan, paces, constraints, config.max_pace,
                 cost_config=config.cost_config, cost_model=model,
             )
+        in_force = next(
+            entry.frame.f_locals["model"] for entry in excinfo.traceback
+            if entry.name == "decompose_full_plan"
+        )
+        return model, in_force, excinfo
+
+    @staticmethod
+    def _assert_pruned_to(pool, in_force):
+        assert pool.signatures() == set(in_force.cone_signatures())
+        assert {key[0] for key in pool._partition_costs} <= pool.signatures()
+        assert all(not program.specs for program in pool.programs.values())
+
+    def test_time_budget_bounds_decomposition(self, searched, monkeypatch):
+        """The deadline reaches the candidate models: once it passes, the
+        next candidate evaluation raises, not the next worklist step.  The
+        pool is pruned on the way out, to the plan in force."""
+        model, in_force, excinfo = self._expire_at_sibling(
+            searched, monkeypatch, 1)
         frames = {entry.name for entry in excinfo.traceback}
         assert frames & {"decrease_paces", "_try_partial"}
+        assert in_force is model
+        self._assert_pruned_to(model.memo_pool, in_force)
+
+    def test_timeout_after_an_adoption_prunes_to_the_adopted_plan(
+            self, searched, monkeypatch):
+        # the first candidate is adopted before the second is built
+        model, in_force, _ = self._expire_at_sibling(searched, monkeypatch, 2)
+        assert in_force is not model
+        assert in_force.plan is not model.plan
+        self._assert_pruned_to(model.memo_pool, in_force)
+
+
+class TestSiblingFeedback:
+    """A candidate is costed with the corrections the plan in force is
+    costed with, so decomposition compares the two on one footing."""
+
+    @staticmethod
+    def _corrected(searched):
+        plan, config, _, paces = searched
+        model = PlanCostModel(plan, config.cost_config)
+        estimate = model.evaluate(paces)
+        # a measurement off by a different factor per subplan
+        model.apply_feedback(FeedbackSample(
+            {sid: work * (0.5 + sid % 4 / 2)
+             for sid, work in estimate.subplan_total.items()},
+            {sid: work * (1.75 - sid % 3 / 2)
+             for sid, work in estimate.subplan_final.items()},
+        ), paces)
+        return model
+
+    def test_sibling_over_a_clone_costs_like_the_model_in_force(self, searched):
+        plan, config, _, paces = searched
+        model = self._corrected(searched)
+        want = model.evaluate(paces)
+        got = model.sibling(plan.clone()).evaluate(paces)
+        assert got.total_work == want.total_work
+        assert got.query_final_work == want.query_final_work
+        assert got.subplan_total == want.subplan_total
+        assert got.subplan_final == want.subplan_final
+        raw = PlanCostModel(plan, config.cost_config).evaluate(paces)
+        assert want.total_work != raw.total_work
+
+    def test_pieces_take_their_origins_correction(self, searched):
+        plan, _, _, paces = searched
+        model = self._corrected(searched)
+        factors = model.feedback_factors()
+        assert len(set(factors.values())) > 1
+        for shared in plan.shared_subplans():
+            qids = shared.query_ids()
+            lineage = SplitLineage()
+            new_plan, _ = apply_split(
+                plan, paces, shared.sid, [qids[:1], qids[1:]],
+                lineage=lineage)
+            assert lineage.origin  # the split made pieces
+            assert model.sibling(new_plan, lineage).feedback_factors() == {
+                subplan.sid: factors[lineage.resolve(subplan.sid)]
+                for subplan in new_plan.subplans
+            }
+            # without a lineage only the subplans the surgery kept have one
+            assert model.sibling(new_plan).feedback_factors() == {
+                subplan.sid: factors[subplan.sid]
+                for subplan in new_plan.subplans if subplan.sid in factors
+            }
+
+    def test_cut_bottoms_take_the_cut_subplans_correction(self, searched):
+        plan, _, _, _ = searched
+        model = self._corrected(searched)
+        factors = model.feedback_factors()
+        shared = plan.shared_subplans()[0]
+        cut_plan, top_sid, bottom_sids = next(
+            partial_cut_candidates(plan, shared.sid))
+        lineage = SplitLineage(
+            origin={top_sid: shared.sid, **{b: shared.sid for b in bottom_sids}})
+        got = model.sibling(cut_plan, lineage).feedback_factors()
+        for sid in bottom_sids:
+            assert got[sid] == factors[shared.sid]
 
 
 class TestRenamedPlanOverOnePool:
