@@ -334,7 +334,7 @@ def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):
         def build():
             left = _Feed(left_feed)
             right = _Feed(right_feed)
-            op = join_cls(node, left, right, WorkMeter(), state_factor=0.3)
+            op = join_cls(node, left, right, WorkMeter())
             return _Harness(op, [left, right])
 
         return build
@@ -384,8 +384,7 @@ def _aggregate_case(node, mask, feed_batches, repeat):
     def make(aggregate_cls, batches):
         def build():
             feed = _Feed(batches)
-            op = aggregate_cls(
-                node, feed, mask, WorkMeter(), state_factor=0.3)
+            op = aggregate_cls(node, feed, mask, WorkMeter())
             return _Harness(op, [feed])
 
         return build

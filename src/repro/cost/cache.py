@@ -42,7 +42,7 @@ def _count(event):
 
 #: bump when the stored payload shape or the signature scheme changes;
 #: mismatched entries are treated as misses, never as errors
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: environment override for the default cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -67,7 +67,11 @@ def default_cache_dir():
 # -- signatures ----------------------------------------------------------------
 
 def stream_signature(stream_config):
-    """Stable tuple of every timing parameter that affects measurements."""
+    """Stable tuple of every timing parameter that affects measurements.
+
+    The charges are the config's exact rationals, so ``0.3`` and
+    ``"3/10"`` key one entry.
+    """
     return (
         "stream",
         stream_config.load_seconds,

@@ -317,10 +317,10 @@ class Arrangement:
     def attribution(self):
         """Exact maintenance-work shares per reading subplan.
 
-        Uses the rational-arithmetic attribution ledger
+        The attribution ledger's integer largest-remainder split
         (:func:`repro.obs.attribution.split_work`) with each subplan's
-        total advanced span as its weight, so shares sum exactly to
-        ``maintenance_ops``.
+        total advanced span as its weight, so the integer shares sum
+        exactly to ``maintenance_ops``.
         """
         from ..obs.attribution import split_work
 
@@ -340,10 +340,7 @@ class Arrangement:
             "maintenance_ops": self.maintenance_ops,
             "private_ops": self.private_ops,
             "reader_lag": self.reader_lag(),
-            "attribution": {
-                sid: float(share)
-                for sid, share in sorted(self.attribution().items())
-            },
+            "attribution": dict(sorted(self.attribution().items())),
         }
 
     def __repr__(self):

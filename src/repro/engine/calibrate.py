@@ -28,6 +28,7 @@ from ..physical.columnar import (
 )
 from ..physical.operators import AggregateExec, JoinExec, SourceExec
 from .executor import PlanExecutor
+from .metrics import RunResult
 from .stream import StreamConfig
 
 # the production operators and the reference expose the identical stats
@@ -58,44 +59,28 @@ class CalibrationResult:
     run:
         the batch :class:`~repro.engine.metrics.RunResult`.
     query_batch_work:
-        per-query total work units of the batch run, summed over the
-        query's subplans.  For an *unshared* plan this is the paper's
+        per-query total work units of the batch run, summed exactly over
+        the query's subplans.  For an *unshared* plan this is the paper's
         "final work of separately executing the query in one batch" --
         the denominator of relative final-work constraints.
     query_batch_latency:
         the same, converted to seconds.
     """
 
-    def __init__(self, run, query_batch_work, query_batch_latency):
+    def __init__(self, plan, run):
         self.run = run
-        self.query_batch_work = query_batch_work
-        self.query_batch_latency = query_batch_latency
+        self.query_batch_work = {}
+        self.query_batch_latency = {}
+        for qid in plan.query_roots:
+            quanta = sum(
+                run.subplan_total_quanta.get(subplan.sid, 0)
+                for subplan in plan.subplans_of_query(qid)
+            )
+            work = self.query_batch_work[qid] = quanta / run.quantum
+            self.query_batch_latency[qid] = run.stream_config.seconds(work)
 
     def __repr__(self):
         return "CalibrationResult(total_work=%.1f)" % self.run.total_work
-
-
-class CachedCalibrationRun:
-    """Summary stand-in for the batch :class:`RunResult` of a cache replay.
-
-    Carries the aggregate measurements consumers of a calibration use;
-    the per-execution records of the original run are not stored.
-    """
-
-    __slots__ = ("stream_config", "total_work", "subplan_total_work", "records")
-
-    def __init__(self, stream_config, total_work, subplan_total_work):
-        self.stream_config = stream_config
-        self.total_work = total_work
-        self.subplan_total_work = dict(subplan_total_work)
-        self.records = []
-
-    @property
-    def total_seconds(self):
-        return self.stream_config.seconds(self.total_work)
-
-    def __repr__(self):
-        return "CachedCalibrationRun(total_work=%.1f)" % self.total_work
 
 
 def calibrate_plan(plan, stream_config=None, cache=None):
@@ -142,19 +127,9 @@ def calibrate_plan(plan, stream_config=None, cache=None):
              "total_work": round(run.total_work, 2)},
         )
 
-    query_batch_work = {}
-    query_batch_latency = {}
-    for qid in plan.query_roots:
-        work = sum(
-            run.subplan_total_work.get(subplan.sid, 0.0)
-            for subplan in plan.subplans_of_query(qid)
-        )
-        query_batch_work[qid] = work
-        query_batch_latency[qid] = stream_config.seconds(work)
-    result = CalibrationResult(run, query_batch_work, query_batch_latency)
     if cache is not None:
-        cache.put(key, _serialize_result(plan, result))
-    return result
+        cache.put(key, _serialize_run(plan, run))
+    return CalibrationResult(plan, run)
 
 
 def _batch_run(plan, stream_config):
@@ -170,19 +145,16 @@ def _batch_run(plan, stream_config):
     )
 
 
-def _serialize_result(plan, result):
-    """JSON-safe cache payload for one calibration outcome."""
+def _serialize_run(plan, run):
+    """JSON-safe cache payload for one calibration: the statistics and
+    each subplan's measured work as integer quanta."""
     order = plan.topological_order()
     position = {subplan.sid: index for index, subplan in enumerate(order)}
     return {
         "stats": calibration_cache.serialize_stats(plan),
-        "query_batch_work": {
-            str(qid): work for qid, work in result.query_batch_work.items()
-        },
-        "total_work": result.run.total_work,
-        "subplan_total_work": {
-            str(position[sid]): work
-            for sid, work in result.run.subplan_total_work.items()
+        "subplan_total_quanta": {
+            str(position[sid]): quanta
+            for sid, quanta in run.subplan_total_quanta.items()
         },
     }
 
@@ -190,34 +162,24 @@ def _serialize_result(plan, result):
 def _replay_cached(plan, stream_config, payload):
     """Rebuild a :class:`CalibrationResult` from a cache payload.
 
-    Returns None (fall through to a real batch run) when the payload does
-    not line up with the plan -- a stale or corrupt entry, not an error.
+    The replayed run carries the measured per-subplan quanta and no
+    execution records.  Returns None (fall through to a real batch run)
+    when the payload does not line up with the plan -- a stale or corrupt
+    entry, work that is not integer quanta included -- not an error.
     """
-    try:
-        calibration_cache.apply_stats(plan, payload["stats"])
-        query_batch_work = {
-            int(qid): float(work)
-            for qid, work in payload["query_batch_work"].items()
-        }
-        total_work = float(payload["total_work"])
-        stored_subplan_work = payload.get("subplan_total_work", {})
-    except (KeyError, TypeError, ValueError):
-        return None
-    if set(query_batch_work) != set(plan.query_roots):
-        return None
     order = plan.topological_order()
-    subplan_total_work = {}
+    run = RunResult({}, stream_config)
     try:
-        for position, work in stored_subplan_work.items():
-            subplan_total_work[order[int(position)].sid] = float(work)
-    except (IndexError, TypeError, ValueError):
+        stored = payload["subplan_total_quanta"]
+        for position, quanta in stored.items():
+            if type(quanta) is not int:
+                return None
+            run.subplan_total_quanta[order[int(position)].sid] = quanta
+        calibration_cache.apply_stats(plan, payload["stats"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
         return None
-    query_batch_latency = {
-        qid: stream_config.seconds(work)
-        for qid, work in query_batch_work.items()
-    }
-    run = CachedCalibrationRun(stream_config, total_work, subplan_total_work)
-    return CalibrationResult(run, query_batch_work, query_batch_latency)
+    run.total_quanta = sum(run.subplan_total_quanta.values())
+    return CalibrationResult(plan, run)
 
 
 def _collect_stats(unit):

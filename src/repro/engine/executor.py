@@ -105,31 +105,23 @@ class CompiledSubplan:
         #: and arrangement cursors) -- what it can make compactable
         self.reads = reads
 
-    def run_execution(self, overhead):
+    def run_execution(self, quantum, overhead, state):
         """One incremental execution.
 
-        Returns ``(work, latency_work, output_deltas)``; ``latency_work``
-        excludes the post-emission state-store maintenance charge.
-
-        Work is computed from the meter's *component* deltas, not as a
-        difference of ``meter.total`` snapshots: subtracting two mixed
-        int+float totals rounds differently from subtracting the state
-        units alone, which used to drive ``latency_work`` a few ulps
-        negative on executions that only did state maintenance (found by
-        the fuzzer's WorkMeter-invariant oracle).
+        Returns ``(work, latency_work, output_deltas)``, both works as
+        integer counts of ``1/quantum`` work units: ``quantum`` per tuple
+        unit, ``overhead`` per execution and ``state`` per live state
+        entry.  ``latency_work`` excludes the post-emission state-store
+        maintenance charge.
         """
         meter = self.meter
-        tuple_before = meter.input_units + meter.output_units + meter.rescan_units
-        state_before = meter.state_units
+        tuples = meter.tuple_units
+        entries = meter.state_entries
         out = self.root_exec.advance()
         self.buffer.append(out)
         self.executions += 1
-        tuple_delta = (
-            meter.input_units + meter.output_units + meter.rescan_units
-            - tuple_before
-        )
-        latency_work = tuple_delta + overhead
-        work = latency_work + (meter.state_units - state_before)
+        latency_work = (meter.tuple_units - tuples) * quantum + overhead
+        work = latency_work + (meter.state_entries - entries) * state
         return work, latency_work, out
 
 
@@ -285,7 +277,7 @@ class PlanExecutor:
         compiled = {}
         store = ArrangementStore()
         for subplan in order:
-            meter = WorkMeter()
+            meter = WorkMeter(self.stream_config.state_factor)
             reads = []
             root_exec = self._compile_node(
                 subplan.root, subplan, meter, table_buffers, compiled, store,
@@ -378,13 +370,11 @@ class PlanExecutor:
                                store, reads)
             for child in node.children
         ]
-        state_factor = self.stream_config.state_factor
         if node.kind == "join":
             if self._runtime_reference:
                 # the oracle keeps private tables on every side
                 return join_cls(
-                    node, children[0], children[1], meter, self.stats_mode,
-                    state_factor=state_factor
+                    node, children[0], children[1], meter, self.stats_mode
                 )
             # a bare base-table scan reads the one shared index of its
             # (table, key columns); any other input gets a private state
@@ -400,11 +390,10 @@ class PlanExecutor:
                     reads.append(table_buffers[table_name])
             return join_cls(
                 node, children[0], children[1], meter, self.stats_mode,
-                state_factor=state_factor, arranged=arranged, **lane
+                arranged=arranged, **lane
             )
         return aggregate_cls(
-            node, children[0], mask, meter, self.stats_mode,
-            state_factor=state_factor, **lane
+            node, children[0], mask, meter, self.stats_mode, **lane
         )
 
     # -- execution -------------------------------------------------------------
@@ -480,7 +469,10 @@ class PlanExecutor:
             "reference" if reference else "columnar"
         )
         result.metadata["arrangements"] = bool(len(store))
-        overhead = self.stream_config.execution_overhead
+        config = self.stream_config
+        quantum = config.quantum
+        charges = (quantum, int(config.execution_overhead * quantum),
+                   int(config.state_factor * quantum))
         observed = OBS.enabled
         run_start_us = OBS.tracer.now_us() if observed else 0.0
         feeds = program.feeds
@@ -501,10 +493,10 @@ class PlanExecutor:
             for unit, retire in zip(step.units, step.retires):
                 if observed:
                     work, latency_work, out = _observed_execution(
-                        unit, overhead, fraction
+                        unit, charges, fraction
                     )
                 else:
-                    work, latency_work, out = unit.run_execution(overhead)
+                    work, latency_work, out = unit.run_execution(*charges)
                 result.add_record(
                     ExecutionRecord(
                         unit.subplan.sid, fraction, work, len(out),
@@ -565,10 +557,10 @@ class PlanExecutor:
                         "engine.arrangement.reader_lag", table=info["table"]
                     ).set(info["reader_lag"])
 
-        final_work = result.subplan_final_work
+        final_work = result.subplan_final_quanta
         for qid, sids in self._query_sids.items():
-            result.query_final_work[qid] = sum(
-                final_work.get(sid, 0.0) for sid in sids
+            result.query_final_quanta[qid] = sum(
+                final_work.get(sid, 0) for sid in sids
             )
         result.query_results = results
         return result
@@ -643,11 +635,12 @@ class PlanExecutor:
                     )
 
 
-def _observed_execution(unit, overhead, fraction):
+def _observed_execution(unit, charges, fraction):
     """One incremental execution under a span, with WorkMeter delta metrics.
 
     Only called when observability is enabled; the disabled hot path calls
-    ``unit.run_execution`` directly behind a single guard check.
+    ``unit.run_execution`` directly behind a single guard check.  Spans and
+    metrics report work units.
     """
     meter = unit.meter
     before_in = meter.input_units
@@ -658,8 +651,8 @@ def _observed_execution(unit, overhead, fraction):
     span = OBS.tracer.span("engine.execute", sid=sid, fraction=str(fraction))
     started = perf_counter()
     with span:
-        work, latency_work, out = unit.run_execution(overhead)
-        span.set(work=round(work, 2), outputs=len(out))
+        work, latency_work, out = unit.run_execution(*charges)
+        span.set(work=round(work / charges[0], 2), outputs=len(out))
     elapsed = perf_counter() - started
     metrics = OBS.metrics
     # wall seconds of one incremental execution: sub-millisecond at toy
@@ -675,7 +668,7 @@ def _observed_execution(unit, overhead, fraction):
     ):
         if delta:
             metrics.counter("engine.subplan.work_units", sid=sid, kind=kind).inc(delta)
-    metrics.histogram("engine.execution.work").observe(work)
+    metrics.histogram("engine.execution.work").observe(work / charges[0])
     return work, latency_work, out
 
 

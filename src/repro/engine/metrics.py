@@ -19,7 +19,8 @@ class ExecutionRecord:
     ``work`` is the full charge (including state-store maintenance);
     ``latency_work`` excludes the state-maintenance portion, which is
     committed after results are emitted and therefore does not delay the
-    query's answer.
+    query's answer.  Both are integer counts of ``1/quantum`` work units
+    (:attr:`RunResult.quantum`).
     """
 
     __slots__ = ("sid", "fraction", "work", "latency_work", "output_count")
@@ -32,7 +33,7 @@ class ExecutionRecord:
         self.output_count = output_count
 
     def __repr__(self):
-        return "ExecutionRecord(sp%d @ %s, work=%.1f, out=%d)" % (
+        return "ExecutionRecord(sp%d @ %s, work=%d quanta, out=%d)" % (
             self.sid,
             self.fraction,
             self.work,
@@ -40,17 +41,29 @@ class ExecutionRecord:
         )
 
 
+def _work_view(name):
+    """A property: the ``{key: quanta}`` attribute ``name`` in work units."""
+    return property(lambda self: {
+        key: quanta / self.quantum for key, quanta in getattr(self, name).items()
+    })
+
+
 class RunResult:
-    """The measured outcome of executing a plan under a pace configuration."""
+    """The measured outcome of executing a plan under a pace configuration.
+
+    Work is exact: the ``*_quanta`` counts are integer ``1/quantum`` work
+    units, and their ``*_work`` views are in work units.
+    """
 
     def __init__(self, pace_config, stream_config):
         self.pace_config = dict(pace_config)
         self.stream_config = stream_config
+        self.quantum = stream_config.quantum
         self.records = []
-        self.total_work = 0.0
-        self.subplan_total_work = {}
-        self.subplan_final_work = {}
-        self.query_final_work = {}
+        self.total_quanta = 0
+        self.subplan_total_quanta = {}
+        self.subplan_final_quanta = {}
+        self.query_final_quanta = {}
         self.query_results = {}
         #: backend attribution (engine_mode label, columnar on/off),
         #: filled by the executor so archived results say which engine
@@ -59,19 +72,29 @@ class RunResult:
 
     def add_record(self, record, is_final):
         self.records.append(record)
-        self.total_work += record.work
-        self.subplan_total_work[record.sid] = (
-            self.subplan_total_work.get(record.sid, 0.0) + record.work
+        self.total_quanta += record.work
+        self.subplan_total_quanta[record.sid] = (
+            self.subplan_total_quanta.get(record.sid, 0) + record.work
         )
         if is_final:
-            self.subplan_final_work[record.sid] = record.latency_work
+            self.subplan_final_quanta[record.sid] = record.latency_work
+
+    @property
+    def total_work(self):
+        return self.total_quanta / self.quantum
+
+    subplan_total_work = _work_view("subplan_total_quanta")
+    subplan_final_work = _work_view("subplan_final_quanta")
+    query_final_work = _work_view("query_final_quanta")
 
     @property
     def total_seconds(self):
         return self.stream_config.seconds(self.total_work)
 
     def query_latency_seconds(self, query_id):
-        return self.stream_config.seconds(self.query_final_work[query_id])
+        return self.stream_config.seconds(
+            self.query_final_quanta[query_id] / self.quantum
+        )
 
     def executions_of(self, sid):
         return [record for record in self.records if record.sid == sid]

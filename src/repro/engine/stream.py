@@ -10,9 +10,23 @@ fill proportionally, matching the paper's fixed arrival-rate assumption
 """
 
 from fractions import Fraction
+from math import lcm
 
 from ..relational.tuples import Delta, INSERT
 from .columns import ColumnBatch
+
+
+def _rational(name, value):
+    """``value`` as an exact non-negative :class:`Fraction` of its text."""
+    try:
+        exact = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        exact = None
+    if exact is None or exact < 0:
+        raise ValueError(
+            "%s must be a non-negative rational, got %r" % (name, value)
+        )
+    return exact
 
 
 class StreamConfig:
@@ -43,33 +57,30 @@ class StreamConfig:
         is never processed.  Turning it off is an ablation switch -- lazy
         parents then re-process all upstream churn and delaying subplans
         stops saving work.
+
+    Both charges are exact rationals (``0.3`` is 3/10, ``"1/3"`` is
+    accepted), so measured work is an integer count of ``1/quantum`` work
+    units, ``quantum`` being the lcm of their denominators.
     """
 
     __slots__ = ("load_seconds", "work_rate", "execution_overhead",
-                 "state_factor", "compact_buffers")
+                 "state_factor", "compact_buffers", "quantum")
 
     def __init__(self, load_seconds=3000.0, work_rate=10000.0, execution_overhead=1.0,
                  state_factor=0.3, compact_buffers=True):
         self.load_seconds = float(load_seconds)
         self.work_rate = float(work_rate)
-        self.execution_overhead = float(execution_overhead)
-        self.state_factor = float(state_factor)
+        self.execution_overhead = _rational("execution_overhead", execution_overhead)
+        self.state_factor = _rational("state_factor", state_factor)
         self.compact_buffers = bool(compact_buffers)
+        self.quantum = lcm(self.execution_overhead.denominator,
+                           self.state_factor.denominator)
         if self.load_seconds <= 0:
             raise ValueError(
                 "load_seconds must be positive, got %r" % (load_seconds,)
             )
         if self.work_rate <= 0:
             raise ValueError("work_rate must be positive, got %r" % (work_rate,))
-        if self.execution_overhead < 0:
-            raise ValueError(
-                "execution_overhead must be non-negative, got %r"
-                % (execution_overhead,)
-            )
-        if self.state_factor < 0:
-            raise ValueError(
-                "state_factor must be non-negative, got %r" % (state_factor,)
-            )
 
     def seconds(self, work_units):
         """Convert work units to seconds."""
@@ -77,8 +88,8 @@ class StreamConfig:
 
     def __repr__(self):
         return (
-            "StreamConfig(load=%.0fs, rate=%.0f/s, overhead=%.1f, "
-            "state_factor=%.2f, compact_buffers=%s)"
+            "StreamConfig(load=%.0fs, rate=%.0f/s, overhead=%s, "
+            "state_factor=%s, compact_buffers=%s)"
             % (
                 self.load_seconds,
                 self.work_rate,

@@ -95,8 +95,9 @@ def generate_case(seed, index):
         "pace_ceiling": rng.randint(1, 8),
         "pace_salt": rng.randrange(2 ** 16),
         "stream": {
-            "execution_overhead": rng.choice([0.0, 1.0, 2.5]),
-            "state_factor": rng.choice([0.0, 0.3]),
+            # exact rationals: quanta q in {1, 2, 3, 6, 10}
+            "execution_overhead": rng.choice([0, 1, "5/2"]),
+            "state_factor": rng.choice([0, "3/10", "1/3"]),
             "compact_buffers": rng.random() < 0.8,
         },
         "use_sql": rng.random() < 0.4,

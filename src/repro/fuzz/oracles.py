@@ -92,9 +92,6 @@ from ..physical.hotpath import engine_mode
 from ..relational import bitvec
 from . import grammar, naive
 
-#: relative slack allowed on total_work vs the sum of execution records
-WORK_SUM_TOL = 1e-6
-
 
 def stats_keys_outside_mask(plan, mask=None):
     """Plan nodes whose per-query statistics name a query they do not serve.
@@ -344,8 +341,6 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             # ``batched=False`` is the replay leg: the same script on the
             # per-tuple reference, kept for its final window only
             def runner():
-                from fractions import Fraction
-
                 from ..core.optimizer import OptimizerConfig
                 from ..service.core import QueryService
 
@@ -393,8 +388,8 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                     return outcome.run, svc.plan, svc.paces
                 service_slots.update(svc.slots)
                 # attribution conservation oracle: the ledger's own exact
-                # re-check, plus an independent rational re-sum of the final
-                # window against the measured per-subplan WorkMeter totals --
+                # re-check, plus an independent integer re-sum of the final
+                # window against the measured per-subplan WorkMeter quanta --
                 # the ledger can never silently leak or double-count work
                 # across register/churn/dropout sequences
                 service_failures.extend(
@@ -402,18 +397,15 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                     for failure in svc.attribution.check_conservation()
                 )
                 _, shares = svc.attribution.windows[-1]
-                attributed = sum(shares.values(), Fraction(0))
+                attributed = sum(shares.values())
                 served = {
                     subplan.sid for subplan in svc.plan.subplans
                     if subplan.query_ids()
                 }
                 measured = sum(
-                    (
-                        Fraction(work)
-                        for sid, work in outcome.run.subplan_total_work.items()
-                        if sid in served
-                    ),
-                    Fraction(0),
+                    quanta
+                    for sid, quanta in outcome.run.subplan_total_quanta.items()
+                    if sid in served
                 )
                 if attributed != measured:
                     service_failures.append(
@@ -558,28 +550,41 @@ def _verdict(case, queries, outcomes, reference, truth, rel_tol, abs_tol,
 
 
 def _check_invariants(name, outcome):
-    """WorkMeter bookkeeping invariants every run must satisfy."""
+    """WorkMeter bookkeeping invariants every run must satisfy, exactly:
+    work is integer quanta, so the execution records sum to the run's
+    total and to each subplan's total with no tolerance."""
     failures = []
     run, plan, paces = outcome.result, outcome.plan, outcome.paces
     record_sum = sum(record.work for record in run.records)
-    slack = WORK_SUM_TOL * max(1.0, abs(run.total_work))
-    if abs(run.total_work - record_sum) > slack:
+    if record_sum != run.total_quanta:
         failures.append(
-            "%s: total_work %.9g != sum of execution records %.9g"
-            % (name, run.total_work, record_sum)
+            "%s: total work %d != sum of execution records %d (quanta)"
+            % (name, run.total_quanta, record_sum)
+        )
+    per_subplan = {}
+    for record in run.records:
+        per_subplan[record.sid] = per_subplan.get(record.sid, 0) + record.work
+    off = sorted(
+        sid for sid in set(per_subplan) | set(run.subplan_total_quanta)
+        if per_subplan.get(sid) != run.subplan_total_quanta.get(sid)
+    )
+    if off:
+        failures.append(
+            "%s: execution records of subplans %s do not sum to their "
+            "subplan totals" % (name, off)
         )
     for record in run.records:
         if record.work < 0 or record.latency_work < 0:
             failures.append(
-                "%s: negative work in record sid=%d (work=%.9g latency=%.9g)"
+                "%s: negative work in record sid=%d (work=%d latency=%d quanta)"
                 % (name, record.sid, record.work, record.latency_work)
             )
             break
     sids = {subplan.sid for subplan in plan.subplans}
-    if set(run.subplan_final_work) != sids:
+    if set(run.subplan_final_quanta) != sids:
         failures.append(
             "%s: final work recorded for sids %s, plan has %s"
-            % (name, sorted(run.subplan_final_work), sorted(sids))
+            % (name, sorted(run.subplan_final_quanta), sorted(sids))
         )
     expected_records = sum(paces.values())
     if len(run.records) != expected_records:
@@ -638,7 +643,7 @@ def _check_work_identity(run, other, name, other_name):
     means a dropped/duplicated delta or a divergent emission decision.
     """
     failures = []
-    if run.total_work != other.total_work:
+    if run.total_quanta != other.total_quanta:
         failures.append(
             "%s: total_work differs %s=%r %s=%r"
             % (name, name, run.total_work, other_name, other.total_work)
@@ -648,7 +653,7 @@ def _check_work_identity(run, other, name, other_name):
             "%s: execution records differ between %s and %s"
             % (name, name, other_name)
         )
-    if run.subplan_final_work != other.subplan_final_work:
+    if run.subplan_final_quanta != other.subplan_final_quanta:
         failures.append(
             "%s: subplan final work differs between %s and %s"
             % (name, name, other_name)

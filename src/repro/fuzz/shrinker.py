@@ -228,7 +228,7 @@ def _simplify_config(case):
     if stream.get("execution_overhead") or stream.get("state_factor"):
         yield _variant(
             case,
-            lambda c: c["stream"].update(execution_overhead=0.0, state_factor=0.0),
+            lambda c: c["stream"].update(execution_overhead=0, state_factor=0),
         )
     if not stream.get("compact_buffers", True):
         yield _variant(case, lambda c: c["stream"].update(compact_buffers=True))

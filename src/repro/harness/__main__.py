@@ -31,6 +31,7 @@ import time
 
 from .. import obs
 from ..cost.cache import CalibrationCache, set_default_cache
+from ..engine.stream import StreamConfig
 from ..obs import OBS
 from . import experiments
 
@@ -74,6 +75,11 @@ EXPERIMENTS = {
 }
 
 
+def state_factor(text):
+    """``--state-factor`` through the one validator, :class:`StreamConfig`."""
+    return StreamConfig(state_factor=text).state_factor
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -88,8 +94,9 @@ def main(argv=None):
                         help="TPC-H micro scale factor (default 0.4)")
     parser.add_argument("--max-pace", type=int, default=100,
                         help="max pace J (default 100, as in the paper)")
-    parser.add_argument("--state-factor", type=float, default=0.3,
-                        help="per-entry state maintenance charge")
+    parser.add_argument("--state-factor", type=state_factor, default="3/10",
+                        help="per-entry state maintenance charge, an exact "
+                             "rational such as 0.3 or 1/3 (default 3/10)")
     parser.add_argument("--seed", type=int, default=5,
                         help="TPC-H catalog generation seed (default 5); "
                              "recorded in every report header/export")

@@ -50,9 +50,7 @@ def build_shard_service(shard_schedule):
 
     stream_config = StreamConfig()
     if "state_factor" in shard_schedule:
-        stream_config = StreamConfig(
-            state_factor=float(shard_schedule["state_factor"])
-        )
+        stream_config = StreamConfig(state_factor=shard_schedule["state_factor"])
     config = OptimizerConfig(
         max_pace=int(shard_schedule.get("max_pace", 8)),
         stream_config=stream_config,

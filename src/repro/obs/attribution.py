@@ -12,41 +12,51 @@ reflects what the query *would* have paid running alone.
 Conservation is the invariant that makes bills trustworthy: the
 attributed shares of one subplan must sum to exactly its measured work,
 and the per-query totals of one window must sum to exactly the window's
-measured total.  Floating-point proportional splits cannot promise that
-(``fl(a+b) != a+b``), so all share arithmetic here runs in
-:class:`fractions.Fraction`: ``work * w_i / sum(w)`` summed over ``i``
-is *identically* ``work`` in rationals.  Shares are only converted to
-float at the reporting boundary, and the conservation check compares the
-exact rationals -- "bit-for-bit" means equality of the underlying
-rational sums anchored on the measured per-subplan totals, not a
-tolerance.
+measured total.  Measured work is an integer count of ``1/quantum`` work
+units (:class:`~repro.engine.metrics.RunResult`'s ``*_quanta``), so the
+split is an integer *largest-remainder* split: every beneficiary gets the
+floor of its proportional share, and the quanta left over go one each to
+the largest remainders, ties to the lower query id.  Shares, running
+totals and the conservation check are plain integers -- equal or not, no
+tolerance -- and are divided by the quantum only in the float views.
 """
 
-from fractions import Fraction
+from math import lcm
 
 
 def split_work(work, weights):
-    """Split one measured ``work`` value over ``(qid, weight)`` pairs.
+    """Split an integer ``work`` over ``(qid, weight)`` pairs.
 
-    Returns ``{qid: Fraction}`` whose values sum to exactly
-    ``Fraction(work)``.  Zero/negative total weight degrades to an even
-    split (every beneficiary equally likely); an empty ``weights`` list
-    returns ``{}`` (nobody to bill -- the caller decides what that means).
+    Returns ``{qid: int}`` whose values sum to exactly ``work``: the
+    largest-remainder split proportional to the weights, read exactly
+    (``as_integer_ratio``).  Zero/negative total weight degrades to an
+    even split (every beneficiary equally likely); an empty ``weights``
+    list returns ``{}`` (nobody to bill -- the caller decides what that
+    means).
     """
     weights = list(weights)
     if not weights:
         return {}
-    total = Fraction(0)
-    exact = []
-    for qid, weight in weights:
-        w = Fraction(weight) if weight > 0 else Fraction(0)
-        exact.append((qid, w))
-        total += w
-    if total == 0:
-        share = Fraction(work) / len(exact)
-        return {qid: share for qid, _ in exact}
-    work = Fraction(work)
-    return {qid: work * w / total for qid, w in exact}
+    ratios = [
+        weight.as_integer_ratio() if weight > 0 else (0, 1)
+        for _, weight in weights
+    ]
+    scale = lcm(*(denominator for _, denominator in ratios))
+    exact = [numerator * (scale // denominator)
+             for numerator, denominator in ratios]
+    total = sum(exact)
+    if not total:
+        exact = [1] * len(exact)
+        total = len(exact)
+    shares = {}
+    remainders = []
+    for (qid, _), weight in zip(weights, exact):
+        shares[qid], remainder = divmod(work * weight, total)
+        remainders.append((-remainder, qid))
+    remainders.sort()
+    for _, qid in remainders[:work - sum(shares.values())]:
+        shares[qid] += 1
+    return shares
 
 
 class ConservationError(AssertionError):
@@ -57,29 +67,29 @@ class AttributionLedger:
     """Per-window ledger of exact shared-work attribution.
 
     One :meth:`record_window` call per trigger window; per-query and
-    per-tenant running totals are kept as exact rationals.  JSON-facing
-    views (:meth:`window_shares`, :meth:`to_dict`) convert to float at
-    the boundary.
+    per-tenant running totals are integer quanta.  JSON-facing views
+    (:meth:`window_shares`, :meth:`to_dict`) divide by ``quantum``.
     """
 
-    def __init__(self):
-        #: ``[(window, {qid: Fraction}), ...]`` in record order
+    def __init__(self, quantum=1):
+        self.quantum = quantum
+        #: ``[(window, {qid: quanta}), ...]`` in record order
         self.windows = []
         #: exact running totals
         self.query_totals = {}
         self.tenant_totals = {}
         #: the audit side of :meth:`check_running_totals`: every window's
         #: *measured* work, summed from the inputs rather than the shares
-        self._measured_total = Fraction(0)
+        self._measured_total = 0
 
     def record_window(self, window, subplan_work, beneficiaries, weight_of,
                       tenant_of=None):
-        """Attribute one window's measured work; returns ``{qid: Fraction}``.
+        """Attribute one window's measured work; returns ``{qid: quanta}``.
 
         Parameters
         ----------
         subplan_work:
-            ``{sid: measured_total_work}`` (``RunResult.subplan_total_work``).
+            ``{sid: measured quanta}`` (``RunResult.subplan_total_quanta``).
         beneficiaries:
             ``sid -> iterable of qids`` served by that subplan.
         weight_of:
@@ -89,17 +99,17 @@ class AttributionLedger:
             optional ``qid -> tenant`` for per-tenant running totals.
         """
         query_shares = {}
-        measured = Fraction(0)
+        measured = 0
         for sid in sorted(subplan_work):
             work = subplan_work[sid]
             qids = sorted(beneficiaries(sid))
             if not qids:
                 continue
-            measured += Fraction(work)
+            measured += work
             shares = split_work(work, [(qid, weight_of(sid, qid)) for qid in qids])
             for qid, share in shares.items():
-                query_shares[qid] = query_shares.get(qid, Fraction(0)) + share
-        attributed = sum(query_shares.values(), Fraction(0))
+                query_shares[qid] = query_shares.get(qid, 0) + share
+        attributed = sum(query_shares.values())
         if attributed != measured:
             raise ConservationError(
                 "window %s: attributed work %s != measured work %s"
@@ -108,31 +118,27 @@ class AttributionLedger:
         self.windows.append((window, query_shares))
         self._measured_total += measured
         for qid, share in query_shares.items():
-            self.query_totals[qid] = (
-                self.query_totals.get(qid, Fraction(0)) + share
-            )
+            self.query_totals[qid] = self.query_totals.get(qid, 0) + share
             if tenant_of is not None:
                 tenant = tenant_of(qid)
                 self.tenant_totals[tenant] = (
-                    self.tenant_totals.get(tenant, Fraction(0)) + share
+                    self.tenant_totals.get(tenant, 0) + share
                 )
         return query_shares
 
     def check_conservation(self):
         """Re-verify every recorded window; returns failure strings.
 
-        The running per-query totals must also equal the rational sum of
-        the per-window shares -- a mutated ledger cannot pass silently.
+        The running per-query totals must also equal the sum of the
+        per-window shares -- a mutated ledger cannot pass silently.
         """
         failures = []
         recomputed = {}
         for window, shares in self.windows:
             for qid, share in shares.items():
-                recomputed[qid] = recomputed.get(qid, Fraction(0)) + share
+                recomputed[qid] = recomputed.get(qid, 0) + share
         for qid in set(recomputed) | set(self.query_totals):
-            if recomputed.get(qid, Fraction(0)) != self.query_totals.get(
-                qid, Fraction(0)
-            ):
+            if recomputed.get(qid, 0) != self.query_totals.get(qid, 0):
                 failures.append(
                     "query %s: running total %s != recomputed %s"
                     % (qid, self.query_totals.get(qid), recomputed.get(qid))
@@ -149,7 +155,7 @@ class AttributionLedger:
         revisit earlier windows, so a long-running service can ask after
         every trigger.  Returns failure strings.
         """
-        attributed = sum(self.query_totals.values(), Fraction(0))
+        attributed = sum(self.query_totals.values())
         if attributed != self._measured_total:
             return [
                 "running totals sum to %s, measured work to %s"
@@ -158,21 +164,22 @@ class AttributionLedger:
         return []
 
     def window_shares(self, index=-1):
-        """One window's shares as floats: ``(window, {qid: work})``."""
+        """One window's shares in work units: ``(window, {qid: work})``."""
         window, shares = self.windows[index]
-        return window, {qid: float(share) for qid, share in shares.items()}
+        return window, {qid: share / self.quantum for qid, share in shares.items()}
 
     def to_dict(self):
-        """JSON view: float totals; conservation re-checked exactly."""
+        """JSON view in work units; conservation re-checked exactly."""
+        quantum = self.quantum
         return {
             "windows": len(self.windows),
             "conserved": not self.check_conservation(),
             "query_totals": {
-                str(qid): float(total)
+                str(qid): total / quantum
                 for qid, total in sorted(self.query_totals.items())
             },
             "tenant_totals": {
-                tenant: float(total)
+                tenant: total / quantum
                 for tenant, total in sorted(self.tenant_totals.items())
             },
         }

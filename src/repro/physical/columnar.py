@@ -456,13 +456,11 @@ class ColumnarJoinExec:
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
-                 state_factor=0.0, vector=np is not None,
-                 arranged=(None, None)):
+                 vector=np is not None, arranged=(None, None)):
         self.node = node
         self.left = left
         self.right = right
         self.meter = meter
-        self.state_factor = state_factor
         self.vector = vector
         self.name = "join:%d" % node.uid
         left_schema = node.children[0].out_schema
@@ -555,10 +553,7 @@ class ColumnarJoinExec:
             # repro.physical.faults
             out = drop_lost_key_matches(out, self._left_key_idx[0])
         self.meter.charge_output(self.name, len(out))
-        if self.state_factor:
-            self.meter.charge_state(
-                self.name, self.state_factor * self.entry_count
-            )
+        self.meter.charge_state(self.entry_count)
         if not self.stats_mode:
             return self.decorations.apply(out, self.meter)
         self.in_left += n_left
@@ -902,12 +897,11 @@ class ColumnarAggregateExec:
     """
 
     def __init__(self, node, child, subplan_mask, meter, stats_mode=False,
-                 state_factor=0.0, vector=np is not None):
+                 vector=np is not None):
         self.node = node
         self.child = child
         self.subplan_mask = subplan_mask
         self.meter = meter
-        self.state_factor = state_factor
         self.name = "agg:%d" % node.uid
         self.specs = node.aggs
         self.decorations = ColumnarDecorations(node, vector=vector)
@@ -964,10 +958,7 @@ class ColumnarAggregateExec:
             )
         out = self._emit()
         self.meter.charge_output(self.name, len(out))
-        if self.state_factor:
-            self.meter.charge_state(
-                self.name, self.state_factor * self.state_count
-            )
+        self.meter.charge_state(self.state_count)
         if not self.stats_mode:
             return self.decorations.apply(out, self.meter)
         self.out_total += len(out)

@@ -200,13 +200,11 @@ class JoinExec:
     deletions propagate with multiplied signs.
     """
 
-    def __init__(self, node, left, right, meter, stats_mode=False,
-                 state_factor=0.0):
+    def __init__(self, node, left, right, meter, stats_mode=False):
         self.node = node
         self.left = left
         self.right = right
         self.meter = meter
-        self.state_factor = state_factor
         #: net stored entries (both sides), what ``charge_state`` bills
         self.entry_count = 0
         self.name = "join:%d" % node.uid
@@ -274,8 +272,7 @@ class JoinExec:
             # getter reads it)
             out = [d for d in out if not lost_key(self._left_key(d.row))]
         self.meter.charge_output(self.name, len(out))
-        if self.state_factor:
-            self.meter.charge_state(self.name, self.state_factor * self.entry_count)
+        self.meter.charge_state(self.entry_count)
         if self.stats_mode:
             self.in_left += len(left_deltas)
             self.in_right += len(right_deltas)
@@ -453,13 +450,11 @@ class AggregateExec:
     inputs emit exactly one physical tuple per group like SharedDB.
     """
 
-    def __init__(self, node, child, subplan_mask, meter, stats_mode=False,
-                 state_factor=0.0):
+    def __init__(self, node, child, subplan_mask, meter, stats_mode=False):
         self.node = node
         self.child = child
         self.subplan_mask = subplan_mask
         self.meter = meter
-        self.state_factor = state_factor
         self.state_count = 0
         self.name = "agg:%d" % node.uid
         self._group_key, self._input_fns = cached_artifacts(
@@ -500,8 +495,7 @@ class AggregateExec:
             self._absorb(delta)
         out = self._emit()
         self.meter.charge_output(self.name, len(out))
-        if self.state_factor:
-            self.meter.charge_state(self.name, self.state_factor * self.state_count)
+        self.meter.charge_state(self.state_count)
         if self.stats_mode:
             self.out_total += len(out)
         return self.decorations.apply(out, self.meter)

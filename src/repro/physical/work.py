@@ -6,24 +6,26 @@ model, e.g. "the number of tuples processed by all operators" (section
 delta record it processes and one unit per output delta record it emits;
 MIN/MAX aggregates additionally charge one unit per stored value rescanned
 when a deletion removes the current extremum (the section 5.3 Q15 effect).
+Stateful operators count the live state entries they maintain.
 
-:class:`WorkMeter` aggregates these charges per operator and per subplan
-execution; the engine converts work units to seconds with a fixed
-``work_rate`` when reporting latencies.
+:class:`WorkMeter` counts all of these as integers; the engine turns them
+into integer ``1/quantum`` work units per execution (see StreamConfig)
+and converts work units to seconds with a fixed ``work_rate``.
 """
 
 
 class WorkMeter:
     """Mutable counter shared by the physical operators of one subplan."""
 
-    __slots__ = ("input_units", "output_units", "rescan_units", "state_units",
-                 "per_operator")
+    __slots__ = ("input_units", "output_units", "rescan_units",
+                 "state_entries", "state_factor", "per_operator")
 
-    def __init__(self):
+    def __init__(self, state_factor=0):
         self.input_units = 0
         self.output_units = 0
         self.rescan_units = 0
-        self.state_units = 0.0
+        self.state_entries = 0
+        self.state_factor = state_factor
         self.per_operator = {}
 
     def charge_input(self, operator_name, units):
@@ -38,10 +40,9 @@ class WorkMeter:
         self.rescan_units += units
         self._charge(operator_name, units)
 
-    def charge_state(self, operator_name, units):
+    def charge_state(self, entries):
         """Per-execution state-store maintenance (see StreamConfig)."""
-        self.state_units += units
-        self._charge(operator_name, units)
+        self.state_entries += entries
 
     def _charge(self, operator_name, units):
         self.per_operator[operator_name] = self.per_operator.get(operator_name, 0) + units
@@ -51,23 +52,25 @@ class WorkMeter:
         self.input_units = 0
         self.output_units = 0
         self.rescan_units = 0
-        self.state_units = 0.0
+        self.state_entries = 0
         self.per_operator.clear()
 
     @property
-    def total(self):
-        return (self.input_units + self.output_units + self.rescan_units
-                + self.state_units)
+    def tuple_units(self):
+        """Input, output and rescan units: the charges that delay results."""
+        return self.input_units + self.output_units + self.rescan_units
+
+    @property
+    def state_units(self):
+        """State maintenance in work units (a float view)."""
+        return float(self.state_entries * self.state_factor)
 
     def snapshot(self):
-        """Copy of the per-operator totals (for calibration reports)."""
+        """Copy of the per-operator tuple units (for calibration reports)."""
         return dict(self.per_operator)
 
     def __repr__(self):
-        return "WorkMeter(in=%d, out=%d, rescan=%d, state=%.2f, total=%.2f)" % (
-            self.input_units,
-            self.output_units,
-            self.rescan_units,
-            self.state_units,
-            self.total,
+        return "WorkMeter(in=%d, out=%d, rescan=%d, state_entries=%d)" % (
+            self.input_units, self.output_units, self.rescan_units,
+            self.state_entries,
         )

@@ -176,7 +176,7 @@ class QueryService:
         self._basis = None
         self._clear_plan()
         self.slack = SlackLedger()
-        self.attribution = AttributionLedger()
+        self.attribution = AttributionLedger(self.config.stream_config.quantum)
 
     def _clear_plan(self):
         """The state of a service with no live query."""
@@ -472,9 +472,10 @@ class QueryService:
         slack_entries = {}
         attribution = {}
         seconds = self.config.stream_config.seconds
+        final_work = run.query_final_work
         for qid, registration in self.registrations.items():
             slot = self.slots[qid]
-            latency = run.query_latency_seconds(slot)
+            latency = seconds(final_work[slot])
             goal = self._goals[qid]
             missed_abs, missed_rel = missed_latency(latency, goal)
             attributed = work_share.get(slot, 0.0)
@@ -490,7 +491,7 @@ class QueryService:
             }
             slack_entries[qid] = {
                 "goal_work": self._constraints.get(slot, 0.0),
-                "final_work": run.query_final_work.get(slot, 0.0),
+                "final_work": final_work.get(slot, 0.0),
                 "eager_final_work": self._eager_final.get(slot),
             }
             bucket = tenants.setdefault(
@@ -546,10 +547,10 @@ class QueryService:
         cost* of that subplan (:meth:`PlanCostModel.solo_batch`'s
         per-subplan work) -- a heavy query sharing an operator with a
         light one pays most of the bill, as it would running alone.  The
-        arithmetic runs in exact rationals
-        (:mod:`repro.obs.attribution`): per window, the attributed
-        shares sum *exactly* to the measured per-subplan totals.  This
-        is the basis of the per-tenant fairness accounting.
+        split is in integer quanta (:mod:`repro.obs.attribution`): per
+        window, the attributed shares sum *exactly* to the measured
+        per-subplan totals.  This is the basis of the per-tenant fairness
+        accounting.  Returns each slot's share in work units.
         """
         solo_costs = {
             slot: self.model.solo_batch(slot)[1]
@@ -564,9 +565,9 @@ class QueryService:
         }
         shares = self.attribution.record_window(
             window,
-            run.subplan_total_work,
+            run.subplan_total_quanta,
             lambda sid: beneficiaries.get(sid, ()),
             lambda sid, slot: solo_costs.get(slot, {}).get(sid, 0.0),
             tenant_of=tenant_of_slot.get,
         )
-        return {slot: float(share) for slot, share in shares.items()}
+        return {slot: share / run.quantum for slot, share in shares.items()}

@@ -122,10 +122,10 @@ def replay(recorded, monkeypatch):
         if ops is None:
             ops = operators[node.uid] = [
                 ("reference", AggregateExec(
-                    node, _Feed(), mask, WorkMeter(), state_factor=0.3)),
+                    node, _Feed(), mask, WorkMeter())),
             ] + [
                 (lane, columnar.ColumnarAggregateExec(
-                    node, _Feed(), mask, WorkMeter(), state_factor=0.3))
+                    node, _Feed(), mask, WorkMeter()))
                 for lane in LANES
             ]
             ops.append(0)  # advances so far
@@ -142,7 +142,8 @@ def replay(recorded, monkeypatch):
                 op.child.batch = batch
             out = op.advance()
             outcomes.append(
-                (_typed(out), op.meter.snapshot(), op.state_count))
+                (_typed(out), op.meter.snapshot(), op.meter.state_entries,
+                 op.state_count))
             if lane == "row":
                 emissions.setdefault(node.uid, []).append(outcomes[-1][0])
         monkeypatch.setattr(columnar, "ROW_LANE_MAX", lane_max)

@@ -10,7 +10,11 @@ from repro.cost.cache import (
     plan_signature,
     set_default_cache,
 )
-from repro.engine.calibrate import calibrate_plan, calibration_execution_count
+from repro.engine.calibrate import (
+    _replay_cached,
+    calibrate_plan,
+    calibration_execution_count,
+)
 from repro.engine.stream import StreamConfig
 from repro.harness.runner import ExperimentRunner
 from repro.mqo.merge import MQOOptimizer, build_unshared_plan
@@ -75,7 +79,8 @@ class TestCacheHitFidelity:
 
         assert warm.query_batch_work == cold.query_batch_work
         assert warm.query_batch_latency == cold.query_batch_latency
-        assert warm.run.total_work == pytest.approx(cold.run.total_work)
+        assert warm.run.total_work == cold.run.total_work
+        assert warm.run.subplan_total_quanta == cold.run.subplan_total_quanta
         for cold_stats, warm_stats in zip(_all_stats(plan), _all_stats(plan2)):
             for field in _STAT_FIELDS:
                 assert getattr(cold_stats, field) == getattr(warm_stats, field), field
@@ -126,6 +131,40 @@ class TestCacheInvalidation:
         calibrate_plan(plan, StreamConfig(state_factor=0.7), cache=cache)
         assert cache.hits == 0
         assert cache.misses == 2
+
+    def test_equal_rationals_share_one_entry(self, cache):
+        catalog, queries = _build()
+        plan = _shared_plan(catalog, queries)
+        calibrate_plan(plan, StreamConfig(state_factor=0.3), cache=cache)
+        calibrate_plan(plan, StreamConfig(state_factor="3/10"), cache=cache)
+        assert cache.stores == 1 and cache.hits == 1
+
+    @pytest.mark.parametrize("stored", [
+        1234.5,  # work units as a float, not integer quanta
+        "1234",
+        True,
+        None,
+    ])
+    def test_non_integer_work_payload_is_stale(self, cache, stored):
+        catalog, queries = _build()
+        plan = _shared_plan(catalog, queries)
+        config = StreamConfig()
+        calibrate_plan(plan, config, cache=cache)
+        key = cache.key_for(plan, config)
+        payload = cache.get(key)
+        assert all(type(q) is int for q in payload["subplan_total_quanta"].values())
+        position = next(iter(payload["subplan_total_quanta"]))
+        payload["subplan_total_quanta"][position] = stored
+        assert _replay_cached(plan, config, payload) is None
+
+    def test_payload_without_quanta_is_stale(self, cache):
+        catalog, queries = _build()
+        plan = _shared_plan(catalog, queries)
+        config = StreamConfig()
+        calibrate_plan(plan, config, cache=cache)
+        payload = cache.get(cache.key_for(plan, config))
+        del payload["subplan_total_quanta"]
+        assert _replay_cached(plan, config, payload) is None
 
     def test_clear_empties_the_store(self, cache):
         catalog, queries = _build()

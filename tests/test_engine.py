@@ -145,9 +145,9 @@ class TestExecutorMechanics:
         run = PlanExecutor(plan).run(
             {s.sid: 3 for s in plan.subplans}, collect_results=False
         )
-        assert run.total_work == pytest.approx(
-            sum(record.work for record in run.records)
-        )
+        # integer quanta: the records sum to the total exactly
+        assert run.total_quanta == sum(record.work for record in run.records)
+        assert run.total_work == run.total_quanta / run.quantum
         assert len(run.records) == 3 * len(plan.subplans)
 
     def test_final_work_is_last_execution(self, toy_catalog, toy_queries):
@@ -160,9 +160,7 @@ class TestExecutorMechanics:
                 r for r in run.executions_of(subplan.sid) if r.fraction == Fraction(1)
             ]
             assert len(finals) == 1
-            assert run.subplan_final_work[subplan.sid] == pytest.approx(
-                finals[0].latency_work
-            )
+            assert run.subplan_final_quanta[subplan.sid] == finals[0].latency_work
 
     def test_eager_execution_costs_more_total(self, toy_catalog, toy_queries):
         plan = build_unshared_plan(toy_catalog, toy_queries)

@@ -10,12 +10,13 @@ a minimal repro.
 
 import json
 import os
+from fractions import Fraction
 
 from repro.errors import ReproError
-from repro.fuzz import generate_case, run_campaign, shrink
+from repro.fuzz import generate_case, grammar, run_campaign, shrink
 from repro.fuzz.cli import _is_failing, case_verdict, main
 from repro.fuzz.corpus import load_case, save_case
-from repro.fuzz.oracles import run_case
+from repro.fuzz.oracles import _check_invariants, run_case
 from repro.physical.faults import FAULTS, inject_fault
 
 
@@ -74,6 +75,60 @@ class TestHealthyEngineFuzzesGreen:
             assert "idle" in repr(outcome)
         assert "service: idle final window" in report.describe()
         assert not report.oracles["shared-columnar"].idle
+
+
+class TestExactWorkInvariants:
+    """Work is integer quanta, so the invariants hold with no tolerance."""
+
+    def _outcome(self):
+        case = generate_case(7, 0)
+        case["stream"].update(execution_overhead="5/2", state_factor="1/3")
+        outcome = run_case(case).oracles["shared-columnar"]
+        assert outcome.error is None and outcome.result.quantum == 6
+        return outcome
+
+    def test_the_grammar_draws_non_decimal_quanta(self):
+        quanta = {
+            grammar.stream_config(generate_case(7, index)).quantum
+            for index in range(60)
+        }
+        # lcm of the overhead's denominator (1 or 2) and the state
+        # factor's (1, 3 or 10)
+        assert quanta == {1, 2, 3, 6, 10}
+
+    def test_decimal_corpus_charges_parse_to_the_same_rationals(self):
+        case = {"stream": {"execution_overhead": 2.5, "state_factor": 0.3}}
+        config = grammar.stream_config(case)
+        assert config.execution_overhead == Fraction(5, 2)
+        assert config.state_factor == Fraction(3, 10)
+        assert config.quantum == 10
+
+    def test_a_healthy_run_passes(self):
+        assert _check_invariants("leg", self._outcome()) == []
+
+    def test_a_total_off_by_one_quantum_is_flagged(self):
+        outcome = self._outcome()
+        outcome.result.total_quanta += 1
+        [failure] = _check_invariants("leg", outcome)
+        assert failure.startswith("leg: total work")
+
+    def test_a_subplan_total_off_by_one_quantum_is_flagged(self):
+        outcome = self._outcome()
+        sid = min(outcome.result.subplan_total_quanta)
+        outcome.result.subplan_total_quanta[sid] -= 1
+        [failure] = _check_invariants("leg", outcome)
+        assert "subplans [%d]" % sid in failure
+
+    def test_the_shrinker_zeroes_both_charges(self):
+        from repro.fuzz.shrinker import _simplify_config
+
+        case = generate_case(7, 0)
+        case["stream"].update(execution_overhead="5/2", state_factor="1/3")
+        assert any(
+            variant["stream"]["execution_overhead"] == 0
+            and variant["stream"]["state_factor"] == 0
+            for variant in _simplify_config(case)
+        )
 
 
 def _optimized_cases(seed, limit):

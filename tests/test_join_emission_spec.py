@@ -89,7 +89,8 @@ class Recording:
     def __init__(self):
         #: ``(join, left deltas, right deltas, typed output, charges,
         #: entry_count)`` per advance; charges are the running totals of
-        #: the join's own meter names, so float sums compare exactly
+        #: the join's own meter names, and entry_count what its state
+        #: charge counts
         self.advances = []
         self.arranged_sides = 0
         self.private_sides = 0
@@ -141,8 +142,7 @@ def replay_through_reference(recording):
         reference = references.get(id(join))
         if reference is None:
             reference = references[id(join)] = JoinExec(
-                join.node, _Feed(), _Feed(), WorkMeter(),
-                state_factor=join.state_factor,
+                join.node, _Feed(), _Feed(), WorkMeter()
             )
         reference.left.batch = left
         reference.right.batch = right

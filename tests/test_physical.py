@@ -5,6 +5,8 @@ core invariant is *incremental/batch equivalence*: net results after any
 sequence of delta batches must equal a one-shot computation.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -226,16 +228,16 @@ class TestJoinExec:
             table_node(left_schema, "l"), table_node(right_schema, "r"),
             ["k"], ["k2"],
         )
-        meter = WorkMeter()
+        meter = WorkMeter(Fraction(1, 2))
         join = JoinExec(
             node,
             _Feed([[Delta((i, "a"), INSERT, 1) for i in range(10)]]),
             _Feed([[]]),
             meter,
-            state_factor=0.5,
         )
         join.advance()
-        assert meter.state_units == pytest.approx(5.0)
+        assert meter.state_entries == 10
+        assert meter.state_units == 5.0
         assert join.entry_count == 10
 
 
@@ -357,9 +359,9 @@ class TestAggregateExec:
             [[Delta(("a", 1.0), INSERT, 0b11), Delta(("b", 1.0), INSERT, 0b01)]],
             ["g"], [agg_sum(col("v"), "s")], mask=0b11,
         )
-        agg.state_factor = 1.0
         agg.advance()
         assert agg.state_count == 3  # (a,q0), (a,q1), (b,q0)
+        assert meter.state_entries == 3
 
 
 class TestMinMaxState:

@@ -103,8 +103,8 @@ def test_work_accounting_consistency(seed):
     plan = MQOOptimizer(catalog).build_shared_plan(queries)
     paces = random_paces(plan, rng, 7)
     run = PlanExecutor(plan).run(paces, collect_results=False)
-    assert abs(run.total_work - sum(r.work for r in run.records)) < 1e-6
-    assert set(run.subplan_final_work) == {s.sid for s in plan.subplans}
+    assert run.total_quanta == sum(r.work for r in run.records)
+    assert set(run.subplan_final_quanta) == {s.sid for s in plan.subplans}
     assert sum(paces.values()) == len(run.records)
 
 

@@ -1,5 +1,7 @@
 """Tests for statistics perturbation, window quantization and TPC-H shapes."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.cost.model import _window_bounds
@@ -178,5 +180,23 @@ class TestStreamConfigValidation:
 
     def test_repr_shows_state_factor_and_compaction(self):
         text = repr(StreamConfig(state_factor=0.25, compact_buffers=False))
-        assert "state_factor=0.25" in text
+        assert "state_factor=1/4" in text
         assert "compact_buffers=False" in text
+        assert "state_factor=1/3" in repr(StreamConfig(state_factor="1/3"))
+
+    @pytest.mark.parametrize("overhead, factor, exact, quantum", [
+        (1.0, 0.3, (Fraction(1), Fraction(3, 10)), 10),
+        (2.5, "1/3", (Fraction(5, 2), Fraction(1, 3)), 6),
+        ("5/2", "3/10", (Fraction(5, 2), Fraction(3, 10)), 10),
+        (0, 0, (Fraction(0), Fraction(0)), 1),
+        (Fraction(7, 4), 2, (Fraction(7, 4), Fraction(2)), 4),
+    ])
+    def test_charges_are_exact_rationals(self, overhead, factor, exact, quantum):
+        config = StreamConfig(execution_overhead=overhead, state_factor=factor)
+        assert (config.execution_overhead, config.state_factor) == exact
+        assert config.quantum == quantum
+
+    @pytest.mark.parametrize("value", ["x", "1/0", float("nan"), "-1/3", None])
+    def test_non_rationals_rejected(self, value):
+        with pytest.raises(ValueError, match="non-negative rational"):
+            StreamConfig(state_factor=value)

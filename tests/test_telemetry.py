@@ -123,35 +123,46 @@ class TestSlackLedger:
 
 class TestSplitWork:
     def test_proportional_split_conserves_exactly(self):
-        shares = split_work(0.1, [(0, 0.3), (1, 0.2), (2, 0.1)])
-        assert sum(shares.values(), Fraction(0)) == Fraction(0.1)
-        assert shares[0] > shares[1] > shares[2]
+        shares = split_work(100, [(0, 0.3), (1, 0.2), (2, 0.1)])
+        assert all(type(share) is int for share in shares.values())
+        assert sum(shares.values()) == 100
+        # floors 50/33/16, the one leftover quantum to the largest
+        # remainder (qid 2's 16.67)
+        assert shares == {0: 50, 1: 33, 2: 17}
+
+    def test_ties_go_to_the_lower_qid(self):
+        assert split_work(5, [(3, 1), (1, 1), (2, 1)]) == {1: 2, 2: 2, 3: 1}
+        assert split_work(1, [(9, 2.5), (4, 2.5)]) == {4: 1, 9: 0}
 
     def test_zero_weights_degrade_to_even_split(self):
-        shares = split_work(9.0, [(0, 0.0), (1, -1.0), (2, 0.0)])
-        assert set(shares.values()) == {Fraction(3)}
-        assert sum(shares.values(), Fraction(0)) == Fraction(9)
+        shares = split_work(9, [(0, 0.0), (1, -1.0), (2, 0.0)])
+        assert set(shares.values()) == {3}
+        assert split_work(10, [(0, 0.0), (1, 0)]) == {0: 5, 1: 5}
 
     def test_empty_beneficiaries(self):
-        assert split_work(5.0, []) == {}
+        assert split_work(5, []) == {}
 
     def test_awkward_floats_still_conserve(self):
-        # exactness must hold for arbitrary float work/weight combinations,
-        # where naive float proportional splits routinely drop ulps
+        # exactness must hold for arbitrary float weights, where naive
+        # float proportional splits routinely drop ulps
         for scale in (0.1, 0.7, 123.456, 1e-9, 1e9):
             for count in (2, 3, 7, 11):
                 weights = [(i, scale * 0.1 * (i + 1)) for i in range(count)]
-                shares = split_work(scale * 0.7, weights)
-                assert sum(shares.values(), Fraction(0)) == Fraction(
-                    scale * 0.7
-                ), (scale, count)
+                for work in (0, 1, 7, 10 ** 6 + 3):
+                    shares = split_work(work, weights)
+                    assert sum(shares.values()) == work, (scale, count, work)
+                    # largest remainder: every share within one quantum
+                    # of its exact proportional value
+                    total = sum(Fraction(w) for _, w in weights)
+                    for qid, w in weights:
+                        assert abs(shares[qid] - work * Fraction(w) / total) < 1
 
 
 class TestAttributionLedger:
     def _record(self, ledger, window=0):
         return ledger.record_window(
             window,
-            {4: 100.0, 5: 10.0, 6: 3.0},
+            {4: 100, 5: 10, 6: 3},
             beneficiaries={4: (0, 1), 5: (1,), 6: ()}.get,
             weight_of=lambda sid, qid: {(4, 0): 3.0, (4, 1): 1.0,
                                         (5, 1): 2.0}.get((sid, qid), 0.0),
@@ -161,26 +172,25 @@ class TestAttributionLedger:
     def test_shares_follow_solo_cost_weights(self):
         ledger = AttributionLedger()
         shares = self._record(ledger)
-        assert shares[0] == Fraction(75)
-        assert shares[1] == Fraction(25) + Fraction(10)
+        assert shares == {0: 75, 1: 25 + 10}
         # sid 6 serves nobody: its work is not billed
-        assert sum(shares.values(), Fraction(0)) == Fraction(110)
+        assert sum(shares.values()) == 110
         assert ledger.check_conservation() == []
 
     def test_tenant_totals_accumulate_exactly(self):
-        ledger = AttributionLedger()
+        ledger = AttributionLedger(quantum=10)
         self._record(ledger, 0)
         self._record(ledger, 1)
-        assert ledger.tenant_totals["alpha"] == Fraction(150)
-        assert ledger.tenant_totals["beta"] == Fraction(70)
+        assert ledger.tenant_totals == {"alpha": 150, "beta": 70}
         payload = ledger.to_dict()
         assert payload["conserved"] is True
-        assert payload["tenant_totals"]["alpha"] == 150.0
+        # the JSON view is in work units: quanta over the quantum
+        assert payload["tenant_totals"]["alpha"] == 15.0
 
     def test_tampered_totals_fail_conservation(self):
         ledger = AttributionLedger()
         self._record(ledger)
-        ledger.query_totals[0] += Fraction(1, 3)
+        ledger.query_totals[0] += 1
         failures = ledger.check_conservation()
         assert failures and "query 0" in failures[0]
 
@@ -188,7 +198,7 @@ class TestAttributionLedger:
         ledger = AttributionLedger()
         self._record(ledger, 0)
         assert ledger.check_running_totals() == []
-        ledger.query_totals[0] += Fraction(1, 3)
+        ledger.query_totals[0] += 1
         self._record(ledger, 1)  # recording more does not launder it
         [failure] = ledger.check_running_totals()
         assert "running totals" in failure
@@ -197,7 +207,7 @@ class TestAttributionLedger:
         ledger = AttributionLedger()
         for window in range(3):
             self._record(ledger, window)
-        ledger.windows[0][1][0] += Fraction(1, 7)
+        ledger.windows[0][1][0] += 1
         # an edited history is beyond the constant-time check ...
         assert ledger.check_running_totals() == []
         # ... and exactly what the full replay is for
@@ -205,44 +215,34 @@ class TestAttributionLedger:
         assert ledger.to_dict()["conserved"] is False
 
     def test_window_shares_float_view(self):
-        ledger = AttributionLedger()
+        ledger = AttributionLedger(quantum=4)
         self._record(ledger, window=3)
         window, shares = ledger.window_shares()
         assert window == 3
-        assert shares[0] == 75.0 and isinstance(shares[0], float)
+        assert shares[0] == 18.75 and isinstance(shares[0], float)
 
     def test_recording_a_leak_raises(self):
-        class Leaky(AttributionLedger):
-            pass
+        # simulate a leak by patching split_work's result path: every
+        # share loses its last quantum between split and bill
+        import repro.obs.attribution as attribution_module
 
-        ledger = Leaky()
-        # weight_of returning NaN-ish behaviour can't happen via split_work;
-        # simulate a leak by monkeypatching split_work's result path instead:
-        # an sid whose beneficiaries change between split and bill.
-        with pytest.raises(ConservationError):
-            calls = []
+        original = split_work
 
-            def beneficiaries(sid):
-                calls.append(sid)
-                return (0,)
+        def bad_split(work, weights):
+            shares = original(work, weights)
+            return {qid: share - 1 for qid, share in shares.items()}
 
-            original = split_work
-
-            def bad_split(work, weights):
-                shares = original(work, weights)
-                return {qid: share / 2 for qid, share in shares.items()}
-
-            import repro.obs.attribution as attribution_module
-
-            attribution_module.split_work, saved = (
-                bad_split, attribution_module.split_work
-            )
-            try:
+        ledger = AttributionLedger()
+        attribution_module.split_work, saved = (
+            bad_split, attribution_module.split_work
+        )
+        try:
+            with pytest.raises(ConservationError):
                 ledger.record_window(
-                    0, {1: 8.0}, beneficiaries, lambda sid, qid: 1.0
+                    0, {1: 8}, lambda sid: (0,), lambda sid, qid: 1.0
                 )
-            finally:
-                attribution_module.split_work = saved
+        finally:
+            attribution_module.split_work = saved
 
 
 # -- prometheus rendering ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Direct tests for work accounting and decoration statistics."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.mqo.nodes import OpNode, TableRef
@@ -12,16 +14,18 @@ from repro.relational.tuples import Delta, INSERT
 
 class TestWorkMeter:
     def test_categories_accumulate_into_total(self):
-        meter = WorkMeter()
+        meter = WorkMeter(Fraction(1, 2))
         meter.charge_input("a", 10)
         meter.charge_output("a", 5)
         meter.charge_rescan("b", 3)
-        meter.charge_state("c", 2.5)
-        assert meter.total == pytest.approx(20.5)
+        meter.charge_state(5)
+        assert meter.tuple_units + meter.state_units == 20.5
         assert meter.input_units == 10
         assert meter.output_units == 5
         assert meter.rescan_units == 3
-        assert meter.state_units == pytest.approx(2.5)
+        assert meter.tuple_units == 18
+        assert meter.state_entries == 5
+        assert meter.state_units == 2.5
 
     def test_per_operator_attribution(self):
         meter = WorkMeter()
@@ -69,7 +73,7 @@ class TestDecorationStats:
         decorations = Decorations(node, stats_mode=True)
         meter = WorkMeter()
         out = decorations.apply([Delta((1, 2), INSERT, 0b01)], meter)
-        assert meter.total == 0
+        assert meter.tuple_units == 0
         assert len(out) == 1
 
     def test_projection_charges_and_rewrites(self):
@@ -79,7 +83,7 @@ class TestDecorationStats:
         meter = WorkMeter()
         out = decorations.apply([Delta((2, 3), INSERT, 0b01)], meter)
         assert out[0].row == (5,)
-        assert meter.total == 1  # one projection charge
+        assert meter.tuple_units == 1  # one projection charge
 
     def test_filter_then_project_pipeline(self):
         node = self._node(
@@ -94,4 +98,4 @@ class TestDecorationStats:
         )
         assert [d.row for d in out] == [(4,)]
         # 2 filter charges + 1 projection charge (after the drop)
-        assert meter.total == 3
+        assert meter.tuple_units == 3
