@@ -2,7 +2,7 @@
 """Operator micro benchmark: the reference and the two production lanes.
 
 Measures, for each physical operator class, the delta throughput of the
-per-tuple reference path (the switchable correctness oracle) and of the
+per-tuple reference operators (the work oracle) and of the
 production operator with every batch forced onto its *row lane*
 (``ROW_LANE_MAX = 1 << 30``) and onto its *vector lane*
 (``ROW_LANE_MAX = 0``) -- docs/PERFORMANCE.md, "Size-dispatched
@@ -17,8 +17,9 @@ fan-out of single-join subplans over the same base tables.  Alongside
 wall clock it records the resident join-state entries and
 index-maintenance operations of the shared indexes next to what one
 private table per reader would hold and apply -- after asserting the run
-is work- and result-identical to the per-tuple reference, whose joins do
-keep private tables -- and the extract lands in
+is work- and result-identical to the per-tuple reference
+(:class:`repro.fuzz.reference.ReferenceExecutor`), whose joins keep
+private tables -- and the extract lands in
 ``BENCH_arrangements.json``.  With ``--check`` the script exits nonzero
 unless every guarded micro holds
 ``VECTOR_LANE_FLOOR``, the emission-dominated aggregate micros
@@ -51,6 +52,7 @@ sys.path.insert(
 from repro.engine.columns import ColumnBatch  # noqa: E402
 from repro.engine.executor import PlanExecutor  # noqa: E402
 from repro.engine.stream import StreamConfig  # noqa: E402
+from repro.fuzz.reference import ReferenceExecutor  # noqa: E402
 from repro.logical.builder import PlanBuilder  # noqa: E402
 from repro.mqo.merge import build_unshared_plan  # noqa: E402
 from repro.mqo.nodes import OpNode, TableRef  # noqa: E402
@@ -62,7 +64,6 @@ from repro.physical.columnar import (  # noqa: E402
 )
 from repro.physical.hotpath import (  # noqa: E402
     clear_compiled_caches,
-    engine_mode,
     engine_mode_label,
 )
 from repro.physical.operators import (  # noqa: E402
@@ -521,8 +522,7 @@ def bench_arrangements(n_events, repeat, n_queries=6, seed=9):
         "arrangements": len(summary["arrangements"]),
     }
     private = {"resident_entries": summary["private_entries"]}
-    with engine_mode(batched=False):
-        reference = PlanExecutor(plan, config).run(paces)
+    reference = ReferenceExecutor(plan, config).run(paces)
     if (
         _run_fingerprint(probe) != _run_fingerprint(reference)
         or probe.query_results != reference.query_results

@@ -14,12 +14,12 @@ Exactness contract
 Arrangements are a *physical* optimization, selected by plan shape: the
 executor hands a production join side a handle whenever
 :func:`arrangeable_side` accepts it and a private table otherwise.  The
-per-tuple reference (:mod:`repro.physical.operators`) keeps private
-tables on every side and is the oracle: query results, per-record
+per-tuple reference (:class:`repro.fuzz.reference.ReferenceExecutor`)
+keeps private tables on every side and is the oracle: query results, per-record
 outputs and every WorkMeter charge of a run with arranged sides are
 bit-identical to its run (``tests/test_join_emission_spec.py``, the fuzz
 oracles ``shared-columnar-rows`` and ``service`` against their
-``-unbatched`` replays).  That holds because base-table deltas always
+``-unbatched`` legs).  That holds because base-table deltas always
 carry the full bitvector (``Delta(row, sign, ~0)``), so an eligible join
 side's private table stores every delta with bits equal to the subplan
 mask — a bijection with the bits-free arrangement index.  Probe outputs

@@ -8,8 +8,8 @@ same buffer (paper section 2.2).
 
 A buffer is a log of opaque *segments* -- whatever one execution of its
 producer returned: ``ColumnBatch`` es in a production tree, ``list[Delta]``
-in the per-tuple reference tree -- and asks a segment only for its
-``len()``.  Offsets are *logical* and monotone: they count every entry
+in the per-tuple oracle's (:mod:`repro.fuzz.reference`) -- and asks a
+segment only for its ``len()``.  Offsets are *logical* and monotone: they count every entry
 ever appended.  What the log holds is decided by its readers alone:
 :meth:`Buffer.compact` drops the segments every registered reader has
 consumed, and a buffer nobody reads holds nothing.  So a consumer

@@ -21,23 +21,9 @@ import logging
 from ..cost import cache as calibration_cache
 from ..cost.stats import NodeStats
 from ..obs import OBS
-from ..physical.columnar import (
-    ColumnarAggregateExec,
-    ColumnarJoinExec,
-    ColumnarSourceExec,
-)
-from ..physical.operators import AggregateExec, JoinExec, SourceExec
 from .executor import PlanExecutor
 from .metrics import RunResult
 from .stream import StreamConfig
-
-# the production operators and the reference expose the identical stats
-# surface (scanned/kept/in/out totals and per-q dicts, decorations
-# counters, ``group_count``), so the stats walker treats them
-# interchangeably
-_SOURCE_EXECS = (SourceExec, ColumnarSourceExec)
-_JOIN_EXECS = (JoinExec, ColumnarJoinExec)
-_AGGREGATE_EXECS = (AggregateExec, ColumnarAggregateExec)
 
 logger = logging.getLogger(__name__)
 
@@ -188,30 +174,26 @@ def _collect_stats(unit):
 
 
 def _node_stats(exec_op):
-    if isinstance(exec_op, _SOURCE_EXECS):
-        stats = NodeStats("source")
+    # every operator family exposes the same stats surface (scanned/kept/
+    # in/out totals and per-q dicts, decorations counters,
+    # ``group_count``), so the walk reads the plan node's kind only
+    node = exec_op.node
+    stats = NodeStats(node.kind)
+    if node.kind == "source":
         stats.scanned_total = float(exec_op.scanned_total)
         stats.kept_total = float(exec_op.kept_total)
         stats.kept_per_q = {q: float(c) for q, c in exec_op.kept_per_q.items()}
-        _fill_filter_sel(stats, exec_op.decorations)
-        exec_op.node.stats = stats
-        return
-    if isinstance(exec_op, _JOIN_EXECS):
+    elif node.kind == "join":
         _node_stats(exec_op.left)
         _node_stats(exec_op.right)
-        stats = NodeStats("join")
         stats.in_left = float(exec_op.in_left)
         stats.in_right = float(exec_op.in_right)
         stats.in_left_per_q = {q: float(c) for q, c in exec_op.in_left_per_q.items()}
         stats.in_right_per_q = {q: float(c) for q, c in exec_op.in_right_per_q.items()}
         stats.join_out = float(exec_op.out_total)
         stats.join_out_per_q = {q: float(c) for q, c in exec_op.out_per_q.items()}
-        _fill_filter_sel(stats, exec_op.decorations)
-        exec_op.node.stats = stats
-        return
-    if isinstance(exec_op, _AGGREGATE_EXECS):
+    else:
         _node_stats(exec_op.child)
-        stats = NodeStats("aggregate")
         stats.agg_in = float(exec_op.in_total)
         stats.agg_in_per_q = {q: float(c) for q, c in exec_op.in_per_q.items()}
         stats.groups_union = float(exec_op.group_count())
@@ -220,10 +202,8 @@ def _node_stats(exec_op):
         }
         stats.agg_out = float(exec_op.out_total)
         stats.has_minmax = any(spec.func in ("min", "max") for spec in exec_op.specs)
-        _fill_filter_sel(stats, exec_op.decorations)
-        exec_op.node.stats = stats
-        return
-    raise TypeError("unknown physical operator %r" % (exec_op,))
+    _fill_filter_sel(stats, exec_op.decorations)
+    node.stats = stats
 
 
 def _fill_filter_sel(stats, decorations):

@@ -7,9 +7,11 @@ deltas are appended to the table logs and the due subplans run one
 incremental execution each, children before parents (paper section 5.1).
 Each execution's output is appended, as one segment, to the subplan's
 buffer, which parents drain at their own offsets.  A compiled tree is
-built from one operator family and speaks one delta form end to end:
-``ColumnBatch`` segments in production, ``list[Delta]`` segments in the
-per-tuple reference -- table feeds, buffers and sources included.
+built from the one operator family the executor class names
+(:attr:`PlanExecutor.family`, :class:`ColumnarFamily`) and speaks one
+delta form end to end, table feeds, buffers and sources included.
+Nothing switches the family at runtime; the per-tuple oracle is a
+subclass that names its own (:mod:`repro.fuzz.reference`).
 
 All state (hash tables, aggregate groups, buffer offsets) persists across
 the incremental executions of one run; a new :meth:`PlanExecutor.run`
@@ -62,8 +64,7 @@ from ..physical.columnar import (
     ColumnarJoinExec,
     ColumnarSourceExec,
 )
-from ..physical.hotpath import HOTPATH, compile_cache_stats
-from ..physical.operators import AggregateExec, JoinExec, SourceExec
+from ..physical.hotpath import compile_cache_stats
 from ..physical.work import WorkMeter
 from . import columns
 from .arrangements import ArrangementStore, arrangeable_side
@@ -181,8 +182,49 @@ class WindowProgram:
         self.steps = steps
 
 
+class ColumnarFamily:
+    """The operator family every production tree is compiled from.
+
+    The size-dispatched operators of :mod:`repro.physical.columnar`, the
+    lane keyword arguments they are built with, whether a join side over
+    a bare base-table scan reads the shared arrangement of its ``(table,
+    key columns)`` (:mod:`repro.engine.arrangements`), how a table stream
+    feeds its buffer, and the ``RunResult.metadata["engine_mode"]``
+    label.
+    """
+
+    label = "columnar"
+    source = ColumnarSourceExec
+    join = ColumnarJoinExec
+    aggregate = ColumnarAggregateExec
+    arranges = True
+
+    @staticmethod
+    def lanes(plan):
+        # The vector lane needs NumPy and every query id below 62, so
+        # bitvectors fit the int64 ``bits`` array (``~0`` table
+        # bitvectors are ``-1``, which ANDs correctly in two's
+        # complement); without it the row lane serves every batch size.
+        # A stats run compiles the same tree: calibration's counters are
+        # tallies of the batches between operators, which need neither.
+        return {
+            "vector": columns.available()
+            and max(plan.query_roots, default=0) < 62
+        }
+
+    @staticmethod
+    def feed(stream, point):
+        # one shared columnar segment per (table, fraction): all readers
+        # of the buffer see the same batch object and share its lazy
+        # column materialization
+        return stream.batch_until(point)
+
+
 class PlanExecutor:
     """Executes a shared plan under pace configurations."""
+
+    #: the operator family every tree of this class is compiled from
+    family = ColumnarFamily
 
     def __init__(self, plan, stream_config=None, stats_mode=False, catalog=None):
         self.plan = plan
@@ -198,9 +240,7 @@ class PlanExecutor:
         #: run on the tree; dropped whenever the tree is
         self._program = None
         self._query_sids = None  # qid -> its subplan ids, set by _compile
-        self._runtime_mode = None  # engine toggle the tree was built under
-        self._runtime_reference = None  # whether it is the per-tuple reference
-        self._operators = None  # its (source, join, aggregate) classes + kwargs
+        self._lanes = None  # the family's lane kwargs for the plan
 
     def rebind(self, plan=None, catalog=None):
         """Swap the plan and/or catalog this executor runs.
@@ -246,25 +286,7 @@ class PlanExecutor:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self):
-        self._runtime_mode = HOTPATH.values()
-        # The vector lane needs NumPy and every query id below 62, so
-        # bitvectors fit the int64 ``bits`` array (``~0`` table
-        # bitvectors are ``-1``, which ANDs correctly in two's
-        # complement); without it the row lane serves every batch size.
-        # A stats run compiles the same tree: calibration's counters are
-        # tallies of the batches between operators, which need neither.
-        vector = (
-            columns.available()
-            and max(self.plan.query_roots, default=0) < 62
-        )
-        self._runtime_reference = not HOTPATH.batched
-        if self._runtime_reference:
-            self._operators = (SourceExec, JoinExec, AggregateExec, {})
-        else:
-            self._operators = (
-                ColumnarSourceExec, ColumnarJoinExec, ColumnarAggregateExec,
-                {"vector": vector},
-            )
+        self._lanes = self.family.lanes(self.plan)
         order = self.plan.topological_order()
         table_streams = {}
         table_buffers = {}
@@ -302,13 +324,9 @@ class PlanExecutor:
         meters, hash tables, aggregate groups, stats counters) so a reused
         tree is indistinguishable from a freshly compiled one: the
         window-end :meth:`_release` plus each operator tree's ``rewind``.
-        The tree is recompiled only when the engine toggle changed since
-        it was built (:meth:`rebind` drops it when the plan changed).
+        :meth:`rebind` drops the tree when the plan changed.
         """
-        if (
-            self._runtime is not None
-            and self._runtime_mode == HOTPATH.values()
-        ):
+        if self._runtime is not None:
             for stream in self._runtime[0].values():
                 stream.reset()
             self._release()
@@ -342,7 +360,8 @@ class PlanExecutor:
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
                       store, reads):
         mask = subplan.query_mask
-        source_cls, join_cls, aggregate_cls, lane = self._operators
+        family = self.family
+        lanes = self._lanes
         if node.kind == "source":
             ref = node.ref
             consolidate_reads = False
@@ -361,9 +380,9 @@ class PlanExecutor:
             else:
                 raise ExecutionError("unknown source ref %r" % (ref,))
             reads.append(buffer)
-            return source_cls(
+            return family.source(
                 node, buffer.reader(), mask, meter, self.stats_mode,
-                consolidate_reads=consolidate_reads, **lane
+                consolidate_reads=consolidate_reads, **lanes
             )
         children = [
             self._compile_node(child, subplan, meter, table_buffers, compiled,
@@ -371,29 +390,27 @@ class PlanExecutor:
             for child in node.children
         ]
         if node.kind == "join":
-            if self._runtime_reference:
-                # the oracle keeps private tables on every side
-                return join_cls(
-                    node, children[0], children[1], meter, self.stats_mode
-                )
-            # a bare base-table scan reads the one shared index of its
-            # (table, key columns); any other input gets a private state
-            arranged = [None, None]
-            for side in (0, 1):
-                spec = arrangeable_side(node, side)
-                if spec is not None:
-                    table_name, key_indexes = spec
-                    arranged[side] = store.handle(
-                        table_name, key_indexes, table_buffers[table_name],
-                        subplan.sid, "join:%d" % node.uid,
-                    )
-                    reads.append(table_buffers[table_name])
-            return join_cls(
+            if family.arranges:
+                # a bare base-table scan reads the one shared index of its
+                # (table, key columns); any other input gets a private state
+                arranged = [None, None]
+                for side in (0, 1):
+                    spec = arrangeable_side(node, side)
+                    if spec is not None:
+                        table_name, key_indexes = spec
+                        arranged[side] = store.handle(
+                            table_name, key_indexes,
+                            table_buffers[table_name], subplan.sid,
+                            "join:%d" % node.uid,
+                        )
+                        reads.append(table_buffers[table_name])
+                lanes = dict(lanes, arranged=arranged)
+            return family.join(
                 node, children[0], children[1], meter, self.stats_mode,
-                arranged=arranged, **lane
+                **lanes
             )
-        return aggregate_cls(
-            node, children[0], mask, meter, self.stats_mode, **lane
+        return family.aggregate(
+            node, children[0], mask, meter, self.stats_mode, **lanes
         )
 
     # -- execution -------------------------------------------------------------
@@ -464,10 +481,8 @@ class PlanExecutor:
             root = compiled[plan.query_roots[qid].sid]
             folds.setdefault(root, []).append((qid, reader, net))
         result = RunResult(pace_config, self.stream_config)
-        reference = self._runtime_reference
-        result.metadata["engine_mode"] = (
-            "reference" if reference else "columnar"
-        )
+        feed = self.family.feed
+        result.metadata["engine_mode"] = self.family.label
         result.metadata["arrangements"] = bool(len(store))
         config = self.stream_config
         quantum = config.quantum
@@ -478,15 +493,9 @@ class PlanExecutor:
         feeds = program.feeds
         for step in program.steps:
             for stream, buffer in feeds:
-                if reference:
-                    buffer.append(stream.deltas_until(step))
-                else:
-                    # one shared columnar segment per (table, fraction):
-                    # all readers of the buffer see the same batch object
-                    # and share its lazy column materialization
-                    segment = stream.batch_until(step)
-                    if segment is not None:
-                        buffer.append(segment)
+                segment = feed(stream, step)
+                if segment:
+                    buffer.append(segment)
             fraction = step.fraction
             final = step.final
             # child-first within one trigger point
@@ -683,7 +692,7 @@ def query_result_view(plan, query_id, segments, net=None):
     projection recorded at the root node) and nets out retractions.  The
     one consumer that takes either delta form: a production root's
     ``ColumnBatch`` segments are read as their parallel lists (no
-    ``Delta`` is built for them), a reference root's as ``Delta`` s.
+    ``Delta`` is built for them), a per-tuple root's as ``Delta`` s.
     ``segments`` fold into ``net`` (a fresh dict when None), which is
     returned: folding a log piece by piece, in order, leaves the dict --
     its order included -- exactly as one fold of the whole log would.

@@ -65,9 +65,10 @@ class RunResult:
         self.subplan_final_quanta = {}
         self.query_final_quanta = {}
         self.query_results = {}
-        #: backend attribution (engine_mode label, columnar on/off),
-        #: filled by the executor so archived results say which engine
-        #: path produced them
+        #: backend attribution (the ``engine_mode`` label of the operator
+        #: family, whether arrangements served it), filled by the
+        #: executor so archived results say which engine path produced
+        #: them
         self.metadata = {}
 
     def add_record(self, record, is_final):

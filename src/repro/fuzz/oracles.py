@@ -16,10 +16,10 @@ Every case runs through multiple pipelines that must agree:
     the MQO-merged shared plan at a random (derived) pace configuration
     on the production operators at their default size dispatch.
 ``shared-unbatched``
-    the same plan and paces through the per-tuple reference path
-    (``REPRO_ENGINE_UNBATCHED``).  Every production leg's *work
-    accounting* must equal it exactly (total work, every execution
-    record, subplan final work).
+    the same plan and paces on a
+    :class:`~repro.fuzz.reference.ReferenceExecutor`, the per-tuple
+    work oracle.  Every production leg's *work accounting* must equal it
+    exactly (total work, every execution record, subplan final work).
 ``shared-columnar-rows``
     the production operators with ``ROW_LANE_MAX`` forced to ``1 << 30``
     (every batch on the row lane); must be *bit-identical* to
@@ -56,10 +56,12 @@ Every case runs through multiple pipelines that must agree:
     after every churn event the live plan's statistics must be keyed by
     the queries each node serves (:func:`stats_keys_outside_mask`).
 ``service-unbatched``
-    the same register/churn/dropout script replayed through the per-tuple
-    reference; its final window must be *bit-identical* to the
-    ``service`` oracle's, so arranged join state carried across register,
-    rebind and dropout is checked against private tables.
+    the ``service`` oracle's final plan, paces and catalog run once on a
+    fresh :class:`~repro.fuzz.reference.ReferenceExecutor`; it must be
+    *bit-identical* to the service's final window, so the reused,
+    rebound, arranged production tree is checked against a fresh tree
+    of private tables.  When the service raised, this leg raises the
+    same error.
 ``optimized``
     optionally, :func:`~repro.core.optimizer.optimize_ishare` on the
     batch with the case's relative goals, ``enable_partial`` and
@@ -88,9 +90,9 @@ from ..engine.executor import PlanExecutor
 from ..errors import OptimizationError, ReproError
 from ..mqo.merge import MQOOptimizer, build_unshared_plan
 from ..physical import columnar as columnar_mod
-from ..physical.hotpath import engine_mode
 from ..relational import bitvec
 from . import grammar, naive
+from .reference import ReferenceExecutor
 
 
 def stats_keys_outside_mask(plan, mask=None):
@@ -256,7 +258,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
 
     shared_state = {}
 
-    def run_shared(batched=True, pace1=False, row_lane_max=None):
+    def run_shared(executor=PlanExecutor, pace1=False, row_lane_max=None):
         def runner():
             if "plan" not in shared_state:
                 shared_state["plan"] = MQOOptimizer(catalog).build_shared_plan(
@@ -275,8 +277,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             if row_lane_max is not None:
                 columnar_mod.ROW_LANE_MAX = row_lane_max
             try:
-                with engine_mode(batched=batched):
-                    result = PlanExecutor(plan, config).run(paces)
+                result = executor(plan, config).run(paces)
             finally:
                 columnar_mod.ROW_LANE_MAX = saved
             return result, plan, paces
@@ -284,7 +285,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         return runner
 
     attempt("shared-columnar", run_shared())
-    attempt("shared-unbatched", run_shared(batched=False))
+    attempt("shared-unbatched", run_shared(ReferenceExecutor))
     # the default threshold keeps fuzz-sized batches on the row lane, so
     # each lane is also forced on every batch of every operator
     attempt("shared-columnar-rows", run_shared(row_lane_max=1 << 30))
@@ -336,88 +337,90 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
     service_slots = {}
     service_failures = []
     if case.get("service"):
+        # the catalog the service built last: its final window's data
+        service_data = {}
 
-        def run_service(batched=True):
-            # ``batched=False`` is the replay leg: the same script on the
-            # per-tuple reference, kept for its final window only
-            def runner():
-                from ..core.optimizer import OptimizerConfig
-                from ..service.core import QueryService
+        def run_service():
+            from ..core.optimizer import OptimizerConfig
+            from ..service.core import QueryService
 
-                spec = case["service"]
-                svc = QueryService(
-                    lambda window: grammar.build_catalog(case),
-                    OptimizerConfig(
-                        max_pace=max(1, int(case.get("pace_ceiling", 1))),
-                        stream_config=config,
-                    ),
-                )
+            def make_catalog(window):
+                catalog = service_data["catalog"] = grammar.build_catalog(case)
+                return catalog
 
-                def churned(event):
-                    if batched and svc.plan is not None:
-                        service_failures.extend(
-                            "service stats keys after %s: %s" % (event, failure)
-                            for failure in stats_keys_outside_mask(svc.plan)
-                        )
+            spec = case["service"]
+            svc = QueryService(make_catalog, OptimizerConfig(
+                max_pace=max(1, int(case.get("pace_ceiling", 1))),
+                stream_config=config,
+            ))
 
-                def drive():
-                    for query in queries:
-                        svc.register(
-                            query, "t%d" % (query.query_id % 2),
-                            spec.get("goal", 50.0),
-                        )
-                        churned("register %d" % query.query_id)
-                    for _ in range(max(1, int(spec.get("windows", 2))) - 1):
-                        svc.run_window()
-                    for qid in spec.get("dropouts", ()):
-                        # the shrinker mutates cases freely: only drop
-                        # queries that are actually live, and never the
-                        # last one
-                        if qid in svc.registrations and len(svc.registrations) > 1:
-                            svc.deregister(qid)
-                            churned("deregister %d" % qid)
-                    return svc.run_window(collect_results=True)
-
-                with engine_mode(batched=batched):
-                    outcome = drive()
-                if outcome.run is None:
-                    # no query was live (every registration rejected): an
-                    # idle window records no attribution and has no result
-                    return None, svc.plan, svc.paces
-                if not batched:
-                    return outcome.run, svc.plan, svc.paces
-                service_slots.update(svc.slots)
-                # attribution conservation oracle: the ledger's own exact
-                # re-check, plus an independent integer re-sum of the final
-                # window against the measured per-subplan WorkMeter quanta --
-                # the ledger can never silently leak or double-count work
-                # across register/churn/dropout sequences
-                service_failures.extend(
-                    "service attribution: " + failure
-                    for failure in svc.attribution.check_conservation()
-                )
-                _, shares = svc.attribution.windows[-1]
-                attributed = sum(shares.values())
-                served = {
-                    subplan.sid for subplan in svc.plan.subplans
-                    if subplan.query_ids()
-                }
-                measured = sum(
-                    quanta
-                    for sid, quanta in outcome.run.subplan_total_quanta.items()
-                    if sid in served
-                )
-                if attributed != measured:
-                    service_failures.append(
-                        "service attribution: final window attributed %s != "
-                        "measured %s" % (attributed, measured)
+            def churned(event):
+                if svc.plan is not None:
+                    service_failures.extend(
+                        "service stats keys after %s: %s" % (event, failure)
+                        for failure in stats_keys_outside_mask(svc.plan)
                     )
-                return outcome.run, svc.plan, svc.paces
 
-            return runner
+            for query in queries:
+                svc.register(
+                    query, "t%d" % (query.query_id % 2),
+                    spec.get("goal", 50.0),
+                )
+                churned("register %d" % query.query_id)
+            for _ in range(max(1, int(spec.get("windows", 2))) - 1):
+                svc.run_window()
+            for qid in spec.get("dropouts", ()):
+                # the shrinker mutates cases freely: only drop queries
+                # that are actually live, and never the last one
+                if qid in svc.registrations and len(svc.registrations) > 1:
+                    svc.deregister(qid)
+                    churned("deregister %d" % qid)
+            outcome = svc.run_window(collect_results=True)
+            if outcome.run is None:
+                # no query was live (every registration rejected): an
+                # idle window records no attribution and has no result
+                return None, svc.plan, svc.paces
+            service_slots.update(svc.slots)
+            # attribution conservation oracle: the ledger's own exact
+            # re-check, plus an independent integer re-sum of the final
+            # window against the measured per-subplan WorkMeter quanta --
+            # the ledger can never silently leak or double-count work
+            # across register/churn/dropout sequences
+            service_failures.extend(
+                "service attribution: " + failure
+                for failure in svc.attribution.check_conservation()
+            )
+            _, shares = svc.attribution.windows[-1]
+            attributed = sum(shares.values())
+            served = {
+                subplan.sid for subplan in svc.plan.subplans
+                if subplan.query_ids()
+            }
+            measured = sum(
+                quanta
+                for sid, quanta in outcome.run.subplan_total_quanta.items()
+                if sid in served
+            )
+            if attributed != measured:
+                service_failures.append(
+                    "service attribution: final window attributed %s != "
+                    "measured %s" % (attributed, measured)
+                )
+            return outcome.run, svc.plan, svc.paces
 
-        attempt("service", run_service())
-        attempt("service-unbatched", run_service(batched=False))
+        def run_service_reference():
+            service = outcomes["service"]
+            if service.error is not None:
+                raise service.error
+            if service.idle:
+                return None, service.plan, service.paces
+            executor = ReferenceExecutor(
+                service.plan, config, catalog=service_data["catalog"]
+            )
+            return executor.run(service.paces), service.plan, service.paces
+
+        attempt("service", run_service)
+        attempt("service-unbatched", run_service_reference)
 
     optimizer_failures = []
     if case.get("optimize"):

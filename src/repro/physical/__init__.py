@@ -1,6 +1,5 @@
 """Physical incremental operators and work accounting."""
 
 from .work import WorkMeter
-from .operators import SourceExec, JoinExec, AggregateExec, Decorations
 
-__all__ = ["WorkMeter", "SourceExec", "JoinExec", "AggregateExec", "Decorations"]
+__all__ = ["WorkMeter"]

@@ -1,102 +1,47 @@
-"""Engine mode configuration and shared compile-time caches.
+"""Shared compile-time caches and the pieces both operator families use.
 
-The incremental engine has one production backend and one oracle:
-
-* the **size-dispatched operators** (:mod:`repro.physical.columnar`,
-  the default; reports and ``RunResult.metadata`` label it
-  ``"columnar"``) pass struct-of-arrays delta batches between operators
-  and run every filter -> project -> aggregate-input chain as a
-  generated kernel (:mod:`repro.physical.fused`): one scalar row loop
-  for a batch of at most ``columnar.ROW_LANE_MAX`` rows (the *row
-  lane*), NumPy kernels above it (the *vector lane*);
-* the **reference** path (:mod:`repro.physical.operators`) applies every
-  delta through the original per-tuple calls.  It is the correctness
-  oracle (``tests/test_hotpath_equivalence``, the fuzzer's
-  ``shared-unbatched`` leg) and the kill switch.
-
-The row lane is bit-identical to the reference -- results, WorkMeter
-charges, every execution record.  The vector lane charges exactly the
-same work; its float segment sums may associate differently, so its
-results are tolerance-equivalent (docs/PERFORMANCE.md).
+The incremental engine has one production backend: the
+**size-dispatched operators** (:mod:`repro.physical.columnar`; reports
+and ``RunResult.metadata`` label it ``"columnar"``) pass
+struct-of-arrays delta batches between operators and run every filter
+-> project -> aggregate-input chain as a generated kernel
+(:mod:`repro.physical.fused`): one scalar row loop for a batch of at
+most ``columnar.ROW_LANE_MAX`` rows (the *row lane*), NumPy kernels
+above it (the *vector lane*).  Nothing switches it off at runtime.  The
+per-tuple operators of :mod:`repro.physical.operators` are the work
+oracle: only :class:`repro.fuzz.reference.ReferenceExecutor` compiles
+them, for tests, the fuzzer and the micro benchmark.  The row lane is
+bit-identical to them -- results, WorkMeter charges, every execution
+record.  The vector lane charges exactly the same work; its float
+segment sums may associate differently, so its results are
+tolerance-equivalent (docs/PERFORMANCE.md).
 
 Whether the vector lane may fire is not a setting: the executor works
 it out per plan from what it can observe -- NumPy importable and every
 query id below 62, so bitvectors fit an int64 array -- and binds it into
 each operator.  Where it may not, every batch takes the row lane --
 calibration's too: a stats run is the production tree plus tallies of
-the batches between its operators.
+the batches between its operators.  Nor is which join sides read a
+shared arrangement (:mod:`repro.engine.arrangements`): a production join
+side over a bare base-table scan always does.
 
-One toggle, default on: ``batched`` -- the production operators;
-``False`` runs the per-tuple reference.
-
-Not a toggle either: which join sides read a shared arrangement
-(:mod:`repro.engine.arrangements`).  The executor gives a production
-join side over a bare base-table scan a handle on the one multi-reader
-index of its ``(table, key columns)``; every other side, and every side
-of the reference, keeps a private hash table.  Results and WorkMeter
-charges are bit-identical either way -- the reference's private tables
-are the oracle for the arranged sides (docs/ARRANGEMENTS.md).
-
-Not toggles: compiled per-node artifacts (key getters, aggregate input
-functions, fused kernels) are always memoized process-wide by
+Not settings either: compiled per-node artifacts (key getters, aggregate
+input functions, fused kernels) are always memoized process-wide by
 :func:`cached_artifacts` -- and the generated source under them once per
 distinct text (:func:`repro.relational.codegen.compile_source`) -- and a
 :class:`~repro.engine.executor.PlanExecutor` always reuses its compiled
 operator tree across ``run()`` calls (state is deterministically reset
 instead of rebuilt).
-
-Environment override (read once at import): ``REPRO_ENGINE_UNBATCHED``
-(run the reference).  Worker processes do not rely on it:
-:mod:`repro.workers` ships the driver's mode.
 """
-
-import os
-from contextlib import contextmanager
 
 from ..errors import ExecutionError
 from ..relational.codegen import clear_code_cache
 from ..relational.tuples import INSERT
 
 
-class EngineMode:
-    """The engine's one mutable execution toggle."""
-
-    __slots__ = ("batched",)
-
-    def __init__(self, batched=True):
-        self.batched = bool(batched)
-
-    def values(self):
-        """The toggles as a tuple in ``__slots__`` order (picklable)."""
-        return (self.batched,)
-
-    def restore(self, values):
-        """Set every toggle from a :meth:`values` tuple."""
-        (self.batched,) = values
-
-    def __repr__(self):
-        return "EngineMode(batched=%s)" % self.values()
-
-
-#: process-wide engine mode; mutate via :func:`engine_mode` in tests
-HOTPATH = EngineMode(batched=not os.environ.get("REPRO_ENGINE_UNBATCHED"))
-
-
 def engine_mode_label():
-    """Short backend name for reports/metadata: which path would run."""
-    return "columnar" if HOTPATH.batched else "reference"
-
-
-@contextmanager
-def engine_mode(batched=None):
-    """Temporarily override the :data:`HOTPATH` toggle (tests, benchmarks)."""
-    saved = HOTPATH.values()
-    if batched is not None:
-        HOTPATH.batched = bool(batched)
-    try:
-        yield HOTPATH
-    finally:
-        HOTPATH.restore(saved)
+    """The backend name reports stamp: always ``"columnar"``."""
+    return "columnar"
 
 
 # -- bits -> query-id decoding cache ----------------------------------------

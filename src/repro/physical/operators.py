@@ -15,11 +15,12 @@ retracts the previously emitted row (sign -1) and emits the new one
 deletion removes the current extremum -- the exact behaviour that makes
 TPC-H Q15 non-incrementable in the paper's section 5.3.
 
-These classes are the per-tuple *reference*: the correctness oracle and
-the ``REPRO_ENGINE_UNBATCHED`` kill switch.  Production runs compile the
-size-dispatched operators of :mod:`repro.physical.columnar`; their row
-lane is bit-identical to these and dedicated tests enforce it
-(docs/PERFORMANCE.md).
+These classes are the per-tuple *reference*: the work oracle, which only
+:class:`repro.fuzz.reference.ReferenceExecutor` compiles (tests, the
+fuzzer, the micro benchmark); no production module imports this one.
+Production runs compile the size-dispatched operators of
+:mod:`repro.physical.columnar`; their row lane is bit-identical to these
+and dedicated tests enforce it (docs/PERFORMANCE.md).
 """
 
 from ..errors import ExecutionError

@@ -7,8 +7,7 @@ bit-identical to the serial one.  :func:`ordered_map` is where that
 promise is kept, once:
 
 * every worker process starts from the *driver's* state, not from its
-  own environment: the initializer restores the driver's
-  :class:`~repro.physical.hotpath.EngineMode`, installs its
+  own environment: the initializer installs the driver's
   calibration-cache directory, resets observability and re-enables it
   under a per-process name when the driver is observing, and holds the
   ``shared`` object (shipped once per worker, not once per task);
@@ -37,7 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from . import obs
 from .cost import cache as calibration_cache
 from .errors import ReproError
-from .physical.hotpath import HOTPATH
 
 
 def resolve_jobs(jobs):
@@ -126,10 +124,9 @@ def _run_task(fn, shared, run_label, index, task):
 _SHARED = None
 
 
-def _init_worker(mode, cache_dir, observing, shared):
+def _init_worker(cache_dir, observing, shared):
     """Make this process a replica of the driver; keep ``shared``."""
     global _SHARED
-    HOTPATH.restore(mode)
     calibration_cache.set_default_cache(
         calibration_cache.CalibrationCache(cache_dir)
         if cache_dir is not None else None
@@ -191,11 +188,11 @@ def ordered_map(fn, tasks, jobs=1, shared=None, run_label="task"):
     processes.
 
     ``fn`` is a module-level function (it crosses the process boundary by
-    import path) and must be deterministic given ``shared``, ``task`` and
-    the engine mode; ``shared`` is whatever every task needs and is
-    shipped once per worker.  The return value, the driver's merged
-    observability session and the exception raised on failure are then
-    the same at every job count -- see the module docstring.
+    import path) and must be deterministic given ``shared`` and ``task``;
+    ``shared`` is whatever every task needs and is shipped once per
+    worker.  The return value, the driver's merged observability session
+    and the exception raised on failure are then the same at every job
+    count -- see the module docstring.
     """
     tasks = list(tasks)
     workers = min(resolve_jobs(jobs), len(tasks))
@@ -214,7 +211,7 @@ def ordered_map(fn, tasks, jobs=1, shared=None, run_label="task"):
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(HOTPATH.values(), cache_dir, observing, shared),
+        initargs=(cache_dir, observing, shared),
     ) as pool:
         futures = [
             pool.submit(_run_batch, fn, run_label, batch) for batch in batches

@@ -29,12 +29,13 @@ from repro.engine.calibrate import calibrate_plan
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
+from repro.fuzz.reference import ReferenceExecutor
 from repro.logical.builder import PlanBuilder
 from repro.mqo.merge import build_unshared_plan
 from repro.obs import OBS
 from repro.physical import columnar as columnar_mod
 from repro.physical.columnar import ColumnarJoinExec
-from repro.physical.hotpath import clear_compiled_caches, engine_mode
+from repro.physical.hotpath import clear_compiled_caches
 from repro.physical.operators import JoinExec
 from repro.relational.expressions import agg_sum, col
 from repro.relational.tuples import Delta
@@ -100,10 +101,11 @@ def add_event_churn(catalog, fraction=0.2, seed=3):
     return catalog
 
 
-def run_with(plan, paces, **mode):
+def run_with(plan, paces, batched=True):
+    """A production run, or (``batched=False``) the per-tuple reference's."""
     clear_compiled_caches()
-    with engine_mode(**mode):
-        return PlanExecutor(plan, StreamConfig()).run(paces)
+    executor = PlanExecutor if batched else ReferenceExecutor
+    return executor(plan, StreamConfig()).run(paces)
 
 
 @pytest.fixture(scope="module")
@@ -238,11 +240,10 @@ class TestTreeReuse:
     def test_reused_tree_matches_fresh(self, fanout_setup):
         plan, paces = fanout_setup
         clear_compiled_caches()
-        with engine_mode(batched=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            first = fingerprint(executor.run(paces))
-            second = fingerprint(executor.run(paces))  # reused tree
-            fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
+        executor = PlanExecutor(plan, StreamConfig())
+        first = fingerprint(executor.run(paces))
+        second = fingerprint(executor.run(paces))  # reused tree
+        fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
         assert first == second == fresh
 
 

@@ -29,7 +29,8 @@ from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.fuzz.naive import evaluate
-from repro.physical.hotpath import clear_compiled_caches, engine_mode
+from repro.fuzz.reference import ReferenceExecutor
+from repro.physical.hotpath import clear_compiled_caches
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
     ALL_QUERY_NAMES,
@@ -38,7 +39,12 @@ from repro.workloads.tpch import (
     generate_catalog,
 )
 
-from .util import batch_of, deltas_of, shared_plan_for
+from .util import (
+    batch_of,
+    deltas_of,
+    reference_calibration,
+    shared_plan_for,
+)
 
 needs_numpy = pytest.mark.skipif(
     not columns.available(), reason="the vector lane needs numpy",
@@ -72,11 +78,9 @@ def fig11_setup():
     return plan, paces, queries
 
 
-def run_with(plan, paces, **mode):
+def run_with(plan, paces, executor=PlanExecutor):
     clear_compiled_caches()
-    with engine_mode(**mode):
-        executor = PlanExecutor(plan, StreamConfig())
-        return executor.run(paces)
+    return executor(plan, StreamConfig()).run(paces)
 
 
 def assert_columnar_equivalent(columnar, reference, queries):
@@ -95,8 +99,8 @@ def assert_columnar_equivalent(columnar, reference, queries):
 class TestFig11WorkIdentity:
     def test_columnar_matches_reference(self, fig11_setup):
         plan, paces, queries = fig11_setup
-        reference = run_with(plan, paces, batched=False)
-        columnar = run_with(plan, paces, batched=True)
+        reference = run_with(plan, paces, ReferenceExecutor)
+        columnar = run_with(plan, paces)
         assert columnar.metadata["engine_mode"] == "columnar"
         assert reference.metadata["engine_mode"] == "reference"
         assert_columnar_equivalent(columnar, reference, queries)
@@ -109,9 +113,9 @@ class TestFig11WorkIdentity:
 
         plan, _, queries = fig11_setup
         paces = {subplan.sid: 3 for subplan in plan.subplans}
-        reference = run_with(plan, paces, batched=False)
+        reference = run_with(plan, paces, ReferenceExecutor)
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 64)
-        columnar = run_with(plan, paces, batched=True)
+        columnar = run_with(plan, paces)
         assert_columnar_equivalent(columnar, reference, queries)
 
     def test_forced_vector_lane(self, fig11_setup, monkeypatch):
@@ -123,9 +127,9 @@ class TestFig11WorkIdentity:
         from repro.physical import columnar as columnar_mod
 
         plan, paces, queries = fig11_setup
-        reference = run_with(plan, paces, batched=False)
+        reference = run_with(plan, paces, ReferenceExecutor)
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 0)
-        columnar = run_with(plan, paces, batched=True)
+        columnar = run_with(plan, paces)
         assert_columnar_equivalent(columnar, reference, queries)
 
     def test_forced_row_lane(self, fig11_setup, monkeypatch):
@@ -134,9 +138,9 @@ class TestFig11WorkIdentity:
         from repro.physical import columnar as columnar_mod
 
         plan, paces, _ = fig11_setup
-        reference = run_with(plan, paces, batched=False)
+        reference = run_with(plan, paces, ReferenceExecutor)
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
-        columnar = run_with(plan, paces, batched=True)
+        columnar = run_with(plan, paces)
         assert work_fingerprint(columnar) == work_fingerprint(reference)
         assert columnar.query_results == reference.query_results
 
@@ -911,7 +915,7 @@ class TestEmissionOrder:
             return out
 
         monkeypatch.setattr(columnar.ColumnarAggregateExec, "_emit", spy)
-        run_with(plan, paces, batched=True)
+        run_with(plan, paces)
         assert sum(map(len, emissions)) > 500
         assert any(
             len({d.row[0] for d in out}) > 1 and len(out[0].row) > 1
@@ -923,23 +927,21 @@ class TestEmissionOrder:
 
 
 class TestModeFlipOnOneExecutor:
-    def test_reused_executor_recompiles_across_backends(self, fig11_setup):
-        """One reused executor flipped reference -> production -> reference.
+    def test_interleaved_families_do_not_interact(self, fig11_setup):
+        """A reference and a production executor reused in turn.
 
-        The flip is the hard case for the buffer segment passthrough: a
-        production run leaves no pending segments behind (every run ends
-        with result collection), and the rebuilt reference tree must
-        read the reset buffers identically.
+        Both families compile from the one process-wide artifact cache
+        and read table streams over the same catalog: interleaving their
+        runs must leave each reused tree reading its reset buffers
+        exactly as its first run did.
         """
         plan, paces, queries = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=False):
-            executor = PlanExecutor(plan, StreamConfig())
-            reference_first = executor.run(paces)
-        with engine_mode(batched=True):
-            columnar = executor.run(paces)
-        with engine_mode(batched=False):
-            reference_again = executor.run(paces)
+        reference = ReferenceExecutor(plan, StreamConfig())
+        production = PlanExecutor(plan, StreamConfig())
+        reference_first = reference.run(paces)
+        columnar = production.run(paces)
+        reference_again = reference.run(paces)
         assert [
             run.metadata["engine_mode"]
             for run in (reference_first, columnar, reference_again)
@@ -953,11 +955,10 @@ class TestModeFlipOnOneExecutor:
     def test_columnar_tree_reuse_is_deterministic(self, fig11_setup):
         plan, paces, _ = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            first = executor.run(paces)
-            second = executor.run(paces)  # reused columnar tree
-            fresh = PlanExecutor(plan, StreamConfig()).run(paces)
+        executor = PlanExecutor(plan, StreamConfig())
+        first = executor.run(paces)
+        second = executor.run(paces)  # reused columnar tree
+        fresh = PlanExecutor(plan, StreamConfig()).run(paces)
         assert work_fingerprint(first) == work_fingerprint(second)
         assert work_fingerprint(first) == work_fingerprint(fresh)
         assert first.query_results == second.query_results == fresh.query_results
@@ -1140,10 +1141,9 @@ class TestSegmentPassthroughEdgeCases:
         monkeypatch.setattr(tuples, "_DELTA_NEW", spy_new)
         monkeypatch.setattr(executor_mod, "query_result_view", spy_view)
         clear_compiled_caches()
-        with engine_mode(batched=True):
-            result = PlanExecutor(plan, StreamConfig()).run(
-                paces, collect_results=True
-            )
+        result = PlanExecutor(plan, StreamConfig()).run(
+            paces, collect_results=True
+        )
         assert built == []
         assert fed and set(fed) == {ColumnBatch}
         assert any(result.query_results.values())
@@ -1167,24 +1167,24 @@ def test_aggregate_stats_identical_across_operator_families(
     their deletes, MIN/MAX and per-query group counts -- and bills the
     work exactly as the per-tuple reference family does.  (The
     production aggregate is no subclass of the reference one:
-    ``_collect_stats`` names both.)
+    ``_collect_stats`` walks either by plan node kind.)
     """
     from repro.cost.cache import serialize_stats
     from repro.engine import calibrate
     from repro.physical import columnar as columnar_mod
     from repro.physical.operators import AggregateExec
 
-    production = columnar_mod.ColumnarAggregateExec
-    assert calibrate._AGGREGATE_EXECS == (AggregateExec, production)
-    assert AggregateExec not in production.__mro__
+    assert AggregateExec not in columnar_mod.ColumnarAggregateExec.__mro__
     plan, _, _ = fig11_setup
     if lane_max is not None:
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
     collected = []
-    for batched, family in ((False, "reference"), (True, "columnar")):
+    for calibrate_with, family in (
+        (reference_calibration, "reference"),
+        (calibrate.calibrate_plan, "columnar"),
+    ):
         clear_compiled_caches()
-        with engine_mode(batched=batched):
-            calibration = calibrate.calibrate_plan(plan, StreamConfig())
+        calibration = calibrate_with(plan, StreamConfig())
         assert calibration.run.metadata["engine_mode"] == family
         collected.append(({
             node.uid: {
@@ -1246,9 +1246,9 @@ from repro.engine.calibrate import calibrate_plan
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.physical import columnar
-from repro.physical.hotpath import engine_mode
+from repro.fuzz.reference import ReferenceExecutor
 from tests.test_columnar_equivalence import _toy_queries, work_fingerprint
-from tests.util import make_toy_catalog, shared_plan_for
+from tests.util import make_toy_catalog, reference_calibration, shared_plan_for
 
 assert columns.available() is {numpy}
 # any vector kernel would fire on these toy batches if it were allowed to
@@ -1257,11 +1257,13 @@ catalog = make_toy_catalog()
 plan = shared_plan_for(catalog, _toy_queries(catalog, {query_ids!r}))
 paces = dict((s.sid, 2 if s.child_subplans() else 4) for s in plan.subplans)
 runs, stats = [], []
-for batched, family in ((True, "columnar"), (False, "reference")):
-    with engine_mode(batched=batched):
-        calibration = calibrate_plan(plan, StreamConfig())
-        executor = PlanExecutor(plan, StreamConfig())
-        runs.append(executor.run(paces))
+for executor_class, calibrate_with, family in (
+    (PlanExecutor, calibrate_plan, "columnar"),
+    (ReferenceExecutor, reference_calibration, "reference"),
+):
+    calibration = calibrate_with(plan, StreamConfig())
+    executor = executor_class(plan, StreamConfig())
+    runs.append(executor.run(paces))
     # a stats run compiles what the windows run
     assert calibration.run.metadata["engine_mode"] == family
     stats.append((serialize_stats(plan), calibration.run.total_work,

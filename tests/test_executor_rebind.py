@@ -12,8 +12,8 @@ import pytest
 from repro import obs
 from repro.core.optimizer import OptimizerConfig
 from repro.engine.executor import PlanExecutor
+from repro.fuzz.reference import ReferenceExecutor
 from repro.obs import OBS
-from repro.physical.hotpath import engine_mode
 from repro.relational.schema import STR, Column, Schema
 from repro.relational.table import Catalog
 from repro.service.core import QueryService
@@ -87,15 +87,16 @@ def widened(catalog, name):
     return wide
 
 
-def assert_rebound_windows_match_fresh(plan, catalogs, compiles):
+def assert_rebound_windows_match_fresh(plan, catalogs, compiles,
+                                      executor_class=PlanExecutor):
     paces = mixed_paces(plan)
-    executor = PlanExecutor(plan, catalog=catalogs[0])
+    executor = executor_class(plan, catalog=catalogs[0])
     for today in catalogs:
         recompile = executor.rebind(catalog=today)
         assert recompile is False
         kept = fingerprint(executor.run(paces))
         assert compiles(executor) == 1
-        fresh = fingerprint(PlanExecutor(plan, catalog=today).run(paces))
+        fresh = fingerprint(executor_class(plan, catalog=today).run(paces))
         assert kept == fresh, "window over %r" % (today,)
         assert executor.catalog is today
 
@@ -109,10 +110,9 @@ class TestDataOnlyRebind:
 
     def test_reference_backend(self, days, compiles):
         plan = shared_plan_for(days[0], toy_queries(days[0]))
-        with engine_mode(batched=False):
-            assert_rebound_windows_match_fresh(
-                plan, days + [days[0]], compiles
-            )
+        assert_rebound_windows_match_fresh(
+            plan, days + [days[0]], compiles, ReferenceExecutor
+        )
 
     def test_window_program_survives_a_data_rebind(self, days):
         plan = shared_plan_for(days[0], toy_queries(days[0]))

@@ -12,12 +12,13 @@ import json
 import os
 from fractions import Fraction
 
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.fuzz import generate_case, grammar, run_campaign, shrink
 from repro.fuzz.cli import _is_failing, case_verdict, main
 from repro.fuzz.corpus import load_case, save_case
 from repro.fuzz.oracles import _check_invariants, run_case
 from repro.physical.faults import FAULTS, inject_fault
+from repro.service.core import QueryService
 
 
 class TestGrammarDeterminism:
@@ -75,6 +76,26 @@ class TestHealthyEngineFuzzesGreen:
             assert "idle" in repr(outcome)
         assert "service: idle final window" in report.describe()
         assert not report.oracles["shared-columnar"].idle
+
+    def test_service_reference_raises_what_the_service_raised(
+        self, monkeypatch
+    ):
+        # the reference leg re-runs the service's final window; when the
+        # service never got there, it fails the same way
+        case = next(
+            generate_case(7, index) for index in range(50)
+            if generate_case(7, index).get("service")
+        )
+
+        def broken(self, collect_results=False):
+            raise ExecutionError("window refused")
+
+        monkeypatch.setattr(QueryService, "run_window", broken)
+        report = run_case(case)
+        service = report.oracles["service"]
+        assert isinstance(service.error, ExecutionError)
+        assert report.oracles["service-unbatched"].error is service.error
+        assert report.status == "fail"
 
 
 class TestExactWorkInvariants:

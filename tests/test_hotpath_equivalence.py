@@ -1,9 +1,9 @@
 """Bit-identity of the production row lane against the per-tuple reference.
 
-The engine keeps the original per-tuple delta application as a switchable
-reference path (``engine_mode(batched=False)``, ``repro.physical.hotpath``).
-These tests are the hard constraint: the production operators with every
-batch forced onto the row lane, the compiled-artifact cache, operator
+The engine keeps the original per-tuple delta application as the work
+oracle (``repro.fuzz.reference.ReferenceExecutor``).  These tests are
+the hard constraint: the production operators with every batch forced
+onto the row lane, the compiled-artifact cache, operator
 tree reuse, and in-place buffer compaction must leave every RunResult
 work/latency number and every query result *bit-identical* on the fig11
 workload (TPC-H, all 22 queries, update-stream churn included).  The
@@ -13,16 +13,15 @@ unconditional, so they are checked by comparing a fresh executor over
 cleared caches against a second ``run()`` on a warm one.
 """
 
-import os
-
 import pytest
 
 from repro.engine.buffers import Buffer
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
+from repro.fuzz.reference import ReferenceExecutor
 from repro.physical import columnar as columnar_mod
-from repro.physical.hotpath import clear_compiled_caches, engine_mode
+from repro.physical.hotpath import clear_compiled_caches
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
     ALL_QUERY_NAMES,
@@ -63,11 +62,9 @@ def fig11_setup():
     return plan, paces
 
 
-def run_with(plan, paces, **mode):
+def run_with(plan, paces, executor=PlanExecutor):
     clear_compiled_caches()
-    with engine_mode(**mode):
-        executor = PlanExecutor(plan, StreamConfig())
-        return executor.run(paces)
+    return executor(plan, StreamConfig()).run(paces)
 
 
 @pytest.fixture
@@ -80,77 +77,65 @@ def row_lane(monkeypatch):
 class TestFig11BitIdentity:
     def test_batched_matches_reference(self, fig11_setup):
         plan, paces = fig11_setup
-        batched = run_with(plan, paces, batched=True)
-        reference = run_with(plan, paces, batched=False)
+        batched = run_with(plan, paces)
+        reference = run_with(plan, paces, ReferenceExecutor)
         assert batched.metadata["engine_mode"] == "columnar"
         assert reference.metadata["engine_mode"] == "reference"
         assert fingerprint(batched) == fingerprint(reference)
-
-    def test_each_toggle_is_individually_neutral(self, fig11_setup):
-        plan, paces = fig11_setup
-        baseline = fingerprint(run_with(plan, paces, batched=False))
-        for toggle in ("batched",):
-            mode = {"batched": False, toggle: True}
-            assert fingerprint(run_with(plan, paces, **mode)) == baseline, toggle
 
     def test_warm_caches_and_reused_tree_are_neutral(self, fig11_setup):
         # the baseline above is a fresh executor over cleared caches; a
         # second run() hits the artifact cache and reuses the tree
         plan, paces = fig11_setup
-        for batched in (False, True):
+        for family in (ReferenceExecutor, PlanExecutor):
             clear_compiled_caches()
-            with engine_mode(batched=batched):
-                executor = PlanExecutor(plan, StreamConfig())
-                cold = fingerprint(executor.run(paces))
-                warm = fingerprint(executor.run(paces))
-                # a second executor compiles a new tree from cached artifacts
-                cached = fingerprint(
-                    PlanExecutor(plan, StreamConfig()).run(paces))
-            assert cold == warm == cached, batched
+            executor = family(plan, StreamConfig())
+            cold = fingerprint(executor.run(paces))
+            warm = fingerprint(executor.run(paces))
+            # a second executor compiles a new tree from cached artifacts
+            cached = fingerprint(family(plan, StreamConfig()).run(paces))
+            assert cold == warm == cached, family
 
     def test_uniform_pace_identity(self, fig11_setup):
         plan, _ = fig11_setup
         paces = {subplan.sid: 3 for subplan in plan.subplans}
-        batched = run_with(plan, paces, batched=True)
-        reference = run_with(plan, paces, batched=False)
+        batched = run_with(plan, paces)
+        reference = run_with(plan, paces, ReferenceExecutor)
         assert fingerprint(batched) == fingerprint(reference)
 
 
 class TestTreeReuse:
     def test_reused_tree_matches_fresh_executor(self, fig11_setup):
         plan, paces = fig11_setup
-        with engine_mode(batched=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            first = fingerprint(executor.run(paces))
-            assert executor._runtime is not None
-            second = fingerprint(executor.run(paces))  # reused tree
-            fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
+        executor = PlanExecutor(plan, StreamConfig())
+        first = fingerprint(executor.run(paces))
+        assert executor._runtime is not None
+        second = fingerprint(executor.run(paces))  # reused tree
+        fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
         assert first == second == fresh
 
     def test_reuse_across_different_paces(self, fig11_setup):
         plan, paces = fig11_setup
         lazy = {subplan.sid: 1 for subplan in plan.subplans}
-        with engine_mode(batched=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            executor.run(paces)
-            reused = fingerprint(executor.run(lazy))
-            fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(lazy))
+        executor = PlanExecutor(plan, StreamConfig())
+        executor.run(paces)
+        reused = fingerprint(executor.run(lazy))
+        fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(lazy))
         assert reused == fresh
 
     def test_stats_mode_counters_reset_on_reuse(self, fig11_setup):
         plan, paces = fig11_setup
-        with engine_mode(batched=True):
-            executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
-            executor.run(paces)
-            first = {
-                sid: unit.meter.snapshot()
-                for sid, unit in executor.compiled.items()
-            }
-            executor.run(paces)
-            second = {
-                sid: unit.meter.snapshot()
-                for sid, unit in executor.compiled.items()
-            }
+        executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
+        executor.run(paces)
+        first = {
+            sid: unit.meter.snapshot()
+            for sid, unit in executor.compiled.items()
+        }
+        executor.run(paces)
+        second = {
+            sid: unit.meter.snapshot()
+            for sid, unit in executor.compiled.items()
+        }
         assert first == second
 
 
@@ -215,25 +200,3 @@ class TestBufferCompaction:
         buffer.append(self._deltas(2))
         assert [len(segment) for segment in reader.read_new()] == [2]
 
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_HOTPATH_E2E"),
-    reason="set REPRO_HOTPATH_E2E=1 (CI) for the parallel-harness identity check",
-)
-def test_fig11_sweep_jobs2_bit_identical(monkeypatch, tmp_path):
-    """The full fig11 sweep under --jobs 2 is mode-invariant.
-
-    The pool ships the driver's engine mode to its workers
-    (``repro.workers``), so ``engine_mode`` alone switches both legs.
-    The report tables are work-derived, and work is exact in both
-    lanes, so the default size dispatch runs here.
-    """
-    from repro.harness.experiments import fig11
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    kwargs = dict(scale=0.1, max_pace=6, levels=(0.1,), jobs=2)
-    with engine_mode(batched=True):
-        batched = fig11(**kwargs)
-    with engine_mode(batched=False):
-        reference = fig11(**kwargs)
-    assert batched.tables == reference.tables

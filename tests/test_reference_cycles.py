@@ -20,11 +20,16 @@ from repro.cost.cache import (
     get_default_cache,
     set_default_cache,
 )
-from repro.engine.calibrate import calibrate_plan, calibration_execution_count
+from repro.engine.calibrate import (
+    _collect_stats,
+    calibrate_plan,
+    calibration_execution_count,
+)
 from repro.engine.executor import PlanExecutor, collector_paused
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
-from repro.physical.hotpath import engine_mode
+from repro.fuzz.reference import ReferenceExecutor
+from repro.physical.hotpath import clear_compiled_caches
 from repro.service.core import QueryService
 from repro.workloads import random_constraints
 from repro.workloads.tpch import build_workload, generate_catalog
@@ -36,6 +41,16 @@ from .util import (
     toy_query_region,
     toy_query_total,
 )
+
+
+@pytest.fixture(autouse=True)
+def _empty_compiled_caches():
+    # The process-wide artifact cache is bounded and cleared wholesale
+    # when full, and a generated kernel sits in a cycle through its
+    # globals: a clear landing inside an operation, wherever the tests
+    # before this one left the count, would be counted as its garbage.
+    # Each test starts from an empty cache, far below the bound.
+    clear_compiled_caches()
 
 
 def cyclic_garbage(operation):
@@ -74,49 +89,53 @@ def toy_plan():
     return plan, paces
 
 
-@pytest.mark.parametrize("batched", (True, False), ids=("production", "reference"))
+@pytest.mark.parametrize(
+    "executor_class", (PlanExecutor, ReferenceExecutor),
+    ids=("production", "reference"))
 class TestEngine:
-    def test_a_warm_window(self, toy_plan, batched):
+    def test_a_warm_window(self, toy_plan, executor_class):
         plan, paces = toy_plan
-        with engine_mode(batched=batched):
-            executor = PlanExecutor(plan, StreamConfig())
-            executor.run(paces)  # compiles the tree and its kernels
-            for collect_results in (False, True):
-                assert cyclic_garbage(
-                    lambda: executor.run(paces, collect_results=collect_results)
-                ) == {}
+        executor = executor_class(plan, StreamConfig())
+        executor.run(paces)  # compiles the tree and its kernels
+        for collect_results in (False, True):
+            assert cyclic_garbage(
+                lambda: executor.run(paces, collect_results=collect_results)
+            ) == {}
 
-    def test_a_dropped_executor(self, toy_plan, batched):
+    def test_a_dropped_executor(self, toy_plan, executor_class):
         plan, paces = toy_plan
-        with engine_mode(batched=batched):
-            held = [PlanExecutor(plan, StreamConfig())]
-            held[0].run(paces)
-            assert cyclic_garbage(held.clear) == {}
+        held = [executor_class(plan, StreamConfig())]
+        held[0].run(paces)
+        assert cyclic_garbage(held.clear) == {}
 
-    def test_a_stats_run_dropped_with_its_state(self, toy_plan, batched):
+    def test_a_stats_run_dropped_with_its_state(self, toy_plan, executor_class):
         plan, paces = toy_plan
-        with engine_mode(batched=batched):
-            held = [PlanExecutor(plan, StreamConfig(), stats_mode=True)]
-            held[0].run(paces)
-            assert cyclic_garbage(held.clear) == {}
+        held = [executor_class(plan, StreamConfig(), stats_mode=True)]
+        held[0].run(paces)
+        assert cyclic_garbage(held.clear) == {}
 
-    def test_calibration(self, toy_plan, batched, tmp_path):
-        # cold without a cache, cold into one, then replayed from it
+    def test_calibration(self, toy_plan, executor_class, tmp_path):
+        # cold without a cache, cold into one, then replayed from it; and
+        # the stats run calibration makes, on this family's operators
         plan, _ = toy_plan
         cache = CalibrationCache(str(tmp_path))
         previous = get_default_cache()
         set_default_cache(None)
         try:
             before = calibration_execution_count()
-            with engine_mode(batched=batched):
-                for use in (None, cache, cache):
-                    assert cyclic_garbage(
-                        lambda: calibrate_plan(plan, StreamConfig(), cache=use)
-                    ) == {}
+            for use in (None, cache, cache):
+                assert cyclic_garbage(
+                    lambda: calibrate_plan(plan, StreamConfig(), cache=use)
+                ) == {}
         finally:
             set_default_cache(previous)
         assert calibration_execution_count() == before + 2
         assert cache.hits == 1
+        stats = executor_class(plan, StreamConfig(), stats_mode=True)
+        assert cyclic_garbage(lambda: stats.run(
+            {s.sid: 1 for s in plan.subplans},
+            collect_results=False, on_retire=_collect_stats,
+        )) == {}
 
 
 def test_optimize_ishare():

@@ -24,7 +24,7 @@ from repro.engine.compare import results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
-from repro.physical.hotpath import engine_mode
+from repro.fuzz.reference import ReferenceExecutor
 
 from .test_naive_oracle import PACES, workload  # noqa: F401 (fixture)
 from .util import make_toy_catalog, shared_plan_for, toy_query_total
@@ -124,20 +124,20 @@ def test_a_window_without_results_leaves_nothing_behind(workload, regime):
     assert sum(executor.compiled[sid].buffer.end() for sid in roots) > 0
 
 
-@pytest.mark.parametrize("batched", (True, False), ids=("production", "reference"))
+@pytest.mark.parametrize(
+    "executor_class", (PlanExecutor, ReferenceExecutor),
+    ids=("production", "reference"))
 @pytest.mark.parametrize("regime", sorted(PACES))
-def test_results_are_one_more_reader(workload, regime, batched):
+def test_results_are_one_more_reader(workload, regime, executor_class):
     catalog, queries, truth = workload
     plan = shared_plan_for(catalog, queries)
     paces = _paces(plan, regime)
-    with engine_mode(batched=batched):
-        executor = PlanExecutor(plan, StreamConfig())
-        first = executor.run(paces, collect_results=True)
-        registered = [len(buffer._cells) for buffer in _buffers(executor)]
-        without = executor.run(paces, collect_results=False)
-        again = executor.run(paces, collect_results=True)
-    assert first.metadata["engine_mode"] == (
-        "columnar" if batched else "reference")
+    executor = executor_class(plan, StreamConfig())
+    first = executor.run(paces, collect_results=True)
+    registered = [len(buffer._cells) for buffer in _buffers(executor)]
+    without = executor.run(paces, collect_results=False)
+    again = executor.run(paces, collect_results=True)
+    assert first.metadata["engine_mode"] == executor_class.family.label
     assert without.query_results == {}
     assert first.query_results == again.query_results
     assert first.total_work == without.total_work == again.total_work

@@ -17,9 +17,9 @@ from repro.cost.cache import get_default_cache, set_default_cache
 from repro.engine.calibrate import calibrate_plan
 from repro.engine.executor import PlanExecutor, query_result_view
 from repro.engine.stream import StreamConfig
+from repro.fuzz.reference import ReferenceExecutor
 from repro.mqo.merge import build_unshared_plan
 from repro.physical import columnar
-from repro.physical.hotpath import engine_mode
 from repro.workloads.tpch import generate_catalog
 from repro.workloads.tpch.queries import build_query
 
@@ -31,8 +31,9 @@ from .util import (
     toy_query_total,
 )
 
-BATCHED = pytest.mark.parametrize(
-    "batched", (True, False), ids=("production", "reference"))
+FAMILIES = pytest.mark.parametrize(
+    "executor_class", (PlanExecutor, ReferenceExecutor),
+    ids=("production", "reference"))
 
 
 @pytest.fixture(scope="module")
@@ -127,27 +128,26 @@ def _private_state(unit):
     return held
 
 
-@BATCHED
-def test_state_is_released_at_the_final_execution_only(toy_plan, batched):
+@FAMILIES
+def test_state_is_released_at_the_final_execution_only(toy_plan, executor_class):
     plan, paces = toy_plan
-    with engine_mode(batched=batched):
-        executor = PlanExecutor(plan, StreamConfig())
-        executor.run(paces)  # compile
-        units = executor.compiled
-        snapshots = []  # (sid about to advance, {sid: private state})
+    executor = executor_class(plan, StreamConfig())
+    executor.run(paces)  # compile
+    units = executor.compiled
+    snapshots = []  # (sid about to advance, {sid: private state})
 
-        def tap(unit, advance):
-            def tapped():
-                snapshots.append((unit.subplan.sid, {
-                    sid: _private_state(other)
-                    for sid, other in units.items()
-                }))
-                return advance()
-            return tapped
+    def tap(unit, advance):
+        def tapped():
+            snapshots.append((unit.subplan.sid, {
+                sid: _private_state(other)
+                for sid, other in units.items()
+            }))
+            return advance()
+        return tapped
 
-        for unit in units.values():
-            unit.root_exec.advance = tap(unit, unit.root_exec.advance)
-        executor.run(paces)
+    for unit in units.values():
+        unit.root_exec.advance = tap(unit, unit.root_exec.advance)
+    executor.run(paces)
     executions = {}
     for index, (sid, _) in enumerate(snapshots):
         executions.setdefault(sid, []).append(index)
@@ -178,34 +178,32 @@ def _fingerprint(run):
     )
 
 
-@BATCHED
-def test_consecutive_runs_on_one_executor_are_identical(toy_plan, batched):
+@FAMILIES
+def test_consecutive_runs_on_one_executor_are_identical(toy_plan, executor_class):
     plan, paces = toy_plan
-    with engine_mode(batched=batched):
-        executor = PlanExecutor(plan, StreamConfig())
-        first = _fingerprint(executor.run(paces))
-        second = _fingerprint(executor.run(paces))
+    executor = executor_class(plan, StreamConfig())
+    first = _fingerprint(executor.run(paces))
+    second = _fingerprint(executor.run(paces))
     assert first == second
     assert any(rows for _, rows in first[5])
 
 
-@BATCHED
-def test_folded_results_equal_one_view_of_the_whole_window(toy_plan, batched):
+@FAMILIES
+def test_folded_results_equal_one_view_of_the_whole_window(toy_plan, executor_class):
     # a stats run leaves its buffers as the window did: extra readers
     # registered before the run still hold every root segment after it
     plan, paces = toy_plan
-    with engine_mode(batched=batched):
-        executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
-        executor.run(paces)  # compile
-        whole = {
-            qid: executor.compiled[root.sid].buffer.reader()
-            for qid, root in plan.query_roots.items()
-        }
-        folded = executor.run(paces).query_results
-        viewed = {
-            qid: query_result_view(plan, qid, reader.read_new())
-            for qid, reader in whole.items()
-        }
+    executor = executor_class(plan, StreamConfig(), stats_mode=True)
+    executor.run(paces)  # compile
+    whole = {
+        qid: executor.compiled[root.sid].buffer.reader()
+        for qid, root in plan.query_roots.items()
+    }
+    folded = executor.run(paces).query_results
+    viewed = {
+        qid: query_result_view(plan, qid, reader.read_new())
+        for qid, reader in whole.items()
+    }
     assert list(folded) == list(viewed)
     for qid in viewed:
         assert list(folded[qid].items()) == list(viewed[qid].items())

@@ -8,9 +8,9 @@ from repro import obs
 from repro.engine.executor import PlanExecutor, TriggerPoint
 from repro.engine.stream import StreamConfig, TableStream
 from repro.errors import ExecutionError
+from repro.fuzz.reference import ReferenceExecutor
 from repro.mqo.merge import build_unshared_plan
 from repro.obs import OBS
-from repro.physical.hotpath import engine_mode
 
 from .test_columnar_equivalence import fig11_setup  # noqa: F401 (fixture)
 from .test_executor_rebind import fingerprint, mixed_paces, toy_queries
@@ -160,12 +160,13 @@ class TestTargetedCompaction:
 
     @pytest.mark.parametrize("batched", (True, False))
     def test_equals_the_full_sweep_on_fig11(self, fig11_setup, batched):
+        # the production tree (True) and the per-tuple reference's
         plan, paces, _ = fig11_setup
-        executor = PlanExecutor(plan, StreamConfig())
+        executor_class = PlanExecutor if batched else ReferenceExecutor
+        executor = executor_class(plan, StreamConfig())
         obs.enable(process_name="test-compaction")
         try:
-            with engine_mode(batched=batched):
-                targeted, swept = self.targeted_then_swept(executor, paces)
+            targeted, swept = self.targeted_then_swept(executor, paces)
         finally:
             obs.disable()
         assert any(targeted.values())

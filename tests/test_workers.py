@@ -2,8 +2,8 @@
 
 The primitive owns the determinism contract of every ``--jobs N`` path:
 task-order results, errors and observability merge; static assignment
-while tracing; the driver's engine mode and calibration cache in every
-worker under any multiprocessing start method; ``jobs=1`` in process.
+while tracing; the driver's calibration cache in every worker under any
+multiprocessing start method; ``jobs=1`` in process.
 """
 
 import multiprocessing
@@ -20,12 +20,6 @@ from repro.harness.parallel import ExperimentCell, run_cells
 from repro.harness.runner import ExperimentRunner
 from repro.harness.service import run_service_schedule
 from repro.obs import OBS
-from repro.physical.hotpath import (
-    HOTPATH,
-    EngineMode,
-    engine_mode,
-    engine_mode_label,
-)
 from repro.workers import WorkerTraceback, ordered_map
 from repro.workloads.constraints import uniform_constraints
 
@@ -71,10 +65,6 @@ def _log_or_fail(_shared, task):
             seed=42, case_path="/tmp/case-000.json"
         )
     return task
-
-
-def _mode_probe(_shared, _task):
-    return engine_mode_label(), HOTPATH.values()
 
 
 def _cache_probe(_shared, _task):
@@ -151,25 +141,16 @@ class TestOrderedMap:
 # -- engine mode across start methods ------------------------------------------------
 
 class TestEngineModeUnderSpawn:
-    """``spawn`` workers re-import ``repro``: they get the environment's
-    engine mode (the production operators), not the driver's, unless
-    the pool ships it."""
-
-    def test_primitive_ships_the_mode(self, spawn_start_method):
-        with engine_mode(batched=False):
-            outcomes = ordered_map(_mode_probe, range(4), jobs=2)
-        assert [result for result, _ in outcomes] == [
-            ("reference", (False,))
-        ] * 4
+    """``spawn`` workers re-import ``repro``: with nothing to switch, they
+    run the one production backend the driver runs."""
 
     def test_run_cells_reports_the_serial_engine_mode(self, spawn_start_method):
         runner = _toy_runner()
         cells = _toy_cells()
-        with engine_mode(batched=False):
-            serial = run_cells(runner, cells, jobs=1)
-            parallel = run_cells(runner, cells, jobs=2)
+        serial = run_cells(runner, cells, jobs=1)
+        parallel = run_cells(runner, cells, jobs=2)
         for ser, par in zip(serial, parallel):
-            assert ser.result.run.metadata["engine_mode"] == "reference"
+            assert ser.result.run.metadata["engine_mode"] == "columnar"
             assert par.result.run.metadata == ser.result.run.metadata
             assert par.result.total_work == ser.result.total_work
             assert par.result.missed.absolute == ser.result.missed.absolute
@@ -190,36 +171,90 @@ def test_service_schedule_bit_identical_under_spawn(spawn_start_method):
     assert states[0] == states[1]
 
 
+def _imported_modules(path, root):
+    """Every module ``path`` (a file under package ``root``) imports,
+    relative imports resolved, ``from m import n`` also as ``m.n``."""
+    import ast
+
+    package = ("repro",) + path.relative_to(root).parent.parts
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            parts = package[:len(package) - node.level + 1] if node.level else ()
+            module = ".".join(parts + ((node.module,) if node.module else ()))
+            yield module
+            for alias in node.names:
+                yield "%s.%s" % (module, alias.name)
+
+
 def test_engine_matrix_guard():
-    """One toggle, one environment switch, one production backend, one
-    process pool -- and a reference that knows nothing of arrangements."""
+    """No toggle, no environment switch, one production backend, one
+    process pool -- and a reference that knows nothing of arrangements,
+    which only the fuzz package imports."""
     import pathlib
     import re
 
     import repro
+    from repro.physical import hotpath
 
-    assert EngineMode.__slots__ == ("batched",)
+    assert not hasattr(hotpath, "EngineMode")
     root = pathlib.Path(repro.__file__).parent
     sources = {path: path.read_text() for path in root.rglob("*.py")}
     switches = {
         name for text in sources.values()
         for name in re.findall(r"REPRO_ENGINE_[A-Z_]+", text)
     }
-    assert switches == {"REPRO_ENGINE_UNBATCHED"}
+    assert switches == set()
     retired = re.compile(
         r"_advance_batched|_apply_batched|_process_batch|columnar_available"
         r"|COLUMNAR_KILLED|_columnar_active|_advance_arranged|arranged_state"
-        r"|run_parallel"
+        r"|run_parallel|EngineMode|HOTPATH\b|engine_mode\(|_runtime_reference"
+        r"|_runtime_mode|REPRO_ENGINE_UNBATCHED"
     )
     assert not [
         path.name for path, text in sources.items() if retired.search(text)
     ]
     assert "arrang" not in (root / "physical" / "operators.py").read_text()
+    importers = sorted(
+        str(path.relative_to(root)) for path in sources
+        if "repro.physical.operators" in set(_imported_modules(path, root))
+    )
+    assert importers and all(
+        name.startswith("fuzz/") for name in importers
+    ), importers
     pools = [
         path.name for path, text in sources.items()
         if "ProcessPoolExecutor(" in text
     ]
     assert pools == ["workers.py"]
+
+
+def test_production_never_loads_the_oracle():
+    """The per-tuple operators and the fuzz package stay out of a process
+    that only plans, calibrates, serves and runs experiments."""
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro.service.core, repro.harness.experiments\n"
+        "import repro.core.optimizer, repro.engine.calibrate, repro.workers\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name == 'repro.physical.operators'\n"
+        "             or name.startswith('repro.fuzz')))\n"
+    )
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=str(src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 # -- static assignment under observability, per caller ------------------------------

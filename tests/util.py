@@ -2,11 +2,12 @@
 
 import random
 
-from repro.engine.calibrate import calibrate_plan
+from repro.engine.calibrate import CalibrationResult, _collect_stats, calibrate_plan
 from repro.engine.columns import ColumnBatch
 from repro.engine.compare import assert_results_close
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
+from repro.fuzz.reference import ReferenceExecutor
 from repro.logical.builder import PlanBuilder
 from repro.mqo.merge import MQOOptimizer, build_unshared_plan
 from repro.relational.expressions import agg_avg, agg_count, agg_max, agg_sum, col
@@ -126,6 +127,17 @@ def assert_plan_correct(plan, queries, reference, paces=None, stream_config=None
 
 def shared_plan_for(catalog, queries):
     return MQOOptimizer(catalog).build_shared_plan(queries)
+
+
+def reference_calibration(plan, stream_config=None):
+    """What an uncached :func:`calibrate_plan` does, on the per-tuple
+    reference family: a pace-1 stats run whose retiring subplans fill the
+    plan's statistics."""
+    run = ReferenceExecutor(plan, stream_config, stats_mode=True).run(
+        {s.sid: 1 for s in plan.subplans},
+        collect_results=False, on_retire=_collect_stats,
+    )
+    return CalibrationResult(plan, run)
 
 
 def calibrated_shared_plan(catalog, queries, stream_config=None):
