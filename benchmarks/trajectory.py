@@ -24,6 +24,10 @@ Only entries measured like HEAD are candidates: the same seed, seconds,
 size and run counts, on the same platform (``stamp.platform``).  Seconds
 from different machine images do not compare, so a set measured on a new
 image needs its parent re-measured beside it; without one the gate fails.
+
+An entry may carry a ``pairs`` list: the JSON blocks ``benchmarks/pairs.py``
+wrote for the claims of its PR.  The gate does not read them; it prints
+HEAD's, one line per block, so the claim is cited from the record.
 """
 
 import json
@@ -99,6 +103,12 @@ def main(trajectory_path=TRAJECTORY_PATH, out_dir="."):
         print("trajectory gate: %s" % error)
         return 2
     print("HEAD: PR %s at %s" % (entries[-1].get("pr"), entries[-1]["commit"]))
+    for block in entries[-1].get("pairs", ()):
+        print("  pairs %s seed %s, %d pairs: %s" % (
+            block["workload"], block["seed"], block["pairs"], ", ".join(
+                "%s %+.1f%% (%d/%d won)" % (
+                    name, 100 * row["delta"], row["wins"], block["pairs"])
+                for name, row in sorted(block["metrics"].items()))))
     for (workload, name), pr in sorted(picks.items()):
         print("  best %-24s %-16s from PR %s" % (name, workload, pr))
     paths = []

@@ -6,8 +6,13 @@ NumPy array per row column plus parallel int64 arrays for the delta sign
 conversion between the two: a production tree carries batches from the
 table feed to the result view, the per-tuple reference tree carries
 :class:`~repro.relational.tuples.Delta` lists, and a tree is one or the
-other.  NumPy is optional: a chain of row-lane kernels carries rows,
-signs and bits as Python lists and never builds an array.
+other.  NumPy is optional and loaded lazily: ``np`` is bound at import
+but NumPy's own code runs only on its first attribute access -- the
+first batch above ``ROW_LANE_MAX`` that takes a vector kernel, or the
+first read of ``signs`` / ``bits`` / ``columns``.  A chain of row-lane
+kernels carries rows, signs and bits as Python lists and never builds an
+array, so a process whose batches all take the row lane never imports
+NumPy at all.
 
 Columns are **late-materialized**: a batch built from table rows (or by a
 scalar join probe) carries the original Python row tuples and builds a
@@ -30,10 +35,30 @@ original objects untouched.  Row-backed batches are even stronger: their
 ``rows()`` ARE the original tuples, no round-trip at all.
 """
 
-try:
-    import numpy as np
-except ImportError:  # the row lane alone serves every batch size
-    np = None
+import importlib.util
+import sys
+
+
+def _lazy_numpy():
+    """NumPy as a module that executes on first attribute access.
+
+    An already-imported NumPy is reused, and ``sys.modules["numpy"] =
+    None`` (or no NumPy installed) gives None: the row lane alone then
+    serves every batch size.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        return None
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -44,7 +69,8 @@ _BOOL_KIND = frozenset((bool,))
 
 
 def available():
-    """Whether NumPy imported (the vector lane needs it)."""
+    """Whether NumPy is installed (the vector lane needs it); asking does
+    not load it."""
     return np is not None
 
 
@@ -157,7 +183,7 @@ class ColumnBatch:
         """The int64 sign array (built once from a list-backed batch)."""
         signs = self._signs
         if signs is None:
-            signs = self._signs = np.array(self._sign_list, dtype=np.int64)
+            signs = self._signs = _int64_array(self._sign_list)
         return signs
 
     @property
@@ -165,7 +191,7 @@ class ColumnBatch:
         """The int64 query-bitvector array (built once, like ``signs``)."""
         bits = self._bits
         if bits is None:
-            bits = self._bits = np.array(self._bit_list, dtype=np.int64)
+            bits = self._bits = _int64_array(self._bit_list)
         return bits
 
     def sign_list(self):
@@ -185,16 +211,13 @@ class ColumnBatch:
 
         Eager schedules produce empty inputs and outputs by the hundred
         per window, so "nothing" is one object per width rather than an
-        allocation per call: its row store and sign/bit lists are tuples
-        and its signs/bits array (absent without NumPy) is read-only.
+        allocation per call.  It is list-backed like every row-lane
+        batch: its row store and sign/bit lists are tuples, and its
+        signs/bits arrays are built only when read, read-only.
         """
         batch = _EMPTY.get(width)
         if batch is None:
-            none = None
-            if np is not None:
-                none = np.empty(0, dtype=np.int64)
-                none.flags.writeable = False
-            batch = _EMPTY[width] = cls.from_rows((), none, none, width)
+            batch = _EMPTY[width] = cls.from_rows((), [], [], width)
             batch._sign_list = batch._bit_list = ()
         return batch
 
@@ -453,6 +476,15 @@ class ColumnBatch:
 
 
 _EMPTY = {}  # width -> the shared empty batch (ColumnBatch.empty)
+
+
+def _int64_array(values):
+    """An int64 array of a sign or bit list; read-only when the list is a
+    tuple (the shared empty batch's)."""
+    array = np.array(values, dtype=np.int64)
+    if type(values) is tuple:
+        array.flags.writeable = False
+    return array
 
 
 def concat_batches(batches, width):

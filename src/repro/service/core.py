@@ -571,3 +571,45 @@ class QueryService:
             tenant_of=tenant_of_slot.get,
         )
         return {slot: share / run.quantum for slot, share in shares.items()}
+
+
+def split_misses(service, outcome):
+    """Split one window's missed queries into infeasible and avoidable.
+
+    Re-runs the window's live plan on a fresh executor over the catalog
+    the window ran on, every subplan at the maximum pace: a missed query
+    whose final work still exceeds its bound there is *infeasible* (no
+    pace the optimizer may choose meets it on this data), any other is
+    *avoidable* (the chosen paces spent slack the data did not have).
+
+    Call it right after the :meth:`QueryService.run_window` that returned
+    ``outcome``, before churn changes the plan.  It only reads: no
+    service state, memo, feedback correction or ledger changes.  Returns
+    ``{"avoidable": [qid, ...], "infeasible": [qid, ...]}``.
+    """
+    split = {"avoidable": [], "infeasible": []}
+    missed = [
+        qid for qid, entry in sorted(outcome.queries.items())
+        if entry["missed_seconds"] > 0
+    ]
+    if not missed:
+        return split
+    if outcome.window != service.window - 1 or service.paces is None:
+        raise ServiceError(
+            "window %d's plan is no longer live: split its misses right "
+            "after run_window" % outcome.window
+        )
+    plan = service.plan
+    eager = PlanExecutor(
+        plan, service.config.stream_config, catalog=service._executor.catalog
+    ).run(
+        uniform_configuration(plan, service.config.max_pace),
+        collect_results=False,
+    )
+    seconds = service.config.stream_config.seconds
+    for qid in missed:
+        final = eager.query_final_work.get(service.slots[qid], 0.0)
+        goal = outcome.queries[qid]["goal_seconds"]
+        late, _ = missed_latency(seconds(final), goal)
+        split["infeasible" if late > 0 else "avoidable"].append(qid)
+    return split

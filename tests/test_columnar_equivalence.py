@@ -12,9 +12,9 @@ differently).
 
 The buffer segment log (producers append ``ColumnBatch`` segments,
 readers get the same objects back, nothing converts them to deltas)
-gets direct unit coverage at the bottom, and the two inputs that rule
-the vector lane out -- no NumPy, query ids of 62 and above -- at the
-very end.
+gets direct unit coverage at the bottom, then the two inputs that rule
+the vector lane out -- no NumPy, query ids of 62 and above -- and, at
+the very end, that NumPy runs only once a batch takes the vector lane.
 """
 
 import subprocess
@@ -1309,3 +1309,78 @@ def test_without_numpy_the_row_lane_is_the_reference():
 def test_query_ids_past_int64_keep_the_row_lane():
     out = _run_row_lane_only("", True, (3, 62, 81))
     assert "row-lane-only ok [3, 62, 81]" in out
+
+
+_LANE_CHILD = """
+import sys
+sys.path[:0] = [{src!r}, {root!r}]
+import repro.core.optimizer
+import repro.harness.experiments
+import repro.service.core
+import repro.workers
+from repro.core.optimizer import OptimizerConfig
+from repro.core.pace import uniform_configuration
+from repro.engine.calibrate import calibrate_plan
+from repro.engine.executor import PlanExecutor
+from repro.physical import columnar
+from repro.service.core import QueryService
+from tests.util import (
+    make_toy_catalog, shared_plan_for, toy_query_max, toy_query_region,
+    toy_query_total,
+)
+
+{block}
+catalog = make_toy_catalog()
+plan = shared_plan_for(catalog, [
+    toy_query_total(catalog, 0), toy_query_region(catalog, 1),
+    toy_query_max(catalog, 2),
+])
+calibration = calibrate_plan(plan)
+runs = [calibration.run, PlanExecutor(plan).run(uniform_configuration(plan, 4))]
+service = QueryService(
+    lambda window: make_toy_catalog(seed=41 + window), OptimizerConfig(max_pace=6))
+basis = service.basis_catalog
+service.register(toy_query_total(basis, 0), "a", 5.0)
+service.register(toy_query_region(basis, 1), "b", 0.5)
+runs += [service.run_window(collect_results=True).run for _ in range(3)]
+print(repr({{
+    "numpy": sorted(name for name in sys.modules if name.startswith("numpy.")),
+    "work": [(run.total_quanta, sorted(run.query_final_quanta.items()))
+             for run in runs],
+    "results": [run.query_results for run in runs[1:]],
+}}))
+"""
+
+
+def _lane_child(block=""):
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = _LANE_CHILD.format(
+        src=str(root / "src"), root=str(root), block=block,
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=str(root),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def test_row_lane_paths_never_run_numpy():
+    # the production entry points, a calibration, a window and service
+    # windows whose batches all fit the row lane: NumPy's own code never
+    # runs, so none of its submodules is loaded
+    assert _lane_child()["numpy"] == []
+
+
+@needs_numpy
+def test_the_vector_lane_loads_numpy_on_first_use():
+    row, vector = _lane_child(), _lane_child("columnar.ROW_LANE_MAX = 0")
+    assert vector["numpy"], "ROW_LANE_MAX = 0 ran no NumPy"
+    assert vector["work"] == row["work"]
+    for row_results, vector_results in zip(row["results"], vector["results"]):
+        assert row_results.keys() == vector_results.keys()
+        for qid, result in row_results.items():
+            assert_results_close(result, vector_results[qid])

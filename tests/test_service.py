@@ -9,6 +9,7 @@ from repro import obs
 from repro.core.incremental import merge_with_carry
 from repro.core.optimizer import OptimizerConfig
 from repro.core.pace import uniform_configuration
+from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import OptimizationError, ServiceError
 from repro.fuzz.oracles import stats_keys_outside_mask
@@ -19,7 +20,7 @@ from repro.harness.service import (
 )
 from repro.logical.ops import Query
 from repro.obs import OBS
-from repro.service.core import QueryService
+from repro.service.core import QueryService, split_misses
 from repro.service.schedule import DEMO_SCHEDULE, validate_schedule
 from repro.engine.compare import assert_results_close
 from repro.workloads.tpch import build_query, generate_catalog
@@ -486,6 +487,74 @@ class TestSlackAndAttribution:
             assert "projected_misses" in record
         finally:
             obs.disable()
+
+
+class TestMissSplit:
+    """``split_misses`` re-runs a window at uniform ``P_max``: a miss that
+    still misses there is infeasible, any other is avoidable."""
+
+    @staticmethod
+    def _missing_service():
+        # window 1 carries twice the basis window's events, so every
+        # query overshoots the work its paces were chosen for
+        def make_catalog(window):
+            return make_toy_catalog(
+                seed=41 + window, n_events=900 * (1 + window))
+
+        service = QueryService(make_catalog, OptimizerConfig(max_pace=6))
+        catalog = service.basis_catalog
+        for query, tenant in ((toy_query_total(catalog, 0), "a"),
+                              (toy_query_region(catalog, 1), "b"),
+                              (toy_query_max(catalog, 2), "c")):
+            assert service.register(query, tenant, 0.5).status == "admitted"
+        assert split_misses(service, service.run_window()) == {
+            "avoidable": [], "infeasible": []}
+        return service, make_catalog
+
+    def test_one_miss_of_each_kind(self):
+        service, make_catalog = self._missing_service()
+        outcome = service.run_window()
+        split = split_misses(service, outcome)
+        assert split == {"avoidable": [2], "infeasible": [0, 1]}
+        assert all(outcome.queries[qid]["missed_seconds"] > 0
+                   for qid in (0, 1, 2))
+        # the verdicts are the final work of the same plan at P_max over
+        # the same data, held to each query's bound
+        eager = PlanExecutor(
+            service.plan, service.config.stream_config,
+            catalog=make_catalog(1),
+        ).run(uniform_configuration(service.plan, 6), collect_results=False)
+        for qid, infeasible in ((0, True), (1, True), (2, False)):
+            slot = service.slots[qid]
+            bound = service._constraints[slot]
+            assert (eager.query_final_work[slot] > bound) is infeasible
+
+    def test_the_split_changes_no_service_state(self):
+        def state(service):
+            pool = service.model.memo_pool
+            return (dict(service.paces), service.model.feedback_factors(),
+                    pool.simulations, pool.hits, len(service.slack),
+                    len(service.attribution.windows))
+
+        outcomes = []
+        for split in (False, True):
+            service, _ = self._missing_service()
+            outcome = service.run_window()
+            if split:
+                before = state(service)
+                split_misses(service, outcome)
+                assert state(service) == before
+            third = service.run_window()
+            outcomes.append((third.run.total_quanta,
+                             dict(third.run.query_final_quanta)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_window_whose_plan_changed_is_refused(self):
+        service, _ = self._missing_service()
+        outcome = service.run_window()
+        service.deregister(2)
+        with pytest.raises(ServiceError, match="no longer live"):
+            split_misses(service, outcome)
 
 
 class TestShardedHarness:

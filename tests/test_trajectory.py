@@ -96,3 +96,14 @@ def test_head_without_a_comparable_predecessor_fails(trajectory, tmp_path):
         trajectory.best_set(
             entries, trajectory.pipeline.load_manifest(), trajectory.LAST)
     assert trajectory.main(write(tmp_path, entries), str(tmp_path)) == 2
+
+
+def test_a_pairs_block_is_cited_and_not_gated(trajectory, tmp_path, capfd):
+    entries = [entry(0, 0.1), entry(1, 0.1)]
+    entries[-1]["pairs"] = [{
+        "workload": "plan_22q", "seed": 5, "pairs": 10,
+        "metrics": {"peak_rss_mb": {"delta": -0.2, "wins": 10}},
+    }]
+    assert trajectory.main(write(tmp_path, entries), str(tmp_path)) == 0
+    assert "pairs plan_22q seed 5, 10 pairs: peak_rss_mb -20.0% (10/10 won)" \
+        in capfd.readouterr().out
