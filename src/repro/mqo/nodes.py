@@ -82,6 +82,7 @@ class OpNode:
         "projections",
         "stats",
         "query_mask",
+        "__weakref__",
     )
 
     def __init__(self, kind, children=(), ref=None, left_keys=None, right_keys=None,

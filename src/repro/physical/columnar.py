@@ -63,7 +63,7 @@ from .fused import (
     fused_row_kernel,
     fused_source_kernel,
 )
-from .hotpath import cached_artifacts, qids_of
+from .hotpath import qids_of
 
 # Every operator dispatches on its input row count: a batch of
 # ``n <= ROW_LANE_MAX`` rows takes the operator's *row lane* -- one

@@ -3,8 +3,8 @@
 Nothing on the engine's per-batch path interprets an expression tree or
 walks a list of closures: this module *generates Python source* for a
 node's whole chain -- source mask, every filter's bit-clear, the union
-projection -- compiles the text and memoizes the kernel through
-:func:`~repro.physical.hotpath.cached_artifacts`.  Following the
+projection -- compiles the text and memoizes the kernel on its node
+through :func:`~repro.physical.hotpath.cached_artifacts`.  Following the
 codegen-then-measure pattern (the Cozy cost model generates source,
 compiles it, and keeps it only when measurement confirms the win -- see
 SNIPPETS.md), there is one generator per lane of the size dispatch
@@ -312,7 +312,8 @@ def _compile_kernel(kind, lines, namespace):
     """The ``kernel`` function ``lines`` define, over ``namespace``."""
     source = "\n".join(lines) + "\n"
     exec(compile_source(kind, source), namespace)
-    kernel = namespace["kernel"]
+    # out of its own globals: a dead kernel is no cycle
+    kernel = namespace.pop("kernel")
     kernel.fused_source = source  # inspectable (tests, debugging)
     return kernel
 
@@ -772,28 +773,29 @@ def _build_aggregate_kernels(node, qids):
         from_rows=ColumnBatch.from_rows,
     )
     exec(compile_source("aggregate", source), namespace)
-    generated = map(namespace.get, AggregateKernels._fields[:5])
+    # out of their globals (none calls a sibling): dead kernels are no cycle
+    generated = map(namespace.pop, AggregateKernels._fields[:5])
     return AggregateKernels(*generated, slot_of, offsets, source)
 
 
 def fused_decoration_kernel(node):
     """The memoized decoration kernel of ``node`` (filters+projection)."""
     return cached_artifacts(
-        ("fused-deco", node.uid), lambda: _build_decoration_kernel(node)
+        node, "fused-deco", lambda: _build_decoration_kernel(node)
     )
 
 
 def fused_source_kernel(node):
     """The memoized source-chain kernel of ``node`` (mask+decorations)."""
     return cached_artifacts(
-        ("fused-src", node.uid), lambda: _build_source_kernel(node)
+        node, "fused-src", lambda: _build_source_kernel(node)
     )
 
 
 def fused_aggregate_inputs(node):
     """The memoized aggregate-input kernel of ``node``."""
     return cached_artifacts(
-        ("fused-agg", node.uid), lambda: _build_aggregate_inputs(node)
+        node, "fused-agg", lambda: _build_aggregate_inputs(node)
     )
 
 
@@ -801,7 +803,8 @@ def fused_row_kernel(node, source=False):
     """The memoized row-lane kernel of ``node``'s chain (``source``:
     behind the subplan mask, for the source that owns the chain)."""
     return cached_artifacts(
-        ("fused-row-src" if source else "fused-row", node.uid),
+        node,
+        "fused-row-src" if source else "fused-row",
         lambda: _build_row_kernel(node, source),
     )
 
@@ -810,6 +813,7 @@ def fused_aggregate_kernels(node, qids):
     """The memoized :class:`AggregateKernels` of aggregate ``node`` run
     for the queries ``qids``."""
     return cached_artifacts(
-        ("fused-aggregate", (node.uid, qids)),
+        node,
+        ("fused-aggregate", qids),
         lambda: _build_aggregate_kernels(node, qids),
     )

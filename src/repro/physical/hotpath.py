@@ -26,13 +26,16 @@ shared arrangement (:mod:`repro.engine.arrangements`): a production join
 side over a bare base-table scan always does.
 
 Not settings either: compiled per-node artifacts (key getters, aggregate
-input functions, fused kernels) are always memoized process-wide by
-:func:`cached_artifacts` -- and the generated source under them once per
-distinct text (:func:`repro.relational.codegen.compile_source`) -- and a
+input functions, fused kernels) are always memoized by
+:func:`cached_artifacts` for as long as their plan node lives -- and the
+generated source under them once per distinct text
+(:func:`repro.relational.codegen.compile_source`) -- and a
 :class:`~repro.engine.executor.PlanExecutor` always reuses its compiled
 operator tree across ``run()`` calls (state is deterministically reset
 instead of rebuilt).
 """
+
+from weakref import WeakKeyDictionary
 
 from ..errors import ExecutionError
 from ..relational.codegen import clear_code_cache
@@ -80,37 +83,39 @@ def qids_of(bits):
 
 # -- compiled per-node artifact cache ---------------------------------------
 #
-# OpNode uids are unique for the lifetime of the process and a node's
-# decorations/keys/schemas are immutable after plan construction, so the
-# compiled closures can be shared by every operator instantiation of the
-# node -- across PlanExecutor builds, across run() calls and across
-# processes' repeated sweep cells.  The cache is bounded: when it fills,
-# it is cleared wholesale (recompilation is cheap relative to a leak).
+# A node's decorations/keys/schemas are immutable after plan construction,
+# so its compiled closures are shared by every operator instantiation of
+# the node -- across PlanExecutor builds and run() calls.  They hang off
+# the node weakly: when the last plan holding a node dies, so do its
+# kernels, and a service that re-merges its plan on every registration
+# keeps only the live plan's.  Generated functions are taken out of their
+# exec namespace (:mod:`repro.physical.fused`), so a dead kernel is freed
+# by reference counting, not left as cyclic garbage.
 
-_ARTIFACTS = {}
-_ARTIFACTS_LIMIT = 4096
+_ARTIFACTS = WeakKeyDictionary()  # node -> {kind: artifact}
 
 #: (hits, misses) counters; surfaced through repro.obs when enabled
 compile_cache_stats = {"hits": 0, "misses": 0}
 
 
-def cached_artifacts(key, builder):
-    """Fetch (or build and memoize) the compiled artifacts of one node.
+def cached_artifacts(node, kind, builder):
+    """Fetch (or build and memoize) the ``kind`` artifact of ``node``.
 
-    ``key`` is a hashable cache key, conventionally ``(kind, node.uid)``
-    so different artifact families of the same node do not collide.
-    ``builder`` is a zero-argument callable producing the artifact object;
-    it runs exactly once per key while the cache holds the entry.
+    ``kind`` is a hashable name for one artifact family of the node.
+    ``builder`` is a zero-argument callable producing the artifact; it
+    runs once per (node, kind) while the node lives, and must not hold
+    the node itself, or the node would never die.
     """
-    artifacts = _ARTIFACTS.get(key)
-    if artifacts is None:
-        if len(_ARTIFACTS) >= _ARTIFACTS_LIMIT:
-            _ARTIFACTS.clear()
-        artifacts = _ARTIFACTS[key] = builder()
+    per_node = _ARTIFACTS.get(node)
+    if per_node is None:
+        per_node = _ARTIFACTS[node] = {}
+    artifact = per_node.get(kind)
+    if artifact is None:
+        artifact = per_node[kind] = builder()
         compile_cache_stats["misses"] += 1
     else:
         compile_cache_stats["hits"] += 1
-    return artifacts
+    return artifact
 
 
 def clear_compiled_caches():

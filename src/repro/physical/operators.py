@@ -67,7 +67,7 @@ class Decorations:
 
     def __init__(self, node, stats_mode=False):
         artifacts = cached_artifacts(
-            ("deco", node.uid), lambda: _DecorationArtifacts(node)
+            node, "deco", lambda: _DecorationArtifacts(node)
         )
         self.filter_name = "filter:%d" % node.uid
         self.project_name = "proj:%d" % node.uid
@@ -209,7 +209,7 @@ class JoinExec:
         #: net stored entries (both sides), what ``charge_state`` bills
         self.entry_count = 0
         self.name = "join:%d" % node.uid
-        artifacts = cached_artifacts(("join", node.uid), lambda: _JoinArtifacts(node))
+        artifacts = cached_artifacts(node, "join", lambda: _JoinArtifacts(node))
         self._left_key = artifacts.left_key
         self._right_key = artifacts.right_key
         # key -> {(row, bits): net multiplicity}
@@ -459,7 +459,7 @@ class AggregateExec:
         self.state_count = 0
         self.name = "agg:%d" % node.uid
         self._group_key, self._input_fns = cached_artifacts(
-            ("agg", node.uid), lambda: _aggregate_artifacts(node))
+            node, "agg", lambda: _aggregate_artifacts(node))
         self.specs = node.aggs
         self.groups = {}
         self.last_emitted = {}

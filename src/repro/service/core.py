@@ -14,7 +14,11 @@ is provably unsatisfiable under the cost model and is rejected (or
 queued, in ``admission="queue"`` mode, to be retried whenever a
 deregistration frees capacity).  Per-tenant fairness is enforced through
 work budgets: a tenant's registrations may not demand more estimated
-solo work per window than its budget.
+solo work per window than its budget.  Admission is then re-checked
+against measurement: a query whose first window misses its goal is
+re-run at maximum eagerness on that window's data, and if it still
+misses there it is rejected (or queued) as ``measured_unsatisfiable``
+instead of missing silently for the rest of its life.
 
 Statistics are calibrated against the service's *basis* window (the
 first window's data) and then kept honest by the measured-execution
@@ -132,6 +136,40 @@ class TriggerOutcome:
         )
 
 
+class _WindowRun:
+    """What one window ran on -- plan, slots, catalog -- and, measured
+    once on first demand, the same plan's run at uniform ``P_max``."""
+
+    __slots__ = ("window", "plan", "slots", "catalog", "_final_at_max")
+
+    def __init__(self, window, plan, slots, catalog):
+        self.window = window
+        self.plan = plan
+        self.slots = slots
+        self.catalog = catalog
+        self._final_at_max = None
+
+    def late_at_max(self, config, goals):
+        """``{qid: final work}`` of the queries of ``goals`` (``{qid: goal
+        seconds}``) whose measured final work misses the goal even with
+        every subplan at the maximum pace."""
+        if self._final_at_max is None:
+            eager = PlanExecutor(
+                self.plan, config.stream_config, catalog=self.catalog
+            ).run(
+                uniform_configuration(self.plan, config.max_pace),
+                collect_results=False,
+            )
+            self._final_at_max = eager.query_final_work
+        seconds = config.stream_config.seconds
+        late = {}
+        for qid, goal in goals.items():
+            final = self._final_at_max.get(self.slots[qid], 0.0)
+            if missed_latency(seconds(final), goal)[0] > 0:
+                late[qid] = final
+        return late
+
+
 class QueryService:
     """A long-running scheduler owning one live shared plan.
 
@@ -147,7 +185,8 @@ class QueryService:
     admission:
         ``"reject"`` turns away an inadmissible registration for good;
         ``"queue"`` parks it and retries (FIFO) after each
-        deregistration.
+        deregistration.  Either applies to a live query whose first
+        window proves it ``measured_unsatisfiable``.
     tenant_budgets:
         optional ``{tenant: work_units}`` fairness budgets; a tenant's
         live queries may not demand more estimated solo batch work than
@@ -172,6 +211,9 @@ class QueryService:
         self.registrations = {}  # qid -> Registration, insertion-ordered
         self.pending = []  # queued registrations (admission="queue")
         self.decisions = []  # every AdmissionDecision ever made
+        #: admitted queries that have not run a window yet: their first
+        #: window re-checks admission against measurement
+        self._unmeasured = set()
         self._executor = None
         self._basis = None
         self._clear_plan()
@@ -199,6 +241,9 @@ class QueryService:
         #: eagerest plan the optimizer could have run; headroom over it
         #: is the slack budget the chosen paces were allowed to spend
         self._eager_final = {}
+        #: the last window's :class:`_WindowRun` while churn has not
+        #: changed the plan since (what :func:`split_misses` re-runs)
+        self._last_run = None
 
     # -- registration lifecycle ---------------------------------------------
 
@@ -286,13 +331,18 @@ class QueryService:
                 "service_deregister", query_id=query_id,
                 tenant=registration.tenant, queued=False,
             )
+        self._unmeasured.discard(query_id)
+        self._replan()
+        self._retry_pending()
+        return registration
+
+    def _replan(self):
+        """Re-merge the live registrations after some left."""
         if self.registrations:
             merge, slots = self._merge(list(self.registrations.values()))
             self._adopt(merge, slots)
         else:
             self._clear_plan()
-        self._retry_pending()
-        return registration
 
     def _retry_pending(self):
         """FIFO re-admission pass over the queue after capacity changed."""
@@ -381,6 +431,7 @@ class QueryService:
                     self.window,
                 )
         self.registrations[qid] = registration
+        self._unmeasured.add(qid)
         self._adopt(merge, slots)
         return AdmissionDecision(
             qid, registration.tenant, "admitted", "capacity available",
@@ -398,6 +449,7 @@ class QueryService:
         self.slots = slots
         self.paces = None  # dirty: re-searched lazily at the next trigger
         self._last_merge = merge
+        self._last_run = None
         # the pool outlives every merge: drop the cones only the previous
         # plan or a turned-away candidate had
         merge.model.memo_pool.retain(merge.model.cone_signatures())
@@ -453,6 +505,7 @@ class QueryService:
         window = self.window
         if not self.registrations:
             self.window += 1
+            self._last_run = None
             return TriggerOutcome(window, 0.0, {}, {}, reoptimized=False)
         reoptimized = self.paces is None
         if reoptimized:
@@ -529,6 +582,9 @@ class QueryService:
                 OBS.metrics.counter(
                     "service.tenant.slo_misses", tenant=tenant
                 ).inc(bucket["slo_misses"])
+        ran = _WindowRun(window, self.plan, self.slots, today)
+        self._recheck_admission(ran, queries)
+        self._last_run = ran
         self.window += 1
         return TriggerOutcome(
             window, run.total_work, queries, tenants,
@@ -538,6 +594,45 @@ class QueryService:
             # full replay (``check_conservation``) is the ledger export's
             conserved=not self.attribution.check_running_totals(),
         )
+
+    def _recheck_admission(self, ran, queries):
+        """Admission re-checked against the first window's measurement.
+
+        A query whose first window missed its goal is held to the same
+        window re-run at uniform ``P_max``: if it misses there too, the
+        cost model admitted it on an estimate the data refutes, so it
+        leaves the live plan -- rejected, or queued for the next
+        deregistration -- with an audited ``measured_unsatisfiable``
+        decision.  A miss ``P_max`` would have met stays live.
+        """
+        first, self._unmeasured = self._unmeasured, set()
+        missed = {
+            qid: queries[qid]["goal_seconds"] for qid in sorted(first)
+            if queries[qid]["missed_seconds"] > 0
+        }
+        if not missed:
+            return
+        late = ran.late_at_max(self.config, missed)
+        if not late:
+            return
+        queued = self.admission == "queue"
+        for qid, final in late.items():
+            registration = self.registrations.pop(qid)
+            decision = AdmissionDecision(
+                qid, registration.tenant, "queued" if queued else "rejected",
+                "measured_unsatisfiable: final work %.1f at max pace %d "
+                "exceeds bound %.1f in window %d" % (
+                    final, self.config.max_pace,
+                    self._constraints[ran.slots[qid]], ran.window,
+                ),
+                ran.window,
+            )
+            self.decisions.append(decision)
+            if queued:
+                self.pending.append(registration)
+            if OBS.enabled:
+                OBS.declog.log("service_admission", **decision.to_dict())
+        self._replan()
 
     def _attribute_work(self, window, run):
         """Per-slot share of the measured work, conservation-exact.
@@ -576,11 +671,13 @@ class QueryService:
 def split_misses(service, outcome):
     """Split one window's missed queries into infeasible and avoidable.
 
-    Re-runs the window's live plan on a fresh executor over the catalog
-    the window ran on, every subplan at the maximum pace: a missed query
+    Re-runs the window's plan on a fresh executor over the catalog the
+    window ran on, every subplan at the maximum pace: a missed query
     whose final work still exceeds its bound there is *infeasible* (no
     pace the optimizer may choose meets it on this data), any other is
     *avoidable* (the chosen paces spent slack the data did not have).
+    The window's admission re-check shares that run, so a query it
+    evicted is reported infeasible.
 
     Call it right after the :meth:`QueryService.run_window` that returned
     ``outcome``, before churn changes the plan.  It only reads: no
@@ -588,28 +685,20 @@ def split_misses(service, outcome):
     ``{"avoidable": [qid, ...], "infeasible": [qid, ...]}``.
     """
     split = {"avoidable": [], "infeasible": []}
-    missed = [
-        qid for qid, entry in sorted(outcome.queries.items())
+    missed = {
+        qid: entry["goal_seconds"]
+        for qid, entry in sorted(outcome.queries.items())
         if entry["missed_seconds"] > 0
-    ]
+    }
     if not missed:
         return split
-    if outcome.window != service.window - 1 or service.paces is None:
+    ran = service._last_run
+    if ran is None or ran.window != outcome.window:
         raise ServiceError(
             "window %d's plan is no longer live: split its misses right "
             "after run_window" % outcome.window
         )
-    plan = service.plan
-    eager = PlanExecutor(
-        plan, service.config.stream_config, catalog=service._executor.catalog
-    ).run(
-        uniform_configuration(plan, service.config.max_pace),
-        collect_results=False,
-    )
-    seconds = service.config.stream_config.seconds
+    late = ran.late_at_max(service.config, missed)
     for qid in missed:
-        final = eager.query_final_work.get(service.slots[qid], 0.0)
-        goal = outcome.queries[qid]["goal_seconds"]
-        late, _ = missed_latency(seconds(final), goal)
-        split["infeasible" if late > 0 else "avoidable"].append(qid)
+        split["infeasible" if qid in late else "avoidable"].append(qid)
     return split

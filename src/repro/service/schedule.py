@@ -119,11 +119,16 @@ def replay_schedule(service, schedule, build_query, collect_results=False):
 
     for _, event in ordered:
         fire_until(event["at"])
+        qid = event["query_id"]
         if event["op"] == "register":
-            query = build_query(event["query"], event["query_id"])
+            query = build_query(event["query"], qid)
             service.register(query, event["tenant"], event["goal"])
-        else:
-            service.deregister(event["query_id"])
+        elif qid in service.registrations or any(
+            registration.query_id == qid for registration in service.pending
+        ):
+            service.deregister(qid)
+        # else admission turned the query away (at registration, or as
+        # measured_unsatisfiable after its first window): nothing to leave
     while len(outcomes) < total_windows:
         outcomes.append(service.run_window(collect_results=collect_results))
     return outcomes, list(service.decisions)

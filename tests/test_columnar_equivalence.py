@@ -285,8 +285,9 @@ class TestFig11WorkIdentity:
         PlanExecutor(plan, StreamConfig()).run(paces)
         kernels = [
             artifact
-            for (kind, _), artifact in hotpath._ARTIFACTS.items()
-            if isinstance(kind, str) and kind.startswith("fused-")
+            for per_node in hotpath._ARTIFACTS.values()
+            for kind, artifact in per_node.items()
+            if (kind if isinstance(kind, str) else kind[0]).startswith("fused-")
         ]
         assert kernels, "no fused kernels were compiled during the run"
         assert all(hasattr(k, "fused_source") for k in kernels)

@@ -45,11 +45,10 @@ from .util import (
 
 @pytest.fixture(autouse=True)
 def _empty_compiled_caches():
-    # The process-wide artifact cache is bounded and cleared wholesale
-    # when full, and a generated kernel sits in a cycle through its
-    # globals: a clear landing inside an operation, wherever the tests
-    # before this one left the count, would be counted as its garbage.
-    # Each test starts from an empty cache, far below the bound.
+    # Compiled artifacts hang off their plan nodes and die with them by
+    # refcount; the code-text cache under them is bounded and cleared
+    # wholesale when full.  Each test starts from empty caches, so what
+    # an operation compiles or drops does not depend on the tests before.
     clear_compiled_caches()
 
 

@@ -1,6 +1,7 @@
 """Tests for the long-running multi-tenant service mode."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,11 @@ from repro.harness.service import (
 from repro.logical.ops import Query
 from repro.obs import OBS
 from repro.service.core import QueryService, split_misses
-from repro.service.schedule import DEMO_SCHEDULE, validate_schedule
+from repro.service.schedule import (
+    DEMO_SCHEDULE,
+    replay_schedule,
+    validate_schedule,
+)
 from repro.engine.compare import assert_results_close
 from repro.workloads.tpch import build_query, generate_catalog
 
@@ -555,6 +560,120 @@ class TestMissSplit:
         service.deregister(2)
         with pytest.raises(ServiceError, match="no longer live"):
             split_misses(service, outcome)
+
+
+class TestMeasuredAdmission:
+    """A query whose first window misses even at ``P_max`` leaves the
+    live plan as ``measured_unsatisfiable``; an avoidable miss stays."""
+
+    BUILDERS = {0: (toy_query_total, "a"), 1: (toy_query_region, "b"),
+                2: (toy_query_max, "c")}
+
+    @staticmethod
+    def _service(admission="reject"):
+        # admitted on window 0's statistics, a query first run on window 1
+        # meets twice the events: queries 0 and 1 miss even at P_max
+        def make_catalog(window):
+            return make_toy_catalog(
+                seed=41 + window, n_events=900 * (1 + window))
+
+        return QueryService(
+            make_catalog, OptimizerConfig(max_pace=6), admission=admission)
+
+    def _first_window(self, admission="reject", queries=(0, 1, 2)):
+        service = self._service(admission)
+        catalog = service.basis_catalog
+        service.run_window()  # idle: the clock moves to window 1
+        for qid in queries:
+            build, tenant = self.BUILDERS[qid]
+            decision = service.register(build(catalog, qid), tenant, 0.5)
+            assert decision.status == "admitted"
+        outcome = service.run_window()
+        assert all(entry["missed_seconds"] > 0
+                   for entry in outcome.queries.values())
+        return service, outcome
+
+    def test_reject_mode_evicts_what_p_max_cannot_meet(self):
+        service, outcome = self._first_window()
+        rechecked = service.decisions[3:]
+        assert [(d.query_id, d.status, d.window) for d in rechecked] == [
+            (0, "rejected", 1), (1, "rejected", 1)]
+        for decision in rechecked:
+            assert decision.reason.startswith("measured_unsatisfiable")
+            final, bound = re.search(
+                r"final work ([\d.]+) at max pace 6 exceeds bound ([\d.]+)",
+                decision.reason).groups()
+            assert float(final) > float(bound)
+        assert sorted(service.registrations) == [2]
+        assert service.pending == []
+        # the window that evicted them still splits; they are infeasible
+        assert split_misses(service, outcome) == {
+            "avoidable": [2], "infeasible": [0, 1]}
+        assert sorted(service.run_window().queries) == [2]
+
+    def test_queue_mode_queues_then_retries_after_deregistration(self):
+        service, _ = self._first_window(admission="queue")
+        assert [(d.query_id, d.status) for d in service.decisions[3:]] == [
+            (0, "queued"), (1, "queued")]
+        assert [r.query_id for r in service.pending] == [0, 1]
+        assert sorted(service.registrations) == [2]
+
+        service.deregister(2)
+        retried = service.decisions[-2:]
+        assert [(d.query_id, d.status) for d in retried] == [
+            (0, "admitted"), (1, "admitted")]
+        assert all(d.reason.startswith("retry:") for d in retried)
+        # re-admitted on the estimate, they are measured again: window 2
+        # is heavier still, so they go back to the queue
+        outcome = service.run_window()
+        assert sorted(outcome.queries) == [0, 1]
+        assert [(d.query_id, d.status, d.window)
+                for d in service.decisions[-2:]] == [
+            (0, "queued", 2), (1, "queued", 2)]
+        assert service.registrations == {}
+        assert service.plan is None
+
+    def test_an_avoidable_first_window_miss_stays_live(self):
+        service, outcome = self._first_window(queries=(2,))
+        assert [d.status for d in service.decisions] == ["admitted"]
+        assert split_misses(service, outcome) == {
+            "avoidable": [2], "infeasible": []}
+        assert sorted(service.run_window().queries) == [2]
+
+    def test_only_the_first_window_is_rechecked(self):
+        service, _ = self._first_window(queries=(2,))
+        # window 2 misses too, but it is not query 2's first window
+        outcome = service.run_window()
+        assert outcome.queries[2]["missed_seconds"] > 0
+        assert len(service.decisions) == 1
+        assert service._last_run._final_at_max is None
+
+    def test_a_schedule_may_deregister_an_evicted_query(self):
+        service = self._service()
+        schedule = {"windows": 3, "window_seconds": 60.0, "events": [
+            {"at": 70.0, "op": "register", "query_id": qid, "tenant": tenant,
+             "query": build.__name__, "goal": 0.5}
+            for qid, (build, tenant) in sorted(self.BUILDERS.items())
+        ] + [{"at": 130.0, "op": "deregister", "query_id": 0}]}
+
+        def build_query(name, qid):
+            return globals()[name](service.basis_catalog, qid)
+
+        outcomes, decisions = replay_schedule(service, schedule, build_query)
+        assert [sorted(o.queries) for o in outcomes] == [[], [0, 1, 2], [2]]
+        assert [(d.query_id, d.status) for d in decisions[3:]] == [
+            (0, "rejected"), (1, "rejected")]
+
+    def test_the_eviction_is_logged(self):
+        obs.enable(process_name="test-service")
+        try:
+            self._first_window()
+            records = [r for r in OBS.declog.of_event("service_admission")
+                       if r["reason"].startswith("measured_unsatisfiable")]
+            assert [(r["query_id"], r["status"], r["window"])
+                    for r in records] == [(0, "rejected", 1), (1, "rejected", 1)]
+        finally:
+            obs.disable()
 
 
 class TestShardedHarness:
