@@ -223,6 +223,7 @@ class PlanCostModel:
         self._table_stats = {}
         self._solo_cache = {}
         self._feedback = {}
+        self._feedback_pace = {}  # sid -> the pace its correction was measured at
         self._epoch = object()  # replaced whenever the feedback changes
         self.simulation_count = 0
         self.evaluation_count = 0
@@ -237,13 +238,13 @@ class PlanCostModel:
 
         Same feedback corrections, too, so a candidate and the plan in
         force are compared on one footing: each subplan of ``plan`` takes
-        the live correction of the subplan of this model's plan whose
-        operators it carries.  That is its own sid when the surgery kept
-        it, and its origin in ``lineage`` (a
-        :class:`~repro.core.regenerate.SplitLineage` relative to this
-        model's plan) when the surgery created it -- a split piece or a
-        cut bottom is corrected like the subplan it was carved from.  A
-        subplan with neither gets no correction.
+        the live correction, and the pace it was measured at, of the
+        subplan of this model's plan whose operators it carries.  That
+        is its own sid when the surgery kept it, and its origin in
+        ``lineage`` (a :class:`~repro.core.regenerate.SplitLineage`
+        relative to this model's plan) when the surgery created it -- a
+        split piece or a cut bottom is corrected like the subplan it was
+        carved from.  A subplan with neither gets no correction.
         """
         model = PlanCostModel(
             plan, self.config, use_memo=self.use_memo,
@@ -254,10 +255,12 @@ class PlanCostModel:
         if self._feedback:
             origin = lineage.origin if lineage is not None else {}
             for subplan in plan.subplans:
-                correction = self._feedback.get(
-                    origin.get(subplan.sid, subplan.sid))
+                carried = origin.get(subplan.sid, subplan.sid)
+                correction = self._feedback.get(carried)
                 if correction is not None:
                     model._feedback[subplan.sid] = correction
+                    model._feedback_pace[subplan.sid] = (
+                        self._feedback_pace.get(carried))
         return model
 
     def _index_plan(self):
@@ -453,6 +456,7 @@ class PlanCostModel:
         subplan_final = evaluation.subplan_final
         query_final_work = evaluation.query_final_work
         feedback = self._feedback
+        feedback_pace = self._feedback_pace
         outputs = evaluation.subplan_outputs
         pool = self.memo_pool
         pool_hits = 0
@@ -495,7 +499,8 @@ class PlanCostModel:
             private_total, private_final, out_profile = cached
             if feedback:
                 correction = feedback.get(sid)
-                if correction is not None:
+                if (correction is not None
+                        and feedback_pace.get(sid) == pace_config[sid]):
                     private_total *= correction[0]
                     private_final *= correction[1]
             outputs[sid] = out_profile
@@ -558,8 +563,13 @@ class PlanCostModel:
         cardinality estimation from previous executions.  This derives a
         per-subplan multiplicative correction of (total, final) work from
         one measured :class:`~repro.engine.metrics.RunResult` under
-        ``pace_config`` and applies it to every later :meth:`evaluate`.
-        Call with ``run_result=None`` to clear the corrections.
+        ``pace_config``.  A later :meth:`evaluate` applies a subplan's
+        correction only where it prices the subplan at the pace it was
+        measured at: the estimate's error depends on the pace (one
+        subplan measured 1.01x, 1.23x and 2.63x its estimated final work
+        at paces 1, 4 and 20), so a factor from one pace says nothing
+        about another.  Call with ``run_result=None`` to clear the
+        corrections.
 
         A subplan *absent* from the measurement (``None``) keeps factor
         1.0; a subplan that measurably did **zero** work against a
@@ -570,6 +580,7 @@ class PlanCostModel:
         # every change of the corrections starts a new epoch: evaluations
         # made before it are no delta base for evaluations after it
         self._feedback = {}  # measure corrections against raw estimates
+        self._feedback_pace = {}
         self._epoch = object()
         if run_result is None:
             return {}
@@ -591,6 +602,7 @@ class PlanCostModel:
             )
             feedback[sid] = (total_factor, final_factor)
         self._feedback = feedback
+        self._feedback_pace = {sid: pace_config[sid] for sid in feedback}
         self._epoch = object()
         if OBS.enabled:
             # Q-error of the *total-work* estimate: max(f, 1/f) >= 1, the
@@ -606,9 +618,10 @@ class PlanCostModel:
     def feedback_factors(self):
         """The live ``{sid: (total_factor, final_factor)}`` corrections.
 
-        A copy of the measured multiplicative corrections currently
-        applied to every :meth:`evaluate` -- the regret report's oracle
-        re-scores logged pace decisions with exactly these factors.
+        A copy of the measured multiplicative corrections, each of which
+        :meth:`evaluate` applies at the pace it was measured at -- the
+        regret report's oracle re-scores logged pace decisions with
+        exactly these factors.
         """
         return dict(self._feedback)
 
@@ -622,7 +635,8 @@ class PlanCostModel:
         and a cone that matched whole finds its table -- but two things
         are keyed by subplan id, which a re-merge renumbers:
 
-        * feedback correction factors from measured executions;
+        * feedback correction factors from measured executions, with the
+          pace each was measured at;
         * solo one-batch estimates, for queries all of whose subplans
           matched.
         """
@@ -630,6 +644,8 @@ class PlanCostModel:
             correction = old_model._feedback.get(old_sid)
             if correction is not None:
                 self._feedback[new_sid] = correction
+                self._feedback_pace[new_sid] = (
+                    old_model._feedback_pace.get(old_sid))
         self._epoch = object()
         for qid in self.plan.query_roots:
             new_sids = [s.sid for s in self._order if s.query_mask & (1 << qid)]

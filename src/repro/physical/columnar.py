@@ -62,6 +62,7 @@ from .fused import (
     fused_decoration_kernel,
     fused_row_kernel,
     fused_source_kernel,
+    fused_vector_helpers,
 )
 from .hotpath import qids_of
 
@@ -73,18 +74,19 @@ from .hotpath import qids_of
 # batch whose signs and bits stay lists -- and anything larger takes the
 # fused/vectorised kernels.  Both lanes emit the same rows in the same
 # order with the same WorkMeter charges, so the lane may change batch by
-# batch.  The one threshold is sized on the pipeline workloads, not on a
-# micro (docs/PERFORMANCE.md, "Size-dispatched operators"): on clean
-# two-column micro batches the vector lane wins from ~256 rows, but a
-# TPC-H chain pays for every lane change at an operator boundary (rows
-# to arrays and back, per column read) and a shared aggregate runs one
-# sort/reduceat pass per query, so with the row lane compiled the
-# pipeline keeps improving up to 4096 (``exec_lazy_22q`` -12% against
-# 256, ``plan_22q`` -5%), is flat to 8192 and loses 6% with no vector
-# lane at all; ``exec_eager_22q``'s largest input is 316 rows.  Tests
-# and the fuzz legs set it to 0 (every non-empty batch vectorised) or
-# ``1 << 30`` (every batch on the row lane).
-ROW_LANE_MAX = 4096
+# batch.  The one threshold is sized end to end by
+# ``benchmarks/lane_sweep.py`` (docs/PERFORMANCE.md, "Size-dispatched
+# operators"), not on a micro: on clean two-column micro batches the
+# vector lane wins from ~256 rows, but a TPC-H chain pays for every lane
+# change at an operator boundary and a shared aggregate runs one
+# sort/reduceat pass per query.  The first vector batch also loads NumPy
+# (~13.5 MB).  On the 22-query plan at scales 1-4, 16384 is the smallest
+# value swept that 4096 never beats; at the lazy benchmark's scale 0.5
+# (whole-lineitem reads of 4500 rows) it costs ~2% of window time and
+# saves a quarter of the process's peak memory.  Tests and the fuzz
+# legs set it to 0 (every non-empty batch vectorised) or ``1 << 30``
+# (every batch on the row lane).
+ROW_LANE_MAX = 16384
 
 
 def _count_bits(batch, *accs, mask=-1):
@@ -911,8 +913,9 @@ class ColumnarAggregateExec:
         self._group_indexes = [schema.index_of(g) for g in node.group_by]
         # the queries this operator keeps state for: its subplan's, or
         # the node's when a caller passes the all-ones mask
-        qids = qids_of(subplan_mask if subplan_mask >= 0 else node.query_mask)
-        self._kernels = fused_aggregate_kernels(node, qids)
+        self._qids = qids_of(
+            subplan_mask if subplan_mask >= 0 else node.query_mask)
+        self._kernels = fused_aggregate_kernels(node, self._qids)
         self._empty = ColumnBatch.empty(len(node.group_by) + len(node.aggs))
         self._clear()
         self.in_total = self.out_total = 0
@@ -1010,9 +1013,11 @@ class ColumnarAggregateExec:
                 return False
 
         codes, keys = self._group_codes(batch, n)
-        kernels = self._kernels
+        slot_of = self._kernels.slot_of
+        offsets = self._kernels.offsets
+        helpers = fused_vector_helpers(self.node, self._qids)
         records = [
-            kernels.touch(self._groups, self._touched, key) for key in keys
+            helpers.touch(self._groups, self._touched, key) for key in keys
         ]
         state_count = self.state_count
         # one stable sort by group: every query's rows are then runs of
@@ -1023,7 +1028,7 @@ class ColumnarAggregateExec:
         signs = batch.signs[order]
         inputs = [arr[order] for arr in inputs]
         for qid in qids_of(int(np.bitwise_or.reduce(masked))):
-            slot = kernels.slot_of[qid]
+            slot = slot_of[qid]
             take = np.flatnonzero((masked & (1 << qid)) != 0)
             own_codes = codes[take]
             starts = np.concatenate((
@@ -1045,14 +1050,14 @@ class ColumnarAggregateExec:
             for s, code in enumerate(own_codes[starts].tolist()):
                 st = records[code][slot]
                 if st is None:
-                    st = records[code][slot] = kernels.new_state()
+                    st = records[code][slot] = helpers.new_state()
                     state_count += 1
                 st[0] += contribs[s]  # and with them COUNT
-                for func, at, data in zip(funcs, kernels.offsets, spec_data):
+                for func, at, data in zip(funcs, offsets, spec_data):
                     if func == "sum":
                         st[at] += data[s]
                     elif func == "avg":
-                        kernels.avg_step(st, at, data[s], st[0])
+                        helpers.avg_step(st, at, data[s], st[0])
                     elif func != "count":
                         # MIN/MAX: sequential in original delta order so
                         # rescan charges match the reference exactly

@@ -501,8 +501,6 @@ else:
         {t} = new_total
 """
 
-#: the vector lane shares ``touch`` (fetch or create a group's record),
-#: ``new_state`` and ``avg_step`` (one AVG update at ``st[at]``)
 _ABSORB = """\
 def absorb(rows, signs, bits, groups, touched, meter, name, state_count, exact):
     groups_get = groups.get
@@ -515,11 +513,16 @@ def absorb(rows, signs, bits, groups, touched, meter, name, state_count, exact):
 {inputs}
 {update}
     return state_count
+"""
 
+#: the vector lane's helpers, generated on its first batch: ``touch``
+#: (fetch or create a group's record), ``new_state`` and ``avg_step``
+#: (one AVG update at ``st[at]``)
+_VECTOR_HELPERS = """\
 def touch(groups, touched, group):
     groups_get = groups.get
     touched_append = touched.append
-{touch4}
+{touch}
     return rec
 
 def new_state():
@@ -638,9 +641,27 @@ def _coalesce(flat, arity):
 
 
 AggregateKernels = namedtuple(
-    "AggregateKernels",
-    "absorb emit touch new_state avg_step slot_of offsets fused_source",
-)
+    "AggregateKernels", "absorb emit slot_of offsets fused_source")
+
+VectorHelpers = namedtuple(
+    "VectorHelpers", "touch new_state avg_step fused_source")
+
+
+def _state_layout(aggs):
+    """A query state's fresh-list text and each spec's first slot: SUM
+    one slot, AVG two (total, compensation), MIN/MAX one (its multiset
+    object), COUNT none, after ``[contributions, emitted row]``."""
+    fresh = ["0", "None"]
+    offsets = []
+    for spec in aggs:
+        offsets.append(len(fresh))
+        if spec.func == "sum":
+            fresh.append("0")
+        elif spec.func == "avg":
+            fresh.extend(("0", "0.0"))
+        elif spec.func != "count":
+            fresh.append("MinMax(%r)" % (spec.func == "max"))
+    return "[%s]" % ", ".join(fresh), offsets
 
 
 def _build_aggregate_kernels(node, qids):
@@ -664,14 +685,11 @@ def _build_aggregate_kernels(node, qids):
     indexes = [schema.index_of(name) for name in node.group_by]
     arity = len(indexes)
     slot_of = {qid: _STATE0 + i for i, qid in enumerate(qids)}
-    touch = _TOUCH.format(nones=", None" * len(qids))
 
-    # a state's layout: per spec its first slot, its update and its value
-    fresh = ["0", "None"]
-    offsets, inputs, updates, currents = [], [], [], []
-    for position, spec in enumerate(node.aggs):
-        slot = len(fresh)
-        offsets.append(slot)
+    # per spec its update and its value, at its slot of the state layout
+    fresh, offsets = _state_layout(node.aggs)
+    inputs, updates, currents = [], [], []
+    for position, (spec, slot) in enumerate(zip(node.aggs, offsets)):
         value = spec.expr.row_source(schema, bindings)
         summed = spec.func in ("sum", "avg")
         if summed or not isinstance(spec.expr, (Col, Const)):
@@ -685,14 +703,12 @@ def _build_aggregate_kernels(node, qids):
                 "if exact[{0}] and type(v{0}) is not int:\n"
                 "    exact[{0}] = value_exact(v{0})".format(position))
         if spec.func == "sum":
-            fresh.append("0")
             updates.append("st[%d] += %s if sign == 1 else -%s\n"
                            % (slot, value, value))
             currents.append("st[%d]" % slot)
         elif spec.func == "count":
             currents.append("st[0]")
         elif spec.func == "avg":
-            fresh.extend(("0", "0.0"))
             total, comp = "st[%d]" % slot, "st[%d]" % (slot + 1)
             updates.append(_AVG_UPDATE.format(
                 t=total, c=comp, v="-{0} if sign == -1 else {0}".format(value)))
@@ -700,11 +716,9 @@ def _build_aggregate_kernels(node, qids):
                             .format(t=total, c=comp))
         else:
             # MIN/MAX keeps the method call: it charges the meter on rescans
-            fresh.append("MinMax(%r)" % (spec.func == "max"))
             updates.append("st[%d].update(%s, sign, meter, name)\n"
                            % (slot, value))
             currents.append("st[%d].extremum" % slot)
-    fresh = "[%s]" % ", ".join(fresh)
     update = (
         "st = rec[{slot}]\n"
         "if st is None:\n"
@@ -728,11 +742,9 @@ def _build_aggregate_kernels(node, qids):
     group = "row[%d]" % indexes[0] if arity == 1 else "(%s)" % "".join(
         "row[%d], " % i for i in indexes)
     source = _ABSORB.format(
-        wanted=wanted, group=group, touch8=indent(touch, " " * 8),
-        touch4=indent(touch, " " * 4), fresh=fresh,
+        wanted=wanted, group=group,
+        touch8=indent(_TOUCH.format(nones=", None" * len(qids)), " " * 8),
         inputs=indent("\n".join(inputs), " " * 8), update=update,
-        avg_step=indent(_AVG_UPDATE.format(
-            t="st[at]", c="st[at + 1]", v="value"), " " * 4),
     )
 
     key_part = "key, " if arity == 1 else "".join(
@@ -774,8 +786,25 @@ def _build_aggregate_kernels(node, qids):
     )
     exec(compile_source("aggregate", source), namespace)
     # out of their globals (none calls a sibling): dead kernels are no cycle
-    generated = map(namespace.pop, AggregateKernels._fields[:5])
+    generated = map(namespace.pop, AggregateKernels._fields[:2])
     return AggregateKernels(*generated, slot_of, offsets, source)
+
+
+def _build_vector_helpers(node, qids):
+    """Generate the :class:`VectorHelpers` of aggregate ``node`` run for
+    the queries ``qids``: the pieces of the group-record protocol the
+    vector absorb (``ColumnarAggregateExec._absorb_columns``) calls per
+    group, the row lane having them inlined."""
+    source = intern(_VECTOR_HELPERS.format(
+        touch=indent(_TOUCH.format(nones=", None" * len(qids)), " " * 4),
+        fresh=_state_layout(node.aggs)[0],
+        avg_step=indent(_AVG_UPDATE.format(
+            t="st[at]", c="st[at + 1]", v="value"), " " * 4),
+    ))
+    namespace = {"MinMax": _MinMaxState}
+    exec(compile_source("aggregate-vec", source), namespace)
+    generated = map(namespace.pop, VectorHelpers._fields[:3])
+    return VectorHelpers(*generated, source)
 
 
 def fused_decoration_kernel(node):
@@ -816,4 +845,14 @@ def fused_aggregate_kernels(node, qids):
         node,
         ("fused-aggregate", qids),
         lambda: _build_aggregate_kernels(node, qids),
+    )
+
+
+def fused_vector_helpers(node, qids):
+    """The memoized :class:`VectorHelpers` of aggregate ``node`` run for
+    the queries ``qids``, built on its first vector-lane batch."""
+    return cached_artifacts(
+        node,
+        ("fused-aggregate-vec", qids),
+        lambda: _build_vector_helpers(node, qids),
     )

@@ -7,7 +7,8 @@ struct-of-arrays delta batches between operators and run every filter
 -> project -> aggregate-input chain as a generated kernel
 (:mod:`repro.physical.fused`): one scalar row loop for a batch of at
 most ``columnar.ROW_LANE_MAX`` rows (the *row lane*), NumPy kernels
-above it (the *vector lane*).  Nothing switches it off at runtime.  The
+above it (the *vector lane*; the threshold is measured end to end by
+``benchmarks/lane_sweep.py``).  Nothing switches it off at runtime.  The
 per-tuple operators of :mod:`repro.physical.operators` are the work
 oracle: only :class:`repro.fuzz.reference.ReferenceExecutor` compiles
 them, for tests, the fuzzer and the micro benchmark.  The row lane is

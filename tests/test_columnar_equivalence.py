@@ -1353,12 +1353,43 @@ print(repr({{
 """
 
 
-def _lane_child(block=""):
+#: ``exec_lazy_22q``'s window -- the 22-query shared plan at paces 1/3 over
+#: a scale-0.5 catalog with 25% lineitem updates, whose largest batches
+#: are 4500-row whole-lineitem reads -- at the default threshold, then
+#: on a fresh executor after ``{block}`` has run
+_EXEC_LAZY_CHILD = """
+import sys
+sys.path[:0] = [{src!r}, {root!r}]
+from repro.engine.executor import PlanExecutor
+from repro.mqo.merge import MQOOptimizer
+from repro.physical import columnar
+from repro.workloads.tpch import (
+    ALL_QUERY_NAMES, add_lineitem_updates, build_workload, generate_catalog,
+)
+
+catalog = generate_catalog(scale=0.5, seed=5)
+add_lineitem_updates(catalog, fraction=0.25, seed=11)
+plan = MQOOptimizer(catalog).build_shared_plan(
+    build_workload(catalog, ALL_QUERY_NAMES))
+paces = dict((s.sid, 1 if s.child_subplans() else 3) for s in plan.subplans)
+numpy, work = [], []
+for step in range(2):
+    if step:
+        {block}
+    run = PlanExecutor(plan, catalog=catalog).run(paces)
+    numpy.append(
+        sorted(name for name in sys.modules if name.startswith("numpy.")))
+    work.append((run.total_quanta, sorted(run.query_final_quanta.items())))
+print(repr({{"numpy": numpy, "work": work}}))
+"""
+
+
+def _lane_child(block="", template=_LANE_CHILD):
     import ast
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    script = _LANE_CHILD.format(
+    script = template.format(
         src=str(root / "src"), root=str(root), block=block,
     )
     done = subprocess.run(
@@ -1385,3 +1416,41 @@ def test_the_vector_lane_loads_numpy_on_first_use():
         assert row_results.keys() == vector_results.keys()
         for qid, result in row_results.items():
             assert_results_close(result, vector_results[qid])
+
+
+@needs_numpy
+def test_exec_lazy_windows_stay_on_the_row_lane():
+    # the benchmark's largest batches (4500 rows) sit below the threshold,
+    # so its lazy window never loads NumPy; at the old 4096 they crossed it
+    child = _lane_child("columnar.ROW_LANE_MAX = 4096", _EXEC_LAZY_CHILD)
+    default, old = child["numpy"]
+    assert default == []
+    assert old, "4500-row batches took no vector kernel at 4096"
+    assert child["work"][0] == child["work"][1]
+
+
+@needs_numpy
+def test_vector_helpers_are_built_on_the_first_vector_absorb(
+    fig11_setup, monkeypatch
+):
+    # the aggregate's vector-only helpers (touch, new_state, avg_step) are
+    # an artifact of their own: a row-lane-only run never generates them
+    from repro.physical import columnar as columnar_mod
+    from repro.physical import hotpath
+
+    plan, paces, _ = fig11_setup
+    for lane_max, built in ((1 << 30, False), (0, True)):
+        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
+        clear_compiled_caches()
+        PlanExecutor(plan, StreamConfig()).run(paces)
+        artifacts = [
+            (kind[0], artifact)
+            for per_node in hotpath._ARTIFACTS.values()
+            for kind, artifact in per_node.items() if isinstance(kind, tuple)
+        ]
+        kinds = {kind for kind, _ in artifacts}
+        assert "fused-aggregate" in kinds
+        assert ("fused-aggregate-vec" in kinds) is built, lane_max
+        assert not any(hasattr(artifact, "touch")
+                       for kind, artifact in artifacts
+                       if kind == "fused-aggregate")

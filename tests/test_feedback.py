@@ -129,3 +129,63 @@ class TestFeedback:
             assert 0.2 < total_factor < 5
             assert 0.2 < final_factor < 5
         model.apply_feedback(None, None)
+
+
+class TestPerPaceFeedback:
+    """A correction applies only at the pace it was measured at: the
+    estimate's error depends on the pace, so a factor measured at one
+    pace says nothing about another."""
+
+    class ClampedRun:
+        """Every subplan measured far above its total and far below its
+        final estimate: both factors clamp, away from 1.0."""
+
+        def __init__(self, plan):
+            self.subplan_total_work = {s.sid: 1e12 for s in plan.subplans}
+            self.subplan_final_work = {s.sid: 1e-12 for s in plan.subplans}
+
+    @staticmethod
+    def _assert_rows(model, raw, paces, measured_paces):
+        got, want = model.evaluate(paces), raw.evaluate(paces)
+        for sid, pace in paces.items():
+            total, final = want.subplan_total[sid], want.subplan_final[sid]
+            if pace == measured_paces[sid]:
+                total *= FEEDBACK_FACTOR_MAX
+                final *= FEEDBACK_FACTOR_MIN
+            assert got.subplan_total[sid] == total, (sid, pace)
+            assert got.subplan_final[sid] == final, (sid, pace)
+
+    def test_a_factor_corrects_its_measured_pace_and_not_a_neighbour(
+            self, setup):
+        plan, model, _ = setup
+        raw = PlanCostModel(plan, model.config)
+        measured = {s.sid: 8 for s in plan.subplans}
+        model.apply_feedback(self.ClampedRun(plan), measured)
+        try:
+            self._assert_rows(model, raw, measured, measured)
+            # one subplan a pace away: only its own row loses the correction
+            moved = {**measured, plan.subplans[0].sid: 9}
+            self._assert_rows(model, raw, moved, measured)
+            self._assert_rows(
+                model, raw, {s.sid: 9 for s in plan.subplans}, measured)
+        finally:
+            model.apply_feedback(None, None)
+        assert model._feedback == {} and model._feedback_pace == {}
+
+    def test_sibling_and_carry_hand_on_the_measured_pace(self, setup):
+        plan, model, _ = setup
+        raw = PlanCostModel(plan, model.config)
+        measured = {s.sid: 2 if s.child_subplans() else 4
+                    for s in plan.subplans}
+        other = {s.sid: 3 for s in plan.subplans}
+        model.apply_feedback(self.ClampedRun(plan), measured)
+        try:
+            carried = PlanCostModel(plan, model.config)
+            carried.carry_feedback_and_solo_from(
+                model, {s.sid: s.sid for s in plan.subplans})
+            for receiver in (model.sibling(plan), carried):
+                assert receiver.feedback_factors() == model.feedback_factors()
+                for paces in (measured, other):
+                    self._assert_rows(receiver, raw, paces, measured)
+        finally:
+            model.apply_feedback(None, None)
