@@ -29,6 +29,7 @@ from ..mqo.merge import MQOOptimizer, build_blocking_cut_plan, build_unshared_pl
 from ..obs import OBS
 from .decompose import decompose_full_plan
 from .greedy import PaceSearch
+from .incrementability import unmet_queries
 
 logger = logging.getLogger(__name__)
 
@@ -258,6 +259,12 @@ def optimize_ishare(catalog, queries, relative_constraints, config,
     # are not memo traffic and are not counted)
     diagnostics["decompose_simulations"] = pool.simulations - searched
     diagnostics["memo_pool_hits"] = pool.hits
+    # each query the chosen plan is estimated to miss: estimate and bound
+    final = eval_out.query_final_work
+    diagnostics["unmet"] = {
+        qid: {"estimated": final[qid], "bound": constraints[qid]}
+        for qid in unmet_queries(eval_out, constraints)
+    }
     elapsed = time.monotonic() - start
     name = "iShare" if config.enable_unshare else "iShare (w/o unshare)"
     if config.brute_force_split and config.enable_unshare:

@@ -13,18 +13,21 @@ Exactness contract
 ------------------
 Arrangements are a *physical* optimization, selected by plan shape: the
 executor hands a production join side a handle whenever
-:func:`arrangeable_side` accepts it and a private table otherwise.  The
+:func:`arrangeable_side` accepts it and a :class:`PrivateSide`
+otherwise.  Both hold one table form, ``key -> {(row, bits): net}`` in
+insertion order, and the join probes either the same way, emitting
+``dbits & sbits`` for a probing delta's bits and a slot's.  The
 per-tuple reference (:class:`repro.fuzz.reference.ReferenceExecutor`)
-keeps private tables on every side and is the oracle: query results, per-record
-outputs and every WorkMeter charge of a run with arranged sides are
-bit-identical to its run (``tests/test_join_emission_spec.py``, the fuzz
-oracles ``shared-columnar-rows`` and ``service`` against their
+keeps private tables on every side and is the oracle: query results,
+per-record outputs and every WorkMeter charge of a run with arranged
+sides are bit-identical to its run (``tests/test_join_emission_spec.py``,
+the fuzz oracles ``shared-columnar-rows`` and ``service`` against their
 ``-unbatched`` legs).  That holds because base-table deltas always
-carry the full bitvector (``Delta(row, sign, ~0)``), so an eligible join
-side's private table stores every delta with bits equal to the subplan
-mask — a bijection with the bits-free arrangement index.  Probe outputs
-take their bits from the *probing* delta, exactly as the private probe
-does.  What differs is resource occupancy: resident entries and
+carry the full bitvector (``Delta(row, sign, ~0)``): an arrangement
+stores each base row as the slot ``(row, ~0)``, and ``dbits & ~0 ==
+dbits`` is what an eligible side's private table, whose slots carry the
+subplan mask, gives every probing delta of that subplan.  What differs
+is resource occupancy: resident entries and
 maintenance operations are paid once per arrangement instead of once per
 reader, and the savings are reported through ``RunResult.metadata
 ["arrangement_summary"]`` and the ``engine.arrangement.*`` metrics.
@@ -39,9 +42,9 @@ cannibalizes its old version in place when nobody else references it —
 the common case once all readers run at one pace — or (c) clones
 copy-on-write: the top-level dict is copied shallowly and per-key inner
 dicts are cloned only when first written (the ``owned`` key set tracks
-exclusive ownership on both sides of a clone).  Inner dicts map
-``row -> net multiplicity``; entries retracting to zero are deleted
-eagerly, so the index never holds dead keys.  The arrangement's
+exclusive ownership on both sides of a clone).  Inner dicts map the slot
+``(row, ~0) -> net multiplicity``; entries retracting to zero are
+deleted eagerly, so the index never holds dead keys.  The arrangement's
 trailing :class:`~repro.engine.buffers.BufferReader` follows the oldest
 live version, so the table log holds every segment a laggard handle has
 yet to apply.
@@ -54,6 +57,7 @@ __all__ = [
     "Arrangement",
     "ArrangementHandle",
     "ArrangementStore",
+    "PrivateSide",
     "arrangeable_side",
 ]
 
@@ -87,7 +91,7 @@ def arrangeable_side(node, side):
 class _Version:
     """One materialized state of the index, as of a log offset.
 
-    ``table`` maps key value -> {row: net multiplicity}; ``owned`` is
+    ``table`` maps key value -> {(row, ~0): net multiplicity}; ``owned`` is
     the set of keys whose inner dict no other version shares (safe to
     mutate in place).  ``refs`` counts the handles currently positioned
     at this version.
@@ -137,6 +141,17 @@ class ArrangementHandle:
     def advance_to(self, target):
         """Position this handle at the index state as of ``target``."""
         return self.arrangement.advance(self.cursor, target)
+
+    def install(self, batch, keys, listed):
+        """Move past the batch the join's bare scan just read.
+
+        That batch is exactly the log span its reader covered: every
+        base-table delta carries ``~0``, so no subplan mask drops one.
+        """
+        self.advance_to(self.cursor.version.offset + len(batch))
+
+    def release(self):
+        """Nothing to drop: the version is the arrangement's to free."""
 
     @property
     def version(self):
@@ -248,7 +263,9 @@ class Arrangement:
 
         Reads through :meth:`~repro.engine.buffers.Buffer.span_entries`,
         which takes rows and signs straight off the table log's
-        segments and fails if the span is no longer held.
+        segments and fails if the span is no longer held.  A base row's
+        slot is ``(row, ~0)``: every base-table delta carries the full
+        bitvector.
         """
         entries_span = self.buffer.span_entries(version.offset, target)
         table = version.table
@@ -268,16 +285,17 @@ class Arrangement:
             elif key not in owned:
                 inner = table[key] = dict(inner)  # clone-on-first-write
                 owned.add(key)
-            previous = inner.get(row, 0)
+            slot = (row, ~0)
+            previous = inner.get(slot, 0)
             net = previous + sign
             if net == 0:
-                del inner[row]
+                del inner[slot]
                 if not inner:
                     del table[key]
                     owned.discard(key)
                 entries -= 1
             else:
-                inner[row] = net
+                inner[slot] = net
                 if previous == 0:
                     entries += 1
         version.entries = entries
@@ -348,6 +366,57 @@ class Arrangement:
             self.table_name, self.key_indexes, len(self.cursors),
             len(self.versions),
         )
+
+
+class PrivateSide:
+    """A join side no other reader shares: a version's
+    ``key -> {(row, bits): net}`` table with one reader, so no versions
+    and no log, installed batch by batch.
+
+    As in :meth:`Arrangement._apply`, a slot whose net reaches 0 is
+    deleted: the table holds exactly its live slots, and a reinserted
+    slot lands at its key's tail, the reference's dict order.
+    """
+
+    __slots__ = ("table", "entries")
+
+    def __init__(self):
+        self.release()
+
+    def release(self):
+        """Drop every slot."""
+        self.table = {}
+        self.entries = 0
+
+    def install(self, batch, keys, listed):
+        """Apply one batch; ``listed`` is its ``(rows, signs, bits)``
+        lists when the probe made them, else None."""
+        rows, signs, bits = listed or (
+            batch.rows(), batch.sign_list(), batch.bit_list())
+        table = self.table
+        table_get = table.get
+        entries = self.entries
+        for key, row, sign, bit in zip(keys, rows, signs, bits):
+            inner = table_get(key)
+            if inner is None:
+                table[key] = {(row, bit): sign}
+                entries += 1
+                continue
+            slot = (row, bit)
+            size = len(inner)
+            # one hash of the (wide) row for a fresh slot: ``setdefault``
+            # both looks it up and stores it
+            net = inner.setdefault(slot, sign)
+            if len(inner) != size:
+                entries += 1
+            elif net + sign:
+                inner[slot] = net + sign
+            else:
+                del inner[slot]
+                entries -= 1
+                if not inner:
+                    del table[key]
+        self.entries = entries
 
 
 class ArrangementStore:

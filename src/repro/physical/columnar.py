@@ -49,12 +49,8 @@ and the ``shared-columnar`` / ``shared-columnar-rows`` /
 
 from collections import Counter
 
-from ..engine.columns import (
-    ColumnBatch,
-    column_array,
-    concat_batches,
-    np,
-)
+from ..engine.arrangements import PrivateSide
+from ..engine.columns import ColumnBatch, concat_batches, np
 from .faults import FAULTS, drop_first_retraction, drop_lost_key_matches
 from .fused import (
     fused_aggregate_inputs,
@@ -323,138 +319,24 @@ class ColumnarSourceExec:
 # -- join --------------------------------------------------------------------
 
 
-def _listed(batch):
-    """A batch as parallel Python lists: ``(rows, signs, bits)``."""
-    return batch.rows(), batch.sign_list(), batch.bit_list()
-
-
-class _ColumnarJoinSide:
-    """One side's hash state: append-only column chunks plus live indices.
-
-    Slot bookkeeping mirrors the reference's ``key -> {(row, bits): net}``
-    tables exactly -- per-key slot lists keep insertion order (matching
-    dict insertion order in the reference, including remove-then-
-    reinsert moving a slot to the tail), and materialized arrays are
-    maintained incrementally so each advance pays O(batch), not O(state).
-    """
-
-    __slots__ = ("width", "rows_raw", "bits_raw", "net", "slots",
-                 "arrays", "net_array", "materialized", "net_dirty",
-                 "entries", "dead")
-
-    def __init__(self, width):
-        self.width = width
-        self.reset()
-
-    def reset(self):
-        self.rows_raw = []  # one tuple per slot; columnized lazily
-        self.bits_raw = []
-        self.net = []
-        # key -> {(row, bits): slot index}; dict order IS the probe
-        # order (insertion order, removals free their position, a
-        # reinsertion lands at the tail -- exactly the reference tables)
-        self.slots = {}
-        self.arrays = None
-        self.net_array = None
-        self.materialized = 0
-        self.net_dirty = []
-        self.entries = 0  # live slots (named as ArrangementHandle.entries is)
-        self.dead = 0
-
-    def _columnize(self, rows):
-        if self.width:
-            return tuple(column_array(col) for col in zip(*rows))
-        return ()
-
-    def materialize(self):
-        """Current (columns, bits, net) arrays, extended incrementally."""
-        total = len(self.net)
-        if self.arrays is None:
-            columns = self._columnize(self.rows_raw)
-            bits = np.fromiter(self.bits_raw, np.int64, total)
-            self.net_array = np.fromiter(self.net, np.int64, total)
-            self.arrays = (columns, bits)
-            self.materialized = total
-            self.net_dirty = []
-            return self.arrays[0], self.arrays[1], self.net_array
-        start = self.materialized
-        if total > start:
-            old_columns, old_bits = self.arrays
-            tails = self._columnize(self.rows_raw[start:])
-            new_columns = []
-            for position, (old, tail) in enumerate(zip(old_columns, tails)):
-                if tail.dtype == old.dtype:
-                    new_columns.append(np.concatenate([old, tail]))
-                else:
-                    # a column changed type across batches: rebuild with
-                    # the strict detector so ints stay ints
-                    new_columns.append(
-                        column_array([row[position] for row in self.rows_raw])
-                    )
-            bits_tail = np.fromiter(self.bits_raw[start:], np.int64,
-                                    total - start)
-            new_bits = np.concatenate([old_bits, bits_tail])
-            net_tail = np.fromiter(self.net[start:], np.int64, total - start)
-            self.net_array = np.concatenate([self.net_array, net_tail])
-            self.arrays = (tuple(new_columns), new_bits)
-            self.materialized = total
-        if self.net_dirty:
-            net_array = self.net_array
-            net = self.net
-            for idx in self.net_dirty:
-                net_array[idx] = net[idx]
-            self.net_dirty = []
-        return self.arrays[0], self.arrays[1], self.net_array
-
-    def compact(self):
-        """Rebuild the raw chunks from live slots only.
-
-        Installs free a slot's index when its net retracts to zero, but
-        the append-only ``rows_raw``/``bits_raw``/``net`` chunks (and
-        their materialized arrays) kept the dead positions forever, so
-        delete-heavy churn leaked memory proportional to total churn
-        instead of live state.  Reindexing walks the slot dicts in their
-        existing order, so per-key probe order — the only order probes
-        observe — is untouched.
-        """
-        rows_raw = []
-        bits_raw = []
-        net = []
-        old_net = self.net
-        for per_key in self.slots.values():
-            for slot in per_key:
-                idx = per_key[slot]
-                per_key[slot] = len(net)
-                rows_raw.append(slot[0])
-                bits_raw.append(slot[1])
-                net.append(old_net[idx])
-        self.rows_raw = rows_raw
-        self.bits_raw = bits_raw
-        self.net = net
-        self.arrays = None
-        self.net_array = None
-        self.materialized = 0
-        self.net_dirty = []
-        self.dead = 0
-
-
 class ColumnarJoinExec:
     """Columnar twin of :class:`~repro.physical.operators.JoinExec`.
 
-    Each side's state is one of two things, fixed at construction: an
-    :class:`~repro.engine.arrangements.ArrangementHandle` when the
-    executor passes one (``arranged``, a bare base-table scan sharing
-    the index of its ``(table, key columns)``), a private
-    :class:`_ColumnarJoinSide` otherwise.  Both emit the reference's
-    exact sequence and charge its exact work (the exactness contract in
-    :mod:`repro.engine.arrangements`).
+    Each side's state (``states``, fixed at construction) holds the
+    reference's ``key -> {(row, bits): net}`` table: the
+    :class:`~repro.engine.arrangements.ArrangementHandle` the executor
+    passes for a bare base-table scan (``arranged``; its rows' slots
+    carry ``~0``), a :class:`~repro.engine.arrangements.PrivateSide`
+    otherwise.  One probe per lane reads either, and both emit the
+    reference's exact sequence and charge its exact work (the exactness
+    contract in :mod:`repro.engine.arrangements`).
 
-    Installs stay scalar (they are per-slot dict bookkeeping either
-    way).  The probe of a batch above ``ROW_LANE_MAX`` is vectorized per
-    distinct key and reassembled into the reference's exact output
-    order -- delta-major, matches in state insertion order, |net| copies
-    each via ``np.repeat``; smaller batches walk the state per delta and
-    both sides' matches leave as one row-backed batch.
+    Installs stay scalar (per-slot dict bookkeeping).  The probe of a
+    batch above ``ROW_LANE_MAX`` is vectorized per distinct key and
+    reassembled into the reference's exact output order -- delta-major,
+    matches in state insertion order, |net| copies each via
+    ``np.repeat``; smaller batches walk the table per delta and both
+    sides' matches leave as one row-backed batch.
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
@@ -476,14 +358,8 @@ class ColumnarJoinExec:
         self._right_key_idx = tuple(
             right_schema.index_of(name) for name in node.right_keys
         )
-        self._left_arranged, self._right_arranged = arranged
-        self._left_state = (
-            _ColumnarJoinSide(self.left_width)
-            if self._left_arranged is None else None
-        )
-        self._right_state = (
-            _ColumnarJoinSide(self.right_width)
-            if self._right_arranged is None else None
+        self.states = tuple(
+            PrivateSide() if handle is None else handle for handle in arranged
         )
         self.decorations = ColumnarDecorations(node, vector=vector)
         self.stats_mode = stats_mode
@@ -496,13 +372,9 @@ class ColumnarJoinExec:
 
     @property
     def entry_count(self):
-        """Net stored entries this join is charged for, both sides.
-
-        An arranged side counts its handle's version entries -- exactly
-        what a private table holds at the same offset.
-        """
-        left = self._left_state or self._left_arranged
-        right = self._right_state or self._right_arranged
+        """Live slots this join is charged for, both sides (an arranged
+        side's version holds what a private table would)."""
+        left, right = self.states
         return left.entries + right.entries
 
     def release(self):
@@ -510,9 +382,8 @@ class ColumnarJoinExec:
         version (the arrangement's to free), readers and counters stay."""
         self.left.release()
         self.right.release()
-        for state in (self._left_state, self._right_state):
-            if state is not None:
-                state.reset()
+        for state in self.states:
+            state.release()
 
     def rewind(self):
         """Readers back to offset 0 and counters zeroed, down the tree."""
@@ -536,18 +407,13 @@ class ColumnarJoinExec:
         # deltas against the *old* right state, install them, probe new
         # right deltas against the *new* left state, install those.
         # Installs only touch a delta's own side, so batch-level
-        # probe/install emits that per-delta order.  An arranged
-        # side's install is ``advance_to`` on the shared index.
+        # probe/install emits that per-delta order.
         outputs = []
         pending = [[], [], []]  # row-lane output rows/signs/bits, both sides
         if n_left:
             self._advance_side(left_batch, True, pending, outputs)
-        if self._left_arranged is not None:
-            self._left_arranged.advance_to(self.left.reader.offset)
         if n_right:
             self._advance_side(right_batch, False, pending, outputs)
-        if self._right_arranged is not None:
-            self._right_arranged.advance_to(self.right.reader.offset)
         self._flush(pending, outputs)
         out = concat_batches(outputs, self.out_width)
         if FAULTS.drop_last_key_match:
@@ -570,38 +436,27 @@ class ColumnarJoinExec:
     def _advance_side(self, batch, left_side, pending, outputs):
         """Probe one side's new deltas, then install them.
 
-        The batch's rows, signs and bits are listed once and shared by
-        the scalar probes and the install.  Only a batch above
-        ``ROW_LANE_MAX`` probing a private state takes the vectorised
-        probe; an arranged side's ``key -> {row: net}`` dicts are shared
-        with readers at other offsets, so there is no per-reader array
-        form to vectorise over.
+        The row lane lists the batch's rows, signs and bits once, for the
+        probe and a private install alike.
         """
         if left_side:
             key_idx = self._left_key_idx
-            probe_state, probe_handle = self._right_state, self._right_arranged
-            own_state = self._left_state
+            own, other = self.states
         else:
             key_idx = self._right_key_idx
-            probe_state, probe_handle = self._left_state, self._left_arranged
-            own_state = self._right_state
+            other, own = self.states
         keys = self._keys(batch, key_idx)
         listed = None
-        if probe_handle is not None:
-            table = probe_handle.version.table
-            if table:
-                listed = _listed(batch)
-                self._probe_arranged(listed, keys, table, left_side, pending)
-        elif probe_state.entries:
+        if other.entries:
             if not self.vector or len(keys) <= ROW_LANE_MAX:
-                listed = _listed(batch)
-                self._probe_scalar(listed, keys, probe_state, left_side,
+                listed = batch.rows(), batch.sign_list(), batch.bit_list()
+                self._probe_scalar(listed, keys, other.table, left_side,
                                    pending)
             else:
                 self._flush(pending, outputs)  # keep left-before-right order
-                self._probe(batch, keys, probe_state, left_side, outputs)
-        if own_state is not None:
-            self._install(own_state, listed or _listed(batch), keys)
+                self._probe(batch, keys, key_idx, other.table, left_side,
+                            outputs)
+        own.install(batch, keys, listed)
 
     def _flush(self, pending, outputs):
         """Turn the row lane's pending output into one row-backed batch
@@ -614,45 +469,6 @@ class ColumnarJoinExec:
             pending[:] = [], [], []
 
     @staticmethod
-    def _probe_arranged(listed, keys, table, left_side, pending):
-        """Per-delta probe against an arranged side's current version.
-
-        Emits exactly :meth:`_probe_scalar`'s sequence — delta-major,
-        matches in insertion order, ``|net|`` copies, output bits the
-        probing delta's bits (see the exactness contract in
-        :mod:`repro.engine.arrangements`).
-        """
-        table_get = table.get
-        rows, signs, bits_list = listed
-        out_rows, out_signs, out_bits = pending
-        rows_append = out_rows.append
-        signs_append = out_signs.append
-        bits_append = out_bits.append
-        for position, key in enumerate(keys):
-            matches = table_get(key)
-            if not matches:
-                continue
-            dbits = bits_list[position]
-            if dbits == 0:
-                continue
-            row = rows[position]
-            sign = signs[position]
-            for other, entry_net in matches.items():
-                if entry_net > 0:
-                    out_sign, reps = sign, entry_net
-                else:
-                    out_sign, reps = -sign, -entry_net
-                joined = row + other if left_side else other + row
-                if reps == 1:
-                    rows_append(joined)
-                    signs_append(out_sign)
-                    bits_append(dbits)
-                else:
-                    out_rows.extend([joined] * reps)
-                    out_signs.extend([out_sign] * reps)
-                    out_bits.extend([dbits] * reps)
-
-    @staticmethod
     def _keys(batch, key_idx):
         """Python-typed join keys per row (hash-compatible across sides)."""
         if len(key_idx) == 1:
@@ -660,40 +476,39 @@ class ColumnarJoinExec:
         key_cols = [batch.column_values(i) for i in key_idx]
         return list(zip(*key_cols))
 
-    def _probe(self, batch, keys, state, left_side, outputs):
-        """The vectorised probe of a private state (large batches)."""
-        index = state.slots
-        # resolve each distinct key's match list once; ``flat`` holds the
-        # concatenated per-key state indices in insertion order, so the
-        # arange/repeat expansion below yields delta-major output with
-        # per-delta matches in state insertion order -- exactly the
-        # reference's emission order, with no sort
-        slots_get = index.get
-        flat = []
+    def _probe(self, batch, keys, key_idx, table, left_side, outputs):
+        """The vectorised probe of a side's table (large batches).
+
+        Each distinct key's slots are gathered once, in insertion order,
+        into per-call arrays, so the arange/repeat expansion below yields
+        delta-major output with per-delta matches in insertion order --
+        exactly the reference's emission order, with no sort.
+        """
+        table_get = table.get
+        slots = []  # the matched slots, key by key
+        nets = []
         key_column = None
-        if len(self._left_key_idx if left_side else self._right_key_idx) == 1:
-            idx = (self._left_key_idx if left_side
-                   else self._right_key_idx)[0]
-            candidate = batch.column(idx)
+        if len(key_idx) == 1:
+            candidate = batch.column(key_idx[0])
             if candidate.dtype != object:
                 key_column = candidate
         if key_column is not None:
             # single non-object key: resolve each *distinct* key once
-            # (the multiplicity-bag regime repeats keys heavily, so the
-            # per-delta python resolution loop was the dominant cost);
-            # ``inverse`` scatters the per-distinct spans back to
-            # delta order, preserving the emission order exactly
+            # (the multiplicity-bag regime repeats keys heavily);
+            # ``inverse`` scatters the per-distinct spans back to delta
+            # order
             uniq, inverse = np.unique(key_column, return_inverse=True)
             n_uniq = len(uniq)
             u_starts = np.zeros(n_uniq, dtype=np.int64)
             u_lens = np.zeros(n_uniq, dtype=np.int64)
             for j, key in enumerate(uniq.tolist()):
-                per_key = slots_get(key)
-                if per_key is not None:
-                    u_starts[j] = len(flat)
+                per_key = table_get(key)
+                if per_key:
+                    u_starts[j] = len(slots)
                     u_lens[j] = len(per_key)
-                    flat.extend(per_key.values())
-            if not flat:
+                    slots.extend(per_key)
+                    nets.extend(per_key.values())
+            if not slots:
                 return
             starts_arr = u_starts[inverse]
             counts = u_lens[inverse]
@@ -705,86 +520,85 @@ class ColumnarJoinExec:
             for key in keys:
                 entry = cache_get(key)
                 if entry is None:
-                    per_key = slots_get(key)
-                    if per_key is None:
+                    per_key = table_get(key)
+                    if not per_key:
                         entry = (0, 0)
                     else:
-                        entry = (len(flat), len(per_key))
-                        flat.extend(per_key.values())
+                        entry = (len(slots), len(per_key))
+                        slots.extend(per_key)
+                        nets.extend(per_key.values())
                     cache[key] = entry
                 starts.append(entry[0])
                 lens.append(entry[1])
-            if not flat:
+            if not slots:
                 return
             starts_arr = np.asarray(starts, dtype=np.int64)
             counts = np.asarray(lens, dtype=np.int64)
-        state_columns, state_bits, state_net = state.materialize()
+        slot_rows, slot_bits = zip(*slots)
+        slot_bits = np.array(slot_bits, dtype=np.int64)
+        nets = np.array(nets, dtype=np.int64)
         total = int(counts.sum())
         delta_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         offsets = np.repeat(np.cumsum(counts) - counts, counts)
         within = np.arange(total, dtype=np.int64) - offsets
-        state_idx = np.asarray(flat, dtype=np.int64)[
-            np.repeat(starts_arr, counts) + within
-        ]
-        bits_out = batch.bits[delta_idx] & state_bits[state_idx]
+        slot_idx = np.repeat(starts_arr, counts) + within
+        bits_out = batch.bits[delta_idx] & slot_bits[slot_idx]
         valid = bits_out != 0
         if not valid.all():
             delta_idx = delta_idx[valid]
-            state_idx = state_idx[valid]
+            slot_idx = slot_idx[valid]
             bits_out = bits_out[valid]
         if not len(bits_out):
             return
-        net = state_net[state_idx]
+        net = nets[slot_idx]
         signs_out = np.where(
             net > 0, batch.signs[delta_idx], -batch.signs[delta_idx]
         )
         reps = np.abs(net)
         if not (reps == 1).all():
             delta_idx = np.repeat(delta_idx, reps)
-            state_idx = np.repeat(state_idx, reps)
+            slot_idx = np.repeat(slot_idx, reps)
             bits_out = np.repeat(bits_out, reps)
             signs_out = np.repeat(signs_out, reps)
         # emit an index view instead of gathering every column: the
-        # state arrays and ``rows_raw`` are append-only snapshots
-        # (growth concatenates into fresh arrays, compaction reassigns),
-        # so the view stays valid after this advance, and only the
-        # columns a downstream consumer actually reads materialize
+        # matched rows are a per-call snapshot, and only the columns a
+        # downstream consumer actually reads materialize
         own = (batch, None, delta_idx)
-        other = (state_columns, state.rows_raw, state_idx)
+        matched = ColumnBatch.from_rows(
+            slot_rows, nets, slot_bits,
+            self.right_width if left_side else self.left_width,
+        )
+        other = (matched, None, slot_idx)
         parts = (own, other) if left_side else (other, own)
         outputs.append(ColumnBatch.from_gather(
             parts, signs_out, bits_out, self.out_width,
         ))
 
     @staticmethod
-    def _probe_scalar(listed, keys, state, left_side, pending):
-        """Per-delta probe of a private state (the row lane).
+    def _probe_scalar(listed, keys, table, left_side, pending):
+        """Per-delta probe of a side's table (the row lane).
 
         Emits exactly the vectorized path's sequence: delta-major, per
-        delta the matches in state insertion order, ``|net|`` copies
-        each, zero-bit pairs dropped.
+        delta the matches in insertion order, ``|net|`` copies each,
+        zero-bit pairs dropped.
         """
-        slots_get = state.slots.get
-        net = state.net
+        table_get = table.get
         rows, signs, bits_list = listed
         out_rows, out_signs, out_bits = pending
         rows_append = out_rows.append
         signs_append = out_signs.append
         bits_append = out_bits.append
         for position, key in enumerate(keys):
-            per_key = slots_get(key)
-            if per_key is None:
+            matches = table_get(key)
+            if not matches:
                 continue
             row = rows[position]
             sign = signs[position]
             dbits = bits_list[position]
-            # the slot key carries (row, bits) directly; only the net
-            # lives behind the index, so hits cost one list lookup each
-            for (other, sbits), idx in per_key.items():
+            for (other, sbits), entry_net in matches.items():
                 joined_bits = dbits & sbits
                 if joined_bits == 0:
                     continue
-                entry_net = net[idx]
                 if entry_net > 0:
                     out_sign, reps = sign, entry_net
                 else:
@@ -798,54 +612,6 @@ class ColumnarJoinExec:
                     out_rows.extend([joined] * reps)
                     out_signs.extend([out_sign] * reps)
                     out_bits.extend([joined_bits] * reps)
-
-    @staticmethod
-    def _install(state, listed, keys):
-        rows, signs, bits_list = listed
-        slots = state.slots
-        net = state.net
-        materialized = state.materialized
-        net_dirty = state.net_dirty
-        fresh = len(net)  # the index the next new slot takes
-        before = fresh
-        retracted = 0
-        slots_get = slots.get
-        net_append = net.append
-        rows_append = state.rows_raw.append
-        bits_append = state.bits_raw.append
-        for key, row, sign, bit in zip(keys, rows, signs, bits_list):
-            per_key = slots_get(key)
-            if per_key is None:
-                per_key = slots[key] = {}
-            slot = (row, bit)
-            # one hash of the (wide) row per delta: ``setdefault`` both
-            # looks the slot up and claims the fresh index for it
-            idx = per_key.setdefault(slot, fresh)
-            if idx == fresh:
-                fresh += 1
-                net_append(sign)
-                rows_append(row)
-                bits_append(bit)
-            else:
-                # stored nets are never 0 (empty slots are removed), so
-                # a +-1 step either moves the net or empties the slot;
-                # reinsertion later lands at the key's tail like dict
-                # insertion order in the reference tables
-                updated = net[idx] + sign
-                net[idx] = updated
-                if idx < materialized:
-                    net_dirty.append(idx)
-                if updated == 0:
-                    del per_key[slot]
-                    if not per_key:
-                        del slots[key]
-                    retracted += 1
-        state.entries += fresh - before - retracted
-        state.dead += retracted
-        # bound dead-slot waste: once retracted slots outnumber live
-        # ones (with a floor so tiny states never thrash), rebuild
-        if state.dead > 32 and state.dead >= state.entries:
-            state.compact()
 
 
 # -- aggregate ---------------------------------------------------------------

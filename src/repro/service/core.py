@@ -36,6 +36,7 @@ from ..engine.executor import PlanExecutor
 from ..engine.metrics import missed_latency
 from ..errors import OptimizationError, ServiceError
 from ..logical.ops import Query
+from ..mqo.merge import build_unshared_plan
 from ..obs import OBS
 from ..obs.attribution import AttributionLedger
 from ..obs.slack import SlackLedger
@@ -138,9 +139,11 @@ class TriggerOutcome:
 
 class _WindowRun:
     """What one window ran on -- plan, slots, catalog -- and, measured
-    once on first demand, the same plan's run at uniform ``P_max``."""
+    once on first demand, the same plan's run at uniform ``P_max`` and
+    each asked-about query's run alone."""
 
-    __slots__ = ("window", "plan", "slots", "catalog", "_final_at_max")
+    __slots__ = ("window", "plan", "slots", "catalog", "_final_at_max",
+                 "_final_alone")
 
     def __init__(self, window, plan, slots, catalog):
         self.window = window
@@ -148,6 +151,7 @@ class _WindowRun:
         self.slots = slots
         self.catalog = catalog
         self._final_at_max = None
+        self._final_alone = {}  # qid -> final work of its own plan
 
     def late_at_max(self, config, goals):
         """``{qid: final work}`` of the queries of ``goals`` (``{qid: goal
@@ -168,6 +172,23 @@ class _WindowRun:
             if missed_latency(seconds(final), goal)[0] > 0:
                 late[qid] = final
         return late
+
+    def meets_alone(self, config, qid, goal):
+        """Whether query ``qid`` meets ``goal`` (seconds) on this window's
+        catalog in its own unshared plan, every subplan at ``P_max``."""
+        final = self._final_alone.get(qid)
+        if final is None:
+            slot = self.slots[qid]
+            plan = build_unshared_plan(self.catalog, [self.plan.queries[slot]])
+            alone = PlanExecutor(
+                plan, config.stream_config, catalog=self.catalog
+            ).run(
+                uniform_configuration(plan, config.max_pace),
+                collect_results=False,
+            )
+            final = self._final_alone[qid] = alone.query_final_work[slot]
+        seconds = config.stream_config.seconds
+        return missed_latency(seconds(final), goal)[0] <= 0
 
 
 class QueryService:
@@ -669,22 +690,24 @@ class QueryService:
 
 
 def split_misses(service, outcome):
-    """Split one window's missed queries into infeasible and avoidable.
+    """Split one window's missed queries three ways.
 
     Re-runs the window's plan on a fresh executor over the catalog the
     window ran on, every subplan at the maximum pace: a missed query
-    whose final work still exceeds its bound there is *infeasible* (no
-    pace the optimizer may choose meets it on this data), any other is
-    *avoidable* (the chosen paces spent slack the data did not have).
-    The window's admission re-check shares that run, so a query it
-    evicted is reported infeasible.
+    that meets its bound there is *avoidable* (the chosen paces spent
+    slack the data did not have).  One that still misses is then run
+    alone -- its own unshared plan at ``P_max`` on the same catalog --
+    and is *isolable* if it meets its bound there (this sharing makes it
+    infeasible), *infeasible* otherwise.  The window's admission
+    re-check shares the ``P_max`` run, so a query it evicted is never
+    reported avoidable.
 
     Call it right after the :meth:`QueryService.run_window` that returned
     ``outcome``, before churn changes the plan.  It only reads: no
     service state, memo, feedback correction or ledger changes.  Returns
-    ``{"avoidable": [qid, ...], "infeasible": [qid, ...]}``.
+    ``{"avoidable": [qid, ...], "isolable": [...], "infeasible": [...]}``.
     """
-    split = {"avoidable": [], "infeasible": []}
+    split = {"avoidable": [], "isolable": [], "infeasible": []}
     missed = {
         qid: entry["goal_seconds"]
         for qid, entry in sorted(outcome.queries.items())
@@ -698,7 +721,14 @@ def split_misses(service, outcome):
             "window %d's plan is no longer live: split its misses right "
             "after run_window" % outcome.window
         )
-    late = ran.late_at_max(service.config, missed)
-    for qid in missed:
-        split["infeasible" if qid in late else "avoidable"].append(qid)
+    config = service.config
+    late = ran.late_at_max(config, missed)
+    for qid, goal in missed.items():
+        if qid not in late:
+            kind = "avoidable"
+        elif ran.meets_alone(config, qid, goal):
+            kind = "isolable"
+        else:
+            kind = "infeasible"
+        split[kind].append(qid)
     return split

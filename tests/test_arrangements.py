@@ -22,6 +22,7 @@ from repro.core.split import LocalSplitOptimizer, set_partitions
 from repro.engine.arrangements import (
     Arrangement,
     ArrangementStore,
+    PrivateSide,
     arrangeable_side,
 )
 from repro.engine.buffers import Buffer
@@ -283,7 +284,7 @@ class TestArrangementVersions:
         v2 = h.advance_to(3)
         assert v1 is v2  # rolled forward in place, no copy
         assert len(arr.versions) == 1
-        assert h.version.table == {1: {(1, "b"): 1}}
+        assert h.version.table == {1: {((1, "b"), -1): 1}}
         assert h.version.entries == 1
 
     def test_lagging_reader_clones_copy_on_write(self):
@@ -296,8 +297,10 @@ class TestArrangementVersions:
         shared = h1.version
         h1.advance_to(3)  # must clone: h2 still reads the shared version
         assert h1.version is not shared
-        assert shared.table == {1: {(1, "a"): 1}, 2: {(2, "b"): 1}}
-        assert h1.version.table == {2: {(2, "b"): 1}}
+        assert shared.table == {
+            1: {((1, "a"), -1): 1}, 2: {((2, "b"), -1): 1}
+        }
+        assert h1.version.table == {2: {((2, "b"), -1): 1}}
         assert shared.entries == 2 and h1.version.entries == 1
         assert len(arr.versions) == 2
         # the laggard catches up onto the existing version and the old
@@ -357,7 +360,7 @@ class TestArrangementVersions:
         buffer.reset()
         buffer.append(batch_of([_delta(1, "a"), _delta(2, "b")], 2))
         assert h1.advance_to(2).table == {
-            1: {(1, "a"): 1}, 2: {(2, "b"): 1}
+            1: {((1, "a"), -1): 1}, 2: {((2, "b"), -1): 1}
         }
 
     def test_store_deduplicates_by_table_and_keys(self):
@@ -402,11 +405,11 @@ class TestArrangeableSide:
                     assert eligible is None
 
 
-# -- satellite: columnar join-side compaction under churn --------------------------
+# -- satellite: a private join side holds exactly its live slots ------------------
 
 
-class TestColumnarSideCompaction:
-    def test_dead_slots_stay_bounded(self, monkeypatch):
+class TestPrivateSideLiveSlots:
+    def test_retracted_slots_leave_the_table(self, monkeypatch):
         # every batch on the row lane, which is bit-identical to the
         # reference whatever the toy batch sizes are
         monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
@@ -415,24 +418,32 @@ class TestColumnarSideCompaction:
             catalog, single_join_queries(catalog, 2, filtered=True)
         )
         paces = {s.sid: 3 for s in plan.subplans}
-        checked = []
+        checked = []  # per private side and advance: did a slot leave?
+        seen = {}  # every slot a side has held so far
 
-        def bounded(join):
-            for state in (join._left_state, join._right_state):
-                if state is not None:
-                    # before the fix the raw delta chunks grew without
-                    # bound; compaction now keeps dead slots below the
-                    # live count (plus the trigger threshold)
-                    assert state.dead <= max(32, state.entries)
-                    checked.append(state.dead)
+        def live_only(join):
+            for state in join.states:
+                if isinstance(state, PrivateSide):
+                    # a slot whose net reaches 0 is deleted at once, and
+                    # its key with it when that was the key's last slot
+                    live = {
+                        slot: net for inner in state.table.values()
+                        for slot, net in inner.items()
+                    }
+                    assert all(inner for inner in state.table.values())
+                    assert 0 not in live.values()
+                    assert len(live) == state.entries
+                    held = seen.setdefault(id(state), set())
+                    checked.append(bool(held - live.keys()))
+                    held.update(live)
 
         with monkeypatch.context() as patch:
-            tap_join_advances(patch, ColumnarJoinExec, bounded)
+            tap_join_advances(patch, ColumnarJoinExec, live_only)
             run = run_with(plan, paces, batched=True)
         assert checked, "no private columnar join sides compiled"
         assert any(checked), "no slot ever retracted"
-        # compaction preserved per-key probe order: still bit-identical
-        # to the per-tuple reference
+        # deleting slots preserved per-key probe order: still
+        # bit-identical to the per-tuple reference
         reference = run_with(plan, paces, batched=False)
         assert fingerprint(run) == fingerprint(reference)
 

@@ -2,22 +2,23 @@
 
 The spec is the per-tuple reference ``JoinExec``: two private
 ``key -> {(row, bits): net}`` tables, probe-install-probe-install.  The
-production ``ColumnarJoinExec`` holds, per side, either a handle on a
-shared arrangement (a bare base-table scan) or a private
-``_ColumnarJoinSide`` -- chosen by plan shape, so there is no run of the
-production operators "without arrangements" to compare against.  This
-replay is that comparison: every ``advance`` of every join of the
-22-query shared plan is recorded -- both input batches, the emitted
-``(row, sign, bits)`` sequence with its value types, the WorkMeter
-charges and the entry count the state charge bills -- and the recorded
-inputs are fed, advance by advance, to a reference join over private
-tables, which must emit, charge and count the same.
+production ``ColumnarJoinExec`` holds the same table per side, either
+through a handle on a shared arrangement (a bare base-table scan, whose
+slots carry ``~0``) or in a ``PrivateSide`` -- chosen by plan shape, so
+there is no run of the production operators "without arrangements" to
+compare against.  This replay is that comparison: every ``advance`` of
+every join of the 22-query shared plan is recorded -- both input
+batches, the emitted ``(row, sign, bits)`` sequence with its value
+types, the WorkMeter charges and the entry count the state charge
+bills -- and the recorded inputs are fed, advance by advance, to a
+reference join over private tables, which must emit, charge and count
+the same.
 
 The last class is the proof that the fuzz pairs this replaced
 (``shared-arranged`` / ``shared-private``, ``service`` /
-``service-private``) lost nothing: a fault planted in the arranged probe
-is reported here and by the fuzz matrix on the corpus case that pinned
-those pairs.
+``service-private``) lost nothing: a fault planted in the probe's lookup
+of an arranged table is reported here and by the fuzz matrix on the
+corpus case that pinned those pairs.
 """
 
 import json
@@ -25,6 +26,7 @@ import os
 
 import pytest
 
+from repro.engine.arrangements import ArrangementHandle
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.fuzz.oracles import run_case
@@ -95,6 +97,12 @@ class Recording:
         self.arranged_sides = 0
         self.private_sides = 0
         self.most_versions = 0  # of one arrangement at one time
+        #: vectorised probes, by the kind of side whose table they read
+        self.vector_probes = {"arranged": 0, "private": 0}
+
+
+def _kind(state):
+    return "arranged" if isinstance(state, ArrangementHandle) else "private"
 
 
 def record_join_advances(monkeypatch, plan, paces):
@@ -102,21 +110,26 @@ def record_join_advances(monkeypatch, plan, paces):
     recording = Recording()
     init = ColumnarJoinExec.__init__
     advance = ColumnarJoinExec.advance
+    probe = ColumnarJoinExec._probe
 
     def tapped_init(self, node, left, right, *args, **kwargs):
         init(self, node, _Tap(left), _Tap(right), *args, **kwargs)
-        for handle in (self._left_arranged, self._right_arranged):
-            if handle is None:
-                recording.private_sides += 1
-            else:
+        for state in self.states:
+            if _kind(state) == "arranged":
                 recording.arranged_sides += 1
+            else:
+                recording.private_sides += 1
+
+    def tapped_probe(self, batch, keys, key_idx, table, left_side, outputs):
+        recording.vector_probes[_kind(self.states[left_side])] += 1
+        return probe(self, batch, keys, key_idx, table, left_side, outputs)
 
     def tapped_advance(self):
         out = advance(self)
-        for handle in (self._left_arranged, self._right_arranged):
-            if handle is not None:
+        for state in self.states:
+            if _kind(state) == "arranged":
                 recording.most_versions = max(
-                    recording.most_versions, len(handle.arrangement.versions)
+                    recording.most_versions, len(state.arrangement.versions)
                 )
         recording.advances.append((
             self, deltas_of(self.left.batch), deltas_of(self.right.batch),
@@ -127,6 +140,7 @@ def record_join_advances(monkeypatch, plan, paces):
     with monkeypatch.context() as patch:
         patch.setattr(ColumnarJoinExec, "__init__", tapped_init)
         patch.setattr(ColumnarJoinExec, "advance", tapped_advance)
+        patch.setattr(ColumnarJoinExec, "_probe", tapped_probe)
         clear_compiled_caches()
         PlanExecutor(plan, StreamConfig()).run(paces)
     return recording
@@ -177,11 +191,14 @@ class TestRecordedReplay:
         assert joins >= 20
 
     def test_vector_lane_probe(self, fig11_setup, monkeypatch):  # noqa: F811
-        # every non-empty batch through the vectorised private probe: a
-        # join does no arithmetic, so the typed sequence is still exact
+        # every non-empty batch through the vectorised probe, of arranged
+        # and private tables alike: a join does no arithmetic, so the
+        # typed sequence is still exact
         plan, _, _ = fig11_setup
         monkeypatch.setattr(columnar, "ROW_LANE_MAX", 0)
         recording = record_join_advances(monkeypatch, plan, _paces(plan, "lazy"))
+        assert recording.vector_probes["arranged"]
+        assert recording.vector_probes["private"]
         replay_through_reference(recording)
 
 
@@ -203,14 +220,10 @@ class _DropsLastMatch:
 
 @pytest.fixture
 def faulty_arranged_probe(monkeypatch):
-    probe = ColumnarJoinExec._probe_arranged
-
-    def faulty(listed, keys, table, left_side, pending):
-        return probe(listed, keys, _DropsLastMatch(table), left_side, pending)
-
-    monkeypatch.setattr(
-        ColumnarJoinExec, "_probe_arranged", staticmethod(faulty)
-    )
+    # the one probe looks keys up in ``state.table``: an arranged side's
+    # now drops the last match of every key it finds
+    monkeypatch.setattr(ArrangementHandle, "table", property(
+        lambda handle: _DropsLastMatch(handle.cursor.version.table)))
 
 
 class TestArrangedProbeFaultIsCaught:

@@ -128,6 +128,31 @@ class TestOptimizersEndToEnd:
         assert result.approach == "iShare (w/o unshare)"
         assert result.diagnostics["actions"] == []
 
+    def test_ishare_names_its_unmet_queries(self, workload):
+        catalog, queries, reference, config, relative, constraints = workload
+        result = optimize_ishare(catalog, queries, relative, config,
+                                 absolute_constraints=constraints)
+        final = result.evaluation.query_final_work
+        assert result.diagnostics["unmet"] == {
+            qid: {"estimated": final[qid], "bound": bound}
+            for qid, bound in constraints.items() if final[qid] > bound
+        }
+        # a bound no pace can meet: query 1 is named, with the estimate
+        # of the plan the optimizer returned
+        tight = dict(constraints)
+        tight[1] = 1.0
+        result = optimize_ishare(catalog, queries, relative, config,
+                                 absolute_constraints=tight)
+        assert result.diagnostics["met"] is False
+        unmet = result.diagnostics["unmet"]
+        assert unmet[1] == {
+            "estimated": result.evaluation.query_final_work[1], "bound": 1.0}
+        assert unmet[1]["estimated"] > 1.0
+        assert all(
+            result.evaluation.query_final_work[qid] <= bound
+            for qid, bound in tight.items() if qid not in unmet
+        )
+
     def test_constraints_resolved_internally_when_not_given(self, workload):
         catalog, queries, reference, config, relative, constraints = workload
         result = optimize_noshare_uniform(catalog, queries, relative, config)

@@ -20,6 +20,7 @@ from repro.cost.cache import (
     get_default_cache,
     set_default_cache,
 )
+from repro.engine.arrangements import PrivateSide
 from repro.engine.calibrate import (
     _collect_stats,
     calibrate_plan,
@@ -188,9 +189,8 @@ def _held(executor):
     held += sum(b.held + len(b.view_cache) for b in buffers)
     for unit in compiled.values():
         for op in _operators(unit.root_exec):
-            for name in ("_left_state", "_right_state"):
-                side = getattr(op, name, None)
-                if side is not None:
+            for side in getattr(op, "states", ()):
+                if isinstance(side, PrivateSide):
                     held += side.entries
             if hasattr(op, "group_count"):
                 held += op.group_count()

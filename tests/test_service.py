@@ -20,6 +20,7 @@ from repro.harness.service import (
     shard_of,
 )
 from repro.logical.ops import Query
+from repro.mqo.merge import build_unshared_plan
 from repro.obs import OBS
 from repro.service.core import QueryService, split_misses
 from repro.service.schedule import (
@@ -496,10 +497,12 @@ class TestSlackAndAttribution:
 
 class TestMissSplit:
     """``split_misses`` re-runs a window at uniform ``P_max``: a miss that
-    still misses there is infeasible, any other is avoidable."""
+    meets there is avoidable; one that still misses is isolable if its
+    own unshared plan meets at ``P_max`` on the same data, else
+    infeasible."""
 
     @staticmethod
-    def _missing_service():
+    def _missing_service(goals=(0.5, 0.5, 0.5)):
         # window 1 carries twice the basis window's events, so every
         # query overshoots the work its paces were chosen for
         def make_catalog(window):
@@ -508,31 +511,65 @@ class TestMissSplit:
 
         service = QueryService(make_catalog, OptimizerConfig(max_pace=6))
         catalog = service.basis_catalog
-        for query, tenant in ((toy_query_total(catalog, 0), "a"),
-                              (toy_query_region(catalog, 1), "b"),
-                              (toy_query_max(catalog, 2), "c")):
-            assert service.register(query, tenant, 0.5).status == "admitted"
+        for query, tenant, goal in ((toy_query_total(catalog, 0), "a", goals[0]),
+                                    (toy_query_region(catalog, 1), "b", goals[1]),
+                                    (toy_query_max(catalog, 2), "c", goals[2])):
+            assert service.register(query, tenant, goal).status == "admitted"
         assert split_misses(service, service.run_window()) == {
-            "avoidable": [], "infeasible": []}
+            "avoidable": [], "isolable": [], "infeasible": []}
         return service, make_catalog
 
+    @staticmethod
+    def _final_at_max(service, plan, catalog):
+        return PlanExecutor(
+            plan, service.config.stream_config, catalog=catalog,
+        ).run(uniform_configuration(plan, 6),
+              collect_results=False).query_final_work
+
     def test_one_miss_of_each_kind(self):
-        service, make_catalog = self._missing_service()
+        service, make_catalog = self._missing_service(goals=(0.5, 0.4, 0.5))
         outcome = service.run_window()
         split = split_misses(service, outcome)
-        assert split == {"avoidable": [2], "infeasible": [0, 1]}
+        assert split == {"avoidable": [2], "isolable": [0], "infeasible": [1]}
         assert all(outcome.queries[qid]["missed_seconds"] > 0
                    for qid in (0, 1, 2))
         # the verdicts are the final work of the same plan at P_max over
-        # the same data, held to each query's bound
-        eager = PlanExecutor(
-            service.plan, service.config.stream_config,
-            catalog=make_catalog(1),
-        ).run(uniform_configuration(service.plan, 6), collect_results=False)
-        for qid, infeasible in ((0, True), (1, True), (2, False)):
+        # the same data, then of each late query's own plan, held to
+        # each query's bound
+        catalog = make_catalog(1)
+        shared = self._final_at_max(service, service.plan, catalog)
+        for qid, late, alone_late in ((0, True, False), (1, True, True),
+                                      (2, False, None)):
             slot = service.slots[qid]
             bound = service._constraints[slot]
-            assert (eager.query_final_work[slot] > bound) is infeasible
+            assert (shared[slot] > bound) is late
+            if late:
+                alone = build_unshared_plan(
+                    catalog, [service.plan.queries[slot]])
+                final = self._final_at_max(service, alone, catalog)[slot]
+                assert (final > bound) is alone_late
+
+    def test_a_miss_sharing_causes_is_isolable(self):
+        # at equal goals queries 0 and 1 miss at P_max only because they
+        # share subplan 0: each meets its bound alone
+        service, _ = self._missing_service()
+        first = service._last_run
+        assert first._final_alone == {}  # no miss, no alone-run
+        outcome = service.run_window()
+        ran = service._last_run
+        split = split_misses(service, outcome)
+        assert split == {"avoidable": [2], "isolable": [0, 1], "infeasible": []}
+        assert sorted(ran.late_at_max(service.config, {
+            qid: outcome.queries[qid]["goal_seconds"] for qid in (0, 1, 2)
+        })) == [0, 1]
+        # one alone-run per late query, cached on the window: asking
+        # again runs nothing
+        cached = dict(ran._final_alone)
+        assert sorted(cached) == [0, 1]
+        assert split_misses(service, outcome) == split
+        assert ran._final_alone == cached
+        for qid, final in cached.items():
+            assert final <= service._constraints[service.slots[qid]]
 
     def test_the_split_changes_no_service_state(self):
         def state(service):
@@ -606,9 +643,10 @@ class TestMeasuredAdmission:
             assert float(final) > float(bound)
         assert sorted(service.registrations) == [2]
         assert service.pending == []
-        # the window that evicted them still splits; they are infeasible
+        # the window that evicted them still splits: they miss at P_max
+        # in the shared plan, yet each meets its bound alone
         assert split_misses(service, outcome) == {
-            "avoidable": [2], "infeasible": [0, 1]}
+            "avoidable": [2], "isolable": [0, 1], "infeasible": []}
         assert sorted(service.run_window().queries) == [2]
 
     def test_queue_mode_queues_then_retries_after_deregistration(self):
@@ -637,7 +675,7 @@ class TestMeasuredAdmission:
         service, outcome = self._first_window(queries=(2,))
         assert [d.status for d in service.decisions] == ["admitted"]
         assert split_misses(service, outcome) == {
-            "avoidable": [2], "infeasible": []}
+            "avoidable": [2], "isolable": [], "infeasible": []}
         assert sorted(service.run_window().queries) == [2]
 
     def test_only_the_first_window_is_rechecked(self):

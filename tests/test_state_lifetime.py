@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.cost.cache import get_default_cache, set_default_cache
+from repro.engine.arrangements import PrivateSide
 from repro.engine.calibrate import calibrate_plan
 from repro.engine.executor import PlanExecutor, query_result_view
 from repro.engine.stream import StreamConfig
@@ -117,10 +118,9 @@ def _private_state(unit):
     (shared arrangements are the window's, not the unit's)."""
     held = 0
     for op in _operators(unit.root_exec):
-        for name in ("_left_state", "_right_state"):  # production join
-            side = getattr(op, name, None)
-            if side is not None:
-                held += len(side.net)
+        for side in getattr(op, "states", ()):  # production join
+            if isinstance(side, PrivateSide):
+                held += side.entries
         for name in ("_left_table", "_right_table"):  # reference join
             held += len(getattr(op, name, ()))
         if hasattr(op, "group_count"):
