@@ -77,7 +77,7 @@ def validate_parent_child(plan, pace_config):
     """Raise unless parent paces never exceed child paces."""
     for subplan in plan.subplans:
         pace = _pace_of(pace_config, subplan.sid)
-        for child in subplan.child_subplans():
+        for child in plan.children_of(subplan):
             if _pace_of(pace_config, child.sid) < pace:
                 raise OptimizationError(
                     "parent subplan %d pace %d exceeds child %d pace %d"
@@ -105,7 +105,7 @@ def can_increase(plan, pace_config, sid, max_pace):
         return False
     return all(
         _pace_of(pace_config, child.sid) >= new_pace
-        for child in subplan.child_subplans()
+        for child in plan.children_of(subplan)
     )
 
 

@@ -14,7 +14,8 @@ subplan (section 4.3).
 
 from collections import deque
 
-from ..mqo.nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef
+from ..mqo.nodes import OpNode, Subplan, SubplanRef
+from .regenerate import copy_upward
 
 
 def bfs_order(root):
@@ -29,58 +30,65 @@ def bfs_order(root):
 
 
 def partial_cut_candidates(plan, target_sid):
-    """Yield ``(new_plan, initial_pace_hint, top_sid, bottom_sids)`` tuples.
+    """Yield ``(new_plan, top_sid, bottom_sids)`` tuples.
 
-    Each candidate is a clone of ``plan`` where the target subplan has
-    been broken into a *top* subplan (a BFS prefix of its operators,
-    keeping the original sid) and one *bottom* subplan per excluded
-    maximal subtree.  ``initial_pace_hint`` maps the new bottom sids to
-    the target sid whose pace they inherit.
+    Each candidate is derived from ``plan`` with the target subplan
+    broken into a *top* subplan (a BFS prefix of its operators, keeping
+    the original sid) and one *bottom* subplan per excluded maximal
+    subtree.  The bottoms' trees are the target's own operators; the top
+    copies only the prefix operators above a cut, and the target's
+    ancestors are copied to read the top (:func:`copy_upward`).  Every
+    other subplan is ``plan``'s own.
 
     Prefixes equal to the whole tree reproduce the original subplan and
-    are skipped; prefixes whose top would be a bare source node are
-    skipped as degenerate.
+    are skipped, and a target whose root is a bare source node has no
+    candidate.
     """
-    original = plan.subplan_by_id(target_sid)
-    operator_count = sum(1 for _ in original.root.walk())
-    for prefix_size in range(1, operator_count):
-        work = plan.clone()
-        target = work.subplan_by_id(target_sid)
-        order = bfs_order(target.root)
+    target = plan.subplan_by_id(target_sid)
+    if target.root.kind == "source":
+        return
+    order = bfs_order(target.root)
+    first_sid = max(subplan.sid for subplan in plan.subplans) + 1
+    for prefix_size in range(1, len(order)):
         prefix = set(id(node) for node in order[:prefix_size])
-        if target.root.kind == "source":
-            continue
-        bottom_sids = []
-        _cut_below(target.root, prefix, work, target, bottom_sids)
-        if not bottom_sids:
-            continue  # the prefix covered the whole tree: nothing was cut
-        new_plan = SharedQueryPlan(
-            work.catalog, work.subplans, work.query_roots, work.queries
+        bottoms = []
+        top = Subplan(
+            target_sid,
+            _cut_below(target.root, prefix, target, first_sid, bottoms),
+            target.query_mask,
+            target.label,
         )
-        yield new_plan, target_sid, bottom_sids
+        subplans, query_roots, _ = copy_upward(plan, target, top)
+        new_plan = plan.derive(subplans + bottoms, query_roots)
+        yield new_plan, target_sid, [bottom.sid for bottom in bottoms]
 
 
-def _cut_below(node, prefix, work, target, bottom_sids):
-    """Turn every maximal subtree under ``node`` outside ``prefix`` into a
-    bottom subplan of ``work``, read through a source in its place.
+def _cut_below(node, prefix, target, first_sid, bottoms):
+    """``node`` with every maximal subtree under it outside ``prefix``
+    turned into a bottom subplan (appended to ``bottoms``, sids from
+    ``first_sid`` on), read through a new source leaf in its place.
 
-    A module-level function rather than a closure: a closure that calls
-    itself holds its own cell, and that cycle kept every candidate plan
-    alive until the cyclic collector found it.
+    A node with a cut below it is a copy; every other node, and every
+    bottom's tree, is shared with ``node``'s tree.  A module-level
+    function rather than a closure: a closure that calls itself holds its
+    own cell, and that cycle kept every candidate plan alive until the
+    cyclic collector found it.
     """
-    for index, child in enumerate(node.children):
+    children = []
+    for child in node.children:
         if id(child) in prefix:
-            _cut_below(child, prefix, work, target, bottom_sids)
-        else:
-            bottom = Subplan(
-                work.next_sid(),
-                child,
-                target.query_mask,
-                label="%s.bottom%d" % (target.label, len(bottom_sids)),
-            )
-            work.subplans.append(bottom)
-            bottom_sids.append(bottom.sid)
-            node.children[index] = OpNode(
-                "source", ref=SubplanRef(bottom),
-                query_mask=target.query_mask,
-            )
+            children.append(_cut_below(child, prefix, target, first_sid, bottoms))
+            continue
+        bottom = Subplan(
+            first_sid + len(bottoms),
+            child,
+            target.query_mask,
+            label="%s.bottom%d" % (target.label, len(bottoms)),
+        )
+        bottoms.append(bottom)
+        children.append(OpNode(
+            "source", ref=SubplanRef(bottom), query_mask=target.query_mask,
+        ))
+    if all(new is old for new, old in zip(children, node.children)):
+        return node
+    return node.copy(children=children)

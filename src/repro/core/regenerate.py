@@ -19,7 +19,7 @@ corrects.
 """
 
 from ..errors import OptimizationError
-from ..mqo.nodes import SharedQueryPlan, Subplan, SubplanRef
+from ..mqo.nodes import Subplan, SubplanRef
 from ..obs import OBS
 from ..relational import bitvec
 from .pace import validate_parent_child
@@ -61,45 +61,103 @@ def apply_split(plan, old_paces, target_sid, partitions, lineage=None):
     """Decompose subplan ``target_sid`` into ``partitions`` (qid tuples).
 
     Returns ``(new_plan, initial_paces)``.  The input ``plan`` is left
-    untouched; all surgery happens on a clone.  When a
+    untouched: the new plan is derived from it (:func:`copy_upward`,
+    :meth:`~repro.mqo.nodes.SharedQueryPlan.derive`), and only the pieces
+    and the target's ancestors are new objects.  When a
     :class:`SplitLineage` is passed, every piece the surgery creates and
     every single-consumer merge it performs is recorded there.
     """
-    target_check = plan.subplan_by_id(target_sid)
+    target = plan.subplan_by_id(target_sid)
     covered = sorted(qid for part in partitions for qid in part)
-    if covered != sorted(target_check.query_ids()):
+    if covered != sorted(target.query_ids()):
         raise OptimizationError(
             "partitions %r do not cover subplan %d's queries %r"
-            % (partitions, target_sid, target_check.query_ids())
+            % (partitions, target_sid, target.query_ids())
         )
     if len(partitions) < 2:
         raise OptimizationError("a split needs at least two partitions")
 
-    work = plan.clone()
     initial_paces = dict(old_paces)
-    state = _RewriteState(work, initial_paces, lineage)
+    state = _RewriteState(plan, target, initial_paces, lineage)
     state.split(
-        work.subplan_by_id(target_sid), [tuple(part) for part in partitions],
-        reason="decomposition",
+        target, [tuple(part) for part in partitions], reason="decomposition",
     )
-    _merge_single_consumer_chains(work, initial_paces, lineage)
-    new_plan = SharedQueryPlan(work.catalog, work.subplans, work.query_roots, work.queries)
+    state.merge_single_consumer_chains()
+    new_plan = plan.derive(state.subplans, state.query_roots)
     validate_parent_child(new_plan, initial_paces)
     return new_plan, initial_paces
 
 
-class _RewriteState:
-    """Carries the mutable plan and pace bookkeeping through the recursion."""
+def copy_upward(plan, subplan, replacement):
+    """``plan``'s subplans and query roots with ``subplan`` replaced.
 
-    def __init__(self, work, initial_paces, lineage=None):
-        self.work = work
+    Returns ``(subplans, query_roots, copies)``: ``replacement`` (which
+    keeps ``subplan``'s sid; ``subplan`` itself to only re-point) takes
+    ``subplan``'s place, and each strict ancestor of ``subplan`` is
+    replaced by a copy with the same sid whose tree reads the replacement
+    and the other copies (:meth:`~repro.mqo.nodes.OpNode.rewired`: only
+    the operators on the paths to those reads are new).  ``copies`` is
+    the set of the ancestors' copies.  Every other subplan is ``plan``'s
+    own object, in ``plan``'s order.
+    """
+    ancestors = set()
+    frontier = [subplan]
+    while frontier:
+        for parent in plan.parents_of(frontier.pop()):
+            if parent not in ancestors:
+                ancestors.add(parent)
+                frontier.append(parent)
+    mapping = {subplan.sid: replacement}
+    copies = set()
+    for old in plan.topological_order():  # children before parents
+        if old in ancestors:
+            new = Subplan(old.sid, old.root.rewired(mapping), old.query_mask,
+                          old.label)
+            mapping[old.sid] = new
+            copies.add(new)
+    subplans = [mapping.get(old.sid, old) for old in plan.subplans]
+    query_roots = {
+        qid: mapping.get(root.sid, root)
+        for qid, root in plan.query_roots.items()
+    }
+    return subplans, query_roots, copies
+
+
+class _RewriteState:
+    """The plan under surgery and its pace bookkeeping.
+
+    ``subplans`` and ``query_roots`` start as :func:`copy_upward` of the
+    target, which re-points nothing but copies every ancestor: all a
+    split can change is the target and its ancestors, and those are new
+    objects (``fresh``) from the start, along with every piece.  Only a
+    fresh subplan is ever changed in place, so its children are read from
+    its tree; the others are the input plan's own, whose child lists the
+    input plan keeps.
+    """
+
+    def __init__(self, plan, target, initial_paces, lineage=None):
+        self.plan = plan
+        self.subplans, self.query_roots, self.fresh = copy_upward(
+            plan, target, target)
         self.initial_paces = initial_paces
         self.lineage = lineage
+        self.next_sid = max(subplan.sid for subplan in plan.subplans) + 1
+
+    def children_of(self, subplan):
+        if subplan in self.fresh:  # its tree may have changed: read it
+            return subplan.child_subplans()
+        return self.plan.children_of(subplan)
+
+    def parents_of(self, subplan):
+        return [
+            candidate for candidate in self.subplans
+            if candidate is not subplan
+            and any(child is subplan for child in self.children_of(candidate))
+        ]
 
     def split(self, subplan, partitions, reason="parent_subsumption"):
         """Split ``subplan`` along ``partitions``; returns aligned pieces."""
-        work = self.work
-        parents = work.parents_of(subplan)
+        parents = self.parents_of(subplan)
         inherited_pace = self.initial_paces.pop(subplan.sid)
         if OBS.enabled:
             OBS.declog.log(
@@ -112,21 +170,23 @@ class _RewriteState:
         for part in partitions:
             keep = set(part)
             piece = Subplan(
-                work.next_sid(),
+                self.next_sid,
                 subplan.root.clone(keep_queries=keep),
                 bitvec.mask_of(part),
                 label="%s/%s" % (subplan.label, "+".join("q%d" % q for q in part)),
             )
+            self.next_sid += 1
+            self.fresh.add(piece)
             self.initial_paces[piece.sid] = inherited_pace
             if self.lineage is not None:
                 self.lineage.origin[piece.sid] = self.lineage.resolve(subplan.sid)
             pieces.append((keep, piece))
 
-        work.subplans.remove(subplan)
-        work.subplans.extend(piece for _, piece in pieces)
-        for qid, root in list(work.query_roots.items()):
+        self.subplans.remove(subplan)
+        self.subplans.extend(piece for _, piece in pieces)
+        for qid, root in list(self.query_roots.items()):
             if root is subplan:
-                work.query_roots[qid] = next(
+                self.query_roots[qid] = next(
                     piece for keep, piece in pieces if qid in keep
                 )
 
@@ -146,90 +206,93 @@ class _RewriteState:
                     _retarget_refs(parent_piece.root, subplan.sid, source_piece)
         return pieces
 
+    def merge_single_consumer_chains(self):
+        """Inline new subplans whose buffer has exactly one consumer.
+
+        Mergeable when: created by this surgery, not a query root,
+        exactly one parent, equal query masks, referenced by exactly one
+        undecorated source leaf of that parent.  The merged subplan keeps
+        the larger of the two paces (section 4.2, step 2); the parent's
+        *other* children may be lazier than that and are raised with it.
+        """
+        initial_paces, lineage = self.initial_paces, self.lineage
+        # built once and patched per merge
+        parents_of = {subplan: [] for subplan in self.subplans}
+        for subplan in self.subplans:
+            for child in self.children_of(subplan):
+                parents_of[child].append(subplan)
+        changed = True
+        while changed:
+            changed = False
+            for child in list(self.subplans):
+                if child not in self.fresh:
+                    continue
+                if any(root is child for root in self.query_roots.values()):
+                    continue
+                parents = parents_of[child]
+                if len(parents) != 1:
+                    continue
+                parent = parents[0]
+                if parent.query_mask != child.query_mask:
+                    continue
+                leaves = [
+                    node
+                    for node in parent.root.source_nodes()
+                    if isinstance(node.ref, SubplanRef) and node.ref.subplan is child
+                ]
+                if len(leaves) != 1:
+                    continue
+                leaf = leaves[0]
+                if leaf.filters or leaf.projections:
+                    continue
+                grandchildren = self.children_of(child)
+                if leaf is parent.root:
+                    parent.root = child.root
+                else:
+                    _replace_child(parent.root, leaf, child.root)
+                self.subplans.remove(child)
+                # the child's inputs are the parent's now
+                for grandchild in grandchildren:
+                    consumers = parents_of[grandchild]
+                    consumers.remove(child)
+                    if parent not in consumers:
+                        consumers.append(parent)
+                child_pace = initial_paces.pop(child.sid)
+                merged_pace = max(initial_paces[parent.sid], child_pace)
+                initial_paces[parent.sid] = merged_pace
+                raised = self._raise_lagging_children(parent, merged_pace)
+                if lineage is not None:
+                    lineage.tainted.add(lineage.resolve(child.sid))
+                    lineage.tainted.add(lineage.resolve(parent.sid))
+                if OBS.enabled:
+                    OBS.declog.log(
+                        "repair_merge", child_sid=child.sid, parent_sid=parent.sid,
+                        merged_pace=merged_pace, raised=raised,
+                    )
+                changed = True
+                break
+
+    def _raise_lagging_children(self, subplan, pace):
+        """Raise every descendant of ``subplan`` lazier than ``pace`` to it.
+
+        Returns the raised sids.  A descendant already at ``pace`` or above
+        shields its own cone (its children are at least as eager as it is).
+        """
+        paces = self.initial_paces
+        raised = []
+        for child in self.children_of(subplan):
+            if paces[child.sid] < pace:
+                paces[child.sid] = pace
+                raised.append(child.sid)
+                raised.extend(self._raise_lagging_children(child, pace))
+        return raised
+
 
 def _retarget_refs(root, old_sid, new_subplan):
     for node in root.walk():
         if node.kind == "source" and isinstance(node.ref, SubplanRef):
             if node.ref.subplan.sid == old_sid:
                 node.ref = SubplanRef(new_subplan)
-
-
-def _merge_single_consumer_chains(work, initial_paces, lineage=None):
-    """Inline subplans whose buffer has exactly one consumer.
-
-    Mergeable when: not a query root, exactly one parent, equal query
-    masks, referenced by exactly one undecorated source leaf of that
-    parent.  The merged subplan keeps the larger of the two paces
-    (section 4.2, step 2); the parent's *other* children may be lazier
-    than that and are raised with it.
-    """
-    # built once and patched per merge: plan.parents_of re-walks every tree
-    parents_of = {subplan.sid: [] for subplan in work.subplans}
-    for subplan in work.subplans:
-        for child in subplan.child_subplans():
-            parents_of[child.sid].append(subplan)
-    changed = True
-    while changed:
-        changed = False
-        for child in list(work.subplans):
-            if any(root is child for root in work.query_roots.values()):
-                continue
-            parents = parents_of[child.sid]
-            if len(parents) != 1:
-                continue
-            parent = parents[0]
-            if parent.query_mask != child.query_mask:
-                continue
-            leaves = [
-                node
-                for node in parent.root.source_nodes()
-                if isinstance(node.ref, SubplanRef) and node.ref.subplan is child
-            ]
-            if len(leaves) != 1:
-                continue
-            leaf = leaves[0]
-            if leaf.filters or leaf.projections:
-                continue
-            if leaf is parent.root:
-                parent.root = child.root
-            else:
-                _replace_child(parent.root, leaf, child.root)
-            work.subplans.remove(child)
-            # the child's inputs are the parent's now
-            for grandchild in child.child_subplans():
-                consumers = parents_of[grandchild.sid]
-                consumers.remove(child)
-                if parent not in consumers:
-                    consumers.append(parent)
-            child_pace = initial_paces.pop(child.sid)
-            merged_pace = max(initial_paces[parent.sid], child_pace)
-            initial_paces[parent.sid] = merged_pace
-            raised = _raise_lagging_children(parent, merged_pace, initial_paces)
-            if lineage is not None:
-                lineage.tainted.add(lineage.resolve(child.sid))
-                lineage.tainted.add(lineage.resolve(parent.sid))
-            if OBS.enabled:
-                OBS.declog.log(
-                    "repair_merge", child_sid=child.sid, parent_sid=parent.sid,
-                    merged_pace=merged_pace, raised=raised,
-                )
-            changed = True
-            break
-
-
-def _raise_lagging_children(subplan, pace, paces):
-    """Raise every descendant of ``subplan`` lazier than ``pace`` to it.
-
-    Returns the raised sids.  A descendant already at ``pace`` or above
-    shields its own cone (its children are at least as eager as it is).
-    """
-    raised = []
-    for child in subplan.child_subplans():
-        if paces[child.sid] < pace:
-            paces[child.sid] = pace
-            raised.append(child.sid)
-            raised.extend(_raise_lagging_children(child, pace, paces))
-    return raised
 
 
 def _replace_child(root, old_node, new_node):

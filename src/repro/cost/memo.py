@@ -115,7 +115,7 @@ class MemoPool:
     """
 
     __slots__ = ("_tables", "_partition_costs", "solo", "programs",
-                 "simulations", "hits")
+                 "simulations", "hits", "generation")
 
     def __init__(self):
         self._tables = {}
@@ -124,6 +124,8 @@ class MemoPool:
         self.programs = {}
         self.simulations = 0
         self.hits = 0
+        #: how many times :meth:`retain` pruned the pool
+        self.generation = 0
 
     def attach(self, signature):
         """``(table, inherited)`` for one cone; creates the table if new."""
@@ -142,6 +144,7 @@ class MemoPool:
         so the pool the caller keeps is bounded by that plan.
         """
         keep = set(signatures)
+        self.generation += 1
         self._tables = {
             signature: table for signature, table in self._tables.items()
             if signature in keep
@@ -212,14 +215,18 @@ class PlanCostModel:
 
     def __init__(self, plan, config=None, use_memo=True, time_budget=None,
                  memo_pool=None):
-        self.plan = plan
-        self.config = config or DEFAULT_COST_CONFIG
-        self.use_memo = use_memo
+        self._bind(plan, config or DEFAULT_COST_CONFIG, use_memo,
+                   memo_pool if memo_pool is not None else MemoPool())
         self.time_budget = time_budget
         self._deadline = (time.monotonic() + time_budget) if time_budget else None
-        self.memo_pool = memo_pool if memo_pool is not None else MemoPool()
-        self._order = plan.topological_order()
         self._index_plan()
+
+    def _bind(self, plan, config, use_memo, memo_pool):
+        self.plan = plan
+        self.config = config
+        self.use_memo = use_memo
+        self.memo_pool = memo_pool
+        self._order = plan.topological_order()
         self._table_stats = {}
         self._solo_cache = {}
         self._feedback = {}
@@ -236,6 +243,15 @@ class PlanCostModel:
         candidate plans of a decomposition are costed against the rows and
         the time budget of the search that proposed them.
 
+        ``plan`` is derived from this model's plan
+        (:meth:`~repro.mqo.nodes.SharedQueryPlan.derive`): every subplan
+        object the two plans share keeps this model's index entry -- its
+        tree, program and sources -- and every cone made of shared
+        subplans only keeps its cone, signature and memo table, so only
+        the trees the surgery rewrote are walked and only the cones it
+        touched are signed.  The index equals the one a model built from
+        scratch over ``plan`` and this pool would hold.
+
         Same feedback corrections, too, so a candidate and the plan in
         force are compared on one footing: each subplan of ``plan`` takes
         the live correction, and the pace it was measured at, of the
@@ -246,12 +262,11 @@ class PlanCostModel:
         split piece or a cut bottom is corrected like the subplan it was
         carved from.  A subplan with neither gets no correction.
         """
-        model = PlanCostModel(
-            plan, self.config, use_memo=self.use_memo,
-            memo_pool=self.memo_pool,
-        )
+        model = PlanCostModel.__new__(PlanCostModel)
+        model._bind(plan, self.config, self.use_memo, self.memo_pool)
         model.time_budget = self.time_budget
         model._deadline = self._deadline
+        model._index_plan(self)
         if self._feedback:
             origin = lineage.origin if lineage is not None else {}
             for subplan in plan.subplans:
@@ -263,7 +278,7 @@ class PlanCostModel:
                         self._feedback_pace.get(carried))
         return model
 
-    def _index_plan(self):
+    def _index_plan(self, parent=None):
         """Per-subplan topology and cone signatures, from one tree walk each.
 
         A subplan's *cone* is the subplan followed by its descendants in
@@ -275,15 +290,34 @@ class PlanCostModel:
         in the cone list.  Positions, not sids, make the signature equal
         across clones and keep a child read twice apart from two
         look-alike children.
+
+        With a ``parent`` model (:meth:`sibling`), a subplan that is the
+        parent plan's own object takes the parent's walk of its tree, and
+        one whose children all took the parent's cone takes the parent's
+        cone, signature and table -- unless the pool was pruned since the
+        parent was indexed (:meth:`MemoPool.retain`), which may have
+        dropped them: then every tree is walked again.
         """
+        pool = self.memo_pool
+        kept = {}
+        if parent is not None and parent._generation == pool.generation:
+            kept = {subplan.sid: subplan for subplan in parent._order}
+        self._generation = pool.generation
         self.query_ids = {}
         self.children = {}
         self.parents = {subplan.sid: [] for subplan in self.plan.subplans}
         self._sources = {}
         self.programs = {}
-        trees = {}
+        self._trees = trees = {}
         for subplan in self._order:
             sid = subplan.sid
+            if kept.get(sid) is subplan:
+                self.query_ids[sid] = parent.query_ids[sid]
+                self._sources[sid] = parent._sources[sid]
+                self.children[sid] = parent.children[sid]
+                trees[sid] = parent._trees[sid]
+                self.programs[sid] = parent.programs[sid]
+                continue
             sources = {}
             nodes = []
             leaves = []
@@ -317,7 +351,7 @@ class PlanCostModel:
             )
             tree = tuple(nodes)
             trees[sid] = (subplan.query_mask, tree, tuple(leaves))
-            programs = self.memo_pool.programs  # equal content, one program
+            programs = pool.programs  # equal content, one program
             if tree not in programs:
                 programs[tree] = SimProgram(subplan.root)
             self.programs[sid] = (programs[tree], keys)
@@ -329,8 +363,8 @@ class PlanCostModel:
         for subplan in reversed(self._order):  # parent-first
             sid = subplan.sid
             upward = {sid}
-            for parent in self.parents[sid]:
-                upward |= self._upward[parent]
+            for parent_sid in self.parents[sid]:
+                upward |= self._upward[parent_sid]
             self._upward[sid] = frozenset(upward)
         # per query its subplans in step order, queries in the order a
         # full evaluation first meets them (roots without subplans last)
@@ -348,8 +382,18 @@ class PlanCostModel:
         self._signatures = {}
         self._tables = {}
         self._steps = []
+        cone_kept = set()
         for subplan in self._order:  # child-first: children's cones are known
             sid = subplan.sid
+            if kept.get(sid) is subplan and all(
+                    child in cone_kept for child in self.children[sid]):
+                cone_kept.add(sid)
+                cone = self._cones[sid] = parent._cones[sid]
+                self._signatures[sid] = parent._signatures[sid]
+                table = self._tables[sid] = parent._tables[sid]
+                # the parent attached it: this model inherits it
+                self._steps.append((sid, subplan, cone, table, self.use_memo))
+                continue
             cone = [sid]
             seen = {sid}
             for child in self.children[sid]:
@@ -365,7 +409,7 @@ class PlanCostModel:
             self._cones[sid] = cone = tuple(cone)
             self._signatures[sid] = signature
             table, inherited = (
-                self.memo_pool.attach(signature) if self.use_memo
+                pool.attach(signature) if self.use_memo
                 else (None, False)
             )
             self._tables[sid] = table
@@ -374,6 +418,14 @@ class PlanCostModel:
             sid for sid, _, _, _, inherited in self._steps if inherited
         )
         self._everything = (self._steps, self._query_sids, 0, 0)
+        # a query served by the same kept cones, in the same step order,
+        # has the parent's solo estimate: the same pool rows, summed alike
+        solo = parent._solo_cache if kept and self.use_memo else {}
+        for qid, sids in self._query_sids.items():
+            entry = solo.get(qid)
+            if (entry is not None and sids == parent._query_sids[qid]
+                    and cone_kept.issuperset(sids)):
+                self._solo_cache[qid] = entry
 
     def cone_signature(self, sid):
         """The content signature addressing ``sid``'s memo table."""

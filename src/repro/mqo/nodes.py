@@ -206,6 +206,40 @@ class OpNode:
 
     # -- copying / restriction ----------------------------------------------
 
+    def copy(self, children=None, ref=None):
+        """A new node like this one with other ``children`` or ``ref``;
+        decorations, statistics and query mask are this node's."""
+        return OpNode(
+            self.kind,
+            children=self.children if children is None else children,
+            ref=self.ref if ref is None else ref,
+            left_keys=self.left_keys,
+            right_keys=self.right_keys,
+            group_by=self.group_by,
+            aggs=self.aggs,
+            filters=self.filters,
+            projections=self.projections,
+            stats=self.stats,
+            query_mask=self.query_mask,
+        )
+
+    def rewired(self, ref_mapping):
+        """This tree with every source leaf reading a subplan whose sid is
+        a key of ``ref_mapping`` pointed at ``ref_mapping[sid]`` instead.
+
+        Only the nodes on the paths from this node to those leaves are
+        copies; every other node is shared with this tree.
+        """
+        if self.kind == "source":
+            ref = self.ref
+            if isinstance(ref, SubplanRef) and ref.subplan.sid in ref_mapping:
+                return self.copy(ref=SubplanRef(ref_mapping[ref.subplan.sid]))
+            return self
+        children = [child.rewired(ref_mapping) for child in self.children]
+        if all(new is old for new, old in zip(children, self.children)):
+            return self
+        return self.copy(children=children)
+
     def clone(self, ref_mapping=None, keep_queries=None):
         """Deep-copy this tree.
 
@@ -298,22 +332,48 @@ class Subplan:
 
 
 class SharedQueryPlan:
-    """The full DAG of subplans for a batch of scheduled queries."""
+    """The full DAG of subplans for a batch of scheduled queries.
+
+    A plan is not mutated after construction.  A rewrite builds a new plan
+    with :meth:`derive`, sharing with this one every subplan it left
+    alone -- the same :class:`Subplan` and :class:`OpNode` objects -- so
+    a plan keeps, per subplan object, the child list it read from that
+    subplan's tree, and a derived plan walks only the trees it rewrote.
+    """
 
     def __init__(self, catalog, subplans, query_roots, queries=None):
         self.catalog = catalog
         self.subplans = list(subplans)
         self.query_roots = dict(query_roots)
         self.queries = dict(queries) if queries else {}
-        self._sid_counter = max((s.sid for s in self.subplans), default=-1) + 1
+        self._children = {}  # Subplan -> tuple of its child subplans
+        self._parents = None
+        self._order = None
         self.validate()
 
-    # -- identity / lookup ---------------------------------------------------
+    def derive(self, subplans, query_roots):
+        """A plan of this catalog and these queries over ``subplans``.
 
-    def next_sid(self):
-        sid = self._sid_counter
-        self._sid_counter += 1
-        return sid
+        Every subplan object this plan also holds is shared and keeps its
+        child list; only the others -- the ones the caller rewrote -- are
+        walked, for their child lists and for :meth:`validate`.
+        """
+        derived = SharedQueryPlan.__new__(SharedQueryPlan)
+        derived.catalog = self.catalog
+        derived.subplans = list(subplans)
+        derived.query_roots = dict(query_roots)
+        derived.queries = dict(self.queries)
+        inherited = self._children
+        derived._children = {
+            subplan: inherited[subplan]
+            for subplan in derived.subplans if subplan in inherited
+        }
+        derived._parents = None
+        derived._order = None
+        derived.validate()
+        return derived
+
+    # -- identity / lookup ---------------------------------------------------
 
     def subplan_by_id(self, sid):
         for subplan in self.subplans:
@@ -326,15 +386,23 @@ class SharedQueryPlan:
 
     # -- DAG structure --------------------------------------------------------
 
+    def children_of(self, subplan):
+        """Child subplans ``subplan`` consumes from, in source-leaf order
+        (:meth:`Subplan.child_subplans`, read once per subplan object)."""
+        children = self._children.get(subplan)
+        if children is None:
+            children = self._children[subplan] = tuple(subplan.child_subplans())
+        return children
+
     def parents_of(self, subplan):
-        """Subplans that consume ``subplan``'s buffer."""
-        parents = []
-        for candidate in self.subplans:
-            if candidate is subplan:
-                continue
-            if any(child is subplan for child in candidate.child_subplans()):
-                parents.append(candidate)
-        return parents
+        """Subplans that consume ``subplan``'s buffer, in plan order."""
+        if self._parents is None:
+            parents = {candidate: [] for candidate in self.subplans}
+            for candidate in self.subplans:
+                for child in self.children_of(candidate):
+                    parents.setdefault(child, []).append(candidate)
+            self._parents = parents
+        return list(self._parents.get(subplan, ()))
 
     def consumer_count(self, subplan):
         """Number of consumers: parent subplans plus query outputs."""
@@ -344,11 +412,13 @@ class SharedQueryPlan:
 
     def topological_order(self):
         """Subplans ordered child-first (leaves before parents)."""
-        order = []
-        visited = set()
-        for subplan in self.subplans:
-            _visit_child_first(subplan, visited, order)
-        return order
+        if self._order is None:
+            order = []
+            visited = set()
+            for subplan in self.subplans:
+                _visit_child_first(self, subplan, visited, order)
+            self._order = tuple(order)
+        return list(self._order)
 
     def shared_subplans(self):
         """Subplans whose query set has more than one query."""
@@ -412,7 +482,7 @@ class SharedQueryPlan:
                     % (qid, bitvec.format_mask(root.query_mask))
                 )
         for subplan in self.subplans:
-            for child in subplan.child_subplans():
+            for child in self.children_of(subplan):
                 if child.sid not in known:
                     raise PlanError(
                         "subplan %d consumes unknown subplan %d" % (subplan.sid, child.sid)
@@ -434,7 +504,7 @@ class SharedQueryPlan:
     def _check_acyclic(self):
         state = {}
         for subplan in self.subplans:
-            _visit_acyclic(subplan, state)
+            _visit_acyclic(self, subplan, state)
 
     # -- copying ---------------------------------------------------------------
 
@@ -488,22 +558,22 @@ class SharedQueryPlan:
 # kept every plan it walked alive until the cyclic collector found it.
 
 
-def _visit_child_first(subplan, visited, order):
+def _visit_child_first(plan, subplan, visited, order):
     if subplan.sid in visited:
         return
     visited.add(subplan.sid)
-    for child in subplan.child_subplans():
-        _visit_child_first(child, visited, order)
+    for child in plan.children_of(subplan):
+        _visit_child_first(plan, child, visited, order)
     order.append(subplan)
 
 
-def _visit_acyclic(subplan, state):
+def _visit_acyclic(plan, subplan, state):
     mark = state.get(subplan.sid)
     if mark == "done":
         return
     if mark == "active":
         raise PlanError("cycle through subplan %d" % subplan.sid)
     state[subplan.sid] = "active"
-    for child in subplan.child_subplans():
-        _visit_acyclic(child, state)
+    for child in plan.children_of(subplan):
+        _visit_acyclic(plan, child, state)
     state[subplan.sid] = "done"

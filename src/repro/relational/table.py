@@ -59,26 +59,58 @@ class Table:
 
         Builds an explicit delta log: the original insertions in order,
         with each update's delete+insert pair spliced in at a position
-        after the old row arrived (``rng`` randomizes positions; without
-        it updates land at the end of the log).
+        after the old row arrived -- after the first insertion of a row
+        equal to ``old_row`` in the log so far (``rng`` randomizes
+        positions; without it updates land at the end of the log).
+
+        The log is held as the original rows with, before each and after
+        the last, the *gap* of update records spliced in there (original
+        rows never move relative to each other).  A Fenwick tree over the
+        gaps' lengths turns a row's position into a log position and a
+        log position into a gap in O(log n) each, so the log costs
+        O(n log n) to build, plus a list insert into the gap a record
+        lands in.
         """
-        log = [(row, INSERT) for row in self.rows]
+        rows = self.rows
+        gaps = [[] for _ in range(len(rows) + 1)]
+        # one for each original row, gap j sits before row j
+        sizes = _FenwickTree([1] * len(rows) + [0])
+        first_row = {}
+        for index, row in enumerate(rows):
+            first_row.setdefault(row, index)
+        inserted_in = {}  # row -> the gaps holding an inserted copy
+        length = len(rows)
         for old_row, new_row in updates:
             arrival = None
-            for position, (row, sign) in enumerate(log):
-                if sign == INSERT and row == old_row:
+            index = first_row.get(old_row)
+            if index is not None:
+                arrival = sizes.prefix(index + 1) - 1
+            for gap in inserted_in.get(old_row, ()):
+                position = sizes.prefix(gap) + gaps[gap].index((old_row, INSERT))
+                if arrival is None or position < arrival:
                     arrival = position
-                    break
             if arrival is None:
                 raise SchemaError(
                     "update target %r not found in table %r" % (old_row, self.name)
                 )
             if rng is not None:
-                position = rng.randint(arrival + 1, len(log))
+                position = rng.randint(arrival + 1, length)
             else:
-                position = len(log)
-            log.insert(position, (old_row, DELETE))
-            log.insert(position + 1, (tuple(new_row), INSERT))
+                position = length
+            # the gap the records land in: the first whose end reaches
+            # ``position`` (before the row it precedes), else the last
+            gap = sizes.search(position + 1)
+            offset = position - sizes.prefix(gap)
+            new_row = tuple(new_row)
+            gaps[gap][offset:offset] = [(old_row, DELETE), (new_row, INSERT)]
+            sizes.add(gap, 2)
+            inserted_in.setdefault(new_row, set()).add(gap)
+            length += 2
+        log = []
+        for row, gap in zip(rows, gaps):
+            log.extend(gap)
+            log.append((row, INSERT))
+        log.extend(gaps[-1])
         self.churn = log
         return self
 
@@ -100,6 +132,51 @@ class Table:
 
     def __repr__(self):
         return "Table(%r, %d rows)" % (self.name, len(self.rows))
+
+
+class _FenwickTree:
+    """Prefix sums over a list of non-negative counts, updated in place."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, counts):
+        tree = [0] + list(counts)
+        for index in range(1, len(tree)):
+            parent = index + (index & -index)
+            if parent < len(tree):
+                tree[parent] += tree[index]
+        self._tree = tree
+
+    def add(self, index, delta):
+        """Add ``delta`` to count ``index``."""
+        tree = self._tree
+        index += 1
+        while index < len(tree):
+            tree[index] += delta
+            index += index & -index
+
+    def prefix(self, end):
+        """The sum of counts ``0 .. end - 1``."""
+        tree = self._tree
+        total = 0
+        while end > 0:
+            total += tree[end]
+            end -= end & -end
+        return total
+
+    def search(self, target):
+        """The smallest index whose prefix sum through it reaches
+        ``target``, or the last index if none does."""
+        tree = self._tree
+        index = 0
+        step = 1 << (len(tree) - 1).bit_length()
+        while step:
+            probe = index + step
+            if probe < len(tree) and tree[probe] < target:
+                index = probe
+                target -= tree[probe]
+            step >>= 1
+        return min(index, len(tree) - 2)
 
 
 class Catalog:

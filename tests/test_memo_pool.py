@@ -313,6 +313,60 @@ class TestOptimizerWithPool:
         assert result.diagnostics["simulations"] == 698
         assert result.diagnostics["decompose_simulations"] == 313
 
+    def test_planning_structure_on_the_22_query_instance(self, monkeypatch):
+        """The CI floor beside the simulation floor: what the decomposition
+        of the 22-query instance builds.  A candidate is an edit of the
+        plan in force, so it clones no plan and indexes no plan from
+        scratch.  Deterministic counts that only go down (9864 operators,
+        2569 subplans, 162 plans, 81 clones and 81 full indexes while
+        every candidate was a clone)."""
+        import repro.core.optimizer as optimizer_module
+
+        counts = dict.fromkeys(
+            ("operators", "subplans", "plans", "clones", "full_indexes"), 0)
+        inside = [False]
+
+        def counting(cls, name, key, when=lambda *args, **kwargs: True):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                if inside[0] and when(self, *args, **kwargs):
+                    counts[key] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(OpNode, "__init__", "operators")
+        counting(Subplan, "__init__", "subplans")
+        counting(SharedQueryPlan, "__init__", "plans")
+        counting(SharedQueryPlan, "derive", "plans")
+        counting(SharedQueryPlan, "clone", "clones")
+        counting(
+            PlanCostModel, "_index_plan", "full_indexes",
+            lambda model, parent=None: parent is None
+            or parent._generation != model.memo_pool.generation)
+        decompose = optimizer_module.decompose_full_plan
+
+        def decompose_counted(*args, **kwargs):
+            inside[0] = True
+            try:
+                return decompose(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(
+            optimizer_module, "decompose_full_plan", decompose_counted)
+        catalog, queries, relative = small_workload()
+        result = optimize_ishare(
+            catalog, queries, relative, OptimizerConfig(max_pace=8))
+        assert result.evaluation.total_work == 20938.594083826905
+        assert len(result.diagnostics["actions"]) == 8
+        assert counts["operators"] <= 940
+        assert counts["subplans"] <= 407
+        assert counts["plans"] <= 81
+        assert counts["clones"] == 0
+        assert counts["full_indexes"] == 0
+
     def test_no_cache_key_is_simulated_twice(self, monkeypatch):
         """Within one ``optimize_ishare`` every memo row ``(cone, private
         paces)``, solo row ``(cone, qid)`` and partition cost ``(cone,

@@ -68,6 +68,71 @@ class TestTableChurn:
         assert sum(1 for d in deltas if d.sign == DELETE) == 1
 
 
+def quadratic_apply_updates(rows, updates, rng=None):
+    """The log ``Table.apply_updates`` built by scanning it for every
+    update: the oracle its gap-indexed construction must reproduce."""
+    log = [(row, INSERT) for row in rows]
+    for old_row, new_row in updates:
+        arrival = None
+        for position, (row, sign) in enumerate(log):
+            if sign == INSERT and row == old_row:
+                arrival = position
+                break
+        if arrival is None:
+            raise SchemaError("update target %r not found" % (old_row,))
+        if rng is not None:
+            position = rng.randint(arrival + 1, len(log))
+        else:
+            position = len(log)
+        log.insert(position, (old_row, DELETE))
+        log.insert(position + 1, (tuple(new_row), INSERT))
+    return log
+
+
+class TestApplyUpdatesAgainstTheScan:
+    @pytest.mark.parametrize("seed", [5, 6, 11, 17])
+    @pytest.mark.parametrize("fraction", [0.01, 0.25, 1.0])
+    def test_lineitem_churn_is_identical(self, seed, fraction):
+        lineitem = generate_catalog(scale=0.05, seed=seed).get("lineitem")
+        rows = list(lineitem.rows)
+        count = max(1, int(len(rows) * fraction))
+        updates = [(row, row[::-1])
+                   for row in random.Random(seed).sample(rows, count)]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        lineitem.apply_updates(updates, ours)
+        assert lineitem.churn == quadratic_apply_updates(rows, updates, theirs)
+        assert ours.getstate() == theirs.getstate()  # the same draws
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_repeated_and_duplicate_targets(self, seed):
+        """Rows that repeat, updates of updated rows and of rows an
+        update inserted: the first insertion in the log so far wins."""
+        rng = random.Random(seed)
+        rows = [(rng.randint(0, 4), 0.0) for _ in range(rng.randint(1, 30))]
+        updates = []
+        live = list(rows)
+        for _ in range(rng.randint(1, 40)):
+            old = rng.choice(live)
+            new = (old[0], float(rng.randint(0, 3)))
+            updates.append((old, new))
+            live.append(new)
+        for draws in (None, random.Random(seed)):
+            table = Table("t", Schema.of(("k", INT), ("v", FLOAT)), rows)
+            oracle_rng = random.Random(seed) if draws is not None else None
+            table.apply_updates(updates, draws)
+            assert table.churn == quadratic_apply_updates(
+                rows, updates, oracle_rng)
+
+    def test_missing_target_after_updates_rejected(self):
+        table = Table("t", Schema.of(("k", INT), ("v", FLOAT)),
+                      [(1, 1.0), (2, 2.0)])
+        with pytest.raises(SchemaError, match="not found"):
+            table.apply_updates(
+                [((1, 1.0), (1, 5.0)), ((1, 5.0), (1, 6.0)), ((3, 3.0), (3, 0.0))],
+                random.Random(1))
+        assert table.churn is None
+
+
 class TestChurnExecution:
     @pytest.fixture(scope="class")
     def churn_catalog(self):
