@@ -13,7 +13,7 @@ and reports the metrics the service exists to optimize:
 * **incremental re-optimization stats**: how many subplans each churn
   re-merge reused versus recalibrated (from the decision log);
 * **slack ledger roll-up** (docs/OBSERVABILITY.md): worst deadline
-  headroom, pace-induced deferred work, queries projected to miss;
+  headroom and pace-induced deferred work;
 * **attribution conservation**: the solo-cost-proportional shared-work
   split must account for every measured work unit, exactly;
 * **regret report coverage**: every ``pace_*`` decision-log record is
@@ -45,7 +45,7 @@ sys.path.insert(
 from repro import obs  # noqa: E402
 from repro.harness.service import run_service_schedule  # noqa: E402
 from repro.obs import OBS  # noqa: E402
-from repro.obs.export import regret_report  # noqa: E402
+from repro.obs.regret import regret_report  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_service.json"
@@ -250,10 +250,10 @@ def main(argv=None):
     )
     slack = result["slack"]
     print(
-        "slack: min headroom %.1f work, %.1f deferred, %d projected misses; "
+        "slack: min headroom %.1f work, %.1f deferred; "
         "attribution conserved: %s" % (
             slack["min_headroom_work"], slack["deferred_work"],
-            slack["projected_misses"], result["attribution_conserved"],
+            result["attribution_conserved"],
         )
     )
     regret = result["regret"]

@@ -41,8 +41,8 @@ class DayOutcome:
         self.missed = missed
         self.pace_config = pace_config
         self.actions = actions
-        #: {qid: slack-ledger entry} -- per-query deadline headroom,
-        #: deferral against the eagerest plan, drift projection
+        #: {qid: slack-ledger entry} -- per-query deadline headroom and
+        #: deferral against the eagerest plan
         self.slack = slack or {}
 
     def __repr__(self):

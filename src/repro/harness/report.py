@@ -38,28 +38,3 @@ def missed_latency_row(name, summary):
 
 
 MISSED_HEADERS = ("Approach", "Mean %", "Mean Sec.", "Max %", "Max Sec.")
-
-SLACK_HEADERS = ("Query", "Goal Work", "Final Work", "Headroom",
-                 "Slack Avail", "Deferred", "Util", "Win. to Miss")
-
-
-def slack_row(name, entry):
-    """One slack-ledger table row from a per-query ledger entry."""
-    projection = entry.get("projected_windows_to_miss")
-    utilization = entry.get("slack_utilization")
-    return [
-        name,
-        entry["goal_work"],
-        entry["final_work"],
-        entry["headroom_work"],
-        entry.get("slack_available_work", "-"),
-        entry.get("deferred_work", "-"),
-        "-" if utilization is None else utilization,
-        "-" if projection is None else projection,
-    ]
-
-
-def format_slack_table(entries, title="Slack ledger"):
-    """Render ``{name: slack_entry}`` as an aligned table."""
-    rows = [slack_row(name, entries[name]) for name in sorted(entries, key=str)]
-    return format_table(SLACK_HEADERS, rows, title=title)

@@ -141,8 +141,6 @@ def summarize_reports(reports):
     statuses = {"admitted": 0, "rejected": 0, "queued": 0}
     min_headroom = None
     deferred_work = 0.0
-    projected_misses = 0  # queries projected to miss, as of their last window
-    latest_projection = {}  # (shard, qid) -> projected_windows_to_miss
     conserved = True
     for report in reports:
         for window in report["windows"]:
@@ -151,14 +149,11 @@ def summarize_reports(reports):
                 slo_checks += 1
                 if entry["missed_seconds"] > 0:
                     slo_misses += 1
-            for qid, entry in window.get("slack", {}).items():
+            for entry in window.get("slack", {}).values():
                 headroom = entry["headroom_work"]
                 if min_headroom is None or headroom < min_headroom:
                     min_headroom = headroom
                 deferred_work += entry.get("deferred_work") or 0.0
-                latest_projection[(report["shard"], qid)] = entry[
-                    "projected_windows_to_miss"
-                ]
             if not window.get("attribution", {}).get("conserved", True):
                 conserved = False
             for tenant, bucket in window["tenants"].items():
@@ -171,9 +166,6 @@ def summarize_reports(reports):
         for decision in report["admission"]:
             if decision["status"] in statuses:
                 statuses[decision["status"]] += 1
-    projected_misses = sum(
-        1 for value in latest_projection.values() if value is not None
-    )
     return {
         "total_work": total_work,
         "query_windows": slo_checks,
@@ -185,7 +177,6 @@ def summarize_reports(reports):
         "slack": {
             "min_headroom_work": min_headroom,
             "deferred_work": deferred_work,
-            "projected_misses": projected_misses,
         },
         "attribution_conserved": conserved,
         "tenants": {t: tenants[t] for t in sorted(tenants)},

@@ -19,8 +19,9 @@ Three further modules build on the collectors without joining the
 session: :mod:`repro.obs.slack` (the per-query deadline-headroom
 ledger), :mod:`repro.obs.attribution` (exact shared-work attribution
 with a rational-arithmetic conservation invariant) and
-:mod:`repro.obs.export` (Prometheus text / JSON snapshot / HTML
-dashboard / regret report, plus a small live HTTP endpoint).
+:mod:`repro.obs.regret` (the pace-search regret report).  The service
+report carries the ledgers; the collectors export through the CLIs'
+``--trace`` / ``--metrics`` / ``--decision-log`` flags.
 
 All three hang off one process-wide :class:`ObservabilitySession`,
 ``OBS``.  Observability is **off by default**: every instrumented call

@@ -22,7 +22,8 @@ stable ``run`` id, and event-specific fields:
   merged back;
 * ``service_admission`` / ``service_deregister`` -- the long-running
   service's registration churn: every admission decision (admitted /
-  rejected / queued, with its reason) and every removal;
+  rejected / queued, with its reason and, for a goal turned away as
+  unsatisfiable, whether the query meets it alone) and every removal;
 * ``service_plan_update`` -- one incremental re-merge, with the subplan
   count and the sids reused versus recalibrated;
 * ``service_reoptimize`` -- one churn-triggered re-search, with its
@@ -31,8 +32,7 @@ stable ``run`` id, and event-specific fields:
 * ``service_trigger`` -- one trigger-window execution with its total
   work and live query count;
 * ``service_slack`` -- one window's slack-ledger roll-up: minimum
-  deadline headroom across live queries and how many are projected to
-  miss their SLO if the current drift continues.
+  deadline headroom across live queries and how many missed.
 
 Ordering across processes
 -------------------------

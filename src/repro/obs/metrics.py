@@ -78,10 +78,9 @@ DEFAULT_BUCKETS = tuple(
 class Histogram:
     """Count / sum / min / max plus log-spaced bucket counts.
 
-    Buckets follow the Prometheus convention: ``counts[i]`` holds the
-    observations with ``value <= bounds[i]``; the final slot is the
-    ``+Inf`` overflow.  Counts here are *per-bucket* (non-cumulative);
-    :func:`cumulative_buckets` derives the Prometheus ``le`` form.
+    ``counts[i]`` holds the observations with ``value <= bounds[i]``;
+    the final slot is the ``+Inf`` overflow.  Counts are *per-bucket*
+    (non-cumulative).
     """
 
     __slots__ = ("count", "total", "min", "max", "bounds", "bucket_counts")
@@ -143,21 +142,6 @@ class Histogram:
             else:  # same boundary grid in practice; a foreign bound still
                 # lands in the covering bucket, conserving total mass
                 self.bucket_counts[bisect_left(self.bounds, bound)] += count
-
-
-def cumulative_buckets(bucket_pairs):
-    """Prometheus ``le`` series from :meth:`Histogram.buckets` pairs.
-
-    Returns ``[(le, cumulative_count), ...]`` ending with ``("+Inf", n)``.
-    """
-    out = []
-    running = 0
-    for bound, count in bucket_pairs:
-        running += count
-        out.append((bound, running))
-    if not out or out[-1][0] != "+Inf":
-        out.append(("+Inf", running))
-    return out
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

@@ -25,62 +25,16 @@ and per query, where the slack went:
     ``deferred_work / slack_available_work`` when slack is available:
     1.0 means the optimizer spent the whole budget.
 
-Headroom is also tracked over a bounded history ring per query, and a
-least-squares drift slope over that ring yields
-``projected_windows_to_miss``: if headroom keeps eroding at the fitted
-rate, how many more windows until it crosses zero.  ``None`` means no
-miss is projected (headroom steady or recovering); ``0`` means the query
-is already missing.
-
 Everything here is plain deterministic arithmetic on measured values --
 the ledger adds no randomness and no wall-clock reads, so serial and
 sharded service runs produce bit-identical slack reports.
 """
 
 
-#: default per-query history ring length for drift fitting
-DEFAULT_HISTORY = 32
-
-#: slopes flatter than this (work units per window) count as "no drift"
-DRIFT_EPSILON = 1e-9
-
-
-def drift_slope(points):
-    """Least-squares slope of ``(x, y)`` points; 0.0 with fewer than two."""
-    n = len(points)
-    if n < 2:
-        return 0.0
-    mean_x = sum(x for x, _ in points) / n
-    mean_y = sum(y for _, y in points) / n
-    var = sum((x - mean_x) ** 2 for x, _ in points)
-    if var == 0:
-        return 0.0
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    return cov / var
-
-
-def project_windows_to_miss(headroom, slope):
-    """Windows until headroom crosses zero at the fitted drift ``slope``.
-
-    Returns ``0.0`` when already negative, ``None`` when no miss is
-    projected (non-negative or negligible slope).
-    """
-    if headroom <= 0:
-        return 0.0
-    if slope >= -DRIFT_EPSILON:
-        return None
-    return headroom / (-slope)
-
-
 class SlackLedger:
-    """Per-window, per-query slack accounting with drift projection."""
+    """Per-window, per-query slack accounting."""
 
-    def __init__(self, history=DEFAULT_HISTORY):
-        if history < 2:
-            raise ValueError("slack history must be >= 2, got %r" % (history,))
-        self.history = history
-        #: ``qid -> [(window, headroom_work), ...]`` bounded ring
-        self._headroom = {}
+    def __init__(self):
         #: ``[(window, summary_dict), ...]`` in record order
         self.windows = []
 
@@ -100,21 +54,11 @@ class SlackLedger:
             goal = float(spec["goal_work"])
             final = float(spec["final_work"])
             eager = spec.get("eager_final_work")
-            headroom = goal - final
-            ring = self._headroom.setdefault(qid, [])
-            ring.append((window, headroom))
-            if len(ring) > self.history:
-                del ring[0]
-            slope = drift_slope(ring)
             entry = {
                 "goal_work": goal,
                 "final_work": final,
-                "headroom_work": headroom,
+                "headroom_work": goal - final,
                 "missed": final > goal,
-                "drift_work_per_window": slope,
-                "projected_windows_to_miss": project_windows_to_miss(
-                    headroom, slope
-                ),
             }
             if eager is not None:
                 eager = float(eager)
@@ -135,33 +79,18 @@ class SlackLedger:
 
     @staticmethod
     def summarize(recorded):
-        """Window roll-up: worst headroom, misses, projected misses."""
+        """Window roll-up: worst headroom and misses."""
         if not recorded:
-            return {
-                "queries": 0, "min_headroom_work": None, "missed": 0,
-                "projected_misses": 0,
-            }
+            return {"queries": 0, "min_headroom_work": None, "missed": 0}
         headrooms = [e["headroom_work"] for e in recorded.values()]
         return {
             "queries": len(recorded),
             "min_headroom_work": min(headrooms),
             "missed": sum(1 for e in recorded.values() if e["missed"]),
-            "projected_misses": sum(
-                1
-                for e in recorded.values()
-                if e["projected_windows_to_miss"] is not None
-            ),
         }
-
-    def latest(self, qid):
-        """The most recent ``(window, headroom_work)`` of one query."""
-        ring = self._headroom.get(qid)
-        return ring[-1] if ring else None
 
     def __len__(self):
         return len(self.windows)
 
     def __repr__(self):
-        return "SlackLedger(%d windows, %d queries tracked)" % (
-            len(self.windows), len(self._headroom)
-        )
+        return "SlackLedger(%d windows)" % len(self.windows)

@@ -18,18 +18,11 @@ compared byte for byte.  ``--decision-log FILE`` additionally exports the
 optimizer's decision log -- including the ``service_reoptimize`` records
 showing which subplans each churn re-search reused versus recalibrated.
 
-Telemetry exports (each enables observability, like ``--trace``):
-
-* ``--telemetry FILE`` -- the exporter's JSON snapshot (summary, ring-
-  buffered time series, slack ledger, attribution totals, regret);
-* ``--prometheus FILE`` -- Prometheus text exposition (counters, gauges,
-  ``_bucket{le=...}`` histogram series, service summary gauges);
-* ``--dashboard FILE`` -- the static HTML dashboard (embeds the snapshot;
-  round-trips through ``extract_dashboard_snapshot``);
-* ``--regret FILE`` -- the per-decision regret report: every pace-search
-  decision re-scored with the measured feedback factors;
-* ``--serve [PORT]`` -- keep serving /metrics, /snapshot.json and the
-  dashboard over HTTP after the replay (Ctrl-C to stop).
+``--regret FILE`` writes the per-decision regret report
+(:func:`repro.obs.regret.regret_report`): every pace-search decision
+re-scored with the shards' measured feedback factors.  Like ``--trace``,
+``--metrics`` and ``--decision-log`` it enables observability.  The
+slack and attribution ledgers need no flag: they are in the report.
 """
 
 import argparse
@@ -40,10 +33,9 @@ import time
 from .. import obs
 from ..cost.cache import CalibrationCache, set_default_cache
 from ..errors import ReproError
-from ..harness.report import format_slack_table
 from ..harness.service import run_service_schedule
 from ..obs import OBS
-from ..obs.export import TelemetryExporter, TelemetryServer, render_dashboard
+from ..obs.regret import regret_report
 from .schedule import DEMO_SCHEDULE
 
 
@@ -71,19 +63,8 @@ def main(argv=None):
                         help="write the final metrics snapshot as JSON")
     parser.add_argument("--decision-log", default=None, metavar="FILE",
                         help="write the optimizer decision log (JSON lines)")
-    parser.add_argument("--telemetry", default=None, metavar="FILE",
-                        help="write the telemetry exporter's JSON snapshot")
-    parser.add_argument("--prometheus", default=None, metavar="FILE",
-                        help="write the Prometheus text exposition")
-    parser.add_argument("--dashboard", default=None, metavar="FILE",
-                        help="write the static HTML telemetry dashboard")
     parser.add_argument("--regret", default=None, metavar="FILE",
                         help="write the pace-search regret report JSON")
-    parser.add_argument("--serve", default=None, metavar="PORT", type=int,
-                        nargs="?", const=0,
-                        help="serve /metrics, /snapshot.json and the "
-                             "dashboard over HTTP after the replay "
-                             "(PORT 0 or omitted = ephemeral)")
     parser.add_argument("--log-level", default=None,
                         choices=("debug", "info", "warning", "error"),
                         help="log the repro logger hierarchy to stderr")
@@ -94,11 +75,7 @@ def main(argv=None):
     else:
         set_default_cache(CalibrationCache(args.cache_dir))
 
-    telemetry_wanted = (
-        args.telemetry or args.prometheus or args.dashboard
-        or args.regret or args.serve is not None
-    )
-    if args.trace or args.metrics or args.decision_log or telemetry_wanted:
+    if args.trace or args.metrics or args.decision_log or args.regret:
         obs.enable(process_name="repro-service")
     if args.log_level:
         obs.configure_logging(args.log_level)
@@ -139,6 +116,16 @@ def main(argv=None):
         ),
         file=sys.stderr,
     )
+    slack = summary["slack"]
+    print(
+        "[slack: min headroom %s work, %s deferred; attribution conserved: %s]"
+        % (
+            _num(slack["min_headroom_work"]),
+            _num(slack["deferred_work"]),
+            summary["attribution_conserved"],
+        ),
+        file=sys.stderr,
+    )
 
     if OBS.enabled:
         if args.trace:
@@ -155,74 +142,25 @@ def main(argv=None):
                 % (len(OBS.declog.records), args.decision_log),
                 file=sys.stderr,
             )
-        if telemetry_wanted:
-            exporter = _build_exporter(report)
-            _write_telemetry(exporter, args)
-            slack = report["summary"].get("slack") or {}
-            print(
-                "[slack: min headroom %s work, %s deferred, %d projected "
-                "misses; attribution conserved: %s]"
-                % (
-                    _num(slack.get("min_headroom_work")),
-                    _num(slack.get("deferred_work")),
-                    slack.get("projected_misses", 0),
-                    report["summary"].get("attribution_conserved"),
-                ),
-                file=sys.stderr,
+        if args.regret:
+            # each shard exported its measured feedback factors; the
+            # decision log's run ids name the shard, so the oracle
+            # re-scores every shard's decisions with its own factors
+            feedback_by_run = {
+                "shard-%d" % shard_report["shard"]: shard_report["feedback"]
+                for shard_report in report["shards"]
+            }
+            regret = regret_report(
+                OBS.declog.records, feedback_by_run=feedback_by_run
             )
-            print(format_slack_table(
-                exporter.slack, title="Slack ledger (latest window per query)"
-            ), file=sys.stderr)
-            if args.serve is not None:
-                server = TelemetryServer(exporter, port=args.serve)
-                server.start()
-                print("[telemetry server at %s -- Ctrl-C to stop]"
-                      % server.url, file=sys.stderr)
-                try:
-                    while True:
-                        time.sleep(3600)
-                except KeyboardInterrupt:
-                    pass
-                finally:
-                    server.stop()
+            with open(args.regret, "w") as handle:
+                json.dump(regret, handle, indent=2, sort_keys=True)
+                handle.write("\n")
     return 0
 
 
 def _num(value):
     return "-" if value is None else "%.1f" % value
-
-
-def _build_exporter(report):
-    """Exporter over the merged report plus the session's obs state."""
-    exporter = TelemetryExporter()
-    exporter.ingest_report(report)
-    exporter.ingest_metrics(OBS.metrics.snapshot())
-    # each shard exported its measured feedback factors; the decision
-    # log's run ids name the shard, so the regret oracle can re-score
-    # every shard's decisions with its own factors
-    feedback_by_run = {
-        "shard-%d" % shard_report["shard"]: shard_report.get("feedback", {})
-        for shard_report in report["shards"]
-    }
-    exporter.ingest_declog(OBS.declog.records, feedback_by_run=feedback_by_run)
-    return exporter
-
-
-def _write_telemetry(exporter, args):
-    if args.telemetry:
-        with open(args.telemetry, "w") as handle:
-            json.dump(exporter.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.prometheus:
-        with open(args.prometheus, "w") as handle:
-            handle.write(exporter.prometheus())
-    if args.dashboard:
-        with open(args.dashboard, "w") as handle:
-            handle.write(render_dashboard(exporter.snapshot()))
-    if args.regret:
-        with open(args.regret, "w") as handle:
-            json.dump(exporter.regret, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ against measurement: a query whose first window misses its goal is
 re-run at maximum eagerness on that window's data, and if it still
 misses there it is rejected (or queued) as ``measured_unsatisfiable``
 instead of missing silently for the rest of its life.
+Every query turned away as unsatisfiable is also run alone -- its own
+unshared plan at ``P_max`` on the catalog the verdict was reached on --
+and its decision records whether that meets the goal
+(``AdmissionDecision.meets_alone``); the answer changes no status.
 
 Statistics are calibrated against the service's *basis* window (the
 first window's data) and then kept honest by the measured-execution
@@ -63,16 +67,25 @@ class Registration:
 
 
 class AdmissionDecision:
-    """The audit record of one registration attempt."""
+    """The audit record of one registration attempt.
 
-    __slots__ = ("query_id", "tenant", "status", "reason", "window")
+    ``meets_alone`` answers, for a query turned away as unsatisfiable
+    (``goal_unsatisfiable`` or ``measured_unsatisfiable``), whether its
+    own unshared plan at ``P_max`` meets the goal on the same catalog;
+    it is None for every other decision.
+    """
 
-    def __init__(self, query_id, tenant, status, reason, window):
+    __slots__ = ("query_id", "tenant", "status", "reason", "window",
+                 "meets_alone")
+
+    def __init__(self, query_id, tenant, status, reason, window,
+                 meets_alone=None):
         self.query_id = query_id
         self.tenant = tenant
         self.status = status  # admitted | rejected | queued
         self.reason = reason
         self.window = window
+        self.meets_alone = meets_alone
 
     def to_dict(self):
         return {
@@ -81,6 +94,7 @@ class AdmissionDecision:
             "status": self.status,
             "reason": self.reason,
             "window": self.window,
+            "meets_alone": self.meets_alone,
         }
 
     def __repr__(self):
@@ -105,7 +119,7 @@ class TriggerOutcome:
         self.tenants = tenants
         self.reoptimized = reoptimized
         self.run = run  # the raw RunResult (not serialized)
-        #: {qid: slack-ledger entry} (headroom, deferral, drift projection)
+        #: {qid: slack-ledger entry} (headroom, deferral)
         self.slack = slack or {}
         #: {qid: attributed work} -- solo-cost-proportional, conservation-exact
         self.attribution = attribution or {}
@@ -427,6 +441,8 @@ class QueryService:
         )
         final_at_max = eager.query_final_work.get(slot, 0.0)
         if final_at_max > bound:
+            alone = _WindowRun(self.window, merge.plan, slots,
+                               self.basis_catalog)
             return AdmissionDecision(
                 qid, registration.tenant,
                 "queued" if queued else "rejected",
@@ -436,6 +452,9 @@ class QueryService:
                     registration.relative_goal, solo_total,
                 ),
                 self.window,
+                meets_alone=alone.meets_alone(
+                    self.config, qid, self.config.stream_config.seconds(bound)
+                ),
             )
         budget = self.tenant_budgets.get(registration.tenant)
         if budget is not None:
@@ -590,7 +609,6 @@ class QueryService:
                 "service_slack", window=window,
                 min_headroom_work=roll_up["min_headroom_work"],
                 missed=roll_up["missed"],
-                projected_misses=roll_up["projected_misses"],
             )
             for qid in sorted(slack):
                 OBS.metrics.histogram(
@@ -647,6 +665,7 @@ class QueryService:
                     self._constraints[ran.slots[qid]], ran.window,
                 ),
                 ran.window,
+                meets_alone=ran.meets_alone(self.config, qid, missed[qid]),
             )
             self.decisions.append(decision)
             if queued:

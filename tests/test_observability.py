@@ -193,14 +193,6 @@ class TestMetrics:
         hist.observe(DEFAULT_BUCKETS[-1] * 10)  # beyond every bound
         assert hist.buckets() == [[DEFAULT_BUCKETS[0], 1], ["+Inf", 1]]
 
-    def test_cumulative_buckets_end_with_inf(self):
-        from repro.obs.metrics import cumulative_buckets
-
-        assert cumulative_buckets([[1.0, 2], [5.0, 1]]) == [
-            (1.0, 2), (5.0, 3), ("+Inf", 3)
-        ]
-        assert cumulative_buckets([]) == [("+Inf", 0)]
-
     def test_histogram_merge_folds_bucket_counts(self):
         ours, theirs = MetricsRegistry(), MetricsRegistry()
         ours.histogram("work").observe(1.5)

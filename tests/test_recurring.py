@@ -62,12 +62,6 @@ class TestRecurringSimulation:
                 assert entry["missed"] == (
                     entry["final_work"] > entry["goal_work"]
                 )
-        # day 1's ledger has two points per query: drift is fitted
-        drifts = [
-            entry["drift_work_per_window"]
-            for entry in outcomes[1].slack.values()
-        ]
-        assert len(drifts) == len(NAMES)
 
     def test_rejects_non_positive_days(self, simulation):
         for days in (0, -3, 1.5, True, "2"):

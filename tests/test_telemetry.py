@@ -1,8 +1,5 @@
-"""Slack ledger, shared-work attribution, telemetry exporter, regret report."""
+"""Slack ledger, shared-work attribution, regret report."""
 
-import json
-import urllib.error
-import urllib.request
 from fractions import Fraction
 
 import pytest
@@ -18,17 +15,8 @@ from repro.obs.attribution import (
     split_work,
 )
 from repro.obs.declog import DEFAULT_RUN, DecisionLog
-from repro.obs.export import (
-    TelemetryExporter,
-    TelemetryServer,
-    TimeSeriesRing,
-    extract_dashboard_snapshot,
-    regret_report,
-    render_dashboard,
-    render_prometheus,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slack import SlackLedger, drift_slope, project_windows_to_miss
+from repro.obs.regret import regret_report
+from repro.obs.slack import SlackLedger
 from repro.workloads.constraints import uniform_constraints
 
 from .util import make_toy_catalog, toy_query_region, toy_query_total
@@ -42,23 +30,6 @@ def _clean_session():
 
 
 # -- slack ledger -----------------------------------------------------------------
-
-
-class TestSlackMath:
-    def test_drift_slope_fits_a_line(self):
-        assert drift_slope([(0, 90.0), (1, 80.0), (2, 70.0)]) == pytest.approx(
-            -10.0
-        )
-        assert drift_slope([(0, 5.0)]) == 0.0
-        assert drift_slope([]) == 0.0
-        # constant x (degenerate) must not divide by zero
-        assert drift_slope([(3, 1.0), (3, 9.0)]) == 0.0
-
-    def test_projection_cases(self):
-        assert project_windows_to_miss(70.0, -10.0) == pytest.approx(7.0)
-        assert project_windows_to_miss(-1.0, -10.0) == 0.0  # already missing
-        assert project_windows_to_miss(70.0, 0.0) is None  # steady
-        assert project_windows_to_miss(70.0, 5.0) is None  # recovering
 
 
 class TestSlackLedger:
@@ -87,30 +58,6 @@ class TestSlackLedger:
         assert entry["missed"] is True
         assert entry["headroom_work"] == pytest.approx(-2.0)
         assert "deferred_work" not in entry and "slack_utilization" not in entry
-
-    def test_drift_projection_over_windows(self):
-        ledger = SlackLedger()
-        for window, final in enumerate((10.0, 20.0, 30.0)):
-            recorded = ledger.record_window(
-                window, {1: {"goal_work": 100.0, "final_work": final}}
-            )
-        entry = recorded[1]
-        assert entry["drift_work_per_window"] == pytest.approx(-10.0)
-        assert entry["projected_windows_to_miss"] == pytest.approx(7.0)
-        _, summary = ledger.windows[-1]
-        assert summary["projected_misses"] == 1
-        assert summary["min_headroom_work"] == pytest.approx(70.0)
-
-    def test_history_ring_is_bounded(self):
-        ledger = SlackLedger(history=2)
-        for window in range(5):
-            ledger.record_window(
-                window, {1: {"goal_work": 10.0, "final_work": 1.0}}
-            )
-        assert len(ledger._headroom[1]) == 2
-        assert ledger.latest(1) == (4, 9.0)
-        with pytest.raises(ValueError):
-            SlackLedger(history=1)
 
     def test_empty_window_summary(self):
         ledger = SlackLedger()
@@ -245,138 +192,6 @@ class TestAttributionLedger:
             attribution_module.split_work = saved
 
 
-# -- prometheus rendering ---------------------------------------------------------
-
-
-class TestPrometheus:
-    def test_counter_gauge_histogram_families(self):
-        registry = MetricsRegistry()
-        registry.counter("engine.executions", sid=3).inc(7)
-        registry.gauge("queue.depth").set(4)
-        registry.gauge("queue.depth").set(2)
-        registry.histogram("engine.work").observe(1.5)
-        registry.histogram("engine.work").observe(30.0)
-        text = render_prometheus(registry.snapshot())
-        assert "# TYPE repro_engine_executions counter" in text
-        assert 'repro_engine_executions{sid="3"} 7' in text
-        assert "repro_queue_depth 2" in text
-        assert "repro_queue_depth_max 4" in text
-        assert 'repro_engine_work_bucket{le="2.0"} 1' in text
-        assert 'repro_engine_work_bucket{le="+Inf"} 2' in text
-        assert "repro_engine_work_sum 31.5" in text
-        assert "repro_engine_work_count 2" in text
-
-    def test_bucket_series_is_cumulative(self):
-        registry = MetricsRegistry()
-        for value in (1.5, 1.5, 30.0):
-            registry.histogram("work").observe(value)
-        text = render_prometheus(registry.snapshot())
-        lines = [l for l in text.splitlines() if "_bucket" in l]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
-        assert counts == sorted(counts)  # monotone running totals
-        assert counts[-1] == 3
-
-    def test_extra_gauges_and_special_values(self):
-        text = render_prometheus(
-            {}, extra_gauges={
-                "service.summary.total_work": 12.5,
-                "service.query.headroom_work{query=1}": None,
-                "service.inc": float("inf"),
-            }
-        )
-        assert "repro_service_summary_total_work 12.5" in text
-        assert 'repro_service_query_headroom_work{query="1"} NaN' in text
-        assert "repro_service_inc +Inf" in text
-
-
-# -- time series + exporter -------------------------------------------------------
-
-
-def _fake_report():
-    window = {
-        "window": 0,
-        "total_work": 110.0,
-        "queries": {"0": {"final_work": 75.0, "missed_seconds": 0.0}},
-        "tenants": {"alpha": {"work": 75.0, "queries": 1, "slo_misses": 0}},
-        "slack": {
-            "0": {
-                "goal_work": 100.0, "final_work": 75.0,
-                "headroom_work": 25.0, "missed": False,
-                "drift_work_per_window": 0.0,
-                "projected_windows_to_miss": None,
-            }
-        },
-        "attribution": {"conserved": True, "queries": {"0": 75.0}},
-    }
-    later = dict(window, window=1)
-    return {
-        "summary": {
-            "total_work": 220.0, "query_windows": 2, "slo_misses": 0,
-            "slo_miss_rate": 0.0, "work_per_query_window": 110.0,
-        },
-        "shards": [{"shard": 0, "windows": [window, later]}],
-    }
-
-
-class TestExporter:
-    def test_ring_eviction(self):
-        ring = TimeSeriesRing(capacity=2)
-        for x in range(5):
-            ring.append(x, float(x))
-        assert ring.samples == [(3, 3.0), (4, 4.0)]
-        assert ring.dropped == 3
-        with pytest.raises(ValueError):
-            TimeSeriesRing(capacity=0)
-
-    def test_snapshot_collects_series_slack_attribution(self):
-        exporter = TelemetryExporter()
-        exporter.ingest_report(_fake_report())
-        snap = exporter.snapshot()
-        series = snap["series"]["service.window.total_work{shard=0}"]
-        assert series["samples"] == [[0, 110.0], [1, 110.0]]
-        assert snap["slack"]["0/0"]["headroom_work"] == 25.0
-        assert snap["attribution"]["conserved"] is True
-        assert snap["attribution"]["tenants"]["alpha"] == 150.0
-
-    def test_prometheus_carries_summary_gauges(self):
-        exporter = TelemetryExporter()
-        exporter.ingest_report(_fake_report())
-        exporter.ingest_declog([])
-        text = exporter.prometheus()
-        assert "repro_service_summary_total_work 220.0" in text
-        assert (
-            'repro_service_query_headroom_work{query="0",shard="0"} 25.0'
-            in text
-        )
-        assert 'repro_service_tenant_attributed_work{tenant="alpha"} 150.0' in text
-        assert "repro_service_attribution_conserved 1" in text
-        assert "repro_service_regret_decisions 0" in text
-
-    def test_unconserved_window_flips_the_flag(self):
-        report = _fake_report()
-        report["shards"][0]["windows"][1]["attribution"]["conserved"] = False
-        exporter = TelemetryExporter().ingest_report(report)
-        assert exporter.snapshot()["attribution"]["conserved"] is False
-        assert "repro_service_attribution_conserved 0" in exporter.prometheus()
-
-
-class TestDashboard:
-    def test_round_trip_recovers_exact_snapshot(self):
-        exporter = TelemetryExporter()
-        exporter.ingest_report(_fake_report())
-        exporter.ingest_declog([])
-        snap = exporter.snapshot()
-        html = render_dashboard(snap)
-        assert extract_dashboard_snapshot(html) == snap
-        assert "Slack ledger" in html and "alpha" in html
-
-    def test_embedded_script_closers_are_escaped(self):
-        snap = {"summary": {"note": "</script><script>alert(1)</script>"}}
-        html = render_dashboard(snap)
-        assert "</script><script>alert" not in html
-        assert extract_dashboard_snapshot(html) == snap
-
-
 # -- regret report ----------------------------------------------------------------
 
 
@@ -493,35 +308,6 @@ class TestRunIds:
         assert [r["seq"] for r in driver.records] == [1, 2]
 
 
-# -- HTTP endpoint ----------------------------------------------------------------
-
-
-class TestTelemetryServer:
-    def test_endpoints_serve_the_live_exporter(self):
-        exporter = TelemetryExporter()
-        exporter.ingest_report(_fake_report())
-        exporter.ingest_declog([])
-        with TelemetryServer(exporter) as server:
-            metrics = urllib.request.urlopen(server.url + "/metrics")
-            assert metrics.headers["Content-Type"].startswith("text/plain")
-            assert b"repro_service_summary_total_work" in metrics.read()
-
-            snap = json.load(
-                urllib.request.urlopen(server.url + "/snapshot.json")
-            )
-            assert snap == json.loads(
-                json.dumps(exporter.snapshot())
-            )
-
-            html = urllib.request.urlopen(server.url + "/").read().decode()
-            assert extract_dashboard_snapshot(html) == snap
-
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(server.url + "/nope")
-            assert err.value.code == 404
-        server.stop()  # idempotent
-
-
 # -- end-to-end over the sharded service ------------------------------------------
 
 E2E_SCHEDULE = {
@@ -541,42 +327,36 @@ E2E_SCHEDULE = {
 
 
 class TestServiceTelemetryEndToEnd:
-    def test_exporter_over_a_real_service_run(self):
+    def test_report_and_regret_over_a_real_service_run(self):
         obs.enable(process_name="test-telemetry")
         report = run_service_schedule(E2E_SCHEDULE, jobs=1)
-        exporter = TelemetryExporter()
-        exporter.ingest_report(report)
-        exporter.ingest_metrics(OBS.metrics.snapshot())
-        feedback_by_run = {
-            "shard-%d" % sr["shard"]: sr.get("feedback", {})
-            for sr in report["shards"]
-        }
-        exporter.ingest_declog(
-            OBS.declog.records, feedback_by_run=feedback_by_run
+        [shard] = report["shards"]
+        regret = regret_report(
+            OBS.declog.records,
+            feedback_by_run={"shard-0": shard["feedback"]},
         )
-        snap = exporter.snapshot()
 
-        # slack: every query of every window reported, latest kept
-        assert set(snap["slack"]) == {"0/0", "0/1"}
-        for entry in snap["slack"].values():
-            assert {"goal_work", "final_work", "headroom_work",
-                    "slack_available_work", "deferred_work"} <= set(entry)
+        # slack: every query of every window reported
+        for window in shard["windows"]:
+            assert set(window["slack"]) == set(window["queries"])
+        assert set(shard["windows"][-1]["slack"]) == {"0", "1"}
+        for window in shard["windows"]:
+            for entry in window["slack"].values():
+                assert {"goal_work", "final_work", "headroom_work",
+                        "slack_available_work", "deferred_work"} <= set(entry)
 
         # attribution conserved, tenants billed
-        assert snap["attribution"]["conserved"] is True
-        assert set(snap["attribution"]["tenants"]) == {"alpha", "beta"}
         assert report["summary"]["attribution_conserved"] is True
+        assert all(window["attribution"]["conserved"]
+                   for window in shard["windows"])
+        tenants = report["summary"]["tenants"]
+        assert set(tenants) == {"alpha", "beta"}
+        assert all(bucket["work"] > 0 for bucket in tenants.values())
 
         # regret covers every pace decision the run logged
         pace_seqs = [
             r["seq"] for r in OBS.declog.records
             if r["event"].startswith("pace_")
         ]
-        assert snap["regret"]["covered_seqs"] == pace_seqs
-
-        # all three renderings agree on the same snapshot
-        assert extract_dashboard_snapshot(render_dashboard(snap)) == \
-            json.loads(json.dumps(snap))
-        text = exporter.prometheus()
-        assert "repro_service_summary_total_work" in text
-        assert "repro_service_attribution_conserved 1" in text
+        assert pace_seqs
+        assert regret["covered_seqs"] == pace_seqs
