@@ -27,6 +27,16 @@ Two plan sets:
 
 Printed: the plan_22q table row by row, per set the median and p90
 Q-error by kind and pace band, and the reading of subplan 2 at pace 12.
+Then, for every plan_22q row at pace >= 8 whose final-work Q-error
+exceeds ``TAIL_QERROR`` (the p90 tail), a per-execution table: each
+execution's simulated work (``simulate_subplan(...).works``) against its
+measured ``ExecutionRecord.work``, its simulated source reads (the input
+profiles' window) against what its source operators read, its simulated
+output count (the output profile's execution) against the measured
+``output_count``, and the measured tuple units split into input, output
+and MIN/MAX rescan charges.  The header names the final execution's
+latency work and the first execution from which the work and the output
+ratio depart by more than ``TAIL_QERROR``.
 ``--output`` writes every row and summary as JSON.  The workload's
 parameters come read-only from ``benchmarks/pipeline/legs.py``.  The
 script measures; it does not gate.
@@ -51,7 +61,8 @@ from repro.core.optimizer import (  # noqa: E402
 )
 from repro.core.pace import uniform_configuration  # noqa: E402
 from repro.cost.memo import PlanCostModel  # noqa: E402
-from repro.engine.executor import PlanExecutor  # noqa: E402
+from repro.cost.model import simulate_subplan  # noqa: E402
+from repro.engine.executor import CompiledSubplan, PlanExecutor  # noqa: E402
 from repro.service.core import QueryService  # noqa: E402
 from repro.workloads import random_constraints  # noqa: E402
 from repro.workloads.tpch import (  # noqa: E402
@@ -67,6 +78,10 @@ CHURN_WINDOWS = {"full": 200, "tiny": 12}
 
 #: paces from here on are the "high pace" band of the summaries
 HIGH_PACE = 8
+
+#: a high-pace row whose final-work Q-error exceeds this gets a
+#: per-execution table; an execution ratio past it "departs"
+TAIL_QERROR = 1.25
 
 
 def rows_of(plan, paces, estimate, run, **extra):
@@ -133,6 +148,90 @@ def finish(rows):
     return rows
 
 
+def metered_run(executor, paces):
+    """``executor.run(paces)`` and, per subplan, each execution's measured
+    tuple units split the way the WorkMeter charges them: ``{sid:
+    [(input, output, rescan, source), ...]}``, ``source`` being what the
+    subplan's source operators read from their buffers.  Only read,
+    never changed."""
+    split = {}
+    original = CompiledSubplan.run_execution
+
+    def units(meter):
+        return (meter.input_units, meter.output_units, meter.rescan_units,
+                sum(charged for name, charged in meter.per_operator.items()
+                    if name.startswith("src:")))
+
+    def run_execution(unit, *charges):
+        before = units(unit.meter)
+        done = original(unit, *charges)
+        split.setdefault(unit.subplan.sid, []).append(tuple(
+            a - b for a, b in zip(units(unit.meter), before)))
+        return done
+
+    CompiledSubplan.run_execution = run_execution
+    try:
+        return executor.run(paces), split
+    finally:
+        CompiledSubplan.run_execution = original
+
+
+def executions_table(model, subplan, pace, evaluation, run, split):
+    """Subplan ``subplan`` at ``pace``, execution by execution: simulated
+    against measured work, source reads and output count, the measured
+    work's input, output and rescan units, and the final execution's
+    latency work.  ``evaluation`` is ``model.evaluate(...,
+    collect_inputs=True)`` of the paces ``run`` executed, ``split`` its
+    :func:`metered_run` units."""
+    sid = subplan.sid
+    inputs = evaluation.subplan_inputs[sid]
+    sim = simulate_subplan(subplan, pace, inputs, model.config,
+                           program=model.programs[sid])
+    keys = model.programs[sid][1]
+    records = run.executions_of(sid)
+    assert len(records) == pace == len(sim.works), (sid, pace, len(records))
+    executions = []
+    for index, (record, est_work, units) in enumerate(
+            zip(records, sim.works, split[sid]), 1):
+        meas_work = record.work / run.quantum
+        est_out = sim.out_profile.window(index, pace).total
+        executions.append(dict(
+            execution=index,
+            est_work=est_work, meas_work=meas_work, meas_quanta=record.work,
+            ratio_work=ratio(meas_work, est_work),
+            est_source=sum(inputs[key].window(index, pace).total
+                           for key in keys),
+            meas_source=units[3],
+            est_out=est_out, meas_out=record.output_count,
+            ratio_out=ratio(record.output_count, est_out),
+            meas_input_units=units[0], meas_output_units=units[1],
+            meas_rescan_units=units[2],
+        ))
+    return dict(
+        sid=sid, pace=pace, kind=subplan.root.kind,
+        executions=executions,
+        est_latency=sim.private_final,
+        meas_latency=records[-1].latency_work / run.quantum,
+        work_departs=departure(executions, "work"),
+        out_departs=departure(executions, "out"),
+    )
+
+
+def departure(executions, what):
+    """The first execution whose ``ratio_<what>`` is past ``TAIL_QERROR``
+    either way, or None.  Where one side is zero the other must reach
+    one whole tuple to count: an estimate of 0.4 outputs is no departure
+    from none."""
+    for execution in executions:
+        value = execution["ratio_" + what]
+        if value is None:
+            if max(execution["est_" + what], execution["meas_" + what]) >= 1:
+                return execution["execution"]
+        elif qerror(value) > TAIL_QERROR:
+            return execution["execution"]
+    return None
+
+
 def plan_22q(size, paces):
     """The chosen 22-query plan at uniform paces on its own catalog."""
     config = OptimizerConfig(max_pace=size["plan_max_pace"])
@@ -146,14 +245,23 @@ def plan_22q(size, paces):
     plan = result.plan
     model = PlanCostModel(plan, config.cost_config)
     executor = PlanExecutor(plan, config.stream_config, catalog=basis)
-    rows = []
+    rows, tables = [], []
     for pace in paces:
         uniform = uniform_configuration(plan, pace)
-        rows += rows_of(plan, uniform, model.evaluate(uniform),
-                        executor.run(uniform))
+        evaluation = model.evaluate(uniform, collect_inputs=True)
+        run, split = metered_run(executor, uniform)
+        measured = finish(rows_of(plan, uniform, evaluation, run))
+        rows += measured
+        tables += [
+            dict(executions_table(model, plan.subplan_by_id(row["sid"]),
+                                  pace, evaluation, run, split),
+                 q_final=row["q_final"])
+            for row in measured
+            if pace >= HIGH_PACE and (row["q_final"] or 0) > TAIL_QERROR
+        ]
     info = {"scale": size["plan_scale"], "max_pace": size["plan_max_pace"],
             "queries": len(queries), "subplans": len(plan.subplans)}
-    return finish(rows), info
+    return rows, tables, info
 
 
 def churn(size, windows):
@@ -229,6 +337,35 @@ def render(name, rows, summary, info, table=False):
     return "\n".join(lines)
 
 
+def render_executions(table):
+    """One tail row's per-execution table."""
+    lines = [
+        "subplan %d at pace %d (%s, final Q-error %.2f): final latency "
+        "work %.1f estimated, %.1f measured; work departs at %s, output "
+        "at %s" % (
+            table["sid"], table["pace"], table["kind"], table["q_final"],
+            table["est_latency"], table["meas_latency"],
+            _fmt(table["work_departs"], "%d"),
+            _fmt(table["out_departs"], "%d")),
+        "%5s %9s %9s %8s %6s %8s %8s %8s %8s %6s %6s %6s %6s" % (
+            "exec", "est work", "meas work", "quanta", "ratio",
+            "est src", "meas src", "est out", "meas out", "ratio",
+            "in", "out", "rescan"),
+    ]
+    for execution in table["executions"]:
+        lines.append(
+            "%5d %9.1f %9.1f %8d %6s %8.1f %8d %8.1f %8d %6s %6d %6d %6d" % (
+                execution["execution"], execution["est_work"],
+                execution["meas_work"], execution["meas_quanta"],
+                _fmt(execution["ratio_work"]), execution["est_source"],
+                execution["meas_source"], execution["est_out"],
+                execution["meas_out"], _fmt(execution["ratio_out"]),
+                execution["meas_input_units"],
+                execution["meas_output_units"],
+                execution["meas_rescan_units"]))
+    return "\n".join(lines)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
@@ -237,9 +374,10 @@ def main(argv=None):
     size = SIZES[args.size]
 
     report = {"size": args.size}
-    rows, info = plan_22q(size, PACES[args.size])
+    rows, tables, info = plan_22q(size, PACES[args.size])
     summary = summarize(rows)
-    report["plan_22q"] = {"info": info, "summary": summary, "rows": rows}
+    report["plan_22q"] = {"info": info, "summary": summary, "rows": rows,
+                          "executions": tables}
     print(render("plan_22q", rows, summary, info, table=True))
     reading = [row for row in rows if row["sid"] == 2 and row["pace"] == 12]
     if reading:
@@ -250,6 +388,10 @@ def main(argv=None):
                   row["est_total"], row["meas_total"],
                   _fmt(row["ratio_total"]), row["est_final"],
                   row["meas_final"], _fmt(row["ratio_final"])))
+    print("plan_22q rows at pace >= %d with final Q-error above %.2f: %d"
+          % (HIGH_PACE, TAIL_QERROR, len(tables)))
+    for table in tables:
+        print(render_executions(table))
 
     rows, info = churn(size, CHURN_WINDOWS[args.size])
     summary = summarize(rows)

@@ -19,9 +19,24 @@ floor of its proportional share, and the quanta left over go one each to
 the largest remainders, ties to the lower query id.  Shares, running
 totals and the conservation check are plain integers -- equal or not, no
 tolerance -- and are divided by the quantum only in the float views.
+
+The ledger keeps its newest :data:`LEDGER_RING` windows, not its
+history: a long-running service's bookkeeping plateaus.  The per-query
+totals of the windows the ring has evicted are carried as an exact
+prefix, so the full replay is the prefix plus the ring and still checks
+every window ever recorded.
 """
 
+from collections import deque
 from math import lcm
+
+#: windows a ledger keeps (:class:`AttributionLedger` and
+#: :class:`~repro.obs.slack.SlackLedger`); older ones are folded into
+#: running totals.  One: every reader reads the newest window only (the
+#: service's ``service_slack`` log line, the fuzz service oracle,
+#: :meth:`AttributionLedger.window_shares`), and the replay holds at
+#: any depth
+LEDGER_RING = 1
 
 
 def split_work(work, weights):
@@ -69,12 +84,17 @@ class AttributionLedger:
     One :meth:`record_window` call per trigger window; per-query and
     per-tenant running totals are integer quanta.  JSON-facing views
     (:meth:`window_shares`, :meth:`to_dict`) divide by ``quantum``.
+    ``len(ledger)`` counts every recorded window; ``windows`` holds the
+    last :data:`LEDGER_RING` of them.
     """
 
     def __init__(self, quantum=1):
         self.quantum = quantum
-        #: ``[(window, {qid: quanta}), ...]`` in record order
-        self.windows = []
+        #: ``(window, {qid: quanta})`` of the newest windows, in record order
+        self.windows = deque(maxlen=LEDGER_RING)
+        self.recorded = 0
+        #: ``{qid: quanta}`` of the windows the ring has evicted
+        self.evicted_totals = {}
         #: exact running totals
         self.query_totals = {}
         self.tenant_totals = {}
@@ -115,7 +135,13 @@ class AttributionLedger:
                 "window %s: attributed work %s != measured work %s"
                 % (window, attributed, measured)
             )
+        if len(self.windows) == self.windows.maxlen:
+            for qid, share in self.windows[0][1].items():
+                self.evicted_totals[qid] = (
+                    self.evicted_totals.get(qid, 0) + share
+                )
         self.windows.append((window, query_shares))
+        self.recorded += 1
         self._measured_total += measured
         for qid, share in query_shares.items():
             self.query_totals[qid] = self.query_totals.get(qid, 0) + share
@@ -129,11 +155,12 @@ class AttributionLedger:
     def check_conservation(self):
         """Re-verify every recorded window; returns failure strings.
 
-        The running per-query totals must also equal the sum of the
-        per-window shares -- a mutated ledger cannot pass silently.
+        The running per-query totals must equal the evicted prefix plus
+        the ring's per-window shares -- a mutated ledger cannot pass
+        silently.
         """
         failures = []
-        recomputed = {}
+        recomputed = dict(self.evicted_totals)
         for window, shares in self.windows:
             for qid, share in shares.items():
                 recomputed[qid] = recomputed.get(qid, 0) + share
@@ -172,7 +199,7 @@ class AttributionLedger:
         """JSON view in work units; conservation re-checked exactly."""
         quantum = self.quantum
         return {
-            "windows": len(self.windows),
+            "windows": self.recorded,
             "conserved": not self.check_conservation(),
             "query_totals": {
                 str(qid): total / quantum
@@ -185,9 +212,9 @@ class AttributionLedger:
         }
 
     def __len__(self):
-        return len(self.windows)
+        return self.recorded
 
     def __repr__(self):
         return "AttributionLedger(%d windows, %d queries)" % (
-            len(self.windows), len(self.query_totals)
+            self.recorded, len(self.query_totals)
         )

@@ -28,15 +28,24 @@ and per query, where the slack went:
 Everything here is plain deterministic arithmetic on measured values --
 the ledger adds no randomness and no wall-clock reads, so serial and
 sharded service runs produce bit-identical slack reports.
+
+Like the attribution ledger, it keeps the roll-ups of its newest
+:data:`~repro.obs.attribution.LEDGER_RING` windows; ``len(ledger)``
+counts every recorded window.
 """
+
+from collections import deque
+
+from .attribution import LEDGER_RING
 
 
 class SlackLedger:
     """Per-window, per-query slack accounting."""
 
     def __init__(self):
-        #: ``[(window, summary_dict), ...]`` in record order
-        self.windows = []
+        #: ``(window, summary_dict)`` of the newest windows, in record order
+        self.windows = deque(maxlen=LEDGER_RING)
+        self.recorded = 0
 
     def record_window(self, window, entries, seconds=None):
         """Record one trigger window; returns ``{qid: entry_dict}``.
@@ -75,6 +84,7 @@ class SlackLedger:
                 entry["headroom_seconds"] = seconds(goal) - seconds(final)
             recorded[qid] = entry
         self.windows.append((window, self.summarize(recorded)))
+        self.recorded += 1
         return recorded
 
     @staticmethod
@@ -90,7 +100,7 @@ class SlackLedger:
         }
 
     def __len__(self):
-        return len(self.windows)
+        return self.recorded
 
     def __repr__(self):
-        return "SlackLedger(%d windows)" % len(self.windows)
+        return "SlackLedger(%d windows)" % self.recorded

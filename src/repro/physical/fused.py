@@ -26,8 +26,9 @@ SNIPPETS.md), there is one generator per lane of the size dispatch
 A kernel is generated the first time its lane is taken, the compiled
 text is shared by every node that generates the same text
 (:func:`~repro.relational.codegen.compile_source`), and every kernel's
-source is inspectable as ``kernel.fused_source`` and shows in
-tracebacks under its ``<fused:...>`` filename.
+source is inspectable as ``kernel.fused_source`` (an aggregate's as the
+pair of its absorb and emit texts) and shows in tracebacks under its
+``<fused:...>`` filename.
 
 Exactness contract: every kernel of a node emits the same rows in the
 same order with the same WorkMeter charges -- the filter stage is
@@ -640,6 +641,8 @@ def _coalesce(flat, arity):
     return rows, [merged[row] for row in rows]
 
 
+#: ``fused_source`` is the pair of texts ``(absorb's, emit's)``, each
+#: the very string its compiled code is cached under
 AggregateKernels = namedtuple(
     "AggregateKernels", "absorb emit slot_of offsets fused_source")
 
@@ -741,11 +744,11 @@ def _build_aggregate_kernels(node, qids):
         ) + indent(update.format(slot="slot"), " " * 12)
     group = "row[%d]" % indexes[0] if arity == 1 else "(%s)" % "".join(
         "row[%d], " % i for i in indexes)
-    source = _ABSORB.format(
+    source = intern(_ABSORB.format(
         wanted=wanted, group=group,
         touch8=indent(_TOUCH.format(nones=", None" * len(qids)), " " * 8),
         inputs=indent("\n".join(inputs), " " * 8), update=update,
-    )
+    ))
 
     key_part = "key, " if arity == 1 else "".join(
         "key[%d], " % i for i in range(arity))
@@ -756,8 +759,9 @@ def _build_aggregate_kernels(node, qids):
         width=arity + len(node.aggs), arity=arity,
     )
     emit = _EMIT_ONE if len(qids) == 1 else _EMIT_MANY
-    # interned: nodes of one shape share the text they keep inspectable
-    source = intern(source + "\n" + emit.format(slot=_STATE0, **shape))
+    # emit is its own text: it reads no bindings and no inputs, so every
+    # node of one output shape shares one compiled emit
+    emit = intern(emit.format(slot=_STATE0, **shape))
 
     slots = {}  # a delta's masked bits -> the record slots of its queries
 
@@ -785,9 +789,10 @@ def _build_aggregate_kernels(node, qids):
         from_rows=ColumnBatch.from_rows,
     )
     exec(compile_source("aggregate", source), namespace)
+    exec(compile_source("aggregate-emit", emit), namespace)
     # out of their globals (none calls a sibling): dead kernels are no cycle
     generated = map(namespace.pop, AggregateKernels._fields[:2])
-    return AggregateKernels(*generated, slot_of, offsets, source)
+    return AggregateKernels(*generated, slot_of, offsets, (source, emit))
 
 
 def _build_vector_helpers(node, qids):

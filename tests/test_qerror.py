@@ -5,6 +5,8 @@ by root-operator kind and pace band."""
 import importlib.util
 import os
 
+import pytest
+
 from repro.core.pace import uniform_configuration
 from repro.cost.memo import PlanCostModel
 from repro.engine.executor import PlanExecutor
@@ -70,3 +72,41 @@ def test_rows_and_summaries_on_a_toy_plan():
     entry = summary["all pace>=8"]["final"]
     assert entry["n"] == len(high)
     assert entry["median"] <= entry["p90"] == qerror.percentile(high, 0.9)
+
+
+def test_execution_tables_add_up_to_their_row():
+    qerror = load_tool()
+    catalog = make_toy_catalog()
+    queries = [toy_query_total(catalog, 0), toy_query_region(catalog, 1),
+               toy_query_max(catalog, 2)]
+    stream_config = StreamConfig()
+    plan = calibrated_shared_plan(catalog, queries, stream_config)
+    model = PlanCostModel(plan)
+    pace = 10
+    paces = uniform_configuration(plan, pace)
+    evaluation = model.evaluate(paces, collect_inputs=True)
+    run, split = qerror.metered_run(PlanExecutor(plan, stream_config), paces)
+    assert run.total_quanta == PlanExecutor(plan, stream_config).run(
+        paces).total_quanta
+    quantum = run.quantum
+    for subplan in plan.subplans:
+        sid = subplan.sid
+        table = qerror.executions_table(
+            model, subplan, pace, evaluation, run, split)
+        executions = table["executions"]
+        assert [e["execution"] for e in executions] == list(range(1, 11))
+        # the simulated executions are the estimate's, the measured the run's
+        assert sum(e["est_work"] for e in executions) == pytest.approx(
+            evaluation.subplan_total[sid])
+        assert table["est_latency"] == evaluation.subplan_final[sid]
+        assert sum(e["meas_quanta"] for e in executions) == \
+            run.subplan_total_quanta[sid]
+        assert table["meas_latency"] == run.subplan_final_work[sid]
+        last = executions[-1]
+        tuple_units = (last["meas_input_units"] + last["meas_output_units"]
+                       + last["meas_rescan_units"])
+        overhead = int(stream_config.execution_overhead * quantum)
+        assert run.subplan_final_quanta[sid] == tuple_units * quantum + overhead
+        assert 0 <= last["meas_source"] <= last["meas_input_units"]
+        for field in ("work_departs", "out_departs"):
+            assert table[field] is None or 1 <= table[field] <= pace
