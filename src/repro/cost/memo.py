@@ -751,6 +751,29 @@ class PlanCostModel:
         self._solo_cache[query_id] = result
         return result
 
+    def solo_final(self, query_id, pace):
+        """Estimated final work of ``query_id`` run alone at ``pace``.
+
+        :meth:`solo_batch`'s simulation -- the query's subplans,
+        restricted to its own tuples -- with every subplan at ``pace``
+        instead of 1, the subplans' final work summed.  It only reads:
+        no memo row is written.
+        """
+        outputs = {}
+        final = 0.0
+        bit = 1 << query_id
+        for subplan in self._order:
+            if not subplan.query_mask & bit:
+                continue
+            sid = subplan.sid
+            sim = simulate_subplan(
+                subplan, pace, self._inputs_for(sid, outputs), self.config,
+                query_subset=(query_id,), program=self.programs[sid],
+            )
+            outputs[sid] = sim.out_profile
+            final += sim.private_final
+        return final
+
     def absolute_constraints(self, relative_constraints):
         """Translate relative constraints into absolute final-work bounds."""
         absolute = {}

@@ -681,7 +681,7 @@ def _build_aggregate_kernels(node, qids):
     groups sort once by their memoised prefix and queries meet inside a
     group only.
     """
-    from .columnar import _value_exact
+    from .columnar import _EXACT_VALUE_BOUND
 
     bindings = Bindings()
     schema = node.children[0].out_schema
@@ -700,11 +700,14 @@ def _build_aggregate_kernels(node, qids):
             inputs.append("v%d = %s" % (position, value))
             value = "v%d" % position
         if summed:
-            # the exactness rule (columnar._value_exact), tested where
-            # the value already exists; ints pass on the type test alone
+            # columnar._reduceat_exact for one value, tested where the
+            # value already exists: ints pass on the type test alone,
+            # bools and bounded integral floats keep the ledger true
             inputs.append(
                 "if exact[{0}] and type(v{0}) is not int:\n"
-                "    exact[{0}] = value_exact(v{0})".format(position))
+                "    exact[{0}] = type(v{0}) is float and v{0}.is_integer()"
+                " and -{1!r} <= v{0} <= {1!r} or type(v{0}) is bool"
+                .format(position, _EXACT_VALUE_BOUND))
         if spec.func == "sum":
             updates.append("st[%d] += %s if sign == 1 else -%s\n"
                            % (slot, value, value))
@@ -777,7 +780,6 @@ def _build_aggregate_kernels(node, qids):
         MASK=sum(1 << qid for qid in qids),
         QID=qids[0],
         MinMax=_MinMaxState,
-        value_exact=_value_exact,
         slots_get=slots.get,
         decode_slots=decode_slots,
         QUERIES=tuple((slot, 1 << qid, qid) for qid, slot in slot_of.items()),

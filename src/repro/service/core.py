@@ -22,7 +22,8 @@ instead of missing silently for the rest of its life.
 Every query turned away as unsatisfiable is also run alone -- its own
 unshared plan at ``P_max`` on the catalog the verdict was reached on --
 and its decision records whether that meets the goal
-(``AdmissionDecision.meets_alone``); the answer changes no status.
+(``AdmissionDecision.meets_alone``), next to the cost model's estimate
+of the same run (``alone_estimate``); neither changes a status.
 
 Statistics are calibrated against the service's *basis* window (the
 first window's data) and then kept honest by the measured-execution
@@ -72,20 +73,23 @@ class AdmissionDecision:
     ``meets_alone`` answers, for a query turned away as unsatisfiable
     (``goal_unsatisfiable`` or ``measured_unsatisfiable``), whether its
     own unshared plan at ``P_max`` meets the goal on the same catalog;
-    it is None for every other decision.
+    ``alone_estimate`` is the cost model's final work for the query
+    alone at ``P_max`` (:meth:`~repro.cost.memo.PlanCostModel.solo_final`).
+    Both are None for every other decision.
     """
 
     __slots__ = ("query_id", "tenant", "status", "reason", "window",
-                 "meets_alone")
+                 "meets_alone", "alone_estimate")
 
     def __init__(self, query_id, tenant, status, reason, window,
-                 meets_alone=None):
+                 meets_alone=None, alone_estimate=None):
         self.query_id = query_id
         self.tenant = tenant
         self.status = status  # admitted | rejected | queued
         self.reason = reason
         self.window = window
         self.meets_alone = meets_alone
+        self.alone_estimate = alone_estimate
 
     def to_dict(self):
         return {
@@ -95,6 +99,7 @@ class AdmissionDecision:
             "reason": self.reason,
             "window": self.window,
             "meets_alone": self.meets_alone,
+            "alone_estimate": self.alone_estimate,
         }
 
     def __repr__(self):
@@ -455,6 +460,8 @@ class QueryService:
                 meets_alone=alone.meets_alone(
                     self.config, qid, self.config.stream_config.seconds(bound)
                 ),
+                alone_estimate=merge.model.solo_final(
+                    slot, self.config.max_pace),
             )
         budget = self.tenant_budgets.get(registration.tenant)
         if budget is not None:
@@ -666,6 +673,8 @@ class QueryService:
                 ),
                 ran.window,
                 meets_alone=ran.meets_alone(self.config, qid, missed[qid]),
+                alone_estimate=self.model.solo_final(
+                    ran.slots[qid], self.config.max_pace),
             )
             self.decisions.append(decision)
             if queued:

@@ -114,19 +114,30 @@ class TestAdmission:
             uniform_configuration(plan, 6), collect_results=False,
         ).query_final_work[1]
         assert alone < shared  # sharing raises its final work at P_max
+        # the alone estimate only reads: no solo row, no memo row
+        model = probe.model
+        before = (dict(model.memo_pool.solo), dict(model._solo_cache),
+                  model.simulation_count, model.memo_pool.simulations)
+        assert model.solo_final(slot, 6) > 0
+        assert (dict(model.memo_pool.solo), dict(model._solo_cache),
+                model.simulation_count, model.memo_pool.simulations) == before
 
         verdicts = []
         for bound in ((alone + shared) / 2, alone / 2):
             service = toy_service()
             first = service.register(
                 toy_query_total(service.basis_catalog, 0), "a", 50.0)
-            assert first.meets_alone is None
+            assert first.meets_alone is first.alone_estimate is None
             decision = service.register(
                 toy_query_region(service.basis_catalog, 1), "b", bound / solo)
             assert decision.status == "rejected"
             assert decision.reason.startswith("goal_unsatisfiable")
             assert decision.meets_alone is (alone <= bound)
             assert decision.to_dict()["meets_alone"] is decision.meets_alone
+            # the model's estimate of the same alone run, read-only
+            assert decision.alone_estimate == probe.model.solo_final(slot, 6)
+            assert decision.to_dict()["alone_estimate"] == (
+                decision.alone_estimate)
             verdicts.append(decision.meets_alone)
         assert verdicts == [True, False]
 
@@ -667,6 +678,8 @@ class TestMeasuredAdmission:
             assert float(final) > float(bound)
         # each is measured alone before it goes: both meet their bound
         assert [d.meets_alone for d in rechecked] == [True, True]
+        # with the model's estimate of each alone run beside the verdict
+        assert all(d.alone_estimate > 0 for d in rechecked)
         assert sorted(service.registrations) == [2]
         assert service.pending == []
         # the window that evicted them still splits: they miss at P_max
