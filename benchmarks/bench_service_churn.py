@@ -16,8 +16,6 @@ and reports the metrics the service exists to optimize:
   headroom and pace-induced deferred work;
 * **attribution conservation**: the solo-cost-proportional shared-work
   split must account for every measured work unit, exactly;
-* **regret report coverage**: every ``pace_*`` decision-log record is
-  re-scored against the measured-cost oracle;
 * serial vs ``--jobs 2`` **bit-identity** of the merged report.
 
 Results land in ``BENCH_service.json`` (repo root by default).
@@ -45,7 +43,6 @@ sys.path.insert(
 from repro import obs  # noqa: E402
 from repro.harness.service import run_service_schedule  # noqa: E402
 from repro.obs import OBS  # noqa: E402
-from repro.obs.regret import regret_report  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_service.json"
@@ -113,17 +110,6 @@ def run_benchmark(jobs):
         report = run_service_schedule(SCHEDULE, jobs=1)
         serial_seconds = time.perf_counter() - started
         stats = _reoptimize_stats()
-        feedback_by_run = {
-            "shard-%d" % shard["shard"]: shard.get("feedback", {})
-            for shard in report["shards"]
-        }
-        regret = regret_report(
-            OBS.declog.records, feedback_by_run=feedback_by_run
-        )
-        pace_seqs = [
-            r["seq"] for r in OBS.declog.records
-            if r["event"].startswith("pace_")
-        ]
     finally:
         obs.disable()
 
@@ -150,12 +136,6 @@ def run_benchmark(jobs):
         "reoptimize": stats,
         "slack": report["summary"]["slack"],
         "attribution_conserved": report["summary"]["attribution_conserved"],
-        "regret": {
-            "decisions": regret["decision_count"],
-            "switched": regret["switched"],
-            "total_regret_work": round(regret["total_regret_work"], 4),
-            "covered": regret["covered_seqs"] == pace_seqs,
-        },
         "bit_identical_parallel": identical,
         "timing": {
             "serial_seconds": round(serial_seconds, 3),
@@ -200,10 +180,6 @@ def check_against(result, baseline_path):
     # invariants of the fresh run itself (independent of the baseline's age)
     if not result["attribution_conserved"]:
         failures.append("shared-work attribution leaked work units")
-    if not result["regret"]["covered"]:
-        failures.append(
-            "regret report does not cover every pace-search decision"
-        )
     return failures
 
 
@@ -254,14 +230,6 @@ def main(argv=None):
         "attribution conserved: %s" % (
             slack["min_headroom_work"], slack["deferred_work"],
             result["attribution_conserved"],
-        )
-    )
-    regret = result["regret"]
-    print(
-        "regret: %d decisions re-scored (covered: %s), %d oracle switches, "
-        "%.1f work of regret" % (
-            regret["decisions"], regret["covered"], regret["switched"],
-            regret["total_regret_work"],
         )
     )
     print(

@@ -22,8 +22,8 @@ Two plan sets:
 * **churn**: the live plan of every window of the pipeline benchmark's
   register/deregister schedule (``ChurnSchedule``), at the paces the
   service chose, measured on that window's catalog.  The estimate is the
-  plan's raw model, without the service's feedback factors, so these
-  rows include the drift between the basis catalog and the window's.
+  plan's model, calibrated on the basis catalog, so these rows include
+  the drift between the basis catalog and the window's.
 
 Printed: the plan_22q table row by row, per set the median and p90
 Q-error by kind and pace band, and the reading of subplan 2 at pace 12.

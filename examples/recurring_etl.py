@@ -1,7 +1,7 @@
 """Recurring ETL: the same jobs, every day, optimized from history.
 
 Simulates a week of daily loads: each morning the optimizer plans from
-*yesterday's* statistics and measured execution, then today's data
+*yesterday's* statistics, then today's data
 arrives and runs.  This is exactly the paper's deployment (scheduled
 queries over recurring trigger conditions, section 2.1) -- and shows
 that historical calibration is good enough: deadlines derived from
@@ -46,7 +46,7 @@ def main():
     ))
     print()
     print("Day 0 self-calibrates; every later day plans purely from the")
-    print("previous window's statistics and measured feedback.")
+    print("previous window's statistics.")
 
 
 if __name__ == "__main__":

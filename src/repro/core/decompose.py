@@ -17,7 +17,7 @@ from ..obs import OBS
 from ..relational import bitvec
 from .greedy import decrease_paces
 from .partial import partial_cut_candidates
-from .regenerate import SplitLineage, apply_split
+from .regenerate import apply_split
 from .split import LocalSplitOptimizer
 
 logger = logging.getLogger(__name__)
@@ -71,30 +71,16 @@ class DecompositionAction:
 
 
 class DecompositionOutcome:
-    """The final plan, paces and evaluation after full-plan decomposition.
+    """The final plan, paces and evaluation after full-plan decomposition."""
 
-    ``sid_origin`` maps each sid of the (possibly rewritten) output plan
-    to the input-plan sid whose operators it carries (identity entries
-    omitted; look up with ``sid_origin.get(sid, sid)``), composed across
-    every adopted surgery step.  ``tainted_origins`` holds input sids
-    whose work can no longer be attributed one-to-one because a
-    regeneration merge combined two originals' operators.  Together they
-    let measured per-subplan work on the output plan be folded back onto
-    the input plan's sids (:func:`repro.cost.memo.fold_run_for_feedback`).
-    """
+    __slots__ = ("plan", "pace_config", "evaluation", "cost_model", "actions")
 
-    __slots__ = ("plan", "pace_config", "evaluation", "cost_model", "actions",
-                 "sid_origin", "tainted_origins")
-
-    def __init__(self, plan, pace_config, evaluation, cost_model, actions,
-                 sid_origin=None, tainted_origins=None):
+    def __init__(self, plan, pace_config, evaluation, cost_model, actions):
         self.plan = plan
         self.pace_config = pace_config
         self.evaluation = evaluation
         self.cost_model = cost_model
         self.actions = actions
-        self.sid_origin = dict(sid_origin or {})
-        self.tainted_origins = set(tainted_origins or ())
 
 
 def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
@@ -123,7 +109,6 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
     pool = model.memo_pool
     evaluation = model.evaluate(current_paces)
     actions = []
-    lineage = SplitLineage()  # cumulative, relative to the input plan
     declog = OBS.declog if OBS.enabled else None
     start_us = OBS.tracer.now_us() if OBS.enabled else 0.0
 
@@ -141,8 +126,7 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
             )
             if candidate is not None and _improves(
                     candidate[3], evaluation, absolute_constraints):
-                (new_plan, new_paces, new_model, new_eval, action,
-                 step_lineage) = candidate
+                new_plan, new_paces, new_model, new_eval, action = candidate
                 action.work_before = evaluation.total_work
                 action.work_after = new_eval.total_work
                 actions.append(action)
@@ -159,7 +143,6 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
                     )
                 current_plan, current_paces = new_plan, new_paces
                 model, evaluation = new_model, new_eval
-                lineage = lineage.compose(step_lineage)
                 # newly created shared pieces may decompose further
                 fresh = [
                     subplan.sid
@@ -174,7 +157,7 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
                 if candidate is None:
                     declog.log("decompose_reject", sid=sid, reason="no_split")
                 else:
-                    _, _, _, rejected_eval, rejected_action, _ = candidate
+                    _, _, _, rejected_eval, rejected_action = candidate
                     declog.log(
                         "decompose_reject", sid=sid, reason="not_improving",
                         kind=rejected_action.kind,
@@ -193,9 +176,7 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
             "total_work": round(evaluation.total_work, 2),
         })
     return DecompositionOutcome(
-        current_plan, current_paces, evaluation, model, actions,
-        sid_origin=lineage.origin, tainted_origins=lineage.tainted,
-    )
+        current_plan, current_paces, evaluation, model, actions)
 
 
 def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
@@ -216,14 +197,13 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
 
     if decision.is_split():
         parts = [part for part, _ in decision.partitions]
-        lineage = SplitLineage()
-        new_plan, initial = apply_split(plan, paces, sid, parts, lineage=lineage)
-        new_model = model.sibling(new_plan, lineage)
+        new_plan, initial = apply_split(plan, paces, sid, parts)
+        new_model = model.sibling(new_plan)
         new_paces, new_eval = decrease_paces(
             new_model, absolute_constraints, initial
         )
         action = DecompositionAction(sid, "unshare", parts, 0.0, 0.0)
-        return new_plan, new_paces, new_model, new_eval, action, lineage
+        return new_plan, new_paces, new_model, new_eval, action
 
     if not enable_partial:
         return None
@@ -241,12 +221,7 @@ def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
         cut_paces = dict(paces)
         for bottom_sid in bottom_sids:
             cut_paces[bottom_sid] = paces[sid]
-        # the vertical cut carved sid into top + bottoms: pre-seed the
-        # lineage so pieces of the top piece resolve back to sid
-        lineage = SplitLineage(
-            origin={top_sid: sid, **{b: sid for b in bottom_sids}}
-        )
-        cut_model = model.sibling(cut_plan, lineage)
+        cut_model = model.sibling(cut_plan)
         cut_eval = cut_model.evaluate(cut_paces, collect_inputs=True)
         top = cut_plan.subplan_by_id(top_sid)
         local = cut_model.local_constraints(top, absolute_constraints)
@@ -260,14 +235,12 @@ def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
         if not decision.is_split():
             continue
         parts = [part for part, _ in decision.partitions]
-        new_plan, initial = apply_split(
-            cut_plan, cut_paces, top_sid, parts, lineage=lineage
-        )
-        new_model = model.sibling(new_plan, lineage)
+        new_plan, initial = apply_split(cut_plan, cut_paces, top_sid, parts)
+        new_model = model.sibling(new_plan)
         new_paces, new_eval = decrease_paces(new_model, absolute_constraints, initial)
         if not _improves(new_eval, evaluation, absolute_constraints):
             continue
         if best is None or _improves(new_eval, best[3], absolute_constraints):
             action = DecompositionAction(sid, "partial", parts, 0.0, 0.0)
-            best = (new_plan, new_paces, new_model, new_eval, action, lineage)
+            best = (new_plan, new_paces, new_model, new_eval, action)
     return best

@@ -19,9 +19,8 @@ churn did not invalidate:
    builds the new cost model over the old one's
    :class:`~repro.cost.memo.MemoPool`: a cone that matched whole has the
    signature it had before, so its memo rows are simply still there.
-   Feedback corrections and solo estimates, which are keyed by subplan
-   id, move over via
-   :meth:`repro.cost.memo.PlanCostModel.carry_feedback_and_solo_from`.
+   Solo estimates, which are keyed by subplan id, move over via
+   :meth:`repro.cost.memo.PlanCostModel.carry_solo_from`.
 3. :func:`carry_paces` + :func:`incremental_pace_search` seed the greedy
    ascending search with the previous configuration (matched subplans
    keep their pace, fresh ones start at batch pace) and let the
@@ -157,7 +156,7 @@ def merge_with_carry(catalog, queries, config, old_plan=None, old_model=None):
         memo_pool=old_model.memo_pool if old_model is not None else None,
     )
     if old_model is not None:
-        model.carry_feedback_and_solo_from(old_model, matched)
+        model.carry_solo_from(old_model, matched)
     if OBS.enabled:
         OBS.declog.log(
             "service_plan_update",

@@ -25,47 +25,13 @@ from ..relational import bitvec
 from .pace import validate_parent_child
 
 
-class SplitLineage:
-    """Correspondence from post-surgery subplan ids back to the originals.
-
-    ``origin`` maps every sid the surgery created to the sid of the
-    input-plan subplan whose operators it carries; untouched sids are
-    absent (look up with ``origin.get(sid, sid)``).  ``tainted`` collects
-    original sids whose measured work can no longer be attributed
-    one-to-one: a single-consumer merge folds a child's operators into
-    its parent's piece, so both originals are tainted.  Seeding
-    ``origin`` before :func:`apply_split` (partial cuts pre-map their
-    top/bottom pieces) makes the surgery compose through the seed.
-    """
-
-    __slots__ = ("origin", "tainted")
-
-    def __init__(self, origin=None, tainted=None):
-        self.origin = dict(origin or {})
-        self.tainted = set(tainted or ())
-
-    def resolve(self, sid):
-        return self.origin.get(sid, sid)
-
-    def compose(self, step):
-        """Lineage of ``self`` (original -> mid) followed by ``step``
-        (mid -> new), both read new-to-old."""
-        merged = SplitLineage(self.origin, self.tainted)
-        for new_sid, mid_sid in step.origin.items():
-            merged.origin[new_sid] = self.resolve(mid_sid)
-        merged.tainted |= {self.resolve(sid) for sid in step.tainted}
-        return merged
-
-
-def apply_split(plan, old_paces, target_sid, partitions, lineage=None):
+def apply_split(plan, old_paces, target_sid, partitions):
     """Decompose subplan ``target_sid`` into ``partitions`` (qid tuples).
 
     Returns ``(new_plan, initial_paces)``.  The input ``plan`` is left
     untouched: the new plan is derived from it (:func:`copy_upward`,
     :meth:`~repro.mqo.nodes.SharedQueryPlan.derive`), and only the pieces
-    and the target's ancestors are new objects.  When a
-    :class:`SplitLineage` is passed, every piece the surgery creates and
-    every single-consumer merge it performs is recorded there.
+    and the target's ancestors are new objects.
     """
     target = plan.subplan_by_id(target_sid)
     covered = sorted(qid for part in partitions for qid in part)
@@ -78,7 +44,7 @@ def apply_split(plan, old_paces, target_sid, partitions, lineage=None):
         raise OptimizationError("a split needs at least two partitions")
 
     initial_paces = dict(old_paces)
-    state = _RewriteState(plan, target, initial_paces, lineage)
+    state = _RewriteState(plan, target, initial_paces)
     state.split(
         target, [tuple(part) for part in partitions], reason="decomposition",
     )
@@ -135,12 +101,11 @@ class _RewriteState:
     input plan keeps.
     """
 
-    def __init__(self, plan, target, initial_paces, lineage=None):
+    def __init__(self, plan, target, initial_paces):
         self.plan = plan
         self.subplans, self.query_roots, self.fresh = copy_upward(
             plan, target, target)
         self.initial_paces = initial_paces
-        self.lineage = lineage
         self.next_sid = max(subplan.sid for subplan in plan.subplans) + 1
 
     def children_of(self, subplan):
@@ -178,8 +143,6 @@ class _RewriteState:
             self.next_sid += 1
             self.fresh.add(piece)
             self.initial_paces[piece.sid] = inherited_pace
-            if self.lineage is not None:
-                self.lineage.origin[piece.sid] = self.lineage.resolve(subplan.sid)
             pieces.append((keep, piece))
 
         self.subplans.remove(subplan)
@@ -215,7 +178,7 @@ class _RewriteState:
         the larger of the two paces (section 4.2, step 2); the parent's
         *other* children may be lazier than that and are raised with it.
         """
-        initial_paces, lineage = self.initial_paces, self.lineage
+        initial_paces = self.initial_paces
         # built once and patched per merge
         parents_of = {subplan: [] for subplan in self.subplans}
         for subplan in self.subplans:
@@ -261,9 +224,6 @@ class _RewriteState:
                 merged_pace = max(initial_paces[parent.sid], child_pace)
                 initial_paces[parent.sid] = merged_pace
                 raised = self._raise_lagging_children(parent, merged_pace)
-                if lineage is not None:
-                    lineage.tainted.add(lineage.resolve(child.sid))
-                    lineage.tainted.add(lineage.resolve(parent.sid))
                 if OBS.enabled:
                     OBS.declog.log(
                         "repair_merge", child_sid=child.sid, parent_sid=parent.sid,

@@ -36,25 +36,11 @@ from .model import (
 )
 from .stats import EdgeStat
 
-#: Feedback correction factors are clamped to this range.  A single
-#: degenerate measured run (a subplan that happened to do zero work
-#: against a positive estimate, or a transient spike) must not zero out
-#: or blow up every later estimate the memo serves; within the range the
-#: correction is applied exactly as measured.
-FEEDBACK_FACTOR_MIN = 0.01
-FEEDBACK_FACTOR_MAX = 100.0
-
-
-def clamp_feedback_factor(factor):
-    """Clamp one multiplicative correction into the documented range."""
-    return min(FEEDBACK_FACTOR_MAX, max(FEEDBACK_FACTOR_MIN, factor))
-
-
 class CostEvaluation:
     """Estimated cost of one pace configuration.
 
     ``pace_config`` is a copy of the configuration costed and ``epoch``
-    the token of the model state it was costed under: together they let
+    the token of the model that costed it: together they let
     :meth:`PlanCostModel.evaluate` cost a neighbour as a delta of it.
     """
 
@@ -229,13 +215,11 @@ class PlanCostModel:
         self._order = plan.topological_order()
         self._table_stats = {}
         self._solo_cache = {}
-        self._feedback = {}
-        self._feedback_pace = {}  # sid -> the pace its correction was measured at
-        self._epoch = object()  # replaced whenever the feedback changes
+        self._epoch = object()  # tells this model's evaluations from others'
         self.simulation_count = 0
         self.evaluation_count = 0
 
-    def sibling(self, plan, lineage=None):
+    def sibling(self, plan):
         """A model over another plan of the same optimizer call.
 
         Same cost config, same memo pool, same ``use_memo`` (the siblings
@@ -251,31 +235,12 @@ class PlanCostModel:
         the trees the surgery rewrote are walked and only the cones it
         touched are signed.  The index equals the one a model built from
         scratch over ``plan`` and this pool would hold.
-
-        Same feedback corrections, too, so a candidate and the plan in
-        force are compared on one footing: each subplan of ``plan`` takes
-        the live correction, and the pace it was measured at, of the
-        subplan of this model's plan whose operators it carries.  That
-        is its own sid when the surgery kept it, and its origin in
-        ``lineage`` (a :class:`~repro.core.regenerate.SplitLineage`
-        relative to this model's plan) when the surgery created it -- a
-        split piece or a cut bottom is corrected like the subplan it was
-        carved from.  A subplan with neither gets no correction.
         """
         model = PlanCostModel.__new__(PlanCostModel)
         model._bind(plan, self.config, self.use_memo, self.memo_pool)
         model.time_budget = self.time_budget
         model._deadline = self._deadline
         model._index_plan(self)
-        if self._feedback:
-            origin = lineage.origin if lineage is not None else {}
-            for subplan in plan.subplans:
-                carried = origin.get(subplan.sid, subplan.sid)
-                correction = self._feedback.get(carried)
-                if correction is not None:
-                    model._feedback[subplan.sid] = correction
-                    model._feedback_pace[subplan.sid] = (
-                        self._feedback_pace.get(carried))
         return model
 
     def _index_plan(self, parent=None):
@@ -461,12 +426,12 @@ class PlanCostModel:
         profile = self._table_stats.get(name)
         if profile is None:
             table = self.plan.catalog.get(name)
+            rows = table.log_length()
             stat = EdgeStat(
-                total=table.log_length(),
-                deletes=table.delete_count(),
-                uniform=True,
+                total=rows, deletes=table.delete_count(), uniform=True
             )
-            profile = UniformProfile(stat, granularity=None)
+            # one grid step per row: every window holds whole rows
+            profile = UniformProfile(stat, max(1, rows))
             self._table_stats[name] = profile
         return profile
 
@@ -483,15 +448,15 @@ class PlanCostModel:
     def evaluate(self, pace_config, collect_inputs=False, base=None):
         """Estimate ``C_T(P)`` and ``C_F(P, q)`` for every query.
 
-        ``base``, an evaluation this model returned since its feedback
-        last changed, makes the call a delta of it (section 3.2): only
-        the *dirty* subplans -- those whose cone holds a pace that differs
-        from ``base.pace_config``, i.e. the moved subplans and their
-        ancestors -- are looked up and simulated.  Every other subplan
-        keeps the base's row, which is the memo row a lookup would find,
-        and counts as that hit.  Without a base, or in a model that keeps
-        no memo rows, every subplan is dirty.  Both sums run in step order
-        either way, so the result is bit-identical to a full evaluation.
+        ``base``, an evaluation this model returned, makes the call a
+        delta of it (section 3.2): only the *dirty* subplans -- those
+        whose cone holds a pace that differs from ``base.pace_config``,
+        i.e. the moved subplans and their ancestors -- are looked up and
+        simulated.  Every other subplan keeps the base's row, which is
+        the memo row a lookup would find, and counts as that hit.
+        Without a base, or in a model that keeps no memo rows, every
+        subplan is dirty.  Both sums run in step order either way, so
+        the result is bit-identical to a full evaluation.
         """
         self._check_deadline()
         steps, touched, clean, clean_inherited = self._dirty(pace_config, base)
@@ -507,14 +472,12 @@ class PlanCostModel:
         subplan_total = evaluation.subplan_total
         subplan_final = evaluation.subplan_final
         query_final_work = evaluation.query_final_work
-        feedback = self._feedback
-        feedback_pace = self._feedback_pace
         outputs = evaluation.subplan_outputs
         pool = self.memo_pool
         pool_hits = 0
         if clean:
-            # the base's rows in step order, corrected as read; the loop
-            # overwrites the dirty ones in place
+            # the base's rows in step order; the loop overwrites the
+            # dirty ones in place
             subplan_total.update(base.subplan_total)
             subplan_final.update(base.subplan_final)
             outputs.update(base.subplan_outputs)
@@ -548,16 +511,7 @@ class PlanCostModel:
                 self._check_deadline()
             elif inherited:
                 pool_hits += 1
-            private_total, private_final, out_profile = cached
-            if feedback:
-                correction = feedback.get(sid)
-                if (correction is not None
-                        and feedback_pace.get(sid) == pace_config[sid]):
-                    private_total *= correction[0]
-                    private_final *= correction[1]
-            outputs[sid] = out_profile
-            subplan_total[sid] = private_total
-            subplan_final[sid] = private_final
+            subplan_total[sid], subplan_final[sid], outputs[sid] = cached
         if collect_inputs:
             for sid in subplan_total:
                 evaluation.subplan_inputs[sid] = self._inputs_for(sid, outputs)
@@ -586,8 +540,7 @@ class PlanCostModel:
             return self._everything
         if base.epoch is not self._epoch:
             raise CostModelError(
-                "a delta base must be an evaluation of this cost model made "
-                "since its feedback last changed"
+                "a delta base must be an evaluation of this cost model"
             )
         if not self.use_memo:
             return self._everything
@@ -606,99 +559,18 @@ class PlanCostModel:
             len(self._steps) - len(sids), len(self._inherited - sids),
         )
 
-    # -- feedback calibration from prior executions -----------------------------
-
-    def apply_feedback(self, run_result, pace_config):
-        """Calibrate estimates against a measured execution (section 3.2).
-
-        The paper notes that recurring queries allow calibrating the
-        cardinality estimation from previous executions.  This derives a
-        per-subplan multiplicative correction of (total, final) work from
-        one measured :class:`~repro.engine.metrics.RunResult` under
-        ``pace_config``.  A later :meth:`evaluate` applies a subplan's
-        correction only where it prices the subplan at the pace it was
-        measured at: the estimate's error depends on the pace (one
-        subplan measured 1.01x, 1.23x and 2.63x its estimated final work
-        at paces 1, 4 and 20), so a factor from one pace says nothing
-        about another.  Call with ``run_result=None`` to clear the
-        corrections.
-
-        A subplan *absent* from the measurement (``None``) keeps factor
-        1.0; a subplan that measurably did **zero** work against a
-        positive estimate is calibrated down (to the clamp floor).  All
-        factors are clamped to
-        ``[FEEDBACK_FACTOR_MIN, FEEDBACK_FACTOR_MAX]``.
-        """
-        # every change of the corrections starts a new epoch: evaluations
-        # made before it are no delta base for evaluations after it
-        self._feedback = {}  # measure corrections against raw estimates
-        self._feedback_pace = {}
-        self._epoch = object()
-        if run_result is None:
-            return {}
-        estimate = self.evaluate(pace_config)
-        feedback = {}
-        for subplan in self.plan.subplans:
-            sid = subplan.sid
-            est_total = estimate.subplan_total.get(sid, 0.0)
-            est_final = estimate.subplan_final.get(sid, 0.0)
-            measured_total = run_result.subplan_total_work.get(sid)
-            measured_final = run_result.subplan_final_work.get(sid)
-            total_factor = (
-                clamp_feedback_factor(measured_total / est_total)
-                if measured_total is not None and est_total > 0 else 1.0
-            )
-            final_factor = (
-                clamp_feedback_factor(measured_final / est_final)
-                if measured_final is not None and est_final > 0 else 1.0
-            )
-            feedback[sid] = (total_factor, final_factor)
-        self._feedback = feedback
-        self._feedback_pace = {sid: pace_config[sid] for sid in feedback}
-        self._epoch = object()
-        if OBS.enabled:
-            # Q-error of the *total-work* estimate: max(f, 1/f) >= 1, the
-            # standard symmetric under/over-estimation measure
-            qerror = OBS.metrics.histogram("cost.feedback.qerror")
-            for sid in sorted(feedback):
-                total_factor = feedback[sid][0]
-                if total_factor > 0:
-                    qerror.observe(max(total_factor, 1.0 / total_factor))
-            OBS.metrics.counter("cost.feedback.applications").inc()
-        return feedback
-
-    def feedback_factors(self):
-        """The live ``{sid: (total_factor, final_factor)}`` corrections.
-
-        A copy of the measured multiplicative corrections, each of which
-        :meth:`evaluate` applies at the pace it was measured at -- the
-        regret report's oracle re-scores logged pace decisions with
-        exactly these factors.
-        """
-        return dict(self._feedback)
-
-    def carry_feedback_and_solo_from(self, old_model, sid_map):
-        """Take over ``old_model``'s sid-keyed state across a plan change.
+    def carry_solo_from(self, old_model, sid_map):
+        """Take over ``old_model``'s solo estimates across a plan change.
 
         ``sid_map`` maps this plan's subplan ids to ``old_model``'s for
         subplans that are structurally identical (same operators, same
         query set, children matched) after a churn re-merge.  Memo rows
         need no carrying -- build this model over ``old_model.memo_pool``
-        and a cone that matched whole finds its table -- but two things
-        are keyed by subplan id, which a re-merge renumbers:
-
-        * feedback correction factors from measured executions, with the
-          pace each was measured at;
-        * solo one-batch estimates, for queries all of whose subplans
-          matched.
+        and a cone that matched whole finds its table -- but the solo
+        one-batch estimates are keyed by subplan id, which a re-merge
+        renumbers: a query all of whose subplans matched takes its old
+        estimate under the new sids.
         """
-        for new_sid, old_sid in sid_map.items():
-            correction = old_model._feedback.get(old_sid)
-            if correction is not None:
-                self._feedback[new_sid] = correction
-                self._feedback_pace[new_sid] = (
-                    old_model._feedback_pace.get(old_sid))
-        self._epoch = object()
         for qid in self.plan.query_roots:
             new_sids = [s.sid for s in self._order if s.query_mask & (1 << qid)]
             if any(sid not in sid_map for sid in new_sids):
@@ -801,58 +673,3 @@ class PlanCostModel:
             local[qid] = absolute_constraints[qid] * fraction
         return local
 
-
-class FeedbackSample:
-    """Just the measured per-subplan work :meth:`PlanCostModel.apply_feedback`
-    reads -- a :class:`~repro.engine.metrics.RunResult` stand-in for folded
-    measurements."""
-
-    __slots__ = ("subplan_total_work", "subplan_final_work")
-
-    def __init__(self, subplan_total_work, subplan_final_work):
-        self.subplan_total_work = subplan_total_work
-        self.subplan_final_work = subplan_final_work
-
-
-def fold_run_for_feedback(run_result, measured_paces, sid_origin,
-                          tainted_origins, base_paces):
-    """Fold a run measured on a decomposed plan back onto the pre-split sids.
-
-    Decomposition renames subplans (``apply_split`` allocates fresh sids
-    for every piece), so a measurement taken on the decomposed plan
-    cannot feed :meth:`PlanCostModel.apply_feedback` on the next window's
-    freshly merged plan directly.  ``sid_origin`` (from
-    :class:`~repro.core.decompose.DecompositionOutcome`) maps each
-    decomposed sid to the original subplan it carries operators of;
-    pieces of one original subplan have their measured work summed back
-    together.  Origins in ``tainted_origins`` (single-consumer merges
-    folded two originals' operators into one piece, so per-original
-    attribution is lost) are dropped -- they degrade to "no measurement"
-    and keep correction factor 1.0.
-
-    Returns ``(sample, paces)``: a :class:`FeedbackSample` over original
-    sids plus the pace configuration to evaluate it against --
-    ``base_paces`` (the pre-decomposition configuration) with each
-    surviving origin raised to the eagerest pace any of its pieces ran
-    at (a piece's measured work was produced under that piece's pace;
-    max is the conservative choice when pieces disagree).
-    """
-    tainted = set(tainted_origins)
-    totals = {}
-    finals = {}
-    for sid, work in run_result.subplan_total_work.items():
-        origin = sid_origin.get(sid, sid)
-        if origin not in tainted:
-            totals[origin] = totals.get(origin, 0.0) + work
-    for sid, work in run_result.subplan_final_work.items():
-        origin = sid_origin.get(sid, sid)
-        if origin not in tainted:
-            finals[origin] = finals.get(origin, 0.0) + work
-    paces = dict(base_paces)
-    folded = {}
-    for sid, pace in measured_paces.items():
-        origin = sid_origin.get(sid, sid)
-        if origin not in tainted and origin in paces:
-            folded[origin] = max(folded.get(origin, 0), pace)
-    paces.update(folded)
-    return FeedbackSample(totals, finals), paces

@@ -101,23 +101,27 @@ def emissions(universe, seen, n):
     return new_groups + 2.0 * touched_existing, touched_existing
 
 
-def _window_bounds(index, pace, granularity):
-    """Progress interval ``[t0, t1]`` of one consumer execution.
+def _window_grid(index, pace, granularity):
+    """Producer executions ``[lo, hi)`` one consumer execution covers.
 
     Consumers cannot observe finer granularity than the producer's pace:
     window boundaries are quantized down to the producer's execution grid.
-    ``granularity=None`` means a continuous stream (base-table arrival).
+    A base table's grid is its delta log, one row per step, so its windows
+    hold the whole rows :meth:`repro.engine.stream.TableStream.deltas_until`
+    delivers.
     """
     if pace < 1:
         raise ValueError("consumer pace must be >= 1, got %r" % (pace,))
-    if granularity is None:
-        return (index - 1) / pace, index / pace
     if granularity < 1:
         raise ValueError(
             "producer granularity must be >= 1, got %r" % (granularity,)
         )
-    lo = (index - 1) * granularity // pace
-    hi = index * granularity // pace
+    return (index - 1) * granularity // pace, index * granularity // pace
+
+
+def _window_bounds(index, pace, granularity):
+    """Progress interval ``[t0, t1]`` of one consumer execution."""
+    lo, hi = _window_grid(index, pace, granularity)
     return lo / granularity, hi / granularity
 
 
@@ -126,13 +130,13 @@ class UniformProfile:
 
     __slots__ = ("stat", "granularity")
 
-    def __init__(self, stat, granularity=None):
+    def __init__(self, stat, granularity):
         self.stat = stat
         self.granularity = granularity
 
     def window(self, index, pace):
-        t0, t1 = _window_bounds(index, pace, self.granularity)
-        return self.stat.scaled(t1 - t0)
+        lo, hi = _window_grid(index, pace, self.granularity)
+        return self.stat.scaled(hi - lo, self.granularity)
 
     def total_stat(self):
         return self.stat

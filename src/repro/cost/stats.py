@@ -124,11 +124,14 @@ class EdgeStat:
             return self.total
         return self.per_q.get(query_id, 0.0)
 
-    def scaled(self, factor):
+    def scaled(self, factor, per=1):
+        """``factor / per`` of this flow.  Each count is multiplied before
+        it is divided, so whole counts stay whole:
+        ``EdgeStat(n).scaled(k, n).total == k``."""
         return EdgeStat(
-            self.total * factor,
-            self.deletes * factor,
-            {q: c * factor for q, c in self.per_q.items()},
+            self.total * factor / per,
+            self.deletes * factor / per,
+            {q: c * factor / per for q, c in self.per_q.items()},
             self.uniform,
         )
 

@@ -2,24 +2,21 @@
 
 The paper's setting is *scheduled* queries: the same batch re-runs over
 every trigger window (e.g. each day's load), and the optimizer works from
-history — statistics calibrated on previous windows (section 2.1) and,
-optionally, per-subplan corrections from the previous window's measured
-execution (section 3.2's "calibrate ... based on previous query
-executions").
+history — statistics calibrated on previous windows (section 2.1, and
+section 3.2's "calibrate ... based on previous query executions").
 
 :class:`RecurringSimulation` replays that loop: for each day it
 
 1. builds the shared plan and calibrates it on *yesterday's* data,
-2. optionally folds in yesterday's measured feedback,
-3. runs the iShare pace search (+ decomposition),
-4. executes the plan against *today's* data and measures total work and
+2. runs the iShare pace search (+ decomposition),
+3. executes the plan against *today's* data and measures total work and
    missed latencies against goals derived from yesterday's batch run.
 """
 
 from ..core.decompose import decompose_full_plan
 from ..core.greedy import PaceSearch
 from ..core.pace import uniform_configuration
-from ..cost.memo import PlanCostModel, fold_run_for_feedback
+from ..cost.memo import PlanCostModel
 from ..engine.calibrate import calibrate_plan
 from ..errors import OptimizationError
 from ..engine.executor import PlanExecutor
@@ -66,23 +63,12 @@ class RecurringSimulation:
         ``catalog -> [Query]`` factory (the recurring query batch).
     config:
         an :class:`~repro.core.optimizer.OptimizerConfig`.
-    use_feedback:
-        carry yesterday's measured per-subplan corrections into today's
-        estimates.  The freshly merged plan of a fixed query batch has
-        the same subplan ids every day, so a measurement on the
-        *pre-decomposition* plan transfers directly; when decomposition
-        rewrote yesterday's plan, the measured per-piece work is folded
-        back onto the pre-decomposition ids through the surgery's sid
-        lineage (:func:`repro.cost.memo.fold_run_for_feedback`), with
-        merge-tainted subplans degrading to "no measurement" rather than
-        dropping the whole window's feedback.
     """
 
-    def __init__(self, make_catalog, make_queries, config, use_feedback=True):
+    def __init__(self, make_catalog, make_queries, config):
         self.make_catalog = make_catalog
         self.make_queries = make_queries
         self.config = config
-        self.use_feedback = use_feedback
 
     def run(self, days, relative_constraints):
         """Simulate ``days`` windows; returns a list of :class:`DayOutcome`.
@@ -97,8 +83,6 @@ class RecurringSimulation:
             )
         outcomes = []
         history_catalog = None
-        previous_run = None
-        previous_paces = None
         slack_ledger = SlackLedger()
         for day in range(days):
             today = self.make_catalog(day)
@@ -111,15 +95,12 @@ class RecurringSimulation:
             ).build_shared_plan(queries)
             calibrate_plan(plan, self.config.stream_config)
             model = PlanCostModel(plan, self.config.cost_config)
-            if self.use_feedback and previous_run is not None:
-                model.apply_feedback(previous_run, previous_paces)
             constraints = model.absolute_constraints(relative_constraints)
 
             search = PaceSearch(model, constraints, self.config.max_pace)
             found = search.find()
             plan_out, paces = plan, found.pace_config
             actions = []
-            outcome = None
             if self.config.enable_unshare:
                 outcome = decompose_full_plan(
                     plan, found.pace_config, constraints, self.config.max_pace,
@@ -164,19 +145,8 @@ class RecurringSimulation:
                            slack=slack)
             )
 
-            # today's measured run becomes tomorrow's history; tomorrow's
-            # freshly merged plan reproduces *this* plan's pre-decomposition
-            # sids, so a run measured on a decomposed plan is folded back
-            # onto them through the surgery's sid lineage
+            # today's data is tomorrow's history
             history_catalog = today
-            if plan_out is plan:
-                previous_run = run
-                previous_paces = dict(paces)
-            else:
-                previous_run, previous_paces = fold_run_for_feedback(
-                    run, paces, outcome.sid_origin, outcome.tainted_origins,
-                    base_paces=found.pace_config,
-                )
         return outcomes
 
     def _eager_final(self, model, plan):

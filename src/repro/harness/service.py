@@ -73,18 +73,10 @@ def _run_shard(_shared, task):
     shard_index, shard_schedule = task
     service, build_query = build_shard_service(shard_schedule)
     outcomes, decisions = replay_schedule(service, shard_schedule, build_query)
-    feedback = (
-        service.model.feedback_factors() if service.model is not None else {}
-    )
     return {
         "shard": shard_index,
         "windows": [outcome.to_dict() for outcome in outcomes],
         "admission": [decision.to_dict() for decision in decisions],
-        # measured correction factors, for the regret report's oracle
-        "feedback": {
-            str(sid): [total, final]
-            for sid, (total, final) in sorted(feedback.items())
-        },
     }
 
 

@@ -15,11 +15,10 @@ coordinated collectors:
   each record stamped with a stable ``run`` id so shard-merged logs sort
   deterministically by ``(run, seq)``.
 
-Three further modules build on the collectors without joining the
+Two further modules build on the collectors without joining the
 session: :mod:`repro.obs.slack` (the per-query deadline-headroom
-ledger), :mod:`repro.obs.attribution` (exact shared-work attribution
-with a rational-arithmetic conservation invariant) and
-:mod:`repro.obs.regret` (the pace-search regret report).  The service
+ledger) and :mod:`repro.obs.attribution` (exact shared-work attribution
+with a rational-arithmetic conservation invariant).  The service
 report carries the ledgers; the collectors export through the CLIs'
 ``--trace`` / ``--metrics`` / ``--decision-log`` flags.
 

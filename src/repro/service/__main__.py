@@ -17,12 +17,8 @@ The report is printed as canonical JSON (sorted keys) so two runs can be
 compared byte for byte.  ``--decision-log FILE`` additionally exports the
 optimizer's decision log -- including the ``service_reoptimize`` records
 showing which subplans each churn re-search reused versus recalibrated.
-
-``--regret FILE`` writes the per-decision regret report
-(:func:`repro.obs.regret.regret_report`): every pace-search decision
-re-scored with the shards' measured feedback factors.  Like ``--trace``,
-``--metrics`` and ``--decision-log`` it enables observability.  The
-slack and attribution ledgers need no flag: they are in the report.
+Like ``--trace`` and ``--metrics`` it enables observability.  The slack
+and attribution ledgers need no flag: they are in the report.
 """
 
 import argparse
@@ -35,7 +31,6 @@ from ..cost.cache import CalibrationCache, set_default_cache
 from ..errors import ReproError
 from ..harness.service import run_service_schedule
 from ..obs import OBS
-from ..obs.regret import regret_report
 from .schedule import DEMO_SCHEDULE
 
 
@@ -63,8 +58,6 @@ def main(argv=None):
                         help="write the final metrics snapshot as JSON")
     parser.add_argument("--decision-log", default=None, metavar="FILE",
                         help="write the optimizer decision log (JSON lines)")
-    parser.add_argument("--regret", default=None, metavar="FILE",
-                        help="write the pace-search regret report JSON")
     parser.add_argument("--log-level", default=None,
                         choices=("debug", "info", "warning", "error"),
                         help="log the repro logger hierarchy to stderr")
@@ -75,7 +68,7 @@ def main(argv=None):
     else:
         set_default_cache(CalibrationCache(args.cache_dir))
 
-    if args.trace or args.metrics or args.decision_log or args.regret:
+    if args.trace or args.metrics or args.decision_log:
         obs.enable(process_name="repro-service")
     if args.log_level:
         obs.configure_logging(args.log_level)
@@ -142,20 +135,6 @@ def main(argv=None):
                 % (len(OBS.declog.records), args.decision_log),
                 file=sys.stderr,
             )
-        if args.regret:
-            # each shard exported its measured feedback factors; the
-            # decision log's run ids name the shard, so the oracle
-            # re-scores every shard's decisions with its own factors
-            feedback_by_run = {
-                "shard-%d" % shard_report["shard"]: shard_report["feedback"]
-                for shard_report in report["shards"]
-            }
-            regret = regret_report(
-                OBS.declog.records, feedback_by_run=feedback_by_run
-            )
-            with open(args.regret, "w") as handle:
-                json.dump(regret, handle, indent=2, sort_keys=True)
-                handle.write("\n")
     return 0
 
 

@@ -5,8 +5,8 @@ process.  Tenants register and deregister queries at runtime, each with
 its own relative latency goal; simulated data arrival fires trigger
 windows; between the two the optimizer re-optimizes *incrementally*
 (:mod:`repro.core.incremental`) -- matched subplans keep their calibrated
-statistics, memo rows, feedback corrections and paces, and only the
-subplans whose query sets changed are recalibrated and re-searched.
+statistics, memo rows and paces, and only the subplans whose query sets
+changed are recalibrated and re-searched.
 
 Admission control evaluates every registration before adopting it: a
 goal that cannot be met even at maximum eagerness under the current load
@@ -25,11 +25,9 @@ and its decision records whether that meets the goal
 (``AdmissionDecision.meets_alone``), next to the cost model's estimate
 of the same run (``alone_estimate``); neither changes a status.
 
-Statistics are calibrated against the service's *basis* window (the
-first window's data) and then kept honest by the measured-execution
-feedback loop (paper section 3.2): after every trigger the measured
-per-subplan work recalibrates the cost model the next re-optimization
-uses.
+Statistics are calibrated once, against the service's *basis* window
+(the first window's data; paper section 3.2,
+:func:`~repro.engine.calibrate.calibrate_plan`).
 """
 
 import itertools
@@ -231,13 +229,10 @@ class QueryService:
         optional ``{tenant: work_units}`` fairness budgets; a tenant's
         live queries may not demand more estimated solo batch work than
         its budget.
-    use_feedback:
-        apply each window's measured per-subplan work as cost-model
-        corrections for the next re-optimization.
     """
 
     def __init__(self, make_catalog, config=None, admission="reject",
-                 tenant_budgets=None, use_feedback=True):
+                 tenant_budgets=None):
         if admission not in ("reject", "queue"):
             raise ServiceError(
                 "admission mode must be 'reject' or 'queue', got %r" % (admission,)
@@ -246,7 +241,6 @@ class QueryService:
         self.config = config or OptimizerConfig()
         self.admission = admission
         self.tenant_budgets = dict(tenant_budgets or {})
-        self.use_feedback = use_feedback
         self.window = 0
         self.registrations = {}  # qid -> Registration, insertion-ordered
         self.pending = []  # queued registrations (admission="queue")
@@ -603,8 +597,6 @@ class QueryService:
             if missed_abs > 0:
                 bucket["slo_misses"] += 1
         slack = self.slack.record_window(window, slack_entries, seconds=seconds)
-        if self.use_feedback:
-            self.model.apply_feedback(run, self.paces)
         if OBS.enabled:
             OBS.declog.log(
                 "service_trigger", window=window,
@@ -732,7 +724,7 @@ def split_misses(service, outcome):
 
     Call it right after the :meth:`QueryService.run_window` that returned
     ``outcome``, before churn changes the plan.  It only reads: no
-    service state, memo, feedback correction or ledger changes.  Returns
+    service state, memo or ledger changes.  Returns
     ``{"avoidable": [qid, ...], "isolable": [...], "infeasible": [...]}``.
     """
     split = {"avoidable": [], "isolable": [], "infeasible": []}

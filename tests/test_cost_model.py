@@ -153,7 +153,7 @@ class TestEdgeStat:
 
 class TestProfiles:
     def test_uniform_windows_partition_total(self):
-        profile = UniformProfile(EdgeStat(100, 10, {0: 40}), granularity=None)
+        profile = UniformProfile(EdgeStat(100, 10, {0: 40}), granularity=100)
         acc = EdgeStat()
         for index in range(1, 5):
             acc.add(profile.window(index, 4))

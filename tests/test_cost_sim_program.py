@@ -277,7 +277,7 @@ class TestWhatTheRecursionHandledImplicitly:
                 total = profile.total_stat()
                 feeds[key] = UniformProfile(EdgeStat(
                     total.total, deletes * total.total, total.per_q,
-                    total.uniform))
+                    total.uniform), profile.granularity)
             return feeds
 
         # one batch retracts nothing, so nothing is rescanned; at pace 4
@@ -347,9 +347,9 @@ class TestProgramLifecycle:
         candidates = []
         original = PlanCostModel.sibling
 
-        def recording(self, derived, lineage=None):
+        def recording(self, derived):
             candidates.extend(weakref.ref(s) for s in derived.subplans)
-            return original(self, derived, lineage)
+            return original(self, derived)
 
         monkeypatch.setattr(PlanCostModel, "sibling", recording)
         outcome = decompose_full_plan(

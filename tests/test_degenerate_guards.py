@@ -91,7 +91,7 @@ class TestCostModelGuards:
 
     def test_window_bounds_rejects_zero_pace(self):
         with pytest.raises(ValueError, match="pace"):
-            _window_bounds(1, 0, None)
+            _window_bounds(1, 0, 10)
         with pytest.raises(ValueError, match="pace"):
             _window_bounds(1, -2, 10)
 
@@ -100,7 +100,7 @@ class TestCostModelGuards:
             _window_bounds(1, 2, 0)
 
     def test_window_bounds_valid(self):
-        assert _window_bounds(1, 2, None) == (0.0, 0.5)
+        assert _window_bounds(1, 2, 4) == (0.0, 0.5)
         assert _window_bounds(2, 2, 4) == (0.5, 1.0)
 
     def test_simulate_subplan_rejects_zero_pace(self):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core.regenerate import apply_split
-from repro.cost.memo import FeedbackSample, MemoPool, PlanCostModel
+from repro.cost.memo import MemoPool, PlanCostModel
 from repro.engine.calibrate import calibrate_plan
 from repro.engine.stream import StreamConfig
 from repro.errors import CostModelError
@@ -129,22 +129,6 @@ def walk_mismatches(model, seed):
     return mismatches
 
 
-def fed_back(plan):
-    """A model whose estimates carry a measured (synthetic) correction."""
-    model = PlanCostModel(plan)
-    paces = {subplan.sid: 2 for subplan in plan.subplans}
-    estimate = model.evaluate(paces)
-    sample = FeedbackSample(
-        {sid: work * (0.5 + (sid % 5) / 4.0)
-         for sid, work in estimate.subplan_total.items()},
-        {sid: work * (1.5 - (sid % 3) / 4.0)
-         for sid, work in estimate.subplan_final.items()},
-    )
-    model.apply_feedback(sample, paces)
-    assert model.feedback_factors()
-    return model
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fig11_plan(self, fig11_plan, seed):
@@ -156,10 +140,6 @@ class TestBitIdentity:
         parent.evaluate({subplan.sid: 1 for subplan in fig11_plan.subplans})
         model = parent.sibling(decomposed_plan)
         assert walk_mismatches(model, seed) == []
-
-    @pytest.mark.parametrize("seed", [6, 7])
-    def test_after_feedback(self, fig11_plan, seed):
-        assert walk_mismatches(fed_back(fig11_plan), seed) == []
 
     def test_fails_when_the_dirty_set_omits_ancestors(self, fig11_plan):
         # negative control: a delta that re-reads only the moved subplans
@@ -244,15 +224,15 @@ class TestBase:
         with pytest.raises(CostModelError):
             model.evaluate(paces, base=sibling.evaluate(paces))
 
-    def test_base_from_before_feedback_raises(self, fig11_plan):
+    def test_base_from_a_model_over_the_same_pool_raises(self, fig11_plan):
+        # same plan, same pool, so the same rows: still another model's
         model = PlanCostModel(fig11_plan)
+        other = PlanCostModel(fig11_plan, memo_pool=model.memo_pool)
         paces = {subplan.sid: 2 for subplan in fig11_plan.subplans}
-        stale = model.evaluate(paces)
-        model.apply_feedback(None, paces)
         with pytest.raises(CostModelError):
-            model.evaluate(paces, base=stale)
-        fresh = model.evaluate(paces)
-        assert differences(model.evaluate(paces, base=fresh), fresh) == []
+            model.evaluate(paces, base=other.evaluate(paces))
+        own = model.evaluate(paces)
+        assert differences(model.evaluate(paces, base=own), own) == []
 
     def test_memo_less_model_checks_its_base_too(self, fig11_plan):
         model = PlanCostModel(fig11_plan, use_memo=False)

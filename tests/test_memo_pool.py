@@ -8,13 +8,8 @@ from repro.core.greedy import PaceSearch
 from repro.core.optimizer import OptimizerConfig, optimize_ishare
 from repro.core.pace import batch_configuration, uniform_configuration
 from repro.core.partial import partial_cut_candidates
-from repro.core.regenerate import SplitLineage, apply_split
-from repro.cost.memo import (
-    FeedbackSample,
-    MemoPool,
-    OptimizationTimeout,
-    PlanCostModel,
-)
+from repro.core.regenerate import apply_split
+from repro.cost.memo import MemoPool, OptimizationTimeout, PlanCostModel
 from repro.cost.stats import NodeStats
 from repro.engine.calibrate import calibrate_plan
 from repro.mqo.nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
@@ -206,7 +201,7 @@ class TestConeSignatures:
         assert diamond_model.cone_signature(1) != twins_model.cone_signature(2)
 
 
-def _private_sibling(self, plan, lineage=None):
+def _private_sibling(self, plan):
     """``PlanCostModel.sibling`` with a fresh pool: the pre-pool behaviour."""
     model = PlanCostModel(plan, self.config)
     model.time_budget = self.time_budget
@@ -288,7 +283,7 @@ class TestOptimizerWithPool:
         catalog, queries, relative = small_workload(SMALL_QUERIES)
         result = optimize_ishare(
             catalog, queries, relative, OptimizerConfig(max_pace=4))
-        assert result.evaluation.total_work == 4660.897768036298
+        assert result.evaluation.total_work == 4660.449101369631
         # 122 with one private memo per model, 91 with solo rows per model
         assert counts["memo"] <= 89
         assert counts["split"] <= 31
@@ -298,7 +293,7 @@ class TestOptimizerWithPool:
 
     def test_simulation_budget_on_the_22_query_instance(self, monkeypatch):
         """The CI floor that sees retries: on all 22 queries every shared
-        subplan is re-tried after each of eight adoptions, and a retry
+        subplan is re-tried after each of six adoptions, and a retry
         reads the rows its earlier try simulated.  Deterministic counts
         that only go down (1916 memo-side and 1410 split-side simulations
         while the pool was pruned after every worklist step)."""
@@ -306,12 +301,12 @@ class TestOptimizerWithPool:
         catalog, queries, relative = small_workload()
         result = optimize_ishare(
             catalog, queries, relative, OptimizerConfig(max_pace=8))
-        assert result.evaluation.total_work == 20938.594083826905
-        assert len(result.diagnostics["actions"]) == 8
-        assert counts["memo"] <= 1287
-        assert counts["split"] <= 855
-        assert result.diagnostics["simulations"] == 698
-        assert result.diagnostics["decompose_simulations"] == 313
+        assert result.evaluation.total_work == 20707.39001167701
+        assert len(result.diagnostics["actions"]) == 6
+        assert counts["memo"] <= 1329
+        assert counts["split"] <= 875
+        assert result.diagnostics["simulations"] == 758
+        assert result.diagnostics["decompose_simulations"] == 297
 
     def test_planning_structure_on_the_22_query_instance(self, monkeypatch):
         """The CI floor beside the simulation floor: what the decomposition
@@ -359,11 +354,11 @@ class TestOptimizerWithPool:
         catalog, queries, relative = small_workload()
         result = optimize_ishare(
             catalog, queries, relative, OptimizerConfig(max_pace=8))
-        assert result.evaluation.total_work == 20938.594083826905
-        assert len(result.diagnostics["actions"]) == 8
-        assert counts["operators"] <= 940
-        assert counts["subplans"] <= 407
-        assert counts["plans"] <= 81
+        assert result.evaluation.total_work == 20707.39001167701
+        assert len(result.diagnostics["actions"]) == 6
+        assert counts["operators"] <= 756
+        assert counts["subplans"] <= 334
+        assert counts["plans"] <= 67
         assert counts["clones"] == 0
         assert counts["full_indexes"] == 0
 
@@ -411,7 +406,7 @@ class TestOptimizerWithPool:
         catalog, queries, relative = small_workload()
         result = optimize_ishare(
             catalog, queries, relative, OptimizerConfig(max_pace=8))
-        assert len(result.diagnostics["actions"]) == 8
+        assert len(result.diagnostics["actions"]) == 6
         kinds = {address[0] if address[0] == "solo" else address[0][0]
                  for address in written}
         assert kinds == {"memo", "solo", "partition"}
@@ -437,8 +432,8 @@ class TestOptimizerWithPool:
         original = PlanCostModel.sibling
         calls = []
 
-        def sibling_then_expire(self, derived, lineage=None):
-            candidate = original(self, derived, lineage)
+        def sibling_then_expire(self, derived):
+            candidate = original(self, derived)
             calls.append(candidate)
             if len(calls) == expire_at:
                 Clock.now = 11.0
@@ -482,70 +477,16 @@ class TestOptimizerWithPool:
         self._assert_pruned_to(model.memo_pool, in_force)
 
 
-class TestSiblingFeedback:
-    """A candidate is costed with the corrections the plan in force is
-    costed with, so decomposition compares the two on one footing."""
-
-    @staticmethod
-    def _corrected(searched):
-        plan, config, _, paces = searched
-        model = PlanCostModel(plan, config.cost_config)
-        estimate = model.evaluate(paces)
-        # a measurement off by a different factor per subplan
-        model.apply_feedback(FeedbackSample(
-            {sid: work * (0.5 + sid % 4 / 2)
-             for sid, work in estimate.subplan_total.items()},
-            {sid: work * (1.75 - sid % 3 / 2)
-             for sid, work in estimate.subplan_final.items()},
-        ), paces)
-        return model
-
+class TestSiblingCosts:
     def test_sibling_over_a_clone_costs_like_the_model_in_force(self, searched):
         plan, config, _, paces = searched
-        model = self._corrected(searched)
+        model = PlanCostModel(plan, config.cost_config)
         want = model.evaluate(paces)
         got = model.sibling(plan.clone()).evaluate(paces)
         assert got.total_work == want.total_work
         assert got.query_final_work == want.query_final_work
         assert got.subplan_total == want.subplan_total
         assert got.subplan_final == want.subplan_final
-        raw = PlanCostModel(plan, config.cost_config).evaluate(paces)
-        assert want.total_work != raw.total_work
-
-    def test_pieces_take_their_origins_correction(self, searched):
-        plan, _, _, paces = searched
-        model = self._corrected(searched)
-        factors = model.feedback_factors()
-        assert len(set(factors.values())) > 1
-        for shared in plan.shared_subplans():
-            qids = shared.query_ids()
-            lineage = SplitLineage()
-            new_plan, _ = apply_split(
-                plan, paces, shared.sid, [qids[:1], qids[1:]],
-                lineage=lineage)
-            assert lineage.origin  # the split made pieces
-            assert model.sibling(new_plan, lineage).feedback_factors() == {
-                subplan.sid: factors[lineage.resolve(subplan.sid)]
-                for subplan in new_plan.subplans
-            }
-            # without a lineage only the subplans the surgery kept have one
-            assert model.sibling(new_plan).feedback_factors() == {
-                subplan.sid: factors[subplan.sid]
-                for subplan in new_plan.subplans if subplan.sid in factors
-            }
-
-    def test_cut_bottoms_take_the_cut_subplans_correction(self, searched):
-        plan, _, _, _ = searched
-        model = self._corrected(searched)
-        factors = model.feedback_factors()
-        shared = plan.shared_subplans()[0]
-        cut_plan, top_sid, bottom_sids = next(
-            partial_cut_candidates(plan, shared.sid))
-        lineage = SplitLineage(
-            origin={top_sid: shared.sid, **{b: shared.sid for b in bottom_sids}})
-        got = model.sibling(cut_plan, lineage).feedback_factors()
-        for sid in bottom_sids:
-            assert got[sid] == factors[shared.sid]
 
 
 class TestRenamedPlanOverOnePool:
@@ -597,22 +538,16 @@ class TestRenamedPlanOverOnePool:
                 want.query_final_work)
         assert target.simulation_count == 0
 
-    def test_feedback_and_solo_follow_the_sid_map(self, searched):
+    def test_solo_follows_the_sid_map(self, searched):
         plan, config, _, paces = searched
         source = PlanCostModel(plan, config.cost_config)
-        sids = [subplan.sid for subplan in plan.subplans]
-        source._feedback = {sid: (1.0 + sid / 10.0, 0.5) for sid in sids[::2]}
         solo = {qid: source.solo_batch(qid) for qid in plan.query_roots}
 
         renamed, renamed_to = self._renamed(plan)
         target = PlanCostModel(
             renamed, config.cost_config, memo_pool=source.memo_pool)
         sid_map = {new: old for old, new in renamed_to.items()}
-        target.carry_feedback_and_solo_from(source, sid_map)
-        assert target.feedback_factors() == {
-            renamed_to[sid]: factors
-            for sid, factors in source.feedback_factors().items()
-        }
+        target.carry_solo_from(source, sid_map)
         for qid, (total, per_subplan) in solo.items():
             assert target._solo_cache[qid] == (total, {
                 renamed_to[sid]: work for sid, work in per_subplan.items()
@@ -633,7 +568,7 @@ class TestRenamedPlanOverOnePool:
         sid_map = {
             new: old for old, new in renamed_to.items() if old != dropped.sid
         }
-        target.carry_feedback_and_solo_from(source, sid_map)
+        target.carry_solo_from(source, sid_map)
         assert set(target._solo_cache) == (
             set(plan.query_roots) - set(dropped.query_ids())
         )

@@ -12,7 +12,7 @@ from repro.core.decompose import decompose_full_plan
 from repro.core.greedy import PaceSearch
 from repro.core.optimizer import OptimizerConfig, optimize_ishare
 from repro.core.partial import partial_cut_candidates
-from repro.core.regenerate import SplitLineage, apply_split
+from repro.core.regenerate import apply_split
 from repro.cost.memo import OptimizationTimeout, PlanCostModel
 from repro.engine.calibrate import calibrate_plan
 from repro.mqo.merge import MQOOptimizer
@@ -73,20 +73,18 @@ def upward_closure(plan, sid):
 
 
 def candidates(plan, paces):
-    """``(target sid, candidate plan, initial paces, lineage)`` of every
-    split (first query against the rest) and every partial cut."""
+    """``(target sid, candidate plan, initial paces)`` of every split
+    (first query against the rest) and every partial cut."""
     for shared in plan.shared_subplans():
         qids = shared.query_ids()
-        lineage = SplitLineage()
         new_plan, initial = apply_split(
-            plan, paces, shared.sid, [qids[:1], qids[1:]], lineage=lineage)
-        yield shared.sid, new_plan, initial, lineage
+            plan, paces, shared.sid, [qids[:1], qids[1:]])
+        yield shared.sid, new_plan, initial
         for cut_plan, top_sid, bottom_sids in partial_cut_candidates(
                 plan, shared.sid):
             cut_paces = dict(paces)
             cut_paces.update((sid, paces[top_sid]) for sid in bottom_sids)
-            yield shared.sid, cut_plan, cut_paces, SplitLineage(
-                origin={sid: shared.sid for sid in bottom_sids})
+            yield shared.sid, cut_plan, cut_paces
 
 
 class TestSurgeryOnlyEdits:
@@ -117,11 +115,11 @@ class TestSurgeryOnlyEdits:
         original = PlanCostModel.sibling
         built = []
 
-        def sibling_then_expire(self, derived, lineage=None):
+        def sibling_then_expire(self, derived):
             built.append(fingerprint(derived))
             if len(built) == 5:
                 Clock.now = 11.0
-            return original(self, derived, lineage)
+            return original(self, derived)
 
         monkeypatch.setattr(PlanCostModel, "sibling", sibling_then_expire)
         before = fingerprint(plan)
@@ -136,7 +134,7 @@ class TestSurgeryOnlyEdits:
     def test_candidates_share_what_the_surgery_left_alone(self, searched):
         plan, _, _, paces = searched
         by_sid = {subplan.sid: subplan for subplan in plan.subplans}
-        for target_sid, new_plan, _, _ in candidates(plan, paces):
+        for target_sid, new_plan, _ in candidates(plan, paces):
             closure = upward_closure(plan, target_sid)
             for subplan in new_plan.subplans:
                 old = by_sid.get(subplan.sid)
@@ -168,15 +166,17 @@ class TestSurgeryOnlyEdits:
 
     def test_split_pieces_carry_the_targets_statistics_objects(self, searched):
         plan, _, _, paces = searched
+        old_sids = {subplan.sid for subplan in plan.subplans}
         compared = 0
         for shared in plan.shared_subplans():
             qids = shared.query_ids()
-            lineage = SplitLineage()
             new_plan, _ = apply_split(
-                plan, paces, shared.sid, [qids[:1], qids[1:]], lineage=lineage)
+                plan, paces, shared.sid, [qids[:1], qids[1:]])
             want = [node.stats for node in shared.root.walk()]
             for piece in new_plan.subplans:
-                if lineage.origin.get(piece.sid) != shared.sid:
+                # a piece is new and labelled after the subplan it splits
+                if (piece.sid in old_sids
+                        or not piece.label.startswith(shared.label + "/")):
                     continue
                 got = [node.stats for node in piece.root.walk()]
                 if len(got) == len(want):
@@ -213,8 +213,8 @@ class TestSiblingIndex:
         original = PlanCostModel.sibling
         checked = []
 
-        def checking(self, plan, lineage=None):
-            model = original(self, plan, lineage)
+        def checking(self, plan):
+            model = original(self, plan)
             scratch = PlanCostModel(plan, self.config, memo_pool=self.memo_pool)
             assert index_of(model) == index_of(scratch)
             for qid, entry in model._solo_cache.items():
@@ -228,8 +228,8 @@ class TestSiblingIndex:
         relative = random_constraints([q.query_id for q in queries], seed=5)
         result = optimize_ishare(
             catalog, queries, relative, OptimizerConfig(max_pace=8))
-        assert len(result.diagnostics["actions"]) == 8
-        assert len(checked) == 81
+        assert len(result.diagnostics["actions"]) == 6
+        assert len(checked) == 67
         assert any(checked)  # some solo estimates were carried
 
     def test_a_pruned_pool_walks_every_tree_again(self, searched):

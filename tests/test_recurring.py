@@ -3,19 +3,10 @@
 import pytest
 
 from repro.core.optimizer import OptimizerConfig
-from repro.cost.memo import PlanCostModel
 from repro.engine.stream import StreamConfig
 from repro.errors import OptimizationError
-from repro.harness import recurring as recurring_mod
 from repro.harness.recurring import RecurringSimulation
 from repro.workloads.tpch import build_workload, generate_catalog
-
-from .util import (
-    make_toy_catalog,
-    toy_query_max,
-    toy_query_region,
-    toy_query_total,
-)
 
 NAMES = ("Q1", "Q6", "Q12", "Q18")
 
@@ -67,75 +58,3 @@ class TestRecurringSimulation:
         for days in (0, -3, 1.5, True, "2"):
             with pytest.raises(OptimizationError, match="positive whole number"):
                 simulation.run(days, {0: 0.5})
-
-    def test_feedback_survives_decomposition(self, monkeypatch):
-        """Regression: a decomposed day used to drop its feedback.
-
-        When decomposition rewrote the plan, ``plan_out is not plan`` and
-        the measured run was silently discarded -- the next day optimized
-        with raw estimates.  The measured work must instead be folded
-        back onto the pre-decomposition sids through the surgery lineage.
-        """
-        from repro.core.decompose import DecompositionOutcome
-        from repro.core.regenerate import SplitLineage, apply_split
-
-        def forced_decompose(plan, pace_config, constraints, max_pace,
-                             cost_config=None, enable_partial=True,
-                             cost_model=None):
-            target = next(
-                s for s in plan.subplans if len(s.query_ids()) >= 2
-            )
-            qids = sorted(target.query_ids())
-            lineage = SplitLineage()
-            new_plan, new_paces = apply_split(
-                plan, pace_config, target.sid,
-                [(qids[0],), tuple(qids[1:])], lineage=lineage,
-            )
-            return DecompositionOutcome(
-                new_plan, new_paces, None, None, ["forced split"],
-                sid_origin=lineage.origin,
-                tainted_origins=lineage.tainted,
-            )
-
-        monkeypatch.setattr(
-            recurring_mod, "decompose_full_plan", forced_decompose
-        )
-        feedback_calls = []
-        original = PlanCostModel.apply_feedback
-
-        def spy(self, run_result, pace_config):
-            feedback_calls.append(run_result)
-            return original(self, run_result, pace_config)
-
-        monkeypatch.setattr(PlanCostModel, "apply_feedback", spy)
-
-        # toy_query_max shares nothing with the split target, so its
-        # subplans survive the surgery untainted and must keep feeding
-        # measurements even though the split pieces degrade to "absent"
-        sim = RecurringSimulation(
-            make_catalog=lambda day: make_toy_catalog(seed=300 + day),
-            make_queries=lambda catalog: [
-                toy_query_total(catalog, 0),
-                toy_query_region(catalog, 1),
-                toy_query_max(catalog, 2),
-            ],
-            config=OptimizerConfig(
-                max_pace=8, enable_unshare=True, stream_config=StreamConfig()
-            ),
-        )
-        outcomes = sim.run(2, {0: 0.5, 1: 0.5, 2: 0.5})
-        assert outcomes[0].actions == ["forced split"]  # day 0 decomposed
-        assert feedback_calls, "day 1 must receive day 0's folded feedback"
-        sample = feedback_calls[0]
-        assert sample is not None
-        assert sample.subplan_total_work, "folded measurement is non-empty"
-
-    def test_feedback_toggle(self):
-        sim = RecurringSimulation(
-            make_catalog=lambda day: generate_catalog(scale=0.1, seed=200 + day),
-            make_queries=lambda catalog: build_workload(catalog, ("Q1", "Q6")),
-            config=OptimizerConfig(max_pace=8, stream_config=StreamConfig()),
-            use_feedback=False,
-        )
-        outcomes = sim.run(2, {0: 0.5, 1: 0.5})
-        assert len(outcomes) == 2

@@ -231,15 +231,14 @@ class TestServiceExecution:
         assert merge.matched, "a neighbour leaving must not defeat matching"
 
         # what was carried over is what a fresh calibration would measure:
-        # with the measured-run corrections cleared, the live model and a
-        # cold one over the survivors agree on every estimate
+        # the live model and a cold one over the survivors agree on every
+        # estimate
         cold = merge_with_carry(
             catalog,
             [Query(service.slots[q.query_id], q.name, q.root)
              for q in dense[1:]],
             service.config,
         )
-        service.model.apply_feedback(None, None)
         for pace in (1, 4):
             live = service.model.evaluate(
                 uniform_configuration(service.plan, pace))
@@ -281,7 +280,6 @@ class TestServiceExecution:
              Query(0, newcomer.name, newcomer.root)],
             service.config,
         )
-        service.model.apply_feedback(None, None)
         assert service.model.solo_batch(0)[0] == pytest.approx(
             cold.model.solo_batch(0)[0])
         for pace in (1, 4):
@@ -609,7 +607,7 @@ class TestMissSplit:
     def test_the_split_changes_no_service_state(self):
         def state(service):
             pool = service.model.memo_pool
-            return (dict(service.paces), service.model.feedback_factors(),
+            return (dict(service.paces), service.model,
                     pool.simulations, pool.hits, len(service.slack),
                     len(service.attribution.windows))
 
@@ -820,7 +818,6 @@ class TestShardedHarness:
         assert slack["min_headroom_work"] is not None
         assert slack["deferred_work"] >= 0.0
         for shard in report["shards"]:
-            assert shard["feedback"], "shards must export feedback factors"
             for window in shard["windows"]:
                 assert set(window["slack"]) == set(window["queries"])
                 assert window["attribution"]["conserved"] is True

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.cost.memo import PlanCostModel
 from repro.cost.model import _window_bounds
 from repro.cost.stats import perturb_stats
 from repro.engine.calibrate import calibrate_plan
-from repro.engine.stream import StreamConfig
+from repro.engine.stream import StreamConfig, TableStream
 from repro.mqo.canonical import canonicalize
 from repro.mqo.merge import MQOOptimizer, build_unshared_plan
+from repro.relational.schema import INT, Schema
 from repro.workloads.tpch import build_query, generate_catalog
 
 from .util import make_toy_catalog, toy_query_region, toy_query_total
@@ -17,8 +19,9 @@ from .util import make_toy_catalog, toy_query_region, toy_query_total
 
 class TestWindowBounds:
     def test_continuous_stream_uniform(self):
-        assert _window_bounds(1, 4, None) == (0.0, 0.25)
-        assert _window_bounds(4, 4, None) == (0.75, 1.0)
+        # a grid the pace divides splits the stream as a continuous one would
+        assert _window_bounds(1, 4, 8) == (0.0, 0.25)
+        assert _window_bounds(4, 4, 8) == (0.75, 1.0)
 
     def test_quantized_to_producer_grid(self):
         # producer at granularity 3, consumer at pace 2: windows snap to
@@ -40,7 +43,7 @@ class TestWindowBounds:
 
     def test_windows_partition_unit_interval(self):
         for pace in (1, 3, 7):
-            for granularity in (None, 2, 5, 12):
+            for granularity in (1, 2, 5, 12):
                 boundaries = [
                     _window_bounds(i, pace, granularity) for i in range(1, pace + 1)
                 ]
@@ -48,6 +51,37 @@ class TestWindowBounds:
                 assert boundaries[-1][1] == pytest.approx(1.0)
                 for (_, prev_hi), (lo, _) in zip(boundaries, boundaries[1:]):
                     assert prev_hi == pytest.approx(lo)
+
+
+class TestWholeRowArrivals:
+    """Paper section 3.2 splits a subplan's input into one window per
+    execution, so the final execution's share decides final work: the
+    model prices each base-table window in the whole rows the stream
+    delivers, never as a fractional ``n / p``."""
+
+    def test_every_window_holds_the_rows_the_stream_delivers(self):
+        # 12 / 61 / 901 rows: prime or coprime to most paces below
+        catalog = make_toy_catalog(seed=29, n_items=61, n_events=901)
+        items = catalog.get("items")
+        items.apply_updates([  # churn: a log of 61 + 2 * 7 records
+            (row, (row[0], row[1], row[2] + 1.0)) for row in items.rows[:7]
+        ])
+        catalog.create("empty", Schema.of(("id", INT)))
+        plan = MQOOptimizer(catalog).build_shared_plan(
+            [toy_query_total(catalog, 0), toy_query_region(catalog, 1)])
+        calibrate_plan(plan)
+        model = PlanCostModel(plan)
+        lengths = set()
+        for name in catalog.names():
+            table = catalog.get(name)
+            lengths.add(table.log_length())
+            profile = model.table_stat(name)
+            for pace in range(1, 21):
+                stream = TableStream(table)
+                for index in range(1, pace + 1):
+                    delivered = stream.deltas_until(Fraction(index, pace))
+                    assert profile.window(index, pace).total == len(delivered)
+        assert lengths == {0, 12, 75, 901}
 
 
 class TestPerturbStats:

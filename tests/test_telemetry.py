@@ -1,12 +1,10 @@
-"""Slack ledger, shared-work attribution, regret report."""
+"""Slack ledger, shared-work attribution, decision-log run ids."""
 
 from fractions import Fraction
 
 import pytest
 
 from repro import obs
-from repro.core.optimizer import OptimizerConfig, optimize_ishare
-from repro.engine.stream import StreamConfig
 from repro.harness.service import run_service_schedule
 from repro.obs import OBS
 from repro.obs.attribution import (
@@ -15,11 +13,7 @@ from repro.obs.attribution import (
     split_work,
 )
 from repro.obs.declog import DEFAULT_RUN, DecisionLog
-from repro.obs.regret import regret_report
 from repro.obs.slack import SlackLedger
-from repro.workloads.constraints import uniform_constraints
-
-from .util import make_toy_catalog, toy_query_region, toy_query_total
 
 
 @pytest.fixture(autouse=True)
@@ -192,97 +186,6 @@ class TestAttributionLedger:
             attribution_module.split_work = saved
 
 
-# -- regret report ----------------------------------------------------------------
-
-
-def _searched_log():
-    log = DecisionLog()
-    log.set_run("shard-0")
-    log.log("pace_reject", iteration=1, group=[2], incrementability=8.0,
-            extra_work=50.0, reason="outscored")
-    log.log("pace_move", iteration=1, group=[1], incrementability=10.0,
-            extra_work=100.0, total_work=1000.0)
-    log.log("pace_search_done", iterations=1, met=True, total_work=1000.0)
-    return log
-
-
-class TestRegretReport:
-    def test_no_feedback_means_zero_regret(self):
-        report = regret_report(_searched_log().records)
-        assert report["covered_seqs"] == [1, 2, 3]
-        assert report["switched"] == 0
-        assert report["total_regret_work"] == 0.0
-        [decision] = report["decisions"]
-        assert decision["chosen_group"] == decision["oracle_group"] == [1]
-        [search] = report["searches"]
-        assert search["event"] == "pace_search_done" and search["met"] is True
-
-    def test_measured_factors_can_switch_the_oracle(self):
-        # sid 1 measured 4x its estimate: the chosen move's real inc drops
-        # to 2.5 and its real extra work rises to 400; the rejected group
-        # [2] (factor 1.0) becomes the oracle with 350 work of regret
-        report = regret_report(
-            _searched_log().records,
-            feedback_by_run={"shard-0": {1: (4.0, 1.0), 2: (1.0, 1.0)}},
-        )
-        [decision] = report["decisions"]
-        assert decision["switched"] is True
-        assert decision["oracle_group"] == [2]
-        assert decision["regret_work"] == pytest.approx(350.0)
-        assert report["total_regret_work"] == pytest.approx(350.0)
-        chosen = next(c for c in decision["candidates"] if c["chosen"])
-        assert chosen["corrected_incrementability"] == pytest.approx(2.5)
-        assert chosen["corrected_extra_work"] == pytest.approx(400.0)
-
-    def test_factors_keyed_by_string_sid_resolve(self):
-        # shard reports serialize feedback sids as JSON strings
-        report = regret_report(
-            _searched_log().records,
-            feedback_by_run={"shard-0": {"1": [4.0, 1.0], "2": [1.0, 1.0]}},
-        )
-        assert report["switched"] == 1
-
-    def test_infinite_incrementability_survives_correction(self):
-        log = DecisionLog()
-        log.log("pace_move", iteration=1, group=[1], incrementability="inf",
-                extra_work=0.0, total_work=10.0)
-        report = regret_report(log.records, feedback={1: (5.0, 1.0)})
-        [decision] = report["decisions"]
-        assert decision["switched"] is False
-
-    def test_orphan_rejects_and_decreases_are_covered(self):
-        log = DecisionLog()
-        log.log("pace_reject", iteration=9, group=[3], incrementability=1.0,
-                extra_work=5.0, reason="outscored")
-        log.log("pace_decrease", sid=3, pace=2, incrementability=1.0,
-                work_saved=4.0, total_work=90.0)
-        log.log("pace_exhausted", iteration=9, unmet_queries=[1], skipped=0)
-        report = regret_report(log.records)
-        kinds = sorted(d["kind"] for d in report["decisions"])
-        assert kinds == ["decrease", "orphan_reject"]
-        assert report["covered_seqs"] == [1, 2, 3]
-        assert all(d["regret_work"] == 0.0 for d in report["decisions"])
-
-    def test_real_search_is_fully_covered(self):
-        catalog = make_toy_catalog(seed=7)
-        queries = [
-            toy_query_total(catalog, 0),
-            toy_query_region(catalog, 1, region="EU"),
-        ]
-        obs.enable()
-        optimize_ishare(
-            catalog, queries, uniform_constraints(range(2), 0.4),
-            OptimizerConfig(max_pace=6, stream_config=StreamConfig()),
-        )
-        records = OBS.declog.records
-        pace_seqs = [
-            r["seq"] for r in records if r["event"].startswith("pace_")
-        ]
-        report = regret_report(records)
-        assert pace_seqs  # the search really ran
-        assert report["covered_seqs"] == pace_seqs
-
-
 # -- decision log run ids ---------------------------------------------------------
 
 
@@ -327,14 +230,10 @@ E2E_SCHEDULE = {
 
 
 class TestServiceTelemetryEndToEnd:
-    def test_report_and_regret_over_a_real_service_run(self):
+    def test_report_over_a_real_service_run(self):
         obs.enable(process_name="test-telemetry")
         report = run_service_schedule(E2E_SCHEDULE, jobs=1)
         [shard] = report["shards"]
-        regret = regret_report(
-            OBS.declog.records,
-            feedback_by_run={"shard-0": shard["feedback"]},
-        )
 
         # slack: every query of every window reported
         for window in shard["windows"]:
@@ -353,10 +252,6 @@ class TestServiceTelemetryEndToEnd:
         assert set(tenants) == {"alpha", "beta"}
         assert all(bucket["work"] > 0 for bucket in tenants.values())
 
-        # regret covers every pace decision the run logged
-        pace_seqs = [
-            r["seq"] for r in OBS.declog.records
-            if r["event"].startswith("pace_")
-        ]
-        assert pace_seqs
-        assert regret["covered_seqs"] == pace_seqs
+        # the shard's pace search reached the decision log
+        assert any(r["event"].startswith("pace_") and r["run"] == "shard-0"
+                   for r in OBS.declog.records)
