@@ -75,7 +75,7 @@ from repro.physical.work import WorkMeter  # noqa: E402
 from repro.relational.expressions import agg_avg, agg_sum, col  # noqa: E402
 from repro.relational.schema import FLOAT, INT, Schema  # noqa: E402
 from repro.relational.table import Catalog  # noqa: E402
-from repro.relational.tuples import DELETE, Delta, INSERT, consolidate  # noqa: E402
+from repro.relational.tuples import DELETE, Delta, INSERT  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_hotpath.json"
@@ -426,19 +426,43 @@ def bench_aggregate_string_keys(n, batches, repeat):
     return _aggregate_case(node, mask, feed_batches, repeat)
 
 
-def bench_consolidate(n, repeat):
-    deltas = []
+def bench_consolidate(n, batches, repeat):
+    """The production consolidating read, ``columnar._consolidated_batch``,
+    over one read of ``batches`` buffer segments, timed on two reads:
+    ``insert_only_distinct`` (each ``(row, bits)`` inserted once, the
+    fast path that returns the segments concatenated) and ``mixed_sign``
+    (every third row also deleted, so the general netting loop runs)."""
+    distinct = [((i, "payload-%d" % (i % 50)), INSERT) for i in range(n)]
+    mixed = []
     for i in range(n):
         row = (i % (n // 4 or 1), "payload-%d" % (i % 50))
-        deltas.append(Delta(row, INSERT, 0b111))
+        mixed.append((row, INSERT))
         if i % 3 == 0:
-            deltas.append(Delta(row, DELETE, 0b111))
-    seconds = _timed(lambda: consolidate(deltas), repeat)
-    return {
-        "input_deltas": len(deltas),
-        "seconds": seconds,
-        "deltas_per_sec": len(deltas) / seconds if seconds > 0 else None,
-    }
+            mixed.append((row, DELETE))
+    report = {}
+    for name, entries in (
+        ("insert_only_distinct", distinct), ("mixed_sign", mixed),
+    ):
+        per_batch = -(-len(entries) // batches)
+        read = [
+            ColumnBatch.from_rows(
+                [row for row, _ in chunk], [sign for _, sign in chunk],
+                [0b111] * len(chunk), 2,
+            )
+            for chunk in (
+                entries[start:start + per_batch]
+                for start in range(0, len(entries), per_batch)
+            )
+        ]
+        seconds = _timed(
+            lambda: columnar._consolidated_batch(read, 2), repeat
+        )
+        report[name] = {
+            "input_deltas": len(entries),
+            "seconds": seconds,
+            "deltas_per_sec": len(entries) / seconds if seconds > 0 else None,
+        }
+    return report
 
 
 def _arrangement_catalog(n_events, seed):
@@ -636,9 +660,10 @@ def main(argv=None):
             )
         )
 
-    case = bench_consolidate(n // 2, repeat)
-    report["consolidate"] = case
-    print("  %-24s %9.0f/s" % ("consolidate", case["deltas_per_sec"]))
+    report["consolidate"] = bench_consolidate(n // 2, batches, repeat)
+    for name, case in report["consolidate"].items():
+        print("  %-24s %9.0f/s" % ("consolidate " + name,
+                                    case["deltas_per_sec"]))
 
     arr_events = 30_000 if args.quick else 120_000
     print("shared arrangements fan-out (%d events)" % arr_events)

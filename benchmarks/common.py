@@ -19,8 +19,8 @@ Two environment knobs control the harness layer:
 ``REPRO_BENCH_TRACE``
     set to a directory (or ``1`` for ``benchmarks/results``) to enable
     observability (docs/OBSERVABILITY.md): each benchmark archives
-    ``<name>.trace.json`` (Chrome trace events), ``<name>.metrics.json``
-    and ``<name>.declog.jsonl`` there, scoped per benchmark.
+    ``<name>.trace.json`` (Chrome trace events) and
+    ``<name>.declog.jsonl`` there, scoped per benchmark.
 ``REPRO_BENCH_SEED``
     TPC-H catalog generation seed (default 5, the paper-repro default).
     Also settable as ``pytest benchmarks/ --seed N``; the seed used is
@@ -87,9 +87,6 @@ def run_and_report(benchmark, name, experiment):
 
         os.makedirs(trace_dir, exist_ok=True)
         OBS.tracer.export(os.path.join(trace_dir, "%s.trace.json" % name))
-        with open(os.path.join(trace_dir, "%s.metrics.json" % name), "w") as handle:
-            json.dump(OBS.metrics.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
         OBS.declog.export(os.path.join(trace_dir, "%s.declog.jsonl" % name))
     text = result.text()
     print()

@@ -133,9 +133,7 @@ def merge_with_carry(catalog, queries, config, old_plan=None, old_model=None):
     id.  Returns a :class:`MergeOutcome`; with no prior plan this
     degrades to a plain build + full calibration (the bootstrap path).
     """
-    plan = MQOOptimizer(catalog, config.min_shared_operators).build_shared_plan(
-        queries
-    )
+    plan = MQOOptimizer(catalog).build_shared_plan(queries)
     matched = {} if old_plan is None else match_subplans(old_plan, plan)
     fresh = sorted(s.sid for s in plan.subplans if s.sid not in matched)
     scope = scoped_calibration_plan(plan, set(fresh))

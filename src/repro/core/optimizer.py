@@ -26,7 +26,6 @@ from ..cost.model import CostConfig
 from ..engine.calibrate import calibrate_plan
 from ..engine.stream import StreamConfig
 from ..mqo.merge import MQOOptimizer, build_blocking_cut_plan, build_unshared_plan
-from ..obs import OBS
 from .decompose import decompose_full_plan
 from .greedy import PaceSearch
 from .incrementability import unmet_queries
@@ -39,8 +38,8 @@ class OptimizerConfig:
 
     def __init__(self, max_pace=100, stream_config=None, cost_config=None,
                  use_memo=True, enable_unshare=True, enable_partial=True,
-                 brute_force_split=False, min_shared_operators=1,
-                 time_budget=None, stats_noise_seed=None):
+                 brute_force_split=False, time_budget=None,
+                 stats_noise_seed=None):
         self.max_pace = max_pace
         self.stream_config = stream_config or StreamConfig()
         self.cost_config = cost_config or CostConfig(
@@ -51,7 +50,6 @@ class OptimizerConfig:
         self.enable_unshare = enable_unshare
         self.enable_partial = enable_partial
         self.brute_force_split = brute_force_split
-        self.min_shared_operators = min_shared_operators
         self.time_budget = time_budget
         #: when set, calibrated statistics are perturbed with this seed --
         #: the paper's (omitted) inaccurate-cardinality-estimation test
@@ -99,17 +97,12 @@ class OptimizationResult:
 
 
 def _report(result):
-    """Shared logging/metrics epilogue of every optimizer."""
+    """Shared logging epilogue of every optimizer."""
     logger.info(
         "%s optimized in %.3fs: est. total work %.1f, %d subplans",
         result.approach, result.optimization_seconds,
         result.evaluation.total_work, len(result.plan.subplans),
     )
-    if OBS.enabled:
-        OBS.metrics.counter("optimizer.runs", approach=result.approach).inc()
-        OBS.metrics.histogram("optimizer.seconds").observe(
-            result.optimization_seconds
-        )
     return result
 
 
@@ -188,7 +181,7 @@ def optimize_noshare_nonuniform(catalog, queries, relative_constraints, config,
 def optimize_share_uniform(catalog, queries, relative_constraints, config,
                            absolute_constraints=None):
     """The MQO shared plan with a single pace per connected shared plan."""
-    plan = MQOOptimizer(catalog, config.min_shared_operators).build_shared_plan(queries)
+    plan = MQOOptimizer(catalog).build_shared_plan(queries)
     cost_model = _prepare(plan, config)
     constraints = _resolve_constraints(cost_model, relative_constraints,
                                        absolute_constraints)
@@ -223,7 +216,7 @@ def _component_groups(plan):
 def optimize_ishare(catalog, queries, relative_constraints, config,
                     absolute_constraints=None):
     """The full iShare pipeline: nonuniform paces + subplan decomposition."""
-    plan = MQOOptimizer(catalog, config.min_shared_operators).build_shared_plan(queries)
+    plan = MQOOptimizer(catalog).build_shared_plan(queries)
     cost_model = _prepare(plan, config)
     constraints = _resolve_constraints(cost_model, relative_constraints,
                                        absolute_constraints)

@@ -32,14 +32,7 @@ import os
 import tempfile
 
 from ..mqo.nodes import SubplanRef, TableRef
-from ..obs import OBS
 from .stats import NodeStats
-
-
-def _count(event):
-    """Bump a ``calibration.cache.*`` counter when observability is on."""
-    if OBS.enabled:
-        OBS.metrics.counter("calibration.cache." + event).inc()
 
 #: bump when the stored payload shape or the signature scheme changes;
 #: mismatched entries are treated as misses, never as errors
@@ -260,14 +253,11 @@ class CalibrationCache:
                 payload = json.load(handle)
         except (OSError, ValueError):
             self.misses += 1
-            _count("miss")
             return None
         if payload.get("version") != CACHE_FORMAT_VERSION:
             self.misses += 1
-            _count("invalidation")
             return None
         self.hits += 1
-        _count("hit")
         return payload
 
     def put(self, key, payload):
@@ -288,7 +278,6 @@ class CalibrationCache:
                 pass
             return
         self.stores += 1
-        _count("store")
 
     def clear(self):
         """Remove every stored entry (not the directory itself)."""

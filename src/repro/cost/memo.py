@@ -27,7 +27,6 @@ import time
 
 from ..errors import CostModelError
 from ..mqo.nodes import SubplanRef, TableRef
-from ..obs import OBS
 from .model import (
     DEFAULT_COST_CONFIG,
     SimProgram,
@@ -461,13 +460,6 @@ class PlanCostModel:
         self._check_deadline()
         steps, touched, clean, clean_inherited = self._dirty(pace_config, base)
         self.evaluation_count += 1
-        metrics = OBS.metrics if OBS.enabled else None
-        if metrics is not None:
-            metrics.counter("cost.evaluations").inc()
-            if self._deadline is not None:
-                metrics.gauge("cost.deadline_headroom_seconds").set(
-                    round(self._deadline - time.monotonic(), 4)
-                )
         evaluation = CostEvaluation(pace_config, self._epoch)
         subplan_total = evaluation.subplan_total
         subplan_final = evaluation.subplan_final
@@ -483,21 +475,11 @@ class PlanCostModel:
             outputs.update(base.subplan_outputs)
             query_final_work.update(base.query_final_work)
             pool_hits = clean_inherited
-            if metrics is not None:
-                metrics.counter("cost.memo.hit").inc(clean)
-                if clean_inherited:
-                    metrics.counter("cost.memo.pool_hit").inc(clean_inherited)
         for sid, subplan, cone, memo, inherited in steps:
             cached = None
             if memo is not None:
                 key = tuple([pace_config[member] for member in cone])
                 cached = memo.get(key)
-            if metrics is not None:
-                metrics.counter(
-                    "cost.memo.hit" if cached is not None else "cost.memo.miss"
-                ).inc()
-                if cached is not None and inherited:
-                    metrics.counter("cost.memo.pool_hit").inc()
             if cached is None:
                 sim = simulate_subplan(
                     subplan, pace_config[sid], self._inputs_for(sid, outputs),

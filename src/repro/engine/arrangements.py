@@ -30,7 +30,7 @@ subplan mask, gives every probing delta of that subplan.  What differs
 is resource occupancy: resident entries and
 maintenance operations are paid once per arrangement instead of once per
 reader, and the savings are reported through ``RunResult.metadata
-["arrangement_summary"]`` and the ``engine.arrangement.*`` metrics.
+["arrangement_summary"]``.
 
 Multiversioning
 ---------------

@@ -23,7 +23,6 @@ operator tree is freed by reference counting.
 """
 
 from ..errors import ExecutionError
-from ..obs import OBS
 
 
 class Buffer:
@@ -70,7 +69,6 @@ class Buffer:
             self.held += count
         else:
             self.base += count
-        self._gauge_occupancy()
 
     def end(self):
         """The logical offset one past the last appended entry."""
@@ -120,11 +118,6 @@ class Buffer:
         del segments[:gone]
         self.base += drop
         self.held -= drop
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "engine.buffer.compacted_deltas", buffer=self.name
-            ).inc(drop)
-        self._gauge_occupancy()
         return drop
 
     def span_entries(self, start, stop):
@@ -157,13 +150,6 @@ class Buffer:
         self.view_cache.clear()
         for cell in self._cells:
             cell[0] = 0
-        self._gauge_occupancy()
-
-    def _gauge_occupancy(self):
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "engine.buffer.occupancy", buffer=self.name
-            ).set(self.held)
 
     def __repr__(self):
         return "Buffer(%r, %d of %d entries held)" % (

@@ -89,15 +89,12 @@ def calibrate_plan(plan, stream_config=None, cache=None):
             if result is not None:
                 logger.debug("calibration replayed from cache (key %s)", key[:12])
                 if OBS.enabled:
-                    OBS.metrics.counter("calibration.replays").inc()
                     OBS.tracer.complete(
                         "engine.calibrate", start_us,
                         {"cached": True, "subplans": len(plan.subplans)},
                     )
                 return result
             # present but not applicable to this plan: a stale entry
-            if OBS.enabled:
-                OBS.metrics.counter("calibration.cache.invalidation").inc()
 
     run = _batch_run(plan, stream_config)
     _execution_count[0] += 1
@@ -106,7 +103,6 @@ def calibrate_plan(plan, stream_config=None, cache=None):
         len(plan.subplans), run.total_work,
     )
     if OBS.enabled:
-        OBS.metrics.counter("calibration.batch_runs").inc()
         OBS.tracer.complete(
             "engine.calibrate", start_us,
             {"cached": False, "subplans": len(plan.subplans),

@@ -54,7 +54,6 @@ import gc
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
-from time import perf_counter
 
 from ..errors import ExecutionError
 from ..mqo.nodes import SubplanRef, TableRef
@@ -64,7 +63,6 @@ from ..physical.columnar import (
     ColumnarJoinExec,
     ColumnarSourceExec,
 )
-from ..physical.hotpath import compile_cache_stats
 from ..physical.work import WorkMeter
 from . import columns
 from .arrangements import ArrangementStore, arrangeable_side
@@ -334,8 +332,6 @@ class PlanExecutor:
                 unit.root_exec.rewind()
                 unit.meter.reset()
                 unit.executions = 0
-            if OBS.enabled:
-                OBS.metrics.counter("engine.tree_reuse").inc()
             return self._runtime
         self._runtime = self._compile()
         self._program = None
@@ -536,35 +532,8 @@ class PlanExecutor:
                 "executions": len(result.records),
                 "total_work": round(result.total_work, 2),
             })
-            OBS.metrics.histogram("engine.run.seconds").observe(
-                (OBS.tracer.now_us() - run_start_us) / 1e6
-            )
-            OBS.metrics.gauge("engine.compile_cache.hits").set(
-                compile_cache_stats["hits"]
-            )
-            OBS.metrics.gauge("engine.compile_cache.misses").set(
-                compile_cache_stats["misses"]
-            )
         if len(store):
-            summary = store.summary()
-            result.metadata["arrangement_summary"] = summary
-            if observed:
-                metrics = OBS.metrics
-                metrics.gauge("engine.arrangement.resident_entries").set(
-                    summary["resident_entries"]
-                )
-                metrics.counter("engine.arrangement.maintenance_ops").inc(
-                    summary["maintenance_ops"]
-                )
-                # per-reader work a private table would have paid minus
-                # what the shared index actually applied
-                metrics.counter("engine.arrangement.reused_ops").inc(
-                    summary["shared_ops_saved"]
-                )
-                for info in summary["arrangements"]:
-                    metrics.gauge(
-                        "engine.arrangement.reader_lag", table=info["table"]
-                    ).set(info["reader_lag"])
+            result.metadata["arrangement_summary"] = store.summary()
 
         final_work = result.subplan_final_quanta
         for qid, sids in self._query_sids.items():
@@ -645,39 +614,18 @@ class PlanExecutor:
 
 
 def _observed_execution(unit, charges, fraction):
-    """One incremental execution under a span, with WorkMeter delta metrics.
+    """One incremental execution under an ``engine.execute`` span.
 
     Only called when observability is enabled; the disabled hot path calls
-    ``unit.run_execution`` directly behind a single guard check.  Spans and
-    metrics report work units.
+    ``unit.run_execution`` directly behind a single guard check.  The span
+    reports work units.
     """
-    meter = unit.meter
-    before_in = meter.input_units
-    before_out = meter.output_units
-    before_rescan = meter.rescan_units
-    before_state = meter.state_units
-    sid = unit.subplan.sid
-    span = OBS.tracer.span("engine.execute", sid=sid, fraction=str(fraction))
-    started = perf_counter()
+    span = OBS.tracer.span(
+        "engine.execute", sid=unit.subplan.sid, fraction=str(fraction)
+    )
     with span:
         work, latency_work, out = unit.run_execution(*charges)
         span.set(work=round(work / charges[0], 2), outputs=len(out))
-    elapsed = perf_counter() - started
-    metrics = OBS.metrics
-    # wall seconds of one incremental execution: sub-millisecond at toy
-    # scales, resolved by the registry's microsecond-deep buckets
-    metrics.histogram("engine.execution.seconds").observe(elapsed)
-    metrics.counter("engine.executions").inc()
-    metrics.counter("engine.subplan.executions", sid=sid).inc()
-    for kind, delta in (
-        ("input", meter.input_units - before_in),
-        ("output", meter.output_units - before_out),
-        ("rescan", meter.rescan_units - before_rescan),
-        ("state", meter.state_units - before_state),
-    ):
-        if delta:
-            metrics.counter("engine.subplan.work_units", sid=sid, kind=kind).inc(delta)
-    metrics.histogram("engine.execution.work").observe(work / charges[0])
     return work, latency_work, out
 
 

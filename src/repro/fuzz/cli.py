@@ -14,13 +14,11 @@ with the exact replay command.  ``--shrink`` delta-debugs each failing
 case down to a minimal repro before saving.  Exit status is 0 for a
 green campaign, 1 when any case failed.
 
-Observability: ``--trace FILE`` / ``--metrics FILE`` enable
-:mod:`repro.obs` collection; the campaign emits per-case spans and
-``fuzz.cases`` / ``fuzz.failures`` / ``fuzz.rejected`` counters.
+Observability: ``--trace FILE`` enables :mod:`repro.obs` collection;
+the campaign emits per-case spans (``fuzz.case`` / ``fuzz.shrink``).
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -109,16 +107,10 @@ def run_campaign(seed, cases, minutes=None, shrink=False, failures_dir=None,
         with trace.span("fuzz.case", seed=seed, index=index):
             report, failure_lines = case_verdict(case)
         result.cases_run += 1
-        if OBS.enabled:
-            OBS.metrics.counter("fuzz.cases").inc()
         if report is not None and report.status == "rejected":
             result.rejected += 1
-            if OBS.enabled:
-                OBS.metrics.counter("fuzz.rejected").inc()
         if failure_lines:
             failure = CaseFailure(case, failure_lines)
-            if OBS.enabled:
-                OBS.metrics.counter("fuzz.failures").inc()
             if shrink:
                 with trace.span("fuzz.shrink", seed=seed, index=index):
                     failure.minimized = shrinker.shrink(
@@ -190,11 +182,9 @@ def main(argv=None):
                         help="print progress every N cases (0 = quiet)")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome trace-event JSON of the run")
-    parser.add_argument("--metrics", default=None, metavar="FILE",
-                        help="write the final metrics snapshot as JSON")
     args = parser.parse_args(argv)
 
-    if args.trace or args.metrics:
+    if args.trace:
         obs.enable(process_name="repro-fuzz")
 
     status = 0
@@ -234,17 +224,10 @@ def main(argv=None):
                 print("  minimized: %s" % failure.minimized_path)
         status = 0 if result.ok else 1
 
-    if OBS.enabled:
-        if args.trace:
-            OBS.tracer.export(args.trace)
-            print("[trace: %d events -> %s]"
-                  % (len(OBS.tracer.events), args.trace))
-        if args.metrics:
-            with open(args.metrics, "w") as handle:
-                json.dump(OBS.metrics.snapshot(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            print("[metrics -> %s]" % args.metrics)
+    if args.trace:
+        OBS.tracer.export(args.trace)
+        print("[trace: %d events -> %s]"
+              % (len(OBS.tracer.events), args.trace))
     return status
 
 

@@ -17,14 +17,12 @@ between runs (``--cache-dir``, default ``$REPRO_CACHE_DIR`` or
 
 Observability (docs/OBSERVABILITY.md): ``--trace FILE`` writes a Chrome
 trace-event JSON (open in Perfetto or chrome://tracing) merging spans
-from the driver and every ``--jobs`` worker; ``--metrics FILE`` writes
-the final counter/gauge/histogram snapshot; ``--decision-log FILE``
+from the driver and every ``--jobs`` worker; ``--decision-log FILE``
 writes the optimizer's decision log as JSON lines; ``--log-level`` turns
-on stderr logging.  Any of the three export flags enables collection.
+on stderr logging.  Either export flag enables collection.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -111,8 +109,6 @@ def main(argv=None):
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome trace-event JSON of the run "
                              "(open in Perfetto / chrome://tracing)")
-    parser.add_argument("--metrics", default=None, metavar="FILE",
-                        help="write the final metrics snapshot as JSON")
     parser.add_argument("--decision-log", default=None, metavar="FILE",
                         help="write the optimizer decision log (JSON lines)")
     parser.add_argument("--log-level", default=None,
@@ -127,7 +123,7 @@ def main(argv=None):
     else:
         set_default_cache(CalibrationCache(args.cache_dir))
 
-    if args.trace or args.metrics or args.decision_log:
+    if args.trace or args.decision_log:
         obs.enable(process_name="repro-harness")
     if args.log_level:
         obs.configure_logging(args.log_level)
@@ -159,12 +155,6 @@ def main(argv=None):
             OBS.tracer.export(args.trace)
             print("[trace: %d events -> %s]"
                   % (len(OBS.tracer.events), args.trace))
-        if args.metrics:
-            with open(args.metrics, "w") as handle:
-                json.dump(OBS.metrics.snapshot(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            print("[metrics -> %s]" % args.metrics)
         if args.decision_log:
             OBS.declog.export(args.decision_log)
             print("[decision log: %d records -> %s]"

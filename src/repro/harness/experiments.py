@@ -19,7 +19,6 @@ from ..engine.stream import StreamConfig
 from ..mqo.merge import MQOOptimizer, build_unshared_plan
 from ..physical.hotpath import engine_mode_label
 from ..workloads.constraints import CONSTRAINT_LEVELS, random_constraints, uniform_constraints
-from ..obs import OBS
 from ..workloads.tpch import (
     ALL_QUERY_NAMES,
     SHARING_FRIENDLY,
@@ -113,17 +112,10 @@ def _accumulate_missed(missed_all, name, approach):
         missed_all[name].relative.extend(approach.missed.relative)
 
 
-def _attach_observability(result):
-    """Copy the current metrics snapshot into ``result.data`` (if enabled)."""
-    if OBS.enabled:
-        result.data["metrics"] = OBS.metrics.snapshot()
-    return result
-
-
 def _finish_sweep(result, outcomes, jobs, wall_seconds):
-    """Shared sweep epilogue: timing block + observability metrics."""
+    """Shared sweep epilogue: the timing block."""
     result.data["timings"] = timing_report(outcomes, jobs, wall_seconds)
-    return _attach_observability(result)
+    return result
 
 
 # -- Figure 9: random relative constraints -------------------------------------
@@ -201,7 +193,7 @@ def fig10(scale=0.5, config=None, catalog_seed=5):
     result.data["ratio"] = ratio
     result.data["unshared"] = unshared_run.total_work
     result.data["shared"] = shared_run.total_work
-    return _attach_observability(result)
+    return result
 
 
 # -- Figures 11/12: uniform relative constraints --------------------------------
@@ -284,7 +276,7 @@ def table1(scale=0.5, max_pace=100, seeds=(1, 2, 3), config=None, jobs=1,
     result.add_section(format_table(MISSED_HEADERS, rows, "Uniform constraints"))
     result.data["random"] = random_result.data["missed"]
     result.data["uniform"] = uniform_missed
-    return _attach_observability(result)
+    return result
 
 
 # -- Figure 13 / Table 2: manually tuned paces -----------------------------------
@@ -318,7 +310,7 @@ def fig13(scale=0.5, max_pace=100, level=0.1, config=None, tuning_rounds=4,
     rows = [missed_latency_row(name, results[name].missed) for name in APPROACHES]
     result.add_section(format_table(MISSED_HEADERS, rows, "Missed latencies"))
     result.data["results"] = results
-    return _attach_observability(result)
+    return result
 
 
 def _tune_paces_measured(runner, name, relative, goals, max_pace,
@@ -480,7 +472,7 @@ def fig15(scale=0.35, max_paces=(10, 25, 50, 100), level=0.01, config=None,
         )
     )
     result.data["rows"] = rows
-    return _attach_observability(result)
+    return result
 
 
 # -- Figure 16: clustering vs brute-force splitting ---------------------------------
@@ -532,7 +524,7 @@ def fig16(scale=0.35, max_pace=100, query_counts=(2, 3, 4, 5, 6, 7),
                      "Split-search time")
     )
     result.data["rows"] = rows
-    return _attach_observability(result)
+    return result
 
 
 # -- Figure 17: incrementability micro-benchmarks ------------------------------------
@@ -652,4 +644,4 @@ def two_phase_baseline(scale=0.4, max_pace=100, level=0.1, config=None,
     result.data["rows"] = rows
     result.data["best_two_phase_max_miss"] = best[0]
     result.data["ishare_max_miss"] = ishare.missed.max_percent
-    return _attach_observability(result)
+    return result

@@ -13,16 +13,13 @@ section 3.2's "calibrate ... based on previous query executions").
    missed latencies against goals derived from yesterday's batch run.
 """
 
-from ..core.decompose import decompose_full_plan
-from ..core.greedy import PaceSearch
+from ..core.optimizer import optimize_ishare
 from ..core.pace import uniform_configuration
-from ..cost.memo import PlanCostModel
-from ..engine.calibrate import calibrate_plan
 from ..errors import OptimizationError
 from ..engine.executor import PlanExecutor
 from ..engine.metrics import MissedLatencySummary
-from ..mqo.merge import MQOOptimizer, build_unshared_plan
 from ..obs.slack import SlackLedger
+from .runner import ExperimentRunner
 
 
 class DayOutcome:
@@ -81,6 +78,7 @@ class RecurringSimulation:
                 "RecurringSimulation.run needs a positive whole number of "
                 "days, got %r" % (days,)
             )
+        config = self.config
         outcomes = []
         history_catalog = None
         slack_ledger = SlackLedger()
@@ -88,78 +86,49 @@ class RecurringSimulation:
             today = self.make_catalog(day)
             basis = history_catalog if history_catalog is not None else today
 
-            # plan + statistics from history
+            # plan, paces and goals from history: the iShare pipeline on
+            # yesterday's statistics, goals from yesterday's batch run
             queries = self.make_queries(basis)
-            plan = MQOOptimizer(
-                basis, self.config.min_shared_operators
-            ).build_shared_plan(queries)
-            calibrate_plan(plan, self.config.stream_config)
-            model = PlanCostModel(plan, self.config.cost_config)
-            constraints = model.absolute_constraints(relative_constraints)
-
-            search = PaceSearch(model, constraints, self.config.max_pace)
-            found = search.find()
-            plan_out, paces = plan, found.pace_config
-            actions = []
-            if self.config.enable_unshare:
-                outcome = decompose_full_plan(
-                    plan, found.pace_config, constraints, self.config.max_pace,
-                    cost_config=self.config.cost_config,
-                    enable_partial=self.config.enable_partial,
-                    cost_model=model,
-                )
-                plan_out, paces = outcome.plan, outcome.pace_config
-                actions = outcome.actions
-
-            # goals from history: yesterday's separate batch latencies
-            goals = self._goals(basis, queries, relative_constraints)
+            result = optimize_ishare(
+                basis, queries, relative_constraints, config
+            )
+            goals = ExperimentRunner(basis, queries, config).latency_goals(
+                relative_constraints
+            )
 
             # execute against *today's* data
             executor = PlanExecutor(
-                plan_out, self.config.stream_config, catalog=today
+                result.plan, config.stream_config, catalog=today
             )
-            run = executor.run(paces, collect_results=False)
+            run = executor.run(result.pace_config, collect_results=False)
             missed = MissedLatencySummary()
             for qid, goal in goals.items():
                 missed.add(run.query_latency_seconds(qid), goal)
 
             # slack accounting: headroom against the work bound, deferral
-            # against the eagerest (uniform max pace) plan's estimate --
-            # evaluated on the pre-decomposition model, whose memo the
-            # pace search already warmed
-            eager_final = self._eager_final(model, plan)
+            # against the eagerest (uniform max pace) configuration of
+            # the plan that ran, estimated on its model
+            eager = result.cost_model.evaluate(
+                uniform_configuration(result.plan, config.max_pace)
+            )
             slack = slack_ledger.record_window(
                 day,
                 {
                     qid: {
                         "goal_work": bound,
                         "final_work": run.query_final_work.get(qid, 0.0),
-                        "eager_final_work": eager_final.get(qid),
+                        "eager_final_work": eager.query_final_work.get(qid),
                     }
-                    for qid, bound in constraints.items()
+                    for qid, bound in result.absolute_constraints.items()
                 },
-                seconds=self.config.stream_config.seconds,
+                seconds=config.stream_config.seconds,
             )
             outcomes.append(
-                DayOutcome(day, run.total_work, missed, dict(paces), actions,
-                           slack=slack)
+                DayOutcome(day, run.total_work, missed,
+                           dict(result.pace_config),
+                           result.diagnostics["actions"], slack=slack)
             )
 
             # today's data is tomorrow's history
             history_catalog = today
         return outcomes
-
-    def _eager_final(self, model, plan):
-        """Estimated per-query final work at uniform maximum pace."""
-        evaluation = model.evaluate(
-            uniform_configuration(plan, self.config.max_pace)
-        )
-        return dict(evaluation.query_final_work)
-
-    def _goals(self, catalog, queries, relative_constraints):
-        plan = build_unshared_plan(catalog, queries)
-        calibration = calibrate_plan(plan, self.config.stream_config)
-        return {
-            qid: relative_constraints[qid] * calibration.query_batch_latency[qid]
-            for qid in relative_constraints
-        }

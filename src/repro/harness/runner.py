@@ -28,7 +28,7 @@ from ..engine.calibrate import calibrate_plan
 from ..engine.executor import PlanExecutor
 from ..engine.metrics import MissedLatencySummary
 from ..mqo.merge import build_unshared_plan
-from ..obs import OBS, trace
+from ..obs import trace
 
 logger = logging.getLogger(__name__)
 
@@ -161,8 +161,6 @@ class ExperimentRunner:
             name, result.total_seconds,
             missed.mean_percent, missed.max_percent,
         )
-        if OBS.enabled:
-            OBS.metrics.counter("harness.approaches", approach=name).inc()
         return result
 
     def run_all(self, relative_constraints, names=APPROACHES, jobs=1):

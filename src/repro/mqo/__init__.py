@@ -10,7 +10,6 @@ from .canonical import (
 )
 from .nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
 from .merge import MQOOptimizer, build_unshared_plan, build_blocking_cut_plan
-from .dot import plan_to_dot
 
 __all__ = [
     "CanonicalNode",
@@ -26,6 +25,5 @@ __all__ = [
     "TableRef",
     "MQOOptimizer",
     "build_unshared_plan",
-    "plan_to_dot",
     "build_blocking_cut_plan",
 ]

@@ -1,14 +1,11 @@
-"""Observability: span tracing, metrics, and the optimizer decision log.
+"""Observability: span tracing and the optimizer decision log.
 
 The optimizer pipeline (split -> greedy pace search -> decomposition ->
-regenerate) and the incremental engine are instrumented with three
+regenerate) and the incremental engine are instrumented with two
 coordinated collectors:
 
 * :mod:`repro.obs.trace` -- a span tracer whose export is Chrome
   trace-event JSON, so any run opens directly in Perfetto / chrome://tracing;
-* :mod:`repro.obs.metrics` -- a registry of counters / gauges / histograms
-  (memo hits, calibration-cache traffic, per-subplan work units, buffer
-  occupancy);
 * :mod:`repro.obs.declog` -- a structured JSON-lines log of every
   optimizer decision (pace moves with incrementability scores, clustering
   merges with sharing benefits, decomposition adoptions, plan repairs),
@@ -20,9 +17,12 @@ session: :mod:`repro.obs.slack` (the per-query deadline-headroom
 ledger) and :mod:`repro.obs.attribution` (exact shared-work attribution
 with a rational-arithmetic conservation invariant).  The service
 report carries the ledgers; the collectors export through the CLIs'
-``--trace`` / ``--metrics`` / ``--decision-log`` flags.
+``--trace`` / ``--decision-log`` flags.  Counts need no collector of
+their own: the engine's work is in ``RunResult``, the cost model's in
+``PlanCostModel.evaluation_count`` / ``simulation_count`` and
+``MemoPool.hits``.
 
-All three hang off one process-wide :class:`ObservabilitySession`,
+Both hang off one process-wide :class:`ObservabilitySession`,
 ``OBS``.  Observability is **off by default**: every instrumented call
 site is guarded by a single attribute check (``if OBS.enabled:``), so the
 disabled path costs one dictionary-free boolean test and nothing is
@@ -31,38 +31,35 @@ session on; worker processes of the parallel harness ship their collected
 events back to the driver, which merges them in deterministic submission
 order (:func:`drain_worker_payload` / :func:`absorb_worker_payload`).
 
-See ``docs/OBSERVABILITY.md`` for the span names, the metric catalog and
-the decision-log schema.
+See ``docs/OBSERVABILITY.md`` for the span names and the decision-log
+schema.
 """
 
 import logging
 
 from .declog import DecisionLog
-from .metrics import MetricsRegistry
 from .trace import Tracer
 
 
 class ObservabilitySession:
-    """Process-wide holder of the tracer, registry and decision log.
+    """Process-wide holder of the tracer and the decision log.
 
-    ``enabled`` is the single hot-path guard; when it is False the three
+    ``enabled`` is the single hot-path guard; when it is False both
     collectors are None and instrumented code must not touch them.
     """
 
-    __slots__ = ("enabled", "tracer", "metrics", "declog")
+    __slots__ = ("enabled", "tracer", "declog")
 
     def __init__(self):
         self.enabled = False
         self.tracer = None
-        self.metrics = None
         self.declog = None
 
     def __repr__(self):
         if not self.enabled:
             return "ObservabilitySession(disabled)"
-        return "ObservabilitySession(%d events, %d metrics, %d decisions)" % (
+        return "ObservabilitySession(%d events, %d decisions)" % (
             len(self.tracer.events),
-            len(self.metrics.snapshot()),
             len(self.declog.records),
         )
 
@@ -74,13 +71,11 @@ OBS = ObservabilitySession()
 def enable(process_name=None):
     """Switch observability on (idempotent); returns the session.
 
-    All three collectors are created together -- the export flags decide
-    what gets written out, not what gets recorded, so one ``--trace`` run
-    also carries its metrics block.
+    Both collectors are created together -- the export flags decide what
+    gets written out, not what gets recorded.
     """
     if not OBS.enabled:
         OBS.tracer = Tracer(process_name=process_name)
-        OBS.metrics = MetricsRegistry()
         # run ids are stamped by the harness per unit of work (set_run);
         # the default stays "main" everywhere -- a process-derived id
         # would leak worker pids into records and break bit-identity
@@ -93,7 +88,6 @@ def disable():
     """Switch observability off and drop everything collected."""
     OBS.enabled = False
     OBS.tracer = None
-    OBS.metrics = None
     OBS.declog = None
 
 
@@ -105,7 +99,6 @@ def reset():
     """Clear collected data but keep the session enabled (per-benchmark scoping)."""
     if OBS.enabled:
         OBS.tracer.clear()
-        OBS.metrics.clear()
         OBS.declog.clear()
 
 
@@ -123,10 +116,8 @@ def drain_worker_payload():
         return None
     payload = {
         "events": OBS.tracer.drain_events(),
-        "metrics": OBS.metrics.snapshot(),
         "declog": OBS.declog.records[:],
     }
-    OBS.metrics.clear()
     OBS.declog.clear()
     return payload
 
@@ -136,7 +127,6 @@ def absorb_worker_payload(payload):
     if payload is None or not OBS.enabled:
         return
     OBS.tracer.add_events(payload.get("events", ()))
-    OBS.metrics.merge_snapshot(payload.get("metrics", {}))
     OBS.declog.extend(payload.get("declog", ()))
 
 

@@ -17,7 +17,7 @@ The report is printed as canonical JSON (sorted keys) so two runs can be
 compared byte for byte.  ``--decision-log FILE`` additionally exports the
 optimizer's decision log -- including the ``service_reoptimize`` records
 showing which subplans each churn re-search reused versus recalibrated.
-Like ``--trace`` and ``--metrics`` it enables observability.  The slack
+Like ``--trace`` it enables observability.  The slack
 and attribution ledgers need no flag: they are in the report.
 """
 
@@ -54,8 +54,6 @@ def main(argv=None):
                              "$REPRO_CACHE_DIR or ~/.cache/repro-calibration)")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome trace-event JSON of the run")
-    parser.add_argument("--metrics", default=None, metavar="FILE",
-                        help="write the final metrics snapshot as JSON")
     parser.add_argument("--decision-log", default=None, metavar="FILE",
                         help="write the optimizer decision log (JSON lines)")
     parser.add_argument("--log-level", default=None,
@@ -68,7 +66,7 @@ def main(argv=None):
     else:
         set_default_cache(CalibrationCache(args.cache_dir))
 
-    if args.trace or args.metrics or args.decision_log:
+    if args.trace or args.decision_log:
         obs.enable(process_name="repro-service")
     if args.log_level:
         obs.configure_logging(args.log_level)
@@ -123,11 +121,6 @@ def main(argv=None):
     if OBS.enabled:
         if args.trace:
             OBS.tracer.export(args.trace)
-        if args.metrics:
-            with open(args.metrics, "w") as handle:
-                json.dump(OBS.metrics.snapshot(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
         if args.decision_log:
             OBS.declog.export(args.decision_log)
             print(

@@ -332,9 +332,6 @@ class QueryService:
             OBS.declog.log(
                 "service_admission", **decision.to_dict()
             )
-            OBS.metrics.counter(
-                "service.admissions", status=decision.status
-            ).inc()
         return decision
 
     def deregister(self, query_id):
@@ -609,17 +606,6 @@ class QueryService:
                 min_headroom_work=roll_up["min_headroom_work"],
                 missed=roll_up["missed"],
             )
-            for qid in sorted(slack):
-                OBS.metrics.histogram(
-                    "service.slack.headroom_seconds"
-                ).observe(slack[qid]["headroom_seconds"])
-            for tenant, bucket in sorted(tenants.items()):
-                OBS.metrics.counter(
-                    "service.tenant.work", tenant=tenant
-                ).inc(round(bucket["work"], 4))
-                OBS.metrics.counter(
-                    "service.tenant.slo_misses", tenant=tenant
-                ).inc(bucket["slo_misses"])
         ran = _WindowRun(window, self.plan, self.slots, today)
         self._recheck_admission(ran, queries)
         self._last_run = ran

@@ -21,7 +21,7 @@ promise is kept, once:
   re-raised as its original exception with the worker traceback chained;
 * while the driver is observing, tasks are assigned statically (worker
   ``k`` of ``W`` owns tasks ``k, k+W, ...``) so each worker's warm/cold
-  history, and with it the merged event / metric / decision sequence, is
+  history, and with it the merged event / decision sequence, is
   identical run to run at a fixed job count; untraced runs use the
   dynamically balanced pool;
 * ``jobs <= 1`` or a single task runs the same task function in process

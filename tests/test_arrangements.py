@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro import obs
 from repro.cost.memo import PlanCostModel
 from repro.cost.model import CostConfig
 from repro.core.split import LocalSplitOptimizer, set_partitions
@@ -33,7 +32,6 @@ from repro.errors import ExecutionError
 from repro.fuzz.reference import ReferenceExecutor
 from repro.logical.builder import PlanBuilder
 from repro.mqo.merge import build_unshared_plan
-from repro.obs import OBS
 from repro.physical import columnar as columnar_mod
 from repro.physical.columnar import ColumnarJoinExec
 from repro.physical.hotpath import clear_compiled_caches
@@ -446,44 +444,6 @@ class TestPrivateSideLiveSlots:
         # bit-identical to the per-tuple reference
         reference = run_with(plan, paces, batched=False)
         assert fingerprint(run) == fingerprint(reference)
-
-
-# -- satellite: buffer occupancy gauge refreshes on compaction ---------------------
-
-
-class TestOccupancyGauge:
-    @pytest.fixture(autouse=True)
-    def _clean_session(self):
-        obs.disable()
-        yield
-        obs.disable()
-
-    def test_compact_refreshes_the_gauge(self):
-        obs.enable()
-        buffer = Buffer("churny")
-        reader = buffer.reader()
-        buffer.append([_delta(k, "p") for k in range(10)])
-        reader.read_new()
-        gauge = OBS.metrics.gauge("engine.buffer.occupancy", buffer="churny")
-        assert gauge.value == 10
-        assert buffer.compact() == 10
-        # the stale-gauge bug: this kept reading 10 after compaction
-        assert gauge.value == 0
-        assert gauge.max == 10
-        # and its twin: a reused tree's buffer kept reading the previous
-        # window's last occupancy until its next append
-        buffer.append([_delta(k, "q") for k in range(4)])
-        assert gauge.value == 4
-        buffer.reset()
-        assert gauge.value == 0
-
-    def test_gauge_reads_zero_where_nothing_is_held(self):
-        obs.enable()
-        buffer = Buffer("unread")
-        buffer.append([_delta(k, "p") for k in range(10)])
-        gauge = OBS.metrics.gauge("engine.buffer.occupancy", buffer="unread")
-        assert gauge.value == 0 and gauge.max == 0
-        assert buffer.end() == 10
 
 
 # -- satellite: warm-started selected-pace scans -----------------------------------

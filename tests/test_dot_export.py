@@ -1,40 +1,6 @@
-"""Tests for the Graphviz plan export and CSV experiment export."""
+"""Tests for the CSV experiment export."""
 
 from repro.harness.experiments import ExperimentResult
-from repro.mqo.dot import plan_to_dot
-from repro.mqo.merge import MQOOptimizer
-
-from .util import toy_query_region, toy_query_total
-
-
-class TestPlanToDot:
-    def test_contains_all_subplans_and_queries(self, toy_catalog):
-        queries = [toy_query_total(toy_catalog, 0), toy_query_region(toy_catalog, 1)]
-        plan = MQOOptimizer(toy_catalog).build_shared_plan(queries)
-        dot = plan_to_dot(plan, title="demo")
-        assert dot.startswith("digraph")
-        assert dot.count("subgraph") == len(plan.subplans)
-        for qid in plan.query_roots:
-            assert "q%d output" % qid in dot
-        assert '"demo"' in dot
-
-    def test_buffer_edges_dashed(self, toy_catalog):
-        queries = [toy_query_total(toy_catalog, 0), toy_query_region(toy_catalog, 1)]
-        plan = MQOOptimizer(toy_catalog).build_shared_plan(queries)
-        dot = plan_to_dot(plan)
-        assert "style=dashed" in dot
-
-    def test_marks_annotated(self, toy_catalog):
-        queries = [toy_query_total(toy_catalog, 0), toy_query_region(toy_catalog, 1)]
-        plan = MQOOptimizer(toy_catalog).build_shared_plan(queries)
-        dot = plan_to_dot(plan)
-        assert "σ*" in dot  # q1's region filter is a mark somewhere
-
-    def test_balanced_braces(self, toy_catalog):
-        queries = [toy_query_total(toy_catalog, 0)]
-        plan = MQOOptimizer(toy_catalog).build_shared_plan(queries)
-        dot = plan_to_dot(plan)
-        assert dot.count("{") == dot.count("}")
 
 
 class TestCsvExport:

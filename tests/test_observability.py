@@ -1,22 +1,23 @@
-"""Observability layer: tracer, metrics registry, decision log, harness wiring."""
+"""Observability layer: tracer, decision log, harness wiring."""
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.core.optimizer import OptimizerConfig, optimize_ishare
+from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.harness.parallel import ExperimentCell, run_cells
 from repro.harness.runner import ExperimentRunner
-from repro.mqo.dot import plan_to_dot, run_annotations
 from repro.obs import OBS
 from repro.obs.declog import DecisionLog
-from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.trace import NOOP_SPAN, Tracer, span
 from repro.workloads.constraints import uniform_constraints
 
+from .test_columnar_equivalence import fig11_setup  # noqa: F401 (fixture)
 from .util import (
     make_toy_catalog,
     toy_query_max,
@@ -61,7 +62,7 @@ def _toy_workload():
 class TestDisabledPath:
     def test_collectors_are_none_when_disabled(self):
         assert not OBS.enabled
-        assert OBS.tracer is None and OBS.metrics is None and OBS.declog is None
+        assert OBS.tracer is None and OBS.declog is None
 
     def test_disabled_span_is_the_noop_singleton(self):
         assert span("anything", sid=3) is NOOP_SPAN
@@ -145,87 +146,6 @@ class TestTracer:
         assert [e["name"] for e in drained] == ["process_name", "a.b"]
         # metadata survives the drain so later cells still identify the process
         assert [e["name"] for e in tracer.events] == ["process_name"]
-
-
-# -- metrics registry -------------------------------------------------------------
-
-
-class TestMetrics:
-    def test_metric_key_sorts_labels(self):
-        assert metric_key("m", {"b": 2, "a": 1}) == "m{a=1,b=2}"
-        assert metric_key("m", {}) == "m"
-
-    def test_counter_gauge_histogram_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", sid=1).inc(3)
-        registry.gauge("depth").set(7)
-        registry.gauge("depth").set(4)
-        registry.histogram("work").observe(2.0)
-        registry.histogram("work").observe(4.0)
-        snap = registry.snapshot()
-        assert snap["hits{sid=1}"]["value"] == 3
-        assert snap["depth"]["value"] == 4 and snap["depth"]["max"] == 7
-        hist = snap["work"]
-        assert hist["count"] == 2 and hist["sum"] == 6.0
-        assert hist["min"] == 2.0 and hist["max"] == 4.0
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-    def test_sub_millisecond_observations_land_in_distinct_buckets(self):
-        """Regression: the old single-bucket scheme collapsed everything
-        below a millisecond; the log-spaced grid reaches 1e-6."""
-        registry = MetricsRegistry()
-        hist = registry.histogram("window.seconds")
-        hist.observe(5e-4)
-        hist.observe(2e-3)
-        buckets = dict((bound, count) for bound, count in hist.buckets())
-        assert buckets == {5e-4: 1, 2e-3: 1}
-
-    def test_bucket_bounds_are_le_inclusive_with_overflow(self):
-        from repro.obs.metrics import DEFAULT_BUCKETS
-
-        hist = MetricsRegistry().histogram("work")
-        hist.observe(DEFAULT_BUCKETS[0])  # exactly on a boundary: <= bound
-        hist.observe(DEFAULT_BUCKETS[-1] * 10)  # beyond every bound
-        assert hist.buckets() == [[DEFAULT_BUCKETS[0], 1], ["+Inf", 1]]
-
-    def test_histogram_merge_folds_bucket_counts(self):
-        ours, theirs = MetricsRegistry(), MetricsRegistry()
-        ours.histogram("work").observe(1.5)
-        theirs.histogram("work").observe(1.5)
-        theirs.histogram("work").observe(1e9)  # +Inf overflow travels too
-        ours.merge_snapshot(theirs.snapshot())
-        assert ours.histogram("work").buckets() == [[2.0, 2], ["+Inf", 1]]
-
-    def test_merge_tolerates_bucketless_payloads(self):
-        """Snapshots from before histograms grew buckets still merge."""
-        registry = MetricsRegistry()
-        registry.histogram("work").observe(1.0)
-        registry.merge_snapshot(
-            {"work": {"type": "histogram", "count": 2, "sum": 6.0,
-                      "min": 2.0, "max": 4.0}}
-        )
-        hist = registry.histogram("work")
-        assert hist.count == 3 and hist.total == 7.0
-        assert sum(count for _, count in hist.buckets()) == 1
-
-    def test_merge_snapshot_adds_counters_and_merges_histograms(self):
-        ours = MetricsRegistry()
-        ours.counter("hits").inc(2)
-        ours.histogram("work").observe(1.0)
-        theirs = MetricsRegistry()
-        theirs.counter("hits").inc(5)
-        theirs.histogram("work").observe(3.0)
-        theirs.gauge("occupancy").set(9)
-        ours.merge_snapshot(theirs.snapshot())
-        snap = ours.snapshot()
-        assert snap["hits"]["value"] == 7
-        assert snap["work"]["count"] == 2 and snap["work"]["max"] == 3.0
-        assert snap["occupancy"]["value"] == 9
 
 
 # -- decision log -----------------------------------------------------------------
@@ -331,54 +251,44 @@ class TestHarnessWiring:
         assert sequences[0] == sequences[1]
 
     def test_worker_metrics_are_merged_into_the_driver(self):
+        """Each worker's executions reach the driver as spans that carry
+        their work, from every worker process."""
         runner = _toy_runner()
         obs.enable(process_name="driver")
         run_cells(runner, self._cells(runner), jobs=2)
-        snap = OBS.metrics.snapshot()
-        assert snap["cost.memo.hit"]["value"] > 0
-        assert snap["engine.executions"]["value"] > 0
-        assert any(key.startswith("engine.subplan.work_units{") for key in snap)
-
-    def test_experiment_report_carries_metrics_block(self):
-        from repro.harness.experiments import _attach_observability, ExperimentResult
-
-        obs.enable()
-        OBS.metrics.counter("cost.memo.hit").inc()
-        result = _attach_observability(ExperimentResult("t"))
-        assert "cost.memo.hit" in result.data["metrics"]
-        obs.disable()
-        bare = _attach_observability(ExperimentResult("t"))
-        assert "metrics" not in bare.data
-
-
-# -- dot annotations --------------------------------------------------------------
-
-
-class TestDotAnnotations:
-    def test_run_annotations_from_snapshot(self):
-        snapshot = {
-            "engine.subplan.work_units{kind=input,sid=4}":
-                {"type": "counter", "value": 10},
-            "engine.subplan.work_units{kind=output,sid=4}":
-                {"type": "counter", "value": 5},
-            "engine.subplan.executions{sid=4}":
-                {"type": "counter", "value": 3},
-            "cost.memo.hit": {"type": "counter", "value": 99},
+        executions = [
+            event for event in OBS.tracer.events
+            if event["name"] == "engine.execute"
+        ]
+        workers = {
+            event["pid"] for event in OBS.tracer.events
+            if event.get("ph") == "M"
+            and event["args"]["name"].startswith("repro-worker-")
         }
-        annotations = run_annotations(snapshot, pace_config={4: 6, 7: 1})
-        assert annotations[4]["work[input]"] == "10"
-        assert annotations[4]["work"] == "15"
-        assert annotations[4]["executions"] == "3"
-        assert annotations[4]["pace"] == "6"
-        assert annotations[7] == {"pace": "1"}
+        assert {event["pid"] for event in executions} == workers
+        assert sum(event["args"]["work"] for event in executions) > 0
 
-    def test_plan_to_dot_renders_annotations(self):
-        from .util import shared_plan_for
 
-        catalog, queries = _toy_workload()
-        plan = shared_plan_for(catalog, queries)
-        sid = plan.subplans[0].sid
-        dot = plan_to_dot(plan, annotations={sid: {"pace": "4", "work": "12"}})
-        assert "pace=4" in dot and "work=12" in dot
-        # un-annotated plans render exactly as before
-        assert "pace=" not in plan_to_dot(plan)
+# -- the engine's counts -----------------------------------------------------------
+
+
+class TestExecuteSpansCarryTheRunRecords:
+    def test_one_fig11_window(self, fig11_setup):
+        """The ``engine.execute`` spans are the run's records: one per
+        execution, in order, each with its work in work units."""
+        plan, paces, _ = fig11_setup
+        obs.enable(process_name="test-counts")
+        run = PlanExecutor(plan, StreamConfig()).run(paces)
+        executions = [
+            event["args"] for event in OBS.tracer.events
+            if event["name"] == "engine.execute"
+        ]
+        assert Counter(args["sid"] for args in executions) == Counter(
+            record.sid for record in run.records
+        )
+        assert len(executions) == len(run.records) > len(paces)
+        for args, record in zip(executions, run.records):
+            assert args["sid"] == record.sid
+            assert args["fraction"] == str(record.fraction)
+            assert args["work"] == round(record.work / run.quantum, 2)
+            assert args["outputs"] == record.output_count

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.optimizer import OptimizerConfig
+from repro.cost.memo import OptimizationTimeout
 from repro.engine.stream import StreamConfig
 from repro.errors import OptimizationError
 from repro.harness.recurring import RecurringSimulation
@@ -58,3 +59,13 @@ class TestRecurringSimulation:
         for days in (0, -3, 1.5, True, "2"):
             with pytest.raises(OptimizationError, match="positive whole number"):
                 simulation.run(days, {0: 0.5})
+
+    def test_the_optimizer_config_reaches_the_pace_search(self, simulation):
+        # a budget no search can meet: honoured only when the loop runs
+        # the configured optimizer rather than a copy of its steps
+        simulation = RecurringSimulation(
+            simulation.make_catalog, simulation.make_queries,
+            simulation.config.replace(time_budget=1e-9),
+        )
+        with pytest.raises(OptimizationTimeout):
+            simulation.run(1, {qid: 0.5 for qid in range(len(NAMES))})

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro import obs
+from repro.engine.buffers import Buffer
 from repro.engine.executor import PlanExecutor, TriggerPoint
 from repro.engine.stream import StreamConfig, TableStream
 from repro.errors import ExecutionError
 from repro.fuzz.reference import ReferenceExecutor
 from repro.mqo.merge import build_unshared_plan
-from repro.obs import OBS
 
 from .test_columnar_equivalence import fig11_setup  # noqa: F401 (fixture)
 from .test_executor_rebind import fingerprint, mixed_paces, toy_queries
@@ -139,10 +138,10 @@ class TestTargetedCompaction:
     """A step drains only buffers a due subplan reads; the old loop swept
     every buffer after every step.  Both must leave the same memory.
 
-    Each buffer's compaction counter fixes its end state: what a window
-    appends is the same either way, and whatever no reader was
-    registered for is dropped on append in both, so equal counters mean
-    equal ``(base, held)`` as the window ends.
+    The entries each buffer's compactions drop fix its end state: what
+    a window appends is the same either way, and whatever no reader was
+    registered for is dropped on append in both, so equal drop counts
+    mean equal ``(base, held)`` as the window ends.
     """
 
     def buffers(self, executor):
@@ -151,35 +150,36 @@ class TestTargetedCompaction:
         every.extend(unit.buffer for unit in compiled.values())
         return every
 
-    def compacted(self):
-        return {
-            key: metric["value"]
-            for key, metric in OBS.metrics.snapshot().items()
-            if key.startswith("engine.buffer.compacted_deltas")
-        }
+    @pytest.fixture
+    def compacted(self, monkeypatch):
+        """Entries dropped per buffer name, counted as ``compact`` runs."""
+        counts = {}
+        compact = Buffer.compact
+
+        def counting(buffer):
+            drop = compact(buffer)
+            if drop:
+                counts[buffer.name] = counts.get(buffer.name, 0) + drop
+            return drop
+
+        monkeypatch.setattr(Buffer, "compact", counting)
+        return counts
 
     @pytest.mark.parametrize("batched", (True, False))
-    def test_equals_the_full_sweep_on_fig11(self, fig11_setup, batched):
+    def test_equals_the_full_sweep_on_fig11(self, fig11_setup, compacted,
+                                            batched):
         # the production tree (True) and the per-tuple reference's
         plan, paces, _ = fig11_setup
         executor_class = PlanExecutor if batched else ReferenceExecutor
         executor = executor_class(plan, StreamConfig())
-        obs.enable(process_name="test-compaction")
-        try:
-            targeted, swept = self.targeted_then_swept(executor, paces)
-        finally:
-            obs.disable()
-        assert any(targeted.values())
-        assert targeted == swept
-
-    def targeted_then_swept(self, executor, paces):
         executor.run(paces, collect_results=False)
-        targeted = self.compacted()
+        targeted = dict(compacted)
         steps = executor._program[1].steps
         every = self.buffers(executor)
         assert any(len(step.drains) < len(every) / 2 for step in steps)
         for step in steps:
             step.drains = every
-        obs.reset()
+        compacted.clear()
         executor.run(paces, collect_results=False)
-        return targeted, self.compacted()
+        assert any(targeted.values())
+        assert targeted == compacted

@@ -59,7 +59,6 @@ def _sleep_then_echo(shared, task):
 def _log_or_fail(_shared, task):
     if OBS.enabled:
         OBS.declog.log("task_ran", task=task)
-        OBS.metrics.counter("test.tasks", task=task).inc()
     if task == "bad":
         raise ExecutionError("boom").attach_fuzz_context(
             seed=42, case_path="/tmp/case-000.json"
@@ -98,10 +97,6 @@ class TestOrderedMap:
         assert "_log_or_fail" in error.__cause__.text
         assert [r["task"] for r in OBS.declog.records] == ["first", "bad"]
         assert [r["run"] for r in OBS.declog.records] == ["task-0", "task-1"]
-        counted = {
-            key for key in OBS.metrics.snapshot() if key.startswith("test.")
-        }
-        assert counted == {"test.tasks{task=first}", "test.tasks{task=bad}"}
 
     def test_in_process_error_is_the_original_exception(self):
         obs.enable(process_name="driver")
@@ -297,20 +292,17 @@ SCHEDULE = {
 
 
 def _merged_obs_state():
-    snapshot = OBS.metrics.snapshot()
+    spans = [e for e in OBS.tracer.events if e.get("ph") == "X"]
     return (
         [(r["run"], r["seq"], r["event"]) for r in OBS.declog.records],
-        {
-            key: payload["value"] for key, payload in snapshot.items()
-            if payload["type"] == "counter"
-        },
-        [e["name"] for e in OBS.tracer.events if e.get("ph") == "X"],
+        [e.get("args") for e in spans],
+        [e["name"] for e in spans],
     )
 
 
 class TestStaticAssignmentWhileTracing:
     """Two consecutive traced ``jobs=2`` runs merge to the same decision
-    log, counters and span-name sequence: worker ``k`` owns tasks
+    log, span arguments and span-name sequence: worker ``k`` owns tasks
     ``k::2``, so each worker's warm/cold history repeats exactly."""
 
     @pytest.fixture(autouse=True)
@@ -332,7 +324,7 @@ class TestStaticAssignmentWhileTracing:
         first, second = states
         assert first[1] and first[2]  # (the engine alone logs no decisions)
         assert first[0] == second[0], "decision logs diverged"
-        assert first[1] == second[1], "counters diverged"
+        assert first[1] == second[1], "span arguments diverged"
         assert first[2] == second[2], "span sequences diverged"
         return first
 
