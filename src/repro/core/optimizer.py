@@ -13,6 +13,10 @@ searches a pace configuration:
 * **iShare** -- the MQO shared plan with per-subplan paces (section 3) and
   optional subplan decomposition (section 4).
 
+The approaches differ only in their row of :data:`APPROACH_PLANS` (plan
+shape and pace grouping) and in iShare's decomposition step; all run one
+body.
+
 For apples-to-apples comparisons all approaches should receive the same
 ``absolute_constraints`` (computed once from a reference cost model);
 otherwise each computes its own from its calibrated statistics.
@@ -140,63 +144,70 @@ def reference_absolute_constraints(catalog, queries, relative_constraints, confi
     return cost_model.absolute_constraints(relative_constraints)
 
 
-def optimize_noshare_uniform(catalog, queries, relative_constraints, config,
-                             absolute_constraints=None):
-    """One subplan per query, one pace per query (section 5.2)."""
-    plan = build_unshared_plan(catalog, queries)
+def _shared_plan(catalog, queries):
+    return MQOOptimizer(catalog).build_shared_plan(queries)
+
+
+#: the section 5.2 approaches: approach -> (plan builder, whether one pace
+#: covers each connected component of the plan rather than each subplan)
+APPROACH_PLANS = {
+    "NoShare-Uniform": (build_unshared_plan, False),
+    "NoShare-Nonuniform": (build_blocking_cut_plan, False),
+    "Share-Uniform": (_shared_plan, True),
+    "iShare": (_shared_plan, False),
+}
+
+
+def _optimize(approach, catalog, queries, relative_constraints, config,
+              absolute_constraints, finish=None, name=None):
+    """Build -> prepare -> resolve -> timed pace search -> report: the
+    body of every optimizer.
+
+    ``finish(chosen, constraints, diagnostics)``, when given, runs inside
+    the timed part on the searched ``(plan, pace_config, evaluation,
+    cost_model)`` and returns the one to report (iShare's decomposition).
+    """
+    build, by_component = APPROACH_PLANS[approach]
+    plan = build(catalog, queries)
     cost_model = _prepare(plan, config)
     constraints = _resolve_constraints(cost_model, relative_constraints,
                                        absolute_constraints)
+    groups = _component_groups(plan) if by_component else None
     start = time.monotonic()
     cost_model.reset_deadline()
-    search = PaceSearch(cost_model, constraints, config.max_pace)
+    search = PaceSearch(cost_model, constraints, config.max_pace, groups=groups)
     result = search.find()
+    diagnostics = {"iterations": result.iterations, "met": result.met_constraints}
+    if groups is not None:
+        diagnostics["components"] = len(groups)
+    chosen = (plan, result.pace_config, result.evaluation, cost_model)
+    if finish is not None:
+        chosen = finish(chosen, constraints, diagnostics)
     elapsed = time.monotonic() - start
     return _report(OptimizationResult(
-        "NoShare-Uniform", plan, result.pace_config, result.evaluation,
-        cost_model, constraints, elapsed,
-        {"iterations": result.iterations, "met": result.met_constraints},
+        name or approach, *chosen, constraints, elapsed, diagnostics,
     ))
+
+
+def optimize_noshare_uniform(catalog, queries, relative_constraints, config,
+                             absolute_constraints=None):
+    """One subplan per query, one pace per query (section 5.2)."""
+    return _optimize("NoShare-Uniform", catalog, queries, relative_constraints,
+                     config, absolute_constraints)
 
 
 def optimize_noshare_nonuniform(catalog, queries, relative_constraints, config,
                                 absolute_constraints=None):
     """Per-query subplans at blocking operators, one pace per part."""
-    plan = build_blocking_cut_plan(catalog, queries)
-    cost_model = _prepare(plan, config)
-    constraints = _resolve_constraints(cost_model, relative_constraints,
-                                       absolute_constraints)
-    start = time.monotonic()
-    cost_model.reset_deadline()
-    search = PaceSearch(cost_model, constraints, config.max_pace)
-    result = search.find()
-    elapsed = time.monotonic() - start
-    return _report(OptimizationResult(
-        "NoShare-Nonuniform", plan, result.pace_config, result.evaluation,
-        cost_model, constraints, elapsed,
-        {"iterations": result.iterations, "met": result.met_constraints},
-    ))
+    return _optimize("NoShare-Nonuniform", catalog, queries,
+                     relative_constraints, config, absolute_constraints)
 
 
 def optimize_share_uniform(catalog, queries, relative_constraints, config,
                            absolute_constraints=None):
     """The MQO shared plan with a single pace per connected shared plan."""
-    plan = MQOOptimizer(catalog).build_shared_plan(queries)
-    cost_model = _prepare(plan, config)
-    constraints = _resolve_constraints(cost_model, relative_constraints,
-                                       absolute_constraints)
-    groups = _component_groups(plan)
-    start = time.monotonic()
-    cost_model.reset_deadline()
-    search = PaceSearch(cost_model, constraints, config.max_pace, groups=groups)
-    result = search.find()
-    elapsed = time.monotonic() - start
-    return _report(OptimizationResult(
-        "Share-Uniform", plan, result.pace_config, result.evaluation,
-        cost_model, constraints, elapsed,
-        {"iterations": result.iterations, "met": result.met_constraints,
-         "components": len(groups)},
-    ))
+    return _optimize("Share-Uniform", catalog, queries, relative_constraints,
+                     config, absolute_constraints)
 
 
 def _component_groups(plan):
@@ -216,53 +227,41 @@ def _component_groups(plan):
 def optimize_ishare(catalog, queries, relative_constraints, config,
                     absolute_constraints=None):
     """The full iShare pipeline: nonuniform paces + subplan decomposition."""
-    plan = MQOOptimizer(catalog).build_shared_plan(queries)
-    cost_model = _prepare(plan, config)
-    constraints = _resolve_constraints(cost_model, relative_constraints,
-                                       absolute_constraints)
-    start = time.monotonic()
-    cost_model.reset_deadline()
-    search = PaceSearch(cost_model, constraints, config.max_pace)
-    result = search.find()
-    diagnostics = {
-        "iterations": result.iterations,
-        "met": result.met_constraints,
-        "simulations": cost_model.simulation_count,
-        "actions": [],
-    }
-    pool = cost_model.memo_pool
-    searched = pool.simulations
-    plan_out, paces_out, eval_out, model_out = (
-        plan, result.pace_config, result.evaluation, cost_model
-    )
-    if config.enable_unshare:
-        outcome = decompose_full_plan(
-            plan, result.pace_config, constraints, config.max_pace,
-            cost_config=config.cost_config,
-            use_brute_force=config.brute_force_split,
-            enable_partial=config.enable_partial,
-            cost_model=cost_model,
-        )
-        plan_out, paces_out = outcome.plan, outcome.pace_config
-        eval_out, model_out = outcome.evaluation, outcome.cost_model
-        diagnostics["actions"] = outcome.actions
-    # cost-model simulations the decomposition ran through the search's
-    # memo pool, and the lookups a model was served from rows another
-    # model of this call wrote (the split optimizer's local simulations
-    # are not memo traffic and are not counted)
-    diagnostics["decompose_simulations"] = pool.simulations - searched
-    diagnostics["memo_pool_hits"] = pool.hits
-    # each query the chosen plan is estimated to miss: estimate and bound
-    final = eval_out.query_final_work
-    diagnostics["unmet"] = {
-        qid: {"estimated": final[qid], "bound": constraints[qid]}
-        for qid in unmet_queries(eval_out, constraints)
-    }
-    elapsed = time.monotonic() - start
+
+    def finish(chosen, constraints, diagnostics):
+        plan, pace_config, evaluation, cost_model = chosen
+        diagnostics["simulations"] = cost_model.simulation_count
+        diagnostics["actions"] = []
+        pool = cost_model.memo_pool
+        searched = pool.simulations
+        if config.enable_unshare:
+            outcome = decompose_full_plan(
+                plan, pace_config, constraints, config.max_pace,
+                cost_config=config.cost_config,
+                use_brute_force=config.brute_force_split,
+                enable_partial=config.enable_partial,
+                cost_model=cost_model,
+            )
+            evaluation = outcome.evaluation
+            chosen = (outcome.plan, outcome.pace_config, evaluation,
+                      outcome.cost_model)
+            diagnostics["actions"] = outcome.actions
+        # cost-model simulations the decomposition ran through the search's
+        # memo pool, and the lookups a model was served from rows another
+        # model of this call wrote (the split optimizer's local simulations
+        # are not memo traffic and are not counted)
+        diagnostics["decompose_simulations"] = pool.simulations - searched
+        diagnostics["memo_pool_hits"] = pool.hits
+        # each query the chosen plan is estimated to miss: estimate and bound
+        final = evaluation.query_final_work
+        diagnostics["unmet"] = {
+            qid: {"estimated": final[qid], "bound": constraints[qid]}
+            for qid in unmet_queries(evaluation, constraints)
+        }
+        return chosen
+
     name = "iShare" if config.enable_unshare else "iShare (w/o unshare)"
     if config.brute_force_split and config.enable_unshare:
         name = "iShare (Brute-Force)"
-    return _report(OptimizationResult(
-        name, plan_out, paces_out, eval_out, model_out, constraints,
-        elapsed, diagnostics,
-    ))
+    return _optimize("iShare", catalog, queries, relative_constraints, config,
+                     absolute_constraints, finish=finish, name=name)

@@ -46,6 +46,16 @@ VARIANTS = (
     "iShare (Brute-Force)",
 )
 
+#: approach or variant -> (optimizer, OptimizerConfig overrides)
+OPTIMIZERS = {
+    "NoShare-Uniform": (optimize_noshare_uniform, {}),
+    "NoShare-Nonuniform": (optimize_noshare_nonuniform, {}),
+    "Share-Uniform": (optimize_share_uniform, {}),
+    "iShare": (optimize_ishare, {}),
+    "iShare (w/o unshare)": (optimize_ishare, {"enable_unshare": False}),
+    "iShare (Brute-Force)": (optimize_ishare, {"brute_force_split": True}),
+}
+
 
 class ApproachResult:
     """Everything measured for one approach under one constraint set."""
@@ -118,21 +128,6 @@ class ExperimentRunner:
 
     # -- running an approach -----------------------------------------------------
 
-    def _optimizer_for(self, name):
-        if name == "NoShare-Uniform":
-            return optimize_noshare_uniform, {}
-        if name == "NoShare-Nonuniform":
-            return optimize_noshare_nonuniform, {}
-        if name == "Share-Uniform":
-            return optimize_share_uniform, {}
-        if name == "iShare":
-            return optimize_ishare, {}
-        if name == "iShare (w/o unshare)":
-            return optimize_ishare, {"enable_unshare": False}
-        if name == "iShare (Brute-Force)":
-            return optimize_ishare, {"brute_force_split": True}
-        raise ValueError("unknown approach %r" % (name,))
-
     def run_approach(self, name, relative_constraints, pace_override=None):
         """Optimize and execute one approach; returns :class:`ApproachResult`.
 
@@ -140,7 +135,9 @@ class ExperimentRunner:
         plan shape under the given pace configuration (used by the
         manual-tuning experiment, Figure 13).
         """
-        optimizer, overrides = self._optimizer_for(name)
+        if name not in OPTIMIZERS:
+            raise ValueError("unknown approach %r" % (name,))
+        optimizer, overrides = OPTIMIZERS[name]
         config = self.config.replace(**overrides) if overrides else self.config
         with trace.span("harness.approach", approach=name):
             absolute = self.absolute_constraints(relative_constraints)

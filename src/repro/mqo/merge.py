@@ -1,11 +1,11 @@
 """The input MQO optimizer: merging queries into a shared plan.
 
 This reproduces the role of the shared-workload optimizer the paper uses
-as its black-box input (Giannikis et al. [17], with the materialization-
-cost extension of Roy et al. [40]): queries are canonicalized, common
-sub-expressions are identified by structural signature, and matching
-subtrees are merged into shared operators whose select/project
-decorations are tracked per query (SharedDB bitvector execution).
+as its black-box input (Giannikis et al. [17]): queries are
+canonicalized, common sub-expressions are identified by structural
+signature, and matching subtrees are merged into shared operators whose
+select/project decorations are tracked per query (SharedDB bitvector
+execution).
 
 The merged DAG is then cut into :class:`~repro.mqo.nodes.Subplan` units at
 operators with more than one consumer; those operators materialize their
@@ -13,16 +13,17 @@ output into buffers that each parent consumes at its own offset.  Base
 relations are buffers themselves, so *source* nodes are never shared --
 they are replicated into each consuming subplan (paper section 2.2).
 
-The module also provides the two baseline plan shapes of section 5.2:
+The two baseline plan shapes of section 5.2 are the same merge without
+hash-consing, so every occurrence of a subtree is its own node:
 
 * :func:`build_unshared_plan` -- one subplan per query (NoShare-Uniform);
 * :func:`build_blocking_cut_plan` -- each query cut into subplans at
   blocking (aggregate) operators (NoShare-Nonuniform).
 """
 
-from ..errors import PlanError
 from ..logical.builder import validate_query_ids
 from ..relational import bitvec
+from ..relational.expressions import col
 from .canonical import canonicalize_optimized
 from .nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
 
@@ -61,48 +62,100 @@ class _MergedNode:
                     return True
         return False
 
+    def accepts(self, query_id, canonical_node):
+        """True if ``canonical_node``, an occurrence in ``query_id``, may
+        reuse this node.
+
+        The node keeps one filter and one projection per query, so a
+        second occurrence within a query it already serves must carry the
+        same filter and a projection either decoration can stand for.
+        """
+        if self.projection_conflicts_with(canonical_node.projection):
+            return False
+        if not self.query_mask >> query_id & 1:
+            return True
+        return (
+            _filter_signature(self.filters.get(query_id))
+            == _filter_signature(canonical_node.filter)
+            and _interchangeable(
+                self.projections.get(query_id), canonical_node.projection,
+                canonical_node.core_schema,
+            )
+        )
+
+
+def _filter_signature(predicate):
+    return None if predicate is None else predicate.signature()
+
+
+def _projection_signature(projection):
+    return tuple((alias, expr.signature()) for alias, expr in projection)
+
+
+def _interchangeable(first, second, core_schema):
+    """True if projections ``first`` and ``second`` (None is the identity)
+    are equal, or one is the identity and the other passes every core
+    column through under its own name."""
+    if first is None and second is None:
+        return True
+    if first is not None and second is not None:
+        return _projection_signature(first) == _projection_signature(second)
+    entries = set(_projection_signature(first if second is None else second))
+    return all(
+        (name, col(name).signature()) in entries for name in core_schema.names()
+    )
+
 
 class MQOOptimizer:
     """Signature-based multi-query optimizer producing a shared plan.
+
+    Sharing is unconditional: every common sub-expression with more than
+    one consumer, however small, is materialized as a shared subplan,
+    matching the paper's aggressive sharing input.
 
     Parameters
     ----------
     catalog:
         the table catalog scans resolve against.
-    min_shared_operators:
-        a sharing gate approximating the materialization-cost check of
-        [40]: a common sub-expression is only materialized as a shared
-        subplan if it contains at least this many core operators (sharing
-        a lone scan or trivial expression costs more in buffer
-        materialization than it saves).  Default 1 shares everything
-        sharable, matching the paper's aggressive sharing input.
     """
 
-    def __init__(self, catalog, min_shared_operators=1):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.min_shared_operators = min_shared_operators
 
     def build_shared_plan(self, queries):
         """Merge ``queries`` (a list of :class:`~repro.logical.ops.Query`)."""
+        return self._build(queries, share=True, cut_aggregates=False)
+
+    def _build(self, queries, share, cut_aggregates):
+        """Canonicalize, hash-cons (only if ``share``), cut, convert."""
         validate_query_ids(queries)
-        merged_roots, merge_table = self._merge(queries)
-        return self._cut(queries, merged_roots, merge_table)
+        merged_roots, merge_table = self._merge(queries, share)
+        return self._cut(
+            queries, merged_roots, merge_table, cut_aggregates, named=not share
+        )
 
     # -- phase 1: hash-consing merge ---------------------------------------
 
-    def _merge(self, queries):
+    def _merge(self, queries, share):
         merge_table = {}
         merged_roots = {}
         for query in queries:
             canonical = canonicalize_optimized(query.root)
             merged_roots[query.query_id] = _intern(
-                canonical, query.query_id, merge_table
+                canonical, query.query_id, merge_table, share
             )
         return merged_roots, list(merge_table.values())
 
     # -- phase 2: cutting into subplans --------------------------------------
 
-    def _cut(self, queries, merged_roots, merged_nodes):
+    def _cut(self, queries, merged_roots, merged_nodes, cut_aggregates, named):
+        """Cut the merged DAG into subplans: at query roots, at nodes with
+        more than one consumer and, if ``cut_aggregates``, at every
+        aggregate.
+
+        With ``named`` (every node serves one query) a subplan is labelled
+        after its query: ``Q`` at the query's root, ``Q.partN`` below it.
+        """
         consumers = {id(node): 0 for node in merged_nodes}
         for node in merged_nodes:
             for child in node.children:
@@ -117,29 +170,33 @@ class MQOOptimizer:
                 return True
             if node.canonical_kind == "scan":
                 return False  # base relations are buffers; scans replicate
-            if consumers[id(node)] <= 1:
-                return False
-            return self._operator_weight(node) >= self.min_shared_operators
+            return consumers[id(node)] > 1 or (
+                cut_aggregates and node.canonical_kind == "aggregate"
+            )
 
         cut_nodes = [node for node in merged_nodes if is_cut(node)]
         cut_ids = {id(node) for node in cut_nodes}
 
         # Build subplans bottom-up so SubplanRef targets exist.
         order = self._topological(cut_nodes, cut_ids)
+        query_meta = {q.query_id: q for q in queries}
         subplan_of = {}
         subplans = []
         for sid, node in enumerate(order):
             root_op = self._convert(
                 node, node.query_mask, node, cut_ids, subplan_of
             )
-            subplan = Subplan(sid, root_op, node.query_mask)
+            label = ""
+            if named:
+                name = query_meta[bitvec.to_ids(node.query_mask)[0]].name
+                label = name if id(node) in root_ids else "%s.part%d" % (name, sid)
+            subplan = Subplan(sid, root_op, node.query_mask, label=label)
             subplan_of[id(node)] = subplan
             subplans.append(subplan)
 
         query_root_subplans = {
             qid: subplan_of[id(root)] for qid, root in merged_roots.items()
         }
-        query_meta = {q.query_id: q for q in queries}
         return SharedQueryPlan(self.catalog, subplans, query_root_subplans, query_meta)
 
     def _convert(self, node, region_mask, region_root, cut_ids, subplan_of):
@@ -189,14 +246,6 @@ class MQOOptimizer:
         )
 
     @staticmethod
-    def _operator_weight(node):
-        """Core-operator count of the subtree rooted at ``node``."""
-        weight = 0 if node.canonical_kind == "scan" else 1
-        return weight + sum(
-            MQOOptimizer._operator_weight(child) for child in node.children
-        )
-
-    @staticmethod
     def _topological(cut_nodes, cut_ids):
         order = []
         done = set()
@@ -211,10 +260,15 @@ class MQOOptimizer:
 # collector found it.
 
 
-def _intern(canonical_node, query_id, merge_table):
-    """Hash-cons one canonical subtree into ``merge_table``."""
+def _intern(canonical_node, query_id, merge_table, share):
+    """Hash-cons one canonical subtree into ``merge_table``.
+
+    An occurrence reuses the first variant of its key that
+    :meth:`_MergedNode.accepts` it; without ``share`` none does, so every
+    occurrence is its own node.
+    """
     children = tuple(
-        _intern(child, query_id, merge_table)
+        _intern(child, query_id, merge_table, share)
         for child in canonical_node.children
     )
     base_key = (
@@ -234,7 +288,7 @@ def _intern(canonical_node, query_id, merge_table):
             )
             merge_table[key] = node
             break
-        if not node.projection_conflicts_with(canonical_node.projection):
+        if share and node.accepts(query_id, canonical_node):
             break
         variant += 1
     node.add_query(query_id, canonical_node)
@@ -261,86 +315,9 @@ def _visit_cut(node, cut_ids, done, order):
     order.append(node)
 
 
-def _tree_to_opnode(catalog, canonical_node, query_id, cut_at_aggregates, out):
-    """Convert one query's canonical tree to OpNodes, optionally cutting.
-
-    ``out`` is a list collecting ``(OpNode_root, is_aggregate_cut)`` pairs
-    for the blocking-cut builder; the returned value is the OpNode for the
-    current position (a SubplanRef placeholder is installed later).
-    """
-    filters = {}
-    projections = {}
-    if canonical_node.filter is not None:
-        filters[query_id] = canonical_node.filter
-    if canonical_node.projection is not None:
-        projections[query_id] = canonical_node.projection
-    mask = 1 << query_id
-    if canonical_node.kind == "scan":
-        table = catalog.get(canonical_node.payload)
-        return OpNode(
-            "source",
-            ref=TableRef(table.name, table.schema),
-            filters=filters,
-            projections=projections,
-            query_mask=mask,
-        )
-    children = []
-    for child in canonical_node.children:
-        child_op = _tree_to_opnode(catalog, child, query_id, cut_at_aggregates, out)
-        if cut_at_aggregates and child.kind == "aggregate":
-            out.append(child_op)
-            child_op = OpNode("source", ref=_PendingRef(child_op), query_mask=mask)
-        children.append(child_op)
-    if canonical_node.kind == "join":
-        left_keys, right_keys = canonical_node.payload
-        return OpNode(
-            "join",
-            children=children,
-            left_keys=left_keys,
-            right_keys=right_keys,
-            filters=filters,
-            projections=projections,
-            query_mask=mask,
-        )
-    group_by, aggs = canonical_node.payload
-    return OpNode(
-        "aggregate",
-        children=children,
-        group_by=group_by,
-        aggs=aggs,
-        filters=filters,
-        projections=projections,
-        query_mask=mask,
-    )
-
-
-class _PendingRef:
-    """Placeholder ref resolved to a SubplanRef once subplans exist."""
-
-    def __init__(self, root_op):
-        self.root_op = root_op
-
-    @property
-    def schema(self):
-        return self.root_op.out_schema
-
-    def key(self):
-        return ("pending", id(self.root_op))
-
-
 def build_unshared_plan(catalog, queries):
     """One subplan per query: the NoShare-Uniform plan shape."""
-    validate_query_ids(queries)
-    subplans = []
-    query_roots = {}
-    for sid, query in enumerate(queries):
-        canonical = canonicalize_optimized(query.root)
-        root_op = _tree_to_opnode(catalog, canonical, query.query_id, False, [])
-        subplan = Subplan(sid, root_op, 1 << query.query_id, label=query.name)
-        subplans.append(subplan)
-        query_roots[query.query_id] = subplan
-    query_meta = {q.query_id: q for q in queries}
-    return SharedQueryPlan(catalog, subplans, query_roots, query_meta)
+    return MQOOptimizer(catalog)._build(queries, share=False, cut_aggregates=False)
 
 
 def build_blocking_cut_plan(catalog, queries):
@@ -351,36 +328,4 @@ def build_blocking_cut_plan(catalog, queries):
     each subplan extends downward until another blocking operator or a
     base relation.
     """
-    validate_query_ids(queries)
-    subplans = []
-    query_roots = {}
-    sid = 0
-    for query in queries:
-        canonical = canonicalize_optimized(query.root)
-        inner_roots = []
-        root_op = _tree_to_opnode(catalog, canonical, query.query_id, True, inner_roots)
-        mask = 1 << query.query_id
-        built = {}
-        for op in inner_roots:  # collected bottom-up: children precede parents
-            subplan = Subplan(sid, op, mask, label="%s.part%d" % (query.name, sid))
-            sid += 1
-            built[id(op)] = subplan
-            subplans.append(subplan)
-        root_subplan = Subplan(sid, root_op, mask, label=query.name)
-        sid += 1
-        subplans.append(root_subplan)
-        for subplan in subplans:
-            _resolve_pending(subplan.root, built)
-        query_roots[query.query_id] = root_subplan
-    query_meta = {q.query_id: q for q in queries}
-    return SharedQueryPlan(catalog, subplans, query_roots, query_meta)
-
-
-def _resolve_pending(op, built):
-    if op.kind == "source" and isinstance(op.ref, _PendingRef):
-        target = built.get(id(op.ref.root_op))
-        if target is None:
-            raise PlanError("unresolved pending subplan reference")
-        op.ref = SubplanRef(target)
-    for child in op.children:
-        _resolve_pending(child, built)
+    return MQOOptimizer(catalog)._build(queries, share=False, cut_aggregates=True)

@@ -1,42 +1,12 @@
-"""Coverage for smaller behaviours: MQO gates, CLI, reports, edge cases."""
+"""Coverage for smaller behaviours: CLI, reports, edge cases."""
 
 import pytest
 
 from repro.harness.__main__ import main as harness_main
 from repro.mqo.merge import MQOOptimizer
-from repro.relational.expressions import agg_count, agg_sum, col
-from repro.logical.builder import PlanBuilder
 from repro.sqlparser.lexer import tokenize
 
-from .util import make_toy_catalog, toy_query_region, toy_query_total
-
-
-class TestMaterializationGate:
-    """The min_shared_operators gate approximates the [40] cost check."""
-
-    def _pair(self, catalog):
-        base = (
-            PlanBuilder.scan(catalog, "events")
-            .join(PlanBuilder.scan(catalog, "items"), "ev_item", "item_id")
-        )
-        a = base.aggregate(["item_cat"], [agg_sum(col("qty"), "s")]).as_query(0, "a")
-        b = base.aggregate(["item_cat"], [agg_count("n")]).as_query(1, "b")
-        return [a, b]
-
-    def test_default_gate_shares_the_join(self, toy_catalog):
-        queries = self._pair(toy_catalog)
-        plan = MQOOptimizer(toy_catalog, min_shared_operators=1).build_shared_plan(queries)
-        assert plan.shared_subplans()
-
-    def test_high_gate_prevents_small_shares(self, toy_catalog):
-        queries = self._pair(toy_catalog)
-        plan = MQOOptimizer(toy_catalog, min_shared_operators=10).build_shared_plan(queries)
-        assert plan.shared_subplans() == []
-        # both queries still answer correctly on their private plans
-        from .util import batch_reference, assert_plan_correct
-
-        reference = batch_reference(toy_catalog, queries)
-        assert_plan_correct(plan, queries, reference)
+from .util import toy_query_region, toy_query_total
 
 
 class TestHarnessCli:

@@ -11,10 +11,19 @@ from repro.mqo.merge import (
 )
 from repro.mqo.nodes import OpNode, SharedQueryPlan, Subplan, SubplanRef, TableRef
 from repro.relational import bitvec
-from repro.relational.expressions import agg_avg, agg_count, agg_sum, col
-from repro.workloads.tpch import build_pair, generate_catalog
+from repro.fuzz.naive import naive_result
+from repro.relational.expressions import agg_avg, agg_count, agg_max, agg_sum, col
+from repro.sqlparser.lower import parse_query
+from repro.workloads.tpch import build_pair, build_query, generate_catalog
 
-from .util import make_toy_catalog, toy_query_max, toy_query_region, toy_query_total
+from .util import (
+    assert_plan_correct,
+    batch_reference,
+    make_toy_catalog,
+    toy_query_max,
+    toy_query_region,
+    toy_query_total,
+)
 
 
 @pytest.fixture()
@@ -67,21 +76,22 @@ class TestSharedPlanConstruction:
 
     def test_duplicate_subtree_within_one_query_becomes_buffer(self, catalog):
         # the same aggregate consumed twice (Q15 shape) must materialize once
-        query = toy_query_max(catalog, 0)
         inner = (
             PlanBuilder.scan(catalog, "events")
             .aggregate(["ev_item"], [agg_sum(col("qty"), "item_qty")])
         )
-        both = inner.project([("k", col("ev_item")), ("v", col("item_qty"))]).join(
-            inner.project([("k2", col("ev_item")), ("v2", col("item_qty"))]),
-            "k", "k2",
-        ).as_query(0, "self_join")
-        plan = MQOOptimizer(catalog).build_shared_plan([both])
+        top = inner.aggregate([], [agg_max(col("item_qty"), "max_qty")])
+        query = inner.join(top, "item_qty", "max_qty").as_query(0, "top_item")
+        plan = MQOOptimizer(catalog).build_shared_plan([query])
         inner_subplans = [
             s for s in plan.subplans if s is not plan.query_roots[0]
         ]
         assert len(inner_subplans) == 1
-        assert plan.consumer_count(inner_subplans[0]) >= 1
+        reads = [
+            node.ref.subplan for node in plan.query_roots[0].root.source_nodes()
+        ]
+        assert reads == inner_subplans * 2
+        assert_plan_correct(plan, [query], batch_reference(catalog, [query]))
 
     def test_projection_conflict_falls_back_to_separate_nodes(self, catalog):
         base = PlanBuilder.scan(catalog, "items")
@@ -175,6 +185,107 @@ class TestBaselinePlanShapes:
         plan = build_blocking_cut_plan(catalog, [query])
         # the root aggregate IS the root: one subplan only
         assert len(plan.subplans) == 1
+
+    def test_noshare_shapes_pin_sids_labels_and_roots(self, catalog, toy_queries):
+        unshared = build_unshared_plan(catalog, toy_queries)
+        assert [(s.sid, s.label, s.query_mask) for s in unshared.subplans] == [
+            (0, "toy_total_0", 0b001),
+            (1, "toy_region_1", 0b010),
+            (2, "toy_max_2", 0b100),
+        ]
+        assert {q: s.sid for q, s in unshared.query_roots.items()} == {
+            0: 0, 1: 1, 2: 2,
+        }
+        cut = build_blocking_cut_plan(catalog, toy_queries)
+        assert [(s.sid, s.label, s.query_mask) for s in cut.subplans] == [
+            (0, "toy_total_0", 0b001),
+            (1, "toy_region_1", 0b010),
+            (2, "toy_max_2.part2", 0b100),
+            (3, "toy_max_2", 0b100),
+        ]
+        assert {q: s.sid for q, s in cut.query_roots.items()} == {
+            0: 0, 1: 1, 2: 3,
+        }
+        assert cut.query_roots[2].child_subplans() == [cut.subplans[2]]
+
+    def test_noshare_shapes_never_hash_cons(self):
+        # Q15 reads its revenue view twice: only the shared plan merges
+        # the two reads into one buffer
+        tpch = generate_catalog(scale=0.05, seed=5)
+        queries = [build_query(tpch, "Q15", 0)]
+        cut = build_blocking_cut_plan(tpch, queries)
+        assert [s.label for s in cut.subplans] == [
+            "Q15.part0", "Q15.part1", "Q15.part2", "Q15",
+        ]
+        view, copy = cut.subplans[0], cut.subplans[1]
+        assert view.root.structure_key() == copy.root.structure_key()
+        assert cut.query_roots[0].child_subplans() == [view, cut.subplans[2]]
+        assert cut.subplans[2].child_subplans() == [copy]
+
+        unshared = build_unshared_plan(tpch, queries)
+        assert len(unshared.subplans) == 1
+        assert unshared.subplans[0].base_tables() == ["lineitem", "supplier"]
+        scans = [n.ref.name for n in unshared.subplans[0].root.source_nodes()]
+        assert scans == ["lineitem", "lineitem", "supplier"]
+
+        shared = MQOOptimizer(tpch).build_shared_plan(queries)
+        assert len(shared.subplans) == 2
+        root = shared.query_roots[0]
+        reads = [
+            n.ref.subplan for n in root.root.source_nodes()
+            if isinstance(n.ref, SubplanRef)
+        ]
+        assert reads == [shared.subplans[0], shared.subplans[0]]
+
+
+class TestWithinQueryDuplicates:
+    """One query reaching the same core subtree twice keeps one node only
+    when both occurrences carry the same filter and interchangeable
+    projections; otherwise each occurrence is its own node."""
+
+    def _check(self, catalog, sql):
+        query = parse_query(catalog, sql, 0, "q")
+        plan = MQOOptimizer(catalog).build_shared_plan([query])
+        reference = batch_reference(catalog, [query])
+        run = assert_plan_correct(plan, [query], reference)
+        truth = naive_result(query, catalog)
+        assert reference[0] == truth
+        assert run.query_results[0] == truth
+        return plan
+
+    def test_differently_filtered_and_projected_scans(self, catalog):
+        plan = self._check(
+            catalog,
+            "SELECT c.cid, COUNT(*) AS n FROM "
+            "(SELECT item_cat AS cid FROM items WHERE price < 20) c JOIN "
+            "(SELECT item_cat AS did FROM items WHERE price > 80) d "
+            "ON c.cid = d.did GROUP BY c.cid",
+        )
+        scans = [n for n in plan.subplans[0].root.walk() if n.kind == "source"]
+        assert len(scans) == 2
+        assert scans[0].projections != scans[1].projections
+
+    def test_same_filter_projected_on_one_side_grouped_on_the_other(self, catalog):
+        self._check(
+            catalog,
+            "SELECT c.cid, g.n FROM "
+            "(SELECT item_cat AS cid FROM items WHERE price < 20) c JOIN "
+            "(SELECT item_cat, COUNT(*) AS n FROM items WHERE price < 20 "
+            "GROUP BY item_cat) g ON c.cid = g.item_cat",
+        )
+
+    def test_differently_projected_aggregate_is_not_a_buffer(self, catalog):
+        inner = (
+            PlanBuilder.scan(catalog, "events")
+            .aggregate(["ev_item"], [agg_sum(col("qty"), "item_qty")])
+        )
+        query = inner.project([("k", col("ev_item")), ("v", col("item_qty"))]).join(
+            inner.project([("k2", col("ev_item")), ("v2", col("item_qty"))]),
+            "k", "k2",
+        ).as_query(0, "self_join")
+        plan = MQOOptimizer(catalog).build_shared_plan([query])
+        assert len(plan.subplans) == 1
+        assert_plan_correct(plan, [query], batch_reference(catalog, [query]))
 
 
 class TestOpNodeBasics:
