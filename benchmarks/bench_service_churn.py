@@ -212,8 +212,8 @@ def main(argv=None):
         )
     )
     print(
-        "admission: %(admitted)d admitted, %(rejected)d rejected, "
-        "%(queued)d queued" % summary["admission"]
+        "admission: %(admitted)d admitted, %(rejected)d rejected"
+        % summary["admission"]
     )
     stats = result["reoptimize"]
     print(

@@ -272,8 +272,7 @@ def churn(size, windows):
         for i in range(1, size["service_ring"])
     ]
     config = OptimizerConfig(max_pace=size["service_max_pace"])
-    service = QueryService(
-        lambda window: ring[window % len(ring)], config, admission="reject")
+    service = QueryService(lambda window: ring[window % len(ring)], config)
     schedule = ChurnSchedule()
 
     def register():

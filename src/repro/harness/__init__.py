@@ -1,7 +1,6 @@
 """Experiment harness: runners, report formatting, per-figure drivers."""
 
 from .runner import APPROACHES, VARIANTS, ApproachResult, ExperimentRunner
-from .recurring import RecurringSimulation, DayOutcome
 from .parallel import CellOutcome, ExperimentCell, run_cells, timing_report
 from .report import format_table, missed_latency_row, MISSED_HEADERS
 from .experiments import (
@@ -26,8 +25,6 @@ __all__ = [
     "VARIANTS",
     "ApproachResult",
     "ExperimentRunner",
-    "RecurringSimulation",
-    "DayOutcome",
     "CellOutcome",
     "ExperimentCell",
     "run_cells",

@@ -390,7 +390,7 @@ def _tune_constraints(runner, name, relative, goals, rounds):
 # -- Figure 14 / Table 3: decomposition ablation ----------------------------------
 
 def fig14(scale=0.5, max_pace=100, levels=CONSTRAINT_LEVELS, config=None,
-          seed=0, brute_force_limit=8, jobs=1, catalog_seed=5):
+          seed=0, jobs=1, catalog_seed=5):
     """The section 5.4 decomposition experiment.
 
     Workload: the 10 sharing-friendly queries plus predicate-mutated

@@ -3,7 +3,7 @@
 Tenants are statically sharded -- ``crc32(tenant) % shards``, a stable
 hash, unlike salted ``hash()`` -- and each shard is one fully independent
 :class:`~repro.service.core.QueryService` with its own plan, catalog
-stream and admission queue.  Sharding by *tenant* keeps every tenant's
+stream and admission.  Sharding by *tenant* keeps every tenant's
 queries (and its fairness budget) on one service; cross-tenant work
 sharing is deliberately given up at the shard boundary, which is the
 standard scale-out trade of a shared-execution service.
@@ -130,7 +130,7 @@ def summarize_reports(reports):
     slo_misses = 0
     total_work = 0.0
     tenants = {}
-    statuses = {"admitted": 0, "rejected": 0, "queued": 0}
+    statuses = {"admitted": 0, "rejected": 0}
     min_headroom = None
     deferred_work = 0.0
     conserved = True
@@ -156,8 +156,7 @@ def summarize_reports(reports):
                 merged["query_windows"] += bucket["queries"]
                 merged["slo_misses"] += bucket["slo_misses"]
         for decision in report["admission"]:
-            if decision["status"] in statuses:
-                statuses[decision["status"]] += 1
+            statuses[decision["status"]] += 1
     return {
         "total_work": total_work,
         "query_windows": slo_checks,

@@ -3,11 +3,10 @@
 A logical plan is an immutable tree over the operator set the paper's
 shared execution engine supports (section 2.3): scan, select, project,
 inner (equi-)join and group-by aggregate.  Each node derives its output
-schema and exposes a *structural signature* used by the MQO optimizer's
-sharability test: two subplans are sharable iff their signatures match,
-where select predicates and project expressions are deliberately excluded
-from the signature (they may differ between sharable plans and are merged
-or marked, per section 2.3).
+schema.  The MQO optimizer's sharability test works on the canonical
+form (:mod:`repro.mqo.canonical`), where selects and projects are
+folded onto the core operators as decorations that may differ between
+sharable plans.
 """
 
 from ..errors import PlanError
@@ -28,20 +27,6 @@ class LogicalOp:
     @property
     def schema(self):
         """The output schema of this operator."""
-        raise NotImplementedError
-
-    def structural_signature(self):
-        """Signature that ignores select predicates / project expressions.
-
-        This is the sharability key of the MQO optimizer (section 2.3):
-        "Two physical subplans are considered sharable if they have exactly
-        the same structure and operators, with the exception of allowing
-        their select and project operators to be different."
-        """
-        raise NotImplementedError
-
-    def exact_signature(self):
-        """Signature that includes every expression (full plan identity)."""
         raise NotImplementedError
 
     def walk(self):
@@ -81,12 +66,6 @@ class Scan(LogicalOp):
     def schema(self):
         return self._schema
 
-    def structural_signature(self):
-        return "scan(%s)" % self.table_name
-
-    def exact_signature(self):
-        return self.structural_signature()
-
     def __repr__(self):
         return "Scan(%r)" % self.table_name
 
@@ -108,19 +87,6 @@ class Select(LogicalOp):
     @property
     def schema(self):
         return self.child.schema
-
-    def structural_signature(self):
-        # Predicate deliberately excluded: differing selects are sharable.
-        return "select[%s](%s)" % (
-            ",".join(sorted(self.predicate.columns())),
-            self.child.structural_signature(),
-        )
-
-    def exact_signature(self):
-        return "select{%s}(%s)" % (
-            self.predicate.signature(),
-            self.child.exact_signature(),
-        )
 
     def __repr__(self):
         return "Select(%r)" % (self.predicate,)
@@ -146,14 +112,6 @@ class Project(LogicalOp):
     @property
     def schema(self):
         return self._schema
-
-    def structural_signature(self):
-        # Expressions deliberately excluded: differing projects are merged.
-        return "project(%s)" % self.child.structural_signature()
-
-    def exact_signature(self):
-        body = ",".join("%s=%s" % (a, e.signature()) for a, e in self.exprs)
-        return "project{%s}(%s)" % (body, self.child.exact_signature())
 
     def __repr__(self):
         return "Project(%s)" % ", ".join(alias for alias, _ in self.exprs)
@@ -188,22 +146,6 @@ class Join(LogicalOp):
     @property
     def schema(self):
         return self._schema
-
-    def structural_signature(self):
-        return "join[%s=%s](%s,%s)" % (
-            ",".join(self.left_keys),
-            ",".join(self.right_keys),
-            self.left.structural_signature(),
-            self.right.structural_signature(),
-        )
-
-    def exact_signature(self):
-        return "join[%s=%s](%s,%s)" % (
-            ",".join(self.left_keys),
-            ",".join(self.right_keys),
-            self.left.exact_signature(),
-            self.right.exact_signature(),
-        )
 
     def __repr__(self):
         return "Join(%s = %s)" % (self.left_keys, self.right_keys)
@@ -242,22 +184,6 @@ class Aggregate(LogicalOp):
 
     def is_blocking(self):
         return True
-
-    def structural_signature(self):
-        # Aggregates must match exactly to be sharable (only select/project
-        # may differ), so the aggregate spec is part of the structure.
-        return "agg[%s;%s](%s)" % (
-            ",".join(self.group_by),
-            ",".join(spec.signature() for spec in self.aggs),
-            self.child.structural_signature(),
-        )
-
-    def exact_signature(self):
-        return "agg[%s;%s](%s)" % (
-            ",".join(self.group_by),
-            ",".join(spec.signature() for spec in self.aggs),
-            self.child.exact_signature(),
-        )
 
     def __repr__(self):
         return "Aggregate(by=%s, %s)" % (

@@ -113,17 +113,22 @@ class CanonicalNode:
 
         return Schema(tuple(Column(alias) for alias, _ in self.projection))
 
-    def structure_key(self):
-        """Hash-consing key: core structure only, decorations excluded."""
-        child_keys = tuple(child.structure_key() for child in self.children)
+    def operator_key(self):
+        """The core operator alone: children and decorations excluded."""
         if self.kind == "scan":
-            return ("scan", self.payload, child_keys)
+            return ("scan", self.payload)
         if self.kind == "join":
             left_keys, right_keys = self.payload
-            return ("join", left_keys, right_keys, child_keys)
+            return ("join", left_keys, right_keys)
         group_by, aggs = self.payload
-        agg_sig = tuple(spec.signature() for spec in aggs)
-        return ("aggregate", group_by, agg_sig, child_keys)
+        return ("aggregate", group_by, tuple(spec.signature() for spec in aggs))
+
+    def structure_key(self):
+        """The core structure of the subtree, decorations excluded."""
+        return (
+            self.operator_key(),
+            tuple(child.structure_key() for child in self.children),
+        )
 
     def walk(self):
         yield self

@@ -271,8 +271,9 @@ def _intern(canonical_node, query_id, merge_table, share):
         _intern(child, query_id, merge_table, share)
         for child in canonical_node.children
     )
+    # equal child ids already mean equal subtrees below
     base_key = (
-        canonical_node.structure_key(),
+        canonical_node.operator_key(),
         tuple(id(child) for child in children),
     )
     variant = 0

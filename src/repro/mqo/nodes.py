@@ -194,16 +194,6 @@ class OpNode:
         """All source leaves of this tree."""
         return [node for node in self.walk() if node.kind == "source"]
 
-    def structure_key(self):
-        """Core structure key (decorations excluded); mirrors canonical trees."""
-        child_keys = tuple(child.structure_key() for child in self.children)
-        if self.kind == "source":
-            return ("source", self.ref.key(), child_keys)
-        if self.kind == "join":
-            return ("join", self.left_keys, self.right_keys, child_keys)
-        agg_sig = tuple(spec.signature() for spec in self.aggs)
-        return ("aggregate", self.group_by, agg_sig, child_keys)
-
     # -- copying / restriction ----------------------------------------------
 
     def copy(self, children=None, ref=None):

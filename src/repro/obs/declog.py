@@ -22,7 +22,7 @@ stable ``run`` id, and event-specific fields:
   merged back;
 * ``service_admission`` / ``service_deregister`` -- the long-running
   service's registration churn: every admission decision (admitted /
-  rejected / queued, with its reason and, for a goal turned away as
+  rejected, with its reason and, for a goal turned away as
   unsatisfiable, whether the query meets it alone) and every removal;
 * ``service_plan_update`` -- one incremental re-merge, with the subplan
   count and the sids reused versus recalibrated;

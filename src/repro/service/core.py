@@ -10,15 +10,14 @@ changed are recalibrated and re-searched.
 
 Admission control evaluates every registration before adopting it: a
 goal that cannot be met even at maximum eagerness under the current load
-is provably unsatisfiable under the cost model and is rejected (or
-queued, in ``admission="queue"`` mode, to be retried whenever a
-deregistration frees capacity).  Per-tenant fairness is enforced through
-work budgets: a tenant's registrations may not demand more estimated
-solo work per window than its budget.  Admission is then re-checked
-against measurement: a query whose first window misses its goal is
-re-run at maximum eagerness on that window's data, and if it still
-misses there it is rejected (or queued) as ``measured_unsatisfiable``
-instead of missing silently for the rest of its life.
+is provably unsatisfiable under the cost model and is rejected.
+Per-tenant fairness is enforced through work budgets: a tenant's
+registrations may not demand more estimated solo work per window than
+its budget.  Admission is then re-checked against measurement: a query
+whose first window misses its goal is re-run at maximum eagerness on
+that window's data, and if it still misses there it is rejected as
+``measured_unsatisfiable`` instead of missing silently for the rest of
+its life.
 Every query turned away as unsatisfiable is also run alone -- its own
 unshared plan at ``P_max`` on the catalog the verdict was reached on --
 and its decision records whether that meets the goal
@@ -83,7 +82,7 @@ class AdmissionDecision:
                  meets_alone=None, alone_estimate=None):
         self.query_id = query_id
         self.tenant = tenant
-        self.status = status  # admitted | rejected | queued
+        self.status = status  # admitted | rejected
         self.reason = reason
         self.window = window
         self.meets_alone = meets_alone
@@ -170,10 +169,17 @@ class _WindowRun:
         self._final_at_max = None
         self._final_alone = {}  # qid -> final work of its own plan
 
-    def late_at_max(self, config, goals):
-        """``{qid: final work}`` of the queries of ``goals`` (``{qid: goal
-        seconds}``) whose measured final work misses the goal even with
-        every subplan at the maximum pace."""
+    def classify(self, config, missed):
+        """Split the missed queries of ``missed`` (``{qid: goal
+        seconds}``) three ways.
+
+        A query that meets its goal with every subplan of this plan at
+        ``P_max`` is *avoidable*; one that still misses there is *late*,
+        and is *isolable* if it meets the goal alone
+        (:meth:`meets_alone`), *infeasible* otherwise.  Returns ``(split,
+        late)``: ``split`` maps each kind to its qids in ``missed``'s
+        order, ``late`` each late query's final work at ``P_max``.
+        """
         if self._final_at_max is None:
             eager = PlanExecutor(
                 self.plan, config.stream_config, catalog=self.catalog
@@ -183,12 +189,18 @@ class _WindowRun:
             )
             self._final_at_max = eager.query_final_work
         seconds = config.stream_config.seconds
+        split = {"avoidable": [], "isolable": [], "infeasible": []}
         late = {}
-        for qid, goal in goals.items():
+        for qid, goal in missed.items():
             final = self._final_at_max.get(self.slots[qid], 0.0)
-            if missed_latency(seconds(final), goal)[0] > 0:
+            if missed_latency(seconds(final), goal)[0] <= 0:
+                kind = "avoidable"
+            else:
                 late[qid] = final
-        return late
+                alone = self.meets_alone(config, qid, goal)
+                kind = "isolable" if alone else "infeasible"
+            split[kind].append(qid)
+        return split, late
 
     def meets_alone(self, config, qid, goal):
         """Whether query ``qid`` meets ``goal`` (seconds) on this window's
@@ -221,10 +233,9 @@ class QueryService:
         an :class:`~repro.core.optimizer.OptimizerConfig`; its stream
         config drives execution and the work-to-seconds conversion.
     admission:
-        ``"reject"`` turns away an inadmissible registration for good;
-        ``"queue"`` parks it and retries (FIFO) after each
-        deregistration.  Either applies to a live query whose first
-        window proves it ``measured_unsatisfiable``.
+        the admission policy; ``"reject"``, the only one, turns away an
+        inadmissible registration, or a live query whose first window
+        proves it ``measured_unsatisfiable``, for good.
     tenant_budgets:
         optional ``{tenant: work_units}`` fairness budgets; a tenant's
         live queries may not demand more estimated solo batch work than
@@ -233,17 +244,15 @@ class QueryService:
 
     def __init__(self, make_catalog, config=None, admission="reject",
                  tenant_budgets=None):
-        if admission not in ("reject", "queue"):
+        if admission != "reject":
             raise ServiceError(
-                "admission mode must be 'reject' or 'queue', got %r" % (admission,)
+                "admission mode must be 'reject', got %r" % (admission,)
             )
         self.make_catalog = make_catalog
         self.config = config or OptimizerConfig()
-        self.admission = admission
         self.tenant_budgets = dict(tenant_budgets or {})
         self.window = 0
         self.registrations = {}  # qid -> Registration, insertion-ordered
-        self.pending = []  # queued registrations (admission="queue")
         self.decisions = []  # every AdmissionDecision ever made
         #: admitted queries that have not run a window yet: their first
         #: window re-checks admission against measurement
@@ -311,23 +320,16 @@ class QueryService:
                 "query %d: latency goal must be a positive number, got %r"
                 % (query_id, relative_goal)
             )
-        if query_id in self.registrations or any(
-            r.query_id == query_id for r in self.pending
-        ):
+        if query_id in self.registrations:
             raise ServiceError(
-                "query id %d is already registered%s; deregister it first or "
-                "pick a fresh id" % (
-                    query_id,
-                    " (queued)" if query_id not in self.registrations else "",
-                )
+                "query id %d is already registered; deregister it first or "
+                "pick a fresh id" % query_id
             )
         registration = Registration(
             query_id, tenant, query, float(relative_goal), self.window
         )
         decision = self._try_admit(registration)
         self.decisions.append(decision)
-        if decision.status == "queued":
-            self.pending.append(registration)
         if OBS.enabled:
             OBS.declog.log(
                 "service_admission", **decision.to_dict()
@@ -335,20 +337,11 @@ class QueryService:
         return decision
 
     def deregister(self, query_id):
-        """Remove a live (or queued) query; frees capacity for the queue.
+        """Remove a live query.
 
         Referencing an unknown or already-deregistered id raises a
         descriptive :class:`~repro.errors.OptimizationError`.
         """
-        for index, registration in enumerate(self.pending):
-            if registration.query_id == query_id:
-                del self.pending[index]
-                if OBS.enabled:
-                    OBS.declog.log(
-                        "service_deregister", query_id=query_id,
-                        tenant=registration.tenant, queued=True,
-                    )
-                return registration
         registration = self.registrations.pop(query_id, None)
         if registration is None:
             live = sorted(self.registrations)
@@ -360,11 +353,10 @@ class QueryService:
         if OBS.enabled:
             OBS.declog.log(
                 "service_deregister", query_id=query_id,
-                tenant=registration.tenant, queued=False,
+                tenant=registration.tenant,
             )
         self._unmeasured.discard(query_id)
         self._replan()
-        self._retry_pending()
         return registration
 
     def _replan(self):
@@ -374,19 +366,6 @@ class QueryService:
             self._adopt(merge, slots)
         else:
             self._clear_plan()
-
-    def _retry_pending(self):
-        """FIFO re-admission pass over the queue after capacity changed."""
-        still_pending = []
-        for registration in self.pending:
-            decision = self._try_admit(registration)
-            decision.reason = "retry: " + decision.reason
-            if decision.status == "queued":
-                still_pending.append(registration)
-            self.decisions.append(decision)
-            if OBS.enabled:
-                OBS.declog.log("service_admission", **decision.to_dict())
-        self.pending = still_pending
 
     def _merge(self, registrations):
         """Re-merge ``registrations``, carrying live state.
@@ -425,7 +404,6 @@ class QueryService:
         re-search.
         """
         qid = registration.query_id
-        queued = self.admission == "queue"
         candidates = list(self.registrations.values())
         candidates.append(registration)
         merge, slots = self._merge(candidates)
@@ -440,8 +418,7 @@ class QueryService:
             alone = _WindowRun(self.window, merge.plan, slots,
                                self.basis_catalog)
             return AdmissionDecision(
-                qid, registration.tenant,
-                "queued" if queued else "rejected",
+                qid, registration.tenant, "rejected",
                 "goal_unsatisfiable: final work %.1f at max pace %d exceeds "
                 "bound %.1f (goal %g x solo %.1f)" % (
                     final_at_max, self.config.max_pace, bound,
@@ -462,8 +439,7 @@ class QueryService:
                     demand += merge.model.solo_batch(slots[other.query_id])[0]
             if demand > budget:
                 return AdmissionDecision(
-                    qid, registration.tenant,
-                    "queued" if queued else "rejected",
+                    qid, registration.tenant, "rejected",
                     "tenant_budget: estimated solo work %.1f exceeds budget "
                     "%.1f" % (demand, budget),
                     self.window,
@@ -625,9 +601,9 @@ class QueryService:
         A query whose first window missed its goal is held to the same
         window re-run at uniform ``P_max``: if it misses there too, the
         cost model admitted it on an estimate the data refutes, so it
-        leaves the live plan -- rejected, or queued for the next
-        deregistration -- with an audited ``measured_unsatisfiable``
-        decision.  A miss ``P_max`` would have met stays live.
+        leaves the live plan, rejected with an audited
+        ``measured_unsatisfiable`` decision.  A miss ``P_max`` would have
+        met stays live.
         """
         first, self._unmeasured = self._unmeasured, set()
         missed = {
@@ -636,27 +612,24 @@ class QueryService:
         }
         if not missed:
             return
-        late = ran.late_at_max(self.config, missed)
+        split, late = ran.classify(self.config, missed)
         if not late:
             return
-        queued = self.admission == "queue"
         for qid, final in late.items():
             registration = self.registrations.pop(qid)
             decision = AdmissionDecision(
-                qid, registration.tenant, "queued" if queued else "rejected",
+                qid, registration.tenant, "rejected",
                 "measured_unsatisfiable: final work %.1f at max pace %d "
                 "exceeds bound %.1f in window %d" % (
                     final, self.config.max_pace,
                     self._constraints[ran.slots[qid]], ran.window,
                 ),
                 ran.window,
-                meets_alone=ran.meets_alone(self.config, qid, missed[qid]),
+                meets_alone=qid in split["isolable"],
                 alone_estimate=self.model.solo_final(
                     ran.slots[qid], self.config.max_pace),
             )
             self.decisions.append(decision)
-            if queued:
-                self.pending.append(registration)
             if OBS.enabled:
                 OBS.declog.log("service_admission", **decision.to_dict())
         self._replan()
@@ -705,36 +678,25 @@ def split_misses(service, outcome):
     alone -- its own unshared plan at ``P_max`` on the same catalog --
     and is *isolable* if it meets its bound there (this sharing makes it
     infeasible), *infeasible* otherwise.  The window's admission
-    re-check shares the ``P_max`` run, so a query it evicted is never
-    reported avoidable.
+    re-check makes the same classification (:meth:`_WindowRun.classify`)
+    on the same runs, so a query it evicted is never reported avoidable.
 
     Call it right after the :meth:`QueryService.run_window` that returned
     ``outcome``, before churn changes the plan.  It only reads: no
     service state, memo or ledger changes.  Returns
     ``{"avoidable": [qid, ...], "isolable": [...], "infeasible": [...]}``.
     """
-    split = {"avoidable": [], "isolable": [], "infeasible": []}
     missed = {
         qid: entry["goal_seconds"]
         for qid, entry in sorted(outcome.queries.items())
         if entry["missed_seconds"] > 0
     }
     if not missed:
-        return split
+        return {"avoidable": [], "isolable": [], "infeasible": []}
     ran = service._last_run
     if ran is None or ran.window != outcome.window:
         raise ServiceError(
             "window %d's plan is no longer live: split its misses right "
             "after run_window" % outcome.window
         )
-    config = service.config
-    late = ran.late_at_max(config, missed)
-    for qid, goal in missed.items():
-        if qid not in late:
-            kind = "avoidable"
-        elif ran.meets_alone(config, qid, goal):
-            kind = "isolable"
-        else:
-            kind = "infeasible"
-        split[kind].append(qid)
-    return split
+    return ran.classify(service.config, missed)[0]

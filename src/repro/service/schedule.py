@@ -123,9 +123,7 @@ def replay_schedule(service, schedule, build_query, collect_results=False):
         if event["op"] == "register":
             query = build_query(event["query"], qid)
             service.register(query, event["tenant"], event["goal"])
-        elif qid in service.registrations or any(
-            registration.query_id == qid for registration in service.pending
-        ):
+        elif qid in service.registrations:
             service.deregister(qid)
         # else admission turned the query away (at registration, or as
         # measured_unsatisfiable after its first window): nothing to leave

@@ -13,6 +13,7 @@ from repro.logical.ops import (
     Select,
     format_plan,
 )
+from repro.mqo.canonical import canonicalize_optimized
 from repro.relational.expressions import agg_count, agg_sum, col
 
 
@@ -96,38 +97,56 @@ class TestOperatorValidation:
             Query(0, "bad", "nope")
 
 
+def structure(root):
+    """The key the MQO merge shares on: decorations excluded."""
+    return canonicalize_optimized(root).structure_key()
+
+
+def decorations(root):
+    """Every canonical node's filter and projection signature, pre-order."""
+    return [
+        (
+            None if node.filter is None else node.filter.signature(),
+            None if node.projection is None else tuple(
+                (alias, expr.signature()) for alias, expr in node.projection
+            ),
+        )
+        for node in canonicalize_optimized(root).walk()
+    ]
+
+
 class TestSignatures:
     def test_differing_selects_share_structure(self, catalog):
         base = PlanBuilder.scan(catalog, "items")
         a = base.where(col("price") > 5).build()
         b = base.where(col("price") > 50).build()
-        assert a.structural_signature() == b.structural_signature()
-        assert a.exact_signature() != b.exact_signature()
+        assert structure(a) == structure(b)
+        assert decorations(a) != decorations(b)
 
     def test_differing_projects_share_structure(self, catalog):
         base = PlanBuilder.scan(catalog, "items")
         a = base.project(["item_id"]).build()
         b = base.project(["price"]).build()
-        assert a.structural_signature() == b.structural_signature()
-        assert a.exact_signature() != b.exact_signature()
+        assert structure(a) == structure(b)
+        assert decorations(a) != decorations(b)
 
     def test_differing_aggregates_do_not_share(self, catalog):
         base = PlanBuilder.scan(catalog, "items")
         a = base.aggregate("item_cat", [agg_sum(col("price"), "t")]).build()
         b = base.aggregate("item_cat", [agg_count("t")]).build()
-        assert a.structural_signature() != b.structural_signature()
+        assert structure(a) != structure(b)
 
     def test_differing_tables_do_not_share(self, catalog):
         a = PlanBuilder.scan(catalog, "items").build()
         b = PlanBuilder.scan(catalog, "categories").build()
-        assert a.structural_signature() != b.structural_signature()
+        assert structure(a) != structure(b)
 
     def test_differing_join_keys_do_not_share(self, catalog):
         items = PlanBuilder.scan(catalog, "events")
         other = PlanBuilder.scan(catalog, "items")
         a = items.join(other, "ev_item", "item_id").build()
         b = items.join(other, "qty", "price").build()
-        assert a.structural_signature() != b.structural_signature()
+        assert structure(a) != structure(b)
 
 
 class TestStructureHelpers:

@@ -10,6 +10,7 @@ from repro import obs
 from repro.core.incremental import merge_with_carry
 from repro.core.optimizer import OptimizerConfig
 from repro.core.pace import uniform_configuration
+from repro.cost.memo import OptimizationTimeout
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import OptimizationError, ServiceError
@@ -160,30 +161,17 @@ class TestAdmission:
             toy_query_region(catalog, 2), "b", 50.0
         ).status == "admitted"
 
-    def test_queue_mode_retries_after_deregistration(self):
-        probe = toy_service()
-        probe.register(toy_query_total(probe.basis_catalog, 0), "a", 50.0)
-        solo = probe.model.solo_batch(probe.slots[0])[0]
-
-        service = toy_service(
-            admission="queue", tenant_budgets={"a": solo * 1.5}
-        )
-        catalog = service.basis_catalog
-        service.register(toy_query_total(catalog, 0), "a", 50.0)
-        queued = service.register(toy_query_total(catalog, 1), "a", 50.0)
-        assert queued.status == "queued"
-        assert [r.query_id for r in service.pending] == [1]
-
-        service.deregister(0)
-        retried = [d for d in service.decisions if d.reason.startswith("retry:")]
-        assert retried and retried[-1].query_id == 1
-        assert retried[-1].status == "admitted"
-        assert service.pending == []
-        assert 1 in service.registrations
-
     def test_invalid_admission_mode(self):
-        with pytest.raises(ServiceError, match="admission"):
+        with pytest.raises(ServiceError, match="must be 'reject'"):
             toy_service(admission="drop")
+
+    def test_queue_admission_mode_is_refused(self):
+        # rejection is the one policy: the service and a schedule both
+        # refuse the queued mode instead of holding a query back
+        with pytest.raises(ServiceError, match="must be 'reject'"):
+            toy_service(admission="queue")
+        with pytest.raises(ServiceError, match="must be 'reject'"):
+            run_service_schedule(dict(SMALL_SCHEDULE, admission="queue"))
 
 
 class TestServiceExecution:
@@ -592,9 +580,9 @@ class TestMissSplit:
         ran = service._last_run
         split = split_misses(service, outcome)
         assert split == {"avoidable": [2], "isolable": [0, 1], "infeasible": []}
-        assert sorted(ran.late_at_max(service.config, {
+        assert sorted(ran.classify(service.config, {
             qid: outcome.queries[qid]["goal_seconds"] for qid in (0, 1, 2)
-        })) == [0, 1]
+        })[1]) == [0, 1]
         # one alone-run per late query, cached on the window: asking
         # again runs nothing
         cached = dict(ran._final_alone)
@@ -640,7 +628,7 @@ class TestMeasuredAdmission:
                 2: (toy_query_max, "c")}
 
     @staticmethod
-    def _service(admission="reject"):
+    def _service():
         # admitted on window 0's statistics, a query first run on window 1
         # meets twice the events: queries 0 and 1 miss even at P_max
         def make_catalog(window):
@@ -648,10 +636,10 @@ class TestMeasuredAdmission:
                 seed=41 + window, n_events=900 * (1 + window))
 
         return QueryService(
-            make_catalog, OptimizerConfig(max_pace=6), admission=admission)
+            make_catalog, OptimizerConfig(max_pace=6))
 
-    def _first_window(self, admission="reject", queries=(0, 1, 2)):
-        service = self._service(admission)
+    def _first_window(self, queries=(0, 1, 2)):
+        service = self._service()
         catalog = service.basis_catalog
         service.run_window()  # idle: the clock moves to window 1
         for qid in queries:
@@ -679,34 +667,11 @@ class TestMeasuredAdmission:
         # with the model's estimate of each alone run beside the verdict
         assert all(d.alone_estimate > 0 for d in rechecked)
         assert sorted(service.registrations) == [2]
-        assert service.pending == []
         # the window that evicted them still splits: they miss at P_max
         # in the shared plan, yet each meets its bound alone
         assert split_misses(service, outcome) == {
             "avoidable": [2], "isolable": [0, 1], "infeasible": []}
         assert sorted(service.run_window().queries) == [2]
-
-    def test_queue_mode_queues_then_retries_after_deregistration(self):
-        service, _ = self._first_window(admission="queue")
-        assert [(d.query_id, d.status) for d in service.decisions[3:]] == [
-            (0, "queued"), (1, "queued")]
-        assert [r.query_id for r in service.pending] == [0, 1]
-        assert sorted(service.registrations) == [2]
-
-        service.deregister(2)
-        retried = service.decisions[-2:]
-        assert [(d.query_id, d.status) for d in retried] == [
-            (0, "admitted"), (1, "admitted")]
-        assert all(d.reason.startswith("retry:") for d in retried)
-        # re-admitted on the estimate, they are measured again: window 2
-        # is heavier still, so they go back to the queue
-        outcome = service.run_window()
-        assert sorted(outcome.queries) == [0, 1]
-        assert [(d.query_id, d.status, d.window)
-                for d in service.decisions[-2:]] == [
-            (0, "queued", 2), (1, "queued", 2)]
-        assert service.registrations == {}
-        assert service.plan is None
 
     def test_an_avoidable_first_window_miss_stays_live(self):
         service, outcome = self._first_window(queries=(2,))
@@ -749,6 +714,76 @@ class TestMeasuredAdmission:
                     for r in records] == [(0, "rejected", 1), (1, "rejected", 1)]
         finally:
             obs.disable()
+
+
+TPCH_JOBS = ("Q1", "Q6", "Q12", "Q18")
+
+
+def fixed_set_service(config=None):
+    """A service over drifting TPC-H windows: one catalog seed per window."""
+    return QueryService(
+        lambda window: generate_catalog(scale=0.12, seed=100 + window),
+        config or OptimizerConfig(max_pace=12),
+    )
+
+
+@pytest.fixture(scope="module")
+def fixed_set_run():
+    """Four TPC-H jobs registered once, then three windows: the recurring
+    deployment of scheduled queries (paper section 2.1).  Returns each
+    window's outcome and the paces each window ran at."""
+    service = fixed_set_service()
+    for qid, name in enumerate(TPCH_JOBS):
+        query = build_query(service.basis_catalog, name, qid)
+        assert service.register(query, "etl", 0.5).status == "admitted"
+    outcomes, paces = [], []
+    for _ in range(3):
+        outcomes.append(service.run_window())
+        paces.append(dict(service.paces))
+    return outcomes, paces
+
+
+class TestFixedRegistrationSet:
+    def test_runs_every_window_with_work(self, fixed_set_run):
+        outcomes, _ = fixed_set_run
+        assert [o.window for o in outcomes] == [0, 1, 2]
+        for outcome in outcomes:
+            assert outcome.total_work > 0
+            assert sorted(outcome.queries) == [0, 1, 2, 3]
+
+    def test_goals_from_the_basis_hold_on_drifting_windows(self, fixed_set_run):
+        outcomes, _ = fixed_set_run
+        for outcome in outcomes:
+            assert all(entry["missed_seconds"] == 0
+                       for entry in outcome.queries.values())
+
+    def test_paces_stay_put_without_churn(self, fixed_set_run):
+        outcomes, paces = fixed_set_run
+        assert [o.reoptimized for o in outcomes] == [True, False, False]
+        assert paces[0] == paces[1] == paces[2]
+
+    def test_every_window_has_a_slack_entry_per_live_query(self, fixed_set_run):
+        outcomes, _ = fixed_set_run
+        for outcome in outcomes:
+            assert set(outcome.slack) == set(outcome.queries)
+            for entry in outcome.slack.values():
+                assert entry["headroom_work"] == pytest.approx(
+                    entry["goal_work"] - entry["final_work"]
+                )
+                # the eager (uniform max pace) estimate always exists here
+                assert entry["deferred_work"] is not None
+                assert entry["missed"] == (
+                    entry["final_work"] > entry["goal_work"]
+                )
+
+    def test_the_optimizer_time_budget_reaches_the_service(self):
+        # a budget no cost evaluation can meet: the service's model, the
+        # one admission and the pace search evaluate on, honours it
+        service = fixed_set_service(
+            OptimizerConfig(max_pace=12, time_budget=1e-9))
+        query = build_query(service.basis_catalog, "Q1", 0)
+        with pytest.raises(OptimizationTimeout):
+            service.register(query, "etl", 0.5)
 
 
 class TestShardedHarness:
