@@ -2,11 +2,12 @@
 
 Simulates a week of daily loads on one long-running query service: the
 jobs register once, against the first day's statistics, and every later
-day's data arrives and runs on the plan and paces chosen from that
-history.  This is exactly the paper's deployment (scheduled queries over
-recurring trigger conditions, section 2.1) -- and shows that historical
-calibration is good enough: deadlines derived from history hold against
-each new day's data.
+day's data arrives and runs on the plan chosen from that history.  A
+job that misses its deadline learns a goal margin from the miss, and the
+next day's paces are re-searched with it.  This is exactly the paper's
+deployment (scheduled queries over recurring trigger conditions, section
+2.1) -- and shows that historical calibration is good enough: deadlines
+derived from history hold against each new day's data.
 
 Run:  python examples/recurring_etl.py
 """
@@ -55,8 +56,9 @@ def main():
         "A week of recurring execution (plans from history, data from today)",
     ))
     print()
-    print("Day 0's data calibrates the plan; every later day runs on it")
-    print("unchanged, its own data unseen by the optimizer.")
+    print("Day 0's data calibrates the plan; every later day runs on it,")
+    print("its own data unseen by the optimizer.  A missed day grows the")
+    print("job's goal margin, and the next day's paces are re-searched.")
 
 
 if __name__ == "__main__":

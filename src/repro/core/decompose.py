@@ -85,7 +85,7 @@ class DecompositionOutcome:
 
 def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
                         cost_config=None, use_brute_force=False,
-                        enable_partial=True, cost_model=None):
+                        cost_model=None):
     """Run section 4.4 over the whole plan.
 
     ``cost_model`` may pass in the model already built for the greedy
@@ -122,7 +122,7 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
             sid = worklist.pop(0)
             candidate = _try_subplan(
                 current_plan, current_paces, model, evaluation, sid,
-                absolute_constraints, max_pace, use_brute_force, enable_partial,
+                absolute_constraints, max_pace, use_brute_force,
             )
             if candidate is not None and _improves(
                     candidate[3], evaluation, absolute_constraints):
@@ -180,7 +180,7 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
 
 
 def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
-                 max_pace, use_brute_force, enable_partial):
+                 max_pace, use_brute_force):
     """Best decomposition candidate for one subplan, or None."""
     target = plan.subplan_by_id(sid)
     # the plan in force, re-read only for its inputs: ``evaluation`` is
@@ -205,8 +205,6 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
         action = DecompositionAction(sid, "unshare", parts, 0.0, 0.0)
         return new_plan, new_paces, new_model, new_eval, action
 
-    if not enable_partial:
-        return None
     return _try_partial(
         plan, paces, model, sid, absolute_constraints, max_pace,
         use_brute_force, evaluation,

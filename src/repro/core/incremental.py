@@ -21,11 +21,14 @@ churn did not invalidate:
    signature it had before, so its memo rows are simply still there.
    Solo estimates, which are keyed by subplan id, move over via
    :meth:`repro.cost.memo.PlanCostModel.carry_solo_from`.
-3. :func:`carry_paces` + :func:`incremental_pace_search` seed the greedy
-   ascending search with the previous configuration (matched subplans
-   keep their pace, fresh ones start at batch pace) and let the
-   descending correction relax what churn made too eager -- a
-   subplan-scoped re-search instead of a from-scratch rebuild.
+3. :func:`carry_paces` seeds the optimizers' one search body,
+   :func:`repro.core.optimizer.search`, with the previous configuration
+   (matched subplans keep their pace, fresh ones start at batch pace),
+   and :func:`descend`, its ``finish`` step, lets the descending
+   correction relax what churn made too eager -- a subplan-scoped
+   re-search instead of a from-scratch rebuild.  The body restarts the
+   model's ``time_budget`` deadline, so a re-search long after the merge
+   that built the model still gets its whole budget.
 """
 
 from ..cost.cache import node_signature
@@ -34,7 +37,7 @@ from ..engine.calibrate import calibrate_plan
 from ..mqo.merge import MQOOptimizer
 from ..mqo.nodes import SharedQueryPlan
 from ..obs import OBS
-from .greedy import PaceSearch, decrease_paces
+from .greedy import decrease_paces
 
 
 class MergeOutcome:
@@ -186,16 +189,11 @@ def carry_paces(plan, matched, old_paces, max_pace):
     return paces
 
 
-def incremental_pace_search(model, constraints, initial, max_pace):
-    """Warm-started ascending search plus descending correction.
-
-    Starting from ``initial`` (see :func:`carry_paces`) the ascending
-    search only touches groups serving still-unmet queries -- the
-    subplan-scoped part -- and the descending pass then gives back
-    eagerness the departed or arrived queries no longer justify.
-    Returns ``(pace_config, evaluation, iterations)``.
-    """
-    search = PaceSearch(model, constraints, max_pace)
-    found = search.find(initial=initial)
-    paces, evaluation = decrease_paces(model, constraints, found.pace_config)
-    return paces, evaluation, found.iterations
+def descend(chosen, constraints, diagnostics):
+    """``finish`` step of the service's re-search: the descending
+    correction (:func:`~repro.core.greedy.decrease_paces`) gives back the
+    eagerness that the warm-started ascending search carried over but
+    the departed or arrived queries no longer justify."""
+    plan, paces, _, model = chosen
+    paces, evaluation = decrease_paces(model, constraints, paces)
+    return plan, paces, evaluation, model

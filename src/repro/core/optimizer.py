@@ -41,9 +41,8 @@ class OptimizerConfig:
     """Shared knobs of all optimizers."""
 
     def __init__(self, max_pace=100, stream_config=None, cost_config=None,
-                 use_memo=True, enable_unshare=True, enable_partial=True,
-                 brute_force_split=False, time_budget=None,
-                 stats_noise_seed=None):
+                 use_memo=True, enable_unshare=True, brute_force_split=False,
+                 time_budget=None, stats_noise_seed=None):
         self.max_pace = max_pace
         self.stream_config = stream_config or StreamConfig()
         self.cost_config = cost_config or CostConfig(
@@ -52,7 +51,6 @@ class OptimizerConfig:
         )
         self.use_memo = use_memo
         self.enable_unshare = enable_unshare
-        self.enable_partial = enable_partial
         self.brute_force_split = brute_force_split
         self.time_budget = time_budget
         #: when set, calibrated statistics are perturbed with this seed --
@@ -158,15 +156,30 @@ APPROACH_PLANS = {
 }
 
 
+def search(cost_model, constraints, max_pace, initial=None, groups=None,
+           finish=None):
+    """The one pace search of the optimizers and the service: a fresh
+    ``time_budget`` deadline, the greedy search from ``initial`` (None:
+    batch pace) over ``groups`` (None: one pace per subplan), then
+    ``finish(chosen, constraints, diagnostics)`` on the searched ``(plan,
+    pace_config, evaluation, cost_model)``, returning the one to keep.
+    Returns ``(chosen, diagnostics)``."""
+    cost_model.reset_deadline()
+    result = PaceSearch(cost_model, constraints, max_pace,
+                        groups=groups).find(initial=initial)
+    diagnostics = {"iterations": result.iterations, "met": result.met_constraints}
+    if groups is not None:
+        diagnostics["components"] = len(groups)
+    chosen = (cost_model.plan, result.pace_config, result.evaluation, cost_model)
+    if finish is not None:
+        chosen = finish(chosen, constraints, diagnostics)
+    return chosen, diagnostics
+
+
 def _optimize(approach, catalog, queries, relative_constraints, config,
               absolute_constraints, finish=None, name=None):
-    """Build -> prepare -> resolve -> timed pace search -> report: the
-    body of every optimizer.
-
-    ``finish(chosen, constraints, diagnostics)``, when given, runs inside
-    the timed part on the searched ``(plan, pace_config, evaluation,
-    cost_model)`` and returns the one to report (iShare's decomposition).
-    """
+    """Build -> prepare -> resolve -> timed :func:`search` -> report: the
+    body of every optimizer (``finish`` is iShare's decomposition)."""
     build, by_component = APPROACH_PLANS[approach]
     plan = build(catalog, queries)
     cost_model = _prepare(plan, config)
@@ -174,15 +187,8 @@ def _optimize(approach, catalog, queries, relative_constraints, config,
                                        absolute_constraints)
     groups = _component_groups(plan) if by_component else None
     start = time.monotonic()
-    cost_model.reset_deadline()
-    search = PaceSearch(cost_model, constraints, config.max_pace, groups=groups)
-    result = search.find()
-    diagnostics = {"iterations": result.iterations, "met": result.met_constraints}
-    if groups is not None:
-        diagnostics["components"] = len(groups)
-    chosen = (plan, result.pace_config, result.evaluation, cost_model)
-    if finish is not None:
-        chosen = finish(chosen, constraints, diagnostics)
+    chosen, diagnostics = search(cost_model, constraints, config.max_pace,
+                                 groups=groups, finish=finish)
     elapsed = time.monotonic() - start
     return _report(OptimizationResult(
         name or approach, *chosen, constraints, elapsed, diagnostics,
@@ -239,7 +245,6 @@ def optimize_ishare(catalog, queries, relative_constraints, config,
                 plan, pace_config, constraints, config.max_pace,
                 cost_config=config.cost_config,
                 use_brute_force=config.brute_force_split,
-                enable_partial=config.enable_partial,
                 cost_model=cost_model,
             )
             evaluation = outcome.evaluation

@@ -8,7 +8,7 @@ MIN/MAX and two-level Q15-style shapes, plus plain projections), a pace
 ceiling + salt from which per-plan pace configurations are derived, a
 stream configuration, and optional decomposition / SQL-roundtrip /
 service-churn (register, then deregister ``dropouts`` mid-run) /
-optimizer (relative goals, ``enable_partial``, ``use_memo``) choices.
+optimizer (relative goals, ``use_memo``) choices.
 
 Everything in a case is a JSON-native value (lists, not tuples), so a
 case survives ``json.dumps``/``loads`` bit-for-bit -- the property the
@@ -127,18 +127,16 @@ def generate_case(seed, index):
         # optimize_ishare on the case, its plan run at its paces (drawn
         # after ``service`` for the same reason)
         "optimize": (
-            {
-                "goals": [
-                    rng.choice([0.2, 0.5, 1.0, 2.0]) for _ in range(n_queries)
-                ],
-                "enable_partial": rng.random() < 0.5,
-                "use_memo": rng.random() < 0.8,
-            }
-            if rng.random() < 0.35
-            else None
+            _optimize_spec(rng, n_queries) if rng.random() < 0.35 else None
         ),
     }
     return case
+
+
+def _optimize_spec(rng, n_queries):
+    goals = [rng.choice([0.2, 0.5, 1.0, 2.0]) for _ in range(n_queries)]
+    rng.random()  # was enable_partial's draw; kept so each seed's cases stay
+    return {"goals": goals, "use_memo": rng.random() < 0.8}
 
 
 def _generate_fact(rng, dim_sizes):

@@ -64,11 +64,11 @@ Every case runs through multiple pipelines that must agree:
     same error.
 ``optimized``
     optionally, :func:`~repro.core.optimizer.optimize_ishare` on the
-    batch with the case's relative goals, ``enable_partial`` and
-    ``use_memo`` and a maximum pace of ``pace_ceiling``, then the returned
-    plan run at the returned paces.  Its exits are checked as they leave
-    the optimizer (:func:`optimizer_exit_failures`): paces legal, no
-    stray statistics keys, the memo pool pruned to the returned plan.
+    batch with the case's relative goals and ``use_memo`` and a maximum
+    pace of ``pace_ceiling``, then the returned plan run at the returned
+    paces.  Its exits are checked as they leave the optimizer
+    (:func:`optimizer_exit_failures`): paces legal, no stray statistics
+    keys, the memo pool pruned to the returned plan.
 
 Divergence in net query results from the naive ground truth
 (tolerance-based multiset comparison, :mod:`repro.engine.compare`), in
@@ -380,7 +380,11 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 # no query was live (every registration rejected): an
                 # idle window records no attribution and has no result
                 return None, svc.plan, svc.paces
-            service_slots.update(svc.slots)
+            # what the window ran on: a miss that grows a margin, or an
+            # eviction, leaves the service dirty or re-planned after it
+            ran = svc._last_run
+            plan, paces = ran.plan, outcome.run.pace_config
+            service_slots.update(ran.slots)
             # attribution conservation oracle: the ledger's own exact
             # re-check, plus an independent integer re-sum of the final
             # window against the measured per-subplan WorkMeter quanta --
@@ -393,7 +397,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             _, shares = svc.attribution.windows[-1]
             attributed = sum(shares.values())
             served = {
-                subplan.sid for subplan in svc.plan.subplans
+                subplan.sid for subplan in plan.subplans
                 if subplan.query_ids()
             }
             measured = sum(
@@ -406,7 +410,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                     "service attribution: final window attributed %s != "
                     "measured %s" % (attributed, measured)
                 )
-            return outcome.run, svc.plan, svc.paces
+            return outcome.run, plan, paces
 
         def run_service_reference():
             service = outcomes["service"]
@@ -438,7 +442,6 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             result = optimize_ishare(catalog, queries, relative, OptimizerConfig(
                 max_pace=max(1, int(case.get("pace_ceiling", 1))),
                 stream_config=config,
-                enable_partial=bool(spec.get("enable_partial", True)),
                 use_memo=bool(spec.get("use_memo", True)),
             ))
             optimizer_failures.extend(optimizer_exit_failures(result))

@@ -31,8 +31,8 @@ Statistics are calibrated once, against the service's *basis* window
 
 import itertools
 
-from ..core.incremental import carry_paces, incremental_pace_search, merge_with_carry
-from ..core.optimizer import OptimizerConfig
+from ..core.incremental import carry_paces, descend, merge_with_carry
+from ..core.optimizer import OptimizerConfig, search
 from ..core.pace import uniform_configuration
 from ..engine.executor import PlanExecutor
 from ..engine.metrics import missed_latency
@@ -45,10 +45,17 @@ from ..obs.slack import SlackLedger
 
 
 class Registration:
-    """One tenant's live query with its latency goal."""
+    """One tenant's live query with its latency goal.
+
+    ``margin`` is the query's learned goal margin: the pace search holds
+    it to ``bound / (1 + margin)``.  It starts at 0 and only grows, to
+    the measured over the estimated final work less one, after a window
+    the query missed; goals, the slack ledger and miss counts keep the
+    real bound.
+    """
 
     __slots__ = ("query_id", "tenant", "name", "query", "relative_goal",
-                 "registered_window")
+                 "registered_window", "margin")
 
     def __init__(self, query_id, tenant, query, relative_goal, registered_window):
         self.query_id = query_id
@@ -57,6 +64,7 @@ class Registration:
         self.query = query
         self.relative_goal = relative_goal
         self.registered_window = registered_window
+        self.margin = 0.0
 
     def __repr__(self):
         return "Registration(q%d, tenant=%s, goal=%g)" % (
@@ -268,6 +276,11 @@ class QueryService:
         self.plan = None
         self.model = None
         self.paces = None  # None marks the configuration dirty
+        #: what made it dirty: "churn" (the plan changed) or "miss" (a
+        #: margin grew)
+        self._trigger = "churn"
+        #: {qid: margin} grown since the last search
+        self._margins_grown = {}
         #: external query id -> bitvector slot in the live plan.  Tenants
         #: pick arbitrary ids; a registration takes the lowest free slot
         #: and keeps it until it is deregistered, so the plan's query ids
@@ -284,6 +297,9 @@ class QueryService:
         #: eagerest plan the optimizer could have run; headroom over it
         #: is the slack budget the chosen paces were allowed to spend
         self._eager_final = {}
+        #: estimated per-slot final work under the searched paces: what a
+        #: miss's measured final work is held against
+        self._estimated_final = {}
         #: the last window's :class:`_WindowRun` while churn has not
         #: changed the plan since (what :func:`split_misses` re-runs)
         self._last_run = None
@@ -409,7 +425,8 @@ class QueryService:
         merge, slots = self._merge(candidates)
         slot = slots[qid]
         solo_total, _ = merge.model.solo_batch(slot)
-        bound = registration.relative_goal * solo_total
+        bound = merge.model.absolute_constraints(
+            {slot: registration.relative_goal})[slot]
         eager = merge.model.evaluate(
             uniform_configuration(merge.plan, self.config.max_pace)
         )
@@ -462,6 +479,7 @@ class QueryService:
         self.model = merge.model
         self.slots = slots
         self.paces = None  # dirty: re-searched lazily at the next trigger
+        self._trigger = "churn"
         self._last_merge = merge
         self._last_run = None
         # the pool outlives every merge: drop the cones only the previous
@@ -471,22 +489,31 @@ class QueryService:
     # -- trigger firings ------------------------------------------------------
 
     def _reoptimize(self):
-        """Subplan-scoped pace re-search for the current (dirty) plan."""
-        constraints = {}  # keyed by slot: the model's id space
-        goals = {}  # keyed by external id: the reporting id space
-        for qid, registration in self.registrations.items():
-            slot = self.slots[qid]
-            solo_total, _ = self.model.solo_batch(slot)
-            constraints[slot] = registration.relative_goal * solo_total
-            goals[qid] = self.config.stream_config.seconds(constraints[slot])
+        """Subplan-scoped pace re-search for the current (dirty) plan,
+        each query held to its bound tightened by its margin."""
+        # keyed by slot: the model's id space
+        constraints = self.model.absolute_constraints({
+            self.slots[qid]: registration.relative_goal
+            for qid, registration in self.registrations.items()
+        })
+        seconds = self.config.stream_config.seconds
+        self._goals = {  # keyed by external id: the reporting id space
+            qid: seconds(constraints[self.slots[qid]])
+            for qid in self.registrations
+        }
+        self._constraints = constraints
         pool = self.model.memo_pool
         hits_before = pool.hits
-        paces, evaluation, iterations = incremental_pace_search(
-            self.model, constraints, self._initial_paces, self.config.max_pace
+        targets = {
+            self.slots[qid]: constraints[self.slots[qid]] / (1.0 + r.margin)
+            for qid, r in self.registrations.items()
+        }
+        (_, self.paces, evaluation, _), diagnostics = search(
+            self.model, targets, self.config.max_pace,
+            initial=self._initial_paces, finish=descend,
         )
-        self.paces = paces
-        self._goals = goals
-        self._constraints = constraints
+        self._estimated_final = dict(evaluation.query_final_work)
+        grown, self._margins_grown = self._margins_grown, {}
         # the eagerest configuration's estimated final work: the slack
         # baseline.  Admission already evaluated uniform max pace on this
         # model, so the memo makes this re-evaluation nearly free.
@@ -499,13 +526,18 @@ class QueryService:
             OBS.declog.log(
                 "service_reoptimize",
                 window=self.window,
+                trigger=self._trigger,
+                margins={
+                    qid: round(margin, 4) for qid, margin in grown.items()
+                    if qid in self.registrations
+                },
                 scope="incremental" if merge is not None and merge.matched
                 else "full",
                 subplans=len(self.plan.subplans),
                 reused=sorted(merge.matched) if merge is not None else [],
                 recalibrated=list(merge.fresh_sids) if merge is not None else [],
                 memo_pool_hits=pool.hits - hits_before,
-                search_iterations=iterations,
+                search_iterations=diagnostics["iterations"],
                 total_work=round(evaluation.total_work, 4),
             )
         return evaluation
@@ -570,6 +602,7 @@ class QueryService:
             if missed_abs > 0:
                 bucket["slo_misses"] += 1
         slack = self.slack.record_window(window, slack_entries, seconds=seconds)
+        self._learn_margins(queries, final_work)
         if OBS.enabled:
             OBS.declog.log(
                 "service_trigger", window=window,
@@ -594,6 +627,22 @@ class QueryService:
             # full replay (``check_conservation``) is the ledger export's
             conserved=not self.attribution.check_running_totals(),
         )
+
+    def _learn_margins(self, queries, final_work):
+        """Grow each missed query's margin to its measured over estimated
+        final work, less one; a grown margin makes the paces dirty, so
+        the next trigger re-searches from them."""
+        for qid, registration in self.registrations.items():
+            estimate = self._estimated_final.get(self.slots[qid], 0.0)
+            if queries[qid]["missed_seconds"] <= 0 or estimate <= 0:
+                continue
+            margin = final_work[self.slots[qid]] / estimate - 1.0
+            if margin > registration.margin:
+                registration.margin = self._margins_grown[qid] = margin
+        if self._margins_grown:
+            self._initial_paces = dict(self.paces)
+            self.paces = None
+            self._trigger = "miss"
 
     def _recheck_admission(self, ran, queries):
         """Admission re-checked against the first window's measurement.

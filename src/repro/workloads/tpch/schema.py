@@ -19,11 +19,6 @@ def date_of(year, month=1, day=1):
     return int((year - EPOCH_YEAR) * 365.25 + (month - 1) * 30.44 + (day - 1))
 
 
-def year_of_expr(days):
-    """Inverse of :func:`date_of` for whole years (used in group-bys)."""
-    return EPOCH_YEAR + int(days / 365.25)
-
-
 REGION_SCHEMA = Schema.of(("r_regionkey", INT), ("r_name", STR))
 
 NATION_SCHEMA = Schema.of(

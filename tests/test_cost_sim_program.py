@@ -118,7 +118,7 @@ class TestRecordedReplay:
         relative = {query.query_id: 0.2 for query in queries}
         result = optimize_ishare(
             catalog, queries, relative,
-            OptimizerConfig(max_pace=8, enable_partial=True))
+            OptimizerConfig(max_pace=8))
         kinds = {action.kind for action in result.diagnostics["actions"]}
         assert kinds == {"unshare", "partial"}
         assert max(result.pace_config.values()) >= 6

@@ -172,7 +172,6 @@ def _plan_and_execute_seed6(reference_goals):
     queries = build_workload(catalog)
     relative = random_constraints([q.query_id for q in queries], seed=5)
     config = OptimizerConfig(max_pace=20)
-    assert config.enable_partial
     absolute = reference_absolute_constraints(
         catalog, queries, relative, config) if reference_goals else None
     result = optimize_ishare(

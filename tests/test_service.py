@@ -10,6 +10,7 @@ from repro import obs
 from repro.core.incremental import merge_with_carry
 from repro.core.optimizer import OptimizerConfig
 from repro.core.pace import uniform_configuration
+from repro.cost import memo
 from repro.cost.memo import OptimizationTimeout
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
@@ -594,8 +595,12 @@ class TestMissSplit:
 
     def test_the_split_changes_no_service_state(self):
         def state(service):
+            # a missed window leaves the paces dirty (None) and the ones
+            # it ran in _initial_paces, where the next search starts
             pool = service.model.memo_pool
-            return (dict(service.paces), service.model,
+            paces = service.paces
+            return (None if paces is None else dict(paces),
+                    dict(service._initial_paces), service.model,
                     pool.simulations, pool.hits, len(service.slack),
                     len(service.attribution.windows))
 
@@ -611,6 +616,40 @@ class TestMissSplit:
             outcomes.append((third.run.total_quanta,
                              dict(third.run.query_final_quanta)))
         assert outcomes[0] == outcomes[1]
+
+    def test_a_miss_grows_the_margin_and_the_next_window_re_searches(self):
+        service, _ = self._missing_service()
+        estimated = dict(service._estimated_final)
+        bounds = dict(service._constraints)
+        obs.enable(process_name="test-service")
+        try:
+            outcome = service.run_window()
+            missed = sorted(qid for qid, entry in outcome.queries.items()
+                            if entry["missed_seconds"] > 0)
+            assert missed
+            final = outcome.run.query_final_work
+            for qid, registration in service.registrations.items():
+                slot = service.slots[qid]
+                expected = final[slot] / estimated[slot] - 1.0 \
+                    if qid in missed else 0.0
+                assert registration.margin == expected
+            # dirty, and the next search starts from the paces that ran
+            assert service.paces is None
+            assert service._initial_paces == outcome.run.pace_config
+            following = service.run_window()
+            record = OBS.declog.of_event("service_reoptimize")[-1]
+        finally:
+            obs.disable()
+        assert following.reoptimized
+        assert record["trigger"] == "miss"
+        assert sorted(record["margins"]) == missed
+        # the margin tightens the search, never the goal
+        for qid, entry in following.slack.items():
+            assert entry["goal_work"] == bounds[service.slots[qid]]
+        service.deregister(missed[0])
+        query = toy_query_total(service.basis_catalog, missed[0])
+        assert service.register(query, "a", 0.5).status == "admitted"
+        assert service.registrations[missed[0]].margin == 0.0
 
     def test_a_window_whose_plan_changed_is_refused(self):
         service, _ = self._missing_service()
@@ -784,6 +823,19 @@ class TestFixedRegistrationSet:
         query = build_query(service.basis_catalog, "Q1", 0)
         with pytest.raises(OptimizationTimeout):
             service.register(query, "etl", 0.5)
+
+    def test_a_late_window_gets_its_own_search_budget(self, monkeypatch):
+        # the deadline the merge started has passed when the window
+        # fires; the re-search restarts it and finishes inside its budget
+        service = fixed_set_service(
+            OptimizerConfig(max_pace=8, time_budget=1.0))
+        query = build_query(service.basis_catalog, "Q1", 0)
+        assert service.register(query, "etl", 0.5).status == "admitted"
+        clock = memo.time.monotonic
+        monkeypatch.setattr(memo.time, "monotonic", lambda: clock() + 1.5)
+        outcome = service.run_window()
+        assert outcome.reoptimized
+        assert sorted(outcome.queries) == [0]
 
 
 class TestShardedHarness:
