@@ -1,16 +1,12 @@
 #!/usr/bin/env python
-"""Operator micro benchmark: the reference and the two production lanes.
+"""Operator micro benchmark: the reference and the production operators.
 
 Measures, for each physical operator class, the delta throughput of the
-per-tuple reference operators (the work oracle) and of the
-production operator with every batch forced onto its *row lane*
-(``ROW_LANE_MAX = 1 << 30``) and onto its *vector lane*
-(``ROW_LANE_MAX = 0``) -- docs/PERFORMANCE.md, "Size-dispatched
-operators".  The number this script guards is the same-run ratio
-*vector lane / row lane* at micro batch sizes (thousands of rows per
-batch): it is what justifies keeping the vector lane at all.  End-to-end
-numbers live in the pipeline benchmark (``benchmarks/pipeline/``,
-``BENCH_pipeline.json``).
+per-tuple reference operators (the work oracle) and of the production
+operator, whose generated row kernels (the *row lane*) serve every
+batch -- docs/PERFORMANCE.md.  Each case reports the same-run ratio
+*row lane / reference*.  End-to-end numbers live in the pipeline
+benchmark (``benchmarks/pipeline/``, ``BENCH_pipeline.json``).
 
 A second section measures shared arrangements (docs/ARRANGEMENTS.md): a
 fan-out of single-join subplans over the same base tables.  Alongside
@@ -21,10 +17,9 @@ is work- and result-identical to the per-tuple reference
 (:class:`repro.fuzz.reference.ReferenceExecutor`), whose joins keep
 private tables -- and the extract lands in
 ``BENCH_arrangements.json``.  With ``--check`` the script exits nonzero
-unless every guarded micro holds
-``VECTOR_LANE_FLOOR``, the emission-dominated aggregate micros
-(``EAGER_BATCH``-delta batches) hold ``EAGER_ROW_LANE_FLOOR`` of *row
-lane / reference*, and arrangements cut resident entries by at least
+unless the emission-dominated aggregate micros (``EAGER_BATCH``-delta
+batches) hold ``EAGER_ROW_LANE_FLOOR`` of *row lane / reference* and
+arrangements cut resident entries by at least
 ``ARRANGEMENT_ENTRY_FLOOR``.
 
 Usage::
@@ -88,13 +83,9 @@ DEFAULT_ARRANGEMENTS_OUTPUT = os.path.join(
 #: ``--check``: minimum resident-entry reduction from shared arrangements
 ARRANGEMENT_ENTRY_FLOOR = 2.0
 
-#: ``--check``: minimum same-run vector-lane / row-lane throughput ratio
-#: of every guarded micro (thousands of rows per batch)
-VECTOR_LANE_FLOOR = 2.0
-
 #: deltas per batch of the emission-dominated aggregate micros: the eager
 #: regime, where every batch ends in a retract-and-re-emit of the groups
-#: it touched and the vector lane has nothing to amortise over
+#: it touched
 EAGER_BATCH = 200
 
 #: ``--check``: minimum same-run row-lane / reference throughput ratio of
@@ -104,16 +95,6 @@ EAGER_ROW_LANE_FLOOR = {
     "aggregate_eager": 1.6,
     "aggregate_eager_single_query": 3.0,
 }
-
-#: micros outside the vector floor: a filter -> project chain is one pass
-#: of cheap scalar work per row either way (the vector lane is ~1.2x), the
-#: multiplicity-bag join is dominated by install bookkeeping, and the
-#: eager aggregates are held to ``EAGER_ROW_LANE_FLOOR`` instead
-UNGUARDED = ("filter_project", "join_shared_multiplicity") + tuple(
-    EAGER_ROW_LANE_FLOOR)
-
-#: leg -> the ``ROW_LANE_MAX`` that forces it on every non-empty batch
-LANES = (("row_lane", 1 << 30), ("vector_lane", 0))
 
 
 class _Feed:
@@ -143,7 +124,7 @@ def _timed(fn, repeat):
     """Best-of-``repeat`` wall time of ``fn()`` (returns seconds).
 
     One untimed call goes first: every leg starts from cleared code
-    caches, and the call that generates a lane's kernels can take twice
+    caches, and the call that generates the kernels can take twice
     a warm one, so counted as a repetition it would leave best-of-2
     resting on a single warm sample.
     Collections are forced before and disabled during each timing so a
@@ -170,12 +151,11 @@ def _timed(fn, repeat):
 
 
 def _micro_case(make_reference, make_production, batches, repeat):
-    """Time one operator over scripted batches on every leg.
+    """Time one operator over scripted batches on both legs.
 
     ``make_reference()`` builds a fresh per-tuple operator around fresh
-    feeds, ``make_production()`` its production twin (timed once per
-    forced lane); a fresh tree per timing keeps hash-table/group state
-    comparable.
+    feeds, ``make_production()`` its production twin; a fresh tree per
+    timing keeps hash-table/group state comparable.
     """
     n_deltas = sum(len(batch) for batch in batches)
 
@@ -189,24 +169,15 @@ def _micro_case(make_reference, make_production, batches, repeat):
                 break
         return total
 
-    legs = [("reference", None, make_reference)] + [
-        (label, lane_max, make_production) for label, lane_max in LANES
-    ]
     timings = {}
-    saved = columnar.ROW_LANE_MAX
-    try:
-        for label, lane_max, builder in legs:
-            if lane_max is not None:
-                columnar.ROW_LANE_MAX = lane_max
-            clear_compiled_caches()
-            seconds = _timed(lambda: drain(builder), repeat)
-            timings[label] = {
-                "seconds": seconds,
-                "deltas_per_sec": n_deltas / seconds if seconds > 0 else None,
-            }
-    finally:
-        columnar.ROW_LANE_MAX = saved
-    timings["vector_vs_row_lane"] = _ratio(timings, "row_lane", "vector_lane")
+    for label, builder in (("reference", make_reference),
+                           ("row_lane", make_production)):
+        clear_compiled_caches()
+        seconds = _timed(lambda: drain(builder), repeat)
+        timings[label] = {
+            "seconds": seconds,
+            "deltas_per_sec": n_deltas / seconds if seconds > 0 else None,
+        }
     timings["row_lane_vs_reference"] = _ratio(timings, "reference", "row_lane")
     timings["input_deltas"] = n_deltas
     return timings
@@ -227,7 +198,7 @@ def _columnar_feed_batches(feed_batches, width):
     delta lists.
     """
     return [
-        ColumnBatch.from_rows(
+        ColumnBatch(
             [d.row for d in batch], [d.sign for d in batch],
             [d.bits for d in batch], width,
         )
@@ -294,13 +265,11 @@ def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):
 
     The default shape is the distinct-row regime (high payload
     cardinality, so stored nets are 1): every matched pair is a fresh
-    output row, which the scalar probes build one by one while the
-    vectorised probe emits via array gather -- the regime vectorized
-    emission is built for, and the realistic one (TPC-H rows are
-    distinct).  ``payload_mod=3`` flips to the low-cardinality bag
-    regime where stored slots accumulate net multiplicities > 1 and
-    per-slot install bookkeeping dominates every leg -- kept as the
-    (unguarded) ``join_shared_multiplicity`` case below.
+    output row -- the realistic one (TPC-H rows are distinct).
+    ``payload_mod=3`` flips to the low-cardinality bag regime where
+    stored slots accumulate net multiplicities > 1 and per-slot install
+    bookkeeping dominates both legs -- kept as the
+    ``join_shared_multiplicity`` case below.
     """
     left_schema = Schema.of("k", "x")
     right_schema = Schema.of("k2", "y")
@@ -401,7 +370,7 @@ def bench_aggregate_string_keys(n, batches, repeat):
     """Group-by over string keys: the key-interning regime.
 
     Few distinct string groups, many deltas per group per batch -- the
-    shape where the row lane's absorb loop reaches a group's record
+    shape where the generated absorb loop reaches a group's record
     with one dict lookup on the bare key and never builds a key tuple.
     """
     mask = 0b1111
@@ -445,7 +414,7 @@ def bench_consolidate(n, batches, repeat):
     ):
         per_batch = -(-len(entries) // batches)
         read = [
-            ColumnBatch.from_rows(
+            ColumnBatch(
                 [row for row, _ in chunk], [sign for _, sign in chunk],
                 [0b111] * len(chunk), 2,
             )
@@ -587,22 +556,17 @@ def main(argv=None):
                         default=DEFAULT_ARRANGEMENTS_OUTPUT,
                         help="where to write the arrangements extract")
     parser.add_argument("--check", action="store_true",
-                        help="fail unless every guarded micro's vector lane "
-                             "is %.1fx its row lane, the eager aggregates' "
-                             "row lane holds its floor over the reference "
-                             "and arrangements cut resident join-state "
-                             "entries by %.1fx"
-                             % (VECTOR_LANE_FLOOR, ARRANGEMENT_ENTRY_FLOOR))
+                        help="fail unless the eager aggregates' row lane "
+                             "holds its floor over the reference and "
+                             "arrangements cut resident join-state entries "
+                             "by %.1fx" % ARRANGEMENT_ENTRY_FLOOR)
     parser.add_argument("--repeat", type=int, default=None,
                         help="timing repetitions (best-of)")
     parser.add_argument("--seed", type=int, default=5,
                         help="seed of the arrangements fan-out catalog")
     args = parser.parse_args(argv)
 
-    # --quick runs fewer batches of the full run's size (20k deltas): a
-    # lane ratio depends on the batch size, and at 5k-delta batches the
-    # string-key aggregate's vector lane, which pays per group and query
-    # per batch, sits within ~10% of the 2x floor
+    # --quick runs fewer batches of the full run's size (20k deltas)
     if args.quick:
         n, batches, repeat = 40_000, 2, 2
     else:
@@ -618,7 +582,6 @@ def main(argv=None):
             "repeat": repeat,
             "seed": args.seed,
             "engine_mode": engine_mode_label(),
-            "row_lane_max": columnar.ROW_LANE_MAX,
             "python": sys.version.split()[0],
             "machine": {
                 "platform": platform.platform(),
@@ -648,15 +611,12 @@ def main(argv=None):
         case = runner()
         report["micro"][name] = case
         print(
-            "  %-24s %9.0f/s reference  %9.0f/s row lane  %9.0f/s vector "
-            "lane  (%.2fx vector / row%s)"
+            "  %-28s %9.0f/s reference  %9.0f/s row lane  (%.2fx)"
             % (
                 name,
                 case["reference"]["deltas_per_sec"],
                 case["row_lane"]["deltas_per_sec"],
-                case["vector_lane"]["deltas_per_sec"],
-                case["vector_vs_row_lane"],
-                ", unguarded" if name in UNGUARDED else "",
+                case["row_lane_vs_reference"],
             )
         )
 
@@ -698,19 +658,6 @@ def main(argv=None):
 
     verdict = "FAILED" if args.check else "WARNING"
     status = 0
-    low = {
-        name: case["vector_vs_row_lane"]
-        for name, case in report["micro"].items()
-        if name not in UNGUARDED
-        and case["vector_vs_row_lane"] < VECTOR_LANE_FLOOR
-    }
-    if low:
-        print(
-            "%s: vector lane below %.1fx its row lane: %s"
-            % (verdict, VECTOR_LANE_FLOOR, ", ".join(
-                "%s %.2fx" % item for item in sorted(low.items())))
-        )
-        status = 1
     slow = {
         name: report["micro"][name]["row_lane_vs_reference"]
         for name, floor in EAGER_ROW_LANE_FLOOR.items()
@@ -734,10 +681,9 @@ def main(argv=None):
         status = 1
     if args.check and not status:
         print(
-            "check passed: every guarded vector lane >= %.1fx its row lane, "
-            "eager aggregate row lanes over their floors, "
+            "check passed: eager aggregate row lanes over their floors, "
             "%.2fx resident-entry reduction (floor %.1fx)"
-            % (VECTOR_LANE_FLOOR, entry_reduction, ARRANGEMENT_ENTRY_FLOOR)
+            % (entry_reduction, ARRANGEMENT_ENTRY_FLOOR)
         )
     return status
 

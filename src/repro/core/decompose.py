@@ -182,29 +182,17 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
 def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
                  max_pace, use_brute_force):
     """Best decomposition candidate for one subplan, or None."""
-    target = plan.subplan_by_id(sid)
     # the plan in force, re-read only for its inputs: ``evaluation`` is
     # this model's evaluation of ``paces``, so nothing is re-keyed
     inputs_eval = model.evaluate(paces, collect_inputs=True, base=evaluation)
-    input_stats = inputs_eval.subplan_inputs[sid]
-    local = model.local_constraints(target, absolute_constraints)
-    splitter = LocalSplitOptimizer(
-        target, input_stats, local, max_pace, model.config,
-        cost_cache=model.partition_costs(sid, input_stats),
-        program=model.programs[sid],
+    split = _split_candidate(
+        plan, paces, model, inputs_eval, sid, absolute_constraints,
+        max_pace, use_brute_force,
     )
-    decision = splitter.brute_force() if use_brute_force else splitter.cluster()
-
-    if decision.is_split():
-        parts = [part for part, _ in decision.partitions]
-        new_plan, initial = apply_split(plan, paces, sid, parts)
-        new_model = model.sibling(new_plan)
-        new_paces, new_eval = decrease_paces(
-            new_model, absolute_constraints, initial
-        )
+    if split is not None:
+        new_plan, new_paces, new_model, new_eval, parts = split
         action = DecompositionAction(sid, "unshare", parts, 0.0, 0.0)
         return new_plan, new_paces, new_model, new_eval, action
-
     return _try_partial(
         plan, paces, model, sid, absolute_constraints, max_pace,
         use_brute_force, evaluation,
@@ -221,24 +209,47 @@ def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
             cut_paces[bottom_sid] = paces[sid]
         cut_model = model.sibling(cut_plan)
         cut_eval = cut_model.evaluate(cut_paces, collect_inputs=True)
-        top = cut_plan.subplan_by_id(top_sid)
-        local = cut_model.local_constraints(top, absolute_constraints)
-        top_inputs = cut_eval.subplan_inputs[top_sid]
-        splitter = LocalSplitOptimizer(
-            top, top_inputs, local, max_pace, model.config,
-            cost_cache=cut_model.partition_costs(top_sid, top_inputs),
-            program=cut_model.programs[top_sid],
+        split = _split_candidate(
+            cut_plan, cut_paces, cut_model, cut_eval, top_sid,
+            absolute_constraints, max_pace, use_brute_force,
         )
-        decision = splitter.brute_force() if use_brute_force else splitter.cluster()
-        if not decision.is_split():
+        if split is None:
             continue
-        parts = [part for part, _ in decision.partitions]
-        new_plan, initial = apply_split(cut_plan, cut_paces, top_sid, parts)
-        new_model = model.sibling(new_plan)
-        new_paces, new_eval = decrease_paces(new_model, absolute_constraints, initial)
+        new_plan, new_paces, new_model, new_eval, parts = split
         if not _improves(new_eval, evaluation, absolute_constraints):
             continue
         if best is None or _improves(new_eval, best[3], absolute_constraints):
             action = DecompositionAction(sid, "partial", parts, 0.0, 0.0)
             best = (new_plan, new_paces, new_model, new_eval, action)
     return best
+
+
+def _split_candidate(plan, paces, model, inputs_eval, sid,
+                     absolute_constraints, max_pace, use_brute_force):
+    """Split subplan ``sid`` of ``plan`` and re-pace the result.
+
+    ``model`` costs ``plan`` and ``inputs_eval`` is its evaluation of
+    ``paces`` with inputs collected.  The local optimizer of section 4.1
+    proposes the split (greedy clustering or brute force); the plan is
+    regenerated (section 4.2) and the descending search corrects its
+    inherited paces.  Returns ``(plan, paces, model, evaluation,
+    partitions)`` of the split plan, or None when no split is proposed.
+    """
+    target = plan.subplan_by_id(sid)
+    input_stats = inputs_eval.subplan_inputs[sid]
+    splitter = LocalSplitOptimizer(
+        target, input_stats,
+        model.local_constraints(target, absolute_constraints),
+        max_pace, model.config,
+        cost_cache=model.partition_costs(sid, input_stats),
+        program=model.programs[sid],
+    )
+    decision = splitter.brute_force() if use_brute_force else splitter.cluster()
+    if not decision.is_split():
+        return None
+    parts = [part for part, _ in decision.partitions]
+    new_plan, initial = apply_split(plan, paces, sid, parts)
+    new_model = model.sibling(new_plan)
+    new_paces, new_eval = decrease_paces(
+        new_model, absolute_constraints, initial)
+    return new_plan, new_paces, new_model, new_eval, parts

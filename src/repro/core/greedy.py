@@ -191,15 +191,15 @@ class PaceSearch:
         return PaceSearchResult(pace_config, evaluation, iterations, met)
 
 
-def decrease_paces(cost_model, constraints, initial, keep_met=True):
+def decrease_paces(cost_model, constraints, initial):
     """Descending correction of an eager configuration (section 4.2).
 
     Repeatedly lowers the pace of the subplan with the lowest
     incrementability -- i.e. the subplan whose laziness saves the most
     total work per unit of final work given up -- while every query keeps
-    meeting its constraint (when ``keep_met``; if the initial
-    configuration already misses constraints, moves may not increase the
-    missed final work of any unmet query).
+    meeting its constraint (if the initial configuration already misses
+    constraints, moves may not increase the missed final work of any
+    unmet query).
     """
     plan = cost_model.plan
     parents = cost_model.parents
@@ -221,7 +221,7 @@ def decrease_paces(cost_model, constraints, initial, keep_met=True):
             saved = evaluation.total_work - candidate_eval.total_work
             if saved <= 0:
                 continue
-            if keep_met and initially_met:
+            if initially_met:
                 if not constraints_met(candidate_eval, constraints):
                     continue
             else:

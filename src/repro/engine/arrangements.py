@@ -21,7 +21,7 @@ per-tuple reference (:class:`repro.fuzz.reference.ReferenceExecutor`)
 keeps private tables on every side and is the oracle: query results,
 per-record outputs and every WorkMeter charge of a run with arranged
 sides are bit-identical to its run (``tests/test_join_emission_spec.py``,
-the fuzz oracles ``shared-columnar-rows`` and ``service`` against their
+the fuzz oracles ``shared-columnar`` and ``service`` against their
 ``-unbatched`` legs).  That holds because base-table deltas always
 carry the full bitvector (``Delta(row, sign, ~0)``): an arrangement
 stores each base row as the slot ``(row, ~0)``, and ``dbits & ~0 ==
@@ -142,7 +142,7 @@ class ArrangementHandle:
         """Position this handle at the index state as of ``target``."""
         return self.arrangement.advance(self.cursor, target)
 
-    def install(self, batch, keys, listed):
+    def install(self, batch, keys):
         """Move past the batch the join's bare scan just read.
 
         That batch is exactly the log span its reader covered: every
@@ -388,11 +388,9 @@ class PrivateSide:
         self.table = {}
         self.entries = 0
 
-    def install(self, batch, keys, listed):
-        """Apply one batch; ``listed`` is its ``(rows, signs, bits)``
-        lists when the probe made them, else None."""
-        rows, signs, bits = listed or (
-            batch.rows(), batch.sign_list(), batch.bit_list())
+    def install(self, batch, keys):
+        """Apply one batch, its rows keyed by ``keys``."""
+        rows, signs, bits = batch.rows(), batch.sign_list(), batch.bit_list()
         table = self.table
         table_get = table.get
         entries = self.entries

@@ -5,8 +5,8 @@ recurring query's prior executions tell the optimizer the cardinalities
 it needs.  :func:`calibrate_plan` runs the plan once in batch mode
 (every pace 1) with statistics collection enabled and attaches a
 :class:`~repro.cost.stats.NodeStats` to every plan node.  That run is a
-production run plus counters: the executor compiles the operator family
-and lanes every window runs, and ``stats_mode`` only makes each operator
+production run plus counters: the executor compiles the operators every
+window runs, and ``stats_mode`` only makes each operator
 tally the batches that cross its boundaries.
 
 Calibration results can be cached on disk (:mod:`repro.cost.cache`):

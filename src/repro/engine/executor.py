@@ -64,7 +64,6 @@ from ..physical.columnar import (
     ColumnarSourceExec,
 )
 from ..physical.work import WorkMeter
-from . import columns
 from .arrangements import ArrangementStore, arrangeable_side
 from .buffers import Buffer
 from .metrics import ExecutionRecord, RunResult
@@ -183,8 +182,7 @@ class WindowProgram:
 class ColumnarFamily:
     """The operator family every production tree is compiled from.
 
-    The size-dispatched operators of :mod:`repro.physical.columnar`, the
-    lane keyword arguments they are built with, whether a join side over
+    The operators of :mod:`repro.physical.columnar`, whether a join side over
     a bare base-table scan reads the shared arrangement of its ``(table,
     key columns)`` (:mod:`repro.engine.arrangements`), how a table stream
     feeds its buffer, and the ``RunResult.metadata["engine_mode"]``
@@ -198,23 +196,9 @@ class ColumnarFamily:
     arranges = True
 
     @staticmethod
-    def lanes(plan):
-        # The vector lane needs NumPy and every query id below 62, so
-        # bitvectors fit the int64 ``bits`` array (``~0`` table
-        # bitvectors are ``-1``, which ANDs correctly in two's
-        # complement); without it the row lane serves every batch size.
-        # A stats run compiles the same tree: calibration's counters are
-        # tallies of the batches between operators, which need neither.
-        return {
-            "vector": columns.available()
-            and max(plan.query_roots, default=0) < 62
-        }
-
-    @staticmethod
     def feed(stream, point):
-        # one shared columnar segment per (table, fraction): all readers
-        # of the buffer see the same batch object and share its lazy
-        # column materialization
+        # one shared segment per (table, fraction): all readers of the
+        # buffer see the same batch object
         return stream.batch_until(point)
 
 
@@ -238,7 +222,6 @@ class PlanExecutor:
         #: run on the tree; dropped whenever the tree is
         self._program = None
         self._query_sids = None  # qid -> its subplan ids, set by _compile
-        self._lanes = None  # the family's lane kwargs for the plan
 
     def rebind(self, plan=None, catalog=None):
         """Swap the plan and/or catalog this executor runs.
@@ -284,7 +267,6 @@ class PlanExecutor:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self):
-        self._lanes = self.family.lanes(self.plan)
         order = self.plan.topological_order()
         table_streams = {}
         table_buffers = {}
@@ -357,7 +339,6 @@ class PlanExecutor:
                       store, reads):
         mask = subplan.query_mask
         family = self.family
-        lanes = self._lanes
         if node.kind == "source":
             ref = node.ref
             consolidate_reads = False
@@ -378,7 +359,7 @@ class PlanExecutor:
             reads.append(buffer)
             return family.source(
                 node, buffer.reader(), mask, meter, self.stats_mode,
-                consolidate_reads=consolidate_reads, **lanes
+                consolidate_reads=consolidate_reads,
             )
         children = [
             self._compile_node(child, subplan, meter, table_buffers, compiled,
@@ -386,6 +367,7 @@ class PlanExecutor:
             for child in node.children
         ]
         if node.kind == "join":
+            sides = {}
             if family.arranges:
                 # a bare base-table scan reads the one shared index of its
                 # (table, key columns); any other input gets a private state
@@ -400,13 +382,13 @@ class PlanExecutor:
                             "join:%d" % node.uid,
                         )
                         reads.append(table_buffers[table_name])
-                lanes = dict(lanes, arranged=arranged)
+                sides = {"arranged": arranged}
             return family.join(
                 node, children[0], children[1], meter, self.stats_mode,
-                **lanes
+                **sides
             )
         return family.aggregate(
-            node, children[0], mask, meter, self.stats_mode, **lanes
+            node, children[0], mask, meter, self.stats_mode
         )
 
     # -- execution -------------------------------------------------------------

@@ -144,17 +144,15 @@ class TableStream:
         return [Delta(row, sign, ~0) for row, sign in new]
 
     def batch_until(self, fraction):
-        """Columnar twin of :meth:`deltas_until`: one shared segment.
+        """Batch twin of :meth:`deltas_until`: one shared segment.
 
-        Builds a single row-backed :class:`~repro.engine.columns
-        .ColumnBatch` straight from the delta log -- no per-row
-        :class:`Delta` allocation -- carrying the same ``(row, sign,
-        ~0)`` content.  The executor appends it to the table buffer as a
-        columnar segment, so *every* subplan reading the table shares
-        one batch object (and its lazily materialized column cache)
-        instead of each rebuilding arrays from a private delta list.
-        Signs and bits are plain lists (arrays only if a vector kernel
-        reads the segment).  Returns ``None`` when no new rows arrive.
+        Builds a single :class:`~repro.engine.columns.ColumnBatch`
+        straight from the delta log -- no per-row :class:`Delta`
+        allocation -- carrying the same ``(row, sign, ~0)`` content.  The
+        executor appends it to the table buffer as one segment, so
+        *every* subplan reading the table shares one batch object
+        instead of each building a private delta list.  Returns ``None``
+        when no new rows arrive.
         """
         target = self._target(fraction)
         if target <= self.delivered:
@@ -163,10 +161,9 @@ class TableStream:
         self.delivered = target
         rows = [row for row, _ in new]
         signs = [sign for _, sign in new]
-        # table deltas carry the full bitvector ``~0``, which is -1 both
-        # as a Python int and in the vector lane's int64 encoding
-        return ColumnBatch.from_rows(rows, signs, [-1] * len(new),
-                                     len(self.table.schema))
+        # table deltas carry the full bitvector ``~0``, which is -1
+        return ColumnBatch(rows, signs, [-1] * len(new),
+                           len(self.table.schema))
 
     def reset(self):
         self.delivered = 0

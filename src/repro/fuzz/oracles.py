@@ -14,28 +14,15 @@ Every case runs through multiple pipelines that must agree:
     rejected.
 ``shared-columnar``
     the MQO-merged shared plan at a random (derived) pace configuration
-    on the production operators at their default size dispatch.
+    on the production operators.
 ``shared-unbatched``
     the same plan and paces on a
     :class:`~repro.fuzz.reference.ReferenceExecutor`, the per-tuple
-    work oracle.  Every production leg's *work accounting* must equal it
-    exactly (total work, every execution record, subplan final work).
-``shared-columnar-rows``
-    the production operators with ``ROW_LANE_MAX`` forced to ``1 << 30``
-    (every batch on the row lane); must be *bit-identical* to
-    ``shared-unbatched`` -- results, work, and every execution record.
-    This is also the exactness pair of shared arrangements
+    work oracle.  ``shared-columnar`` must be *bit-identical* to it --
+    results, work, and every execution record.  This is also the
+    exactness pair of shared arrangements
     (:mod:`repro.engine.arrangements`): production joins read them
     wherever the plan shape allows, the reference keeps private tables.
-``shared-columnar-vec``
-    the production operators with ``ROW_LANE_MAX`` forced to 0, so the
-    fused/vectorised kernels of all three operators (source chain and
-    decorations, join probe, aggregate absorb) run even on fuzz-sized
-    batches (the default threshold keeps nearly every generated case on
-    the row lane).  Results are tolerance-close to the naive ground
-    truth like every oracle (float segment sums may associate
-    differently), work is exact.  Skipped when NumPy is unavailable (it
-    would repeat the row lane).
 ``shared-pace1``
     the shared plan with every pace forced to 1 (one-shot batch
     recompute of every trigger).
@@ -84,12 +71,10 @@ import random
 
 from ..core import pace as pace_mod
 from ..cost.stats import NodeStats
-from ..engine import columns
 from ..engine.compare import REL_TOL, ABS_TOL, result_diff, results_close
 from ..engine.executor import PlanExecutor
 from ..errors import OptimizationError, ReproError
 from ..mqo.merge import MQOOptimizer, build_unshared_plan
-from ..physical import columnar as columnar_mod
 from ..relational import bitvec
 from . import grammar, naive
 from .reference import ReferenceExecutor
@@ -258,7 +243,7 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
 
     shared_state = {}
 
-    def run_shared(executor=PlanExecutor, pace1=False, row_lane_max=None):
+    def run_shared(executor=PlanExecutor, pace1=False):
         def runner():
             if "plan" not in shared_state:
                 shared_state["plan"] = MQOOptimizer(catalog).build_shared_plan(
@@ -273,24 +258,12 @@ def run_case(case, case_path=None, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 if pace1
                 else shared_state["paces"]
             )
-            saved = columnar_mod.ROW_LANE_MAX
-            if row_lane_max is not None:
-                columnar_mod.ROW_LANE_MAX = row_lane_max
-            try:
-                result = executor(plan, config).run(paces)
-            finally:
-                columnar_mod.ROW_LANE_MAX = saved
-            return result, plan, paces
+            return executor(plan, config).run(paces), plan, paces
 
         return runner
 
     attempt("shared-columnar", run_shared())
     attempt("shared-unbatched", run_shared(ReferenceExecutor))
-    # the default threshold keeps fuzz-sized batches on the row lane, so
-    # each lane is also forced on every batch of every operator
-    attempt("shared-columnar-rows", run_shared(row_lane_max=1 << 30))
-    if columns.available():
-        attempt("shared-columnar-vec", run_shared(row_lane_max=0))
     attempt("shared-pace1", run_shared(pace1=True))
 
     if case.get("decompose") and "plan" in shared_state:
@@ -530,9 +503,7 @@ def _verdict(case, queries, outcomes, reference, truth, rel_tol, abs_tol,
 
     # every production leg against the per-tuple replay of the same thing
     for oracle, per_tuple, check in (
-        ("shared-columnar-rows", "shared-unbatched", _check_bit_identity),
-        ("shared-columnar", "shared-unbatched", _check_work_identity),
-        ("shared-columnar-vec", "shared-unbatched", _check_work_identity),
+        ("shared-columnar", "shared-unbatched", _check_bit_identity),
         ("service", "service-unbatched", _check_bit_identity),
     ):
         production = outcomes.get(oracle)

@@ -9,13 +9,13 @@ within a bounded case budget and shrink it to a minimal repro
 
 ``drop_agg_retraction`` mimics a classic incremental-view-maintenance
 mistake: the production aggregate silently drops the first retraction
-(DELETE delta) of every incremental execution -- before its lane
-dispatch, so both lanes lose it -- and any workload with churn that
+(DELETE delta) of every incremental execution -- before its absorb --
+and any workload with churn that
 reaches an aggregate produces results that diverge from the per-tuple
 reference path, which has no hook.
 
 ``drop_last_key_match`` is a bug *every* engine leg shares: each join
--- the per-tuple reference and every production lane, over private or
+-- the per-tuple reference and the production operator, over private or
 arranged state -- loses the matches of the last key of each block of
 four (an integer key ``k`` with ``k % 4 == 3``, as a range-partitioned
 probe that stops one key short would).  A per-probe "last match" would
@@ -82,7 +82,7 @@ def drop_first_retraction(batch):
     rows = list(batch.rows())
     bits = list(batch.bit_list())
     del rows[index], signs[index], bits[index]
-    return ColumnBatch.from_rows(rows, signs, bits, batch.width)
+    return ColumnBatch(rows, signs, bits, batch.width)
 
 
 def lost_key(key):
@@ -106,4 +106,4 @@ def drop_lost_key_matches(batch, key_index):
             bits.append(bit)
     if len(rows) == len(batch):
         return batch
-    return ColumnBatch.from_rows(rows, signs, bits, batch.width)
+    return ColumnBatch(rows, signs, bits, batch.width)

@@ -1,47 +1,35 @@
-"""Fused kernel codegen: one generated kernel per operator chain and lane.
+"""Fused kernel codegen: one generated kernel per operator chain.
 
 Nothing on the engine's per-batch path interprets an expression tree or
 walks a list of closures: this module *generates Python source* for a
-node's whole chain -- source mask, every filter's bit-clear, the union
-projection -- compiles the text and memoizes the kernel on its node
-through :func:`~repro.physical.hotpath.cached_artifacts`.  Following the
-codegen-then-measure pattern (the Cozy cost model generates source,
-compiles it, and keeps it only when measurement confirms the win -- see
-SNIPPETS.md), there is one generator per lane of the size dispatch
-(``columnar.ROW_LANE_MAX``):
+node's whole chain, compiles the text and memoizes the kernel on its
+node through :func:`~repro.physical.hotpath.cached_artifacts`.  It
+follows the codegen-then-measure pattern (the Cozy cost model generates
+source, compiles it, and keeps it only when measurement confirms the
+win -- see SNIPPETS.md):
 
-* the **vector kernels** (:func:`fused_source_kernel`,
-  :func:`fused_decoration_kernel`, :func:`fused_aggregate_inputs`)
-  flatten each vectorizable expression tree into a single inline NumPy
-  expression with constants folded and column reads hoisted;
-* the **row kernels** are their scalar twins: :func:`fused_row_kernel`
-  is one ``for row, sign, bits in zip(...)`` loop with the mask, the
-  bit-clears and the projection tuple inlined from
+* :func:`fused_row_kernel` is one ``for row, sign, bits in zip(...)``
+  loop over a chain -- source mask, every filter's bit-clear, the union
+  projection -- with every expression inlined from
   :meth:`Expression.row_source <repro.relational.expressions.Expression
-  .row_source>` (no call per row at all), and
-  :func:`fused_aggregate_kernels` holds the aggregate's per-delta absorb
-  over its group records and its per-group emission.  A row-lane chain
-  passes Python lists from kernel to kernel and never touches NumPy.
+  .row_source>` (no call per row at all);
+* :func:`fused_aggregate_kernels` holds the aggregate's per-delta absorb
+  over its group records and its per-group emission.
 
-A kernel is generated the first time its lane is taken, the compiled
-text is shared by every node that generates the same text
+Kernels pass Python lists from kernel to kernel.  A kernel is generated
+the first time its operator runs, the compiled text is shared by every
+node that generates the same text
 (:func:`~repro.relational.codegen.compile_source`), and every kernel's
 source is inspectable as ``kernel.fused_source`` (an aggregate's as the
 pair of its absorb and emit texts) and shows in tracebacks under its
 ``<fused:...>`` filename.
 
-Exactness contract: every kernel of a node emits the same rows in the
-same order with the same WorkMeter charges -- the filter stage is
+Exactness contract: every kernel of a node emits the rows, the order and
+the WorkMeter charges of the per-tuple reference -- the filter stage is
 charged its input length (after the source mask), the projection stage
-the survivors, both even at zero.  This module is the engine's only
-vector expression compiler: calibration (``stats_mode``) runs these
-kernels too and tallies its counters from the batches between them.
-Containment predicates are one helper call per column (hash-equality and
-``str`` semantics per element, like the row lane), and an expression the
-flattener cannot take -- division by anything but a nonzero constant --
-is evaluated whole, row by row, through the scalar closure the reference
-runs.  ``tests/test_columnar_equivalence.py`` replays every fig11 batch
-through both lanes.
+the survivors, both even at zero.  Calibration (``stats_mode``) runs
+these kernels too and tallies its counters from the batches between
+them.
 """
 
 from collections import namedtuple
@@ -49,21 +37,10 @@ from operator import itemgetter
 from sys import intern
 from textwrap import indent
 
-from ..engine.columns import ColumnBatch, column_array, np
+from ..engine.columns import ColumnBatch
 from ..errors import ExecutionError
-from ..relational.codegen import Bindings, compile_source, const_fragment
-from ..relational.expressions import (
-    And,
-    BinaryOp,
-    Col,
-    Comparison,
-    Const,
-    Contains,
-    InList,
-    Not,
-    Or,
-    StartsWith,
-)
+from ..relational.codegen import Bindings, compile_source
+from ..relational.expressions import Col, Const
 from .hotpath import (
     _QIDS_LIMIT,
     _MinMaxState,
@@ -72,241 +49,7 @@ from .hotpath import (
     qids_of,
 )
 
-__all__ = [
-    "fused_decoration_kernel",
-    "fused_source_kernel",
-    "fused_aggregate_inputs",
-    "fused_row_kernel",
-    "fused_aggregate_kernels",
-]
-
-
-class _Emitter(Bindings):
-    """Bound constants and closures, plus fresh local names, while
-    expression trees are flattened into source fragments."""
-
-    def __init__(self):
-        Bindings.__init__(self)
-        self._counter = 0
-
-    def fresh(self, prefix):
-        self._counter += 1
-        return "_%s%d" % (prefix, self._counter)
-
-
-class _NotInline(Exception):
-    """Internal: this tree is not flattened; evaluate it row by row."""
-
-
-def _truthy(x, n):
-    """Coerce a predicate result to a bool mask (or scalar bool)."""
-    if isinstance(x, np.ndarray):
-        if x.dtype == np.bool_:
-            return x
-        if x.dtype == object:
-            return np.fromiter((bool(v) for v in x), np.bool_, len(x))
-        return x.astype(np.bool_)
-    return bool(x)
-
-
-def _bool_mask(x, n):
-    """A full-length bool mask from a predicate result."""
-    x = _truthy(x, n)
-    if isinstance(x, np.ndarray):
-        return x
-    return np.full(n, x, dtype=np.bool_)
-
-
-def _materialize(x, n):
-    """A full-length column from a projection result (broadcast scalars)."""
-    if isinstance(x, np.ndarray):
-        if x.ndim != 0:
-            return x
-        x = x.item()
-    if isinstance(x, (bool, np.bool_)):
-        return np.full(n, bool(x), dtype=np.bool_)
-    if isinstance(x, (int, np.integer)):
-        return np.full(n, int(x), dtype=np.int64)
-    if isinstance(x, (float, np.floating)):
-        return np.full(n, float(x), dtype=np.float64)
-    arr = np.empty(n, dtype=object)
-    arr.fill(x)
-    return arr
-
-
-# Containment over a column is a test per element on Python values, so
-# hash equality (``InList``) and ``str`` semantics stay the row lane's;
-# a constant child stays a scalar.
-
-def _isin(x, values):
-    if isinstance(x, np.ndarray):
-        return np.fromiter((v in values for v in x.tolist()), np.bool_, len(x))
-    return x in values
-
-
-def _startswith(x, prefix):
-    if isinstance(x, np.ndarray):
-        return np.fromiter(
-            (v.startswith(prefix) for v in x.tolist()), np.bool_, len(x))
-    return x.startswith(prefix)
-
-
-def _contains(x, needle):
-    if isinstance(x, np.ndarray):
-        return np.fromiter((needle in v for v in x.tolist()), np.bool_, len(x))
-    return needle in x
-
-
-def _fragment(expr, schema, batch_var, columns, emitter, n_var):
-    """A source fragment evaluating ``expr`` over ``batch_var``: one
-    inline NumPy expression over the hoisted column reads.
-
-    Raises :class:`_NotInline` for a tree it does not flatten; the
-    caller then evaluates the *whole* expression row-wise (a partial
-    fallback would change the arithmetic path under it).
-    """
-    if isinstance(expr, Col):
-        index = schema.index_of(expr.name)
-        name = columns.get(index)
-        if name is None:
-            name = columns[index] = "%s_c%d" % (batch_var, index)
-        return name
-    if isinstance(expr, Const):
-        return const_fragment(expr.value, emitter)
-    if isinstance(expr, BinaryOp):
-        left = _fragment(expr.left, schema, batch_var, columns, emitter, n_var)
-        right = _fragment(expr.right, schema, batch_var, columns, emitter,
-                          n_var)
-        op = expr.op
-        if op in ("+", "-", "*"):
-            return "(%s %s %s)" % (left, op, right)
-        # division only by a nonzero constant: NumPy yields inf/nan where
-        # the scalar path raises ZeroDivisionError, and the error class is
-        # part of the differential-oracle contract
-        if not (isinstance(expr.right, Const) and expr.right.value != 0):
-            raise _NotInline
-        if op == "/":
-            return "(%s / %s)" % (left, right)
-        return "(%s // %s)" % (left, right)
-    if isinstance(expr, Comparison):
-        left = _fragment(expr.left, schema, batch_var, columns, emitter, n_var)
-        right = _fragment(expr.right, schema, batch_var, columns, emitter,
-                          n_var)
-        return "(%s %s %s)" % (left, expr.op, right)
-    if isinstance(expr, And):
-        left = _fragment(expr.left, schema, batch_var, columns, emitter, n_var)
-        right = _fragment(expr.right, schema, batch_var, columns, emitter,
-                          n_var)
-        return "np.logical_and(_truthy(%s, %s), _truthy(%s, %s))" % (
-            left, n_var, right, n_var,
-        )
-    if isinstance(expr, Or):
-        left = _fragment(expr.left, schema, batch_var, columns, emitter, n_var)
-        right = _fragment(expr.right, schema, batch_var, columns, emitter,
-                          n_var)
-        return "np.logical_or(_truthy(%s, %s), _truthy(%s, %s))" % (
-            left, n_var, right, n_var,
-        )
-    if isinstance(expr, Not):
-        child = _fragment(expr.child, schema, batch_var, columns, emitter,
-                          n_var)
-        return "np.logical_not(_truthy(%s, %s))" % (child, n_var)
-    if isinstance(expr, InList):
-        helper, operand = "_isin", frozenset(expr.values)
-    elif isinstance(expr, StartsWith):
-        helper, operand = "_startswith", expr.prefix
-    elif isinstance(expr, Contains):
-        helper, operand = "_contains", expr.needle
-    else:
-        raise _NotInline
-    child = _fragment(expr.child, schema, batch_var, columns, emitter, n_var)
-    return "%s(%s, %s)" % (helper, child, emitter.bind("k", operand))
-
-
-def _expr_source(expr, schema, batch_var, columns, emitter, n_var):
-    """Fragment for ``expr``, falling back to the row-wise evaluation of
-    its scalar closure (exact by construction: the one the reference
-    runs, raising what it raises)."""
-    try:
-        return _fragment(expr, schema, batch_var, columns, emitter, n_var)
-    except _NotInline:
-        scalar = emitter.bind("f", expr.compile(schema))
-        return "column_array([%s(row) for row in %s.rows()])" % (
-            scalar, batch_var)
-
-
-def _hoist_columns(lines, batch_var, columns):
-    """Emit the per-stage column reads the fragments referenced."""
-    for index in sorted(columns):
-        lines.append("    %s = %s.column(%d)" % (
-            columns[index], batch_var, index,
-        ))
-
-
-def _filter_block(node, batch_var, emitter, indent="    "):
-    """Source lines of the filter stage over ``batch_var`` (charge, one
-    bit clear per filter where its predicate rejects, final keep)."""
-    lines = []
-    columns = {}
-    body = []
-    core_schema = node.core_schema
-    n_var = "n"
-    body.append("%sn = len(%s)" % (indent, batch_var))
-    body.append("%smeter.charge_input(FILTER_NAME, n)" % indent)
-    body.append("%sbits = %s.bits" % (indent, batch_var))
-    for qid, predicate in sorted(node.filters.items()):
-        bit = 1 << qid
-        clear = ~bit
-        frag = _expr_source(predicate, core_schema, batch_var, columns,
-                            emitter, n_var)
-        has = emitter.fresh("has")
-        drop = emitter.fresh("drop")
-        body.append("%s%s = (bits & %d) != 0" % (indent, has, bit))
-        body.append("%sif %s.any():" % (indent, has))
-        body.append("%s    pred = _bool_mask(%s, n)" % (indent, frag))
-        body.append("%s    %s = %s & ~pred" % (indent, drop, has))
-        body.append("%s    if %s.any():" % (indent, drop))
-        body.append("%s        bits = np.where(%s, bits & %d, bits)"
-                    % (indent, drop, clear))
-    body.append("%skeep = bits != 0" % indent)
-    body.append("%sif keep.all():" % indent)
-    body.append("%s    %s = %s.with_bits(bits)" % (indent, batch_var,
-                                                   batch_var))
-    body.append("%selse:" % indent)
-    body.append(
-        "%s    %s = %s.with_bits(bits).take(np.flatnonzero(keep))"
-        % (indent, batch_var, batch_var)
-    )
-    _hoist_columns(lines, batch_var, columns)
-    lines.extend(body)
-    return lines
-
-
-def _projection_block(node, batch_var, emitter, indent="    "):
-    """Source lines of the union-projection stage."""
-    union = node.union_projection()
-    if union is None:
-        return None
-    lines = []
-    columns = {}
-    frags = [
-        _expr_source(expr, node.core_schema, batch_var, columns, emitter, "m")
-        for _, expr in union
-    ]
-    body = []
-    body.append("%sm = len(%s)" % (indent, batch_var))
-    body.append("%smeter.charge_input(PROJ_NAME, m)" % indent)
-    cols = ", ".join("_materialize(%s, m)" % frag for frag in frags)
-    if len(frags) == 1:
-        cols += ","
-    body.append("%scolumns = (%s)" % (indent, cols))
-    body.append(
-        "%s%s = ColumnBatch(columns, %s.signs, %s.bits)"
-        % (indent, batch_var, batch_var, batch_var)
-    )
-    _hoist_columns(lines, batch_var, columns)
-    lines.extend(body)
-    return lines
+__all__ = ["fused_row_kernel", "fused_aggregate_kernels"]
 
 
 def _compile_kernel(kind, lines, namespace):
@@ -319,78 +62,9 @@ def _compile_kernel(kind, lines, namespace):
     return kernel
 
 
-def _vector_namespace(node, emitter):
-    return dict(
-        emitter.names,
-        np=np,
-        ColumnBatch=ColumnBatch,
-        column_array=column_array,
-        _truthy=_truthy,
-        _bool_mask=_bool_mask,
-        _materialize=_materialize,
-        _isin=_isin,
-        _startswith=_startswith,
-        _contains=_contains,
-        FILTER_NAME="filter:%d" % node.uid,
-        PROJ_NAME="proj:%d" % node.uid,
-    )
-
-
-def _build_decoration_kernel(node):
-    """``kernel(batch, meter) -> batch`` fusing filters + projection."""
-    emitter = _Emitter()
-    lines = ["def kernel(batch, meter):"]
-    if node.filters:
-        lines.extend(_filter_block(node, "batch", emitter))
-    projection = _projection_block(node, "batch", emitter)
-    if projection is not None:
-        lines.extend(projection)
-    lines.append("    return batch")
-    return _compile_kernel("deco", lines, _vector_namespace(node, emitter))
-
-
-def _build_source_kernel(node):
-    """``kernel(batch, subplan_mask, meter) -> batch`` fusing the source
-    bit-mask stage with the node's decorations in one generated body."""
-    emitter = _Emitter()
-    lines = [
-        "def kernel(batch, subplan_mask, meter):",
-        "    sbits = batch.bits & subplan_mask",
-        "    skeep = sbits != 0",
-        "    if skeep.all():",
-        "        batch = batch.with_bits(sbits)",
-        "    else:",
-        "        batch = batch.with_bits(sbits).take(np.flatnonzero(skeep))",
-    ]
-    if node.filters:
-        lines.extend(_filter_block(node, "batch", emitter))
-    projection = _projection_block(node, "batch", emitter)
-    if projection is not None:
-        lines.extend(projection)
-    lines.append("    return batch")
-    return _compile_kernel("src", lines, _vector_namespace(node, emitter))
-
-
-def _build_aggregate_inputs(node):
-    """``kernel(batch, n) -> [array, ...]`` evaluating every aggregate
-    input expression in one pass with shared column hoisting."""
-    emitter = _Emitter()
-    child_schema = node.children[0].out_schema
-    columns = {}
-    frags = [
-        _expr_source(spec.expr, child_schema, "batch", columns, emitter, "n")
-        for spec in node.aggs
-    ]
-    lines = ["def kernel(batch, n):"]
-    _hoist_columns(lines, "batch", columns)
-    items = ", ".join("_materialize(%s, n)" % frag for frag in frags)
-    lines.append("    return [%s]" % items)
-    return _compile_kernel("agg", lines, _vector_namespace(node, emitter))
-
-
 def _build_row_kernel(node, source):
-    """``kernel(batch, mask, meter) -> batch``: the row lane of a node's
-    chain -- (source mask ->) mark filters -> projection -- as one loop
+    """``kernel(batch, mask, meter) -> batch``: a node's chain --
+    (source mask ->) mark filters -> projection -- as one loop
     over the batch's Python rows, every expression inlined.  ``source``
     kernels apply ``mask`` (the owning subplan's query mask) first;
     bare decorations ignore it."""
@@ -444,12 +118,12 @@ def _build_row_kernel(node, source):
     if union is not None:
         lines.append("    meter.charge_input(PROJ_NAME, len(out_rows))")
     lines.extend(("    if not out_rows:", "        return EMPTY",
-                  "    return from_rows(out_rows, out_signs, out_bits, %d)"
+                  "    return batch_of(out_rows, out_signs, out_bits, %d)"
                   % width))
     return _compile_kernel("row", lines, dict(
         bindings.names,
         EMPTY=ColumnBatch.empty(width),
-        from_rows=ColumnBatch.from_rows,
+        batch_of=ColumnBatch,
         FILTER_NAME="filter:%d" % node.uid,
         PROJ_NAME="proj:%d" % node.uid,
     ))
@@ -472,16 +146,6 @@ def _build_row_kernel(node, source):
 
 _STATE0 = 3  # record index of the first query's state
 
-_TOUCH = """\
-rec = groups_get(group)
-if rec is None:
-    rec = groups[group] = [group, None, True{nones}]
-    touched_append(rec)
-elif not rec[2]:
-    rec[2] = True
-    touched_append(rec)
-"""
-
 #: ``{v}``: the signed input; ``count``: the state's new contributions (an
 #: emptied group snaps back to exactly zero: it has drifted nowhere)
 _AVG_UPDATE = """\
@@ -503,34 +167,23 @@ else:
 """
 
 _ABSORB = """\
-def absorb(rows, signs, bits, groups, touched, meter, name, state_count, exact):
+def absorb(rows, signs, bits, groups, touched, meter, name, state_count):
     groups_get = groups.get
     touched_append = touched.append
     for row, sign, b in zip(rows, signs, bits):
         {wanted}
             continue
         group = {group}
-{touch8}
+        rec = groups_get(group)
+        if rec is None:
+            rec = groups[group] = [group, None, True{nones}]
+            touched_append(rec)
+        elif not rec[2]:
+            rec[2] = True
+            touched_append(rec)
 {inputs}
 {update}
     return state_count
-"""
-
-#: the vector lane's helpers, generated on its first batch: ``touch``
-#: (fetch or create a group's record), ``new_state`` and ``avg_step``
-#: (one AVG update at ``st[at]``)
-_VECTOR_HELPERS = """\
-def touch(groups, touched, group):
-    groups_get = groups.get
-    touched_append = touched.append
-{touch}
-    return rec
-
-def new_state():
-    return {fresh}
-
-def avg_step(st, at, value, count):
-{avg_step}
 """
 
 #: one query: straight-line, at most one delete and one insert per group,
@@ -568,7 +221,7 @@ def emit(touched, groups, state_count):
     deleted = len(rows)
     rows += [new for _, _, new in pending if new is not None]
     n = len(rows)
-    return from_rows(rows, [-1] * deleted + [1] * (n - deleted),
+    return batch_of(rows, [-1] * deleted + [1] * (n - deleted),
                      [MASK] * n, {width}), state_count
 """
 
@@ -622,7 +275,7 @@ def emit(touched, groups, state_count):
     for _, _, (new_rows, new_bits) in pending:
         rows += new_rows
         bits += new_bits
-    return from_rows(rows, [-1] * deleted + [1] * (len(rows) - deleted),
+    return batch_of(rows, [-1] * deleted + [1] * (len(rows) - deleted),
                      bits, {width}), state_count
 """
 
@@ -644,10 +297,7 @@ def _coalesce(flat, arity):
 #: ``fused_source`` is the pair of texts ``(absorb's, emit's)``, each
 #: the very string its compiled code is cached under
 AggregateKernels = namedtuple(
-    "AggregateKernels", "absorb emit slot_of offsets fused_source")
-
-VectorHelpers = namedtuple(
-    "VectorHelpers", "touch new_state avg_step fused_source")
+    "AggregateKernels", "absorb emit slot_of fused_source")
 
 
 def _state_layout(aggs):
@@ -672,17 +322,14 @@ def _build_aggregate_kernels(node, qids):
     for the queries ``qids``, specialised on what the operator can see:
     the arity of its group key, its specs, whether it serves one query.
 
-    ``absorb`` is the per-delta loop with the group key, the inputs, the
-    state updates and the SUM/AVG exactness ledger (``exact``) inlined.
-    ``emit`` re-emits every touched group whose row changed, in the
+    ``absorb`` is the per-delta loop with the group key, the inputs and
+    the state updates inlined.  ``emit`` re-emits every touched group whose row changed, in the
     reference's ``(sign, _sort_key(row))`` order (deletions first, so
     downstream never sees a transient duplicate): rows of different
     groups never tie or coalesce -- a row starts with its group key -- so
     groups sort once by their memoised prefix and queries meet inside a
     group only.
     """
-    from .columnar import _EXACT_VALUE_BOUND
-
     bindings = Bindings()
     schema = node.children[0].out_schema
     indexes = [schema.index_of(name) for name in node.group_by]
@@ -696,18 +343,10 @@ def _build_aggregate_kernels(node, qids):
         value = spec.expr.row_source(schema, bindings)
         summed = spec.func in ("sum", "avg")
         if summed or not isinstance(spec.expr, (Col, Const)):
-            # (a bare column or constant cannot raise: it stays inline)
+            # (a bare column or constant cannot raise: it stays inline;
+            # a summed value is read twice, so it is evaluated once)
             inputs.append("v%d = %s" % (position, value))
             value = "v%d" % position
-        if summed:
-            # columnar._reduceat_exact for one value, tested where the
-            # value already exists: ints pass on the type test alone,
-            # bools and bounded integral floats keep the ledger true
-            inputs.append(
-                "if exact[{0}] and type(v{0}) is not int:\n"
-                "    exact[{0}] = type(v{0}) is float and v{0}.is_integer()"
-                " and -{1!r} <= v{0} <= {1!r} or type(v{0}) is bool"
-                .format(position, _EXACT_VALUE_BOUND))
         if spec.func == "sum":
             updates.append("st[%d] += %s if sign == 1 else -%s\n"
                            % (slot, value, value))
@@ -749,7 +388,7 @@ def _build_aggregate_kernels(node, qids):
         "row[%d], " % i for i in indexes)
     source = intern(_ABSORB.format(
         wanted=wanted, group=group,
-        touch8=indent(_TOUCH.format(nones=", None" * len(qids)), " " * 8),
+        nones=", None" * len(qids),
         inputs=indent("\n".join(inputs), " " * 8), update=update,
     ))
 
@@ -788,55 +427,17 @@ def _build_aggregate_kernels(node, qids):
         coalesce=_coalesce,
         first=itemgetter(0),
         EMPTY=ColumnBatch.empty(shape["width"]),
-        from_rows=ColumnBatch.from_rows,
+        batch_of=ColumnBatch,
     )
     exec(compile_source("aggregate", source), namespace)
     exec(compile_source("aggregate-emit", emit), namespace)
     # out of their globals (none calls a sibling): dead kernels are no cycle
     generated = map(namespace.pop, AggregateKernels._fields[:2])
-    return AggregateKernels(*generated, slot_of, offsets, (source, emit))
-
-
-def _build_vector_helpers(node, qids):
-    """Generate the :class:`VectorHelpers` of aggregate ``node`` run for
-    the queries ``qids``: the pieces of the group-record protocol the
-    vector absorb (``ColumnarAggregateExec._absorb_columns``) calls per
-    group, the row lane having them inlined."""
-    source = intern(_VECTOR_HELPERS.format(
-        touch=indent(_TOUCH.format(nones=", None" * len(qids)), " " * 4),
-        fresh=_state_layout(node.aggs)[0],
-        avg_step=indent(_AVG_UPDATE.format(
-            t="st[at]", c="st[at + 1]", v="value"), " " * 4),
-    ))
-    namespace = {"MinMax": _MinMaxState}
-    exec(compile_source("aggregate-vec", source), namespace)
-    generated = map(namespace.pop, VectorHelpers._fields[:3])
-    return VectorHelpers(*generated, source)
-
-
-def fused_decoration_kernel(node):
-    """The memoized decoration kernel of ``node`` (filters+projection)."""
-    return cached_artifacts(
-        node, "fused-deco", lambda: _build_decoration_kernel(node)
-    )
-
-
-def fused_source_kernel(node):
-    """The memoized source-chain kernel of ``node`` (mask+decorations)."""
-    return cached_artifacts(
-        node, "fused-src", lambda: _build_source_kernel(node)
-    )
-
-
-def fused_aggregate_inputs(node):
-    """The memoized aggregate-input kernel of ``node``."""
-    return cached_artifacts(
-        node, "fused-agg", lambda: _build_aggregate_inputs(node)
-    )
+    return AggregateKernels(*generated, slot_of, (source, emit))
 
 
 def fused_row_kernel(node, source=False):
-    """The memoized row-lane kernel of ``node``'s chain (``source``:
+    """The memoized kernel of ``node``'s chain (``source``:
     behind the subplan mask, for the source that owns the chain)."""
     return cached_artifacts(
         node,
@@ -852,14 +453,4 @@ def fused_aggregate_kernels(node, qids):
         node,
         ("fused-aggregate", qids),
         lambda: _build_aggregate_kernels(node, qids),
-    )
-
-
-def fused_vector_helpers(node, qids):
-    """The memoized :class:`VectorHelpers` of aggregate ``node`` run for
-    the queries ``qids``, built on its first vector-lane batch."""
-    return cached_artifacts(
-        node,
-        ("fused-aggregate-vec", qids),
-        lambda: _build_vector_helpers(node, qids),
     )

@@ -1,32 +1,21 @@
 """Shared compile-time caches and the pieces both operator families use.
 
-The incremental engine has one production backend: the
-**size-dispatched operators** (:mod:`repro.physical.columnar`; reports
-and ``RunResult.metadata`` label it ``"columnar"``) pass
-struct-of-arrays delta batches between operators and run every filter
--> project -> aggregate-input chain as a generated kernel
-(:mod:`repro.physical.fused`): one scalar row loop for a batch of at
-most ``columnar.ROW_LANE_MAX`` rows (the *row lane*), NumPy kernels
-above it (the *vector lane*; the threshold is measured end to end by
-``benchmarks/lane_sweep.py``).  Nothing switches it off at runtime.  The
+The incremental engine has one production backend: the operators of
+:mod:`repro.physical.columnar` (reports and ``RunResult.metadata`` label
+it ``"columnar"``) pass delta batches between operators and run every
+filter -> project -> aggregate-input chain as one generated row loop
+(:mod:`repro.physical.fused`).  Nothing switches it off at runtime.  The
 per-tuple operators of :mod:`repro.physical.operators` are the work
 oracle: only :class:`repro.fuzz.reference.ReferenceExecutor` compiles
-them, for tests, the fuzzer and the micro benchmark.  The row lane is
-bit-identical to them -- results, WorkMeter charges, every execution
-record.  The vector lane charges exactly the same work; its float
-segment sums may associate differently, so its results are
-tolerance-equivalent (docs/PERFORMANCE.md).
+them, for tests, the fuzzer and the micro benchmark.  The production
+operators are bit-identical to them -- results, WorkMeter charges, every
+execution record.  Calibration runs the same operators: a stats run is
+the production tree plus tallies of the batches between them.  Which join
+sides read a shared arrangement (:mod:`repro.engine.arrangements`) is
+not a setting either: a production join side over a bare base-table
+scan always does.
 
-Whether the vector lane may fire is not a setting: the executor works
-it out per plan from what it can observe -- NumPy importable and every
-query id below 62, so bitvectors fit an int64 array -- and binds it into
-each operator.  Where it may not, every batch takes the row lane --
-calibration's too: a stats run is the production tree plus tallies of
-the batches between its operators.  Nor is which join sides read a
-shared arrangement (:mod:`repro.engine.arrangements`): a production join
-side over a bare base-table scan always does.
-
-Not settings either: compiled per-node artifacts (key getters, aggregate
+Nor are these settings: compiled per-node artifacts (key getters, aggregate
 input functions, fused kernels) are always memoized by
 :func:`cached_artifacts` for as long as their plan node lives -- and the
 generated source under them once per distinct text

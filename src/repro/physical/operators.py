@@ -18,9 +18,9 @@ TPC-H Q15 non-incrementable in the paper's section 5.3.
 These classes are the per-tuple *reference*: the work oracle, which only
 :class:`repro.fuzz.reference.ReferenceExecutor` compiles (tests, the
 fuzzer, the micro benchmark); no production module imports this one.
-Production runs compile the size-dispatched operators of
-:mod:`repro.physical.columnar`; their row lane is bit-identical to these
-and dedicated tests enforce it (docs/PERFORMANCE.md).
+Production runs compile the operators of :mod:`repro.physical.columnar`,
+which are bit-identical to these; dedicated tests enforce it
+(docs/PERFORMANCE.md).
 """
 
 from ..errors import ExecutionError

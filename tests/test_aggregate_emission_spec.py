@@ -5,9 +5,8 @@ classes, one global ``(row, sign)`` dict, ``(sign, _sort_key(row))``
 order).  Every batch a real run feeds an aggregate node is recorded,
 then replayed -- advance by advance, the empty ones included -- through
 the reference and through the production operator (group records, a
-generated absorb and a generated per-group emission) on every lane
-choice: all vector, the default dispatch, all row, and lanes alternating
-batch by batch over the same records.  Each advance must emit the same
+generated absorb and a generated per-group emission).  Each advance
+must emit the same
 ``(row, sign, bits)`` sequence with the same value types, charge the
 WorkMeter the same (MIN/MAX rescans and state included) and leave the
 same ``state_count``.
@@ -42,7 +41,7 @@ from repro.workloads.tpch import (
     generate_catalog,
 )
 
-from .test_columnar_equivalence import fig11_setup, needs_numpy  # noqa: F401
+from .test_columnar_equivalence import fig11_setup  # noqa: F401
 from .util import (
     batch_of,
     deltas_of,
@@ -50,14 +49,6 @@ from .util import (
     shared_plan_for,
     toy_query_total,
 )
-
-#: leg -> the ROW_LANE_MAX of its n-th advance
-LANES = {
-    "vector": lambda n: 0,
-    "default": lambda n: columnar.ROW_LANE_MAX,
-    "row": lambda n: 1 << 30,
-    "alternating": lambda n: 0 if n % 2 else 1 << 30,
-}
 
 
 class _Feed:
@@ -111,47 +102,32 @@ def _typed(out):
     ]
 
 
-def replay(recorded, monkeypatch):
-    """Feed ``recorded`` to the reference and to one production operator
-    per lane schedule; returns every production emission, per node uid."""
+def replay(recorded):
+    """Feed ``recorded`` to the reference and to the production operator;
+    returns every production emission, per node uid."""
     operators = {}
     emissions = {}
-    lane_max = columnar.ROW_LANE_MAX
     for node, mask, batch in recorded:
         ops = operators.get(node.uid)
         if ops is None:
             ops = operators[node.uid] = [
-                ("reference", AggregateExec(
-                    node, _Feed(), mask, WorkMeter())),
-            ] + [
-                (lane, columnar.ColumnarAggregateExec(
-                    node, _Feed(), mask, WorkMeter()))
-                for lane in LANES
+                AggregateExec(node, _Feed(), mask, WorkMeter()),
+                columnar.ColumnarAggregateExec(
+                    node, _Feed(), mask, WorkMeter()),
+                0,  # advances so far
             ]
-            ops.append(0)  # advances so far
-        advance = ops[-1]
+        reference, production, advance = ops
         ops[-1] += 1
+        reference.child.batch = deltas_of(batch)
+        production.child.batch = batch
         outcomes = []
-        for lane, op in ops[:-1]:
-            if lane == "reference":
-                op.child.batch = deltas_of(batch)
-            else:
-                monkeypatch.setattr(
-                    columnar, "ROW_LANE_MAX",
-                    lane_max if lane == "default" else LANES[lane](advance))
-                op.child.batch = batch
+        for op in (reference, production):
             out = op.advance()
             outcomes.append(
                 (_typed(out), op.meter.snapshot(), op.meter.state_entries,
                  op.state_count))
-            if lane == "row":
-                emissions.setdefault(node.uid, []).append(outcomes[-1][0])
-        monkeypatch.setattr(columnar, "ROW_LANE_MAX", lane_max)
-        for (lane, op), outcome in zip(ops[1:-1], outcomes[1:]):
-            assert outcome == outcomes[0], (node.uid, advance, lane)
-            # whichever lanes absorbed them, the same values have flipped
-            # the same SUM/AVG exactness ledgers
-            assert op._exact_ok == ops[1][1]._exact_ok, (node.uid, lane)
+        emissions.setdefault(node.uid, []).append(outcomes[1][0])
+        assert outcomes[1] == outcomes[0], (node.uid, advance)
     return emissions
 
 
@@ -172,14 +148,13 @@ ALL_SPECS = [
 ]
 
 
-@needs_numpy
 class TestRecordedReplay:
     def test_fig11_plan(self, fig11_setup, monkeypatch):  # noqa: F811
         plan, paces, _ = fig11_setup
         recorded = record_aggregate_inputs(monkeypatch, plan, paces)
         assert len({node.uid for node, _, _ in recorded}) >= 20
         assert any(len(batch) == 0 for _, _, batch in recorded)
-        emissions = replay(recorded, monkeypatch)
+        emissions = replay(recorded)
         assert sum(len(out) for outs in emissions.values() for out in outs) > 400
 
     def test_one_aggregate_serving_three_filtered_queries(self, monkeypatch):
@@ -202,14 +177,14 @@ class TestRecordedReplay:
             monkeypatch, plan, {subplan.sid: 7 for subplan in plan.subplans})
         shared = [mask for _, mask, _ in recorded if mask == 0b111]
         assert shared, "the three queries do not share their aggregate"
-        emissions = replay(recorded, monkeypatch)
+        emissions = replay(recorded)
         # the tie-break case fired: one group, one sign, two different rows
         assert any(
             len({(row[0], sign) for row, _, sign, _ in out}) < len(out)
             for outs in emissions.values() for out in outs
         )
 
-    def test_edge_cases(self, monkeypatch):
+    def test_edge_cases(self):
         a, b = 0b01, 0b10
         both = a | b
         node = _node(["g"], ALL_SPECS, both)
@@ -231,12 +206,12 @@ class TestRecordedReplay:
             [Delta(("w", 3.0), 1, both), Delta(("w", 3.0), -1, both)],
             [Delta(("x", 7.0), -1, both)],
         )]
-        emissions = replay(recorded, monkeypatch)[node.uid]
+        emissions = replay(recorded)[node.uid]
         assert [len(out) for out in emissions] == [2, 2, 3, 2, 3, 0, 0, 0, 1]
         assert emissions[2] == sorted(
             emissions[2], key=lambda e: (e[2], _sort_key(e[0])))
 
-    def test_global_and_wide_key_aggregates(self, monkeypatch):
+    def test_global_and_wide_key_aggregates(self):
         recorded = []
         for group_by, mask in (([], 0b1), ([], 0b11), (["g", "v"], 0b11)):
             node = _node(group_by, ALL_SPECS, mask)
@@ -246,7 +221,7 @@ class TestRecordedReplay:
                 [],
                 [Delta(("y", 4.0), -1, 0b01), Delta(("y", 1.0), -1, 0b10)],
             )]
-        emissions = replay(recorded, monkeypatch)
+        emissions = replay(recorded)
         assert all(out for outs in emissions.values()
                    for out in (outs[0], outs[1], outs[3]))
         assert all(outs[2] == [] for outs in emissions.values())
@@ -266,7 +241,6 @@ class TestRecordedReplay:
                     cls(node, feed, mask, WorkMeter()).advance()
 
 
-@needs_numpy
 class TestEmissionCosts:
     """What the eager regime no longer pays, as counts that repeat."""
 

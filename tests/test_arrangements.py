@@ -32,7 +32,6 @@ from repro.errors import ExecutionError
 from repro.fuzz.reference import ReferenceExecutor
 from repro.logical.builder import PlanBuilder
 from repro.mqo.merge import build_unshared_plan
-from repro.physical import columnar as columnar_mod
 from repro.physical.columnar import ColumnarJoinExec
 from repro.physical.hotpath import clear_compiled_caches
 from repro.physical.operators import JoinExec
@@ -129,16 +128,11 @@ class TestArrangedExactness:
         assert "arrangement_summary" not in private.metadata
         assert fingerprint(arranged) == fingerprint(private)
 
-    def test_columnar_paths_bit_identical(self, fanout_setup, monkeypatch):
-        # each lane forced on every batch: the vector lane, then the row
-        # lane (the fan-out sums integral quantities, so the vector
-        # lane's segment sums are exact as well)
+    def test_columnar_paths_bit_identical(self, fanout_setup):
         plan, paces = fanout_setup
         private = run_with(plan, paces, batched=False)
-        for lane_max in (0, 1 << 30):
-            monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", lane_max)
-            arranged = run_with(plan, paces, batched=True)
-            assert fingerprint(arranged) == fingerprint(private), lane_max
+        arranged = run_with(plan, paces, batched=True)
+        assert fingerprint(arranged) == fingerprint(private)
 
     def test_mixed_shared_plan_bit_identical(self):
         # toy shared plan: filtered scans stay private, bare scans share
@@ -408,9 +402,6 @@ class TestArrangeableSide:
 
 class TestPrivateSideLiveSlots:
     def test_retracted_slots_leave_the_table(self, monkeypatch):
-        # every batch on the row lane, which is bit-identical to the
-        # reference whatever the toy batch sizes are
-        monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
         catalog = add_event_churn(make_toy_catalog(seed=41), fraction=0.6)
         plan = build_unshared_plan(
             catalog, single_join_queries(catalog, 2, filtered=True)

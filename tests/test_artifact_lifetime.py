@@ -15,13 +15,11 @@ import pickle
 import weakref
 from types import FunctionType
 
-import pytest
 
 from repro.core.optimizer import OptimizerConfig
-from repro.engine import columns
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
-from repro.physical import columnar, fused, hotpath
+from repro.physical import fused, hotpath
 from repro.service.core import QueryService
 
 from .util import (
@@ -69,33 +67,6 @@ def test_a_dropped_plan_frees_its_compiled_kernels(monkeypatch):
         executor = PlanExecutor(plan, StreamConfig(), catalog=catalog)
         executor.run(paces)
         assert len(built) > 5 and all(ref() is not None for ref in built)
-        del plan, executor
-        assert [ref() for ref in built if ref() is not None] == []
-    finally:
-        gc.enable()
-
-
-@pytest.mark.skipif(not columns.available(), reason="needs numpy")
-def test_vector_helpers_die_with_their_node(monkeypatch):
-    # the vector absorb's helpers are an artifact of their own, built on
-    # the first vector-lane batch and freed with the node like the rest
-    built = []
-
-    def build(node, qids):
-        helpers = build_helpers(node, qids)
-        built.extend(weakref.ref(f) for f in helpers[:3])
-        return helpers
-
-    build_helpers = fused._build_vector_helpers
-    monkeypatch.setattr(fused, "_build_vector_helpers", build)
-    monkeypatch.setattr(columnar, "ROW_LANE_MAX", 0)
-    gc.collect()
-    gc.disable()
-    try:
-        plan, paces, catalog = _toy_plan()
-        executor = PlanExecutor(plan, StreamConfig(), catalog=catalog)
-        executor.run(paces)
-        assert built and all(ref() is not None for ref in built)
         del plan, executor
         assert [ref() for ref in built if ref() is not None] == []
     finally:

@@ -1,14 +1,12 @@
-"""Bit-identity of the production row lane against the per-tuple reference.
+"""Bit-identity of the production operators against the per-tuple reference.
 
 The engine keeps the original per-tuple delta application as the work
 oracle (``repro.fuzz.reference.ReferenceExecutor``).  These tests are
-the hard constraint: the production operators with every batch forced
-onto the row lane, the compiled-artifact cache, operator
-tree reuse, and in-place buffer compaction must leave every RunResult
-work/latency number and every query result *bit-identical* on the fig11
-workload (TPC-H, all 22 queries, update-stream churn included).  The
-vector lane's contract -- exact work, tolerance-close results -- lives in
-``test_columnar_equivalence``.  The artifact cache and tree reuse are
+the hard constraint: the production operators, the compiled-artifact
+cache, operator tree reuse, and in-place buffer compaction must leave
+every RunResult work/latency number and every query result
+*bit-identical* on the fig11 workload (TPC-H, all 22 queries,
+update-stream churn included).  The artifact cache and tree reuse are
 unconditional, so they are checked by comparing a fresh executor over
 cleared caches against a second ``run()`` on a warm one.
 """
@@ -20,7 +18,6 @@ from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
 from repro.fuzz.reference import ReferenceExecutor
-from repro.physical import columnar as columnar_mod
 from repro.physical.hotpath import clear_compiled_caches
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
@@ -67,13 +64,6 @@ def run_with(plan, paces, executor=PlanExecutor):
     return executor(plan, StreamConfig()).run(paces)
 
 
-@pytest.fixture
-def row_lane(monkeypatch):
-    """Every batch of every production operator takes the row lane."""
-    monkeypatch.setattr(columnar_mod, "ROW_LANE_MAX", 1 << 30)
-
-
-@pytest.mark.usefixtures("row_lane")
 class TestFig11BitIdentity:
     def test_batched_matches_reference(self, fig11_setup):
         plan, paces = fig11_setup

@@ -30,7 +30,6 @@ from repro.engine.arrangements import ArrangementHandle
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.fuzz.oracles import run_case
-from repro.physical import columnar
 from repro.physical.columnar import ColumnarJoinExec
 from repro.physical.hotpath import clear_compiled_caches
 from repro.physical.operators import JoinExec
@@ -97,8 +96,6 @@ class Recording:
         self.arranged_sides = 0
         self.private_sides = 0
         self.most_versions = 0  # of one arrangement at one time
-        #: vectorised probes, by the kind of side whose table they read
-        self.vector_probes = {"arranged": 0, "private": 0}
 
 
 def _kind(state):
@@ -110,7 +107,6 @@ def record_join_advances(monkeypatch, plan, paces):
     recording = Recording()
     init = ColumnarJoinExec.__init__
     advance = ColumnarJoinExec.advance
-    probe = ColumnarJoinExec._probe
 
     def tapped_init(self, node, left, right, *args, **kwargs):
         init(self, node, _Tap(left), _Tap(right), *args, **kwargs)
@@ -119,10 +115,6 @@ def record_join_advances(monkeypatch, plan, paces):
                 recording.arranged_sides += 1
             else:
                 recording.private_sides += 1
-
-    def tapped_probe(self, batch, keys, key_idx, table, left_side, outputs):
-        recording.vector_probes[_kind(self.states[left_side])] += 1
-        return probe(self, batch, keys, key_idx, table, left_side, outputs)
 
     def tapped_advance(self):
         out = advance(self)
@@ -140,7 +132,6 @@ def record_join_advances(monkeypatch, plan, paces):
     with monkeypatch.context() as patch:
         patch.setattr(ColumnarJoinExec, "__init__", tapped_init)
         patch.setattr(ColumnarJoinExec, "advance", tapped_advance)
-        patch.setattr(ColumnarJoinExec, "_probe", tapped_probe)
         clear_compiled_caches()
         PlanExecutor(plan, StreamConfig()).run(paces)
     return recording
@@ -189,17 +180,6 @@ class TestRecordedReplay:
         assert any(out for _, _, _, out, _, _ in recording.advances)
         joins = replay_through_reference(recording)
         assert joins >= 20
-
-    def test_vector_lane_probe(self, fig11_setup, monkeypatch):  # noqa: F811
-        # every non-empty batch through the vectorised probe, of arranged
-        # and private tables alike: a join does no arithmetic, so the
-        # typed sequence is still exact
-        plan, _, _ = fig11_setup
-        monkeypatch.setattr(columnar, "ROW_LANE_MAX", 0)
-        recording = record_join_advances(monkeypatch, plan, _paces(plan, "lazy"))
-        assert recording.vector_probes["arranged"]
-        assert recording.vector_probes["private"]
-        replay_through_reference(recording)
 
 
 # -- a fault in the arranged probe is caught, here and by the fuzz matrix ---------

@@ -1,12 +1,12 @@
-"""The row lane's fast paths against the general loops they shortcut.
+"""The operators' fast paths against the general loops they shortcut.
 
 Buffer consolidation (``columnar._consolidated_batch``) has a fast path
 for the common case and keeps its general loop as the fallback: an
 insert-only read with every ``(row, bits)`` distinct is returned as
-read.  The row-lane probe (``ColumnarJoinExec._probe_scalar``) is one
-zipped pass that tests a net of 1 first, and the SUM/AVG exactness rule
-is inlined into the generated absorb text.  Each must emit exactly what
-the general form emits: same rows, order, signs and bits.  A private
+read.  The join probe (``ColumnarJoinExec._probe``) is one zipped pass
+that tests a net of 1 first, and the generated absorb inlines the
+reference's SUM/AVG arithmetic.  Each must emit exactly what the general
+form emits: same rows, order, signs and bits.  A private
 join side's install (``PrivateSide.install``) is one loop; its tests pin
 it against a spelled-out install, slots at net -1 included.
 
@@ -18,14 +18,12 @@ import math
 
 import pytest
 
-from repro.engine import columns
 from repro.engine.arrangements import PrivateSide
-from repro.engine.columns import ColumnBatch
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.mqo.merge import MQOOptimizer
 from repro.mqo.nodes import OpNode, TableRef
-from repro.physical import columnar
+from repro.physical import columnar, operators
 from repro.physical.work import WorkMeter
 from repro.relational.expressions import agg_avg, agg_sum, col
 from repro.relational.schema import Schema
@@ -38,10 +36,6 @@ from repro.workloads.tpch import (
 )
 
 from .util import batch_of, deltas_of
-
-needs_numpy = pytest.mark.skipif(
-    not columns.available(), reason="the vector lane needs numpy",
-)
 
 
 # -- consolidation -----------------------------------------------------------
@@ -119,21 +113,6 @@ class TestConsolidation:
             CONSOLIDATION_CASES["one segment, distinct inserts"][0])
         assert columnar._consolidated_batch([segment], 2) is segment
 
-    @needs_numpy
-    def test_array_backed_segments(self, monkeypatch):
-        import numpy as np
-
-        rows = [(i % 3, "r%d" % (i % 3)) for i in range(6)]
-        for signs, bits in (([1] * 6, [1, 1, 1, 2, 2, 2]),
-                            ([1, -1, 1, 1, -1, 1], [1] * 6)):
-            def segments():
-                return [ColumnBatch.from_rows(
-                    rows, np.array(signs, dtype=np.int64),
-                    np.array(bits, dtype=np.int64), 2)]
-            fast = columnar._consolidated_batch(segments(), 2)
-            general = _general_consolidation(monkeypatch, segments())
-            assert deltas_of(fast) == deltas_of(general)
-
 
 # -- private-side install ----------------------------------------------------
 
@@ -170,7 +149,7 @@ def _install_batches(batches):
     snapshots = []
     for deltas in batches:
         batch = batch_of(deltas, 2)
-        side.install(batch, [row[0] for row in batch.rows()], None)
+        side.install(batch, [row[0] for row in batch.rows()])
         snapshots.append(_snapshot(side))
         assert snapshots[-1] == _install_spec(spec, deltas)
     return snapshots
@@ -254,58 +233,35 @@ class TestProbe:
         batch = batch_of(PROBE_DELTAS, 2)
         listed = batch.rows(), batch.sign_list(), batch.bit_list()
         keys = [row[0] for row in batch.rows()]
-        pending = [[], [], []]
-        columnar.ColumnarJoinExec._probe_scalar(
-            listed, keys, _probe_table(), left_side, pending)
+        pending = [], [], []
+        columnar.ColumnarJoinExec._probe(
+            batch, keys, _probe_table(), left_side, pending)
         emitted = list(zip(*pending))
         assert emitted == _probe_spec(listed, keys, _probe_table(), left_side)
         assert len(emitted) == 9
         assert {sign for _, sign, _ in emitted} == {1, -1}
 
-    @needs_numpy
-    @pytest.mark.parametrize("left_side", [True, False])
-    def test_zipped_probe_matches_the_vector_probe(self, left_side):
-        from types import SimpleNamespace
 
-        batch = batch_of(PROBE_DELTAS, 2)
-        listed = batch.rows(), batch.sign_list(), batch.bit_list()
-        keys = [row[0] for row in batch.rows()]
-        pending = [[], [], []]
-        columnar.ColumnarJoinExec._probe_scalar(
-            listed, keys, _probe_table(), left_side, pending)
-        widths = SimpleNamespace(left_width=2 if left_side else 1,
-                                 right_width=1 if left_side else 2,
-                                 out_width=3)
-        outputs = []
-        columnar.ColumnarJoinExec._probe(
-            widths, batch, keys, (0,), _probe_table(), left_side, outputs)
-        (vector,) = outputs
-        assert deltas_of(vector) == [
-            Delta(*triple) for triple in zip(*pending)]
+# -- edge values through the generated absorb ----------------------------------
 
 
-# -- the inlined exactness rule ----------------------------------------------
-
-
-EXACTNESS_VALUES = [
+EDGE_VALUES = [
     0, 7, -12, True, False,
     3.0, -0.0, 2.0 ** 31, -(2.0 ** 31),
     math.nextafter(2.0 ** 31, math.inf),
     -math.nextafter(2.0 ** 31, math.inf),
-    # the next integral floats past the bound, and a far one
     2.0 ** 31 + 1, -(2.0 ** 31 + 1), 1e300,
     math.nan, math.inf, -math.inf, 0.5, -2.25, 1e-300,
 ]
 
 
-class TestInlinedExactnessRule:
-    @needs_numpy
+class TestEdgeValues:
     @pytest.mark.parametrize("func", [agg_sum, agg_avg])
-    @pytest.mark.parametrize("value", EXACTNESS_VALUES, ids=repr)
-    def test_absorb_keeps_the_reduceat_rule(self, monkeypatch, func, value):
-        import numpy as np
-
-        monkeypatch.setattr(columnar, "ROW_LANE_MAX", 1 << 30)
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_absorb_matches_the_reference(self, func, value):
+        # the inlined SUM/AVG arithmetic against the reference's state
+        # classes: int, bool, signed zero, huge, non-finite and
+        # non-integral inputs, inserted, doubled, and retracted
         node = OpNode(
             "aggregate",
             children=[OpNode(
@@ -314,17 +270,31 @@ class TestInlinedExactnessRule:
             )],
             group_by=["g"], aggs=[func(col("v"), "s")], query_mask=1,
         )
+        steps = [[Delta(("a", value), 1, 1)],
+                 [Delta(("a", value), 1, 1), Delta(("a", 0.1), 1, 1)],
+                 [Delta(("a", value), -1, 1)]]
+        emitted = []
+        for cls in (operators.AggregateExec, columnar.ColumnarAggregateExec):
+            feed = _Feed()
+            meter = WorkMeter()
+            aggregate = cls(node, feed, 1, meter)
+            outs = []
+            for deltas in steps:
+                feed.batch = deltas
+                if cls is columnar.ColumnarAggregateExec:
+                    feed.batch = batch_of(deltas, 2)
+                # repr: NaN payloads and signed zeros count, and so do types
+                outs.append(repr([(d.row, d.sign, d.bits)
+                                  for d in deltas_of(aggregate.advance())]))
+            emitted.append((outs, meter.snapshot()))
+        assert emitted[0] == emitted[1]
 
-        class Feed:
-            @staticmethod
-            def advance():
-                return batch_of([Delta(("a", value), 1, 1)], 2)
 
-        aggregate = columnar.ColumnarAggregateExec(node, Feed, 1, WorkMeter())
-        aggregate.advance()
-        exact = columnar._reduceat_exact(np.array([value]))
-        assert aggregate._exact_ok == [exact]
-        assert "value_exact" not in aggregate._kernels.fused_source[0]
+class _Feed:
+    batch = None
+
+    def advance(self):
+        return self.batch
 
 
 # -- the counts floor --------------------------------------------------------

@@ -22,7 +22,7 @@ def batch_of(deltas, width):
     if not deltas:
         return ColumnBatch.empty(width)
     rows = [d.row for d in deltas] if width else [()] * len(deltas)
-    return ColumnBatch.from_rows(
+    return ColumnBatch(
         rows, [d.sign for d in deltas], [d.bits for d in deltas], width
     )
 
