@@ -18,8 +18,8 @@ is work- and result-identical to the per-tuple reference
 private tables -- and the extract lands in
 ``BENCH_arrangements.json``.  With ``--check`` the script exits nonzero
 unless the emission-dominated aggregate micros (``EAGER_BATCH``-delta
-batches) hold ``EAGER_ROW_LANE_FLOOR`` of *row lane / reference* and
-arrangements cut resident entries by at least
+batches) and the decorated join hold ``ROW_LANE_FLOOR`` of *row lane /
+reference* and arrangements cut resident entries by at least
 ``ARRANGEMENT_ENTRY_FLOOR``.
 
 Usage::
@@ -70,7 +70,12 @@ from repro.physical.work import WorkMeter  # noqa: E402
 from repro.relational.expressions import agg_avg, agg_sum, col  # noqa: E402
 from repro.relational.schema import FLOAT, INT, Schema  # noqa: E402
 from repro.relational.table import Catalog  # noqa: E402
-from repro.relational.tuples import DELETE, Delta, INSERT  # noqa: E402
+from repro.relational.tuples import (  # noqa: E402
+    DELETE,
+    INSERT,
+    Delta,
+    consolidate,
+)
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_hotpath.json"
@@ -91,9 +96,13 @@ EAGER_BATCH = 200
 #: ``--check``: minimum same-run row-lane / reference throughput ratio of
 #: those micros (group records and the per-group generated emission
 #: against the reference's per-state objects and global (row, sign) dict)
-EAGER_ROW_LANE_FLOOR = {
+#: and of the decorated join (one generated loop per side -- probe,
+#: filters, projection, install -- against the reference's probe, install
+#: and decoration passes), each about half its full-size reading
+ROW_LANE_FLOOR = {
     "aggregate_eager": 1.6,
     "aggregate_eager_single_query": 3.0,
+    "join_decorated": 1.9,
 }
 
 
@@ -260,7 +269,8 @@ def bench_filter_project(n, batches, repeat):
         feed_batches, repeat)
 
 
-def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):
+def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973,
+               decorated=False):
     """Shared two-query equi-join.
 
     The default shape is the distinct-row regime (high payload
@@ -269,10 +279,21 @@ def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):
     ``payload_mod=3`` flips to the low-cardinality bag regime where
     stored slots accumulate net multiplicities > 1 and per-slot install
     bookkeeping dominates both legs -- kept as the
-    ``join_shared_multiplicity`` case below.
+    ``join_shared_multiplicity`` case below.  ``decorated`` adds the
+    node's own mark filters, one reading both inputs, and a narrowing
+    projection (the ``join_decorated`` case): the production join
+    filters and projects inside its per-side kernels, the reference
+    decorates its joined output in a second pass.
     """
     left_schema = Schema.of("k", "x")
     right_schema = Schema.of("k2", "y")
+    decorations = {}
+    if decorated:
+        decorations = dict(
+            filters={0: col("x") + col("y") > 0, 1: col("x") > 4000},
+            projections={0: (("k", col("k")), ("s", col("x") - col("y"))),
+                         1: (("k", col("k")), ("y", col("y")))},
+        )
     node = OpNode(
         "join",
         children=[
@@ -280,6 +301,7 @@ def bench_join(n, batches, repeat, keys_div=64, payload_mod=9973):
             _source_node(right_schema, mask=0b11),
         ],
         left_keys=["k"], right_keys=["k2"], query_mask=0b11,
+        **decorations,
     )
     per_batch = max(1, n // (2 * batches))
     n_keys = max(64, n // keys_div)
@@ -397,10 +419,14 @@ def bench_aggregate_string_keys(n, batches, repeat):
 
 def bench_consolidate(n, batches, repeat):
     """The production consolidating read, ``columnar._consolidated_batch``,
-    over one read of ``batches`` buffer segments, timed on two reads:
-    ``insert_only_distinct`` (each ``(row, bits)`` inserted once, the
-    fast path that returns the segments concatenated) and ``mixed_sign``
-    (every third row also deleted, so the general netting loop runs)."""
+    over one read of ``batches`` buffer segments, against
+    :func:`repro.relational.tuples.consolidate` over the same deltas as
+    one list (the per-tuple reference source's step), timed in the same
+    run on two reads: ``insert_only_distinct`` (each ``(row, bits)``
+    inserted once, the fast path that returns the segments
+    concatenated) and ``mixed_sign`` (every third row also deleted, so
+    the general netting loop runs).  Each reports the same-run ratio
+    *row lane / reference*."""
     distinct = [((i, "payload-%d" % (i % 50)), INSERT) for i in range(n)]
     mixed = []
     for i in range(n):
@@ -423,14 +449,21 @@ def bench_consolidate(n, batches, repeat):
                 for start in range(0, len(entries), per_batch)
             )
         ]
-        seconds = _timed(
-            lambda: columnar._consolidated_batch(read, 2), repeat
-        )
-        report[name] = {
-            "input_deltas": len(entries),
-            "seconds": seconds,
-            "deltas_per_sec": len(entries) / seconds if seconds > 0 else None,
-        }
+        deltas = [Delta(row, sign, 0b111) for row, sign in entries]
+        timings = {"input_deltas": len(entries)}
+        for label, run in (
+            ("reference", lambda: consolidate(deltas)),
+            ("row_lane", lambda: columnar._consolidated_batch(read, 2)),
+        ):
+            seconds = _timed(run, repeat)
+            timings[label] = {
+                "seconds": seconds,
+                "deltas_per_sec": (
+                    len(entries) / seconds if seconds > 0 else None),
+            }
+        timings["row_lane_vs_reference"] = _ratio(
+            timings, "reference", "row_lane")
+        report[name] = timings
     return report
 
 
@@ -556,8 +589,9 @@ def main(argv=None):
                         default=DEFAULT_ARRANGEMENTS_OUTPUT,
                         help="where to write the arrangements extract")
     parser.add_argument("--check", action="store_true",
-                        help="fail unless the eager aggregates' row lane "
-                             "holds its floor over the reference and "
+                        help="fail unless the eager aggregates' and the "
+                             "decorated join's row lane holds its floor over "
+                             "the reference and "
                              "arrangements cut resident join-state entries "
                              "by %.1fx" % ARRANGEMENT_ENTRY_FLOOR)
     parser.add_argument("--repeat", type=int, default=None,
@@ -598,6 +632,8 @@ def main(argv=None):
         ("join", lambda: bench_join(n, batches, repeat)),
         ("join_shared_multiplicity",
          lambda: bench_join(n, batches, repeat, keys_div=32, payload_mod=3)),
+        ("join_decorated",
+         lambda: bench_join(n, batches, repeat, decorated=True)),
         ("aggregate", lambda: bench_aggregate(n, batches, repeat)),
         ("aggregate_insert_only",
          lambda: bench_aggregate(n, batches, repeat, with_deletes=False)),
@@ -622,8 +658,15 @@ def main(argv=None):
 
     report["consolidate"] = bench_consolidate(n // 2, batches, repeat)
     for name, case in report["consolidate"].items():
-        print("  %-24s %9.0f/s" % ("consolidate " + name,
-                                    case["deltas_per_sec"]))
+        print(
+            "  %-28s %9.0f/s reference  %9.0f/s row lane  (%.2fx)"
+            % (
+                "consolidate " + name,
+                case["reference"]["deltas_per_sec"],
+                case["row_lane"]["deltas_per_sec"],
+                case["row_lane_vs_reference"],
+            )
+        )
 
     arr_events = 30_000 if args.quick else 120_000
     print("shared arrangements fan-out (%d events)" % arr_events)
@@ -660,15 +703,15 @@ def main(argv=None):
     status = 0
     slow = {
         name: report["micro"][name]["row_lane_vs_reference"]
-        for name, floor in EAGER_ROW_LANE_FLOOR.items()
+        for name, floor in ROW_LANE_FLOOR.items()
         if report["micro"][name]["row_lane_vs_reference"] < floor
     }
     if slow:
         print(
-            "%s: eager aggregate row lane below its floor over the "
-            "reference: %s" % (verdict, ", ".join(
+            "%s: row lane below its floor over the reference: %s"
+            % (verdict, ", ".join(
                 "%s %.2fx (floor %.1fx)"
-                % (name, ratio, EAGER_ROW_LANE_FLOOR[name])
+                % (name, ratio, ROW_LANE_FLOOR[name])
                 for name, ratio in sorted(slow.items())))
         )
         status = 1
@@ -681,7 +724,8 @@ def main(argv=None):
         status = 1
     if args.check and not status:
         print(
-            "check passed: eager aggregate row lanes over their floors, "
+            "check passed: eager aggregate and decorated join row lanes "
+            "over their floors, "
             "%.2fx resident-entry reduction (floor %.1fx)"
             % (entry_reduction, ARRANGEMENT_ENTRY_FLOOR)
         )

@@ -142,7 +142,7 @@ class ArrangementHandle:
         """Position this handle at the index state as of ``target``."""
         return self.arrangement.advance(self.cursor, target)
 
-    def install(self, batch, keys):
+    def install(self, batch):
         """Move past the batch the join's bare scan just read.
 
         That batch is exactly the log span its reader covered: every
@@ -371,7 +371,9 @@ class Arrangement:
 class PrivateSide:
     """A join side no other reader shares: a version's
     ``key -> {(row, bits): net}`` table with one reader, so no versions
-    and no log, installed batch by batch.
+    and no log.  The side's generated join kernel
+    (:func:`~repro.physical.fused.fused_join_kernel`) installs each delta
+    right after probing with it, and writes ``entries`` back.
 
     As in :meth:`Arrangement._apply`, a slot whose net reaches 0 is
     deleted: the table holds exactly its live slots, and a reinserted
@@ -387,34 +389,6 @@ class PrivateSide:
         """Drop every slot."""
         self.table = {}
         self.entries = 0
-
-    def install(self, batch, keys):
-        """Apply one batch, its rows keyed by ``keys``."""
-        rows, signs, bits = batch.rows(), batch.sign_list(), batch.bit_list()
-        table = self.table
-        table_get = table.get
-        entries = self.entries
-        for key, row, sign, bit in zip(keys, rows, signs, bits):
-            inner = table_get(key)
-            if inner is None:
-                table[key] = {(row, bit): sign}
-                entries += 1
-                continue
-            slot = (row, bit)
-            size = len(inner)
-            # one hash of the (wide) row for a fresh slot: ``setdefault``
-            # both looks it up and stores it
-            net = inner.setdefault(slot, sign)
-            if len(inner) != size:
-                entries += 1
-            elif net + sign:
-                inner[slot] = net + sign
-            else:
-                del inner[slot]
-                entries -= 1
-                if not inner:
-                    del table[key]
-        self.entries = entries
 
 
 class ArrangementStore:

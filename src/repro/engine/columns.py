@@ -61,10 +61,6 @@ class ColumnBatch:
         """The query bitvectors, as Python ints."""
         return self._bits
 
-    def column_values(self, i):
-        """One column as a list."""
-        return [row[i] for row in self._rows]
-
 
 _EMPTY = {}  # width -> the shared empty batch (ColumnBatch.empty)
 

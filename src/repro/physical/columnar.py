@@ -3,18 +3,21 @@
 Delta batches flow between operators as
 :class:`~repro.engine.columns.ColumnBatch` structs (parallel lists of
 rows, signs and bitvectors), and every operator runs its batch through
-one generated Python loop (:mod:`repro.physical.fused`): a source or
-decoration chain's mask -> mark filters -> projection, a join's
-per-delta probe of the other side's table, an aggregate's per-delta
-absorb into its group records and its per-group emission.  An empty
-input allocates nothing beyond the shared :meth:`ColumnBatch.empty`.
+generated Python loops (:mod:`repro.physical.fused`): a source or
+decoration chain's mask -> mark filters -> projection, one loop per join
+side -- per delta its probe of the other side's table, the join's own
+filters and projection on each match and its install -- and an
+aggregate's per-delta absorb into its group records and its per-group
+emission.  An empty input allocates nothing beyond the shared
+:meth:`ColumnBatch.empty`.
 
 Calibration runs these operators as every window does.  In
 ``stats_mode`` an operator additionally tallies, per query, the batches
 that already cross its boundaries -- a source's input under its subplan
 mask, a join's and an aggregate's inputs and raw output, every chain's
 input and output when the node has filters (:func:`_count_bits`) --
-around the chain's kernel (:meth:`ColumnarDecorations.apply`), so the
+around the chain's kernel (:meth:`ColumnarDecorations.apply`; a join
+there runs its side kernels without its decorations first), so the
 statistics describe the code that will run.
 
 Two invariants tie the operators to the per-tuple reference
@@ -38,7 +41,11 @@ from collections import Counter
 from ..engine.arrangements import PrivateSide
 from ..engine.columns import ColumnBatch, concat_batches
 from .faults import FAULTS, drop_first_retraction, drop_lost_key_matches
-from .fused import fused_aggregate_kernels, fused_row_kernel
+from .fused import (
+    fused_aggregate_kernels,
+    fused_join_kernel,
+    fused_row_kernel,
+)
 from .hotpath import qids_of
 
 
@@ -152,22 +159,23 @@ def _consolidated_batch(batches, width):
     ]
     if _distinct_inserts(listed):
         return concat_batches(batches, width)
+    # each (row, bits)'s net, in first-seen order: ``setdefault`` both
+    # looks a key up and stores a first-seen one, so only a repeat
+    # hashes the (wide) row twice
     net = {}
-    order = []
-    order_append = order.append
+    net_setdefault = net.setdefault
+    size = 0
     for batch_rows, batch_signs, batch_bits in listed:
-        for row, sign, bit in zip(batch_rows, batch_signs, batch_bits):
-            key = (row, bit)
-            if key in net:
-                net[key] += sign
+        for key, sign in zip(zip(batch_rows, batch_bits), batch_signs):
+            count = net_setdefault(key, sign)
+            if len(net) == size:
+                net[key] = count + sign
             else:
-                net[key] = sign
-                order_append(key)
+                size += 1
     rows = []
     signs = []
     bits = []
-    for key in order:
-        count = net[key]
+    for (row, bit), count in net.items():
         if count == 0:
             continue
         if count > 0:
@@ -175,7 +183,6 @@ def _consolidated_batch(batches, width):
         else:
             sign = -1
             count = -count
-        row, bit = key
         if count == 1:
             rows.append(row)
             signs.append(sign)
@@ -274,10 +281,11 @@ class ColumnarJoinExec:
     :class:`~repro.engine.arrangements.ArrangementHandle` the executor
     passes for a bare base-table scan (``arranged``; its rows' slots
     carry ``~0``), a :class:`~repro.engine.arrangements.PrivateSide`
-    otherwise.  The probe reads either, emits the reference's exact
+    otherwise.  Each side's new deltas run through that side's generated
+    kernel (:func:`~repro.physical.fused.fused_join_kernel`), which
+    reads either table form the same way, emits the reference's exact
     sequence and charges its exact work (the exactness contract in
-    :mod:`repro.engine.arrangements`): it walks the other side's table
-    per delta, and both sides' matches leave as one batch.
+    :mod:`repro.engine.arrangements`).
     """
 
     def __init__(self, node, left, right, meter, stats_mode=False,
@@ -287,19 +295,17 @@ class ColumnarJoinExec:
         self.right = right
         self.meter = meter
         self.name = "join:%d" % node.uid
-        left_schema = node.children[0].out_schema
-        right_schema = node.children[1].out_schema
-        self.out_width = len(left_schema) + len(right_schema)
-        self._left_key_idx = tuple(
-            left_schema.index_of(name) for name in node.left_keys
-        )
-        self._right_key_idx = tuple(
-            right_schema.index_of(name) for name in node.right_keys
-        )
         self.states = tuple(
             PrivateSide() if handle is None else handle for handle in arranged
         )
         self.decorations = ColumnarDecorations(node)
+        # the chain stages a decorated window charges after the join's own
+        self._filter_name = (
+            self.decorations.filter_name if node.filters else None)
+        self._project_name = (
+            self.decorations.project_name if node.projections else None)
+        # per side, generated on the first batch: [undecorated, decorated]
+        self._kernels = [None, None]
         self.stats_mode = stats_mode
         self.in_left = 0
         self.in_right = 0
@@ -338,96 +344,72 @@ class ColumnarJoinExec:
     def advance(self):
         left_batch = self.left.advance()
         right_batch = self.right.advance()
-        n_left = len(left_batch)
-        n_right = len(right_batch)
-        self.meter.charge_input(self.name, n_left + n_right)
-        # Four passes, in the reference's order: probe new left
-        # deltas against the *old* right state, install them, probe new
-        # right deltas against the *new* left state, install those.
-        # Installs only touch a delta's own side, so batch-level
-        # probe/install emits that per-delta order.
-        pending = [], [], []  # output rows, signs and bits, both sides
-        if n_left:
-            self._advance_side(left_batch, True, pending)
-        if n_right:
-            self._advance_side(right_batch, False, pending)
-        if pending[0]:
-            out = ColumnBatch(*pending, self.out_width)
-        else:
-            out = ColumnBatch.empty(self.out_width)
+        meter = self.meter
+        meter.charge_input(self.name, len(left_batch) + len(right_batch))
+        # Calibration tallies the undecorated output, and the injected
+        # fault drops from it: both run the kernels without decorations,
+        # then the chain's own kernel.
+        decorated = not (self.stats_mode or FAULTS.drop_last_key_match)
+        kernels = self._kernels[decorated]
+        if kernels is None:
+            kernels = self._kernels[decorated] = tuple(
+                fused_join_kernel(self.node, side,
+                                  type(state) is PrivateSide, decorated)
+                for side, state in enumerate(self.states)
+            )
+        # In the reference's order: new left deltas probe the *old*
+        # right state and are installed, then new right deltas probe the
+        # *new* left state and are installed.  A delta's install touches
+        # only its own side, so each side is one pass, probe and install
+        # per delta.
+        out = [], [], []  # output rows, signs and bits, both sides
+        joined = 0
+        own, other = self.states
+        for batch, kernel in ((left_batch, kernels[0]),
+                              (right_batch, kernels[1])):
+            if len(batch):
+                private = type(own) is PrivateSide
+                # an arranged side's kernel only probes
+                if private or other.entries:
+                    joined += kernel(batch.rows(), batch.sign_list(),
+                                     batch.bit_list(), other.table.get, own,
+                                     *out)
+                if not private:
+                    own.install(batch)
+            own, other = other, own
+        width = kernels[0].width
+        out = ColumnBatch(*out, width) if out[0] else ColumnBatch.empty(width)
+        if not decorated:
+            return self._decorate(left_batch, right_batch, out)
+        meter.charge_output(self.name, joined)
+        meter.charge_state(self.entry_count)
+        if self._filter_name is not None:
+            meter.charge_input(self._filter_name, joined)
+        if self._project_name is not None:
+            meter.charge_input(self._project_name, len(out))
+        return out
+
+    def _decorate(self, left_batch, right_batch, out):
+        """The undecorated output's charges, then the chain's kernel --
+        between tallies in ``stats_mode``."""
         if FAULTS.drop_last_key_match:
             # test-only injected bug, after the probe: see
             # repro.physical.faults
-            out = drop_lost_key_matches(out, self._left_key_idx[0])
+            node = self.node
+            out = drop_lost_key_matches(
+                out, node.children[0].out_schema.index_of(node.left_keys[0]))
         self.meter.charge_output(self.name, len(out))
         self.meter.charge_state(self.entry_count)
         if not self.stats_mode:
             return self.decorations.apply(out, self.meter)
-        self.in_left += n_left
-        self.in_right += n_right
+        self.in_left += len(left_batch)
+        self.in_right += len(right_batch)
         self.out_total += len(out)
         _count_bits(left_batch, self.in_left_per_q)
         _count_bits(right_batch, self.in_right_per_q)
         return self.decorations.apply_tallied(
             out, self.meter, self.out_per_q
         )[0]
-
-    def _advance_side(self, batch, left_side, pending):
-        """Probe one side's new deltas, then install them."""
-        if left_side:
-            key_idx = self._left_key_idx
-            own, other = self.states
-        else:
-            key_idx = self._right_key_idx
-            other, own = self.states
-        keys = self._keys(batch, key_idx)
-        if other.entries:
-            self._probe(batch, keys, other.table, left_side, pending)
-        own.install(batch, keys)
-
-    @staticmethod
-    def _keys(batch, key_idx):
-        """The join key of every row (hash-compatible across sides)."""
-        if len(key_idx) == 1:
-            return batch.column_values(key_idx[0])
-        key_cols = [batch.column_values(i) for i in key_idx]
-        return list(zip(*key_cols))
-
-    @staticmethod
-    def _probe(batch, keys, table, left_side, pending):
-        """Per-delta probe of a side's table.
-
-        Emits the reference's sequence: delta-major, per delta the
-        matches in insertion order, ``|net|`` copies each, zero-bit pairs
-        dropped.
-        """
-        table_get = table.get
-        out_rows, out_signs, out_bits = pending
-        rows_append = out_rows.append
-        signs_append = out_signs.append
-        bits_append = out_bits.append
-        for key, row, sign, dbits in zip(
-                keys, batch.rows(), batch.sign_list(), batch.bit_list()):
-            matches = table_get(key)
-            if not matches:
-                continue
-            for (other, sbits), entry_net in matches.items():
-                joined_bits = dbits & sbits
-                if not joined_bits:
-                    continue
-                joined = row + other if left_side else other + row
-                if entry_net == 1:
-                    rows_append(joined)
-                    signs_append(sign)
-                    bits_append(joined_bits)
-                    continue
-                if entry_net > 0:
-                    out_sign, reps = sign, entry_net
-                else:
-                    out_sign, reps = -sign, -entry_net
-                out_rows.extend([joined] * reps)
-                out_signs.extend([out_sign] * reps)
-                out_bits.extend([joined_bits] * reps)
 
 
 # -- aggregate ---------------------------------------------------------------

@@ -12,7 +12,13 @@ win -- see SNIPPETS.md):
   loop over a chain -- source mask, every filter's bit-clear, the union
   projection -- with every expression inlined from
   :meth:`Expression.row_source <repro.relational.expressions.Expression
-  .row_source>` (no call per row at all);
+  .row_source>` (no call per row at all); a base table's chain starts
+  from the mask, and one with nothing else shares its input's lists;
+* :func:`fused_join_kernel` walks one join side's deltas once: per
+  delta the key, the probe of the other side's table, the node's
+  filters and projection on each match -- every column read from the
+  half that holds it, so only the projected tuple is built -- and, for a
+  private side, the delta's install;
 * :func:`fused_aggregate_kernels` holds the aggregate's per-delta absorb
   over its group records and its per-group emission.
 
@@ -26,10 +32,11 @@ pair of its absorb and emit texts) and shows in tracebacks under its
 
 Exactness contract: every kernel of a node emits the rows, the order and
 the WorkMeter charges of the per-tuple reference -- the filter stage is
-charged its input length (after the source mask), the projection stage
-the survivors, both even at zero.  Calibration (``stats_mode``) runs
-these kernels too and tallies its counters from the batches between
-them.
+charged its input length (after the source mask; a join's undecorated
+match count), the projection stage the survivors, both even at zero.
+Calibration (``stats_mode``) runs these kernels too and tallies its
+counters from the batches between them: a join there runs its
+undecorated side kernels, then its chain's row kernel.
 """
 
 from collections import namedtuple
@@ -39,6 +46,7 @@ from textwrap import indent
 
 from ..engine.columns import ColumnBatch
 from ..errors import ExecutionError
+from ..mqo.nodes import TableRef
 from ..relational.codegen import Bindings, compile_source
 from ..relational.expressions import Col, Const
 from .hotpath import (
@@ -49,7 +57,11 @@ from .hotpath import (
     qids_of,
 )
 
-__all__ = ["fused_row_kernel", "fused_aggregate_kernels"]
+__all__ = [
+    "fused_row_kernel",
+    "fused_join_kernel",
+    "fused_aggregate_kernels",
+]
 
 
 def _compile_kernel(kind, lines, namespace):
@@ -67,49 +79,55 @@ def _build_row_kernel(node, source):
     (source mask ->) mark filters -> projection -- as one loop
     over the batch's Python rows, every expression inlined.  ``source``
     kernels apply ``mask`` (the owning subplan's query mask) first;
-    bare decorations ignore it."""
+    bare decorations ignore it.
+
+    A base table's batches carry ``~0`` on every row
+    (:meth:`~repro.engine.stream.TableStream.batch_until`), so its
+    chain starts each row's bits at ``mask`` without reading them, and a
+    chain with nothing but the mask shares the batch's row and sign
+    lists."""
     bindings = Bindings()
     schema = node.core_schema
     filters = sorted(node.filters.items())
     union = node.union_projection()
     width = len(schema) if union is None else len(union)
+    base = source and isinstance(node.ref, TableRef)
     lines = ["def kernel(batch, mask, meter):"]
     if not source and not filters and union is None:
         lines.append("    return batch")
         return _compile_kernel("row", lines, {})
+    if base and not filters and union is None:
+        lines.extend((
+            "    n = len(batch)", "    if not n:", "        return EMPTY",
+            "    return batch_of(batch.rows(), batch.sign_list(), "
+            "[mask] * n, %d)" % width,
+        ))
+        return _compile_kernel("row", lines, dict(
+            EMPTY=ColumnBatch.empty(width), batch_of=ColumnBatch))
     lines.extend(("    out_rows = []", "    out_signs = []",
                   "    out_bits = []"))
     filter_input = "len(batch)"
-    if source and filters:
-        filter_input = "n"
-        lines.append("    n = 0")
-    lines.append("    for row, sign, bits in zip("
-                 "batch.rows(), batch.sign_list(), batch.bit_list()):")
-    if source:
-        lines.extend(("        bits &= mask", "        if not bits:",
-                      "            continue"))
-        if filters:
-            lines.append("        n += 1")
-    for qid, predicate in filters:
-        # each filter owns one bit: clear it where the predicate rejects
-        lines.append("        if bits & %d and not %s:" % (
-            1 << qid, predicate.row_source(schema, bindings)))
-        lines.append("            bits &= %d" % ~(1 << qid))
-    if filters:
-        lines.extend(("        if not bits:", "            continue"))
+    if base:
+        lines.extend((
+            "    for row, sign in zip(batch.rows(), batch.sign_list()):",
+            "        bits = mask",
+        ))
+    else:
+        if source and filters:
+            filter_input = "n"
+            lines.append("    n = 0")
+        lines.append("    for row, sign, bits in zip("
+                     "batch.rows(), batch.sign_list(), batch.bit_list()):")
+        if source:
+            lines.extend(("        bits &= mask", "        if not bits:",
+                          "            continue"))
+            if filters:
+                lines.append("        n += 1")
+    lines.extend(_filter_lines(filters, schema, bindings, "bits", 8))
     if union is None:
         projected = "row"
     else:
-        fragments = [expr.row_source(schema, bindings) for _, expr in union]
-        keep = len(schema)
-        if fragments[:keep] == ["row[%d]" % i for i in range(keep)]:
-            # every core column kept in place (some query does not
-            # project): extend the row instead of rebuilding it
-            projected = "row + (%s)" % "".join(
-                "%s, " % fragment for fragment in fragments[keep:])
-        else:
-            projected = "(%s)" % "".join(
-                "%s, " % fragment for fragment in fragments)
+        projected = _projected(union, schema, bindings, "row")
     lines.append("        out_rows.append(%s)" % projected)
     lines.extend(("        out_signs.append(sign)",
                   "        out_bits.append(bits)"))
@@ -127,6 +145,182 @@ def _build_row_kernel(node, source):
         FILTER_NAME="filter:%d" % node.uid,
         PROJ_NAME="proj:%d" % node.uid,
     ))
+
+
+def _filter_lines(filters, schema, bindings, bits, depth):
+    """Each filter clears its bit where its predicate rejects the row;
+    a row left without bits is skipped (``continue``)."""
+    pad = " " * depth
+    lines = []
+    for qid, predicate in filters:
+        lines.append("%sif %s & %d and not %s:" % (
+            pad, bits, 1 << qid, predicate.row_source(schema, bindings)))
+        lines.append("%s    %s &= %d" % (pad, bits, ~(1 << qid)))
+    if filters:
+        lines.extend(("%sif not %s:" % (pad, bits), "%s    continue" % pad))
+    return lines
+
+
+def _projected(union, schema, bindings, whole):
+    """The union projection's tuple; ``whole`` spells the core row, used
+    when every core column stays in place (some query does not
+    project) and the row is extended instead of rebuilt."""
+    fragments = [expr.row_source(schema, bindings) for _, expr in union]
+    keep = len(schema)
+    if fragments[:keep] == [schema.column_source(n) for n in schema.names()]:
+        return "%s + (%s)" % (whole, "".join(
+            "%s, " % fragment for fragment in fragments[keep:]))
+    return "(%s)" % "".join("%s, " % fragment for fragment in fragments)
+
+
+# -- join: one kernel per side -----------------------------------------------
+
+
+class _Halves:
+    """A join's core schema as its kernel holds a joined row: the probing
+    delta's half ``drow`` and the matched slot's ``orow``, never
+    concatenated unless the whole row is what leaves."""
+
+    __slots__ = ("schema", "split", "delta_left")
+
+    def __init__(self, schema, split, delta_left):
+        self.schema = schema
+        self.split = split  # the left input's width
+        self.delta_left = delta_left
+
+    def names(self):
+        return self.schema.names()
+
+    def __len__(self):
+        return len(self.schema)
+
+    def column_source(self, name):
+        i = self.schema.index_of(name)
+        if (i < self.split) == self.delta_left:
+            return "drow[%d]" % (i if self.delta_left else i - self.split)
+        return "orow[%d]" % (i - self.split if self.delta_left else i)
+
+
+_JOIN = """\
+def kernel(rows, signs, bits, other_get, own, out_rows, out_signs, out_bits):
+    rows_append = out_rows.append
+    signs_append = out_signs.append
+    bits_append = out_bits.append
+    {count_init}
+{setup}\
+    for drow, sign, dbits in zip(rows, signs, bits):
+        key = {key}
+        matches = other_get(key)
+        if matches:
+            for (orow, sbits), net in matches.items():
+                b = dbits & sbits
+                if not b:
+                    continue
+                if net == 1:
+{count_one}{decorate_one}\
+                    rows_append({row})
+                    signs_append(sign)
+                    bits_append(b)
+                    continue
+                if net > 0:
+                    out_sign, reps = sign, net
+                else:
+                    out_sign, reps = -sign, -net
+{count_many}{decorate_many}\
+                out_rows.extend([{row}] * reps)
+                out_signs.extend([out_sign] * reps)
+                out_bits.extend([b] * reps)
+{install}\
+    return {counted}
+"""
+
+#: a private side's install of the delta just probed: a slot's net moves
+#: by the sign, a slot at net 0 leaves at once (and its key with its last
+#: slot), so a returning slot lands at its key's tail -- the reference's
+#: dict order
+_INSTALL = """\
+        inner = table_get(key)
+        if inner is None:
+            table[key] = {(drow, dbits): sign}
+            entries += 1
+        else:
+            slot = (drow, dbits)
+            size = len(inner)
+            # one hash of the (wide) row for a fresh slot
+            net = inner.setdefault(slot, sign)
+            if len(inner) != size:
+                entries += 1
+            elif net + sign:
+                inner[slot] = net + sign
+            else:
+                del inner[slot]
+                entries -= 1
+                if not inner:
+                    del table[key]
+    own.entries = entries
+"""
+
+
+def _build_join_kernel(node, side, install, decorated):
+    """``kernel(rows, signs, bits, other_get, own, out_rows, out_signs,
+    out_bits) -> joined``: one side's new deltas through join ``node``
+    in one loop.  Per delta: its key, inlined; the probe of the other
+    side's table (``other_get``), emitting the reference's sequence --
+    per delta its key's slots in insertion order, ``|net|`` copies each,
+    the sign flipped under a negative net, zero-bit pairs dropped; with
+    ``decorated``, the node's mark filters and union projection on each
+    match, spelled from the half each column lives in, so only the
+    projected tuple is built; with ``install``, the delta's install into
+    ``own`` (a :class:`~repro.engine.arrangements.PrivateSide`).
+    Returns the undecorated match count, what the join's output charge
+    and the filter stage's input charge count; ``kernel.width`` is the
+    arity of the rows it emits."""
+    bindings = Bindings()
+    left_schema = node.children[0].out_schema
+    right_schema = node.children[1].out_schema
+    delta_schema, key_names = (
+        (left_schema, node.left_keys) if side == 0
+        else (right_schema, node.right_keys))
+    indexes = [delta_schema.index_of(name) for name in key_names]
+    key = "drow[%d]" % indexes[0] if len(indexes) == 1 else "(%s)" % "".join(
+        "drow[%d], " % i for i in indexes)
+    whole = "drow + orow" if side == 0 else "orow + drow"
+    width = len(left_schema) + len(right_schema)
+    decorate = []
+    row = whole
+    if decorated:
+        halves = _Halves(left_schema.concat(right_schema), len(left_schema),
+                         side == 0)
+        decorate = _filter_lines(
+            sorted(node.filters.items()), halves, bindings, "b", 0)
+        union = node.union_projection()
+        if union is not None:
+            row = _projected(union, halves, bindings, whole)
+            width = len(union)
+    decorate = "".join(line + "\n" for line in decorate)
+    if decorate:
+        # filters drop matches: count them as they come
+        count = dict(count_init="joined = 0",
+                     count_one=" " * 20 + "joined += 1\n",
+                     count_many=" " * 16 + "joined += reps\n",
+                     counted="joined")
+    else:
+        # every match leaves: the count is what was appended
+        count = dict(count_init="start = len(out_rows)", count_one="",
+                     count_many="", counted="len(out_rows) - start")
+    text = _JOIN.format(
+        **count,
+        setup="    table = own.table\n    table_get = table.get\n"
+              "    entries = own.entries\n" if install else "",
+        key=key, row=row,
+        # the net-1 branch is one level deeper than the general one
+        decorate_one=indent(decorate, " " * 20),
+        decorate_many=indent(decorate, " " * 16),
+        install=_INSTALL if install else "",
+    )
+    kernel = _compile_kernel("join", [text], dict(bindings.names))
+    kernel.width = width
+    return kernel
 
 
 # -- aggregate: group records, absorb and per-group emission ----------------
@@ -443,6 +637,19 @@ def fused_row_kernel(node, source=False):
         node,
         "fused-row-src" if source else "fused-row",
         lambda: _build_row_kernel(node, source),
+    )
+
+
+def fused_join_kernel(node, side, install, decorated=True):
+    """The memoized kernel of join ``node``'s ``side`` (0 left, 1 right)
+    -- ``install``: into a private own side; ``decorated``: with the
+    node's filters and projection (calibration and the injected join
+    fault take the undecorated one; a node with neither has only that)."""
+    decorated = decorated and bool(node.filters or node.projections)
+    return cached_artifacts(
+        node,
+        ("fused-join", side, install, decorated),
+        lambda: _build_join_kernel(node, side, install, decorated),
     )
 
 

@@ -42,8 +42,11 @@ class Expression:
     boolean = False
 
     def row_source(self, schema, bindings):
-        """Source text evaluating this expression over the name ``row``.
+        """Source text evaluating this expression over a row.
 
+        Column references spell what ``schema.column_source`` gives
+        (``row[i]`` for a :class:`~repro.relational.schema.Schema`; a
+        join kernel reads each column from the half that holds it).
         Evaluation order and short-circuiting are Python's own, left to
         right; objects the text cannot spell as literals are named in
         ``bindings`` (:class:`~repro.relational.codegen.Bindings`).
@@ -152,7 +155,7 @@ class Col(Expression):
         acc.add(self.name)
 
     def row_source(self, schema, bindings):
-        return "row[%d]" % schema.index_of(self.name)
+        return schema.column_source(self.name)
 
     def signature(self):
         return "col(%s)" % self.name

@@ -116,6 +116,11 @@ class Schema:
                 "no column %r in schema with columns %r" % (name, self.names())
             ) from None
 
+    def column_source(self, name):
+        """Source text reading column ``name`` of a row held as ``row``
+        (what a column reference spells in generated code)."""
+        return "row[%d]" % self.index_of(name)
+
     def has(self, name):
         """True if a column called ``name`` exists."""
         return name in self._index

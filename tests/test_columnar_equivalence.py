@@ -119,9 +119,15 @@ class TestFig11WorkIdentity:
 
         plan, paces, _ = fig11_setup
         calls = _record_chain_calls(monkeypatch)
+        joins = _record_join_advances(monkeypatch)
         clear_compiled_caches()
         PlanExecutor(plan, StreamConfig()).run(paces)
         monkeypatch.undo()
+        # a join's chain runs inside its side kernels in a window, and
+        # after them in calibration: both are replayed, and the
+        # undecorated batches calibration hands the chain join the
+        # others below
+        calls += _replay_joins(joins, monkeypatch)
 
         nodes = [
             node for subplan in plan.subplans for node in _walk(subplan.root)
@@ -186,7 +192,8 @@ class TestFig11WorkIdentity:
                 if kind.startswith("fused-"):
                     kinds.add(kind)
                     assert hasattr(artifact, "fused_source"), kind
-        assert kinds == {"fused-row-src", "fused-row", "fused-aggregate"}
+        assert kinds == {"fused-row-src", "fused-row", "fused-join",
+                         "fused-aggregate"}
         assert any(source and len(batch) for _, source, batch, _ in calls)
         assert any(not source and len(batch) for _, source, batch, _ in calls)
 
@@ -204,6 +211,91 @@ def _record_chain_calls(monkeypatch):
 
     monkeypatch.setattr(columnar_mod.ColumnarDecorations, "apply", record)
     return calls
+
+
+def _record_join_advances(monkeypatch):
+    """Spy on every join: ``[(join, left batch, right batch, output,
+    its node's charges, entry count)]`` per advance, in order."""
+    from repro.physical import columnar as columnar_mod
+
+    advances = []
+    init = columnar_mod.ColumnarJoinExec.__init__
+    advance = columnar_mod.ColumnarJoinExec.advance
+
+    def tapped_init(self, node, left, right, *args, **kwargs):
+        init(self, node, _Tap(left), _Tap(right), *args, **kwargs)
+
+    def tapped_advance(self):
+        out = advance(self)
+        advances.append((self, self.left.batch, self.right.batch, out,
+                         _node_charges(self), self.entry_count))
+        return out
+
+    join_cls = columnar_mod.ColumnarJoinExec
+    monkeypatch.setattr(join_cls, "__init__", tapped_init)
+    monkeypatch.setattr(join_cls, "advance", tapped_advance)
+    return advances
+
+
+def _node_charges(join):
+    names = (join.name, join.decorations.filter_name,
+             join.decorations.project_name)
+    return [join.meter.per_operator.get(name, 0) for name in names]
+
+
+def _replay_joins(advances, monkeypatch):
+    """Replay each recorded join, advance by advance on private sides,
+    as a window runs it and under ``stats_mode``: both emit the window's
+    batch, charge its node what the window did and bill its entry
+    count, and the output is the chain's expression spec over the
+    undecorated batch calibration hands the chain.  Returns the chain
+    calls of the ``stats_mode`` replays."""
+    from repro.physical import columnar as columnar_mod
+    from repro.physical.work import WorkMeter
+
+    replays = {}
+    calls = []
+    for join, left, right, out, charges, entries in advances:
+        pair = replays.get(id(join))
+        if pair is None:
+            pair = replays[id(join)] = [
+                columnar_mod.ColumnarJoinExec(
+                    join.node, _Feed(), _Feed(), WorkMeter(), stats_mode)
+                for stats_mode in (False, True)
+            ]
+        for replay in pair:
+            replay.left.batch = left
+            replay.right.batch = right
+            with monkeypatch.context() as patch:
+                chain = _record_chain_calls(patch)
+                replayed = replay.advance()
+            calls += chain
+            assert len(chain) == replay.stats_mode
+            _assert_same_deltas(replayed, out)
+            assert _node_charges(replay) == charges
+            assert replay.entry_count == entries
+        ((node, _, raw, _),) = chain
+        assert raw.width == len(node.core_schema)
+        rows, signs, bits = _reference_apply_rows(node, raw, WorkMeter(), None)
+        assert (list(out.rows()), list(out.sign_list()),
+                list(out.bit_list())) == (rows, signs, bits)
+    assert replays
+    return calls
+
+
+class _Tap:
+    """A join input that remembers the batch it last handed over."""
+
+    def __init__(self, child):
+        self.child = child
+        self.batch = None
+
+    def advance(self):
+        self.batch = self.child.advance()
+        return self.batch
+
+    def __getattr__(self, name):  # ``release``, ``rewind``, ...
+        return getattr(self.child, name)
 
 
 def _walk(node):
@@ -521,16 +613,22 @@ class TestLargeBatches:
             .where(col("g") == "g1").as_query(1, "joined_g1"),
         ]
         probes = []
-        probe = columnar_mod.ColumnarJoinExec._probe
+        build = columnar_mod.fused_join_kernel
 
-        def spy(batch, keys, table, left_side, pending):
-            nets = {abs(net) for slots in table.values()
-                    for net in slots.values()}
-            probes.append((len(batch), max(nets, default=0)))
-            return probe(batch, keys, table, left_side, pending)
+        def spy_build(node, side, install, decorated=True):
+            kernel = build(node, side, install, decorated)
 
-        monkeypatch.setattr(
-            columnar_mod.ColumnarJoinExec, "_probe", staticmethod(spy))
+            def spy(rows, signs, bits, other_get, *rest):
+                # ``other_get`` is the other side's ``table.get``
+                nets = {abs(net) for slots in other_get.__self__.values()
+                        for net in slots.values()}
+                probes.append((len(rows), max(nets, default=0)))
+                return kernel(rows, signs, bits, other_get, *rest)
+
+            spy.width = kernel.width
+            return spy
+
+        monkeypatch.setattr(columnar_mod, "fused_join_kernel", spy_build)
         plan = self._run_both(catalog, queries, lambda subplan: 1)
         assert any(n > LARGE and net > 1 for n, net in probes), probes
         assert any(subplan.query_mask == 0b11 for subplan in plan.subplans)

@@ -1,14 +1,16 @@
 """The operators' fast paths against the general loops they shortcut.
 
 Buffer consolidation (``columnar._consolidated_batch``) has a fast path
-for the common case and keeps its general loop as the fallback: an
-insert-only read with every ``(row, bits)`` distinct is returned as
-read.  The join probe (``ColumnarJoinExec._probe``) is one zipped pass
-that tests a net of 1 first, and the generated absorb inlines the
-reference's SUM/AVG arithmetic.  Each must emit exactly what the general
-form emits: same rows, order, signs and bits.  A private
-join side's install (``PrivateSide.install``) is one loop; its tests pin
-it against a spelled-out install, slots at net -1 included.
+for the common case and keeps its one-hash netting loop as the
+fallback: an insert-only read with every ``(row, bits)`` distinct is
+returned as read.  A join side's generated kernel
+(``fused.fused_join_kernel``) probes, decorates and installs in one
+pass per delta; its probe tests a net of 1 first, and the generated
+absorb inlines the reference's SUM/AVG arithmetic.  Each must emit
+exactly what the general form emits: same rows, order, signs and bits.
+A private join side's install is pinned against a spelled-out install,
+slots at net -1 included; whole join and source operators against the
+per-tuple reference, charge for charge.
 
 ``TestFastPathCounts`` is the structure floor: how many consolidations
 of one window of the 22-query plan take each path.
@@ -18,12 +20,14 @@ import math
 
 import pytest
 
-from repro.engine.arrangements import PrivateSide
+from repro.engine.arrangements import Arrangement, PrivateSide
+from repro.engine.buffers import Buffer
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.mqo.merge import MQOOptimizer
 from repro.mqo.nodes import OpNode, TableRef
 from repro.physical import columnar, operators
+from repro.physical.fused import fused_join_kernel
 from repro.physical.work import WorkMeter
 from repro.relational.expressions import agg_avg, agg_sum, col
 from repro.relational.schema import Schema
@@ -78,6 +82,18 @@ CONSOLIDATION_CASES = {
     "mixed signs, nothing cancels": [
         [Delta((1, "a"), -1, 1), Delta((2, "b"), 1, 1)],
     ],
+    "mixed signs, nets past one either way": [
+        [Delta((1, "a"), 1, 1), Delta((2, "b"), -1, 1),
+         Delta((1, "a"), 1, 1)],
+        [Delta((2, "b"), -1, 1), Delta((1, "a"), 1, 1),
+         Delta((2, "b"), -1, 2), Delta((1, "a"), -1, 1)],
+    ],
+    "mixed signs, a key cancelled then back": [
+        [Delta((1, "a"), 1, 1), Delta((3, "c"), 1, 1),
+         Delta((1, "a"), -1, 1)],
+        # back after reaching 0: it keeps its first-seen place
+        [Delta((1, "a"), 1, 1), Delta((1.0, "a"), 1, 1)],
+    ],
 }
 
 
@@ -117,6 +133,37 @@ class TestConsolidation:
 # -- private-side install ----------------------------------------------------
 
 
+def _join_node(left_schema, right_schema, left_keys, right_keys,
+               filters=None, projections=None, mask=0b11):
+    return OpNode(
+        "join",
+        children=[
+            OpNode("source", ref=TableRef("l", left_schema), query_mask=mask),
+            OpNode("source", ref=TableRef("r", right_schema), query_mask=mask),
+        ],
+        left_keys=left_keys, right_keys=right_keys, filters=filters,
+        projections=projections, query_mask=mask,
+    )
+
+
+#: ``(k, v) JOIN (o,)`` on ``k = o``: deltas of either width-2 side key
+#: on their first column
+_KEYED = {
+    0: _join_node(Schema.of("k", "v"), Schema.of("o"), ["k"], ["o"]),
+    1: _join_node(Schema.of("o"), Schema.of("k", "v"), ["o"], ["k"]),
+}
+
+
+def _run_kernel(side, batch, other_table, own, install):
+    """One side's undecorated kernel over ``batch``; returns the emitted
+    ``(row, sign, bits)`` triples and the match count it reports."""
+    out = [], [], []
+    kernel = fused_join_kernel(_KEYED[side], side, install, decorated=False)
+    joined = kernel(batch.rows(), batch.sign_list(), batch.bit_list(),
+                    other_table.get, own, *out)
+    return list(zip(*out)), joined
+
+
 def _snapshot(side):
     return side.entries, [
         (key, list(inner.items())) for key, inner in side.table.items()
@@ -143,13 +190,13 @@ def _install_spec(table, deltas):
 
 
 def _install_batches(batches):
-    """Install ``batches`` one by one; returns the side's snapshot after
-    each, asserting it equals the spec's."""
+    """Install ``batches`` one by one through the left side's kernel
+    (nothing to probe); returns the side's snapshot after each,
+    asserting it equals the spec's."""
     side, spec = PrivateSide(), {}
     snapshots = []
     for deltas in batches:
-        batch = batch_of(deltas, 2)
-        side.install(batch, [row[0] for row in batch.rows()])
+        assert _run_kernel(0, batch_of(deltas, 2), {}, side, True) == ([], 0)
         snapshots.append(_snapshot(side))
         assert snapshots[-1] == _install_spec(spec, deltas)
     return snapshots
@@ -230,16 +277,237 @@ PROBE_DELTAS = [
 class TestProbe:
     @pytest.mark.parametrize("left_side", [True, False])
     def test_zipped_probe_matches_its_spec(self, left_side):
+        # the kernel of an arranged side: it probes and installs nothing
         batch = batch_of(PROBE_DELTAS, 2)
         listed = batch.rows(), batch.sign_list(), batch.bit_list()
         keys = [row[0] for row in batch.rows()]
-        pending = [], [], []
-        columnar.ColumnarJoinExec._probe(
-            batch, keys, _probe_table(), left_side, pending)
-        emitted = list(zip(*pending))
+        side = PrivateSide()
+        emitted, joined = _run_kernel(
+            0 if left_side else 1, batch, _probe_table(), side, False)
         assert emitted == _probe_spec(listed, keys, _probe_table(), left_side)
-        assert len(emitted) == 9
+        assert len(emitted) == joined == 9
         assert {sign for _, sign, _ in emitted} == {1, -1}
+        assert _snapshot(side) == (0, [])
+
+
+# -- whole joins and base-table chains against the per-tuple reference --------
+
+
+class _Feed:
+    batch = None
+
+    def advance(self):
+        return self.batch
+
+
+def _typed(out):
+    # value types ride along: (3,) == (3.0,) == (True,)
+    return [(d.row, tuple(map(type, d.row)), d.sign, d.bits)
+            for d in deltas_of(out)]
+
+
+def _assert_joins_agree(node, steps, widths, arranged=None):
+    """Feed ``steps`` of ``(left deltas, right deltas)`` to the reference
+    join and to the production join -- as a window runs it and under
+    ``stats_mode`` -- advance by advance: the same rows, order, types,
+    signs and bits, every WorkMeter charge and entry count, and the same
+    calibration tallies.  Returns the production outputs."""
+    legs = []
+    for stats_mode in (False, True):
+        meters = WorkMeter(), WorkMeter()
+        reference = operators.JoinExec(
+            node, _Feed(), _Feed(), meters[0], stats_mode)
+        production = columnar.ColumnarJoinExec(
+            node, _Feed(), _Feed(), meters[1], stats_mode)
+        legs.append((reference, production, meters))
+    emitted = []
+    for left, right in steps:
+        outs = []
+        for reference, production, meters in legs:
+            reference.left.batch, reference.right.batch = left, right
+            production.left.batch = batch_of(left, widths[0])
+            production.right.batch = batch_of(right, widths[1])
+            expected = _typed(reference.advance())
+            got = production.advance()
+            assert _typed(got) == expected
+            assert meters[0].snapshot() == meters[1].snapshot()
+            assert meters[0].state_entries == meters[1].state_entries
+            assert reference.entry_count == production.entry_count
+            outs.append(expected)
+        assert outs[0] == outs[1]
+        emitted.append(outs[0])
+    for reference, production, _ in legs:
+        assert (reference.in_left_per_q, reference.in_right_per_q,
+                reference.out_per_q, reference.decorations.filter_in_per_q,
+                reference.decorations.filter_out_per_q) == (
+            production.in_left_per_q, production.in_right_per_q,
+            production.out_per_q, production.decorations.filter_in_per_q,
+            production.decorations.filter_out_per_q)
+    return emitted
+
+
+#: ``orders(ok, ck, price) JOIN lines(lk, lc, qty, tag)`` on two columns
+_ORDERS = Schema.of("ok", "ck", "price")
+_LINES = Schema.of("lk", "lc", "qty", "tag")
+
+
+def _two_key_steps():
+    orders = [Delta((k, k % 3, 10.0 * k), 1, 0b11) for k in range(6)]
+    lines = [Delta((k % 6, k % 3, float(k), "t%d" % (k % 2)), 1,
+                   0b11 if k % 4 else 0b01) for k in range(14)]
+    return [
+        (orders[:4], lines[:7]),
+        # duplicates: the slots' nets reach 2, and each match leaves
+        # |net| copies
+        (orders[:2], lines[7:]),
+        ([], lines[:3]),
+        # retractions: order 0's slot back to net 1, order 3's key
+        # emptied
+        ([Delta(orders[0].row, -1, 0b11), Delta(orders[3].row, -1, 0b11)],
+         []),
+        # zero joined bits: q1-only lines against a q0-only order
+        ([Delta((5, 2, 1.5), 1, 0b01)],
+         [Delta((5, 2, 9.0, "t0"), 1, 0b10),
+          Delta((5, 2, 8.0, "t1"), -1, 0b10)]),
+        (orders[4:], [Delta(d.row, -1, d.bits) for d in lines[:7]]),
+        ([], []),
+    ]
+
+
+class TestJoinKernel:
+    def test_filters_reading_both_halves_and_a_narrowing_projection(self):
+        node = _join_node(
+            _ORDERS, _LINES, ["ok", "ck"], ["lk", "lc"],
+            filters={0: col("qty") * 10.0 < col("price"),
+                     1: (col("tag") == "t1") | (col("price") > 30.0)},
+            projections={
+                0: (("ok", col("ok")), ("gross", col("price") * col("qty"))),
+                1: (("ok", col("ok")), ("tag", col("tag"))),
+            },
+        )
+        emitted = _assert_joins_agree(node, _two_key_steps(), (3, 4))
+        assert any(len(step) > 1 for step in emitted)
+        assert {len(row) for step in emitted for row, _, _, _ in step} == {3}
+
+    def test_row_plus_extras_projection(self):
+        # q1 keeps the whole row, so q0's computed column is appended
+        node = _join_node(
+            _ORDERS, _LINES, ["ok", "ck"], ["lk", "lc"],
+            filters={0: col("qty") > 2.0},
+            projections={0: (("ok", col("ok")), ("gross",
+                                                 col("price") * col("qty")))},
+        )
+        source = fused_join_kernel(node, 1, True).fused_source
+        assert "orow + drow + (" in source and "drow[2]" in source
+        emitted = _assert_joins_agree(node, _two_key_steps(), (3, 4))
+        assert {len(row) for step in emitted for row, _, _, _ in step} == {8}
+
+    def test_undecorated_multi_column_keys(self):
+        node = _join_node(_ORDERS, _LINES, ["ok", "ck"], ["lk", "lc"])
+        emitted = _assert_joins_agree(node, _two_key_steps(), (3, 4))
+        nets = [sign for step in emitted for _, _, sign, _ in step]
+        assert -1 in nets and 1 in nets
+        # |net| > 1 slots left their copies adjacent
+        assert any(step[i] == step[i + 1] for step in emitted
+                   for i in range(len(step) - 1))
+
+    def test_a_self_join_on_two_handles_of_one_arrangement(self):
+        # one table read by both sides, as two bare scans: both sides are
+        # handles on the one arrangement of (t, column 0), and each
+        # advances (copy-on-write) past what its own scan read
+        left = Schema.of("k", "v")
+        right = Schema.of("k2", "v2")
+        node = OpNode(
+            "join",
+            children=[
+                OpNode("source", ref=TableRef("t", left), query_mask=0b1),
+                OpNode("source", ref=TableRef("t", right), query_mask=0b1),
+            ],
+            left_keys=["k"], right_keys=["k2"], query_mask=0b1,
+        )
+        log = [[((k % 4, "v%d" % k), 1) for k in range(9)],
+               [((1, "v1"), -1), ((2, "v9"), 1), ((1, "v1"), 1)],
+               [((k % 4, "v%d" % k), -1) for k in range(5)]]
+        buffer, reference_buffer = Buffer("t"), Buffer("t")
+        arrangement = Arrangement("t", (0,), buffer)
+        handles = (arrangement.acquire(0, "left"),
+                   arrangement.acquire(0, "right"))
+        meters = WorkMeter(), WorkMeter()
+        production = columnar.ColumnarJoinExec(
+            node,
+            columnar.ColumnarSourceExec(node.children[0], buffer.reader(),
+                                        0b1, meters[0]),
+            columnar.ColumnarSourceExec(node.children[1], buffer.reader(),
+                                        0b1, meters[0]),
+            meters[0], arranged=handles,
+        )
+        reference = operators.JoinExec(
+            node,
+            operators.SourceExec(node.children[0], reference_buffer.reader(),
+                                 0b1, meters[1]),
+            operators.SourceExec(node.children[1], reference_buffer.reader(),
+                                 0b1, meters[1]),
+            meters[1],
+        )
+        emitted = 0
+        for entries in log:
+            deltas = [Delta(row, sign, -1) for row, sign in entries]
+            buffer.append(batch_of(deltas, 2))
+            reference_buffer.append(deltas)
+            out = _typed(production.advance())
+            assert out == _typed(reference.advance())
+            assert meters[0].snapshot() == meters[1].snapshot()
+            assert production.entry_count == reference.entry_count
+            # the left moved to a clone, the right caught up onto it
+            assert handles[0].version is handles[1].version
+            emitted += len(out)
+        assert production.states == handles
+        assert emitted and arrangement.maintenance_ops == sum(map(len, log))
+
+
+class TestBaseTableChain:
+    def test_a_mask_only_chain_shares_its_input_lists(self):
+        node = OpNode("source", ref=TableRef("t", Schema.of("k", "v")),
+                      query_mask=0b101)
+        deltas = [Delta((k, "v%d" % k), 1 if k % 3 else -1, -1)
+                  for k in range(7)]
+        buffer, meter = Buffer("t"), WorkMeter()
+        source = columnar.ColumnarSourceExec(node, buffer.reader(), 0b101,
+                                             meter)
+        batch = batch_of(deltas, 2)
+        buffer.append(batch)
+        out = source.advance()
+        assert out.rows() is batch.rows()
+        assert out.sign_list() is batch.sign_list()
+        assert list(out.bit_list()) == [0b101] * 7
+        reference_buffer, reference_meter = Buffer("t"), WorkMeter()
+        reference = operators.SourceExec(node, reference_buffer.reader(),
+                                         0b101, reference_meter)
+        reference_buffer.append(deltas)
+        assert _typed(out) == _typed(reference.advance())
+        assert meter.snapshot() == reference_meter.snapshot()
+        assert source.advance() is columnar.ColumnBatch.empty(2)
+
+    def test_a_filtered_chain_starts_from_the_mask(self):
+        node = OpNode(
+            "source", ref=TableRef("t", Schema.of("k", "v")),
+            filters={0: col("k") > 2, 2: col("v") != "v4"},
+            projections={0: (("k", col("k")),)},
+            query_mask=0b101,
+        )
+        deltas = [Delta((k, "v%d" % k), 1, -1) for k in range(7)]
+        outs, meters = [], []
+        for cls, segment in (
+                (columnar.ColumnarSourceExec, batch_of(deltas, 2)),
+                (operators.SourceExec, deltas)):
+            buffer, meter = Buffer("t"), WorkMeter()
+            source = cls(node, buffer.reader(), 0b101, meter)
+            buffer.append(segment)
+            outs.append(_typed(source.advance()))
+            meters.append(meter.snapshot())
+        assert outs[0] == outs[1]
+        assert {bits for _, _, _, bits in outs[0]} == {0b001, 0b100, 0b101}
+        assert meters[0] == meters[1]
 
 
 # -- edge values through the generated absorb ----------------------------------
@@ -288,13 +556,6 @@ class TestEdgeValues:
                                   for d in deltas_of(aggregate.advance())]))
             emitted.append((outs, meter.snapshot()))
         assert emitted[0] == emitted[1]
-
-
-class _Feed:
-    batch = None
-
-    def advance(self):
-        return self.batch
 
 
 # -- the counts floor --------------------------------------------------------
