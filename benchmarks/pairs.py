@@ -20,6 +20,12 @@ is still uncommitted).  ``--output`` writes the same numbers as JSON, the
 ``pairs`` block a claim carries in ``BENCH_pipeline.json``.  The worktree
 is removed on exit.  The script exits non-zero only when a child failed
 or reported a failed operation: it measures, it does not gate.
+
+``setup_s`` includes import time, so both sides start from the same
+bytecode-cache state: each side's children compile into that side's own
+cache under the scratch directory (``PYTHONPYCACHEPREFIX``), reading and
+writing neither tree's ``__pycache__``, and one unmeasured warm-up child
+per side runs before the first pair.
 """
 
 import argparse
@@ -92,13 +98,15 @@ def summarize(parent, change, better):
     return summary
 
 
-def run_child(checkout, args):
-    """One contract run in ``checkout``: its metrics, or None on failure."""
+def run_child(checkout, args, pycache):
+    """One contract run in ``checkout``, its bytecode cached under
+    ``pycache``: its metrics, or None on failure."""
     command = [sys.executable, os.path.join(checkout, RUN),
                "--workload", args.workload, "--seed", str(args.seed),
                "--trace", "0", "--size", args.size,
                "--seconds", str(args.seconds)]
     done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache),
                           text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
@@ -112,11 +120,16 @@ def run_child(checkout, args):
 def measure(args, base_dir, log=print):
     """Run the pairs; returns ``(parent runs, change runs, failures)``."""
     sides = {"parent": base_dir, "change": ROOT}
+    caches = {side: os.path.join(args.scratch, "pycache", side)
+              for side in sides}
+    for side in sides:  # the warm-up, unmeasured
+        run_child(sides[side], args, caches[side])
     runs = {"parent": [], "change": []}
     failures = 0
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        results = {side: run_child(sides[side], args) for side in order}
+        results = {side: run_child(sides[side], args, caches[side])
+                   for side in order}
         if None in results.values():
             failures += 1
             log("pair %d: a child failed (%s)" % (pair + 1, ", ".join(
@@ -171,7 +184,7 @@ def main(argv=None):
     change = git("rev-parse", "HEAD")
     if git("status", "--porcelain", "--untracked-files=no"):
         change += "+uncommitted"
-    scratch = tempfile.mkdtemp(prefix="pairs-")
+    scratch = args.scratch = tempfile.mkdtemp(prefix="pairs-")
     base_dir = os.path.join(scratch, "parent")
     git("worktree", "add", "--detach", base_dir, base)
     try:

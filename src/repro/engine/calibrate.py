@@ -6,8 +6,9 @@ it needs.  :func:`calibrate_plan` runs the plan once in batch mode
 (every pace 1) with statistics collection enabled and attaches a
 :class:`~repro.cost.stats.NodeStats` to every plan node.  That run is a
 production run plus counters: the executor compiles the operators every
-window runs, and ``stats_mode`` only makes each operator
-tally the batches that cross its boundaries.
+window runs, and ``stats_mode`` only makes each operator tally the
+batches that cross its boundaries (a join runs the window's side
+kernels; a filtered one also counts its matches' bits on the probe).
 
 Calibration results can be cached on disk (:mod:`repro.cost.cache`):
 when a cache is passed -- or installed process-wide with

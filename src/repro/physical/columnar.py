@@ -16,9 +16,9 @@ Calibration runs these operators as every window does.  In
 that already cross its boundaries -- a source's input under its subplan
 mask, a join's and an aggregate's inputs and raw output, every chain's
 input and output when the node has filters (:func:`_count_bits`) --
-around the chain's kernel (:meth:`ColumnarDecorations.apply`; a join
-there runs its side kernels without its decorations first), so the
-statistics describe the code that will run.
+around the very kernels a window runs, so the statistics describe the
+code that will run (a filtered join, whose raw output is never a batch,
+counts its matches' bits in a stats-only probe, :func:`_match_patterns`).
 
 Two invariants tie the operators to the per-tuple reference
 (:mod:`repro.physical.operators`), bit for bit:
@@ -37,10 +37,11 @@ and the ``shared-columnar`` fuzz oracle enforce both.
 """
 
 from collections import Counter
+from operator import itemgetter
 
 from ..engine.arrangements import PrivateSide
 from ..engine.columns import ColumnBatch, concat_batches
-from .faults import FAULTS, drop_first_retraction, drop_lost_key_matches
+from .faults import FAULTS, drop_first_retraction, losing_get
 from .fused import (
     fused_aggregate_kernels,
     fused_join_kernel,
@@ -63,11 +64,28 @@ def _count_bits(batch, *accs, mask=-1):
         pattern &= mask
         if pattern:
             patterns[pattern] = patterns.get(pattern, 0) + count
+    return _tally_patterns(patterns, *accs)
+
+
+def _tally_patterns(patterns, *accs):
+    """``_count_bits`` from ``{bit pattern: rows}``."""
     for pattern, count in sorted(patterns.items()):
         for qid in qids_of(pattern):
             for acc in accs:
                 acc[qid] = acc.get(qid, 0) + count
     return sum(patterns.values())
+
+
+def _match_patterns(batch, key, get, patterns):
+    """Stats mode: count into ``patterns`` the joined bits of each match
+    ``batch``'s deltas find through ``get`` (by ``key``), ``|net|`` times."""
+    for dkey, dbits in zip(map(key, batch.rows()), batch.bit_list()):
+        matches = get(dkey)
+        if matches:
+            for (_, sbits), net in matches.items():
+                b = dbits & sbits
+                if b:
+                    patterns[b] = patterns.get(b, 0) + abs(net)
 
 
 # -- columnar decorations ----------------------------------------------------
@@ -298,14 +316,16 @@ class ColumnarJoinExec:
         self.states = tuple(
             PrivateSide() if handle is None else handle for handle in arranged
         )
+        # the chain's counters and stage names: the side kernels filter
+        # and project, its row kernel never runs
         self.decorations = ColumnarDecorations(node)
-        # the chain stages a decorated window charges after the join's own
-        self._filter_name = (
-            self.decorations.filter_name if node.filters else None)
-        self._project_name = (
-            self.decorations.project_name if node.projections else None)
-        # per side, generated on the first batch: [undecorated, decorated]
-        self._kernels = [None, None]
+        self._kernels = None  # per side, generated on the first batch
+        # stats mode, filtered node: each side's key, for _match_patterns
+        self._keys = (None, None)
+        if stats_mode and node.filters:
+            self._keys = [itemgetter(*map(child.out_schema.index_of, keys))
+                          for child, keys in zip(node.children, (
+                              node.left_keys, node.right_keys))]
         self.stats_mode = stats_mode
         self.in_left = 0
         self.in_right = 0
@@ -346,15 +366,10 @@ class ColumnarJoinExec:
         right_batch = self.right.advance()
         meter = self.meter
         meter.charge_input(self.name, len(left_batch) + len(right_batch))
-        # Calibration tallies the undecorated output, and the injected
-        # fault drops from it: both run the kernels without decorations,
-        # then the chain's own kernel.
-        decorated = not (self.stats_mode or FAULTS.drop_last_key_match)
-        kernels = self._kernels[decorated]
+        kernels = self._kernels
         if kernels is None:
-            kernels = self._kernels[decorated] = tuple(
-                fused_join_kernel(self.node, side,
-                                  type(state) is PrivateSide, decorated)
+            kernels = self._kernels = tuple(
+                fused_join_kernel(self.node, side, type(state) is PrivateSide)
                 for side, state in enumerate(self.states)
             )
         # In the reference's order: new left deltas probe the *old*
@@ -364,52 +379,48 @@ class ColumnarJoinExec:
         # per delta.
         out = [], [], []  # output rows, signs and bits, both sides
         joined = 0
+        patterns = {}  # stats mode, filtered node: joined bits -> matches
         own, other = self.states
-        for batch, kernel in ((left_batch, kernels[0]),
-                              (right_batch, kernels[1])):
+        for batch, kernel, key in zip((left_batch, right_batch), kernels,
+                                      self._keys):
             if len(batch):
                 private = type(own) is PrivateSide
                 # an arranged side's kernel only probes
                 if private or other.entries:
+                    get = other.table.get
+                    if FAULTS.drop_last_key_match:
+                        # test-only injected bug, at the probe: see
+                        # repro.physical.faults
+                        get = losing_get(get)
+                    if key is not None:
+                        _match_patterns(batch, key, get, patterns)
                     joined += kernel(batch.rows(), batch.sign_list(),
-                                     batch.bit_list(), other.table.get, own,
-                                     *out)
+                                     batch.bit_list(), get, own, *out)
                 if not private:
                     own.install(batch)
             own, other = other, own
         width = kernels[0].width
         out = ColumnBatch(*out, width) if out[0] else ColumnBatch.empty(width)
-        if not decorated:
-            return self._decorate(left_batch, right_batch, out)
         meter.charge_output(self.name, joined)
         meter.charge_state(self.entry_count)
-        if self._filter_name is not None:
-            meter.charge_input(self._filter_name, joined)
-        if self._project_name is not None:
-            meter.charge_input(self._project_name, len(out))
+        node, decorations = self.node, self.decorations
+        if node.filters:
+            meter.charge_input(decorations.filter_name, joined)
+        if node.projections:
+            meter.charge_input(decorations.project_name, len(out))
+        if self.stats_mode:
+            self.in_left += len(left_batch)
+            self.in_right += len(right_batch)
+            self.out_total += joined
+            _count_bits(left_batch, self.in_left_per_q)
+            _count_bits(right_batch, self.in_right_per_q)
+            if not node.filters:  # projection changes no bits
+                _count_bits(out, self.out_per_q)
+            else:
+                _tally_patterns(patterns, self.out_per_q,
+                                decorations.filter_in_per_q)
+                _count_bits(out, decorations.filter_out_per_q)
         return out
-
-    def _decorate(self, left_batch, right_batch, out):
-        """The undecorated output's charges, then the chain's kernel --
-        between tallies in ``stats_mode``."""
-        if FAULTS.drop_last_key_match:
-            # test-only injected bug, after the probe: see
-            # repro.physical.faults
-            node = self.node
-            out = drop_lost_key_matches(
-                out, node.children[0].out_schema.index_of(node.left_keys[0]))
-        self.meter.charge_output(self.name, len(out))
-        self.meter.charge_state(self.entry_count)
-        if not self.stats_mode:
-            return self.decorations.apply(out, self.meter)
-        self.in_left += len(left_batch)
-        self.in_right += len(right_batch)
-        self.out_total += len(out)
-        _count_bits(left_batch, self.in_left_per_q)
-        _count_bits(right_batch, self.in_right_per_q)
-        return self.decorations.apply_tallied(
-            out, self.meter, self.out_per_q
-        )[0]
 
 
 # -- aggregate ---------------------------------------------------------------

@@ -18,7 +18,8 @@ reference path, which has no hook.
 -- the per-tuple reference and the production operator, over private or
 arranged state -- loses the matches of the last key of each block of
 four (an integer key ``k`` with ``k % 4 == 3``, as a range-partitioned
-probe that stops one key short would).  A per-probe "last match" would
+probe that stops one key short would): in both legs a delta whose key
+is lost finds nothing when it probes.  A per-probe "last match" would
 depend on arrival order, so legs at different paces would disagree and
 catch it among themselves; losing a fixed set of keys is the same bug
 in every plan shape, at every pace, with identical work accounting, so
@@ -93,17 +94,7 @@ def lost_key(key):
     return type(key) is int and key % 4 == 3
 
 
-def drop_lost_key_matches(batch, key_index):
-    """``drop_last_key_match`` on a production join's output batch, whose
-    column ``key_index`` holds the first left key."""
-    rows, signs, bits = [], [], []
-    for row, sign, bit in zip(
-        batch.rows(), batch.sign_list(), batch.bit_list()
-    ):
-        if not lost_key(row[key_index]):
-            rows.append(row)
-            signs.append(sign)
-            bits.append(bit)
-    if len(rows) == len(batch):
-        return batch
-    return ColumnBatch(rows, signs, bits, batch.width)
+def losing_get(get):
+    """``drop_last_key_match`` on a production join's probe: ``get`` of
+    the other side's table, finding nothing under a lost key."""
+    return lambda key: None if lost_key(key) else get(key)

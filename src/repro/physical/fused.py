@@ -32,11 +32,12 @@ pair of its absorb and emit texts) and shows in tracebacks under its
 
 Exactness contract: every kernel of a node emits the rows, the order and
 the WorkMeter charges of the per-tuple reference -- the filter stage is
-charged its input length (after the source mask; a join's undecorated
-match count), the projection stage the survivors, both even at zero.
-Calibration (``stats_mode``) runs these kernels too and tallies its
-counters from the batches between them: a join there runs its
-undecorated side kernels, then its chain's row kernel.
+charged its input length (after the source mask; a join's match count
+before its filters), the projection stage the survivors, both even at
+zero.  Calibration (``stats_mode``) runs these very kernels and tallies
+its counters from the batches between them; a join there is the
+window's two side kernels, and a filtered one adds a stats-only count
+of its matches' bits (:mod:`repro.physical.columnar`).
 """
 
 from collections import namedtuple
@@ -261,20 +262,20 @@ _INSTALL = """\
 """
 
 
-def _build_join_kernel(node, side, install, decorated):
+def _build_join_kernel(node, side, install):
     """``kernel(rows, signs, bits, other_get, own, out_rows, out_signs,
     out_bits) -> joined``: one side's new deltas through join ``node``
     in one loop.  Per delta: its key, inlined; the probe of the other
     side's table (``other_get``), emitting the reference's sequence --
     per delta its key's slots in insertion order, ``|net|`` copies each,
-    the sign flipped under a negative net, zero-bit pairs dropped; with
-    ``decorated``, the node's mark filters and union projection on each
-    match, spelled from the half each column lives in, so only the
-    projected tuple is built; with ``install``, the delta's install into
-    ``own`` (a :class:`~repro.engine.arrangements.PrivateSide`).
-    Returns the undecorated match count, what the join's output charge
-    and the filter stage's input charge count; ``kernel.width`` is the
-    arity of the rows it emits."""
+    the sign flipped under a negative net, zero-bit pairs dropped; the
+    node's mark filters and union projection on each match, spelled from
+    the half each column lives in, so only the projected tuple is built;
+    with ``install``, the delta's install into ``own`` (a
+    :class:`~repro.engine.arrangements.PrivateSide`).  Returns the match
+    count before the filters, what the join's output charge and the
+    filter stage's input charge count; ``kernel.width`` is the arity of
+    the rows it emits."""
     bindings = Bindings()
     left_schema = node.children[0].out_schema
     right_schema = node.children[1].out_schema
@@ -286,18 +287,15 @@ def _build_join_kernel(node, side, install, decorated):
         "drow[%d], " % i for i in indexes)
     whole = "drow + orow" if side == 0 else "orow + drow"
     width = len(left_schema) + len(right_schema)
-    decorate = []
     row = whole
-    if decorated:
-        halves = _Halves(left_schema.concat(right_schema), len(left_schema),
-                         side == 0)
-        decorate = _filter_lines(
-            sorted(node.filters.items()), halves, bindings, "b", 0)
-        union = node.union_projection()
-        if union is not None:
-            row = _projected(union, halves, bindings, whole)
-            width = len(union)
-    decorate = "".join(line + "\n" for line in decorate)
+    halves = _Halves(left_schema.concat(right_schema), len(left_schema),
+                     side == 0)
+    decorate = "".join(line + "\n" for line in _filter_lines(
+        sorted(node.filters.items()), halves, bindings, "b", 0))
+    union = node.union_projection()
+    if union is not None:
+        row = _projected(union, halves, bindings, whole)
+        width = len(union)
     if decorate:
         # filters drop matches: count them as they come
         count = dict(count_init="joined = 0",
@@ -640,16 +638,14 @@ def fused_row_kernel(node, source=False):
     )
 
 
-def fused_join_kernel(node, side, install, decorated=True):
+def fused_join_kernel(node, side, install):
     """The memoized kernel of join ``node``'s ``side`` (0 left, 1 right)
-    -- ``install``: into a private own side; ``decorated``: with the
-    node's filters and projection (calibration and the injected join
-    fault take the undecorated one; a node with neither has only that)."""
-    decorated = decorated and bool(node.filters or node.projections)
+    -- ``install``: into a private own side -- the one path every window,
+    calibration and the injected join fault run."""
     return cached_artifacts(
         node,
-        ("fused-join", side, install, decorated),
-        lambda: _build_join_kernel(node, side, install, decorated),
+        ("fused-join", side, install),
+        lambda: _build_join_kernel(node, side, install),
     )
 
 

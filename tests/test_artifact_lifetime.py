@@ -17,10 +17,16 @@ from types import FunctionType
 
 
 from repro.core.optimizer import OptimizerConfig
+from repro.engine.calibrate import calibrate_plan
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.physical import fused, hotpath
 from repro.service.core import QueryService
+from repro.workloads.tpch import (
+    ALL_QUERY_NAMES,
+    build_workload,
+    generate_catalog,
+)
 
 from .util import (
     make_toy_catalog,
@@ -116,9 +122,26 @@ def test_a_churning_service_keeps_only_the_live_plans_artifacts():
         gc.enable()
     assert generated == []
     # the artifacts compiled, each once per node: 228 source chains,
-    # 168 join and aggregate chains (a join's runs in calibration
-    # only), 244 join side kernels and 106 aggregate kernel pairs
-    assert hotpath.compile_cache_stats["misses"] - misses == 746
+    # 106 aggregate chains, 244 join side kernels (a join filters and
+    # projects inside them, calibration included) and 106 aggregate
+    # kernel pairs
+    assert hotpath.compile_cache_stats["misses"] - misses == 684
+
+
+def test_a_calibrated_plans_joins_hold_only_their_side_kernels():
+    # the 22-query plan: some of its joins filter and project
+    catalog = generate_catalog(scale=0.02, seed=5)
+    plan = shared_plan_for(catalog, build_workload(catalog, ALL_QUERY_NAMES))
+    calibrate_plan(plan, cache=None)
+    joins = [node for subplan in plan.subplans
+             for node in subplan.root.walk() if node.kind == "join"]
+    assert any(node.filters and node.projections for node in joins)
+    for node in joins:
+        kinds = hotpath._ARTIFACTS[node]
+        assert "fused-row" not in kinds
+        sides = [kind for kind in kinds if kind[0] == "fused-join"]
+        assert sorted(kind[1] for kind in sides) == [0, 1], sides
+        assert all(len(kind) == 3 for kind in sides), sides
 
 
 def test_a_compiled_plan_still_pickles():

@@ -123,11 +123,10 @@ class TestFig11WorkIdentity:
         clear_compiled_caches()
         PlanExecutor(plan, StreamConfig()).run(paces)
         monkeypatch.undo()
-        # a join's chain runs inside its side kernels in a window, and
-        # after them in calibration: both are replayed, and the
-        # undecorated batches calibration hands the chain join the
-        # others below
-        calls += _replay_joins(joins, monkeypatch)
+        # a join's chain runs inside its side kernels, in a window and
+        # in calibration alike: both are replayed, and each output is
+        # held to the chain's spec over the reference join's raw output
+        _replay_joins(joins, monkeypatch)
 
         nodes = [
             node for subplan in plan.subplans for node in _walk(subplan.root)
@@ -136,10 +135,10 @@ class TestFig11WorkIdentity:
                    if source]
         assert {node.uid for node, _, _ in sources} == {
             n.uid for n in nodes if n.kind == "source"}
-        # every join's and aggregate's decorations are replayed on an
-        # empty batch too, which keeps coverage at all of them whatever
-        # fig11's traffic looks like
-        decorated = [n for n in nodes if n.kind != "source"]
+        # every aggregate's decorations are replayed on an empty batch
+        # too, which keeps coverage at all of them whatever fig11's
+        # traffic looks like
+        decorated = [n for n in nodes if n.kind == "aggregate"]
         deco_calls = [
             (node, ColumnBatch.empty(len(node.core_schema)))
             for node in decorated
@@ -246,41 +245,48 @@ def _node_charges(join):
 def _replay_joins(advances, monkeypatch):
     """Replay each recorded join, advance by advance on private sides,
     as a window runs it and under ``stats_mode``: both emit the window's
-    batch, charge its node what the window did and bill its entry
-    count, and the output is the chain's expression spec over the
-    undecorated batch calibration hands the chain.  Returns the chain
-    calls of the ``stats_mode`` replays."""
+    batch, charge its node what the window did and bill its entry count,
+    and neither runs a chain kernel.  The output is the chain's
+    expression spec over the reference join's undecorated output for the
+    same advance."""
     from repro.physical import columnar as columnar_mod
+    from repro.physical import operators
     from repro.physical.work import WorkMeter
 
     replays = {}
-    calls = []
     for join, left, right, out, charges, entries in advances:
-        pair = replays.get(id(join))
-        if pair is None:
-            pair = replays[id(join)] = [
+        node = join.node
+        legs = replays.get(id(join))
+        if legs is None:
+            legs = replays[id(join)] = [
                 columnar_mod.ColumnarJoinExec(
-                    join.node, _Feed(), _Feed(), WorkMeter(), stats_mode)
+                    node, _Feed(), _Feed(), WorkMeter(), stats_mode)
                 for stats_mode in (False, True)
-            ]
+            ] + [operators.JoinExec(node, _Feed(), _Feed(), WorkMeter())]
+        *pair, reference = legs
         for replay in pair:
             replay.left.batch = left
             replay.right.batch = right
             with monkeypatch.context() as patch:
                 chain = _record_chain_calls(patch)
                 replayed = replay.advance()
-            calls += chain
-            assert len(chain) == replay.stats_mode
+            assert chain == []
             _assert_same_deltas(replayed, out)
             assert _node_charges(replay) == charges
             assert replay.entry_count == entries
-        ((node, _, raw, _),) = chain
-        assert raw.width == len(node.core_schema)
+        reference.left.batch = deltas_of(left)
+        reference.right.batch = deltas_of(right)
+        with monkeypatch.context() as patch:
+            # the reference's output before its decorations
+            patch.setattr(operators.Decorations, "apply",
+                          lambda self, deltas, meter: deltas)
+            raw = batch_of(reference.advance(), len(node.core_schema))
         rows, signs, bits = _reference_apply_rows(node, raw, WorkMeter(), None)
         assert (list(out.rows()), list(out.sign_list()),
                 list(out.bit_list())) == (rows, signs, bits)
-    assert replays
-    return calls
+    # not vacuous: some filtered join's output was held to its spec
+    assert any(len(out) and join.node.filters
+               for join, _, _, out, _, _ in advances)
 
 
 class _Tap:
@@ -615,8 +621,8 @@ class TestLargeBatches:
         probes = []
         build = columnar_mod.fused_join_kernel
 
-        def spy_build(node, side, install, decorated=True):
-            kernel = build(node, side, install, decorated)
+        def spy_build(node, side, install):
+            kernel = build(node, side, install)
 
             def spy(rows, signs, bits, other_get, *rest):
                 # ``other_get`` is the other side's ``table.get``

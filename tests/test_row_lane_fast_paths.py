@@ -27,6 +27,7 @@ from repro.engine.stream import StreamConfig
 from repro.mqo.merge import MQOOptimizer
 from repro.mqo.nodes import OpNode, TableRef
 from repro.physical import columnar, operators
+from repro.physical.faults import inject_fault
 from repro.physical.fused import fused_join_kernel
 from repro.physical.work import WorkMeter
 from repro.relational.expressions import agg_avg, agg_sum, col
@@ -155,10 +156,11 @@ _KEYED = {
 
 
 def _run_kernel(side, batch, other_table, own, install):
-    """One side's undecorated kernel over ``batch``; returns the emitted
-    ``(row, sign, bits)`` triples and the match count it reports."""
+    """One side's kernel over ``batch`` (``_KEYED`` nodes filter and
+    project nothing); returns the emitted ``(row, sign, bits)`` triples
+    and the match count it reports."""
     out = [], [], []
-    kernel = fused_join_kernel(_KEYED[side], side, install, decorated=False)
+    kernel = fused_join_kernel(_KEYED[side], side, install)
     joined = kernel(batch.rows(), batch.sign_list(), batch.bit_list(),
                     other_table.get, own, *out)
     return list(zip(*out)), joined
@@ -306,12 +308,21 @@ def _typed(out):
             for d in deltas_of(out)]
 
 
-def _assert_joins_agree(node, steps, widths, arranged=None):
+def _assert_joins_agree(node, steps, widths):
     """Feed ``steps`` of ``(left deltas, right deltas)`` to the reference
     join and to the production join -- as a window runs it and under
-    ``stats_mode`` -- advance by advance: the same rows, order, types,
-    signs and bits, every WorkMeter charge and entry count, and the same
-    calibration tallies.  Returns the production outputs."""
+    ``stats_mode``, each again under the injected ``drop_last_key_match``
+    fault -- advance by advance: the same rows, order, types, signs and
+    bits, every WorkMeter charge and entry count, and the same
+    calibration tallies.  The fault must drop something.  Returns the
+    production outputs without the fault."""
+    emitted = _joins_agree(node, steps, widths)
+    with inject_fault(drop_last_key_match=True):
+        assert _joins_agree(node, steps, widths) != emitted
+    return emitted
+
+
+def _joins_agree(node, steps, widths):
     legs = []
     for stats_mode in (False, True):
         meters = WorkMeter(), WorkMeter()
@@ -370,6 +381,11 @@ def _two_key_steps():
          [Delta((5, 2, 9.0, "t0"), 1, 0b10),
           Delta((5, 2, 8.0, "t1"), -1, 0b10)]),
         (orders[4:], [Delta(d.row, -1, d.bits) for d in lines[:7]]),
+        # right deltas probe left slots under a key the injected fault
+        # loses (7 % 4 == 3), one of them a retraction
+        ([Delta((7, 1, 70.0), 1, 0b11), Delta((7, 1, 75.0), 1, 0b01)],
+         [Delta((7, 1, 1.0, "t1"), 1, 0b11),
+          Delta((7, 1, 2.0, "t0"), -1, 0b11)]),
         ([], []),
     ]
 
